@@ -10,6 +10,16 @@ The first-order jet of a form at a closed point is its value together with
 the gradient in the chart's local coordinates; vanishing of the pair does not
 depend on the chart.  ``jet_space_map`` expresses coefficient vectors ->
 jets as a matrix over F_p by restriction of scalars.
+
+The matrix is computed on discrete logs in the residue field F_Q (the
+field's :class:`~elldens.gf.LogTables`, to a primitive element g): the value
+entry of a monomial x^beta has log beta . log x mod (Q-1) over the chart's
+local coordinates x; a gradient entry adds log(beta_j mod p) and subtracts
+log x_j; the base-field basis image emb(g_base)^t adds t log emb(g_base).
+Entries with a zero local coordinate under a positive exponent, and
+gradient entries with p | beta_j, are zero.  The antilog and digit tables
+then give each entry's F_p coordinates.  Matrix entries have dtype
+``np.min_scalar_type(p - 1)`` (uint8 for p <= 251, uint16 from p = 257).
 """
 from __future__ import annotations
 
@@ -20,7 +30,7 @@ import numpy as np
 from . import zeta as _zeta
 from .errors import FeasibilityError
 from .gf import Embedding, FieldCtx, FieldElem, embedding, make_field, prime_power
-from .sections import Section, dim_space, monomials
+from .sections import Section, dim_space, monomial_array, power_table
 
 DEFAULT_ENUM_CAP = 1 << 26
 
@@ -157,7 +167,7 @@ def jet_at(s: Section, P: ClosedPoint) -> Jet:
     chart = P.chart
     local = P.local_coords()
     top = s.d
-    pows = [_powers(x, top) for x in local]
+    pows = [power_table(x, top) for x in local]
     value = res.zero
     grad = [res.zero] * s.m
     for expo, c in s.coeffs.items():
@@ -180,13 +190,6 @@ def jet_at(s: Section, P: ClosedPoint) -> Jet:
     return Jet(value=value, gradient=tuple(grad))
 
 
-def _powers(x: FieldElem, top: int) -> list[FieldElem]:
-    pows = [x.ctx.one]
-    for _ in range(top):
-        pows.append(pows[-1] * x)
-    return pows
-
-
 @dataclass(frozen=True)
 class JetSpaceMap:
     """Matrix over F_p of (coefficient vectors of forms of the given degrees)
@@ -195,7 +198,9 @@ class JetSpaceMap:
     Row layout: section-major, then entry (0 = value, 1..m = gradient), then
     residue-field coordinate; rows = len(degrees)*(m+1)*n_res.  Column
     layout: section-major, then monomial (descending grlex), then base-field
-    coordinate; cols = sum_i dim_space(m, d_i) * n_base.
+    coordinate; cols = sum_i dim_space(m, d_i) * n_base.  Entries come from
+    the residue field's log/antilog/digit tables and have dtype
+    ``np.min_scalar_type(p - 1)``.
     """
 
     matrix: np.ndarray
@@ -221,48 +226,36 @@ def jet_space_map(degrees: tuple[int, ...], P: ClosedPoint) -> JetSpaceMap:
     res = P.field
     n_res = res.n
     m = P.m
-    rows = len(degrees) * (m + 1) * n_res
+    tabs = res.log_tables()
+    order = res.size - 1
+    width = (m + 1) * n_res
     cols = sum(dim_space(m, d) for d in degrees) * r
-    mat = np.zeros((rows, cols), dtype=np.uint8)
-    base = P.emb.src
-    # images of the base-field basis 1, g, g^2, ... under the embedding
-    basis_imgs = []
-    acc = res.one
-    gen_img = P.emb(base.gen)
-    for _ in range(r):
-        basis_imgs.append(acc)
-        acc = acc * gen_img
-    chart = P.chart
-    local = P.local_coords()
+    mat = np.zeros((len(degrees) * width, cols), dtype=tabs.digits.dtype)
+    # logs of the base-field basis images emb(g)^t; only t = 0 occurs when
+    # r = 1, where g itself is 0
+    gen_img = P.emb(P.emb.src.gen)
+    basis_log = np.arange(r) * tabs.log[gen_img.idx] % order
+    x_idx = np.array([x.idx for x in P.local_coords()], dtype=np.int64)
+    x_log = tabs.log[x_idx]
+    x_zero = x_idx == 0
+    step_down = np.eye(m, dtype=np.int64)
     col = 0
     for s_idx, d in enumerate(degrees):
-        pows = [_powers(x, d) for x in local]
-        for expo in monomials(m, d):
-            beta = expo[:chart] + expo[chart + 1:]
-            val = res.one
-            for x_pows, e in zip(pows, beta):
-                if e:
-                    val = val * x_pows[e]
-            grads = []
-            for j, e in enumerate(beta):
-                if e == 0 or e % res.p == 0:
-                    grads.append(res.zero)
-                    continue
-                g = res.from_int(e)
-                for jj, (x_pows, ee) in enumerate(zip(pows, beta)):
-                    use = ee - 1 if jj == j else ee
-                    if use:
-                        g = g * x_pows[use]
-                grads.append(g)
-            jet_entries = [val] + grads
-            for t in range(r):
-                w = basis_imgs[t]
-                for entry, je in enumerate(jet_entries):
-                    scaled = je * w
-                    base_row = (s_idx * (m + 1) + entry) * n_res
-                    for coord, cval in enumerate(scaled.coeffs):
-                        if cval:
-                            mat[base_row + coord, col] = cval
-                col += 1
-    assert col == cols
-    return JetSpaceMap(matrix=mat, rows=rows, cols=cols, degrees=tuple(degrees), point=P)
+        beta = np.delete(monomial_array(m, d), P.chart, axis=1)  # (dim, m)
+        dim = len(beta)
+        val_log = beta @ x_log
+        val_zero = (beta[:, x_zero] > 0).any(axis=1)
+        # d/dx_j x^beta = (beta_j mod p) x^(beta - e_j)
+        grad_log = val_log[:, None] + tabs.log[beta % p] - x_log
+        used = beta[:, None, :] - step_down  # (dim, j, exponent of x_jj)
+        grad_zero = (beta % p == 0) | ((used > 0) & x_zero).any(axis=2)
+        logs = np.concatenate([val_log[:, None], grad_log], axis=1)
+        zero = np.concatenate([val_zero[:, None], grad_zero], axis=1)
+        idx = tabs.antilog[(logs[:, :, None] + basis_log) % order]
+        idx[np.broadcast_to(zero[:, :, None], idx.shape)] = 0
+        block = tabs.digits[idx]  # (dim, entry, t, coord)
+        mat[s_idx * width:(s_idx + 1) * width, col:col + dim * r] = \
+            block.transpose(1, 3, 0, 2).reshape(width, dim * r)
+        col += dim * r
+    return JetSpaceMap(matrix=mat, rows=mat.shape[0], cols=cols,
+                       degrees=tuple(degrees), point=P)

@@ -20,7 +20,7 @@ import hashlib
 import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -236,17 +236,19 @@ class _McSetup:
         pts = closed_points_up_to(m, q, probe_deg)
         self.jet_points = [P for P in pts if P.degree <= r]
         self.probe_points = pts  # all of them provide discriminant values
-        blocks = []
+        jms = [jet_space_map(self.degrees, P) for P in pts]
+        self.total_rows = sum(jm.rows for jm in jms)
+        self.slots = jms[0].cols
+        # each point's block is written straight into the float64 matrix, and
+        # its map keeps a view of those rows so the integer block is freed
+        self.matrix = np.empty((self.total_rows, self.slots))
         self.jet_offsets = []
         off = 0
-        for P in pts:
-            jm = jet_space_map(self.degrees, P)
-            blocks.append(jm.matrix)
-            self.jet_offsets.append((P, off, jm))
+        for P, jm in zip(pts, jms):
+            rows = self.matrix[off:off + jm.rows]
+            rows[...] = jm.matrix
+            self.jet_offsets.append((P, off, replace(jm, matrix=rows)))
             off += jm.rows
-        self.matrix = np.vstack(blocks).astype(np.float64)
-        self.total_rows = off
-        self.slots = self.matrix.shape[1]
 
     def jets_from_row(self, coords: np.ndarray, P: ClosedPoint, off: int,
                       jm) -> WeierstrassJets:

@@ -8,13 +8,18 @@ q = p^r is realised as F_{p^{r*e}}; the inclusion F_q -> F_{q^e} is an
 Moduli are found by a seeded deterministic random search, so a given (p, n)
 always yields the same field and serialized artifacts reproduce bit-for-bit.
 Small fields (size <= 256) precompute full operation tables, which keeps the
-exhaustive enumeration loops elsewhere in the package cheap.
+exhaustive enumeration loops elsewhere in the package cheap.  Every field
+also builds, on first use of :meth:`FieldCtx.log_tables`, NumPy discrete-log,
+antilog and digit tables for array arithmetic (see :class:`LogTables`).
 """
 from __future__ import annotations
 
 import random
 from array import array
+from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 _TABLE_LIMIT = 256  # fields up to this many elements get full op tables
 _INTERN_LIMIT = 4096  # fields up to this many elements intern all elements
@@ -300,7 +305,7 @@ class FieldCtx:
 
     __slots__ = (
         "p", "n", "modulus", "size",
-        "_elems", "_addt", "_mult", "_invt", "_negt", "_red",
+        "_elems", "_addt", "_mult", "_invt", "_negt", "_red", "_logt",
         "zero", "one", "gen",
     )
 
@@ -322,6 +327,7 @@ class FieldCtx:
         self._red = self._build_reduction()
         self._elems = None
         self._addt = self._mult = self._invt = self._negt = None
+        self._logt = None
         if self.size <= _INTERN_LIMIT:
             self._elems = [
                 FieldElem(self, self._decode(i), i) for i in range(self.size)
@@ -448,6 +454,12 @@ class FieldCtx:
         for i in range(self.size):
             yield self.from_index(i)
 
+    def log_tables(self) -> "LogTables":
+        """The field's NumPy log/antilog/digit tables, built on first use."""
+        if self._logt is None:
+            self._logt = LogTables.build(self)
+        return self._logt
+
     # -- misc -----------------------------------------------------------------
 
     def __eq__(self, other):
@@ -460,6 +472,65 @@ class FieldCtx:
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, n={self.n}, modulus={self.modulus})"
+
+
+@dataclass(frozen=True)
+class LogTables:
+    """Discrete-log arithmetic tables of a field F_Q, Q = p^n, over element
+    indices (coefficient-little-endian counting, as ``FieldElem.idx``).
+
+    ``antilog[t]`` is the index of g^t for 0 <= t < Q-1, where g is the
+    element of order Q-1 with the smallest index;
+    ``log`` inverts it on nonzero indices, and ``log[0] = 0`` is a
+    placeholder that callers must mask.  ``digits[i]`` is the coefficient
+    vector of index i, with dtype ``np.min_scalar_type(p - 1)``.
+    """
+
+    log: np.ndarray       # (Q,) int64
+    antilog: np.ndarray   # (Q-1,) int64
+    digits: np.ndarray    # (Q, n)
+
+    @classmethod
+    def build(cls, fld: "FieldCtx") -> "LogTables":
+        p, n, order = fld.p, fld.n, fld.size - 1
+        # powers of g as coefficient rows, doubling the known range [0, L)
+        # by one multiplication with g^L per step
+        pows = np.array([fld.one.coeffs], dtype=np.int64)
+        step = fld.from_index(_primitive_index(fld))
+        while len(pows) < order:
+            pows = np.concatenate([pows, pows @ _times_matrix(step) % p])
+            step = step * step
+        place = p ** np.arange(n, dtype=np.int64)
+        antilog = pows[:order] @ place
+        log = np.zeros(fld.size, dtype=np.int64)
+        log[antilog] = np.arange(order)
+        digits = ((np.arange(fld.size, dtype=np.int64)[:, None] // place) % p
+                  ).astype(np.min_scalar_type(p - 1))
+        for arr in (log, antilog, digits):
+            arr.flags.writeable = False
+        return cls(log=log, antilog=antilog, digits=digits)
+
+
+def _primitive_index(fld: FieldCtx) -> int:
+    """Smallest element index whose multiplicative order is size - 1."""
+    order = fld.size - 1
+    factors = _prime_factors(order)
+    for i in range(1, fld.size):
+        a = fld.from_index(i)
+        if all(a ** (order // ell) != fld.one for ell in factors):
+            return i
+    raise AssertionError("finite field without a primitive element")
+
+
+def _times_matrix(c: FieldElem) -> np.ndarray:
+    """(n, n) matrix over F_p whose row i is the coefficient vector of
+    x^i * c, so that coefficient rows times it are those elements times c."""
+    fld = c.ctx
+    rows = []
+    for _ in range(fld.n):
+        rows.append(c.coeffs)
+        c = c * fld.gen
+    return np.array(rows, dtype=np.int64)
 
 
 @lru_cache(maxsize=None)

@@ -47,6 +47,14 @@ def monomials(m: int, d: int) -> tuple[tuple[int, ...], ...]:
     return out
 
 
+@lru_cache(maxsize=None)
+def monomial_array(m: int, d: int) -> np.ndarray:
+    """``monomials(m, d)`` as a read-only (dim, m+1) int64 array."""
+    arr = np.array(monomials(m, d), dtype=np.int64).reshape(-1, m + 1)
+    arr.flags.writeable = False
+    return arr
+
+
 def _grlex_key(expo: tuple[int, ...]):
     return (sum(expo), expo)
 
@@ -183,7 +191,7 @@ class Section:
         if not any(pt):
             raise InvalidPointError("all-zero tuple is not a projective point")
         target = emb.dst if emb is not None else self.field
-        pows = [_power_table(x, self.d) for x in pt]
+        pows = [power_table(x, self.d) for x in pt]
         acc = target.zero
         for expo, c in self.coeffs.items():
             term = emb(c) if emb is not None else c
@@ -231,7 +239,8 @@ class Section:
         return cls(m, d, field, coeffs)
 
 
-def _power_table(x: FieldElem, top: int) -> list[FieldElem]:
+def power_table(x: FieldElem, top: int) -> list[FieldElem]:
+    """[1, x, x^2, ..., x^top]."""
     pows = [x.ctx.one]
     for _ in range(top):
         pows.append(pows[-1] * x)
@@ -334,7 +343,7 @@ class AffinePoly:
             raise ValueError(f"point needs {self.m} coordinates")
         target = emb.dst if emb is not None else self.field
         top = max((max(e) for e in self.coeffs), default=0)
-        pows = [_power_table(x, top) for x in pt]
+        pows = [power_table(x, top) for x in pt]
         acc = target.zero
         for expo, c in self.coeffs.items():
             term = emb(c) if emb is not None else c

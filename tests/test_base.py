@@ -1,14 +1,19 @@
 """Closed points of projective space and jet evaluation maps."""
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from elldens.base import (FeasibilityError, closed_points_up_to, jet_at,
                           jet_space_map)
 from elldens.gf import embed, make_field
 from elldens.linalg import rank_mod_p
-from elldens.sections import Section, dim_space, monomials
+from elldens.sections import Section, dim_space, monomials, section_from_slots
+from elldens.weier import section_degrees
 from elldens.zeta import zeta_table
 
 
@@ -119,6 +124,87 @@ def test_jet_space_map_reproduces_jets():
                 row0 = jm.row_index(s_idx, entry, 0)
                 got = res.elem(tuple(int(out[row0 + c]) for c in range(res.n)))
                 assert got == val
+
+
+def _oracle_entries(degrees, P, slots):
+    """Value and gradient of each form at P, in the matrix's row order, by
+    AffinePoly dehomogenize -> partial -> evaluate."""
+    base = P.emb.src
+    loc = P.local_coords()
+    out = []
+    off = 0
+    for d in degrees:
+        width = dim_space(P.m, d) * base.n
+        s = section_from_slots(P.m, d, base, slots[off:off + width])
+        off += width
+        aff = s.dehomogenize(P.chart)
+        out.append(aff.evaluate(loc, emb=P.emb))
+        out += [aff.partial(j).evaluate(loc, emb=P.emb) for j in range(1, P.m + 1)]
+    return out
+
+
+def _matrix_entries(jm, slots):
+    res = jm.point.field
+    vals = (jm.matrix.astype(np.int64) @ np.asarray(slots, dtype=np.int64)) % res.p
+    return [res.elem(tuple(int(v) for v in vals[i:i + res.n]))
+            for i in range(0, jm.rows, res.n)]
+
+
+@lru_cache(maxsize=None)
+def _oracle_points(m, q):
+    """Up to three points of each degree 1, 2, with and without a zero local
+    coordinate."""
+    pts = closed_points_up_to(m, q, 2)
+    out = []
+    for e in (1, 2):
+        for has_zero in (True, False):
+            out += [P for P in pts if P.degree == e
+                    and (not all(P.local_coords())) == has_zero][:3]
+    return tuple(out)
+
+
+ORACLE_CONFIGS = [(2, 4, 2), (3, 3, 2), (5, 25, 1), (3, 9, 1), (7, 7, 2)]
+
+
+def test_oracle_points_cover_degrees_and_zero_coordinates():
+    for p, q, m in ORACLE_CONFIGS:
+        pts = _oracle_points(m, q)
+        assert {P.degree for P in pts} == {1, 2}
+        assert any(not all(P.local_coords()) for P in pts if P.degree == 1)
+        if m == 2:
+            assert any(not all(P.local_coords()) for P in pts if P.degree == 2)
+
+
+@pytest.mark.parametrize("p,q,m", ORACLE_CONFIGS)
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_jet_space_map_matches_affine_oracle(p, q, m, data):
+    # one degree is always >= p, so exponents divisible by p occur
+    pts = _oracle_points(m, q)
+    P = pts[data.draw(st.integers(0, len(pts) - 1), label="point")]
+    drawn = data.draw(st.lists(st.integers(0, 3 * p), min_size=0, max_size=2),
+                      label="degrees")
+    degrees = (p + data.draw(st.integers(0, p), label="extra"),) + tuple(drawn)
+    jm = jet_space_map(degrees, P)
+    slots = data.draw(arrays(np.int64, jm.cols, elements=st.integers(0, p - 1),
+                             fill=st.nothing()),
+                      label="slots")
+    assert _matrix_entries(jm, slots) == _oracle_entries(degrees, P, slots)
+
+
+def test_jet_space_map_prime_above_256():
+    # the entry 256 needs more than 8 bits: the matrix dtype follows p
+    p = 257
+    P = next(P for P in closed_points_up_to(1, p, 1)
+             if [c.idx for c in P.coords] == [1, 256])
+    degrees = section_degrees(p, 12)
+    jm = jet_space_map(degrees, P)
+    assert jm.matrix.dtype == np.uint16
+    assert jm.matrix.max() == 256
+    rng = np.random.default_rng(257)
+    for _ in range(3):
+        slots = rng.integers(0, p, size=jm.cols)
+        assert _matrix_entries(jm, slots) == _oracle_entries(degrees, P, slots)
 
 
 def test_jet_space_map_rank_small_case():

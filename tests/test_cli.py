@@ -1,5 +1,6 @@
 """Command line behavior: output schemas, determinism, exit codes."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +68,21 @@ def test_density_mc_deterministic_json(capsys):
     obj = json.loads(out1)
     assert obj["result"]["smooth_count"] + obj["result"]["delta_zero_count"] <= 40
     assert "timing" not in obj
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("p,q,m,k,r", [(2, 2, 2, 18, 1), (5, 5, 1, 36, 3),
+                                       (2, 4, 1, 6, 2)])
+def test_density_mc_golden_outputs(capsys, p, q, m, k, r):
+    # bytes recorded from the scalar jet-matrix implementation
+    argv = ["density-mc", "-p", str(p), "-q", str(q), "-m", str(m), "-k", str(k),
+            "-r", str(r), "--samples", "200", "--seed", "7", "--no-timing"]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    want = GOLDEN / f"density_mc_p{p}_q{q}_m{m}_k{k}_r{r}.json"
+    assert out.encode() == want.read_bytes()
 
 
 def test_scan_random_csv(capsys):

@@ -167,3 +167,27 @@ def test_from_index_bijective():
     assert idxs == set(range(25))
     with pytest.raises(ValueError):
         F.from_index(25)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2), (7, 1), (257, 1)])
+def test_log_tables_agree_with_field_arithmetic(p, n):
+    F = make_field(p, n)
+    t = F.log_tables()
+    assert t is F.log_tables()  # cached on the context
+    order = F.size - 1
+    g = F.from_index(int(t.antilog[1 % order]))
+    # g is the smallest index of multiplicative order size - 1
+    for i in range(1, g.idx):
+        a = F.from_index(i)
+        assert any(a ** (order // ell) == F.one for ell in range(2, order + 1)
+                   if order % ell == 0)
+    assert sorted(t.antilog.tolist()) == list(range(1, F.size))
+    for k in {0, order // 2, order - 1}:
+        assert t.antilog[k] == (g ** k).idx
+    rng = random.Random(f"logt-{p}-{n}")
+    for _ in range(50):
+        a, b = (F.from_index(rng.randrange(1, F.size)) for _ in range(2))
+        assert t.antilog[(t.log[a.idx] + t.log[b.idx]) % order] == (a * b).idx
+    assert t.digits.dtype == ("uint8" if p < 257 else "uint16")
+    for i in (0, 1, F.size - 1):
+        assert tuple(int(c) for c in t.digits[i]) == F.from_index(i).coeffs
