@@ -7,12 +7,20 @@ census verifies the per-point ingredient by brute force: among all jet tuples
 of the varying coefficient forms at a point with residue field F_{q^e},
 exactly a q^{-(m+1)e} fraction admits a singular fiber point.
 
+The census walks the tuple space in blocks of base-Q digits through the
+batched closed-form detector; its cross-check compares every tuple with the
+scalar fiber-scan oracle.
+
 Monte-Carlo runs draw coefficient forms uniformly (one PCG64 stream per
-sample, seeded by a stable 64-bit hash of (master_seed, index)), push the
-coefficient vectors through precomputed F_p jet matrices, and apply the
-closed-form singularity detector at every closed point of degree <= r.
-Samples whose discriminant form is identically zero are counted as
-not-smooth and tallied separately.
+sample, seeded by a stable 64-bit hash of (master_seed, index)) in chunks,
+push a chunk through the jet rows of a precomputed F_p matrix, and decode
+the result straight into element-index arrays of shape (samples, points,
+forms, jet entries), one per point degree.  The batched detector and the
+discriminant then run once per (chunk, degree).  Samples whose
+discriminant form is identically zero are counted as not-smooth and
+tallied separately: a nonzero discriminant value at a point of degree <= r
+settles delta != 0, unsettled samples go on through the probe rows one
+degree at a time, and only when every value vanishes is the form expanded.
 """
 from __future__ import annotations
 
@@ -20,26 +28,28 @@ import hashlib
 import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import zeta as _zeta
-from .base import (DEFAULT_ENUM_CAP, ClosedPoint, FeasibilityError, Jet,
-                   closed_points_up_to, jet_space_map)
-from .gf import make_field, prime_power
+from .base import (DEFAULT_ENUM_CAP, FeasibilityError, closed_points_up_to,
+                   jet_space_map)
+from .gf import FieldCtx, make_field, prime_power
 from .linalg import rank_mod_p
 from .weier import (SingularityWitness, WeierstrassData, WeierstrassJets,
-                    discriminant_value, section_degrees,
+                    discriminant_value, jets_from_indices, section_degrees,
                     singular_jets_closed_form, singular_jets_oracle,
-                    singular_over_closed_form, varying_indices,
+                    singular_witnesses, total_slots, varying_indices,
                     weierstrass_from_slots)
 
 REPORT_FORMAT_VERSION = 1
 
 _DELTA_PROBE_DEGREE = 3  # discriminant values are probed at points up to here
+_CENSUS_BLOCK = 4096  # jet tuples per detector call; bounds census memory
 
 
 def sample_seed(master_seed: int, index: int) -> int:
@@ -99,31 +109,23 @@ def jet_census(p: int, q: int, m: int, e: int,
         raise FeasibilityError(
             f"jet census needs {total} tuples > cap {cap}"
         )
-    elems = [fld.from_index(i) for i in range(fld.size)]
-    zero_jet = Jet(value=fld.zero, gradient=(fld.zero,) * m)
-    vary = varying_indices(p)
-    bad = 0
     width = m + 1
-    for tup in itertools.product(elems, repeat=g * width):
-        jets = {}
-        for s_idx, i in enumerate(vary):
-            chunk = tup[s_idx * width:(s_idx + 1) * width]
-            jets[i] = Jet(value=chunk[0], gradient=chunk[1:])
-        J = WeierstrassJets(
-            field=fld,
-            a1=jets.get(1, zero_jet), a2=jets.get(2, zero_jet),
-            a3=jets.get(3, zero_jet), a4=jets.get(4, zero_jet),
-            a6=jets.get(6, zero_jet),
-        )
-        hit = singular_jets_closed_form(J)
+    # tuple t has base-Q digits t // place % Q, first entry most significant
+    place = fld.size ** np.arange(g * width - 1, -1, -1, dtype=np.int64)
+    bad = 0
+    for start in range(0, total, _CENSUS_BLOCK):
+        tuples = np.arange(start, min(start + _CENSUS_BLOCK, total))
+        digits = (tuples[:, None] // place % fld.size).reshape(-1, g, width)
+        J = jets_from_indices(fld, digits)
+        hit = singular_jets_closed_form(J).mask
+        bad += int(np.count_nonzero(hit))
         if cross_check:
-            scan = singular_jets_oracle(J)
-            if (hit is None) != (scan is None):
-                raise AssertionError(
-                    f"closed form and fiber scan disagree on jets {tup}"
-                )
-        if hit is not None:
-            bad += 1
+            for i, h in enumerate(hit):
+                if (singular_jets_oracle(J.lane(i)) is not None) != h:
+                    raise AssertionError(
+                        "closed form and fiber scan disagree on jets "
+                        f"{tuple(digits[i].ravel().tolist())}"
+                    )
     return JetCensus(p=p, q=q, m=m, e=e, g=g, total=total, bad=bad,
                      expected_bad=expected_bad_count(p, q, m, e))
 
@@ -222,53 +224,53 @@ class DensityReport:
         return obj
 
 
+class _Block(NamedTuple):
+    """The rows of the closed points of one degree in an _McSetup matrix."""
+
+    degree: int
+    field: FieldCtx  # their residue field
+    start: int
+    stop: int
+    points: int
+
+
 class _McSetup:
-    """Precomputed jet/value matrices for one (p, q, m, k, r) configuration."""
+    """The jet evaluation matrix of one (p, q, m, k, r) configuration.
+
+    It stacks the jet rows of every closed point of degree <= the probe
+    degree, in degree order, each point's rows in section -> entry ->
+    coordinate order.  The points of degree <= r thus own the prefix
+    ``matrix[:jet_rows]`` and the discriminant-probe points the suffix.
+    """
 
     def __init__(self, p: int, q: int, m: int, k: int, r: int):
         self.p, self.q, self.m, self.k, self.r = p, q, m, k, r
         _, rr = prime_power(q)
         self.field = make_field(p, rr)
         self.degrees = section_degrees(p, k)
-        self.vary = varying_indices(p)
         self.g = len(self.degrees)
         probe_deg = max(r, min(_DELTA_PROBE_DEGREE, 12 * k))
         pts = closed_points_up_to(m, q, probe_deg)
-        self.jet_points = [P for P in pts if P.degree <= r]
-        self.probe_points = pts  # all of them provide discriminant values
-        jms = [jet_space_map(self.degrees, P) for P in pts]
-        self.total_rows = sum(jm.rows for jm in jms)
-        self.slots = jms[0].cols
-        # each point's block is written straight into the float64 matrix, and
-        # its map keeps a view of those rows so the integer block is freed
-        self.matrix = np.empty((self.total_rows, self.slots))
-        self.jet_offsets = []
+        self.blocks = []
+        row = 0
+        for e, group in itertools.groupby(pts, key=lambda P: P.degree):
+            group = list(group)
+            res = group[0].field
+            stop = row + len(group) * self.g * (m + 1) * res.n
+            self.blocks.append(_Block(e, res, row, stop, len(group)))
+            row = stop
+        self.jet_blocks = [b for b in self.blocks if b.degree <= r]
+        self.probe_blocks = [b for b in self.blocks if b.degree > r]
+        self.jet_rows = self.jet_blocks[-1].stop
+        self.slots = total_slots(m, k, self.field)
+        # each point's block goes straight into the float64 matrix, so at
+        # most one integer block is alive at a time
+        self.matrix = np.empty((row, self.slots))
         off = 0
-        for P, jm in zip(pts, jms):
-            rows = self.matrix[off:off + jm.rows]
-            rows[...] = jm.matrix
-            self.jet_offsets.append((P, off, replace(jm, matrix=rows)))
+        for P in pts:
+            jm = jet_space_map(self.degrees, P)
+            self.matrix[off:off + jm.rows] = jm.matrix
             off += jm.rows
-
-    def jets_from_row(self, coords: np.ndarray, P: ClosedPoint, off: int,
-                      jm) -> WeierstrassJets:
-        res = P.field
-        n = res.n
-        m = P.m
-        jets = {}
-        for s_idx, i in enumerate(self.vary):
-            entries = []
-            for entry in range(m + 1):
-                start = off + jm.row_index(s_idx, entry, 0)
-                entries.append(res.elem(tuple(int(v) for v in coords[start:start + n])))
-            jets[i] = Jet(value=entries[0], gradient=tuple(entries[1:]))
-        zero_jet = Jet(value=res.zero, gradient=(res.zero,) * m)
-        return WeierstrassJets(
-            field=res,
-            a1=jets.get(1, zero_jet), a2=jets.get(2, zero_jet),
-            a3=jets.get(3, zero_jet), a4=jets.get(4, zero_jet),
-            a6=jets.get(6, zero_jet),
-        )
 
 
 @lru_cache(maxsize=4)
@@ -276,18 +278,61 @@ def _mc_setup(p: int, q: int, m: int, k: int, r: int) -> _McSetup:
     return _McSetup(p, q, m, k, r)
 
 
-def _delta_zero(setup: _McSetup, coords: np.ndarray, slots: np.ndarray) -> bool:
-    """Exact test for an identically-zero discriminant form.
+def _coords(slots: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
+    """F_p coordinates of the jets: slot vectors times the matrix rows."""
+    return ((slots.astype(np.float64) @ rows.T) % p).astype(np.int64)
 
-    Nonzero discriminant value at any probe point settles it cheaply; only
-    when every probe vanishes is the discriminant form expanded exactly.
+
+def _block_jets(setup: _McSetup, b: _Block, coords: np.ndarray) -> WeierstrassJets:
+    """Batched jets, (samples, points), at the points of block b from their
+    F_p coordinates, one sample per row of ``b.stop - b.start`` entries."""
+    n = b.field.n
+    digits = coords.reshape(len(coords), b.points, setup.g, setup.m + 1, n)
+    return jets_from_indices(b.field, digits @ setup.p ** np.arange(n, dtype=np.int64))
+
+
+def _survivors(setup: _McSetup, coords: np.ndarray, live: np.ndarray,
+               test) -> np.ndarray:
+    """The samples among `live` (rows of `coords`, the jet coordinates) for
+    which `test(jets)` holds at every point of degree <= r; one `test` call
+    per degree on the samples still alive."""
+    for b in setup.jet_blocks:
+        if not live.size:
+            break
+        live = live[test(_block_jets(setup, b, coords[live, b.start:b.stop])).all(axis=1)]
+    return live
+
+
+def _delta_vanishes(J: WeierstrassJets) -> np.ndarray:
+    return discriminant_value(*J.values()).is_zero
+
+
+def _smooth(J: WeierstrassJets) -> np.ndarray:
+    return ~singular_jets_closed_form(J).mask
+
+
+def _delta_zero(setup: _McSetup, coords: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Per sample, whether its discriminant form is identically zero, from
+    its jet coordinates (at least the ``jet_rows`` prefix) and slot vector;
+    a single row is a batch of one.
+
+    A nonzero discriminant value at a point of degree <= r settles a sample.
+    Unsettled samples go on through the probe rows one degree at a time,
+    each degree a contiguous slice of the matrix, and only when every probe
+    value vanishes too is the form expanded exactly.
     """
-    for P, off, jm in setup.jet_offsets:
-        J = setup.jets_from_row(coords, P, off, jm)
-        if discriminant_value(*J.values()):
-            return False
-    w = weierstrass_from_slots(setup.m, setup.k, setup.field, slots)
-    return w.delta.is_zero
+    coords, slots = np.atleast_2d(coords, slots)
+    live = _survivors(setup, coords, np.arange(len(slots)), _delta_vanishes)
+    for b in setup.probe_blocks:
+        if not live.size:
+            break
+        probe = _coords(slots[live], setup.matrix[b.start:b.stop], setup.p)
+        live = live[_delta_vanishes(_block_jets(setup, b, probe)).all(axis=1)]
+    zero = np.zeros(len(slots), dtype=bool)
+    for i in live:
+        zero[i] = weierstrass_from_slots(setup.m, setup.k, setup.field,
+                                         slots[i]).delta.is_zero
+    return zero
 
 
 def _mc_range(p: int, q: int, m: int, k: int, r: int, master_seed: int,
@@ -296,29 +341,18 @@ def _mc_range(p: int, q: int, m: int, k: int, r: int, master_seed: int,
     setup = _mc_setup(p, q, m, k, r)
     smooth = 0
     delta_zero = 0
-    jet_blocks = [(P, off, jm) for P, off, jm in setup.jet_offsets
-                  if P.degree <= r]
+    dtype = np.min_scalar_type(p - 1)
     for start in range(lo, hi, chunk):
         stop = min(start + chunk, hi)
-        block = np.empty((stop - start, setup.slots), dtype=np.uint8)
+        block = np.empty((stop - start, setup.slots), dtype=dtype)
         for i in range(start, stop):
             rng = np.random.Generator(np.random.PCG64(sample_seed(master_seed, i)))
-            block[i - start] = rng.integers(0, p, size=setup.slots, dtype=np.uint8)
-        coords = (block.astype(np.float64) @ setup.matrix.T) % p
-        coords = coords.astype(np.int64)
-        for row_i in range(stop - start):
-            row = coords[row_i]
-            if _delta_zero(setup, row, block[row_i]):
-                delta_zero += 1
-                continue  # counted as not-smooth
-            ok = True
-            for P, off, jm in jet_blocks:
-                J = setup.jets_from_row(row, P, off, jm)
-                if singular_jets_closed_form(J) is not None:
-                    ok = False
-                    break
-            if ok:
-                smooth += 1
+            block[i - start] = rng.integers(0, p, size=setup.slots, dtype=dtype)
+        coords = _coords(block, setup.matrix[:setup.jet_rows], p)
+        dz = _delta_zero(setup, coords, block)
+        delta_zero += int(np.count_nonzero(dz))
+        # draws with delta == 0 count as not-smooth
+        smooth += _survivors(setup, coords, np.flatnonzero(~dz), _smooth).size
     return smooth, delta_zero
 
 
@@ -371,10 +405,6 @@ def _mc_worker(args) -> tuple[int, int]:
 def singular_scan(w: WeierstrassData, r: int,
                   cap: int | None = None) -> list[SingularityWitness]:
     """All closed points of degree <= r with a singular fiber point, each with
-    its verified witness (x, y)."""
-    out = []
-    for P in closed_points_up_to(w.m, w.field.size, r, cap=cap):
-        wit = singular_over_closed_form(w, P)
-        if wit is not None:
-            out.append(wit)
-    return out
+    its verified witness (x, y); one detector call per degree."""
+    return list(singular_witnesses(w, closed_points_up_to(w.m, w.field.size, r,
+                                                          cap=cap)))

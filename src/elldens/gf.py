@@ -11,6 +11,11 @@ Small fields (size <= 256) precompute full operation tables, which keeps the
 exhaustive enumeration loops elsewhere in the package cheap.  Every field
 also builds, on first use of :meth:`FieldCtx.log_tables`, NumPy discrete-log,
 antilog and digit tables for array arithmetic (see :class:`LogTables`).
+
+:class:`FieldArray` holds many elements of one field as an int64 array of
+element indices and applies the field operations element-wise: by gathers
+from the operation tables up to 256 elements, and above that by log/antilog
+gathers for products and quotients and base-p digit sums for sums.
 """
 from __future__ import annotations
 
@@ -305,7 +310,7 @@ class FieldCtx:
 
     __slots__ = (
         "p", "n", "modulus", "size",
-        "_elems", "_addt", "_mult", "_invt", "_negt", "_red", "_logt",
+        "_elems", "_addt", "_mult", "_invt", "_negt", "_red", "_logt", "_kern",
         "zero", "one", "gen",
     )
 
@@ -327,7 +332,7 @@ class FieldCtx:
         self._red = self._build_reduction()
         self._elems = None
         self._addt = self._mult = self._invt = self._negt = None
-        self._logt = None
+        self._logt = self._kern = None
         if self.size <= _INTERN_LIMIT:
             self._elems = [
                 FieldElem(self, self._decode(i), i) for i in range(self.size)
@@ -531,6 +536,186 @@ def _times_matrix(c: FieldElem) -> np.ndarray:
         rows.append(c.coeffs)
         c = c * fld.gen
     return np.array(rows, dtype=np.int64)
+
+
+class FieldArray:
+    """Elements of one field as an int64 array of element indices (as
+    ``FieldElem.idx``), with ``+ - * /``, ``**`` and negation applied
+    element-wise under NumPy broadcasting.
+
+    The other operand may be a FieldArray or a FieldElem of the same field,
+    or an int (coerced as for FieldElem).  Division by an array holding a
+    zero raises ZeroDivisionError; ``is_zero`` is the mask of zero elements.
+    Fields up to 256 elements gather from their operation tables; larger
+    ones multiply and divide on discrete logs and add digit-wise.  Powers
+    always go through the log tables.
+    """
+
+    __slots__ = ("ctx", "idx")
+
+    def __init__(self, ctx: FieldCtx, idx):
+        self.ctx = ctx
+        self.idx = np.asarray(idx, dtype=np.int64)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.idx.shape
+
+    @property
+    def is_zero(self) -> np.ndarray:
+        return self.idx == 0
+
+    def __getitem__(self, key):
+        """Sub-array, or a FieldElem when the key selects one element."""
+        sub = self.idx[key]
+        if sub.ndim == 0:
+            return self.ctx.from_index(int(sub))
+        return FieldArray(self.ctx, sub)
+
+    def _operand(self, other):
+        if isinstance(other, (FieldArray, FieldElem)):
+            if other.ctx is self.ctx or other.ctx == self.ctx:
+                return other.idx
+            raise FieldMismatchError(
+                f"cannot combine elements of F_{self.ctx.p}^{self.ctx.n} "
+                f"and F_{other.ctx.p}^{other.ctx.n} (distinct contexts)"
+            )
+        if isinstance(other, int):
+            return self.ctx.from_int(other).idx
+        return None
+
+    def _new(self, idx: np.ndarray) -> "FieldArray":
+        out = FieldArray.__new__(FieldArray)  # idx is int64 already
+        out.ctx, out.idx = self.ctx, idx
+        return out
+
+    def __add__(self, other):
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        return self._new(_kernel(self.ctx).add(self.idx, b))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new(_kernel(self.ctx).neg(self.idx))
+
+    def __sub__(self, other):
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        k = _kernel(self.ctx)
+        return self._new(k.add(self.idx, k.neg(b)))
+
+    def __rsub__(self, other):
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        k = _kernel(self.ctx)
+        return self._new(k.add(b, k.neg(self.idx)))
+
+    def __mul__(self, other):
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        return self._new(_kernel(self.ctx).mul(self.idx, b))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        k = _kernel(self.ctx)
+        return self._new(k.mul(self.idx, k.inv(_nonzero(b))))
+
+    def __rtruediv__(self, other):
+        b = self._operand(other)
+        if b is None:
+            return NotImplemented
+        k = _kernel(self.ctx)
+        return self._new(k.mul(b, k.inv(_nonzero(self.idx))))
+
+    def __pow__(self, e: int):
+        if not isinstance(e, int):
+            return NotImplemented
+        t = self.ctx.log_tables()
+        zero = self.is_zero
+        if e < 0:
+            _nonzero(self.idx)
+        out = t.antilog[t.log[self.idx] * e % (self.ctx.size - 1)]
+        if e > 0:  # 0 ** 0 is one, as for FieldElem
+            out = np.where(zero, 0, out)
+        return self._new(out)
+
+    def __bool__(self):
+        raise TypeError("the truth value of a FieldArray is ambiguous; use is_zero")
+
+    def __repr__(self):
+        return f"FieldArray({self.idx.tolist()}, F_{self.ctx.p}^{self.ctx.n})"
+
+
+def _nonzero(idx):
+    if np.any(np.asarray(idx) == 0):
+        raise ZeroDivisionError("inverse of zero in finite field")
+    return idx
+
+
+class _TableKernel:
+    """Index-array arithmetic of a field of at most _TABLE_LIMIT elements, by
+    gathers from its operation tables."""
+
+    def __init__(self, fld: FieldCtx):
+        def table(t):
+            return np.frombuffer(t, dtype=np.uint16).astype(np.int64)
+
+        self.size = fld.size
+        self._add, self._mul = table(fld._addt), table(fld._mult)
+        self._neg, self._inv = table(fld._negt), table(fld._invt)
+
+    def add(self, a, b):
+        return self._add[a * self.size + b]
+
+    def neg(self, a):
+        return self._neg[a]
+
+    def mul(self, a, b):
+        return self._mul[a * self.size + b]
+
+    def inv(self, a):
+        return self._inv[a]
+
+
+class _LogKernel:
+    """Index-array arithmetic of a larger field: products and inverses on
+    discrete logs, sums and negatives on base-p digits."""
+
+    def __init__(self, fld: FieldCtx):
+        t = fld.log_tables()
+        self.p, self.order = fld.p, fld.size - 1
+        self.log, self.antilog = t.log, t.antilog
+        self.digits = t.digits.astype(np.int64)
+        self.place = fld.p ** np.arange(fld.n, dtype=np.int64)
+
+    def add(self, a, b):
+        return ((self.digits[a] + self.digits[b]) % self.p) @ self.place
+
+    def neg(self, a):
+        return (-self.digits[a] % self.p) @ self.place
+
+    def mul(self, a, b):
+        prod = self.antilog[(self.log[a] + self.log[b]) % self.order]
+        return np.where((a == 0) | (b == 0), 0, prod)
+
+    def inv(self, a):
+        return self.antilog[-self.log[a] % self.order]
+
+
+def _kernel(fld: FieldCtx):
+    """The field's index-array kernel, chosen by field size, built once."""
+    if fld._kern is None:
+        fld._kern = (_TableKernel if fld.size <= _TABLE_LIMIT else _LogKernel)(fld)
+    return fld._kern
 
 
 @lru_cache(maxsize=None)

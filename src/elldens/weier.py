@@ -20,16 +20,28 @@ are provided: a closed-form solver for the candidate (x, y) per
 characteristic, and an exhaustive scan over the whole affine fiber.  The
 fiber point at infinity (0:1:0) is never singular (the Z-partial there is
 Y^2 = 1) and is asserted, never searched.
+
+The closed-form detector works on batches: jets whose entries are
+:class:`~elldens.gf.FieldArray` s (many points or jet tuples over one
+residue field) give a mask and candidate arrays, with the characteristic's
+branches taken as masks.  Jets with FieldElem entries are a batch of one.
+The discriminant, the fiber equation and the vanishing conditions are
+written once with ring operations, so they run on forms, on FieldElems and
+on FieldArrays.  The oracle and the re-verification of a
+:class:`SingularityWitness` stay scalar.
 """
 from __future__ import annotations
 
+import itertools
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
 from .base import ClosedPoint, Jet, closed_points_up_to, jet_at
-from .gf import FieldCtx, FieldElem, make_field
+from .gf import FieldArray, FieldCtx, FieldElem, make_field
 from .sections import Section, dim_space, exact_divide, monomials, section_from_slots
 
 WEIER_FORMAT_VERSION = 1
@@ -87,36 +99,35 @@ class WeierstrassData:
 
 
 def discriminant(w: WeierstrassData) -> Section:
-    """The discriminant form, of degree 12k, via the b-invariants:
-
-    b2 = a1^2 + 4 a2,  b4 = 2 a4 + a1 a3,  b6 = a3^2 + 4 a6,
-    b8 = a1^2 a6 + 4 a2 a6 - a1 a3 a4 + a2 a3^2 - a4^2,
-    delta = -b2^2 b8 - 8 b4^3 - 27 b6^2 + 9 b2 b4 b6.
-    """
-    a1, a2, a3, a4, a6 = w.a1, w.a2, w.a3, w.a4, w.a6
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * (a3 * a3) - a4 * a4
-    delta = -(b2 * b2 * b8) - 8 * (b4 * b4 * b4) - 27 * (b6 * b6) + 9 * (b2 * b4 * b6)
+    """The discriminant form, of degree 12k (see :func:`discriminant_value`)."""
+    delta = discriminant_value(w.a1, w.a2, w.a3, w.a4, w.a6)
     if delta.d != 12 * w.k and not delta.is_zero:
         raise AssertionError("discriminant degree bookkeeping failed")
     return delta
 
 
-def discriminant_value(a1v: FieldElem, a2v: FieldElem, a3v: FieldElem,
-                       a4v: FieldElem, a6v: FieldElem) -> FieldElem:
-    """The discriminant of a single fiber from coefficient values."""
-    b2 = a1v * a1v + 4 * a2v
-    b4 = 2 * a4v + a1v * a3v
-    b6 = a3v * a3v + 4 * a6v
-    b8 = a1v * a1v * a6v + 4 * a2v * a6v - a1v * a3v * a4v + a2v * a3v * a3v - a4v * a4v
+def discriminant_value(a1, a2, a3, a4, a6):
+    """The discriminant from the coefficients, via the b-invariants:
+
+    b2 = a1^2 + 4 a2,  b4 = 2 a4 + a1 a3,  b6 = a3^2 + 4 a6,
+    b8 = a1^2 a6 + 4 a2 a6 - a1 a3 a4 + a2 a3^2 - a4^2,
+    delta = -b2^2 b8 - 8 b4^3 - 27 b6^2 + 9 b2 b4 b6.
+
+    Ring operations only: coefficient forms give the discriminant form,
+    FieldElem values one fiber's discriminant, FieldArray values a batch.
+    """
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * (a3 * a3) - a4 * a4
     return -(b2 * b2 * b8) - 8 * (b4 * b4 * b4) - 27 * (b6 * b6) + 9 * (b2 * b4 * b6)
 
 
 @dataclass(frozen=True)
 class WeierstrassJets:
-    """First-order jets of all five coefficient forms at one closed point."""
+    """First-order jets of all five coefficient forms: at one closed point
+    with FieldElem entries, or at a batch of points with one residue field
+    with FieldArray entries (see :func:`jets_from_indices`)."""
 
     field: FieldCtx
     a1: Jet
@@ -129,6 +140,15 @@ class WeierstrassJets:
         return (self.a1.value, self.a2.value, self.a3.value,
                 self.a4.value, self.a6.value)
 
+    def lane(self, i: int) -> "WeierstrassJets":
+        """The single-point jets at lane i of a 1-d batch."""
+        def pick(a: FieldArray) -> FieldElem:
+            return a[i] if a.shape else a[()]
+
+        return WeierstrassJets(self.field, *(
+            Jet(value=pick(jet.value), gradient=tuple(pick(d) for d in jet.gradient))
+            for jet in (self.a1, self.a2, self.a3, self.a4, self.a6)))
+
 
 def jets_at(w: WeierstrassData, P: ClosedPoint) -> WeierstrassJets:
     return WeierstrassJets(
@@ -138,30 +158,57 @@ def jets_at(w: WeierstrassData, P: ClosedPoint) -> WeierstrassJets:
     )
 
 
-def fiber_equation(J: WeierstrassJets, x: FieldElem, y: FieldElem) -> FieldElem:
+def _batch_jets(field: FieldCtx, idx: np.ndarray, forms) -> WeierstrassJets:
+    m = idx.shape[-1] - 1
+    zero = FieldArray(field, 0)
+    jets = {i: Jet(value=zero, gradient=(zero,) * m) for i in _INDICES}
+    for s_idx, i in enumerate(forms):
+        entries = [FieldArray(field, idx[..., s_idx, j]) for j in range(m + 1)]
+        jets[i] = Jet(value=entries[0], gradient=tuple(entries[1:]))
+    return WeierstrassJets(field, jets[1], jets[2], jets[3], jets[4], jets[6])
+
+
+def jets_from_indices(field: FieldCtx, idx: np.ndarray) -> WeierstrassJets:
+    """Batched jets from element indices of shape (..., g, m+1): the g forms
+    that vary in the field's characteristic, in index order, then value and
+    gradient entries.  The other forms get zero jets."""
+    return _batch_jets(field, idx, varying_indices(field.p))
+
+
+def stack_jets(field: FieldCtx, jets: list[WeierstrassJets]) -> WeierstrassJets:
+    """The batch of the given single-point jets, in order."""
+    idx = np.array([[[jet.value.idx] + [d.idx for d in jet.gradient]
+                     for jet in (J.a1, J.a2, J.a3, J.a4, J.a6)] for J in jets],
+                   dtype=np.int64)
+    return _batch_jets(field, idx, _INDICES)
+
+
+def fiber_equation(J: WeierstrassJets, x, y):
     """F(x, y) from coefficient values at the point."""
     return (y * y + J.a1.value * x * y + J.a3.value * y
             - x * x * x - J.a2.value * x * x - J.a4.value * x - J.a6.value)
 
 
-def jacobian_vanishes(J: WeierstrassJets, x: FieldElem, y: FieldElem) -> bool:
-    """Whether (x, y) is a singular point of the total space over the point:
-    F, dF/dx, dF/dy and the m base-direction partials all vanish."""
-    if fiber_equation(J, x, y):
-        return False
+def vanishing_conditions(J: WeierstrassJets, x, y):
+    """F, dF/dx, dF/dy and the m base-direction partials at (x, y), lazily;
+    (x, y) is a singular point of the total space iff all of them vanish.
+    Ring operations only, so they run on single jets and on batches."""
+    yield fiber_equation(J, x, y)
     # dF/dx = a1*y - 3x^2 - 2*a2*x - a4
-    if J.a1.value * y - 3 * (x * x) - 2 * (J.a2.value * x) - J.a4.value:
-        return False
+    yield J.a1.value * y - 3 * (x * x) - 2 * (J.a2.value * x) - J.a4.value
     # dF/dy = 2y + a1*x + a3
-    if 2 * y + J.a1.value * x + J.a3.value:
-        return False
+    yield 2 * y + J.a1.value * x + J.a3.value
     xy = x * y
     x2 = x * x
     for g1, g2, g3, g4, g6 in zip(J.a1.gradient, J.a2.gradient, J.a3.gradient,
                                   J.a4.gradient, J.a6.gradient):
-        if g1 * xy + g3 * y - g2 * x2 - g4 * x - g6:
-            return False
-    return True
+        yield g1 * xy + g3 * y - g2 * x2 - g4 * x - g6
+
+
+def jacobian_vanishes(J: WeierstrassJets, x: FieldElem, y: FieldElem) -> bool:
+    """Whether (x, y) is a singular point of the total space over the point
+    with single jets J: F, dF/dx, dF/dy and the m base partials all vanish."""
+    return not any(vanishing_conditions(J, x, y))
 
 
 def infinity_partial(J: WeierstrassJets) -> FieldElem:
@@ -192,49 +239,63 @@ class SingularityWitness:
             raise ValueError("witness fails re-verification against the jets")
 
 
-def _sqrt_char2(c: FieldElem) -> FieldElem:
-    # squaring is the Frobenius, hence bijective; invert it
-    return c ** (c.ctx.size // 2)
+class SingularBatch(NamedTuple):
+    """The closed-form detector on a batch: lane i has a singular fiber point
+    iff mask[i], and it is (x[i], y[i]); mask, x and y share one shape."""
+
+    mask: np.ndarray
+    x: FieldArray
+    y: FieldArray
 
 
-def _cbrt_char3(c: FieldElem) -> FieldElem:
-    return c ** (c.ctx.size // 3)
+def _where(mask: np.ndarray, a, b) -> FieldArray:
+    """Lane-wise a where mask holds, else b (FieldArrays or FieldElems)."""
+    return FieldArray(a.ctx, np.where(mask, a.idx, b.idx))
 
 
-def singular_jets_closed_form(J: WeierstrassJets) -> tuple[FieldElem, FieldElem] | None:
-    """Solve for the unique singular fiber candidate from the jets.
-
-    Branches by characteristic; every candidate is re-verified against the
-    full list of vanishing conditions before being returned.
-    """
+def _closed_form(J: WeierstrassJets) -> SingularBatch:
     F = J.field
-    p = F.p
-    if p == 2:
-        if J.a1.value:
-            x = J.a3.value / J.a1.value
-            y = (3 * (x * x) + J.a4.value) / J.a1.value
-        else:
-            if J.a3.value:
-                return None
-            x = _sqrt_char2(J.a4.value)
-            y = _sqrt_char2(J.a6.value)
-    elif p == 3:
-        y = F.zero
-        if J.a2.value:
-            x = J.a4.value / J.a2.value
-        else:
-            if J.a4.value:
-                return None
-            x = _cbrt_char3(-J.a6.value)
+    a1, a2, a3, a4, a6 = J.values()
+    shape = np.broadcast_shapes(*(v.shape for v in J.values()))
+    zero = FieldArray(F, np.zeros(shape, dtype=np.int64))
+    if F.p == 2:
+        # squaring is the Frobenius, hence bijective: c ** (Q/2) inverts it
+        free = a1.is_zero
+        a1 = _where(free, F.one, a1)
+        x = _where(free, a4 ** (F.size // 2), a3 / a1)
+        y = _where(free, a6 ** (F.size // 2), (3 * (x * x) + a4) / a1)
+    elif F.p == 3:
+        free = a2.is_zero
+        x = _where(free, (-a6) ** (F.size // 3), a4 / _where(free, F.one, a2))
+        y = zero
     else:
-        y = F.zero
-        if J.a4.value:
-            x = -(F.from_int(3) / F.from_int(2)) * (J.a6.value / J.a4.value)
-        else:
-            x = F.zero
-    if jacobian_vanishes(J, x, y):
-        return (x, y)
-    return None
+        free = a4.is_zero
+        c = -(F.from_int(3) / F.from_int(2))
+        x = _where(free, zero, c * (a6 / _where(free, F.one, a4)))
+        y = zero
+    mask = np.ones(shape, dtype=bool)
+    for cond in vanishing_conditions(J, x, y):
+        mask &= cond.is_zero
+        if not mask.any():
+            break  # every lane has failed; the rest cannot change that
+    return SingularBatch(mask, x, y)
+
+
+def singular_jets_closed_form(J: WeierstrassJets):
+    """Solve for the unique singular fiber candidate from the jets, branching
+    by characteristic, and keep it only where the full list of vanishing
+    conditions holds.
+
+    Batched jets (FieldArray entries) give a :class:`SingularBatch`; the
+    branches are masks, not tests.  Single jets (FieldElem entries) are a
+    batch of one and give (x, y) or None.  Where the characteristic's
+    branch has no candidate (p = 2 with a1 = 0 and a3 != 0, p = 3 with
+    a2 = 0 and a4 != 0) the one it computes fails dF/dy or dF/dx.
+    """
+    if isinstance(J.a1.value, FieldElem):
+        hit = _closed_form(stack_jets(J.field, [J]))
+        return (hit.x[0], hit.y[0]) if hit.mask[0] else None
+    return _closed_form(J)
 
 
 def singular_jets_oracle(J: WeierstrassJets) -> tuple[FieldElem, FieldElem] | None:
@@ -277,13 +338,24 @@ def singular_over_oracle(w: WeierstrassData, P: ClosedPoint) -> SingularityWitne
     return SingularityWitness(point=P, x=hit[0], y=hit[1], jets=J)
 
 
+def singular_witnesses(w: WeierstrassData, points) -> Iterator[SingularityWitness]:
+    """The witnesses over those of the degree-ordered `points` that carry a
+    singular fiber point, in order: one batched detector call per degree,
+    on jets from :func:`jets_at`."""
+    for _, group in itertools.groupby(points, key=lambda P: P.degree):
+        group = list(group)
+        jets = [jets_at(w, P) for P in group]
+        hit = singular_jets_closed_form(stack_jets(group[0].field, jets))
+        for i in np.flatnonzero(hit.mask):
+            yield SingularityWitness(point=group[i], x=hit.x[i], y=hit.y[i],
+                                     jets=jets[i])
+
+
 def smooth_up_to(w: WeierstrassData, r: int) -> bool:
     """True iff the total space is smooth over every closed point of degree
     <= r (by the closed-form detector)."""
-    for P in closed_points_up_to(w.m, w.field.size, r):
-        if singular_over_closed_form(w, P) is not None:
-            return False
-    return True
+    pts = closed_points_up_to(w.m, w.field.size, r)
+    return next(singular_witnesses(w, pts), None) is None
 
 
 def in_Mk(w: WeierstrassData) -> bool:
@@ -339,7 +411,8 @@ def total_slots(m: int, k: int, field: FieldCtx) -> int:
 
 def weierstrass_slots(m: int, k: int, field: FieldCtx, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.integers(0, field.p, size=total_slots(m, k, field), dtype=np.uint8)
+    return rng.integers(0, field.p, size=total_slots(m, k, field),
+                        dtype=np.min_scalar_type(field.p - 1))
 
 
 def weierstrass_from_slots(m: int, k: int, field: FieldCtx, slots) -> WeierstrassData:

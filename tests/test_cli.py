@@ -74,9 +74,11 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize("p,q,m,k,r", [(2, 2, 2, 18, 1), (5, 5, 1, 36, 3),
-                                       (2, 4, 1, 6, 2)])
+                                       (2, 4, 1, 6, 2), (2, 2, 1, 1, 2),
+                                       (3, 9, 1, 4, 1)])
 def test_density_mc_golden_outputs(capsys, p, q, m, k, r):
-    # bytes recorded from the scalar jet-matrix implementation
+    # bytes recorded from earlier implementations: the scalar jet matrices
+    # and the per-point scalar detector
     argv = ["density-mc", "-p", str(p), "-q", str(q), "-m", str(m), "-k", str(k),
             "-r", str(r), "--samples", "200", "--seed", "7", "--no-timing"]
     code, out = _run(capsys, argv)
@@ -93,6 +95,14 @@ def test_scan_random_csv(capsys):
     assert lines[0] == "degree,chart,coords,x,y"
     assert len(lines) == 2
     assert lines[1].startswith("1,0,")
+
+
+def test_scan_random_prime_above_256(capsys):
+    # slots are drawn with a dtype wide enough for p - 1 = 256
+    code, out = _run(capsys, ["scan", "--random", "-q", "257", "-m", "1", "-k", "1",
+                              "-r", "1", "--seed", "0"])
+    assert code == 0
+    assert json.loads(out)["config"]["q"] == 257
 
 
 def test_scan_smooth_datum_is_empty(capsys):

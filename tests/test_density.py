@@ -11,7 +11,8 @@ from elldens.density import (exact_density, expected_bad_count, jet_census,
                              mc_density, sample_seed, singular_scan,
                              surjectivity_check)
 from elldens.gf import make_field
-from elldens.weier import random_weierstrass
+from elldens.weier import (jets_from_indices, random_weierstrass,
+                           singular_jets_closed_form, singular_jets_oracle)
 
 
 def test_expected_bad_count_formula():
@@ -41,6 +42,24 @@ def test_census_extension_field():
     assert c.total == 65536
     assert c.bad == 4096
     assert c.bad_fraction == Fraction(1, 16)
+
+
+def test_census_2_2_2_2_whole_tuple_space():
+    # 4^12 = 2^24 tuples at a degree-2 point of P^2 in characteristic 2
+    c = jet_census(2, 2, 2, 2)
+    assert c.total == 2 ** 24
+    assert c.bad == expected_bad_count(2, 2, 2, 2) == 262144
+
+
+def test_census_2_2_2_2_sample_matches_oracle():
+    F4 = make_field(2, 2)
+    rng = np.random.Generator(np.random.PCG64(2222))
+    rows = rng.integers(0, F4.size, size=(2000, 4, 3))
+    J = jets_from_indices(F4, rows)
+    hit = singular_jets_closed_form(J).mask
+    for i in range(len(rows)):
+        assert bool(hit[i]) == (singular_jets_oracle(J.lane(i)) is not None)
+    assert hit.any()
 
 
 def test_census_validates_and_caps():
@@ -155,6 +174,24 @@ def test_mc_counts_delta_zero_as_not_smooth():
     slots = weierstrass_slots(1, 2, F2, seed=found)
     coords = (slots.astype(np.int64) @ setup.matrix.T.astype(np.int64)) % 2
     assert _delta_zero(setup, coords, slots)
+
+
+def test_delta_zero_batch_matches_exact_expansion(monkeypatch):
+    # k = 1, r = 1 in characteristic 2: the degree-1 values often fail to
+    # settle a draw, so rows reach the degree-2/3 probe and the exact expansion
+    from elldens import density
+    from elldens.weier import weierstrass_from_slots, weierstrass_slots
+    F2 = make_field(2, 1)
+    setup = density._mc_setup(2, 2, 1, 1, 1)
+    slots = np.array([weierstrass_slots(1, 1, F2, seed=s) for s in range(400)])
+    want = [weierstrass_from_slots(1, 1, F2, row).delta.is_zero for row in slots]
+    expanded = []
+    monkeypatch.setattr(density, "weierstrass_from_slots",
+                        lambda *args: expanded.append(args) or weierstrass_from_slots(*args))
+    coords = density._coords(slots, setup.matrix[:setup.jet_rows], 2)
+    assert density._delta_zero(setup, coords, slots).tolist() == want
+    # the probe settles every draw but the truly degenerate ones
+    assert len(expanded) == sum(want) > 0
 
 
 def test_singular_scan_frozen_seeds():

@@ -1,10 +1,12 @@
 """Finite field construction, arithmetic axioms, Frobenius and embeddings."""
 import random
 
+import numpy as np
 import pytest
 
-from elldens.gf import (FieldMismatchError, embed, embedding, frobenius,
-                        is_irreducible, make_field, prime_power)
+from elldens import gf
+from elldens.gf import (FieldArray, FieldMismatchError, embed, embedding,
+                        frobenius, is_irreducible, make_field, prime_power)
 
 
 def test_prime_power():
@@ -191,3 +193,57 @@ def test_log_tables_agree_with_field_arithmetic(p, n):
     assert t.digits.dtype == ("uint8" if p < 257 else "uint16")
     for i in (0, 1, F.size - 1):
         assert tuple(int(c) for c in t.digits[i]) == F.from_index(i).coeffs
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (7, 1), (3, 2), (5, 2),
+                                 (5, 3), (257, 1), (2, 9)])
+def test_field_array_ops_match_field_elems_on_all_pairs(p, n):
+    # fields up to 256 elements take the table path, F_257 and F_512 the log path
+    F = make_field(p, n)
+    Q = F.size
+    assert isinstance(gf._kernel(F), gf._LogKernel) == (Q > 256)
+    E = list(F.elements())
+    add = [[None] * Q for _ in range(Q)]
+    mul = [[None] * Q for _ in range(Q)]
+    for i in range(Q):
+        for j in range(i, Q):
+            add[i][j] = add[j][i] = (E[i] + E[j]).idx
+            mul[i][j] = mul[j][i] = (E[i] * E[j]).idx
+    neg = [(-a).idx for a in E]
+    inv = [None] + [a.inverse().idx for a in E[1:]]
+    # FieldElem subtracts as a + (-b) and divides as a * b.inverse()
+    sub = [[add[i][neg[j]] for j in range(Q)] for i in range(Q)]
+    div = [[mul[i][inv[j]] for j in range(1, Q)] for i in range(Q)]
+
+    a = FieldArray(F, np.repeat(np.arange(Q), Q).reshape(Q, Q))
+    b = FieldArray(F, np.tile(np.arange(Q), Q).reshape(Q, Q))
+    assert (a + b).idx.tolist() == add
+    assert (a - b).idx.tolist() == sub
+    assert (a * b).idx.tolist() == mul
+    assert (a[:, 1:] / b[:, 1:]).idx.tolist() == div
+    x = FieldArray(F, np.arange(Q))
+    assert (-x).idx.tolist() == neg
+    for e in (Q // 2, Q // 3, 0, -1 if Q > 2 else 0):
+        got = (x[1:] if e < 0 else x) ** e
+        assert got.idx.tolist() == [(c ** e).idx for c in (E[1:] if e < 0 else E)]
+    assert x.is_zero.tolist() == [i == 0 for i in range(Q)]
+
+
+def test_field_array_coercion_indexing_and_errors():
+    F = make_field(5, 2)
+    x = FieldArray(F, [0, 1, 7, 24])
+    c = F.from_index(7)
+    assert (4 * x).idx.tolist() == [(4 * F.from_index(i)).idx for i in (0, 1, 7, 24)]
+    assert (x + 3).idx.tolist() == (3 + x).idx.tolist()
+    assert (1 - x).idx.tolist() == [(1 - F.from_index(i)).idx for i in (0, 1, 7, 24)]
+    assert (c * x).idx.tolist() == (x * c).idx.tolist()
+    assert (c / x[1:]).idx.tolist() == [(c / F.from_index(i)).idx for i in (1, 7, 24)]
+    assert x[2] == c and isinstance(x[1:], FieldArray)
+    with pytest.raises(ZeroDivisionError):
+        c / x
+    with pytest.raises(ZeroDivisionError):
+        x ** -1
+    with pytest.raises(TypeError):
+        bool(x)
+    with pytest.raises(FieldMismatchError):
+        x + make_field(5, 1).one

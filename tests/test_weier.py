@@ -2,15 +2,21 @@
 minimality."""
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from elldens.base import closed_points_up_to
+from elldens.base import Jet, closed_points_up_to
 from elldens.gf import make_field
 from elldens.sections import Section, dim_space
-from elldens.weier import (WeierstrassData, dump_weier, in_Mk,
-                           infinity_partial, is_minimal, jets_at, load_weier,
+from elldens.weier import (WeierstrassData, WeierstrassJets,
+                           discriminant_value, dump_weier, in_Mk,
+                           infinity_partial, is_minimal, jacobian_vanishes,
+                           jets_at, jets_from_indices, load_weier,
                            minimality_witness, random_weierstrass,
-                           section_degrees, singular_over_closed_form,
+                           section_degrees, singular_jets_closed_form,
+                           singular_jets_oracle, singular_over_closed_form,
                            singular_over_oracle, smooth_up_to, total_slots,
                            varying_indices, weier_from_obj, weier_to_obj,
                            weierstrass_from_slots, weierstrass_slots)
@@ -240,3 +246,72 @@ def test_from_obj_rejects_garbage():
     obj3["format_version"] = 999
     with pytest.raises(ValueError):
         weier_from_obj(obj3)
+
+
+# residue fields of up to 125 elements in characteristics 2, 3, 5, 7
+_BATCH_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 5), (3, 1), (3, 2), (3, 3),
+                 (5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]
+
+
+def _planted_row(F, m, draw):
+    """Index row (g, m+1) of jets with a singular fiber point at a drawn
+    (x, y): solve dF/dy, dF/dx, F and the base partials for a3, a4, a6 and
+    the gradient of a6, the other varying entries drawn freely."""
+    def elem():  # zero often, so that every branch of the closed form is hit
+        return F.from_index(draw(st.just(0) | st.integers(0, F.size - 1)))
+
+    vary = varying_indices(F.p)
+    zero = F.zero
+    x = elem()
+    y = elem() if F.p == 2 else zero
+    val = {i: elem() if i in vary else zero for i in (1, 2)}
+    grad = {i: [elem() if i in vary else zero for _ in range(m)] for i in (1, 2, 3, 4)}
+    a1, a2 = val[1], val[2]
+    a3 = -(2 * y + a1 * x)
+    a4 = a1 * y - 3 * (x * x) - 2 * (a2 * x)
+    a6 = y * y + a1 * x * y + a3 * y - x * x * x - a2 * x * x - a4 * x
+    g6 = [g1 * x * y + g3 * y - g2 * x * x - g4 * x
+          for g1, g2, g3, g4 in zip(grad[1], grad[2], grad[3], grad[4])]
+    val.update({3: a3, 4: a4, 6: a6})
+    grad[6] = g6
+    return [[val[i].idx] + [d.idx for d in grad[i]] for i in vary]
+
+
+def _single_jets(F, row):
+    """FieldElem jets from one index row, built without the batch code."""
+    zero = Jet(value=F.zero, gradient=(F.zero,) * (len(row[0]) - 1))
+    jets = {i: zero for i in (1, 2, 3, 4, 6)}
+    for i, entries in zip(varying_indices(F.p), row):
+        elems = [F.from_index(int(c)) for c in entries]
+        jets[i] = Jet(value=elems[0], gradient=tuple(elems[1:]))
+    return WeierstrassJets(F, jets[1], jets[2], jets[3], jets[4], jets[6])
+
+
+@pytest.mark.parametrize("p,n", _BATCH_FIELDS)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_batched_detector_and_discriminant_match_scalar_and_oracle(p, n, data):
+    m = data.draw(st.integers(1, 2))
+    F = make_field(p, n)
+    g = len(varying_indices(p))
+    rows = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        if data.draw(st.booleans()):
+            rows.append(_planted_row(F, m, data.draw))
+        else:
+            flat = data.draw(st.lists(st.integers(0, F.size - 1),
+                                      min_size=g * (m + 1), max_size=g * (m + 1)))
+            rows.append([flat[s * (m + 1):(s + 1) * (m + 1)] for s in range(g)])
+    J = jets_from_indices(F, np.array(rows, dtype=np.int64))
+    hit = singular_jets_closed_form(J)
+    delta = discriminant_value(*J.values())
+    assert hit.mask.shape == hit.x.shape == hit.y.shape == (len(rows),)
+    for i, row in enumerate(rows):
+        single = _single_jets(F, row)
+        oracle = singular_jets_oracle(single)
+        scalar = singular_jets_closed_form(single)
+        assert bool(hit.mask[i]) == (oracle is not None) == (scalar is not None)
+        if hit.mask[i]:
+            assert (hit.x[i], hit.y[i]) == scalar
+            assert jacobian_vanishes(single, hit.x[i], hit.y[i])
+        assert delta[i] == discriminant_value(*single.values())
