@@ -9,7 +9,13 @@ elements by coefficient sequence.
 The first-order jet of a form at a closed point is its value together with
 the gradient in the chart's local coordinates; vanishing of the pair does not
 depend on the chart.  ``jet_space_map`` expresses coefficient vectors ->
-jets as a matrix over F_p by restriction of scalars.
+jets as a matrix over F_p by restriction of scalars.  It is the one jet
+kernel: ``jet_at`` multiplies a form's slot vector by the matrix of its
+degree at the point.  Those single-degree matrices are memoized per
+(degree, point), since building one costs far more than the product; the
+256 kept hold every key of a scan over the degree <= 2 points of P^1 over
+F_5 (80 keys).  They stay in their narrow dtype and are widened at use:
+int64 copies would take eight times the memory.
 
 The matrix is computed on discrete logs in the residue field F_Q (the
 field's :class:`~elldens.gf.LogTables`, to a primitive element g): the value
@@ -24,13 +30,15 @@ then give each entry's F_p coordinates.  Matrix entries have dtype
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
 from . import zeta as _zeta
 from .errors import FeasibilityError
-from .gf import Embedding, FieldCtx, FieldElem, embedding, make_field, prime_power
-from .sections import Section, dim_space, monomial_array, power_table
+from .gf import (Embedding, FieldCtx, FieldElem, FieldMismatchError, embedding,
+                 make_field, prime_power)
+from .sections import Section, dim_space, monomial_array, section_slots
 
 DEFAULT_ENUM_CAP = 1 << 26
 
@@ -156,38 +164,28 @@ def closed_points_up_to(
 
 
 def jet_at(s: Section, P: ClosedPoint) -> Jet:
-    """First-order jet of a form at P, in P's chart coordinates.
+    """First-order jet of a form at P, in P's chart coordinates: its slot
+    vector times the jet matrix of its degree at P (see the module notes).
 
     Equals (value, gradient) of the dehomogenized form at the local
     coordinates of the representative; coefficients pass through P.emb.
     """
     if s.m != P.m:
         raise ValueError("form and point live on different projective spaces")
+    if s.field != P.emb.src:
+        raise FieldMismatchError("form's field is not the point's base field")
     res = P.field
-    chart = P.chart
-    local = P.local_coords()
-    top = s.d
-    pows = [power_table(x, top) for x in local]
-    value = res.zero
-    grad = [res.zero] * s.m
-    for expo, c in s.coeffs.items():
-        beta = expo[:chart] + expo[chart + 1:]
-        ec = P.emb(c)
-        term = ec
-        for x_pows, e in zip(pows, beta):
-            if e:
-                term = term * x_pows[e]
-        value = value + term
-        for j, e in enumerate(beta):
-            if e == 0 or e % res.p == 0:
-                continue
-            g = ec * e
-            for jj, (x_pows, ee) in enumerate(zip(pows, beta)):
-                use = ee - 1 if jj == j else ee
-                if use:
-                    g = g * x_pows[use]
-            grad[j] = grad[j] + g
+    coords = _jet_matrix(s.d, P).astype(np.int64) @ section_slots(s) % res.p
+    idx = coords.reshape(P.m + 1, res.n) @ res.p ** np.arange(res.n)
+    value, *grad = (res.from_index(int(i)) for i in idx)
     return Jet(value=value, gradient=tuple(grad))
+
+
+@lru_cache(maxsize=256)
+def _jet_matrix(d: int, P: ClosedPoint) -> np.ndarray:
+    mat = jet_space_map((d,), P).matrix
+    mat.flags.writeable = False  # shared by every later call
+    return mat
 
 
 @dataclass(frozen=True)
@@ -213,11 +211,6 @@ class JetSpaceMap:
         n_res = self.point.field.n
         m = self.point.m
         return (section_idx * (m + 1) + entry) * n_res + coord
-
-    def value_rows(self, section_idx: int) -> range:
-        n_res = self.point.field.n
-        start = self.row_index(section_idx, 0, 0)
-        return range(start, start + n_res)
 
 
 def jet_space_map(degrees: tuple[int, ...], P: ClosedPoint) -> JetSpaceMap:

@@ -245,17 +245,24 @@ def _run_density_mc(args):
     rep = mc_density(args.p, args.q, args.m, args.k, args.r,
                      samples=args.samples, master_seed=args.seed,
                      threads=args.threads)
-    obj = rep.to_obj(include_timing=False)
-    config = obj["config"]
-    result = obj["result"]
-    result["estimate_decimal"] = fraction_decimal(
-        Fraction(rep.smooth_count, rep.samples))
-    result["exact_decimal"] = fraction_decimal(rep.exact)
+    config = {"command": "density-mc", "p": args.p, "q": args.q, "m": args.m,
+              "k": args.k, "r": args.r, "samples": args.samples,
+              "seed": args.seed, "threads": args.threads}
+    estimate = fraction_decimal(Fraction(rep.smooth_count, rep.samples))
+    result = {
+        "smooth_count": rep.smooth_count,
+        "delta_zero_count": rep.delta_zero_count,
+        "estimate": rep.estimate,
+        "std_error": rep.std_error,
+        "exact_density": _fraction_str(rep.exact),
+        "threshold_warning": rep.threshold_warning,
+        "estimate_decimal": estimate,
+        "exact_decimal": fraction_decimal(rep.exact),
+    }
     rows = [["smooth_count", "delta_zero_count", "samples", "estimate",
              "std_error", "exact", "threshold_warning"],
-            [rep.smooth_count, rep.delta_zero_count, rep.samples,
-             result["estimate_decimal"], repr(rep.std_error),
-             _fraction_str(rep.exact), rep.threshold_warning]]
+            [rep.smooth_count, rep.delta_zero_count, rep.samples, estimate,
+             repr(rep.std_error), _fraction_str(rep.exact), rep.threshold_warning]]
     return config, result, rows
 
 

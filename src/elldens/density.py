@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,8 +44,6 @@ from .weier import (SingularityWitness, WeierstrassData, WeierstrassJets,
                     singular_jets_closed_form, singular_jets_oracle,
                     singular_witnesses, total_slots, varying_indices,
                     weierstrass_from_slots)
-
-REPORT_FORMAT_VERSION = 1
 
 _DELTA_PROBE_DEGREE = 3  # discriminant values are probed at points up to here
 _CENSUS_BLOCK = 4096  # jet tuples per detector call; bounds census memory
@@ -101,6 +98,8 @@ def jet_census(p: int, q: int, m: int, e: int,
     pp, r = prime_power(q)
     if pp != p:
         raise ValueError(f"q={q} is not a power of p={p}")
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
     cap = DEFAULT_ENUM_CAP if cap is None else cap
     fld = make_field(p, r * e)
     g = len(varying_indices(p))
@@ -157,6 +156,8 @@ def surjectivity_check(p: int, q: int, m: int, k: int, e: int) -> SurjectivityRe
     pp, r = prime_power(q)
     if pp != p:
         raise ValueError(f"q={q} is not a power of p={p}")
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
     pts = [P for P in closed_points_up_to(m, q, e) if P.degree == e]
     P = pts[0]
     degrees = section_degrees(p, k)
@@ -199,29 +200,6 @@ class DensityReport:
     std_error: float
     exact: Fraction
     threshold_warning: bool
-    wall_seconds: float
-
-    def to_obj(self, include_timing: bool = True) -> dict:
-        obj = {
-            "format_version": REPORT_FORMAT_VERSION,
-            "config": {
-                "command": "density-mc",
-                "p": self.p, "q": self.q, "m": self.m, "k": self.k,
-                "r": self.r, "samples": self.samples,
-                "seed": self.master_seed, "threads": self.threads,
-            },
-            "result": {
-                "smooth_count": self.smooth_count,
-                "delta_zero_count": self.delta_zero_count,
-                "estimate": self.estimate,
-                "std_error": self.std_error,
-                "exact_density": f"{self.exact.numerator}/{self.exact.denominator}",
-                "threshold_warning": self.threshold_warning,
-            },
-        }
-        if include_timing:
-            obj["timing"] = {"wall_seconds": self.wall_seconds}
-        return obj
 
 
 class _Block(NamedTuple):
@@ -363,10 +341,11 @@ def mc_density(p: int, q: int, m: int, k: int, r: int, samples: int,
     Reports are bit-identical for a fixed master_seed regardless of thread
     count; per-sample streams are independent of scheduling.
     """
-    t0 = time.monotonic()
     pp, _ = prime_power(q)
     if pp != p:
         raise ValueError(f"q={q} is not a power of p={p}")
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     if threads < 1:
@@ -391,7 +370,6 @@ def mc_density(p: int, q: int, m: int, k: int, r: int, samples: int,
         p=p, q=q, m=m, k=k, r=r, samples=samples, master_seed=master_seed,
         threads=threads, smooth_count=smooth, delta_zero_count=dz,
         estimate=est, std_error=se, exact=exact, threshold_warning=warn,
-        wall_seconds=time.monotonic() - t0,
     )
 
 

@@ -7,10 +7,13 @@ q = p^r is realised as F_{p^{r*e}}; the inclusion F_q -> F_{q^e} is an
 
 Moduli are found by a seeded deterministic random search, so a given (p, n)
 always yields the same field and serialized artifacts reproduce bit-for-bit.
-Small fields (size <= 256) precompute full operation tables, which keeps the
-exhaustive enumeration loops elsewhere in the package cheap.  Every field
-also builds, on first use of :meth:`FieldCtx.log_tables`, NumPy discrete-log,
-antilog and digit tables for array arithmetic (see :class:`LogTables`).
+Every field builds, on first use of :meth:`FieldCtx.log_tables`, NumPy
+discrete-log, antilog and digit tables for array arithmetic (see
+:class:`LogTables`).  Small fields (size <= 256) build them at once and
+derive full operation tables from them by gathers, which keeps the
+exhaustive enumeration loops elsewhere in the package cheap; the operation
+tables are ``array("H")``, since scalar lookups in them are faster than in
+NumPy arrays.
 
 :class:`FieldArray` holds many elements of one field as an int64 array of
 element indices and applies the field operations element-wise: by gathers
@@ -394,38 +397,22 @@ class FieldCtx:
         return tuple(out)
 
     def _build_tables(self):
-        size, p = self.size, self.p
-        elems = self._elems
-        negt = array("H", bytes(2 * size))
-        for i in range(size):
-            negt[i] = self._encode(tuple((-c) % p for c in elems[i].coeffs))
-        addt = array("H", bytes(2 * size * size))
-        for i in range(size):
-            ci = elems[i].coeffs
-            base = i * size
-            for j in range(i, size):
-                s = self._encode(tuple((a + b) % p for a, b in zip(ci, elems[j].coeffs)))
-                addt[base + j] = s
-                addt[j * size + i] = s
-        mult = array("H", bytes(2 * size * size))
-        for i in range(1, size):
-            ci = elems[i].coeffs
-            base = i * size
-            for j in range(i, size):
-                s = self._encode(self._mul_coeffs(ci, elems[j].coeffs))
-                mult[base + j] = s
-                mult[j * size + i] = s
-        invt = array("H", bytes(2 * size))
-        for i in range(1, size):
-            if invt[i]:
-                continue
-            row = i * size
-            for j in range(1, size):
-                if mult[row + j] == self.one.idx:
-                    invt[i] = j
-                    invt[j] = i
-                    break
-        self._negt, self._addt, self._mult, self._invt = negt, addt, mult, invt
+        t = self.log_tables()
+        order = self.size - 1
+        digits = t.digits.astype(np.int64)
+        place = self.p ** np.arange(self.n, dtype=np.int64)
+        addt = (digits[:, None] + digits) % self.p @ place
+        negt = -digits % self.p @ place
+        mult = t.antilog[(t.log[:, None] + t.log) % order]
+        mult[0] = mult[:, 0] = 0
+        invt = t.antilog[-t.log % order]
+        invt[0] = 0
+
+        def table(a: np.ndarray) -> array:
+            return array("H", a.astype(np.uint16).tobytes())
+
+        self._negt, self._addt = table(negt), table(addt)
+        self._mult, self._invt = table(mult), table(invt)
 
     # -- element constructors -------------------------------------------------
 
@@ -802,7 +789,3 @@ def embedding(src: FieldCtx, dst: FieldCtx, root_index: int | None = None) -> Em
     if best is None:  # cannot happen for valid degrees; guard anyway
         raise ValueError("source modulus has no root in the target field")
     return Embedding(src, dst, best)
-
-
-def embed(phi: Embedding, a: FieldElem) -> FieldElem:
-    return phi.apply(a)

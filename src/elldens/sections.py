@@ -354,18 +354,6 @@ class AffinePoly:
         return acc
 
 
-def partial(f: AffinePoly, j: int) -> AffinePoly:
-    return f.partial(j)
-
-
-def dehomogenize(s: Section, chart: int) -> AffinePoly:
-    return s.dehomogenize(chart)
-
-
-def evaluate(s, pt, emb: Embedding | None = None) -> FieldElem:
-    return s.evaluate(pt, emb)
-
-
 def exact_divide(f: Section, g: Section) -> Section | None:
     """The quotient h with f = g * h, or None when g does not divide f.
 
@@ -410,14 +398,8 @@ def random_section(m: int, d: int, field: FieldCtx, rng_seed: int) -> Section:
     """A uniform random degree-d form: every monomial coefficient uniform over
     the field, drawn from a PCG64 stream seeded with rng_seed."""
     rng = np.random.Generator(np.random.PCG64(rng_seed))
-    n = field.n
-    draws = rng.integers(0, field.p, size=dim_space(m, d) * n)
-    coeffs = {}
-    for i, expo in enumerate(monomials(m, d)):
-        vec = tuple(int(v) for v in draws[i * n:(i + 1) * n])
-        if any(vec):
-            coeffs[expo] = field.elem(vec)
-    return Section(m, d, field, coeffs)
+    return section_from_slots(m, d, field,
+                              rng.integers(0, field.p, size=dim_space(m, d) * field.n))
 
 
 def section_from_slots(m: int, d: int, field: FieldCtx, slots) -> Section:
@@ -430,3 +412,19 @@ def section_from_slots(m: int, d: int, field: FieldCtx, slots) -> Section:
         if any(vec):
             coeffs[expo] = field.elem(vec)
     return Section(m, d, field, coeffs)
+
+
+@lru_cache(maxsize=None)
+def _monomial_positions(m: int, d: int) -> dict[tuple[int, ...], int]:
+    return {expo: i for i, expo in enumerate(monomials(m, d))}
+
+
+def section_slots(s: Section) -> np.ndarray:
+    """The flat int64 F_p coordinate vector of a section, inverse to
+    :func:`section_from_slots` (same layout)."""
+    n = s.field.n
+    pos = _monomial_positions(s.m, s.d)
+    slots = np.zeros((dim_space(s.m, s.d), n), dtype=np.int64)
+    slots[[pos[e] for e in s.coeffs]] = np.array(
+        [c.coeffs for c in s.coeffs.values()], dtype=np.int64).reshape(-1, n)
+    return slots.ravel()

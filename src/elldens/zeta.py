@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FeasibilityError
+from .gf import prime_power
 
 MAX_TRUNCATION = 32
 
@@ -42,8 +43,7 @@ def point_counts(m: int, q: int, R: int) -> list[int]:
     """[N_1, ..., N_R] with N_r = sum_{i=0}^m q^{r i} = #P^m(F_{q^r})."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    if q < 2:
-        raise ValueError(f"need a prime power q >= 2, got {q}")
+    prime_power(q)  # rejects q that is not a prime power
     if not 1 <= R <= MAX_TRUNCATION:
         raise ValueError(f"truncation must lie in 1..{MAX_TRUNCATION}, got {R}")
     return [sum(q ** (r * i) for i in range(m + 1)) for r in range(1, R + 1)]

@@ -10,9 +10,10 @@ from hypothesis.extra.numpy import arrays
 
 from elldens.base import (FeasibilityError, closed_points_up_to, jet_at,
                           jet_space_map)
-from elldens.gf import embed, make_field
+from elldens.gf import FieldCtx, FieldMismatchError, is_irreducible, make_field
 from elldens.linalg import rank_mod_p
-from elldens.sections import Section, dim_space, monomials, section_from_slots
+from elldens.sections import (Section, dim_space, monomials, random_section,
+                              section_from_slots)
 from elldens.weier import section_degrees
 from elldens.zeta import zeta_table
 
@@ -190,6 +191,37 @@ def test_jet_space_map_matches_affine_oracle(p, q, m, data):
                              fill=st.nothing()),
                       label="slots")
     assert _matrix_entries(jm, slots) == _oracle_entries(degrees, P, slots)
+
+
+@pytest.mark.parametrize("q,m", [(4, 2), (9, 1), (25, 1)])
+def test_jet_at_matches_affine_oracle(q, m):
+    # base fields of degree 2 over F_p: a form's slot layout (monomial-major,
+    # F_p coordinates innermost) matters here, unlike over F_2 and F_3
+    rng = random.Random(f"jet-at:{q}:{m}")
+    for P in _oracle_points(m, q):
+        base, loc = P.emb.src, P.local_coords()
+        for d in (1, 2, P.field.p + 1, 7):
+            s = random_section(m, d, base, rng_seed=rng.randrange(1 << 30))
+            J = jet_at(s, P)
+            aff = s.dehomogenize(P.chart)
+            assert J.value == aff.evaluate(loc, emb=P.emb)
+            assert J.value == s.evaluate(P.coords, emb=P.emb)
+            assert J.gradient == tuple(aff.partial(j).evaluate(loc, emb=P.emb)
+                                       for j in range(1, m + 1))
+
+
+def test_jet_at_rejects_forms_from_other_spaces():
+    P = closed_points_up_to(1, 9, 1)[3]
+    F9 = P.emb.src
+    with pytest.raises(ValueError, match="projective spaces"):
+        jet_at(Section.monomial(2, (1, 0, 0), F9.one), P)
+    # same size, other modulus: slots would be read in the wrong basis
+    other = next(FieldCtx(3, 2, (c0, c1, 1)) for c0 in range(3) for c1 in range(3)
+                 if (c0, c1, 1) != F9.modulus and is_irreducible((c0, c1, 1), 3))
+    with pytest.raises(FieldMismatchError):
+        jet_at(Section.monomial(1, (1, 0), other.gen), P)
+    with pytest.raises(FieldMismatchError):
+        jet_at(Section.monomial(1, (1, 0), make_field(3, 1).one), P)
 
 
 def test_jet_space_map_prime_above_256():

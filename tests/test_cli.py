@@ -1,11 +1,15 @@
 """Command line behavior: output schemas, determinism, exit codes."""
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elldens.cli import fraction_decimal, main
-from elldens.gf import make_field
+from elldens.gf import make_field, prime_power
 from elldens.weier import dump_weier, random_weierstrass
 from fractions import Fraction
 
@@ -155,6 +159,37 @@ def test_invalid_config_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["density-exact", "-q", "6", "-m", "1", "-r", "1"], "q=6 is not a prime power"),
+    (["zeta", "-m", "1", "-q", "6", "-R", "2", "-s", "2"], "q=6 is not a prime power"),
+    (["census", "-p", "2", "-q", "2", "-m", "0", "-e", "1"], "need m >= 1, got 0"),
+    (["surj", "-p", "2", "-q", "2", "-m", "1", "-k", "0", "-e", "1"], "need k >= 1, got 0"),
+    (["density-mc", "-p", "2", "-q", "2", "-m", "1", "-k", "0", "-r", "1",
+      "--samples", "1", "--seed", "1"], "need k >= 1, got 0"),
+])
+def test_configurations_outside_the_domain_exit_2(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("q,m,k,seed", [(4, 2, 1, 10), (9, 1, 2, 1)])
+def test_scan_and_minimal_golden_outputs(capsys, q, m, k, seed):
+    # bytes recorded from the sparse per-monomial jet loop; q = 4 has
+    # witnesses at degrees 1 and 2, q = 9 one at degree 1
+    name = f"q{q}_m{m}_k{k}"
+    src = ["--random", "-q", str(q), "-m", str(m), "-k", str(k), "--seed", str(seed),
+           "--no-timing"]
+    code, out = _run(capsys, ["scan"] + src + ["-r", "2"])
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"scan_{name}_r2_seed{seed}.json").read_bytes()
+    code, out = _run(capsys, ["minimal"] + src)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"minimal_{name}_seed{seed}.json").read_bytes()
+
+
 def test_feasibility_exit_3(capsys):
     code = main(["census", "-p", "2", "-q", "2", "-m", "2", "-e", "3"])
     err = capsys.readouterr().err
@@ -184,6 +219,72 @@ def test_byte_identical_reruns_with_out(tmp_path):
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@st.composite
+def _cli_call(draw):
+    """A small argument vector for one of the seven commands, and the drawn
+    values of q, m, k, r (for zeta: R) and e that it passes."""
+    small = st.integers(0, 2)
+    cmd = draw(st.sampled_from(("zeta", "census", "surj", "density-exact",
+                                "density-mc", "scan", "minimal")))
+    vals = {"q": draw(st.sampled_from((2, 3, 4, 5, 6))),
+            "m": draw(st.integers(0, 1) if cmd == "density-mc" else small)}
+    q = vals["q"]
+    least_factor = next(d for d in range(2, q + 1) if q % d == 0)
+    p = ["-p", str(draw(st.sampled_from((least_factor, 2, 3, 4))))]
+    qm = ["-q", str(q), "-m", str(vals["m"])]
+    if cmd in ("surj", "density-mc", "scan", "minimal"):
+        vals["k"] = draw(small)
+    if cmd in ("zeta", "density-exact", "density-mc", "scan"):
+        vals["r"] = draw(small)
+    if cmd in ("census", "surj"):
+        vals["e"] = draw(small)
+    flags = {key: [f"-{key}", str(v)] for key, v in vals.items() if key in "kre"}
+    if cmd == "zeta":
+        s = draw(st.sampled_from((None, 1, 2, 4)))
+        argv = qm + ["-R", str(vals["r"])] + ([] if s is None else ["-s", str(s)])
+    elif cmd == "census":
+        argv = p + qm + flags["e"] + ["--cap", "100000"]
+    elif cmd == "surj":
+        argv = p + qm + flags["k"] + flags["e"]
+    elif cmd == "density-exact":
+        argv = qm + flags["r"]
+    elif cmd == "density-mc":
+        argv = p + qm + flags["k"] + flags["r"] + [
+            "--samples", str(draw(st.integers(1, 3))), "--seed", "1"]
+    else:
+        # minimal searches only degree 1: its degree-2 search on P^2 over
+        # F_5 alone takes seconds
+        extra = flags["r"] if cmd == "scan" else ["--jmax", "1"]
+        argv = ["--random"] + qm + flags["k"] + ["--seed", str(draw(small))] + extra
+    fmt = draw(st.sampled_from(("json", "csv")))
+    return [cmd] + argv + ["--format", fmt, "--no-timing"], vals
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(call=_cli_call())
+def test_cli_contract_on_small_configurations(call):
+    """Every call exits 0, 2 or 3 and never raises out of main (which a
+    console run would print as a traceback); a failure prints one error
+    line.  Exit 0 needs a prime power q and m, k, r and e >= 1.
+
+    density-mc is drawn at m <= 1 only: at m = 2 its degree-3 discriminant
+    probe enumerates P^2 over F_{q^3} whatever r is, thousands of points at
+    q = 5 (the known probe cost, ROADMAP item 3)."""
+    argv, vals = call
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        prime_power(vals["q"])
+        assert min(vals.values()) >= 1, argv
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+        assert out.getvalue() == ""
 
 
 def test_unknown_command_rejected():

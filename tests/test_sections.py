@@ -6,7 +6,8 @@ import pytest
 
 from elldens.gf import make_field
 from elldens.sections import (InvalidPointError, Section, dim_space,
-                              exact_divide, monomials, random_section)
+                              exact_divide, monomials, random_section,
+                              section_from_slots, section_slots)
 
 F5 = make_field(5, 1)
 F2 = make_field(2, 1)
@@ -161,6 +162,27 @@ def test_random_section_deterministic():
     assert a.coeffs == b.coeffs
     assert a.coeffs != c.coeffs
     assert a.d == 3 and a.m == 2
+    # the stream as drawn before random_section went through section_from_slots
+    assert a.to_obj() == [
+        [[3, 0, 0], [4]], [[2, 1, 0], [2]], [[2, 0, 1], [3]], [[1, 2, 0], [2]],
+        [[1, 0, 2], [2]], [[0, 3, 0], [4]], [[0, 2, 1], [4]], [[0, 1, 2], [4]],
+        [[0, 0, 3], [3]]]
+
+
+def test_section_slots_roundtrip():
+    rng = random.Random("sec-slots")
+    F9 = make_field(3, 2)
+    for m, d, field in [(1, 4, F9), (2, 3, F9), (2, 5, F5), (1, 0, F9)]:
+        s = _random_sec(m, d, field, rng)
+        slots = section_slots(s)
+        assert slots.shape == (dim_space(m, d) * field.n,)
+        assert section_from_slots(m, d, field, slots) == s
+        # coefficient vectors in descending grlex order, F_p digits innermost
+        lead = monomials(m, d)[0]
+        assert tuple(slots[:field.n]) == s.coeffs.get(lead, field.zero).coeffs
+    zero = Section.zero(2, 3, F9)
+    assert not section_slots(zero).any()
+    assert section_from_slots(2, 3, F9, section_slots(zero)) == zero
 
 
 def test_obj_roundtrip():
