@@ -11,26 +11,25 @@ the gradient in the chart's local coordinates; vanishing of the pair does not
 depend on the chart.  ``jet_space_map`` expresses coefficient vectors ->
 jets as a matrix over F_p by restriction of scalars.  It is the one jet
 kernel: ``jet_at`` multiplies a form's slot vector by the matrix of its
-degree at the point.  Those single-degree matrices are memoized per
-(degree, point), since building one costs far more than the product; the
-256 kept hold every key of a scan over the degree <= 2 points of P^1 over
-F_5 (80 keys).  They stay in their narrow dtype and are widened at use:
-int64 copies would take eight times the memory.
+degree at the point.  Nothing is memoized, since one scan meets each
+(degree, point) pair once.  A zero form, such as the coefficients a1, a2,
+a3 of every datum in characteristic >= 5, has the zero jet without a matrix.
 
 The matrix is computed on discrete logs in the residue field F_Q (the
 field's :class:`~elldens.gf.LogTables`, to a primitive element g): the value
 entry of a monomial x^beta has log beta . log x mod (Q-1) over the chart's
 local coordinates x; a gradient entry adds log(beta_j mod p) and subtracts
 log x_j; the base-field basis image emb(g_base)^t adds t log emb(g_base).
-Entries with a zero local coordinate under a positive exponent, and
-gradient entries with p | beta_j, are zero.  The antilog and digit tables
-then give each entry's F_p coordinates.  Matrix entries have dtype
+The log of 0 is taken as zero_log = (d + 2)(Q - 1), d the largest degree,
+above every sum of the logs of nonzero factors, so an entry is zero exactly
+when its log reaches zero_log; the integer 0 = beta_j mod p counts twice,
+since subtracting the log of x_j = 0 takes one zero_log off again.  The
+antilog and digit tables then give each nonzero entry's F_p coordinates.  Matrix entries have dtype
 ``np.min_scalar_type(p - 1)`` (uint8 for p <= 251, uint16 from p = 257).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 
 import numpy as np
 
@@ -175,17 +174,12 @@ def jet_at(s: Section, P: ClosedPoint) -> Jet:
     if s.field != P.emb.src:
         raise FieldMismatchError("form's field is not the point's base field")
     res = P.field
-    coords = _jet_matrix(s.d, P).astype(np.int64) @ section_slots(s) % res.p
+    if s.is_zero:
+        return Jet(value=res.zero, gradient=(res.zero,) * P.m)
+    coords = jet_space_map((s.d,), P).matrix @ section_slots(s) % res.p
     idx = coords.reshape(P.m + 1, res.n) @ res.p ** np.arange(res.n)
-    value, *grad = (res.from_index(int(i)) for i in idx)
+    value, *grad = map(res.from_index, idx.tolist())
     return Jet(value=value, gradient=tuple(grad))
-
-
-@lru_cache(maxsize=256)
-def _jet_matrix(d: int, P: ClosedPoint) -> np.ndarray:
-    mat = jet_space_map((d,), P).matrix
-    mat.flags.writeable = False  # shared by every later call
-    return mat
 
 
 @dataclass(frozen=True)
@@ -215,37 +209,31 @@ class JetSpaceMap:
 
 def jet_space_map(degrees: tuple[int, ...], P: ClosedPoint) -> JetSpaceMap:
     """Assemble the jet evaluation matrix at P for one form per degree."""
-    p, r = prime_power(P.q)
-    res = P.field
-    n_res = res.n
-    m = P.m
+    res, m, r = P.field, P.m, P.emb.src.n
     tabs = res.log_tables()
     order = res.size - 1
-    width = (m + 1) * n_res
+    width = (m + 1) * res.n
     cols = sum(dim_space(m, d) for d in degrees) * r
     mat = np.zeros((len(degrees) * width, cols), dtype=tabs.digits.dtype)
+    # see the module notes for zero_log
+    zero_log = (max(degrees, default=0) + 2) * order
+    x_log = np.array([tabs.log[x.idx] if x else zero_log for x in P.local_coords()],
+                     dtype=np.int64)
+    int_log = tabs.log[:res.p].copy()  # log of beta_j mod p in F_p
+    int_log[0] = 2 * zero_log
     # logs of the base-field basis images emb(g)^t; only t = 0 occurs when
     # r = 1, where g itself is 0
-    gen_img = P.emb(P.emb.src.gen)
-    basis_log = np.arange(r) * tabs.log[gen_img.idx] % order
-    x_idx = np.array([x.idx for x in P.local_coords()], dtype=np.int64)
-    x_log = tabs.log[x_idx]
-    x_zero = x_idx == 0
-    step_down = np.eye(m, dtype=np.int64)
+    basis_log = np.arange(r) * tabs.log[P.emb.gen_image.idx] % order
+    local = [j for j in range(m + 1) if j != P.chart]
     col = 0
     for s_idx, d in enumerate(degrees):
-        beta = np.delete(monomial_array(m, d), P.chart, axis=1)  # (dim, m)
+        beta = monomial_array(m, d)[:, local]  # (dim, m)
         dim = len(beta)
         val_log = beta @ x_log
-        val_zero = (beta[:, x_zero] > 0).any(axis=1)
         # d/dx_j x^beta = (beta_j mod p) x^(beta - e_j)
-        grad_log = val_log[:, None] + tabs.log[beta % p] - x_log
-        used = beta[:, None, :] - step_down  # (dim, j, exponent of x_jj)
-        grad_zero = (beta % p == 0) | ((used > 0) & x_zero).any(axis=2)
-        logs = np.concatenate([val_log[:, None], grad_log], axis=1)
-        zero = np.concatenate([val_zero[:, None], grad_zero], axis=1)
-        idx = tabs.antilog[(logs[:, :, None] + basis_log) % order]
-        idx[np.broadcast_to(zero[:, :, None], idx.shape)] = 0
+        grad_log = val_log[:, None] + int_log[beta % res.p] - x_log
+        logs = np.concatenate([val_log[:, None], grad_log], axis=1)[:, :, None] + basis_log
+        idx = np.where(logs < zero_log, tabs.antilog[logs % order], 0)
         block = tabs.digits[idx]  # (dim, entry, t, coord)
         mat[s_idx * width:(s_idx + 1) * width, col:col + dim * r] = \
             block.transpose(1, 3, 0, 2).reshape(width, dim * r)

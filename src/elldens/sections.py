@@ -414,17 +414,8 @@ def section_from_slots(m: int, d: int, field: FieldCtx, slots) -> Section:
     return Section(m, d, field, coeffs)
 
 
-@lru_cache(maxsize=None)
-def _monomial_positions(m: int, d: int) -> dict[tuple[int, ...], int]:
-    return {expo: i for i, expo in enumerate(monomials(m, d))}
-
-
 def section_slots(s: Section) -> np.ndarray:
     """The flat int64 F_p coordinate vector of a section, inverse to
     :func:`section_from_slots` (same layout)."""
-    n = s.field.n
-    pos = _monomial_positions(s.m, s.d)
-    slots = np.zeros((dim_space(s.m, s.d), n), dtype=np.int64)
-    slots[[pos[e] for e in s.coeffs]] = np.array(
-        [c.coeffs for c in s.coeffs.values()], dtype=np.int64).reshape(-1, n)
-    return slots.ravel()
+    return np.array([s.coeffs.get(e, s.field.zero).coeffs for e in monomials(s.m, s.d)],
+                    dtype=np.int64).ravel()
