@@ -19,7 +19,8 @@ forms, jet entries), one per point degree.  The batched detector and the
 discriminant then run once per (chunk, degree).  Samples whose
 discriminant form is identically zero are counted as not-smooth and
 tallied separately: a nonzero discriminant value at a point of degree <= r
-settles delta != 0, unsettled samples go on through the probe rows one
+settles delta != 0, unsettled samples go on through the value rows of the
+points of the next degrees (built the first time a sample needs them), one
 degree at a time, and only when every value vanishes is the form expanded.
 """
 from __future__ import annotations
@@ -46,6 +47,9 @@ from .weier import (SingularityWitness, WeierstrassData, WeierstrassJets,
                     weierstrass_from_slots)
 
 _DELTA_PROBE_DEGREE = 3  # discriminant values are probed at points up to here
+# rational points a probe degree may enumerate: a probe stands in for exact
+# expansions of a few samples, so it must not cost more than they do
+_PROBE_CAP = 1 << 15
 _CENSUS_BLOCK = 4096  # jet tuples per detector call; bounds census memory
 
 
@@ -215,10 +219,10 @@ class _Block(NamedTuple):
 class _McSetup:
     """The jet evaluation matrix of one (p, q, m, k, r) configuration.
 
-    It stacks the jet rows of every closed point of degree <= the probe
-    degree, in degree order, each point's rows in section -> entry ->
-    coordinate order.  The points of degree <= r thus own the prefix
-    ``matrix[:jet_rows]`` and the discriminant-probe points the suffix.
+    ``matrix`` stacks the jet rows of every closed point of degree <= r, in
+    degree order, each point's rows in section -> entry -> coordinate order.
+    The discriminant-probe rows of a degree above r are built by
+    :meth:`probe` the first time a sample needs them, and kept.
     """
 
     def __init__(self, p: int, q: int, m: int, k: int, r: int):
@@ -227,19 +231,16 @@ class _McSetup:
         self.field = make_field(p, rr)
         self.degrees = section_degrees(p, k)
         self.g = len(self.degrees)
-        probe_deg = max(r, min(_DELTA_PROBE_DEGREE, 12 * k))
-        pts = closed_points_up_to(m, q, probe_deg)
-        self.blocks = []
+        pts = closed_points_up_to(m, q, r)
+        self.jet_blocks = []
         row = 0
         for e, group in itertools.groupby(pts, key=lambda P: P.degree):
             group = list(group)
             res = group[0].field
             stop = row + len(group) * self.g * (m + 1) * res.n
-            self.blocks.append(_Block(e, res, row, stop, len(group)))
+            self.jet_blocks.append(_Block(e, res, row, stop, len(group)))
             row = stop
-        self.jet_blocks = [b for b in self.blocks if b.degree <= r]
-        self.probe_blocks = [b for b in self.blocks if b.degree > r]
-        self.jet_rows = self.jet_blocks[-1].stop
+        self.jet_rows = row
         self.slots = total_slots(m, k, self.field)
         # each point's block goes straight into the float64 matrix, so at
         # most one integer block is alive at a time
@@ -249,6 +250,28 @@ class _McSetup:
             jm = jet_space_map(self.degrees, P)
             self.matrix[off:off + jm.rows] = jm.matrix
             off += jm.rows
+        self._probes: dict[int, tuple[_Block, np.ndarray] | None] = {}
+
+    def probe(self, e: int) -> tuple[_Block, np.ndarray] | None:
+        """The block and the value rows (jet entry 0 only, which is all the
+        discriminant needs) of the degree-e points, or None when enumerating
+        them would pass ``_PROBE_CAP`` rational points."""
+        if e not in self._probes:
+            try:
+                pts = [P for P in closed_points_up_to(self.m, self.q, e, cap=_PROBE_CAP)
+                       if P.degree == e]
+            except FeasibilityError:
+                self._probes[e] = None
+                return None
+            n = pts[0].field.n
+            rows = len(pts) * self.g * n
+            matrix = np.empty((rows, self.slots))
+            for i, P in enumerate(pts):
+                jm = jet_space_map(self.degrees, P).matrix
+                block = jm.reshape(self.g, self.m + 1, n, self.slots)[:, 0]
+                matrix[i * self.g * n:(i + 1) * self.g * n] = block.reshape(-1, self.slots)
+            self._probes[e] = (_Block(e, pts[0].field, 0, rows, len(pts)), matrix)
+        return self._probes[e]
 
 
 @lru_cache(maxsize=4)
@@ -263,9 +286,10 @@ def _coords(slots: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
 
 def _block_jets(setup: _McSetup, b: _Block, coords: np.ndarray) -> WeierstrassJets:
     """Batched jets, (samples, points), at the points of block b from their
-    F_p coordinates, one sample per row of ``b.stop - b.start`` entries."""
+    F_p coordinates, one sample per row of ``b.stop - b.start`` entries:
+    full jets from jet rows, values only (no gradient) from probe rows."""
     n = b.field.n
-    digits = coords.reshape(len(coords), b.points, setup.g, setup.m + 1, n)
+    digits = coords.reshape(len(coords), b.points, setup.g, -1, n)
     return jets_from_indices(b.field, digits @ setup.p ** np.arange(n, dtype=np.int64))
 
 
@@ -295,17 +319,22 @@ def _delta_zero(setup: _McSetup, coords: np.ndarray, slots: np.ndarray) -> np.nd
     a single row is a batch of one.
 
     A nonzero discriminant value at a point of degree <= r settles a sample.
-    Unsettled samples go on through the probe rows one degree at a time,
-    each degree a contiguous slice of the matrix, and only when every probe
-    value vanishes too is the form expanded exactly.
+    Unsettled samples go on through the probe rows of the degrees above r
+    up to ``_DELTA_PROBE_DEGREE``, one degree at a time, and only when every
+    probe value vanishes too is the form expanded exactly.  Probing stops at
+    the first degree with too many points; the expansion decides the rest.
     """
     coords, slots = np.atleast_2d(coords, slots)
     live = _survivors(setup, coords, np.arange(len(slots)), _delta_vanishes)
-    for b in setup.probe_blocks:
+    for e in range(setup.r + 1, _DELTA_PROBE_DEGREE + 1):
         if not live.size:
             break
-        probe = _coords(slots[live], setup.matrix[b.start:b.stop], setup.p)
-        live = live[_delta_vanishes(_block_jets(setup, b, probe)).all(axis=1)]
+        probe = setup.probe(e)
+        if probe is None:
+            break
+        b, rows = probe
+        values = _coords(slots[live], rows, setup.p)
+        live = live[_delta_vanishes(_block_jets(setup, b, values)).all(axis=1)]
     zero = np.zeros(len(slots), dtype=bool)
     for i in live:
         zero[i] = weierstrass_from_slots(setup.m, setup.k, setup.field,

@@ -8,6 +8,28 @@ local coordinates (the remaining variables, in index order).
 Monomial order used throughout (serialization, matrices, division) is graded
 lex with x_0 > x_1 > ... > x_m; for a fixed degree this is plain descending
 tuple order.
+
+A product of two forms is one exact integer convolution (:func:`_product`).
+Homogeneity fixes the exponent of x_0, so it is dropped; the other exponents
+e_1..e_m of a term and an F_p coordinate index c (coefficient of alpha^c,
+0 <= c < n, for F_{p^n} = F_p[alpha]) map to the Kronecker key
+
+    (e_1 + e_2 B + ... + e_m B^(m-1)) * W + c,  B = d1 + d2 + 1,  W = 2n - 1.
+
+No exponent of the product reaches B and no coordinate index of a product
+of coefficient polynomials reaches W, so keys add without carries: the
+product's coordinate vector is the convolution of the factors' vectors.
+It is accumulated in int64 (``np.add.at``) over the pairs of the factors'
+entries, one entry per (term, coordinate), rather than by a dense
+convolution over every key: once m >= 2 most keys of the B^m box are not
+monomials of degree <= d, and the dense cost grows with the box.  The
+result is reduced mod p, alpha^n .. alpha^(2n-2) are folded back with the
+modulus (``FieldCtx._red``), and the exponent of x_0 is restored from the
+degree.  An entry sums at most min(N1, N2) * n products of two values
+below p, N the factors' term counts; a product whose bound
+min(N1, N2) * n * (p-1)^2 reaches 2^63, or whose key range exceeds
+``_PRODUCT_CAP`` entries, raises :class:`~elldens.errors.FeasibilityError`
+instead of wrapping.
 """
 from __future__ import annotations
 
@@ -16,7 +38,11 @@ from math import comb
 
 import numpy as np
 
+from .errors import FeasibilityError
 from .gf import Embedding, FieldCtx, FieldElem
+
+_PRODUCT_CAP = 1 << 24  # key-range entries of one product's accumulator
+_PAIR_CHUNK = 1 << 12  # entry pairs accumulated per np.add.at call
 
 
 class InvalidPointError(ValueError):
@@ -86,6 +112,14 @@ class Section:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, m: int, d: int, field: FieldCtx, coeffs: dict) -> "Section":
+        """A section on a dict the caller guarantees valid for (m, d, field),
+        with no zero coefficient: ring results skip the per-term checks."""
+        s = object.__new__(cls)
+        s.m, s.d, s.field, s.coeffs = m, d, field, coeffs
+        return s
+
+    @classmethod
     def zero(cls, m: int, d: int, field: FieldCtx) -> "Section":
         return cls(m, d, field, {})
 
@@ -136,10 +170,10 @@ class Section:
                 out[expo] = t
             elif s is not None:
                 del out[expo]
-        return Section(self.m, d, self.field, out)
+        return Section._trusted(self.m, d, self.field, out)
 
     def __neg__(self) -> "Section":
-        return Section(
+        return Section._trusted(
             self.m, self.d, self.field, {e: -c for e, c in self.coeffs.items()}
         )
 
@@ -151,23 +185,12 @@ class Section:
     def __mul__(self, other):
         if isinstance(other, Section):
             self._check_ring(other)
-            out: dict[tuple[int, ...], FieldElem] = {}
-            for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    c = c1 * c2
-                    s = out.get(e)
-                    t = c if s is None else s + c
-                    if t:
-                        out[e] = t
-                    elif s is not None:
-                        del out[e]
-            return Section(self.m, self.d + other.d, self.field, out)
+            return _product(self, other)
         if isinstance(other, (FieldElem, int)):
             c0 = self.field.from_int(other) if isinstance(other, int) else other
-            return Section(
+            return Section._trusted(
                 self.m, self.d, self.field,
-                {e: c * c0 for e, c in self.coeffs.items()},
+                {e: c * c0 for e, c in self.coeffs.items()} if c0 else {},
             )
         return NotImplemented
 
@@ -176,9 +199,16 @@ class Section:
     def __pow__(self, e: int) -> "Section":
         if e < 0:
             raise ValueError("negative powers of sections are not defined")
-        out = Section(self.m, 0, self.field, {(0,) * (self.m + 1): self.field.one})
-        for _ in range(e):
-            out = out * self
+        out = None  # square-and-multiply; None stands for the constant 1
+        base = self
+        while e:
+            if e & 1:
+                out = base if out is None else out * base
+            e >>= 1
+            if e:
+                base = base * base
+        if out is None:
+            return Section(self.m, 0, self.field, {(0,) * (self.m + 1): self.field.one})
         return out
 
     # -- geometry ---------------------------------------------------------------
@@ -237,6 +267,53 @@ class Section:
             expo, vec = rec
             coeffs[tuple(expo)] = field.elem(tuple(vec))
         return cls(m, d, field, coeffs)
+
+
+def _product(f: Section, g: Section) -> Section:
+    """f * g as one exact integer convolution (see the module notes)."""
+    m, d, fld = f.m, f.d + g.d, f.field
+    p, n = fld.p, fld.n
+    if f.is_zero or g.is_zero:
+        return Section.zero(m, d, fld)
+    if min(len(f.coeffs), len(g.coeffs)) * n * (p - 1) ** 2 >= 1 << 63:
+        raise FeasibilityError(
+            f"a product of degree-{f.d} and degree-{g.d} forms over "
+            f"F_{p}^{n} may exceed the int64 range")
+    width = 2 * n - 1
+    place = (d + 1) ** np.arange(m, dtype=np.int64)
+    size = (d * int(place[-1]) + 1) * width  # x_m^d has the largest key
+    if size > _PRODUCT_CAP:
+        raise FeasibilityError(
+            f"a product of degree-{f.d} and degree-{g.d} forms on P^{m} needs "
+            f"{size} accumulator entries > cap {_PRODUCT_CAP}")
+
+    def entries(s: Section):
+        # one row per term: exponents of x_1..x_m, then F_p coordinates;
+        # zero coordinates stay in, they add nothing
+        terms = np.array([e[1:] + c.coeffs for e, c in s.coeffs.items()], dtype=np.int64)
+        keys = (terms[:, :m] @ place)[:, None] * width + np.arange(n)
+        return keys.ravel(), terms[:, m:].ravel()
+
+    kf, vf = entries(f)
+    kg, vg = entries(g)
+    acc = np.zeros(size, dtype=np.int64)
+    step = max(1, _PAIR_CHUNK // len(kg))
+    for i in range(0, len(kf), step):
+        np.add.at(acc, kf[i:i + step, None] + kg, vf[i:i + step, None] * vg)
+    rows = acc.reshape(-1, width) % p
+    coords = rows[:, :n]
+    if n > 1:  # alpha^(n+k) = _red[k]
+        coords = coords + rows[:, n:] @ np.array(fld._red, dtype=np.int64)
+    coords %= p
+    keys = np.flatnonzero(coords.any(axis=1))
+    expo = keys[:, None] // place % (d + 1)
+    expo = np.concatenate([d - expo.sum(axis=1, keepdims=True), expo], axis=1)
+    coords = coords[keys]
+    if fld._elems is not None:  # interned: p^n <= 4096, so indices fit
+        elems = map(fld._elems.__getitem__, (coords @ p ** np.arange(n)).tolist())
+    else:
+        elems = (fld.elem(tuple(c)) for c in coords.tolist())
+    return Section._trusted(m, d, fld, dict(zip(map(tuple, expo.tolist()), elems)))
 
 
 def power_table(x: FieldElem, top: int) -> list[FieldElem]:

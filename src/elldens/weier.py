@@ -388,9 +388,26 @@ def minimality_witness(w: WeierstrassData, j_max: int) -> Section | None:
                     if ci:
                         coeffs[monos[lead + 1 + t]] = F.from_index(ci)
                 u = Section(w.m, j, F, coeffs)
-                if all(exact_divide(s, u ** i) is not None for i, s in secs):
+                # u | a_i is necessary for u^i | a_i and needs no power of u
+                if not all(exact_divide(s, u) is not None for _, s in secs):
+                    continue
+                power = _power_chain(u)
+                if all(exact_divide(s, power(i)) is not None for i, s in secs):
                     return u
     return None
+
+
+def _power_chain(u: Section):
+    """i -> u^i, each power built once, on first request, from two smaller
+    ones: u^2 = u u, u^3 = u u^2, u^4 = u^2 u^2, u^6 = u^3 u^3."""
+    cache = {1: u}
+
+    def power(i: int) -> Section:
+        if i not in cache:
+            cache[i] = power(i // 2) * power(i - i // 2)
+        return cache[i]
+
+    return power
 
 
 def is_minimal(w: WeierstrassData, j_max: int) -> bool:
@@ -454,6 +471,13 @@ def weier_from_obj(obj: dict) -> WeierstrassData:
             raise ValueError(f"unsupported format_version {ver}")
         fobj = obj["field"]
         field = FieldCtx(int(fobj["p"]), int(fobj["n"]), tuple(fobj["modulus"]))
+        # closed points live over make_field's field; another modulus gives
+        # an isomorphic field whose elements they cannot take
+        expected = make_field(field.p, field.n).modulus
+        if field.modulus != expected:
+            raise ValueError(
+                f"stored field modulus {list(field.modulus)} of F_{field.p}^{field.n} "
+                f"is not the expected modulus {list(expected)}")
         m, k = int(obj["m"]), int(obj["k"])
         secs = {}
         for i in _INDICES:

@@ -2,6 +2,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -75,6 +78,7 @@ def test_density_mc_deterministic_json(capsys):
 
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.mark.parametrize("p,q,m,k,r", [(2, 2, 2, 18, 1), (5, 5, 1, 36, 3),
@@ -136,6 +140,35 @@ def test_minimal_from_file(capsys, tmp_path):
     assert obj["result"]["minimal"] is False
     assert obj["result"]["complete"] is True
     assert obj["result"]["witness"]["degree"] == 1
+
+
+def test_scan_rejects_stored_datum_with_other_modulus(capsys, tmp_path):
+    # F_9 as F_3[x]/(x^2+x+2) is isomorphic to make_field's F_3[x]/(x^2+1),
+    # but closed points take only make_field's elements
+    path = tmp_path / "datum.json"
+    dump_weier(random_weierstrass(1, 1, make_field(3, 2), seed=1), str(path))
+    obj = json.loads(path.read_text())
+    assert obj["field"]["modulus"] == [1, 0, 1]
+    obj["field"]["modulus"] = [2, 1, 1]
+    path.write_text(json.dumps(obj))
+    code = main(["scan", "--input", str(path), "-r", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: stored field modulus [2, 1, 1] of F_3^2 is not "
+                            "the expected modulus [1, 0, 1]\n")
+
+
+def test_scan_random_k18_finishes():
+    # the k = 18 discriminant on P^2 (degree 216, 11,908 terms) is expanded
+    # eagerly when the datum is built
+    proc = subprocess.run(
+        [sys.executable, "-m", "elldens", "scan", "--random", "-q", "2", "-m", "2",
+         "-k", "18", "-r", "1", "--seed", "1", "--no-timing"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["config"]["k"] == 18
 
 
 def test_minimal_random_is_minimal(capsys):
@@ -229,7 +262,7 @@ def _cli_call(draw):
     cmd = draw(st.sampled_from(("zeta", "census", "surj", "density-exact",
                                 "density-mc", "scan", "minimal")))
     vals = {"q": draw(st.sampled_from((2, 3, 4, 5, 6))),
-            "m": draw(st.integers(0, 1) if cmd == "density-mc" else small)}
+            "m": draw(small)}
     q = vals["q"]
     least_factor = next(d for d in range(2, q + 1) if q % d == 0)
     p = ["-p", str(draw(st.sampled_from((least_factor, 2, 3, 4))))]
@@ -267,11 +300,7 @@ def _cli_call(draw):
 def test_cli_contract_on_small_configurations(call):
     """Every call exits 0, 2 or 3 and never raises out of main (which a
     console run would print as a traceback); a failure prints one error
-    line.  Exit 0 needs a prime power q and m, k, r and e >= 1.
-
-    density-mc is drawn at m <= 1 only: at m = 2 its degree-3 discriminant
-    probe enumerates P^2 over F_{q^3} whatever r is, thousands of points at
-    q = 5 (the known probe cost, ROADMAP item 3)."""
+    line.  Exit 0 needs a prime power q and m, k, r and e >= 1."""
     argv, vals = call
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -194,6 +194,51 @@ def test_delta_zero_batch_matches_exact_expansion(monkeypatch):
     assert len(expanded) == sum(want) > 0
 
 
+def test_mc_setup_holds_only_jet_rows():
+    # acceptance-4 configuration: the 7 degree-1 points need 7 * 4 * 3 rows
+    from elldens.density import _McSetup
+    setup = _McSetup(2, 2, 2, 18, 1)
+    assert setup.matrix.shape == (84, 10426)
+    assert setup.jet_rows == 84
+    assert setup._probes == {}
+
+
+def test_probe_rows_built_on_first_need():
+    from elldens import density
+    from elldens.weier import weierstrass_slots
+    F2 = make_field(2, 1)
+    setup = density._McSetup(2, 2, 1, 1, 1)
+    slots = np.array([weierstrass_slots(1, 1, F2, seed=s) for s in range(40)])
+    coords = density._coords(slots, setup.matrix, 2)
+    density._delta_zero(setup, coords, slots)
+    block, rows = setup.probe(2)
+    # P^1 over F_2 has one degree-2 point: 4 forms, value rows only, 2 coordinates
+    assert (block.degree, block.points, rows.shape) == (2, 1, (8, setup.slots))
+    assert setup.probe(2)[1] is rows
+
+
+def test_probe_over_cap_is_skipped_and_expansion_decides():
+    # the degree-2 points of P^1 over F_257 pass the probe cap; a zero datum
+    # vanishes at every degree-1 point and is settled by the expansion
+    from elldens import density
+    setup = density._McSetup(257, 257, 1, 1, 1)
+    assert setup.probe(2) is None
+    slots = np.zeros((2, setup.slots), dtype=np.uint16)
+    slots[1, -1] = 1  # a6 = x1^6: delta = -432 x1^12, nonzero at (0:1)
+    coords = density._coords(slots, setup.matrix, 257)
+    assert density._delta_zero(setup, coords, slots).tolist() == [True, False]
+
+
+@pytest.mark.parametrize("cfg,samples", [((11, 11, 3, 1, 1), 20),
+                                         ((257, 257, 1, 1, 1), 4)])
+def test_mc_density_enumerates_only_degree_r(cfg, samples):
+    # the probe degrees' points (2.4e9 rational points of P^3 over F_{11^3},
+    # 17M of P^1 over F_{257^3}) are never enumerated up front
+    rep = mc_density(*cfg, samples=samples, master_seed=0)
+    assert rep.smooth_count + rep.delta_zero_count <= samples
+    assert rep.smooth_count > 0
+
+
 def test_singular_scan_frozen_seeds():
     F5 = make_field(5, 1)
     w = random_weierstrass(1, 1, F5, seed=13)

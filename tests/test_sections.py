@@ -3,7 +3,10 @@ dehomogenization, formal partials and exact division."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from elldens.errors import FeasibilityError
 from elldens.gf import make_field
 from elldens.sections import (InvalidPointError, Section, dim_space,
                               exact_divide, monomials, random_section,
@@ -195,3 +198,112 @@ def test_obj_roundtrip():
     # descending monomial order in the serialized form
     expos = [tuple(rec[0]) for rec in obj]
     assert expos == sorted(expos, key=lambda e: (sum(e), e), reverse=True)
+
+
+# -- products against the AffinePoly oracle -------------------------------------
+
+PRODUCT_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1),
+                  (257, 1)]
+
+
+def _assert_product_matches_oracle(f, g):
+    """f * g against AffinePoly products of the factors on every chart (the
+    chart's dehomogenization is injective on forms of one degree)."""
+    prod = f * g
+    assert (prod.m, prod.d, prod.field) == (f.m, f.d + g.d, f.field)
+    for chart in range(f.m + 1):
+        assert prod.dehomogenize(chart) == f.dehomogenize(chart) * g.dehomogenize(chart)
+    assert (g * f) == prod
+
+
+@st.composite
+def _form(draw, field, m):
+    """A degree-0..12 form: dense (every monomial drawn, zero coefficients
+    allowed) when it has at most 40 monomials, else up to 40 drawn terms."""
+    d = draw(st.integers(0, 12))
+    monos = monomials(m, d)
+    elem = st.integers(0, field.size - 1)
+    if len(monos) <= 40 and draw(st.booleans()):
+        coeffs = draw(st.lists(elem, min_size=len(monos), max_size=len(monos)))
+        terms = list(enumerate(coeffs))
+    else:
+        terms = draw(st.lists(st.tuples(st.integers(0, len(monos) - 1), elem),
+                              max_size=40))
+    return Section(m, d, field, {monos[i]: field.from_index(c) for i, c in terms})
+
+
+@st.composite
+def _form_pair(draw):
+    field = make_field(*draw(st.sampled_from(PRODUCT_FIELDS)))
+    m = draw(st.integers(1, 3))
+    return draw(_form(field, m)), draw(_form(field, m))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pair=_form_pair())
+def test_product_matches_affine_oracle(pair):
+    _assert_product_matches_oracle(*pair)
+
+
+@pytest.mark.parametrize("p,n", PRODUCT_FIELDS)
+def test_dense_products_match_affine_oracle(p, n):
+    # every monomial present, top coefficient entries included: the largest
+    # exponent of each variable and the alpha^(2n-2) coordinates all occur
+    field = make_field(p, n)
+    rng = random.Random(f"dense-{p}-{n}")
+    top = field.from_index(field.size - 1)
+    for m, d1, d2 in ((1, 7, 5), (2, 4, 3), (3, 2, 3)):
+        f = _random_sec(m, d1, field, rng)
+        g = _random_sec(m, d2, field, rng)
+        _assert_product_matches_oracle(f, g)
+        full = Section(m, d1, field, {e: top for e in monomials(m, d1)})
+        _assert_product_matches_oracle(full, full)
+        _assert_product_matches_oracle(full, g)
+    zero = Section.zero(m, 3, field) * g
+    assert zero.is_zero and zero.d == 3 + g.d
+
+
+def test_product_exact_in_large_prime_extension():
+    # p near 2^24 over F_{p^2}: the convolution entries stay below 2^63, but
+    # folding alpha^2 back through the modulus needs them reduced mod p first
+    field = make_field(16777213, 2)
+    rng = random.Random("large-p")
+    top = field.from_index(field.size - 1)
+    f = Section(1, 5, field, {e: top for e in monomials(1, 5)})
+    g = _random_sec(1, 4, field, rng)
+    _assert_product_matches_oracle(f, g)
+    _assert_product_matches_oracle(f, f)
+
+
+def test_product_at_p_2_31_minus_1_exact_or_infeasible():
+    field = make_field(2**31 - 1, 1)
+    big = field.from_int(-1)
+    x0 = Section.monomial(2, (1, 0, 0), big)
+    two = Section(2, 1, field, {(1, 0, 0): big, (0, 1, 0): big})
+    three = Section(2, 1, field, {e: big for e in monomials(2, 1)})
+    g = Section(2, 2, field, {e: big for e in monomials(2, 2)})
+    # an entry sums min(N1, N2) products of at most (p-1)^2 ~ 2^62
+    _assert_product_matches_oracle(x0, g)
+    _assert_product_matches_oracle(two, two)  # 2 (p-1)^2 < 2^63
+    with pytest.raises(FeasibilityError):  # 3 (p-1)^2 > 2^63: refused, not wrapped
+        three * g
+
+
+def test_product_key_range_cap():
+    # degree 12 on P^7: the Kronecker key range is 12 * 13^6 entries
+    F2 = make_field(2, 1)
+    x = Section.monomial(7, (6,) + (0,) * 7, F2.one)
+    with pytest.raises(FeasibilityError, match="accumulator entries"):
+        x * x
+    y = Section.monomial(5, (6,) + (0,) * 5, F2.one)
+    assert (y * y).coeffs == {(12,) + (0,) * 5: F2.one}  # 12 * 13^4 entries
+
+
+def test_power_square_and_multiply():
+    rng = random.Random("sec-pow")
+    F9 = make_field(3, 2)
+    u = _random_sec(2, 1, F9, rng)
+    acc = Section(2, 0, F9, {(0, 0, 0): F9.one})
+    for e in range(8):
+        assert u ** e == acc
+        acc = acc * u

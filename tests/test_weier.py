@@ -1,5 +1,7 @@
 """Coefficient-form tuples, discriminants, singular fiber detection and
 minimality."""
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elldens.base import Jet, closed_points_up_to
-from elldens.gf import make_field
+from elldens.gf import make_field, prime_power
 from elldens.sections import Section, dim_space
 from elldens.weier import (WeierstrassData, WeierstrassJets,
                            discriminant_value, dump_weier, in_Mk,
@@ -208,6 +210,20 @@ def test_minimality():
         minimality_witness(w, 0)
 
 
+def test_minimality_checks_each_full_power():
+    # over F_2 with u = x0 + x1: a_i = u^i except a3 = u^2 x0, so u^3 does
+    # not divide a3; u is the only candidate dividing a1
+    u = Section(1, 1, F2, {(1, 0): F2.one, (0, 1): F2.one})
+    x0 = Section.monomial(1, (1, 0), F2.one)
+    data = {1: u, 3: u ** 3, 4: u ** 4, 6: u ** 6}
+    w = WeierstrassData(1, 1, F2, data[1], Section.zero(1, 2, F2), data[3],
+                        data[4], data[6])
+    assert minimality_witness(w, 1) == u
+    w = WeierstrassData(1, 1, F2, data[1], Section.zero(1, 2, F2), u ** 2 * x0,
+                        data[4], data[6])
+    assert minimality_witness(w, 1) is None
+
+
 def test_slots_roundtrip_and_determinism():
     for F, m, k in ((F2, 2, 2), (F3, 1, 2), (F5, 1, 1), (make_field(2, 2), 1, 1)):
         n_slots = total_slots(m, k, F)
@@ -315,3 +331,31 @@ def test_batched_detector_and_discriminant_match_scalar_and_oracle(p, n, data):
             assert (hit.x[i], hit.y[i]) == scalar
             assert jacobian_vanishes(single, hit.x[i], hit.y[i])
         assert delta[i] == discriminant_value(*single.values())
+
+
+# sha256 of json.dumps(w.delta.to_obj()) for random_weierstrass(m, k, F_q,
+# seed), recorded with the term-by-term product loop that preceded the
+# convolution kernel: ((q, m, k, seed), terms, digest)
+DELTA_DIGESTS = [
+    ((2, 2, 9, 1), 2987, "e909e058530d899ed758e1a0a69358559c49cf49f329dae47185aadf738e6359"),
+    ((2, 2, 9, 2), 2914, "07ba29633a18d3c08038bf109add3915b80d557f69fce68643464d6b8b70c82b"),
+    ((4, 2, 4, 1), 907, "cdf5f17ed728896d85330118acc87c301578b76ee44f894858298f77e9fa1437"),
+    ((4, 2, 4, 2), 942, "4936c7f61a4f90748a6dff4c8b85e33e4102b69fe2cdb31275f34ef4256dbe6c"),
+    ((9, 1, 3, 1), 34, "c657522d24b45d05711184fcc43fdecfb8851ebe05435f9e83fe8d12f3d19ee5"),
+    ((9, 1, 3, 2), 33, "c7737e1933d5a8a03687cba655b8f7afa17bab4eb3593b66954798635b578b72"),
+    ((5, 2, 1, 1), 68, "5082ba878fe50b98fe75c6bc37648670c35d0828b2187e4b22a75256b3e9b435"),
+    ((5, 2, 1, 2), 71, "7ebbd86d878bb09e68a1e902974c75ef09a69fdf7c5a0c549995d87373572dc5"),
+    ((3, 2, 2, 1), 202, "51b91b472aa0d2ad4aaba34594ce42f58412394251a754f8398abc2d5fc04640"),
+    ((3, 2, 2, 2), 209, "85c1ef873a98f667111d96a7225fb42b062da8608e493d4ee86b2aa067490267"),
+    ((257, 1, 2, 1), 25, "2b63cc0173281e7d6b7ce311666dcb3823d67317c8c073b5469aa0d1640a1cdc"),
+    ((257, 1, 2, 2), 25, "96fff7521332dd0ed7416e34d3d348f176f6ccc8437be1bd441af4e0088b620f"),
+]
+
+
+@pytest.mark.parametrize("case,terms,digest", DELTA_DIGESTS)
+def test_discriminant_digests(case, terms, digest):
+    q, m, k, seed = case
+    p, n = prime_power(q)
+    w = random_weierstrass(m, k, make_field(p, n), seed)
+    assert len(w.delta.coeffs) == terms
+    assert hashlib.sha256(json.dumps(w.delta.to_obj()).encode()).hexdigest() == digest
