@@ -11,24 +11,27 @@ tuple order.
 
 A product of two forms is one exact integer convolution (:func:`_product`).
 Homogeneity fixes the exponent of x_0, so it is dropped; the other exponents
-e_1..e_m of a term and an F_p coordinate index c (coefficient of alpha^c,
-0 <= c < n, for F_{p^n} = F_p[alpha]) map to the Kronecker key
+e_1..e_m of a term map to the Kronecker key
 
-    (e_1 + e_2 B + ... + e_m B^(m-1)) * W + c,  B = d1 + d2 + 1,  W = 2n - 1.
+    e_1 + e_2 B_1 + e_3 B_1 B_2 + ... + e_m B_1 ... B_(m-1),
 
-No exponent of the product reaches B and no coordinate index of a product
-of coefficient polynomials reaches W, so keys add without carries: the
-product's coordinate vector is the convolution of the factors' vectors.
-It is accumulated in int64 (``np.add.at``) over the pairs of the factors'
-entries, one entry per (term, coordinate), rather than by a dense
-convolution over every key: once m >= 2 most keys of the B^m box are not
-monomials of degree <= d, and the dense cost grows with the box.  The
-result is reduced mod p, alpha^n .. alpha^(2n-2) are folded back with the
-modulus (``FieldCtx._red``), and the exponent of x_0 is restored from the
-degree.  An entry sums at most min(N1, N2) * n products of two values
-below p, N the factors' term counts; a product whose bound
-min(N1, N2) * n * (p-1)^2 reaches 2^63, or whose key range exceeds
-``_PRODUCT_CAP`` entries, raises :class:`~elldens.errors.FeasibilityError`
+where B_j is one more than the largest exponent of x_j in f plus that in g
+(d1 + d2 + 1 for dense forms).  No exponent of the product reaches its
+base, so keys add without carries: the key of a term pair is the sum of the
+terms' keys.  A coefficient is its F_p coordinate vector (coefficients of
+alpha^0 .. alpha^(n-1), for F_{p^n} = F_p[alpha]), and a pair's product is
+the convolution of the two vectors, width W = 2n - 1.  The pairs are sorted
+by key and the rows of equal keys summed in int64, in blocks of about
+``_PAIR_CHUNK`` pairs, so memory follows the terms present, never the
+B_1 ... B_m box (which once m >= 3 is mostly keys of no monomial of degree
+d).  The sums are reduced mod p, alpha^n .. alpha^(2n-2) are folded back
+with the modulus (``FieldCtx._red``), and the exponent of x_0 is restored
+from the degree.
+
+Exactness: an entry sums at most min(N1, N2) * n products of two values
+below p, N the factors' term counts.  A product whose bound
+min(N1, N2) * n * (p-1)^2 reaches 2^63, or whose largest key
+B_1 ... B_m - 1 does, raises :class:`~elldens.errors.FeasibilityError`
 instead of wrapping.
 """
 from __future__ import annotations
@@ -41,8 +44,7 @@ import numpy as np
 from .errors import FeasibilityError
 from .gf import Embedding, FieldCtx, FieldElem
 
-_PRODUCT_CAP = 1 << 24  # key-range entries of one product's accumulator
-_PAIR_CHUNK = 1 << 12  # entry pairs accumulated per np.add.at call
+_PAIR_CHUNK = 1 << 12  # term pairs formed per block
 
 
 class InvalidPointError(ValueError):
@@ -279,41 +281,61 @@ def _product(f: Section, g: Section) -> Section:
         raise FeasibilityError(
             f"a product of degree-{f.d} and degree-{g.d} forms over "
             f"F_{p}^{n} may exceed the int64 range")
-    width = 2 * n - 1
-    place = (d + 1) ** np.arange(m, dtype=np.int64)
-    size = (d * int(place[-1]) + 1) * width  # x_m^d has the largest key
-    if size > _PRODUCT_CAP:
+    # one row per term: exponents of x_1..x_m, then F_p coordinates
+    rows = np.array([e[1:] + c.coeffs for s in (f, g) for e, c in s.coeffs.items()],
+                    dtype=np.int64)
+    rf, rg = rows[:len(f.coeffs)], rows[len(f.coeffs):]
+    base = (rf[:, :m].max(axis=0) + rg[:, :m].max(axis=0) + 1).tolist()
+    place = [1]
+    for b in base:
+        place.append(place[-1] * b)  # Python ints: the check below cannot wrap
+    if place[-1] > 1 << 63:  # the largest key is place[-1] - 1
         raise FeasibilityError(
-            f"a product of degree-{f.d} and degree-{g.d} forms on P^{m} needs "
-            f"{size} accumulator entries > cap {_PRODUCT_CAP}")
-
-    def entries(s: Section):
-        # one row per term: exponents of x_1..x_m, then F_p coordinates;
-        # zero coordinates stay in, they add nothing
-        terms = np.array([e[1:] + c.coeffs for e, c in s.coeffs.items()], dtype=np.int64)
-        keys = (terms[:, :m] @ place)[:, None] * width + np.arange(n)
-        return keys.ravel(), terms[:, m:].ravel()
-
-    kf, vf = entries(f)
-    kg, vg = entries(g)
-    acc = np.zeros(size, dtype=np.int64)
+            f"the monomial keys of a degree-{d} product on P^{m} exceed the int64 range")
+    base, place = np.array(base, dtype=np.int64), np.array(place[:-1], dtype=np.int64)
+    kf, cf = rf[:, :m] @ place, rf[:, m:]
+    kg, cg = rg[:, :m] @ place, rg[:, m:]
     step = max(1, _PAIR_CHUNK // len(kg))
+    held, merged = [], 0  # (keys, value rows) blocks; once merged, held[0] has `merged` keys
     for i in range(0, len(kf), step):
-        np.add.at(acc, kf[i:i + step, None] + kg, vf[i:i + step, None] * vg)
-    rows = acc.reshape(-1, width) % p
-    coords = rows[:, :n]
+        pv = np.zeros((len(kf[i:i + step]) * len(kg), 2 * n - 1), dtype=np.int64)
+        for a in range(n):  # coefficient polynomials in alpha multiply by convolution
+            for b in range(n):
+                pv[:, a + b] += (cf[i:i + step, a, None] * cg[:, b]).ravel()
+        held.append(((kf[i:i + step, None] + kg).ravel(), pv))
+        # summing once the new pairs outnumber the distinct keys bounds the
+        # memory, and re-sorting those keys costs no more than the pairs
+        if sum(len(b[0]) for b in held) >= merged + max(_PAIR_CHUNK, merged):
+            held = [_collect(held)]
+            merged = len(held[0][0])
+    k, v = _collect(held)
+    v %= p
+    coords = v[:, :n]
     if n > 1:  # alpha^(n+k) = _red[k]
-        coords = coords + rows[:, n:] @ np.array(fld._red, dtype=np.int64)
-    coords %= p
-    keys = np.flatnonzero(coords.any(axis=1))
-    expo = keys[:, None] // place % (d + 1)
+        coords = (coords + v[:, n:] @ np.array(fld._red, dtype=np.int64)) % p
+    live = coords.any(axis=1)
+    coords = coords[live]
+    expo = k[live, None] // place % base
     expo = np.concatenate([d - expo.sum(axis=1, keepdims=True), expo], axis=1)
-    coords = coords[keys]
     if fld._elems is not None:  # interned: p^n <= 4096, so indices fit
         elems = map(fld._elems.__getitem__, (coords @ p ** np.arange(n)).tolist())
     else:
         elems = (fld.elem(tuple(c)) for c in coords.tolist())
-    return Section._trusted(m, d, fld, dict(zip(map(tuple, expo.tolist()), elems)))
+    # columns to lists, then zip: no list object per term on the way to its tuple
+    return Section._trusted(m, d, fld, dict(zip(zip(*expo.T.tolist()), elems)))
+
+
+def _collect(blocks: list) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys of the (keys, value rows) blocks, ascending, and the
+    sum of the value rows at each."""
+    keys, vals = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
+    order = np.argsort(keys)
+    keys, vals = keys[order], vals[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    first = first.nonzero()[0]
+    return keys[first], np.add.reduceat(vals, first, axis=0)
 
 
 def power_table(x: FieldElem, top: int) -> list[FieldElem]:

@@ -391,23 +391,9 @@ def minimality_witness(w: WeierstrassData, j_max: int) -> Section | None:
                 # u | a_i is necessary for u^i | a_i and needs no power of u
                 if not all(exact_divide(s, u) is not None for _, s in secs):
                     continue
-                power = _power_chain(u)
-                if all(exact_divide(s, power(i)) is not None for i, s in secs):
+                if all(exact_divide(s, u ** i) is not None for i, s in secs):
                     return u
     return None
-
-
-def _power_chain(u: Section):
-    """i -> u^i, each power built once, on first request, from two smaller
-    ones: u^2 = u u, u^3 = u u^2, u^4 = u^2 u^2, u^6 = u^3 u^3."""
-    cache = {1: u}
-
-    def power(i: int) -> Section:
-        if i not in cache:
-            cache[i] = power(i // 2) * power(i - i // 2)
-        return cache[i]
-
-    return power
 
 
 def is_minimal(w: WeierstrassData, j_max: int) -> bool:

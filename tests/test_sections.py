@@ -289,14 +289,38 @@ def test_product_at_p_2_31_minus_1_exact_or_infeasible():
         three * g
 
 
-def test_product_key_range_cap():
-    # degree 12 on P^7: the Kronecker key range is 12 * 13^6 entries
+def test_products_at_high_m_and_degree():
+    # keys are sized by the exponents present, not by the degree-d monomials
+    # of P^m: a k = 1 discriminant's degree on P^7 and sparse degree-516
+    # products on P^8 are exact
     F2 = make_field(2, 1)
-    x = Section.monomial(7, (6,) + (0,) * 7, F2.one)
-    with pytest.raises(FeasibilityError, match="accumulator entries"):
-        x * x
-    y = Section.monomial(5, (6,) + (0,) * 5, F2.one)
-    assert (y * y).coeffs == {(12,) + (0,) * 5: F2.one}  # 12 * 13^4 entries
+    rng = random.Random("high-m")
+    monos = monomials(7, 6)
+    f = Section(7, 6, F2, {monos[rng.randrange(len(monos))]: F2.one for _ in range(30)})
+    g = Section(7, 6, F2, {monos[rng.randrange(len(monos))]: F2.one for _ in range(30)})
+    _assert_product_matches_oracle(f, g)
+    x1 = Section.monomial(8, (0, 258) + (0,) * 7, F2.one)
+    x2 = Section.monomial(8, (0, 0, 258) + (0,) * 6, F2.one)
+    assert (x1 * x2).coeffs == {(0, 258, 258) + (0,) * 6: F2.one}
+    assert (x1 * x1).coeffs == {(0, 516) + (0,) * 7: F2.one}
+
+
+def _spread(m, d, tops):
+    """x_0^d plus x_0^(d-t) x_j^t for each j = 1..m with t = tops[j-1]."""
+    F2 = make_field(2, 1)
+    terms = [(d,) + (0,) * m]
+    for j, t in enumerate(tops, start=1):
+        terms.append(tuple(d - t if i == 0 else t * (i == j) for i in range(m + 1)))
+    return Section(m, d, F2, {e: F2.one for e in terms})
+
+
+def test_product_keys_at_the_int64_edge():
+    # the exponent bases of x_1..x_8 are 256 (x7) and 128: the largest key is
+    # 2^63 - 1, still exact; one more in the last base is refused, not wrapped
+    f = _spread(8, 128, [128] * 7 + [64])
+    _assert_product_matches_oracle(f, _spread(8, 127, [127] * 7 + [63]))
+    with pytest.raises(FeasibilityError, match="int64"):
+        f * _spread(8, 127, [127] * 7 + [64])
 
 
 def test_power_square_and_multiply():
