@@ -9,11 +9,16 @@ elements by coefficient sequence.
 The first-order jet of a form at a closed point is its value together with
 the gradient in the chart's local coordinates; vanishing of the pair does not
 depend on the chart.  ``jet_space_map`` expresses coefficient vectors ->
-jets as a matrix over F_p by restriction of scalars.  It is the one jet
-kernel: ``jet_at`` multiplies a form's slot vector by the matrix of its
-degree at the point.  Nothing is memoized, since one scan meets each
-(degree, point) pair once.  A zero form, such as the coefficients a1, a2,
-a3 of every datum in characteristic >= 5, has the zero jet without a matrix.
+jets as a matrix over F_p by restriction of scalars.  ``jet_at`` is the one
+jet kernel: the concatenated slot vector of some forms times the stacked
+matrices of a :class:`PointBlock`, the points of one residue field, gives
+their jets at all of those points in one float64 product.  ``scan_blocks``
+memoizes, per shape (m, q, r, form degrees), the closed points grouped by
+degree, and keeps a block's stacked rows only while the shape's kept rows
+fit ``_ROW_BUDGET`` bytes; any other block has its rows built, multiplied
+and dropped in chunks of points within that budget on every call.  The
+product is exact while every sum of ``cols`` products of F_p digits stays
+below 2^53, which :func:`check_float_exact` enforces.
 
 The matrix is computed on discrete logs in the residue field F_Q (the
 field's :class:`~elldens.gf.LogTables`, to a primitive element g): the value
@@ -29,17 +34,23 @@ antilog and digit tables then give each nonzero entry's F_p coordinates.  Matrix
 """
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
 from . import zeta as _zeta
 from .errors import FeasibilityError
-from .gf import (Embedding, FieldCtx, FieldElem, FieldMismatchError, embedding,
-                 make_field, prime_power)
-from .sections import Section, dim_space, monomial_array, section_slots
+from .gf import Embedding, FieldCtx, FieldElem, embedding, make_field, prime_power
+from .sections import dim_space, monomial_array
 
 DEFAULT_ENUM_CAP = 1 << 26
+# bytes of float64 jet rows kept per scanned shape, and the most rows built
+# at once for a block beyond it
+_ROW_BUDGET = 1 << 20
+_SCAN_SHAPES = 16  # shapes whose closed points (and kept rows) are memoized
 
 
 @dataclass(frozen=True)
@@ -104,19 +115,12 @@ def _point_key(pt: tuple[FieldElem, ...]):
     return tuple(c.coeffs for c in pt)
 
 
-def closed_points_up_to(
-    m: int, q: int, r: int, cap: int | None = None
-) -> list[ClosedPoint]:
-    """All closed points of degree <= r, grouped from Frobenius orbits.
-
-    Counts per degree are cross-checked against the Moebius-inverted values;
-    enumeration size is guarded by ``cap`` (default 2**26 rational points).
-    """
+def _check_enum_cap(m: int, q: int, r: int, cap: int | None = None) -> None:
+    """Raise FeasibilityError when listing the closed points of P^m over F_q
+    of degree <= r passes ``cap`` rational points (default 2**26)."""
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
-    p, rr = prime_power(q)
     cap = DEFAULT_ENUM_CAP if cap is None else cap
-    table = _zeta.zeta_table(m, q, min(r, _zeta.MAX_TRUNCATION)) if r <= _zeta.MAX_TRUNCATION else None
     total_rational = sum(
         sum(q ** (e * i) for i in range(m + 1)) for e in range(1, r + 1)
     )
@@ -125,6 +129,19 @@ def closed_points_up_to(
             f"enumerating P^{m} over F_{q} up to degree {r} needs "
             f"{total_rational} rational points > cap {cap}"
         )
+
+
+def closed_points_up_to(
+    m: int, q: int, r: int, cap: int | None = None
+) -> list[ClosedPoint]:
+    """All closed points of degree <= r, grouped from Frobenius orbits.
+
+    Counts per degree are cross-checked against the Moebius-inverted values;
+    enumeration size is guarded by ``cap`` (default 2**26 rational points).
+    """
+    _check_enum_cap(m, q, r, cap)
+    p, rr = prime_power(q)
+    table = _zeta.zeta_table(m, q, min(r, _zeta.MAX_TRUNCATION)) if r <= _zeta.MAX_TRUNCATION else None
     base = make_field(p, rr)
     out: list[ClosedPoint] = []
     for e in range(1, r + 1):
@@ -162,24 +179,103 @@ def closed_points_up_to(
     return out
 
 
-def jet_at(s: Section, P: ClosedPoint) -> Jet:
-    """First-order jet of a form at P, in P's chart coordinates: its slot
-    vector times the jet matrix of its degree at P (see the module notes).
+def check_float_exact(cols: int, p: int) -> None:
+    """Raise FeasibilityError unless float64 products of F_p digit vectors of
+    length ``cols`` are exact: each sum has cols terms below (p-1)^2, and
+    float64 holds every integer below 2^53."""
+    if cols * (p - 1) ** 2 >= 1 << 53:
+        raise FeasibilityError(
+            f"a float64 product over {cols} slots mod {p} may round: "
+            f"{cols}*({p}-1)^2 >= 2^53")
 
-    Equals (value, gradient) of the dehomogenized form at the local
-    coordinates of the representative; coefficients pass through P.emb.
+
+@dataclass(frozen=True, eq=False)
+class PointBlock:
+    """Closed points of one residue field and the degrees of the forms whose
+    jets ``jet_at`` takes there.  ``rows``, when kept, stacks the points'
+    ``jet_space_map(degrees, P)`` matrices as float64, in point order."""
+
+    degrees: tuple[int, ...]
+    points: tuple[ClosedPoint, ...]
+    rows: np.ndarray | None = None
+
+    @property
+    def field(self) -> FieldCtx:
+        return self.points[0].field
+
+    @property
+    def cols(self) -> int:
+        P = self.points[0]
+        return sum(dim_space(P.m, d) for d in self.degrees) * P.emb.src.n
+
+    @property
+    def rows_per_point(self) -> int:
+        return len(self.degrees) * (self.points[0].m + 1) * self.field.n
+
+
+def _stacked_rows(degrees: tuple[int, ...], points) -> np.ndarray:
+    """The points' jet matrices for forms of the given degrees, stacked as
+    one float64 matrix."""
+    return np.concatenate([jet_space_map(degrees, P).matrix for P in points],
+                          dtype=np.float64)
+
+
+def jet_at(slots: np.ndarray, block: PointBlock) -> np.ndarray:
+    """F_p jet coordinates of forms at the points of a block, shape
+    (points, forms, m+1, n_res): the concatenated slot vector of forms of
+    degrees ``block.degrees`` (each as :func:`~elldens.sections.section_slots`)
+    times the points' stacked jet matrices, mod p.
+
+    Entry 0 is a form's value and entries 1..m its gradient in the point's
+    chart coordinates, each as the residue-field coordinates of the element.
+    Kept rows give one product; otherwise the rows are built for chunks of
+    points within ``_ROW_BUDGET`` bytes, each dropped after its product.
     """
-    if s.m != P.m:
-        raise ValueError("form and point live on different projective spaces")
-    if s.field != P.emb.src:
-        raise FieldMismatchError("form's field is not the point's base field")
-    res = P.field
-    if s.is_zero:
-        return Jet(value=res.zero, gradient=(res.zero,) * P.m)
-    coords = jet_space_map((s.d,), P).matrix @ section_slots(s) % res.p
-    idx = coords.reshape(P.m + 1, res.n) @ res.p ** np.arange(res.n)
-    value, *grad = map(res.from_index, idx.tolist())
-    return Jet(value=value, gradient=tuple(grad))
+    cols, per_point = block.cols, block.rows_per_point
+    if len(slots) != cols:
+        raise ValueError(f"slot vector of length {len(slots)} does not fit forms "
+                         f"of degrees {block.degrees} on P^{block.points[0].m}")
+    p = block.field.p
+    check_float_exact(cols, p)
+    x = np.asarray(slots, dtype=np.float64)
+    points = block.points
+    if block.rows is not None:
+        coords = block.rows @ x
+    else:
+        step = max(1, _ROW_BUDGET // (per_point * cols * 8))
+        coords = np.concatenate([_stacked_rows(block.degrees, points[i:i + step]) @ x
+                                 for i in range(0, len(points), step)])
+    return (coords % p).astype(np.int64).reshape(
+        len(points), len(block.degrees), points[0].m + 1, block.field.n)
+
+
+def scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...],
+                cap: int | None = None) -> tuple[PointBlock, ...]:
+    """The closed points of degree <= r as one :class:`PointBlock` per
+    degree, for forms of the given degrees.  Memoized per shape; the
+    enumeration cap is checked on every call."""
+    _check_enum_cap(m, q, r, cap)
+    return _scan_blocks(m, q, r, tuple(degrees))
+
+
+@lru_cache(maxsize=_SCAN_SHAPES)
+def _scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...]) -> tuple[PointBlock, ...]:
+    """The blocks of one shape, in degree order, with their rows kept while
+    the shape's kept rows fit ``_ROW_BUDGET`` bytes."""
+    blocks = []
+    kept = 0
+    # the caller has checked its own cap
+    pts = closed_points_up_to(m, q, r, cap=math.inf)
+    for _, group in itertools.groupby(pts, key=lambda P: P.degree):
+        block = PointBlock(degrees, tuple(group))
+        nbytes = len(block.points) * block.rows_per_point * block.cols * 8
+        if kept + nbytes <= _ROW_BUDGET:
+            kept += nbytes
+            rows = _stacked_rows(degrees, block.points)
+            rows.flags.writeable = False
+            block = PointBlock(degrees, block.points, rows)
+        blocks.append(block)
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)

@@ -155,6 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_weier_source(sp)
     sp.add_argument("--jmax", type=int, default=None,
                     help="max substitution degree (default: twist degree)")
+    sp.add_argument("--cap", type=int, default=None,
+                    help="candidate-form bound override")
     _add_common(sp)
 
     return ap
@@ -290,7 +292,7 @@ def _run_scan(args):
 def _run_minimal(args):
     w = _load_datum(args)
     j_max = args.jmax if args.jmax is not None else w.k
-    wit = minimality_witness(w, j_max)
+    wit = minimality_witness(w, j_max, cap=args.cap)
     config = {"command": "minimal", "q": w.field.size, "m": w.m, "k": w.k,
               "jmax": j_max,
               "source": args.input if args.input is not None else f"seed:{args.seed}"}

@@ -36,8 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import zeta as _zeta
-from .base import (DEFAULT_ENUM_CAP, FeasibilityError, closed_points_up_to,
-                   jet_space_map)
+from .base import (DEFAULT_ENUM_CAP, FeasibilityError, check_float_exact,
+                   closed_points_up_to, jet_space_map)
 from .gf import FieldCtx, make_field, prime_power
 from .linalg import rank_mod_p
 from .weier import (SingularityWitness, WeierstrassData, WeierstrassJets,
@@ -281,6 +281,7 @@ def _mc_setup(p: int, q: int, m: int, k: int, r: int) -> _McSetup:
 
 def _coords(slots: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
     """F_p coordinates of the jets: slot vectors times the matrix rows."""
+    check_float_exact(slots.shape[-1], p)
     return ((slots.astype(np.float64) @ rows.T) % p).astype(np.int64)
 
 
@@ -413,5 +414,4 @@ def singular_scan(w: WeierstrassData, r: int,
                   cap: int | None = None) -> list[SingularityWitness]:
     """All closed points of degree <= r with a singular fiber point, each with
     its verified witness (x, y); one detector call per degree."""
-    return list(singular_witnesses(w, closed_points_up_to(w.m, w.field.size, r,
-                                                          cap=cap)))
+    return list(singular_witnesses(w, r, cap))

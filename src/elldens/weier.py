@@ -32,7 +32,6 @@ on FieldArrays.  The oracle and the re-verification of a
 """
 from __future__ import annotations
 
-import itertools
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
@@ -40,11 +39,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import ClosedPoint, Jet, closed_points_up_to, jet_at
-from .gf import FieldArray, FieldCtx, FieldElem, make_field
-from .sections import Section, dim_space, exact_divide, monomials, section_from_slots
+from .base import ClosedPoint, FeasibilityError, Jet, PointBlock, jet_at, scan_blocks
+from .gf import FieldArray, FieldCtx, FieldElem, FieldMismatchError, make_field
+from .sections import (Section, dim_space, exact_divide, monomials, section_from_slots,
+                       section_slots)
 
 WEIER_FORMAT_VERSION = 1
+# candidate forms a minimality search may try; one costs ~45 us (P^2 over
+# F_2, k = 4), so the default search stays within about a minute
+MINIMALITY_CAP = 1 << 20
 
 _INDICES = (1, 2, 3, 4, 6)
 
@@ -65,9 +68,9 @@ def section_degrees(p: int, k: int) -> tuple[int, ...]:
 
 class WeierstrassData:
     """An immutable fibration datum; the discriminant form is computed at
-    construction time and cached."""
+    construction time and cached, the slot vector on first use."""
 
-    __slots__ = ("m", "k", "field", "a1", "a2", "a3", "a4", "a6", "delta")
+    __slots__ = ("m", "k", "field", "a1", "a2", "a3", "a4", "a6", "delta", "_slots")
 
     def __init__(self, m: int, k: int, field: FieldCtx,
                  a1: Section, a2: Section, a3: Section, a4: Section, a6: Section):
@@ -87,9 +90,20 @@ class WeierstrassData:
         self.m, self.k, self.field = m, k, field
         self.a1, self.a2, self.a3, self.a4, self.a6 = a1, a2, a3, a4, a6
         self.delta = discriminant(self)
+        self._slots = None
 
     def sections(self) -> dict[int, Section]:
         return {1: self.a1, 2: self.a2, 3: self.a3, 4: self.a4, 6: self.a6}
+
+    def slots(self) -> np.ndarray:
+        """The flat F_p slot vector of the varying forms, inverse to
+        :func:`weierstrass_from_slots` (same layout)."""
+        if self._slots is None:
+            secs = self.sections()
+            self._slots = np.concatenate([section_slots(secs[i])
+                                          for i in varying_indices(self.field.p)])
+            self._slots.flags.writeable = False
+        return self._slots
 
     def __repr__(self):
         return (
@@ -150,12 +164,29 @@ class WeierstrassJets:
             for jet in (self.a1, self.a2, self.a3, self.a4, self.a6)))
 
 
+def _datum_indices(w: WeierstrassData, block: PointBlock) -> np.ndarray:
+    """Element indices of the datum's jets at the points of a block (whose
+    degrees are ``section_degrees``), shape (points, forms, m+1): one
+    :func:`~elldens.base.jet_at` product with the datum's slot vector."""
+    P = block.points[0]
+    if w.m != P.m:
+        raise ValueError("datum and point live on different projective spaces")
+    if w.field != P.emb.src:
+        raise FieldMismatchError("datum's field is not the point's base field")
+    res = block.field
+    return jet_at(w.slots(), block) @ res.p ** np.arange(res.n, dtype=np.int64)
+
+
 def jets_at(w: WeierstrassData, P: ClosedPoint) -> WeierstrassJets:
-    return WeierstrassJets(
-        field=P.field,
-        a1=jet_at(w.a1, P), a2=jet_at(w.a2, P), a3=jet_at(w.a3, P),
-        a4=jet_at(w.a4, P), a6=jet_at(w.a6, P),
-    )
+    """The jets of all five coefficient forms at one closed point: the
+    batched kernel at a single point, with one all-forms jet matrix."""
+    res = P.field
+    zero = Jet(value=res.zero, gradient=(res.zero,) * P.m)
+    jets = dict.fromkeys(_INDICES, zero)
+    idx = _datum_indices(w, PointBlock(section_degrees(w.field.p, w.k), (P,)))
+    for i, (value, *grad) in zip(varying_indices(res.p), idx[0].tolist()):
+        jets[i] = Jet(value=res.from_index(value), gradient=tuple(map(res.from_index, grad)))
+    return WeierstrassJets(res, jets[1], jets[2], jets[3], jets[4], jets[6])
 
 
 def _batch_jets(field: FieldCtx, idx: np.ndarray, forms) -> WeierstrassJets:
@@ -338,24 +369,26 @@ def singular_over_oracle(w: WeierstrassData, P: ClosedPoint) -> SingularityWitne
     return SingularityWitness(point=P, x=hit[0], y=hit[1], jets=J)
 
 
-def singular_witnesses(w: WeierstrassData, points) -> Iterator[SingularityWitness]:
-    """The witnesses over those of the degree-ordered `points` that carry a
-    singular fiber point, in order: one batched detector call per degree,
-    on jets from :func:`jets_at`."""
-    for _, group in itertools.groupby(points, key=lambda P: P.degree):
-        group = list(group)
-        jets = [jets_at(w, P) for P in group]
-        hit = singular_jets_closed_form(stack_jets(group[0].field, jets))
+def singular_witnesses(w: WeierstrassData, r: int,
+                       cap: int | None = None) -> Iterator[SingularityWitness]:
+    """The witnesses over the closed points of degree <= r that carry a
+    singular fiber point, in degree order.  Per degree, one
+    :func:`~elldens.base.jet_at` product gives the jets at every point of
+    that degree and one batched detector call tests them; each witness is
+    re-verified against its own jets.  ``cap`` bounds the point enumeration
+    as in :func:`~elldens.base.closed_points_up_to`."""
+    for block in scan_blocks(w.m, w.field.size, r, section_degrees(w.field.p, w.k), cap):
+        J = jets_from_indices(block.field, _datum_indices(w, block))
+        hit = singular_jets_closed_form(J)
         for i in np.flatnonzero(hit.mask):
-            yield SingularityWitness(point=group[i], x=hit.x[i], y=hit.y[i],
-                                     jets=jets[i])
+            yield SingularityWitness(point=block.points[i], x=hit.x[i], y=hit.y[i],
+                                     jets=J.lane(i))
 
 
 def smooth_up_to(w: WeierstrassData, r: int) -> bool:
     """True iff the total space is smooth over every closed point of degree
     <= r (by the closed-form detector)."""
-    pts = closed_points_up_to(w.m, w.field.size, r)
-    return next(singular_witnesses(w, pts), None) is None
+    return next(singular_witnesses(w, r), None) is None
 
 
 def in_Mk(w: WeierstrassData) -> bool:
@@ -363,16 +396,27 @@ def in_Mk(w: WeierstrassData) -> bool:
     return not w.delta.is_zero
 
 
-def minimality_witness(w: WeierstrassData, j_max: int) -> Section | None:
+def minimality_witness(w: WeierstrassData, j_max: int,
+                       cap: int | None = None) -> Section | None:
     """A form u of degree 1..j_max with u^i | a_i for all nonzero a_i, if any.
 
     Candidates are scalar-normalized (leading coefficient 1 in descending
-    grlex order).  With j_max >= k the search is complete: any common u has
-    degree <= k once some a_i is nonzero.
+    grlex order), (q^dim_j - 1)/(q - 1) of them in degree j; when their
+    number passes ``cap`` (default ``MINIMALITY_CAP``) FeasibilityError is
+    raised before any is tried.  With j_max >= k the search is complete:
+    any common u has degree <= k once some a_i is nonzero.
     """
     if j_max < 1:
         raise ValueError(f"need j_max >= 1, got {j_max}")
     F = w.field
+    cap = MINIMALITY_CAP if cap is None else cap
+    count = 0
+    for j in range(1, j_max + 1):
+        count += (F.size ** dim_space(w.m, j) - 1) // (F.size - 1)
+        if count > cap:
+            raise FeasibilityError(
+                f"minimality search up to degree {j} on P^{w.m} over F_{F.size} "
+                f"needs {count} candidate forms > cap {cap}")
     secs = [(i, s) for i, s in w.sections().items() if not s.is_zero]
     for j in range(1, j_max + 1):
         monos = monomials(w.m, j)

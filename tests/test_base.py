@@ -8,14 +8,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from elldens.base import (FeasibilityError, closed_points_up_to, jet_at,
-                          jet_space_map)
+from elldens import base
+from elldens.base import (FeasibilityError, Jet, PointBlock, check_float_exact,
+                          closed_points_up_to, jet_at, jet_space_map, scan_blocks)
 from elldens.gf import FieldCtx, FieldMismatchError, is_irreducible, make_field
 from elldens.linalg import rank_mod_p
 from elldens.sections import (Section, dim_space, monomials, random_section,
-                              section_from_slots)
-from elldens.weier import section_degrees
+                              section_from_slots, section_slots)
+from elldens.weier import jets_at, random_weierstrass, section_degrees
 from elldens.zeta import zeta_table
+
+
+def _jets(forms, block_points, rows=None):
+    """Jets of the forms at points of one residue field from one batched
+    jet_at call, as one list of Jets per point."""
+    block = PointBlock(tuple(s.d for s in forms), tuple(block_points), rows)
+    slots = np.concatenate([section_slots(s) for s in forms])
+    res = block.field
+    idx = jet_at(slots, block) @ res.p ** np.arange(res.n)
+    return [[Jet(value=res.from_index(int(e[0])),
+                 gradient=tuple(res.from_index(int(g)) for g in e[1:])) for e in pt]
+            for pt in idx]
+
+
+def _jet(s, P):
+    return _jets([s], [P])[0][0]
 
 
 @pytest.mark.parametrize("m,q,r", [(1, 2, 4), (1, 3, 3), (1, 5, 2), (2, 2, 3), (2, 3, 2)])
@@ -69,7 +86,7 @@ def test_jet_value_matches_embedded_evaluation():
         for _ in range(5):
             coeffs = {e: F3.from_index(rng.randrange(3)) for e in monomials(1, 4)}
             s = Section(1, 4, F3, coeffs)
-            J = jet_at(s, P)
+            J = _jet(s, P)
             direct = s.evaluate(P.coords, emb=P.emb)
             assert J.value == direct
 
@@ -81,7 +98,7 @@ def test_jet_gradient_matches_affine_partials():
         for _ in range(4):
             coeffs = {e: F2.from_index(rng.randrange(2)) for e in monomials(2, 3)}
             s = Section(2, 3, F2, coeffs)
-            J = jet_at(s, P)
+            J = _jet(s, P)
             aff = s.dehomogenize(P.chart)
             loc = P.local_coords()
             for j in range(1, 3):
@@ -93,10 +110,10 @@ def test_jet_vanishes_property():
     F2 = make_field(2, 1)
     P = closed_points_up_to(1, 2, 1)[0]
     s = Section.zero(1, 4, F2)
-    J = jet_at(s, P)
+    J = _jet(s, P)
     assert J.vanishes
     s2 = Section.monomial(1, (4, 0), F2.one)
-    assert not jet_at(s2, P).vanishes  # value 1 at the (1:0) point
+    assert not _jet(s2, P).vanishes  # value 1 at the (1:0) point
 
 
 def test_jet_space_map_reproduces_jets():
@@ -120,7 +137,7 @@ def test_jet_space_map_reproduces_jets():
             secs.append(Section(1, d, F2, coeffs))
         res = P.field
         for s_idx, s in enumerate(secs):
-            J = jet_at(s, P)
+            J = _jet(s, P)
             for entry, val in enumerate((J.value,) + J.gradient):
                 row0 = jm.row_index(s_idx, entry, 0)
                 got = res.elem(tuple(int(out[row0 + c]) for c in range(res.n)))
@@ -196,32 +213,100 @@ def test_jet_space_map_matches_affine_oracle(p, q, m, data):
 @pytest.mark.parametrize("q,m", [(4, 2), (9, 1), (25, 1)])
 def test_jet_at_matches_affine_oracle(q, m):
     # base fields of degree 2 over F_p: a form's slot layout (monomial-major,
-    # F_p coordinates innermost) matters here, unlike over F_2 and F_3
+    # F_p coordinates innermost) matters here, unlike over F_2 and F_3; one
+    # call takes four forms at all oracle points of one degree
     rng = random.Random(f"jet-at:{q}:{m}")
-    for P in _oracle_points(m, q):
-        base, loc = P.emb.src, P.local_coords()
-        for d in (1, 2, P.field.p + 1, 7):
-            s = random_section(m, d, base, rng_seed=rng.randrange(1 << 30))
-            J = jet_at(s, P)
+    for e in (1, 2):
+        pts = [P for P in _oracle_points(m, q) if P.degree == e]
+        base_field = pts[0].emb.src
+        forms = [random_section(m, d, base_field, rng_seed=rng.randrange(1 << 30))
+                 for d in (1, 2, pts[0].field.p + 1, 7)]
+        for P, jets in zip(pts, _jets(forms, pts)):
+            loc = P.local_coords()
+            for s, J in zip(forms, jets):
+                aff = s.dehomogenize(P.chart)
+                assert J.value == aff.evaluate(loc, emb=P.emb)
+                assert J.value == s.evaluate(P.coords, emb=P.emb)
+                assert J.gradient == tuple(aff.partial(j).evaluate(loc, emb=P.emb)
+                                           for j in range(1, m + 1))
+
+
+@pytest.mark.parametrize("q,m,e", [(4, 2, 1), (4, 2, 2), (9, 1, 2), (5, 2, 1), (2, 2, 3)])
+@pytest.mark.parametrize("budget", ["kept", "one chunk", "zero"])
+def test_jet_at_batched_matches_affine_oracle(q, m, e, budget, monkeypatch):
+    # kept rows, rows built in one chunk, and one point per chunk (budget 0)
+    # give the oracle's jets; the third form is zero
+    rng = random.Random(f"jet-batch:{q}:{m}:{e}")
+    pts = [P for P in closed_points_up_to(m, q, e) if P.degree == e][:9]
+    base_field = pts[0].emb.src
+    forms = [random_section(m, d, base_field, rng_seed=rng.randrange(1 << 30))
+             for d in (2, 3)] + [Section.zero(m, 4, base_field)]
+    degrees = tuple(s.d for s in forms)
+    rows = base._stacked_rows(degrees, pts) if budget == "kept" else None
+    if budget == "zero":
+        monkeypatch.setattr(base, "_ROW_BUDGET", 0)
+    for P, jets in zip(pts, _jets(forms, pts, rows)):
+        assert jets[2].vanishes
+        loc = P.local_coords()
+        for s, J in zip(forms, jets):
             aff = s.dehomogenize(P.chart)
             assert J.value == aff.evaluate(loc, emb=P.emb)
-            assert J.value == s.evaluate(P.coords, emb=P.emb)
             assert J.gradient == tuple(aff.partial(j).evaluate(loc, emb=P.emb)
                                        for j in range(1, m + 1))
+
+
+def test_jet_at_rejects_a_slot_vector_of_other_forms():
+    P = closed_points_up_to(1, 5, 1)[0]
+    with pytest.raises(ValueError, match="does not fit"):
+        jet_at(np.zeros(4, dtype=np.int64), PointBlock((4,), (P,)))
+
+
+def test_scan_blocks_keep_rows_within_the_budget(monkeypatch):
+    degrees = section_degrees(2, 1)
+    blocks = scan_blocks(2, 4, 2, degrees)
+    assert [b.points[0].degree for b in blocks] == [1, 2]
+    assert [len(b.points) for b in blocks] == [21, 126]
+    kept = [b.rows.nbytes for b in blocks if b.rows is not None]
+    assert 0 < sum(kept) <= base._ROW_BUDGET
+    assert blocks[1].rows is None  # 126 points x 48 rows x 112 slots x 8 bytes
+    assert scan_blocks(2, 4, 2, degrees) is blocks
+    monkeypatch.setattr(base, "_ROW_BUDGET", 0)
+    base._scan_blocks.cache_clear()
+    try:
+        assert all(b.rows is None for b in scan_blocks(2, 4, 2, degrees))
+    finally:
+        base._scan_blocks.cache_clear()
+
+
+def test_scan_blocks_check_the_cap_on_every_call():
+    degrees = section_degrees(5, 1)
+    scan_blocks(1, 5, 2, degrees)
+    with pytest.raises(FeasibilityError):
+        scan_blocks(1, 5, 2, degrees, cap=31)  # 6 + 26 rational points
+    assert len(scan_blocks(1, 5, 2, degrees, cap=32)) == 2
+
+
+def test_float_exactness_guard_boundary():
+    check_float_exact((1 << 53) - 1, 2)
+    with pytest.raises(FeasibilityError):
+        check_float_exact(1 << 53, 2)
+    check_float_exact((1 << 37) - 1, 257)  # (257 - 1)^2 = 2^16
+    with pytest.raises(FeasibilityError):
+        check_float_exact(1 << 37, 257)
 
 
 def test_jet_at_rejects_forms_from_other_spaces():
     P = closed_points_up_to(1, 9, 1)[3]
     F9 = P.emb.src
     with pytest.raises(ValueError, match="projective spaces"):
-        jet_at(Section.monomial(2, (1, 0, 0), F9.one), P)
+        jets_at(random_weierstrass(2, 1, F9, seed=1), P)
     # same size, other modulus: slots would be read in the wrong basis
     other = next(FieldCtx(3, 2, (c0, c1, 1)) for c0 in range(3) for c1 in range(3)
                  if (c0, c1, 1) != F9.modulus and is_irreducible((c0, c1, 1), 3))
     with pytest.raises(FieldMismatchError):
-        jet_at(Section.monomial(1, (1, 0), other.gen), P)
+        jets_at(random_weierstrass(1, 1, other, seed=1), P)
     with pytest.raises(FieldMismatchError):
-        jet_at(Section.monomial(1, (1, 0), make_field(3, 1).one), P)
+        jets_at(random_weierstrass(1, 1, make_field(3, 1), seed=1), P)
 
 
 def test_jet_space_map_prime_above_256():

@@ -230,6 +230,39 @@ def test_feasibility_exit_3(capsys):
     assert "cap" in err
 
 
+def test_scan_cap_checked_when_the_shape_is_memoized(capsys):
+    src = ["scan", "--random", "-q", "5", "-m", "1", "-k", "1", "--seed", "13",
+           "-r", "2", "--no-timing"]
+    assert main(src) == 0
+    capsys.readouterr()
+    assert main(src + ["--cap", "31"]) == 3  # 6 + 26 rational points
+    assert "cap 31" in capsys.readouterr().err
+    assert main(src + ["--cap", "32"]) == 0
+
+
+def test_minimal_cap_boundary(capsys):
+    # P^1 over F_5 has (25 - 1)/4 = 6 normalized linear forms
+    src = ["minimal", "--random", "-q", "5", "-m", "1", "-k", "1", "--seed", "3",
+           "--format", "csv"]
+    assert main(src + ["--cap", "5"]) == 3
+    assert "6 candidate forms > cap 5" in capsys.readouterr().err
+    assert _run(capsys, src + ["--cap", "6"]) == (0, "minimal,complete\ntrue,true\n")
+
+
+def test_minimal_default_jmax_refuses_a_huge_search(tmp_path):
+    # at jmax = k = 4 on P^2 over F_4 the search has ~3.6e8 candidates, which
+    # ran for more than 10 minutes before the candidate cap existed
+    path = tmp_path / "datum.json"
+    dump_weier(random_weierstrass(2, 4, make_field(2, 2), seed=1), str(path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "elldens", "minimal", "--input", str(path)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: minimality search up to degree 4")
+
+
 def test_out_file_and_env_dir(capsys, tmp_path, monkeypatch):
     target = tmp_path / "res.csv"
     code = main(["census", "-p", "2", "-q", "2", "-m", "1", "-e", "1",

@@ -6,13 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from elldens.base import FeasibilityError
-from elldens.density import (exact_density, expected_bad_count, jet_census,
-                             mc_density, sample_seed, singular_scan,
+from elldens.base import FeasibilityError, closed_points_up_to
+from elldens.density import (_coords, exact_density, expected_bad_count,
+                             jet_census, mc_density, sample_seed, singular_scan,
                              surjectivity_check)
-from elldens.gf import make_field
-from elldens.weier import (jets_from_indices, random_weierstrass,
-                           singular_jets_closed_form, singular_jets_oracle)
+from elldens.gf import make_field, prime_power
+from elldens.weier import (jets_at, jets_from_indices, random_weierstrass,
+                           singular_jets_closed_form, singular_jets_oracle,
+                           singular_over_oracle)
 
 
 def test_expected_bad_count_formula():
@@ -249,3 +250,35 @@ def test_singular_scan_frozen_seeds():
     hits = singular_scan(w, 2)
     assert [h.point.degree for h in hits] == [2]
     assert singular_scan(random_weierstrass(1, 1, F5, seed=0), 2) == []
+
+
+@pytest.mark.parametrize("q,m,k,r,seed", [
+    (4, 2, 4, 2, 7), (4, 2, 4, 2, 0), (2, 2, 9, 2, 4), (2, 2, 9, 2, 0),
+    (5, 1, 1, 2, 13), (5, 1, 1, 2, 23), (2, 2, 1, 1, 1), (3, 2, 1, 1, 8),
+])
+def test_singular_scan_matches_oracle_point_by_point(q, m, k, r, seed):
+    # the batched scan against the exhaustive fiber scan at every point; the
+    # seeds give witnesses at degree 1 ((4,2,4,2) seed 7, (2,2,1,1), (3,2,1,1),
+    # (5,1,1,2) seed 13), at degree 2 ((2,2,9,2) seed 4, (5,1,1,2) seed 23)
+    # and none ((4,2,4,2) and (2,2,9,2) seed 0)
+    p, n = prime_power(q)
+    w = random_weierstrass(m, k, make_field(p, n), seed=seed)
+    scan = {h.point: h for h in singular_scan(w, r)}
+    for P in closed_points_up_to(m, q, r):
+        want = singular_over_oracle(w, P)
+        got = scan.pop(P, None)
+        assert (got is None) == (want is None), P
+        if got is not None:
+            assert (got.x, got.y) == (want.x, want.y)
+            assert got.jets == jets_at(w, P)
+    assert not scan
+
+
+def test_coords_refuses_an_inexact_product():
+    # 8 slots of digits up to 2^25 reach 8 * 2^50 = 2^53; 7 stay below it
+    p = (1 << 25) + 1
+    rows = np.full((2, 8), p - 1, dtype=np.int64)
+    slots = np.full((1, 8), p - 1, dtype=np.int64)
+    with pytest.raises(FeasibilityError):
+        _coords(slots, rows, p)
+    assert _coords(slots[:, :7], rows[:, :7], p).tolist() == [[7 * (p - 1) ** 2 % p] * 2]

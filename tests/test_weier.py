@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elldens import weier
 from elldens.base import Jet, closed_points_up_to
 from elldens.gf import make_field, prime_power
 from elldens.sections import Section, dim_space
@@ -171,6 +172,27 @@ def test_cusp_datum():
         assert wit is not None
         assert wit.x == P.field.zero and wit.y == P.field.zero
     assert smooth_up_to(w, 2) is False
+
+
+def test_singular_witnesses_one_jet_product_and_detector_call_per_degree(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(weier, "jet_at", counted("jet_at", weier.jet_at))
+    monkeypatch.setattr(weier, "singular_jets_closed_form",
+                        counted("detector", weier.singular_jets_closed_form))
+    w = random_weierstrass(2, 1, make_field(2, 2), seed=10)
+    hits = list(weier.singular_witnesses(w, 2))
+    assert calls == ["jet_at", "detector"] * 2
+    assert {h.point.degree for h in hits} == {1, 2}
+    for h in hits:
+        assert jacobian_vanishes(h.jets, h.x, h.y)
+        assert h.jets == jets_at(w, h.point)
 
 
 def test_smooth_up_to_frozen_seeds():
