@@ -9,16 +9,20 @@ elements by coefficient sequence.
 The first-order jet of a form at a closed point is its value together with
 the gradient in the chart's local coordinates; vanishing of the pair does not
 depend on the chart.  ``jet_space_map`` expresses coefficient vectors ->
-jets as a matrix over F_p by restriction of scalars.  ``jet_at`` is the one
-jet kernel: the concatenated slot vector of some forms times the stacked
-matrices of a :class:`PointBlock`, the points of one residue field, gives
-their jets at all of those points in one float64 product.  ``scan_blocks``
-memoizes, per shape (m, q, r, form degrees), the closed points grouped by
-degree, and keeps a block's stacked rows only while the shape's kept rows
-fit ``_ROW_BUDGET`` bytes; any other block has its rows built, multiplied
-and dropped in chunks of points within that budget on every call.  The
-product is exact while every sum of ``cols`` products of F_p digits stays
-below 2^53, which :func:`check_float_exact` enforces.
+jets as a matrix over F_p by restriction of scalars.  Its rows are
+block-diagonal: each form's jet rows meet only that form's columns.  A
+:class:`JetKernel` keeps just those blocks, sliced from the per-point
+matrices, and is the one F_p product kernel: ``jet_at`` multiplies a datum's
+slot vector by the kernel of a :class:`PointBlock`, the points of one residue
+field, and the Monte-Carlo estimator multiplies batches of drawn slot vectors
+by the kernel of every point of degree <= r.  Products run in float32 while
+every sum of ``cols`` products of F_p digits (cols the widest form's columns)
+stays below 2^24, in float64 below 2^53, and are refused past that, all by
+:func:`exact_float_dtype`.  ``scan_blocks`` memoizes, per shape (m, q, r,
+form degrees), the closed points grouped by degree, and keeps a block's
+kernel only while the shape's kept kernels fit ``_ROW_BUDGET`` bytes; any
+other block has its kernels built, applied and dropped in chunks of points
+within that budget on every call.
 
 The matrix is computed on discrete logs in the residue field F_Q (the
 field's :class:`~elldens.gf.LogTables`, to a primitive element g): the value
@@ -47,8 +51,8 @@ from .gf import Embedding, FieldCtx, FieldElem, embedding, make_field, prime_pow
 from .sections import dim_space, monomial_array
 
 DEFAULT_ENUM_CAP = 1 << 26
-# bytes of float64 jet rows kept per scanned shape, and the most rows built
-# at once for a block beyond it
+# bytes of jet kernels kept per scanned shape, and the most built at once for
+# a block beyond it
 _ROW_BUDGET = 1 << 20
 _SCAN_SHAPES = 16  # shapes whose closed points (and kept rows) are memoized
 
@@ -179,25 +183,97 @@ def closed_points_up_to(
     return out
 
 
-def check_float_exact(cols: int, p: int) -> None:
-    """Raise FeasibilityError unless float64 products of F_p digit vectors of
-    length ``cols`` are exact: each sum has cols terms below (p-1)^2, and
-    float64 holds every integer below 2^53."""
-    if cols * (p - 1) ** 2 >= 1 << 53:
-        raise FeasibilityError(
-            f"a float64 product over {cols} slots mod {p} may round: "
-            f"{cols}*({p}-1)^2 >= 2^53")
+def exact_float_dtype(cols: int, p: int) -> type[np.floating]:
+    """The smallest float dtype in which products of F_p digit vectors of
+    length ``cols`` are exact: each sum has cols terms below (p-1)^2, float32
+    holds every integer below 2^24 and float64 every one below 2^53.  Raise
+    FeasibilityError when neither does."""
+    bound = cols * (p - 1) ** 2
+    if bound < 1 << 24:
+        return np.float32
+    if bound < 1 << 53:
+        return np.float64
+    raise FeasibilityError(
+        f"a float64 product over {cols} slots mod {p} may round: "
+        f"{cols}*({p}-1)^2 >= 2^53")
+
+
+class JetKernel:
+    """Exact products over F_p of slot vectors with block-diagonal rows.
+
+    The slot vector is the concatenation of one column slice per form, and
+    each form's rows meet only its own slice: ``blocks[f]`` holds form f's
+    rows against its ``blocks[f].shape[1]`` columns, in the smallest float
+    dtype in which every sum is exact (see :func:`exact_float_dtype`).
+    :meth:`apply` concatenates the forms' products and returns them in the
+    row order ``order``.
+    """
+
+    def __init__(self, p: int, blocks, order: np.ndarray):
+        self.p = p
+        self.dtype = exact_float_dtype(max(b.shape[1] for b in blocks), p)
+        self.blocks = tuple(np.asarray(b, dtype=self.dtype) for b in blocks)
+        for b in self.blocks:
+            b.flags.writeable = False
+        self.spans = tuple(itertools.pairwise(
+            itertools.accumulate((b.shape[1] for b in self.blocks), initial=0)))
+        self.order = order
+        self.shape = (len(order), self.spans[-1][1])
+
+    @property
+    def nbytes(self) -> int:
+        return sum(b.nbytes for b in self.blocks)
+
+    def apply(self, slots: np.ndarray) -> np.ndarray:
+        """int64 F_p coordinates of slot vectors (the last axis) times the
+        rows: shape ``slots.shape[:-1] + (rows,)``."""
+        x = np.asarray(slots, dtype=self.dtype)
+        y = np.concatenate([x[..., a:b] @ rows.T
+                            for (a, b), rows in zip(self.spans, self.blocks)], axis=-1)
+        return (y[..., self.order] % self.p).astype(np.int64)
+
+
+def _form_cols(P: ClosedPoint, degrees: tuple[int, ...]) -> list[int]:
+    """The slot count of each form of the given degrees at P's base field."""
+    return [dim_space(P.m, d) * P.emb.src.n for d in degrees]
+
+
+def jet_kernel(degrees: tuple[int, ...], points, entries: int | None = None) -> JetKernel:
+    """The :class:`JetKernel` of the jets of forms of the given degrees at
+    the points: per point, form, entry (0 = value, 1..m = gradient) and
+    residue-field coordinate, as in the stacked ``jet_space_map(degrees, P)``
+    matrices.  ``entries=1`` keeps the values only.  Each point's matrix is
+    sliced straight into the kernel's blocks."""
+    P0, m = points[0], points[0].m
+    widths = _form_cols(P0, degrees)
+    dtype = exact_float_dtype(max(widths), P0.field.p)
+    entries = m + 1 if entries is None else entries
+    sizes = [entries * P.field.n for P in points]  # rows per form at a point
+    starts = np.cumsum([0] + sizes[:-1])
+    total = sum(sizes)
+    blocks = [np.empty((total, w), dtype=dtype) for w in widths]
+    for P, start, size in zip(points, starts, sizes):
+        mat = jet_space_map(degrees, P).matrix
+        row, col = 0, 0
+        for blk, w in zip(blocks, widths):
+            blk[start:start + size] = mat[row:row + size, col:col + w]
+            row += (m + 1) * P.field.n
+            col += w
+    order = np.concatenate([f * total + start + np.arange(size)
+                            for start, size in zip(starts, sizes)
+                            for f in range(len(degrees))])
+    return JetKernel(P0.field.p, blocks, order)
 
 
 @dataclass(frozen=True, eq=False)
 class PointBlock:
     """Closed points of one residue field and the degrees of the forms whose
-    jets ``jet_at`` takes there.  ``rows``, when kept, stacks the points'
-    ``jet_space_map(degrees, P)`` matrices as float64, in point order."""
+    jets ``jet_at`` takes there.  ``rows``, when kept, is the points'
+    :func:`jet_kernel`."""
 
     degrees: tuple[int, ...]
     points: tuple[ClosedPoint, ...]
-    rows: np.ndarray | None = None
+    rows: JetKernel | None = None
 
     @property
     def field(self) -> FieldCtx:
@@ -205,48 +281,39 @@ class PointBlock:
 
     @property
     def cols(self) -> int:
-        P = self.points[0]
-        return sum(dim_space(P.m, d) for d in self.degrees) * P.emb.src.n
+        return sum(_form_cols(self.points[0], self.degrees))
 
     @property
-    def rows_per_point(self) -> int:
-        return len(self.degrees) * (self.points[0].m + 1) * self.field.n
-
-
-def _stacked_rows(degrees: tuple[int, ...], points) -> np.ndarray:
-    """The points' jet matrices for forms of the given degrees, stacked as
-    one float64 matrix."""
-    return np.concatenate([jet_space_map(degrees, P).matrix for P in points],
-                          dtype=np.float64)
+    def point_nbytes(self) -> int:
+        """Bytes of one point's rows in the block's kernel: each form's
+        (m+1) n_res rows against its own columns."""
+        P, widths = self.points[0], _form_cols(self.points[0], self.degrees)
+        itemsize = np.dtype(exact_float_dtype(max(widths), P.field.p)).itemsize
+        return (P.m + 1) * self.field.n * sum(widths) * itemsize
 
 
 def jet_at(slots: np.ndarray, block: PointBlock) -> np.ndarray:
     """F_p jet coordinates of forms at the points of a block, shape
     (points, forms, m+1, n_res): the concatenated slot vector of forms of
     degrees ``block.degrees`` (each as :func:`~elldens.sections.section_slots`)
-    times the points' stacked jet matrices, mod p.
+    times the points' jet kernel, mod p.
 
     Entry 0 is a form's value and entries 1..m its gradient in the point's
     chart coordinates, each as the residue-field coordinates of the element.
-    Kept rows give one product; otherwise the rows are built for chunks of
-    points within ``_ROW_BUDGET`` bytes, each dropped after its product.
+    A kept kernel gives one product; otherwise kernels are built for chunks
+    of points within ``_ROW_BUDGET`` bytes, each dropped after its product.
     """
-    cols, per_point = block.cols, block.rows_per_point
-    if len(slots) != cols:
+    if len(slots) != block.cols:
         raise ValueError(f"slot vector of length {len(slots)} does not fit forms "
                          f"of degrees {block.degrees} on P^{block.points[0].m}")
-    p = block.field.p
-    check_float_exact(cols, p)
-    x = np.asarray(slots, dtype=np.float64)
     points = block.points
     if block.rows is not None:
-        coords = block.rows @ x
+        coords = block.rows.apply(slots)
     else:
-        step = max(1, _ROW_BUDGET // (per_point * cols * 8))
-        coords = np.concatenate([_stacked_rows(block.degrees, points[i:i + step]) @ x
+        step = max(1, _ROW_BUDGET // block.point_nbytes)
+        coords = np.concatenate([jet_kernel(block.degrees, points[i:i + step]).apply(slots)
                                  for i in range(0, len(points), step)])
-    return (coords % p).astype(np.int64).reshape(
-        len(points), len(block.degrees), points[0].m + 1, block.field.n)
+    return coords.reshape(len(points), len(block.degrees), points[0].m + 1, block.field.n)
 
 
 def scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...],
@@ -260,20 +327,18 @@ def scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...],
 
 @lru_cache(maxsize=_SCAN_SHAPES)
 def _scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...]) -> tuple[PointBlock, ...]:
-    """The blocks of one shape, in degree order, with their rows kept while
-    the shape's kept rows fit ``_ROW_BUDGET`` bytes."""
+    """The blocks of one shape, in degree order, with their kernels kept
+    while the shape's kept kernels fit ``_ROW_BUDGET`` bytes."""
     blocks = []
     kept = 0
     # the caller has checked its own cap
     pts = closed_points_up_to(m, q, r, cap=math.inf)
     for _, group in itertools.groupby(pts, key=lambda P: P.degree):
         block = PointBlock(degrees, tuple(group))
-        nbytes = len(block.points) * block.rows_per_point * block.cols * 8
+        nbytes = len(block.points) * block.point_nbytes
         if kept + nbytes <= _ROW_BUDGET:
             kept += nbytes
-            rows = _stacked_rows(degrees, block.points)
-            rows.flags.writeable = False
-            block = PointBlock(degrees, block.points, rows)
+            block = PointBlock(degrees, block.points, jet_kernel(degrees, block.points))
         blocks.append(block)
     return tuple(blocks)
 

@@ -13,20 +13,28 @@ scalar fiber-scan oracle.
 
 Monte-Carlo runs draw coefficient forms uniformly (one PCG64 stream per
 sample, seeded by a stable 64-bit hash of (master_seed, index)) in chunks,
-push a chunk through the jet rows of a precomputed F_p matrix, and decode
-the result straight into element-index arrays of shape (samples, points,
-forms, jet entries), one per point degree.  The batched detector and the
-discriminant then run once per (chunk, degree).  Samples whose
-discriminant form is identically zero are counted as not-smooth and
+push a chunk through a precomputed :class:`~elldens.base.JetKernel` (each
+form's slots against its own jet rows only, in float32 wherever that is
+exact), and decode the result straight into element-index arrays of shape
+(samples, points, forms, jet entries), one per point degree.  The batched
+detector and the discriminant then run once per (chunk, degree).  Samples
+whose discriminant form is identically zero are counted as not-smooth and
 tallied separately: a nonzero discriminant value at a point of degree <= r
 settles delta != 0, unsettled samples go on through the value rows of the
 points of the next degrees (built the first time a sample needs them), one
 degree at a time, and only when every value vanishes is the form expanded.
+
+With threads > 1 the sample range is split over worker processes started
+with the ``spawn`` method and one BLAS thread each: forked workers would
+inherit BLAS's default thread count and contend for the cores.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,14 +44,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import zeta as _zeta
-from .base import (DEFAULT_ENUM_CAP, FeasibilityError, check_float_exact,
-                   closed_points_up_to, jet_space_map)
+from .base import (DEFAULT_ENUM_CAP, FeasibilityError, JetKernel, closed_points_up_to,
+                   jet_kernel, jet_space_map)
 from .gf import FieldCtx, make_field, prime_power
 from .linalg import rank_mod_p
 from .weier import (SingularityWitness, WeierstrassData, WeierstrassJets,
                     discriminant_value, jets_from_indices, section_degrees,
                     singular_jets_closed_form, singular_jets_oracle,
-                    singular_witnesses, total_slots, varying_indices,
+                    singular_witnesses, varying_indices,
                     weierstrass_from_slots)
 
 _DELTA_PROBE_DEGREE = 3  # discriminant values are probed at points up to here
@@ -51,6 +59,7 @@ _DELTA_PROBE_DEGREE = 3  # discriminant values are probed at points up to here
 # expansions of a few samples, so it must not cost more than they do
 _PROBE_CAP = 1 << 15
 _CENSUS_BLOCK = 4096  # jet tuples per detector call; bounds census memory
+_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
 def sample_seed(master_seed: int, index: int) -> int:
@@ -207,7 +216,8 @@ class DensityReport:
 
 
 class _Block(NamedTuple):
-    """The rows of the closed points of one degree in an _McSetup matrix."""
+    """The coordinates of the closed points of one degree among the products
+    of an _McSetup kernel."""
 
     degree: int
     field: FieldCtx  # their residue field
@@ -217,12 +227,13 @@ class _Block(NamedTuple):
 
 
 class _McSetup:
-    """The jet evaluation matrix of one (p, q, m, k, r) configuration.
+    """The jet kernel of one (p, q, m, k, r) configuration.
 
-    ``matrix`` stacks the jet rows of every closed point of degree <= r, in
-    degree order, each point's rows in section -> entry -> coordinate order.
-    The discriminant-probe rows of a degree above r are built by
-    :meth:`probe` the first time a sample needs them, and kept.
+    ``kernel`` holds the jet rows of every closed point of degree <= r, in
+    degree order; its products give each point's coordinates in form ->
+    entry -> coordinate order, and ``jet_blocks`` locate each degree's
+    points among them.  The discriminant-probe kernel of a degree above r
+    is built by :meth:`probe` the first time a sample needs it, and kept.
     """
 
     def __init__(self, p: int, q: int, m: int, k: int, r: int):
@@ -240,22 +251,14 @@ class _McSetup:
             stop = row + len(group) * self.g * (m + 1) * res.n
             self.jet_blocks.append(_Block(e, res, row, stop, len(group)))
             row = stop
-        self.jet_rows = row
-        self.slots = total_slots(m, k, self.field)
-        # each point's block goes straight into the float64 matrix, so at
-        # most one integer block is alive at a time
-        self.matrix = np.empty((row, self.slots))
-        off = 0
-        for P in pts:
-            jm = jet_space_map(self.degrees, P)
-            self.matrix[off:off + jm.rows] = jm.matrix
-            off += jm.rows
-        self._probes: dict[int, tuple[_Block, np.ndarray] | None] = {}
+        self.kernel = jet_kernel(self.degrees, pts)
+        self.jet_rows, self.slots = self.kernel.shape
+        self._probes: dict[int, tuple[_Block, JetKernel] | None] = {}
 
-    def probe(self, e: int) -> tuple[_Block, np.ndarray] | None:
-        """The block and the value rows (jet entry 0 only, which is all the
-        discriminant needs) of the degree-e points, or None when enumerating
-        them would pass ``_PROBE_CAP`` rational points."""
+    def probe(self, e: int) -> tuple[_Block, JetKernel] | None:
+        """The block and the kernel of the value rows (jet entry 0 only,
+        which is all the discriminant needs) of the degree-e points, or None
+        when enumerating them would pass ``_PROBE_CAP`` rational points."""
         if e not in self._probes:
             try:
                 pts = [P for P in closed_points_up_to(self.m, self.q, e, cap=_PROBE_CAP)
@@ -263,26 +266,14 @@ class _McSetup:
             except FeasibilityError:
                 self._probes[e] = None
                 return None
-            n = pts[0].field.n
-            rows = len(pts) * self.g * n
-            matrix = np.empty((rows, self.slots))
-            for i, P in enumerate(pts):
-                jm = jet_space_map(self.degrees, P).matrix
-                block = jm.reshape(self.g, self.m + 1, n, self.slots)[:, 0]
-                matrix[i * self.g * n:(i + 1) * self.g * n] = block.reshape(-1, self.slots)
-            self._probes[e] = (_Block(e, pts[0].field, 0, rows, len(pts)), matrix)
+            kernel = jet_kernel(self.degrees, pts, entries=1)
+            self._probes[e] = (_Block(e, pts[0].field, 0, kernel.shape[0], len(pts)), kernel)
         return self._probes[e]
 
 
 @lru_cache(maxsize=4)
 def _mc_setup(p: int, q: int, m: int, k: int, r: int) -> _McSetup:
     return _McSetup(p, q, m, k, r)
-
-
-def _coords(slots: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
-    """F_p coordinates of the jets: slot vectors times the matrix rows."""
-    check_float_exact(slots.shape[-1], p)
-    return ((slots.astype(np.float64) @ rows.T) % p).astype(np.int64)
 
 
 def _block_jets(setup: _McSetup, b: _Block, coords: np.ndarray) -> WeierstrassJets:
@@ -333,8 +324,8 @@ def _delta_zero(setup: _McSetup, coords: np.ndarray, slots: np.ndarray) -> np.nd
         probe = setup.probe(e)
         if probe is None:
             break
-        b, rows = probe
-        values = _coords(slots[live], rows, setup.p)
+        b, kernel = probe
+        values = kernel.apply(slots[live])
         live = live[_delta_vanishes(_block_jets(setup, b, values)).all(axis=1)]
     zero = np.zeros(len(slots), dtype=bool)
     for i in live:
@@ -350,13 +341,14 @@ def _mc_range(p: int, q: int, m: int, k: int, r: int, master_seed: int,
     smooth = 0
     delta_zero = 0
     dtype = np.min_scalar_type(p - 1)
+    # draws land in the kernel's dtype, in one buffer for every chunk
+    buffer = np.empty((min(chunk, hi - lo), setup.slots), dtype=setup.kernel.dtype)
     for start in range(lo, hi, chunk):
-        stop = min(start + chunk, hi)
-        block = np.empty((stop - start, setup.slots), dtype=dtype)
-        for i in range(start, stop):
+        block = buffer[:min(chunk, hi - start)]
+        for i, row in enumerate(block, start):
             rng = np.random.Generator(np.random.PCG64(sample_seed(master_seed, i)))
-            block[i - start] = rng.integers(0, p, size=setup.slots, dtype=dtype)
-        coords = _coords(block, setup.matrix[:setup.jet_rows], p)
+            row[:] = rng.integers(0, p, size=setup.slots, dtype=dtype)
+        coords = setup.kernel.apply(block)
         dz = _delta_zero(setup, coords, block)
         delta_zero += int(np.count_nonzero(dz))
         # draws with delta == 0 count as not-smooth
@@ -385,12 +377,13 @@ def mc_density(p: int, q: int, m: int, k: int, r: int, samples: int,
     if threads == 1 or samples < 2 * threads:
         smooth, dz = _mc_range(p, q, m, k, r, master_seed, 0, samples)
     else:
-        _mc_setup(p, q, m, k, r)  # warm before fork so children share it
         bounds = np.linspace(0, samples, threads + 1, dtype=int)
         work = [(p, q, m, k, r, master_seed, int(lo), int(hi))
                 for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
         smooth = dz = 0
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # BLAS reads its thread count once, when a worker imports NumPy
+        with _environ(_WORKER_ENV), ProcessPoolExecutor(
+                max_workers=threads, mp_context=multiprocessing.get_context("spawn")) as pool:
             for s, d in pool.map(_mc_worker, work):
                 smooth += s
                 dz += d
@@ -405,6 +398,21 @@ def mc_density(p: int, q: int, m: int, k: int, r: int, samples: int,
 
 def _mc_worker(args) -> tuple[int, int]:
     return _mc_range(*args)
+
+
+@contextlib.contextmanager
+def _environ(values: dict[str, str]):
+    """os.environ with ``values`` set, restored on exit."""
+    saved = {key: os.environ.get(key) for key in values}
+    os.environ.update(values)
+    try:
+        yield
+    finally:
+        for key, old in saved.items():
+            if old is None:
+                del os.environ[key]
+            else:
+                os.environ[key] = old
 
 
 # -- scanning ------------------------------------------------------------------------

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from elldens import base
-from elldens.base import (FeasibilityError, Jet, PointBlock, check_float_exact,
-                          closed_points_up_to, jet_at, jet_space_map, scan_blocks)
-from elldens.gf import FieldCtx, FieldMismatchError, is_irreducible, make_field
+from elldens.base import (ClosedPoint, FeasibilityError, Jet, JetKernel, PointBlock,
+                          closed_points_up_to, exact_float_dtype, jet_at, jet_kernel,
+                          jet_space_map, scan_blocks)
+from elldens.gf import FieldCtx, FieldMismatchError, embedding, is_irreducible, make_field
 from elldens.linalg import rank_mod_p
 from elldens.sections import (Section, dim_space, monomials, random_section,
                               section_from_slots, section_slots)
@@ -242,7 +243,7 @@ def test_jet_at_batched_matches_affine_oracle(q, m, e, budget, monkeypatch):
     forms = [random_section(m, d, base_field, rng_seed=rng.randrange(1 << 30))
              for d in (2, 3)] + [Section.zero(m, 4, base_field)]
     degrees = tuple(s.d for s in forms)
-    rows = base._stacked_rows(degrees, pts) if budget == "kept" else None
+    rows = jet_kernel(degrees, pts) if budget == "kept" else None
     if budget == "zero":
         monkeypatch.setattr(base, "_ROW_BUDGET", 0)
     for P, jets in zip(pts, _jets(forms, pts, rows)):
@@ -255,6 +256,80 @@ def test_jet_at_batched_matches_affine_oracle(q, m, e, budget, monkeypatch):
                                        for j in range(1, m + 1))
 
 
+def _drawn_point(data, m, base_field, e):
+    """A point of P^m with chart 0 and drawn coordinates in F_{q^e}; it need
+    not be an orbit's canonical representative, which no matrix reads."""
+    res = make_field(base_field.p, base_field.n * e)
+    coords = [data.draw(st.integers(0, res.size - 1), label="coord") for _ in range(m)]
+    return ClosedPoint(m=m, q=base_field.size, degree=e, chart=0,
+                       coords=(res.one,) + tuple(map(res.from_index, coords)),
+                       field=res, emb=embedding(base_field, res))
+
+
+def _dense_rows(degrees, points, entries):
+    """The stacked jet_space_map matrices of the points, the first
+    ``entries`` jet entries of each form."""
+    out = []
+    for P in points:
+        mat = jet_space_map(degrees, P).matrix
+        blocks = mat.reshape(len(degrees), P.m + 1, P.field.n, -1)[:, :entries]
+        out.append(blocks.reshape(-1, mat.shape[1]))
+    return np.concatenate(out)
+
+
+# (p, base degree r, wide): a wide form at p = 257 has >= 256 columns, so its
+# sums pass 2^24 and the kernel takes float64; every other case is float32
+KERNEL_CONFIGS = [(2, 1, False), (2, 2, False), (3, 1, False), (3, 2, False),
+                  (5, 1, False), (5, 2, False), (257, 1, False), (257, 1, True)]
+
+
+@pytest.mark.parametrize("p,r,wide", KERNEL_CONFIGS)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_jet_kernel_matches_the_integer_product(p, r, wide, data):
+    # points of residue degrees 1 and 2 mixed in one kernel, as in the
+    # Monte-Carlo set-up; batches of one and of many and a bare vector
+    m = data.draw(st.integers(1, 2), label="m")
+    base_field = make_field(p, r)
+    points = [_drawn_point(data, m, base_field, data.draw(st.integers(1, 2), label="e"))
+              for _ in range(data.draw(st.integers(1, 3), label="points"))]
+    degrees = tuple(data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=4),
+                              label="degrees"))
+    if wide:
+        degrees += (300 if m == 1 else 22,)
+    entries = data.draw(st.sampled_from((1, m + 1)), label="entries")
+    kernel = jet_kernel(degrees, points, entries=None if entries == m + 1 else entries)
+    assert kernel.dtype is (np.float64 if wide else np.float32)
+    dense = _dense_rows(degrees, points, entries)
+    assert kernel.shape == dense.shape
+    batch = data.draw(st.sampled_from((1, 7)), label="batch")
+    rng = np.random.default_rng(data.draw(st.integers(0, 1 << 30), label="seed"))
+    slots = rng.integers(0, p, size=(batch, dense.shape[1]), dtype=np.min_scalar_type(p - 1))
+    want = (slots.astype(np.int64) @ dense.T.astype(np.int64)) % p
+    assert np.array_equal(kernel.apply(slots), want)
+    assert np.array_equal(kernel.apply(slots[0]), want[0])
+
+
+@pytest.mark.parametrize("q,m,e", [(2, 2, 1), (4, 1, 2), (9, 2, 1), (5, 1, 2), (7, 2, 1)])
+def test_jet_space_map_is_zero_off_each_forms_block(q, m, e):
+    # the kernel keeps only each form's rows against its own columns, so
+    # every other entry of the matrix must be zero
+    p, r = {2: (2, 1), 4: (2, 2), 9: (3, 2), 5: (5, 1), 7: (7, 1)}[q]
+    degrees = (1, 3, p + 1, 6)
+    widths = [dim_space(m, d) * r for d in degrees]
+    for P in [P for P in closed_points_up_to(m, q, e) if P.degree == e][:6]:
+        mat = jet_space_map(degrees, P).matrix
+        height = (m + 1) * P.field.n
+        off = np.ones(mat.shape, dtype=bool)
+        col = 0
+        for f, w in enumerate(widths):
+            off[f * height:(f + 1) * height, col:col + w] = False
+            col += w
+        assert col == mat.shape[1]
+        assert not mat[off].any()
+        assert mat[~off].any()
+
+
 def test_jet_at_rejects_a_slot_vector_of_other_forms():
     P = closed_points_up_to(1, 5, 1)[0]
     with pytest.raises(ValueError, match="does not fit"):
@@ -262,13 +337,18 @@ def test_jet_at_rejects_a_slot_vector_of_other_forms():
 
 
 def test_scan_blocks_keep_rows_within_the_budget(monkeypatch):
-    degrees = section_degrees(2, 1)
+    # at k = 1 both degrees' kernels fit: 21 x 6 rows x 112 slots and
+    # 126 x 12 rows x 112 slots, each form's rows against its own slots only
+    kernels = [b.rows for b in scan_blocks(2, 4, 2, section_degrees(2, 1))]
+    assert [k.nbytes for k in kernels] == [21 * 6 * 112 * 4, 126 * 12 * 112 * 4]
+    degrees = section_degrees(2, 2)
     blocks = scan_blocks(2, 4, 2, degrees)
     assert [b.points[0].degree for b in blocks] == [1, 2]
     assert [len(b.points) for b in blocks] == [21, 126]
     kept = [b.rows.nbytes for b in blocks if b.rows is not None]
+    assert kept == [len(blocks[0].points) * blocks[0].point_nbytes]
     assert 0 < sum(kept) <= base._ROW_BUDGET
-    assert blocks[1].rows is None  # 126 points x 48 rows x 112 slots x 8 bytes
+    assert blocks[1].rows is None  # 126 points x 12 rows x 340 slots x 4 bytes
     assert scan_blocks(2, 4, 2, degrees) is blocks
     monkeypatch.setattr(base, "_ROW_BUDGET", 0)
     base._scan_blocks.cache_clear()
@@ -287,12 +367,50 @@ def test_scan_blocks_check_the_cap_on_every_call():
 
 
 def test_float_exactness_guard_boundary():
-    check_float_exact((1 << 53) - 1, 2)
+    assert exact_float_dtype((1 << 53) - 1, 2) is np.float64
     with pytest.raises(FeasibilityError):
-        check_float_exact(1 << 53, 2)
-    check_float_exact((1 << 37) - 1, 257)  # (257 - 1)^2 = 2^16
+        exact_float_dtype(1 << 53, 2)
+    assert exact_float_dtype((1 << 37) - 1, 257) is np.float64  # (257 - 1)^2 = 2^16
     with pytest.raises(FeasibilityError):
-        check_float_exact(1 << 37, 257)
+        exact_float_dtype(1 << 37, 257)
+
+
+def test_float32_boundary():
+    assert exact_float_dtype((1 << 24) - 1, 2) is np.float32
+    assert exact_float_dtype(1 << 24, 2) is np.float64
+    assert exact_float_dtype(255, 257) is np.float32  # 255 * 2^16 < 2^24
+    assert exact_float_dtype(256, 257) is np.float64
+
+
+def test_float32_product_with_a_24_bit_sum():
+    # 254 * 256^2 + 255^2 = 16,711,169: odd and above 2^23, so float32 holds
+    # it only because every partial sum stays below 2^24
+    p = 257
+    rows = np.full((1, 255), p - 1)
+    slots = np.full((1, 255), p - 1)
+    slots[0, 0] = p - 2
+    rows[0, 0] = p - 2
+    total = 254 * (p - 1) ** 2 + (p - 2) ** 2
+    assert (1 << 23) < total < 1 << 24 and total % 2
+    kernel = JetKernel(p, [rows], np.arange(1))
+    assert kernel.dtype is np.float32
+    assert kernel.apply(slots).tolist() == [[total % p]]
+    assert kernel.apply(slots).dtype == np.int64
+
+
+def test_kernel_refuses_an_inexact_form_only():
+    # digits up to 2^25: 8 columns of one form reach 8 * 2^50 = 2^53, while
+    # two forms of 4 columns each sum only 4 products per entry
+    p = (1 << 25) + 1
+    rows = np.full((1, 8), p - 1)
+    with pytest.raises(FeasibilityError):
+        JetKernel(p, [rows], np.arange(1))
+    kernel = JetKernel(p, [rows[:, :4], rows[:, 4:]], np.array([1, 0]))
+    assert kernel.dtype is np.float64
+    slots = np.arange(8) + p - 8
+    want = [int(sum((p - 1) * int(s) for s in half)) % p
+            for half in (slots[4:], slots[:4])]
+    assert kernel.apply(slots).tolist() == want
 
 
 def test_jet_at_rejects_forms_from_other_spaces():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from elldens.cli import fraction_decimal, main
 from elldens.gf import make_field, prime_power
-from elldens.weier import dump_weier, random_weierstrass
+from elldens.weier import dump_weier, random_weierstrass, weier_to_obj
 from fractions import Fraction
 
 
@@ -346,6 +346,48 @@ def test_cli_contract_on_small_configurations(call):
         assert err.getvalue() == ""
     else:
         assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+        assert out.getvalue() == ""
+
+
+@st.composite
+def _stored_minimal_call(draw):
+    """A stored random_weierstrass datum as JSON text, perhaps with one
+    edited or cut entry, and `minimal --input` flags for it."""
+    q = draw(st.sampled_from((2, 3, 4, 5)))
+    m, k = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    w = random_weierstrass(m, k, make_field(*prime_power(q)), seed=draw(st.integers(0, 3)))
+    obj = weier_to_obj(w)
+    edit = draw(st.sampled_from((None, None, None, "m", "k", "p", "n", "cut")))
+    if edit in ("m", "k"):
+        obj[edit] = draw(st.integers(-1, 3))
+    elif edit in ("p", "n"):
+        obj["field"][edit] = draw(st.integers(-1, 5))
+    text = json.dumps(obj)
+    if edit == "cut":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    jmax = draw(st.sampled_from((None, None, 1, 2, 3, 0, -1)))
+    # the cap keeps every accepted search small; larger ones exit 3
+    flags = ([] if jmax is None else ["--jmax", str(jmax)]) + ["--cap", "500"]
+    return text, flags + ["--format", draw(st.sampled_from(("json", "csv"))), "--no-timing"]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(call=_stored_minimal_call())
+def test_cli_contract_on_stored_minimal_inputs(call, tmp_path_factory):
+    """`minimal --input` on stored data, whole or damaged, exits 0, 2 or 3
+    and never raises out of main; a failure prints one error line."""
+    text, flags = call
+    path = tmp_path_factory.mktemp("datum") / "datum.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["minimal", "--input", str(path)] + flags)
+    assert code in (0, 2, 3), (flags, code)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert err.getvalue().startswith("error: "), (flags, err.getvalue())
+        assert err.getvalue().count("\n") == 1
         assert out.getvalue() == ""
 
 

@@ -1,15 +1,15 @@
 """Jet censuses, surjectivity ranks, exact densities and the Monte-Carlo
 estimator."""
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from elldens.base import FeasibilityError, closed_points_up_to
-from elldens.density import (_coords, exact_density, expected_bad_count,
-                             jet_census, mc_density, sample_seed, singular_scan,
-                             surjectivity_check)
+from elldens.base import FeasibilityError, JetKernel, closed_points_up_to, jet_space_map
+from elldens.density import (exact_density, expected_bad_count, jet_census, mc_density,
+                             sample_seed, singular_scan, surjectivity_check)
 from elldens.gf import make_field, prime_power
 from elldens.weier import (jets_at, jets_from_indices, random_weierstrass,
                            singular_jets_closed_form, singular_jets_oracle,
@@ -173,7 +173,10 @@ def test_mc_counts_delta_zero_as_not_smooth():
     from elldens.weier import weierstrass_slots
     setup = _mc_setup(2, 2, 1, 2, 1)
     slots = weierstrass_slots(1, 2, F2, seed=found)
-    coords = (slots.astype(np.int64) @ setup.matrix.T.astype(np.int64)) % 2
+    dense = np.concatenate([jet_space_map(setup.degrees, P).matrix
+                            for P in closed_points_up_to(1, 2, 1)])
+    coords = (slots.astype(np.int64) @ dense.T.astype(np.int64)) % 2
+    assert np.array_equal(setup.kernel.apply(slots), coords)
     assert _delta_zero(setup, coords, slots)
 
 
@@ -189,7 +192,7 @@ def test_delta_zero_batch_matches_exact_expansion(monkeypatch):
     expanded = []
     monkeypatch.setattr(density, "weierstrass_from_slots",
                         lambda *args: expanded.append(args) or weierstrass_from_slots(*args))
-    coords = density._coords(slots, setup.matrix[:setup.jet_rows], 2)
+    coords = setup.kernel.apply(slots)
     assert density._delta_zero(setup, coords, slots).tolist() == want
     # the probe settles every draw but the truly degenerate ones
     assert len(expanded) == sum(want) > 0
@@ -199,9 +202,12 @@ def test_mc_setup_holds_only_jet_rows():
     # acceptance-4 configuration: the 7 degree-1 points need 7 * 4 * 3 rows
     from elldens.density import _McSetup
     setup = _McSetup(2, 2, 2, 18, 1)
-    assert setup.matrix.shape == (84, 10426)
-    assert setup.jet_rows == 84
+    assert setup.kernel.shape == (84, 10426)
+    assert (setup.jet_rows, setup.slots) == (84, 10426)
     assert setup._probes == {}
+    # each of the 4 forms' 21 rows meets only its own slots, in float32
+    assert setup.kernel.dtype is np.float32
+    assert setup.kernel.nbytes == 21 * 10426 * 4
 
 
 def test_probe_rows_built_on_first_need():
@@ -210,7 +216,7 @@ def test_probe_rows_built_on_first_need():
     F2 = make_field(2, 1)
     setup = density._McSetup(2, 2, 1, 1, 1)
     slots = np.array([weierstrass_slots(1, 1, F2, seed=s) for s in range(40)])
-    coords = density._coords(slots, setup.matrix, 2)
+    coords = setup.kernel.apply(slots)
     density._delta_zero(setup, coords, slots)
     block, rows = setup.probe(2)
     # P^1 over F_2 has one degree-2 point: 4 forms, value rows only, 2 coordinates
@@ -226,7 +232,7 @@ def test_probe_over_cap_is_skipped_and_expansion_decides():
     assert setup.probe(2) is None
     slots = np.zeros((2, setup.slots), dtype=np.uint16)
     slots[1, -1] = 1  # a6 = x1^6: delta = -432 x1^12, nonzero at (0:1)
-    coords = density._coords(slots, setup.matrix, 257)
+    coords = setup.kernel.apply(slots)
     assert density._delta_zero(setup, coords, slots).tolist() == [True, False]
 
 
@@ -280,5 +286,18 @@ def test_coords_refuses_an_inexact_product():
     rows = np.full((2, 8), p - 1, dtype=np.int64)
     slots = np.full((1, 8), p - 1, dtype=np.int64)
     with pytest.raises(FeasibilityError):
-        _coords(slots, rows, p)
-    assert _coords(slots[:, :7], rows[:, :7], p).tolist() == [[7 * (p - 1) ** 2 % p] * 2]
+        JetKernel(p, [rows], np.arange(2))
+    kernel = JetKernel(p, [rows[:, :7]], np.arange(2))
+    assert kernel.apply(slots[:, :7]).tolist() == [[7 * (p - 1) ** 2 % p] * 2]
+
+
+def test_worker_pool_restores_the_environment(monkeypatch):
+    # workers are spawned with one BLAS thread; the caller's environment
+    # is left as it was
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")
+    one = mc_density(3, 3, 1, 6, r=1, samples=20, master_seed=4)
+    two = mc_density(3, 3, 1, 6, r=1, samples=20, master_seed=4, threads=2)
+    assert (one.smooth_count, one.delta_zero_count) == (two.smooth_count, two.delta_zero_count)
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    assert os.environ["OMP_NUM_THREADS"] == "4"
