@@ -12,17 +12,17 @@ depend on the chart.  ``jet_space_map`` expresses coefficient vectors ->
 jets as a matrix over F_p by restriction of scalars.  Its rows are
 block-diagonal: each form's jet rows meet only that form's columns.  A
 :class:`JetKernel` keeps just those blocks, sliced from the per-point
-matrices, and is the one F_p product kernel: ``jet_at`` multiplies a datum's
-slot vector by the kernel of a :class:`PointBlock`, the points of one residue
-field, and the Monte-Carlo estimator multiplies batches of drawn slot vectors
-by the kernel of every point of degree <= r.  Products run in float32 while
-every sum of ``cols`` products of F_p digits (cols the widest form's columns)
-stays below 2^24, in float64 below 2^53, and are refused past that, all by
-:func:`exact_float_dtype`.  ``scan_blocks`` memoizes, per shape (m, q, r,
-form degrees), the closed points grouped by degree, and keeps a block's
-kernel only while the shape's kept kernels fit ``_ROW_BUDGET`` bytes; any
-other block has its kernels built, applied and dropped in chunks of points
-within that budget on every call.
+matrices, and is the one F_p product kernel: ``jet_at`` multiplies slot
+vectors, a datum's or a Monte-Carlo batch of draws, by the kernel of a
+:class:`PointBlock`, the points of one residue field.  Products run in
+float32 while every sum of ``cols`` products of F_p digits (cols the widest
+form's columns) stays below 2^24, in float64 below 2^53, and are refused past
+that, all by :func:`exact_float_dtype`.  ``point_blocks`` groups closed
+points by degree, keeping a block's kernel while the kept kernels fit a byte
+budget; the Monte-Carlo estimator keeps every kernel, and ``scan_blocks``
+memoizes, per shape (m, q, r, form degrees), the blocks within
+``_ROW_BUDGET`` bytes.  Any other block has its kernels built, applied and
+dropped in chunks of points within that budget on every call.
 
 The matrix is computed on discrete logs in the residue field F_Q (the
 field's :class:`~elldens.gf.LogTables`, to a primitive element g): the value
@@ -294,17 +294,19 @@ class PointBlock:
 
 def jet_at(slots: np.ndarray, block: PointBlock) -> np.ndarray:
     """F_p jet coordinates of forms at the points of a block, shape
-    (points, forms, m+1, n_res): the concatenated slot vector of forms of
-    degrees ``block.degrees`` (each as :func:`~elldens.sections.section_slots`)
-    times the points' jet kernel, mod p.
+    ``slots.shape[:-1] + (points, forms, entries, n_res)``: slot vectors on
+    the last axis, each the concatenation of forms of degrees
+    ``block.degrees`` (as :func:`~elldens.sections.section_slots`), times the
+    points' jet kernel, mod p.
 
     Entry 0 is a form's value and entries 1..m its gradient in the point's
-    chart coordinates, each as the residue-field coordinates of the element.
+    chart coordinates, each as the residue-field coordinates of the element;
+    a value-only kernel (``jet_kernel(..., entries=1)``) gives entry 0 alone.
     A kept kernel gives one product; otherwise kernels are built for chunks
     of points within ``_ROW_BUDGET`` bytes, each dropped after its product.
     """
-    if len(slots) != block.cols:
-        raise ValueError(f"slot vector of length {len(slots)} does not fit forms "
+    if slots.shape[-1] != block.cols:
+        raise ValueError(f"slot vector of length {slots.shape[-1]} does not fit forms "
                          f"of degrees {block.degrees} on P^{block.points[0].m}")
     points = block.points
     if block.rows is not None:
@@ -312,8 +314,27 @@ def jet_at(slots: np.ndarray, block: PointBlock) -> np.ndarray:
     else:
         step = max(1, _ROW_BUDGET // block.point_nbytes)
         coords = np.concatenate([jet_kernel(block.degrees, points[i:i + step]).apply(slots)
-                                 for i in range(0, len(points), step)])
-    return coords.reshape(len(points), len(block.degrees), points[0].m + 1, block.field.n)
+                                 for i in range(0, len(points), step)], axis=-1)
+    forms, n = len(block.degrees), block.field.n
+    entries = coords.shape[-1] // (len(points) * forms * n)
+    return coords.reshape(slots.shape[:-1] + (len(points), forms, entries, n))
+
+
+def point_blocks(degrees: tuple[int, ...], points,
+                 budget: float = math.inf) -> tuple[PointBlock, ...]:
+    """Closed points, in degree order, as one :class:`PointBlock` per degree
+    for forms of the given degrees; a block keeps its kernel while the kept
+    kernels fit ``budget`` bytes."""
+    blocks = []
+    kept = 0
+    for _, group in itertools.groupby(points, key=lambda P: P.degree):
+        block = PointBlock(degrees, tuple(group))
+        nbytes = len(block.points) * block.point_nbytes
+        if kept + nbytes <= budget:
+            kept += nbytes
+            block = PointBlock(degrees, block.points, jet_kernel(degrees, block.points))
+        blocks.append(block)
+    return tuple(blocks)
 
 
 def scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...],
@@ -327,20 +348,10 @@ def scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...],
 
 @lru_cache(maxsize=_SCAN_SHAPES)
 def _scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...]) -> tuple[PointBlock, ...]:
-    """The blocks of one shape, in degree order, with their kernels kept
-    while the shape's kept kernels fit ``_ROW_BUDGET`` bytes."""
-    blocks = []
-    kept = 0
+    """The blocks of one shape, with their kernels kept while the shape's
+    kept kernels fit ``_ROW_BUDGET`` bytes."""
     # the caller has checked its own cap
-    pts = closed_points_up_to(m, q, r, cap=math.inf)
-    for _, group in itertools.groupby(pts, key=lambda P: P.degree):
-        block = PointBlock(degrees, tuple(group))
-        nbytes = len(block.points) * block.point_nbytes
-        if kept + nbytes <= _ROW_BUDGET:
-            kept += nbytes
-            block = PointBlock(degrees, block.points, jet_kernel(degrees, block.points))
-        blocks.append(block)
-    return tuple(blocks)
+    return point_blocks(degrees, closed_points_up_to(m, q, r, cap=math.inf), _ROW_BUDGET)
 
 
 @dataclass(frozen=True)

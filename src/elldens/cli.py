@@ -140,8 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-r", type=int, required=True, help="max point degree")
     sp.add_argument("--samples", type=int, required=True, help="sample count")
     sp.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="worker processes (default 1; result is identical)")
     _add_common(sp)
 
     sp = sub.add_parser("scan", help="singular closed points of one datum")
@@ -245,11 +243,10 @@ def _run_density_exact(args):
 
 def _run_density_mc(args):
     rep = mc_density(args.p, args.q, args.m, args.k, args.r,
-                     samples=args.samples, master_seed=args.seed,
-                     threads=args.threads)
+                     samples=args.samples, master_seed=args.seed)
     config = {"command": "density-mc", "p": args.p, "q": args.q, "m": args.m,
               "k": args.k, "r": args.r, "samples": args.samples,
-              "seed": args.seed, "threads": args.threads}
+              "seed": args.seed}
     estimate = fraction_decimal(Fraction(rep.smooth_count, rep.samples))
     result = {
         "smooth_count": rep.smooth_count,

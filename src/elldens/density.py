@@ -13,53 +13,42 @@ scalar fiber-scan oracle.
 
 Monte-Carlo runs draw coefficient forms uniformly (one PCG64 stream per
 sample, seeded by a stable 64-bit hash of (master_seed, index)) in chunks,
-push a chunk through a precomputed :class:`~elldens.base.JetKernel` (each
-form's slots against its own jet rows only, in float32 wherever that is
-exact), and decode the result straight into element-index arrays of shape
-(samples, points, forms, jet entries), one per point degree.  The batched
-detector and the discriminant then run once per (chunk, degree).  Samples
-whose discriminant form is identically zero are counted as not-smooth and
-tallied separately: a nonzero discriminant value at a point of degree <= r
-settles delta != 0, unsettled samples go on through the value rows of the
-points of the next degrees (built the first time a sample needs them), one
-degree at a time, and only when every value vanishes is the form expanded.
-
-With threads > 1 the sample range is split over worker processes started
-with the ``spawn`` method and one BLAS thread each: forked workers would
-inherit BLAS's default thread count and contend for the cores.
+and take a chunk's jets at the closed points of each degree <= r as scans
+take one datum's: one :func:`~elldens.base.jet_at` product per degree, with
+the degree's :class:`~elldens.base.PointBlock` kernel kept (each form's slots
+against its own jet rows only, in float32 wherever that is exact).  The
+batched detector and the discriminant then run once per (chunk, degree), on
+the samples still alive.  Samples whose discriminant form is identically
+zero are counted as not-smooth and tallied separately: a nonzero
+discriminant value at a point of degree <= r settles delta != 0, unsettled
+samples go on through the value rows of the points of the next degrees
+(built the first time a sample needs them), one degree at a time, and only
+when every value vanishes is the form expanded.
 """
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import itertools
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from . import zeta as _zeta
-from .base import (DEFAULT_ENUM_CAP, FeasibilityError, JetKernel, closed_points_up_to,
-                   jet_kernel, jet_space_map)
-from .gf import FieldCtx, make_field, prime_power
+from .base import (DEFAULT_ENUM_CAP, FeasibilityError, PointBlock, closed_points_up_to,
+                   jet_at, jet_kernel, jet_space_map, point_blocks)
+from .gf import make_field, prime_power
 from .linalg import rank_mod_p
 from .weier import (SingularityWitness, WeierstrassData, WeierstrassJets,
-                    discriminant_value, jets_from_indices, section_degrees,
-                    singular_jets_closed_form, singular_jets_oracle,
-                    singular_witnesses, varying_indices,
-                    weierstrass_from_slots)
+                    discriminant_value, jets_from_coords, jets_from_indices,
+                    section_degrees, singular_jets_closed_form, singular_jets_oracle,
+                    singular_witnesses, varying_indices, weierstrass_from_slots)
 
 _DELTA_PROBE_DEGREE = 3  # discriminant values are probed at points up to here
 # rational points a probe degree may enumerate: a probe stands in for exact
 # expansions of a few samples, so it must not cost more than they do
 _PROBE_CAP = 1 << 15
 _CENSUS_BLOCK = 4096  # jet tuples per detector call; bounds census memory
-_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
 def sample_seed(master_seed: int, index: int) -> int:
@@ -206,7 +195,6 @@ class DensityReport:
     r: int
     samples: int
     master_seed: int
-    threads: int
     smooth_count: int
     delta_zero_count: int
     estimate: float
@@ -215,59 +203,37 @@ class DensityReport:
     threshold_warning: bool
 
 
-class _Block(NamedTuple):
-    """The coordinates of the closed points of one degree among the products
-    of an _McSetup kernel."""
-
-    degree: int
-    field: FieldCtx  # their residue field
-    start: int
-    stop: int
-    points: int
-
-
 class _McSetup:
-    """The jet kernel of one (p, q, m, k, r) configuration.
+    """The jet blocks of one (p, q, m, k, r) configuration.
 
-    ``kernel`` holds the jet rows of every closed point of degree <= r, in
-    degree order; its products give each point's coordinates in form ->
-    entry -> coordinate order, and ``jet_blocks`` locate each degree's
-    points among them.  The discriminant-probe kernel of a degree above r
-    is built by :meth:`probe` the first time a sample needs it, and kept.
+    ``blocks`` holds one :class:`~elldens.base.PointBlock` per degree <= r,
+    in degree order, each with its kernel kept.  The value-only block of a
+    discriminant-probe degree above r is built by :meth:`probe` the first
+    time a sample needs it, and kept.
     """
 
     def __init__(self, p: int, q: int, m: int, k: int, r: int):
-        self.p, self.q, self.m, self.k, self.r = p, q, m, k, r
+        self.q, self.m, self.k, self.r = q, m, k, r
         _, rr = prime_power(q)
         self.field = make_field(p, rr)
         self.degrees = section_degrees(p, k)
-        self.g = len(self.degrees)
-        pts = closed_points_up_to(m, q, r)
-        self.jet_blocks = []
-        row = 0
-        for e, group in itertools.groupby(pts, key=lambda P: P.degree):
-            group = list(group)
-            res = group[0].field
-            stop = row + len(group) * self.g * (m + 1) * res.n
-            self.jet_blocks.append(_Block(e, res, row, stop, len(group)))
-            row = stop
-        self.kernel = jet_kernel(self.degrees, pts)
-        self.jet_rows, self.slots = self.kernel.shape
-        self._probes: dict[int, tuple[_Block, JetKernel] | None] = {}
+        self.blocks = point_blocks(self.degrees, closed_points_up_to(m, q, r))
+        self.slots = self.blocks[0].cols
+        self._probes: dict[int, PointBlock | None] = {}
 
-    def probe(self, e: int) -> tuple[_Block, JetKernel] | None:
-        """The block and the kernel of the value rows (jet entry 0 only,
-        which is all the discriminant needs) of the degree-e points, or None
-        when enumerating them would pass ``_PROBE_CAP`` rational points."""
+    def probe(self, e: int) -> PointBlock | None:
+        """The degree-e points with their value rows (jet entry 0 only,
+        which is all the discriminant needs), or None when enumerating them
+        would pass ``_PROBE_CAP`` rational points."""
         if e not in self._probes:
             try:
-                pts = [P for P in closed_points_up_to(self.m, self.q, e, cap=_PROBE_CAP)
-                       if P.degree == e]
+                pts = tuple(P for P in closed_points_up_to(self.m, self.q, e, cap=_PROBE_CAP)
+                            if P.degree == e)
             except FeasibilityError:
                 self._probes[e] = None
                 return None
-            kernel = jet_kernel(self.degrees, pts, entries=1)
-            self._probes[e] = (_Block(e, pts[0].field, 0, kernel.shape[0], len(pts)), kernel)
+            self._probes[e] = PointBlock(self.degrees, pts,
+                                         jet_kernel(self.degrees, pts, entries=1))
         return self._probes[e]
 
 
@@ -276,24 +242,15 @@ def _mc_setup(p: int, q: int, m: int, k: int, r: int) -> _McSetup:
     return _McSetup(p, q, m, k, r)
 
 
-def _block_jets(setup: _McSetup, b: _Block, coords: np.ndarray) -> WeierstrassJets:
-    """Batched jets, (samples, points), at the points of block b from their
-    F_p coordinates, one sample per row of ``b.stop - b.start`` entries:
-    full jets from jet rows, values only (no gradient) from probe rows."""
-    n = b.field.n
-    digits = coords.reshape(len(coords), b.points, setup.g, -1, n)
-    return jets_from_indices(b.field, digits @ setup.p ** np.arange(n, dtype=np.int64))
-
-
-def _survivors(setup: _McSetup, coords: np.ndarray, live: np.ndarray,
-               test) -> np.ndarray:
-    """The samples among `live` (rows of `coords`, the jet coordinates) for
-    which `test(jets)` holds at every point of degree <= r; one `test` call
-    per degree on the samples still alive."""
-    for b in setup.jet_blocks:
+def _survivors(blocks, coords, live: np.ndarray, test) -> np.ndarray:
+    """The samples among `live` for which `test(jets)` holds at every point
+    of the blocks, from each block's :func:`~elldens.base.jet_at` coordinates
+    (one row per sample); one `test` call per block on the samples still
+    alive."""
+    for b, c in zip(blocks, coords):
         if not live.size:
             break
-        live = live[test(_block_jets(setup, b, coords[live, b.start:b.stop])).all(axis=1)]
+        live = live[test(jets_from_coords(b.field, c[live])).all(axis=1)]
     return live
 
 
@@ -305,28 +262,26 @@ def _smooth(J: WeierstrassJets) -> np.ndarray:
     return ~singular_jets_closed_form(J).mask
 
 
-def _delta_zero(setup: _McSetup, coords: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Per sample, whether its discriminant form is identically zero, from
-    its jet coordinates (at least the ``jet_rows`` prefix) and slot vector;
-    a single row is a batch of one.
+def _delta_zero(setup: _McSetup, coords, slots: np.ndarray) -> np.ndarray:
+    """Per sample (row of `slots`), whether its discriminant form is
+    identically zero, from its slot vector and its jet coordinates at the
+    points of each of ``setup.blocks``.
 
     A nonzero discriminant value at a point of degree <= r settles a sample.
-    Unsettled samples go on through the probe rows of the degrees above r
+    Unsettled samples go on through the probe blocks of the degrees above r
     up to ``_DELTA_PROBE_DEGREE``, one degree at a time, and only when every
     probe value vanishes too is the form expanded exactly.  Probing stops at
     the first degree with too many points; the expansion decides the rest.
     """
-    coords, slots = np.atleast_2d(coords, slots)
-    live = _survivors(setup, coords, np.arange(len(slots)), _delta_vanishes)
+    live = _survivors(setup.blocks, coords, np.arange(len(slots)), _delta_vanishes)
     for e in range(setup.r + 1, _DELTA_PROBE_DEGREE + 1):
         if not live.size:
             break
         probe = setup.probe(e)
         if probe is None:
             break
-        b, kernel = probe
-        values = kernel.apply(slots[live])
-        live = live[_delta_vanishes(_block_jets(setup, b, values)).all(axis=1)]
+        J = jets_from_coords(probe.field, jet_at(slots[live], probe))
+        live = live[_delta_vanishes(J).all(axis=1)]
     zero = np.zeros(len(slots), dtype=bool)
     for i in live:
         zero[i] = weierstrass_from_slots(setup.m, setup.k, setup.field,
@@ -336,32 +291,36 @@ def _delta_zero(setup: _McSetup, coords: np.ndarray, slots: np.ndarray) -> np.nd
 
 def _mc_range(p: int, q: int, m: int, k: int, r: int, master_seed: int,
               lo: int, hi: int, chunk: int = 512) -> tuple[int, int]:
-    """(smooth_count, delta_zero_count) over sample indices [lo, hi)."""
+    """(smooth_count, delta_zero_count) over sample indices [lo, hi), drawn
+    and tested `chunk` samples at a time."""
     setup = _mc_setup(p, q, m, k, r)
     smooth = 0
     delta_zero = 0
     dtype = np.min_scalar_type(p - 1)
-    # draws land in the kernel's dtype, in one buffer for every chunk
-    buffer = np.empty((min(chunk, hi - lo), setup.slots), dtype=setup.kernel.dtype)
+    # draws land in the kernels' dtype, in one buffer for every chunk
+    buffer = np.empty((min(chunk, hi - lo), setup.slots), dtype=setup.blocks[0].rows.dtype)
     for start in range(lo, hi, chunk):
-        block = buffer[:min(chunk, hi - start)]
-        for i, row in enumerate(block, start):
+        slots = buffer[:min(chunk, hi - start)]
+        for i, row in enumerate(slots, start):
             rng = np.random.Generator(np.random.PCG64(sample_seed(master_seed, i)))
             row[:] = rng.integers(0, p, size=setup.slots, dtype=dtype)
-        coords = setup.kernel.apply(block)
-        dz = _delta_zero(setup, coords, block)
+        coords = [jet_at(slots, b) for b in setup.blocks]
+        dz = _delta_zero(setup, coords, slots)
         delta_zero += int(np.count_nonzero(dz))
         # draws with delta == 0 count as not-smooth
-        smooth += _survivors(setup, coords, np.flatnonzero(~dz), _smooth).size
+        smooth += _survivors(setup.blocks, coords, np.flatnonzero(~dz), _smooth).size
     return smooth, delta_zero
 
 
 def mc_density(p: int, q: int, m: int, k: int, r: int, samples: int,
-               master_seed: int, threads: int = 1) -> DensityReport:
+               master_seed: int) -> DensityReport:
     """Seeded Monte-Carlo estimate of the smooth-over-degree-<=r density.
 
-    Reports are bit-identical for a fixed master_seed regardless of thread
-    count; per-sample streams are independent of scheduling.
+    Sample i draws from its own stream, seeded by ``sample_seed(master_seed,
+    i)``, so a report depends on the configuration, the sample count and
+    the master seed alone.  ``threshold_warning`` is ``k < (6m+6) r``: a
+    heuristic for too small a twist degree, not a computed independence
+    test.
     """
     pp, _ = prime_power(q)
     if pp != p:
@@ -370,49 +329,16 @@ def mc_density(p: int, q: int, m: int, k: int, r: int, samples: int,
         raise ValueError(f"need k >= 1, got {k}")
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
-    if threads < 1:
-        raise ValueError(f"need threads >= 1, got {threads}")
     warn = k < (6 * m + 6) * r
     exact = exact_density(q, m, r)
-    if threads == 1 or samples < 2 * threads:
-        smooth, dz = _mc_range(p, q, m, k, r, master_seed, 0, samples)
-    else:
-        bounds = np.linspace(0, samples, threads + 1, dtype=int)
-        work = [(p, q, m, k, r, master_seed, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:]) if lo < hi]
-        smooth = dz = 0
-        # BLAS reads its thread count once, when a worker imports NumPy
-        with _environ(_WORKER_ENV), ProcessPoolExecutor(
-                max_workers=threads, mp_context=multiprocessing.get_context("spawn")) as pool:
-            for s, d in pool.map(_mc_worker, work):
-                smooth += s
-                dz += d
+    smooth, dz = _mc_range(p, q, m, k, r, master_seed, 0, samples)
     est = smooth / samples
     se = float(np.sqrt(est * (1.0 - est) / samples))
     return DensityReport(
         p=p, q=q, m=m, k=k, r=r, samples=samples, master_seed=master_seed,
-        threads=threads, smooth_count=smooth, delta_zero_count=dz,
+        smooth_count=smooth, delta_zero_count=dz,
         estimate=est, std_error=se, exact=exact, threshold_warning=warn,
     )
-
-
-def _mc_worker(args) -> tuple[int, int]:
-    return _mc_range(*args)
-
-
-@contextlib.contextmanager
-def _environ(values: dict[str, str]):
-    """os.environ with ``values`` set, restored on exit."""
-    saved = {key: os.environ.get(key) for key in values}
-    os.environ.update(values)
-    try:
-        yield
-    finally:
-        for key, old in saved.items():
-            if old is None:
-                del os.environ[key]
-            else:
-                os.environ[key] = old
 
 
 # -- scanning ------------------------------------------------------------------------

@@ -164,29 +164,22 @@ class WeierstrassJets:
             for jet in (self.a1, self.a2, self.a3, self.a4, self.a6)))
 
 
-def _datum_indices(w: WeierstrassData, block: PointBlock) -> np.ndarray:
-    """Element indices of the datum's jets at the points of a block (whose
-    degrees are ``section_degrees``), shape (points, forms, m+1): one
+def _datum_jets(w: WeierstrassData, block: PointBlock) -> WeierstrassJets:
+    """The datum's jets at the points of a block (whose degrees are
+    ``section_degrees``), a batch over the points: one
     :func:`~elldens.base.jet_at` product with the datum's slot vector."""
     P = block.points[0]
     if w.m != P.m:
         raise ValueError("datum and point live on different projective spaces")
     if w.field != P.emb.src:
         raise FieldMismatchError("datum's field is not the point's base field")
-    res = block.field
-    return jet_at(w.slots(), block) @ res.p ** np.arange(res.n, dtype=np.int64)
+    return jets_from_coords(block.field, jet_at(w.slots(), block))
 
 
 def jets_at(w: WeierstrassData, P: ClosedPoint) -> WeierstrassJets:
     """The jets of all five coefficient forms at one closed point: the
-    batched kernel at a single point, with one all-forms jet matrix."""
-    res = P.field
-    zero = Jet(value=res.zero, gradient=(res.zero,) * P.m)
-    jets = dict.fromkeys(_INDICES, zero)
-    idx = _datum_indices(w, PointBlock(section_degrees(w.field.p, w.k), (P,)))
-    for i, (value, *grad) in zip(varying_indices(res.p), idx[0].tolist()):
-        jets[i] = Jet(value=res.from_index(value), gradient=tuple(map(res.from_index, grad)))
-    return WeierstrassJets(res, jets[1], jets[2], jets[3], jets[4], jets[6])
+    batched kernel at a single point."""
+    return _datum_jets(w, PointBlock(section_degrees(w.field.p, w.k), (P,))).lane(0)
 
 
 def _batch_jets(field: FieldCtx, idx: np.ndarray, forms) -> WeierstrassJets:
@@ -204,6 +197,13 @@ def jets_from_indices(field: FieldCtx, idx: np.ndarray) -> WeierstrassJets:
     that vary in the field's characteristic, in index order, then value and
     gradient entries.  The other forms get zero jets."""
     return _batch_jets(field, idx, varying_indices(field.p))
+
+
+def jets_from_coords(field: FieldCtx, coords: np.ndarray) -> WeierstrassJets:
+    """Batched jets from the F_p coordinates that :func:`~elldens.base.jet_at`
+    gives, shape (..., g, entries, n): the element indices of
+    :func:`jets_from_indices`, one entry (values only) or m+1."""
+    return jets_from_indices(field, coords @ field.p ** np.arange(field.n, dtype=np.int64))
 
 
 def stack_jets(field: FieldCtx, jets: list[WeierstrassJets]) -> WeierstrassJets:
@@ -378,7 +378,7 @@ def singular_witnesses(w: WeierstrassData, r: int,
     re-verified against its own jets.  ``cap`` bounds the point enumeration
     as in :func:`~elldens.base.closed_points_up_to`."""
     for block in scan_blocks(w.m, w.field.size, r, section_degrees(w.field.p, w.k), cap):
-        J = jets_from_indices(block.field, _datum_indices(w, block))
+        J = _datum_jets(w, block)
         hit = singular_jets_closed_form(J)
         for i in np.flatnonzero(hit.mask):
             yield SingularityWitness(point=block.points[i], x=hit.x[i], y=hit.y[i],

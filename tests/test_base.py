@@ -332,8 +332,32 @@ def test_jet_space_map_is_zero_off_each_forms_block(q, m, e):
 
 def test_jet_at_rejects_a_slot_vector_of_other_forms():
     P = closed_points_up_to(1, 5, 1)[0]
-    with pytest.raises(ValueError, match="does not fit"):
-        jet_at(np.zeros(4, dtype=np.int64), PointBlock((4,), (P,)))
+    block = PointBlock((4,), (P,))  # 5 slots
+    # the batch has as many rows as the block has slots, but rows of 4
+    for slots in (np.zeros(4, dtype=np.int64), np.zeros((5, 4), dtype=np.int64)):
+        with pytest.raises(ValueError, match="does not fit"):
+            jet_at(slots, block)
+
+
+@pytest.mark.parametrize("kind", ["kept", "unkept", "values"])
+def test_jet_at_takes_a_batch_of_slot_vectors(kind, monkeypatch):
+    # a batch on the last axis gives the jets of row-by-row calls, for a
+    # kept kernel, kernels built in chunks of one point, and value rows only
+    pts = tuple(P for P in closed_points_up_to(2, 4, 2) if P.degree == 2)[:5]
+    degrees = section_degrees(2, 1)
+    rows = {"kept": jet_kernel(degrees, pts), "unkept": None,
+            "values": jet_kernel(degrees, pts, entries=1)}[kind]
+    monkeypatch.setattr(base, "_ROW_BUDGET", 0)
+    block = PointBlock(degrees, pts, rows)
+    slots = np.random.default_rng(3).integers(0, 2, size=(6, block.cols))
+    batch = jet_at(slots, block)
+    entries = 1 if kind == "values" else 3
+    assert batch.shape == (6, 5, 4, entries, 4)  # residue field F_16
+    assert np.array_equal(batch, np.stack([jet_at(row, block) for row in slots]))
+    assert np.array_equal(jet_at(slots.reshape(2, 3, -1), block),
+                          batch.reshape(2, 3, 5, 4, entries, 4))
+    full = jet_at(slots, PointBlock(degrees, pts, jet_kernel(degrees, pts)))
+    assert np.array_equal(batch, full[..., :entries, :])
 
 
 def test_scan_blocks_keep_rows_within_the_budget(monkeypatch):

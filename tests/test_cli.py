@@ -192,6 +192,20 @@ def test_invalid_config_exit_2(capsys):
     assert code == 2
 
 
+def test_density_mc_rejects_the_removed_threads_flag():
+    # the estimator runs in one process; a script passing the old flag
+    # fails with a usage error instead of running
+    proc = subprocess.run(
+        [sys.executable, "-m", "elldens", "density-mc", "-p", "2", "-q", "2", "-m", "1",
+         "-k", "6", "-r", "1", "--samples", "5", "--threads", "2"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error: unrecognized arguments: --threads 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv,message", [
     (["density-exact", "-q", "6", "-m", "1", "-r", "1"], "q=6 is not a prime power"),
     (["zeta", "-m", "1", "-q", "6", "-R", "2", "-s", "2"], "q=6 is not a prime power"),

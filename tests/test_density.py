@@ -1,13 +1,12 @@
 """Jet censuses, surjectivity ranks, exact densities and the Monte-Carlo
 estimator."""
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from elldens.base import FeasibilityError, JetKernel, closed_points_up_to, jet_space_map
+from elldens.base import FeasibilityError, JetKernel, closed_points_up_to, jet_at, jet_space_map
 from elldens.density import (exact_density, expected_bad_count, jet_census, mc_density,
                              sample_seed, singular_scan, surjectivity_check)
 from elldens.gf import make_field, prime_power
@@ -113,14 +112,22 @@ def test_sample_seed_stable():
     assert 0 <= sample_seed(12345, 67890) < 2 ** 64
 
 
-def test_mc_deterministic_and_thread_invariant():
-    a = mc_density(2, 2, 2, 18, r=1, samples=120, master_seed=9)
-    b = mc_density(2, 2, 2, 18, r=1, samples=120, master_seed=9)
-    assert (a.smooth_count, a.delta_zero_count) == (b.smooth_count, b.delta_zero_count)
-    c = mc_density(2, 2, 2, 18, r=1, samples=120, master_seed=9, threads=3)
-    assert (c.smooth_count, c.delta_zero_count) == (a.smooth_count, a.delta_zero_count)
-    d = mc_density(2, 2, 2, 18, r=1, samples=120, master_seed=10)
-    assert (d.smooth_count,) != (a.smooth_count,) or d.estimate != a.estimate
+@pytest.mark.parametrize("p,q,m,k,r,n", [(2, 2, 2, 18, 1, 120), (3, 3, 1, 6, 1, 50)])
+def test_mc_deterministic_and_chunk_invariant(p, q, m, k, r, n):
+    # sample i draws from its own stream: neither the chunk size nor a split
+    # of the index range changes the counts
+    from elldens.density import _mc_range
+    a = mc_density(p, q, m, k, r, samples=n, master_seed=9)
+    b = mc_density(p, q, m, k, r, samples=n, master_seed=9)
+    whole = (a.smooth_count, a.delta_zero_count)
+    assert (b.smooth_count, b.delta_zero_count) == whole
+    for chunk in (1, 7, 512):
+        assert _mc_range(p, q, m, k, r, 9, 0, n, chunk=chunk) == whole
+    split = n // 3
+    head, tail = _mc_range(p, q, m, k, r, 9, 0, split), _mc_range(p, q, m, k, r, 9, split, n)
+    assert (head[0] + tail[0], head[1] + tail[1]) == whole
+    d = mc_density(p, q, m, k, r, samples=n, master_seed=10)
+    assert d.smooth_count != a.smooth_count
 
 
 def test_mc_against_exact_moderate_config():
@@ -131,13 +138,6 @@ def test_mc_against_exact_moderate_config():
     assert rep.std_error == pytest.approx(
         math.sqrt(rep.estimate * (1 - rep.estimate) / 600))
     assert not rep.threshold_warning
-
-
-def test_mc_split_invariance_other_characteristic():
-    one = mc_density(3, 3, 1, 6, r=1, samples=50, master_seed=4)
-    two = mc_density(3, 3, 1, 6, r=1, samples=50, master_seed=4, threads=2)
-    assert (one.smooth_count, one.delta_zero_count) == \
-           (two.smooth_count, two.delta_zero_count)
 
 
 def test_mc_threshold_warning():
@@ -152,8 +152,6 @@ def test_mc_validates():
         mc_density(2, 3, 1, 6, r=1, samples=10, master_seed=0)
     with pytest.raises(ValueError):
         mc_density(2, 2, 1, 6, r=1, samples=0, master_seed=0)
-    with pytest.raises(ValueError):
-        mc_density(2, 2, 1, 6, r=1, samples=10, master_seed=0, threads=0)
 
 
 def test_mc_counts_delta_zero_as_not_smooth():
@@ -172,12 +170,13 @@ def test_mc_counts_delta_zero_as_not_smooth():
     from elldens.density import _delta_zero, _mc_setup
     from elldens.weier import weierstrass_slots
     setup = _mc_setup(2, 2, 1, 2, 1)
-    slots = weierstrass_slots(1, 2, F2, seed=found)
+    slots = weierstrass_slots(1, 2, F2, seed=found)[None]
     dense = np.concatenate([jet_space_map(setup.degrees, P).matrix
                             for P in closed_points_up_to(1, 2, 1)])
-    coords = (slots.astype(np.int64) @ dense.T.astype(np.int64)) % 2
-    assert np.array_equal(setup.kernel.apply(slots), coords)
-    assert _delta_zero(setup, coords, slots)
+    want = (slots.astype(np.int64) @ dense.T.astype(np.int64)) % 2
+    coords = [jet_at(slots, b) for b in setup.blocks]
+    assert np.array_equal(np.concatenate([c.reshape(1, -1) for c in coords], axis=1), want)
+    assert _delta_zero(setup, coords, slots).tolist() == [True]
 
 
 def test_delta_zero_batch_matches_exact_expansion(monkeypatch):
@@ -192,7 +191,7 @@ def test_delta_zero_batch_matches_exact_expansion(monkeypatch):
     expanded = []
     monkeypatch.setattr(density, "weierstrass_from_slots",
                         lambda *args: expanded.append(args) or weierstrass_from_slots(*args))
-    coords = setup.kernel.apply(slots)
+    coords = [jet_at(slots, b) for b in setup.blocks]
     assert density._delta_zero(setup, coords, slots).tolist() == want
     # the probe settles every draw but the truly degenerate ones
     assert len(expanded) == sum(want) > 0
@@ -202,12 +201,13 @@ def test_mc_setup_holds_only_jet_rows():
     # acceptance-4 configuration: the 7 degree-1 points need 7 * 4 * 3 rows
     from elldens.density import _McSetup
     setup = _McSetup(2, 2, 2, 18, 1)
-    assert setup.kernel.shape == (84, 10426)
-    assert (setup.jet_rows, setup.slots) == (84, 10426)
+    [block] = setup.blocks
+    assert block.rows.shape == (84, 10426)
+    assert (len(block.points), setup.slots) == (7, 10426)
     assert setup._probes == {}
     # each of the 4 forms' 21 rows meets only its own slots, in float32
-    assert setup.kernel.dtype is np.float32
-    assert setup.kernel.nbytes == 21 * 10426 * 4
+    assert block.rows.dtype is np.float32
+    assert block.rows.nbytes == 21 * 10426 * 4
 
 
 def test_probe_rows_built_on_first_need():
@@ -216,12 +216,13 @@ def test_probe_rows_built_on_first_need():
     F2 = make_field(2, 1)
     setup = density._McSetup(2, 2, 1, 1, 1)
     slots = np.array([weierstrass_slots(1, 1, F2, seed=s) for s in range(40)])
-    coords = setup.kernel.apply(slots)
-    density._delta_zero(setup, coords, slots)
-    block, rows = setup.probe(2)
+    assert setup._probes == {}
+    density._delta_zero(setup, [jet_at(slots, b) for b in setup.blocks], slots)
+    assert 2 in setup._probes
+    probe = setup.probe(2)
     # P^1 over F_2 has one degree-2 point: 4 forms, value rows only, 2 coordinates
-    assert (block.degree, block.points, rows.shape) == (2, 1, (8, setup.slots))
-    assert setup.probe(2)[1] is rows
+    assert ([P.degree for P in probe.points], probe.rows.shape) == ([2], (8, setup.slots))
+    assert setup.probe(2) is probe
 
 
 def test_probe_over_cap_is_skipped_and_expansion_decides():
@@ -232,7 +233,7 @@ def test_probe_over_cap_is_skipped_and_expansion_decides():
     assert setup.probe(2) is None
     slots = np.zeros((2, setup.slots), dtype=np.uint16)
     slots[1, -1] = 1  # a6 = x1^6: delta = -432 x1^12, nonzero at (0:1)
-    coords = setup.kernel.apply(slots)
+    coords = [jet_at(slots, b) for b in setup.blocks]
     assert density._delta_zero(setup, coords, slots).tolist() == [True, False]
 
 
@@ -290,14 +291,3 @@ def test_coords_refuses_an_inexact_product():
     kernel = JetKernel(p, [rows[:, :7]], np.arange(2))
     assert kernel.apply(slots[:, :7]).tolist() == [[7 * (p - 1) ** 2 % p] * 2]
 
-
-def test_worker_pool_restores_the_environment(monkeypatch):
-    # workers are spawned with one BLAS thread; the caller's environment
-    # is left as it was
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    monkeypatch.setenv("OMP_NUM_THREADS", "4")
-    one = mc_density(3, 3, 1, 6, r=1, samples=20, master_seed=4)
-    two = mc_density(3, 3, 1, 6, r=1, samples=20, master_seed=4, threads=2)
-    assert (one.smooth_count, one.delta_zero_count) == (two.smooth_count, two.delta_zero_count)
-    assert "OPENBLAS_NUM_THREADS" not in os.environ
-    assert os.environ["OMP_NUM_THREADS"] == "4"
