@@ -9,22 +9,22 @@ elements by coefficient sequence.
 The first-order jet of a form at a closed point is its value together with
 the gradient in the chart's local coordinates; vanishing of the pair does not
 depend on the chart.  ``jet_space_map`` expresses coefficient vectors ->
-jets as a matrix over F_p by restriction of scalars.  Its rows are
-block-diagonal: each form's jet rows meet only that form's columns.  A
-:class:`JetKernel` keeps just those blocks, sliced from the per-point
-matrices, and is the one F_p product kernel: ``jet_at`` multiplies slot
-vectors, a datum's or a Monte-Carlo batch of draws, by the kernel of a
-:class:`PointBlock`, the points of one residue field.  Products run in
-float32 while every sum of ``cols`` products of F_p digits (cols the widest
-form's columns) stays below 2^24, in float64 below 2^53, and are refused past
-that, all by :func:`exact_float_dtype`.  ``point_blocks`` groups closed
-points by degree, keeping a block's kernel while the kept kernels fit a byte
-budget; the Monte-Carlo estimator keeps every kernel, and ``scan_blocks``
-memoizes, per shape (m, q, r, form degrees), the blocks within
-``_ROW_BUDGET`` bytes.  Any other block has its kernels built, applied and
-dropped in chunks of points within that budget on every call.
+jets over F_p by restriction of scalars, one matrix per form: each form's jet
+is a linear image of its own coefficients only, so the joint map is
+block-diagonal and only its diagonal blocks are built.  A :class:`JetKernel`
+stacks each form's blocks over the points of one residue field (a
+:class:`PointBlock`) and is the one F_p product kernel: ``jet_at`` multiplies
+slot vectors, a datum's or a Monte-Carlo batch of draws, by it.  Products
+run in float32 while every sum of ``cols`` products of F_p digits (cols the
+widest form's columns) stays below 2^24, in float64 below 2^53, and are
+refused past that, all by :func:`exact_float_dtype`.  ``point_blocks`` groups
+closed points by degree, keeping a block's kernel while the kept kernels fit
+a byte budget; the Monte-Carlo estimator keeps every kernel, and
+``scan_blocks`` memoizes, per shape (m, q, r, form degrees), the blocks
+within ``_ROW_BUDGET`` bytes.  Any other block has its kernels built, applied
+and dropped in chunks of points within that budget on every call.
 
-The matrix is computed on discrete logs in the residue field F_Q (the
+The blocks are computed on discrete logs in the residue field F_Q (the
 field's :class:`~elldens.gf.LogTables`, to a primitive element g): the value
 entry of a monomial x^beta has log beta . log x mod (Q-1) over the chart's
 local coordinates x; a gradient entry adds log(beta_j mod p) and subtracts
@@ -33,8 +33,9 @@ The log of 0 is taken as zero_log = (d + 2)(Q - 1), d the largest degree,
 above every sum of the logs of nonzero factors, so an entry is zero exactly
 when its log reaches zero_log; the integer 0 = beta_j mod p counts twice,
 since subtracting the log of x_j = 0 takes one zero_log off again.  The
-antilog and digit tables then give each nonzero entry's F_p coordinates.  Matrix entries have dtype
-``np.min_scalar_type(p - 1)`` (uint8 for p <= 251, uint16 from p = 257).
+antilog and digit tables then give each nonzero entry's F_p coordinates.
+Block entries have dtype ``np.min_scalar_type(p - 1)`` (uint8 for p <= 251,
+uint16 from p = 257).
 """
 from __future__ import annotations
 
@@ -145,7 +146,7 @@ def closed_points_up_to(
     """
     _check_enum_cap(m, q, r, cap)
     p, rr = prime_power(q)
-    table = _zeta.zeta_table(m, q, min(r, _zeta.MAX_TRUNCATION)) if r <= _zeta.MAX_TRUNCATION else None
+    table = _zeta.zeta_table(m, q, r) if r <= _zeta.MAX_TRUNCATION else None
     base = make_field(p, rr)
     out: list[ClosedPoint] = []
     for e in range(1, r + 1):
@@ -203,13 +204,13 @@ class JetKernel:
 
     The slot vector is the concatenation of one column slice per form, and
     each form's rows meet only its own slice: ``blocks[f]`` holds form f's
-    rows against its ``blocks[f].shape[1]`` columns, in the smallest float
-    dtype in which every sum is exact (see :func:`exact_float_dtype`).
-    :meth:`apply` concatenates the forms' products and returns them in the
-    row order ``order``.
+    rows against its ``blocks[f].shape[1]`` columns, the same number of rows
+    for every form, in the smallest float dtype in which every sum is exact
+    (see :func:`exact_float_dtype`).  ``shape`` is that of the joint
+    block-diagonal matrix.
     """
 
-    def __init__(self, p: int, blocks, order: np.ndarray):
+    def __init__(self, p: int, blocks):
         self.p = p
         self.dtype = exact_float_dtype(max(b.shape[1] for b in blocks), p)
         self.blocks = tuple(np.asarray(b, dtype=self.dtype) for b in blocks)
@@ -217,8 +218,7 @@ class JetKernel:
             b.flags.writeable = False
         self.spans = tuple(itertools.pairwise(
             itertools.accumulate((b.shape[1] for b in self.blocks), initial=0)))
-        self.order = order
-        self.shape = (len(order), self.spans[-1][1])
+        self.shape = (sum(b.shape[0] for b in self.blocks), self.spans[-1][1])
 
     @property
     def nbytes(self) -> int:
@@ -226,11 +226,11 @@ class JetKernel:
 
     def apply(self, slots: np.ndarray) -> np.ndarray:
         """int64 F_p coordinates of slot vectors (the last axis) times the
-        rows: shape ``slots.shape[:-1] + (rows,)``."""
+        rows: shape ``slots.shape[:-1] + (forms, rows per form)``."""
         x = np.asarray(slots, dtype=self.dtype)
-        y = np.concatenate([x[..., a:b] @ rows.T
-                            for (a, b), rows in zip(self.spans, self.blocks)], axis=-1)
-        return (y[..., self.order] % self.p).astype(np.int64)
+        y = np.stack([x[..., a:b] @ rows.T
+                      for (a, b), rows in zip(self.spans, self.blocks)], axis=-2)
+        return (y % self.p).astype(np.int64)
 
 
 def _form_cols(P: ClosedPoint, degrees: tuple[int, ...]) -> list[int]:
@@ -240,29 +240,21 @@ def _form_cols(P: ClosedPoint, degrees: tuple[int, ...]) -> list[int]:
 
 def jet_kernel(degrees: tuple[int, ...], points, entries: int | None = None) -> JetKernel:
     """The :class:`JetKernel` of the jets of forms of the given degrees at
-    the points: per point, form, entry (0 = value, 1..m = gradient) and
-    residue-field coordinate, as in the stacked ``jet_space_map(degrees, P)``
-    matrices.  ``entries=1`` keeps the values only.  Each point's matrix is
-    sliced straight into the kernel's blocks."""
-    P0, m = points[0], points[0].m
+    points of one residue field: form f's rows are, per point, the first
+    ``entries`` (default m+1) row groups of ``jet_space_map(degrees,
+    P).blocks[f]``, entry 0 = value, 1..m = gradient, each by residue-field
+    coordinate.  ``entries=1`` keeps the values only."""
+    P0 = points[0]
+    if any(P.field is not P0.field for P in points):
+        raise ValueError("jet_kernel takes the points of one residue field")
     widths = _form_cols(P0, degrees)
     dtype = exact_float_dtype(max(widths), P0.field.p)
-    entries = m + 1 if entries is None else entries
-    sizes = [entries * P.field.n for P in points]  # rows per form at a point
-    starts = np.cumsum([0] + sizes[:-1])
-    total = sum(sizes)
-    blocks = [np.empty((total, w), dtype=dtype) for w in widths]
-    for P, start, size in zip(points, starts, sizes):
-        mat = jet_space_map(degrees, P).matrix
-        row, col = 0, 0
-        for blk, w in zip(blocks, widths):
-            blk[start:start + size] = mat[row:row + size, col:col + w]
-            row += (m + 1) * P.field.n
-            col += w
-    order = np.concatenate([f * total + start + np.arange(size)
-                            for start, size in zip(starts, sizes)
-                            for f in range(len(degrees))])
-    return JetKernel(P0.field.p, blocks, order)
+    size = (P0.m + 1 if entries is None else entries) * P0.field.n  # rows a point
+    blocks = [np.empty((len(points) * size, w), dtype=dtype) for w in widths]
+    for i, P in enumerate(points):
+        for blk, rows in zip(blocks, jet_space_map(degrees, P).blocks):
+            blk[i * size:(i + 1) * size] = rows[:size]
+    return JetKernel(P0.field.p, blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,8 +308,8 @@ def jet_at(slots: np.ndarray, block: PointBlock) -> np.ndarray:
         coords = np.concatenate([jet_kernel(block.degrees, points[i:i + step]).apply(slots)
                                  for i in range(0, len(points), step)], axis=-1)
     forms, n = len(block.degrees), block.field.n
-    entries = coords.shape[-1] // (len(points) * forms * n)
-    return coords.reshape(slots.shape[:-1] + (len(points), forms, entries, n))
+    coords = coords.reshape(slots.shape[:-1] + (forms, len(points), -1, n))
+    return np.moveaxis(coords, -4, -3)
 
 
 def point_blocks(degrees: tuple[int, ...], points,
@@ -356,37 +348,38 @@ def _scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...]) -> tuple[Poin
 
 @dataclass(frozen=True)
 class JetSpaceMap:
-    """Matrix over F_p of (coefficient vectors of forms of the given degrees)
-    -> (their jets at one closed point), after restriction of scalars.
+    """The matrices over F_p of (coefficient vectors of forms of the given
+    degrees) -> (their jets at one closed point), after restriction of
+    scalars: one block per form, since each form's jet depends on its own
+    coefficients only.  The joint map is block-diagonal in the blocks;
+    ``rows`` and ``cols`` are its shape.
 
-    Row layout: section-major, then entry (0 = value, 1..m = gradient), then
-    residue-field coordinate; rows = len(degrees)*(m+1)*n_res.  Column
-    layout: section-major, then monomial (descending grlex), then base-field
-    coordinate; cols = sum_i dim_space(m, d_i) * n_base.  Entries come from
-    the residue field's log/antilog/digit tables and have dtype
-    ``np.min_scalar_type(p - 1)``.
+    ``blocks[f]`` has rows by entry (0 = value, 1..m = gradient), then
+    residue-field coordinate, (m+1)*n_res of them; and columns by monomial
+    (descending grlex), then base-field coordinate, dim_space(m, d_f)*n_base
+    of them.  Entries come from the residue field's log/antilog/digit tables
+    and have dtype ``np.min_scalar_type(p - 1)``.
     """
 
-    matrix: np.ndarray
-    rows: int
-    cols: int
+    blocks: tuple[np.ndarray, ...]
     degrees: tuple[int, ...]
     point: ClosedPoint
 
-    def row_index(self, section_idx: int, entry: int, coord: int) -> int:
-        n_res = self.point.field.n
-        m = self.point.m
-        return (section_idx * (m + 1) + entry) * n_res + coord
+    @property
+    def rows(self) -> int:
+        return sum(b.shape[0] for b in self.blocks)
+
+    @property
+    def cols(self) -> int:
+        return sum(b.shape[1] for b in self.blocks)
 
 
 def jet_space_map(degrees: tuple[int, ...], P: ClosedPoint) -> JetSpaceMap:
-    """Assemble the jet evaluation matrix at P for one form per degree."""
+    """The jet evaluation blocks at P for one form per degree."""
     res, m, r = P.field, P.m, P.emb.src.n
     tabs = res.log_tables()
     order = res.size - 1
     width = (m + 1) * res.n
-    cols = sum(dim_space(m, d) for d in degrees) * r
-    mat = np.zeros((len(degrees) * width, cols), dtype=tabs.digits.dtype)
     # see the module notes for zero_log
     zero_log = (max(degrees, default=0) + 2) * order
     x_log = np.array([tabs.log[x.idx] if x else zero_log for x in P.local_coords()],
@@ -397,18 +390,14 @@ def jet_space_map(degrees: tuple[int, ...], P: ClosedPoint) -> JetSpaceMap:
     # r = 1, where g itself is 0
     basis_log = np.arange(r) * tabs.log[P.emb.gen_image.idx] % order
     local = [j for j in range(m + 1) if j != P.chart]
-    col = 0
-    for s_idx, d in enumerate(degrees):
+    blocks = []
+    for d in degrees:
         beta = monomial_array(m, d)[:, local]  # (dim, m)
-        dim = len(beta)
         val_log = beta @ x_log
         # d/dx_j x^beta = (beta_j mod p) x^(beta - e_j)
         grad_log = val_log[:, None] + int_log[beta % res.p] - x_log
         logs = np.concatenate([val_log[:, None], grad_log], axis=1)[:, :, None] + basis_log
         idx = np.where(logs < zero_log, tabs.antilog[logs % order], 0)
-        block = tabs.digits[idx]  # (dim, entry, t, coord)
-        mat[s_idx * width:(s_idx + 1) * width, col:col + dim * r] = \
-            block.transpose(1, 3, 0, 2).reshape(width, dim * r)
-        col += dim * r
-    return JetSpaceMap(matrix=mat, rows=mat.shape[0], cols=cols,
-                       degrees=tuple(degrees), point=P)
+        digits = tabs.digits[idx]  # (dim, entry, t, coord)
+        blocks.append(digits.transpose(1, 3, 0, 2).reshape(width, len(beta) * r))
+    return JetSpaceMap(blocks=tuple(blocks), degrees=tuple(degrees), point=P)

@@ -153,7 +153,8 @@ class SurjectivityReport:
 
 def surjectivity_check(p: int, q: int, m: int, k: int, e: int) -> SurjectivityReport:
     """Rank of the joint jet evaluation map at the first degree-e closed
-    point, over F_p after restriction of scalars.  Full rank means jets of
+    point, over F_p after restriction of scalars: the sum of its per-form
+    blocks' ranks, the map being block-diagonal.  Full rank means jets of
     the coefficient forms equidistribute at that point."""
     pp, r = prime_power(q)
     if pp != p:
@@ -164,7 +165,7 @@ def surjectivity_check(p: int, q: int, m: int, k: int, e: int) -> SurjectivityRe
     P = pts[0]
     degrees = section_degrees(p, k)
     jm = jet_space_map(degrees, P)
-    rank = rank_mod_p(jm.matrix, p)
+    rank = sum(rank_mod_p(b, p) for b in jm.blocks)
     g = len(degrees)
     return SurjectivityReport(
         p=p, q=q, m=m, k=k, e=e, rank=rank,

@@ -463,8 +463,8 @@ def weierstrass_slots(m: int, k: int, field: FieldCtx, seed: int) -> np.ndarray:
 
 
 def weierstrass_from_slots(m: int, k: int, field: FieldCtx, slots) -> WeierstrassData:
-    """Decode a flat F_p slot vector (same layout as the jet matrices:
-    varying forms in index order, monomials in descending grlex, base-field
+    """Decode a flat F_p slot vector (the jet blocks' columns, form after
+    form: varying forms in index order, monomials in descending grlex, base-field
     coordinates innermost) into a WeierstrassData."""
     n = field.n
     secs: dict[int, Section] = {}

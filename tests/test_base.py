@@ -118,35 +118,28 @@ def test_jet_vanishes_property():
 
 
 def test_jet_space_map_reproduces_jets():
-    # multiplying coefficient slots through the matrix equals computing jets
-    # directly, for every residue coordinate
+    # multiplying each form's coefficient slots through its block equals
+    # computing its jets directly, for every residue coordinate
     rng = random.Random("jet-mat")
     F2 = make_field(2, 1)
     degrees = (2, 3)
     for P in closed_points_up_to(1, 2, 3):
         jm = jet_space_map(degrees, P)
-        dims = [dim_space(1, d) for d in degrees]
-        slots = np.array([rng.randrange(2) for _ in range(jm.cols)], dtype=np.int64)
-        out = (jm.matrix.astype(np.int64) @ slots) % 2
-        off = 0
-        secs = []
-        for d, dim in zip(degrees, dims):
-            coeffs = {}
-            for t, e in enumerate(monomials(1, d)):
-                coeffs[e] = F2.from_index(int(slots[off + t]))
-            off += dim
-            secs.append(Section(1, d, F2, coeffs))
         res = P.field
-        for s_idx, s in enumerate(secs):
+        for d, block in zip(degrees, jm.blocks):
+            slots = np.array([rng.randrange(2) for _ in range(dim_space(1, d))], dtype=np.int64)
+            out = (block.astype(np.int64) @ slots) % 2
+            s = Section(1, d, F2, {e: F2.from_index(int(slots[t]))
+                                   for t, e in enumerate(monomials(1, d))})
             J = _jet(s, P)
             for entry, val in enumerate((J.value,) + J.gradient):
-                row0 = jm.row_index(s_idx, entry, 0)
+                row0 = entry * res.n
                 got = res.elem(tuple(int(out[row0 + c]) for c in range(res.n)))
                 assert got == val
 
 
 def _oracle_entries(degrees, P, slots):
-    """Value and gradient of each form at P, in the matrix's row order, by
+    """Value and gradient of each form at P, in the blocks' row order, by
     AffinePoly dehomogenize -> partial -> evaluate."""
     base = P.emb.src
     loc = P.local_coords()
@@ -162,11 +155,19 @@ def _oracle_entries(degrees, P, slots):
     return out
 
 
-def _matrix_entries(jm, slots):
+def _block_entries(jm, slots):
+    """Value and gradient of each form at the point, each from the form's
+    own block times its own slice of the slots."""
     res = jm.point.field
-    vals = (jm.matrix.astype(np.int64) @ np.asarray(slots, dtype=np.int64)) % res.p
-    return [res.elem(tuple(int(v) for v in vals[i:i + res.n]))
-            for i in range(0, jm.rows, res.n)]
+    slots = np.asarray(slots, dtype=np.int64)
+    out, col = [], 0
+    for block in jm.blocks:
+        vals = (block.astype(np.int64) @ slots[col:col + block.shape[1]]) % res.p
+        col += block.shape[1]
+        out += [res.elem(tuple(int(v) for v in vals[i:i + res.n]))
+                for i in range(0, len(vals), res.n)]
+    assert col == len(slots)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -208,7 +209,7 @@ def test_jet_space_map_matches_affine_oracle(p, q, m, data):
     slots = data.draw(arrays(np.int64, jm.cols, elements=st.integers(0, p - 1),
                              fill=st.nothing()),
                       label="slots")
-    assert _matrix_entries(jm, slots) == _oracle_entries(degrees, P, slots)
+    assert _block_entries(jm, slots) == _oracle_entries(degrees, P, slots)
 
 
 @pytest.mark.parametrize("q,m", [(4, 2), (9, 1), (25, 1)])
@@ -267,14 +268,20 @@ def _drawn_point(data, m, base_field, e):
 
 
 def _dense_rows(degrees, points, entries):
-    """The stacked jet_space_map matrices of the points, the first
-    ``entries`` jet entries of each form."""
-    out = []
-    for P in points:
-        mat = jet_space_map(degrees, P).matrix
-        blocks = mat.reshape(len(degrees), P.m + 1, P.field.n, -1)[:, :entries]
-        out.append(blocks.reshape(-1, mat.shape[1]))
-    return np.concatenate(out)
+    """The dense block-diagonal matrix of the points' jet_space_map blocks,
+    the first ``entries`` jet entries of each form: form-major, then point,
+    entry and residue coordinate, each form's rows against its own columns."""
+    maps = [jet_space_map(degrees, P).blocks for P in points]
+    size = entries * points[0].field.n
+    widths = [b.shape[1] for b in maps[0]]
+    dense = np.zeros((len(degrees) * len(points) * size, sum(widths)), dtype=np.int64)
+    col = 0
+    for f, w in enumerate(widths):
+        for i, blocks in enumerate(maps):
+            row = (f * len(points) + i) * size
+            dense[row:row + size, col:col + w] = blocks[f][:size]
+        col += w
+    return dense
 
 
 # (p, base degree r, wide): a wide form at p = 257 has >= 256 columns, so its
@@ -287,11 +294,12 @@ KERNEL_CONFIGS = [(2, 1, False), (2, 2, False), (3, 1, False), (3, 2, False),
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_jet_kernel_matches_the_integer_product(p, r, wide, data):
-    # points of residue degrees 1 and 2 mixed in one kernel, as in the
-    # Monte-Carlo set-up; batches of one and of many and a bare vector
+    # points of one residue field, of degree 1 or 2 over the base; batches
+    # of one and of many and a bare vector
     m = data.draw(st.integers(1, 2), label="m")
     base_field = make_field(p, r)
-    points = [_drawn_point(data, m, base_field, data.draw(st.integers(1, 2), label="e"))
+    e = data.draw(st.integers(1, 2), label="e")
+    points = [_drawn_point(data, m, base_field, e)
               for _ in range(data.draw(st.integers(1, 3), label="points"))]
     degrees = tuple(data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=4),
                               label="degrees"))
@@ -305,29 +313,46 @@ def test_jet_kernel_matches_the_integer_product(p, r, wide, data):
     batch = data.draw(st.sampled_from((1, 7)), label="batch")
     rng = np.random.default_rng(data.draw(st.integers(0, 1 << 30), label="seed"))
     slots = rng.integers(0, p, size=(batch, dense.shape[1]), dtype=np.min_scalar_type(p - 1))
-    want = (slots.astype(np.int64) @ dense.T.astype(np.int64)) % p
+    want = ((slots.astype(np.int64) @ dense.T) % p).reshape(batch, len(degrees), -1)
     assert np.array_equal(kernel.apply(slots), want)
     assert np.array_equal(kernel.apply(slots[0]), want[0])
 
 
+def test_jet_kernel_refuses_points_of_two_residue_fields():
+    # one kernel stacks equally many rows per point; F_4 and F_8 points
+    # would give forms of 3 * 2 and 3 * 3 rows
+    pts = closed_points_up_to(1, 2, 3)
+    mixed = [next(P for P in pts if P.degree == e) for e in (2, 3)]
+    with pytest.raises(ValueError, match="one residue field"):
+        jet_kernel((2, 3), mixed)
+    with pytest.raises(ValueError, match="one residue field"):
+        jet_at(np.zeros(7, dtype=np.int64), PointBlock((2, 3), tuple(mixed)))
+
+
 @pytest.mark.parametrize("q,m,e", [(2, 2, 1), (4, 1, 2), (9, 2, 1), (5, 1, 2), (7, 2, 1)])
 def test_jet_space_map_is_zero_off_each_forms_block(q, m, e):
-    # the kernel keeps only each form's rows against its own columns, so
-    # every other entry of the matrix must be zero
+    # each form's block is (m+1) n_res rows against its own columns and is
+    # nonzero; through the kernel, one form's slots move only its own jets
     p, r = {2: (2, 1), 4: (2, 2), 9: (3, 2), 5: (5, 1), 7: (7, 1)}[q]
     degrees = (1, 3, p + 1, 6)
     widths = [dim_space(m, d) * r for d in degrees]
-    for P in [P for P in closed_points_up_to(m, q, e) if P.degree == e][:6]:
-        mat = jet_space_map(degrees, P).matrix
+    pts = [P for P in closed_points_up_to(m, q, e) if P.degree == e][:6]
+    for P in pts:
+        jm = jet_space_map(degrees, P)
         height = (m + 1) * P.field.n
-        off = np.ones(mat.shape, dtype=bool)
-        col = 0
-        for f, w in enumerate(widths):
-            off[f * height:(f + 1) * height, col:col + w] = False
-            col += w
-        assert col == mat.shape[1]
-        assert not mat[off].any()
-        assert mat[~off].any()
+        assert [b.shape for b in jm.blocks] == [(height, w) for w in widths]
+        assert all(b.any() for b in jm.blocks)
+        assert (jm.rows, jm.cols) == (len(degrees) * height, sum(widths))
+    kernel = jet_kernel(degrees, pts)
+    rng = np.random.default_rng(q * 10 + m)
+    col = 0
+    for f, w in enumerate(widths):
+        slots = np.zeros((5, sum(widths)), dtype=np.int64)
+        slots[:, col:col + w] = rng.integers(1, p, size=(5, w))
+        col += w
+        coords = kernel.apply(slots)
+        assert not np.delete(coords, f, axis=1).any()
+        assert coords[:, f].any()
 
 
 def test_jet_at_rejects_a_slot_vector_of_other_forms():
@@ -416,9 +441,9 @@ def test_float32_product_with_a_24_bit_sum():
     rows[0, 0] = p - 2
     total = 254 * (p - 1) ** 2 + (p - 2) ** 2
     assert (1 << 23) < total < 1 << 24 and total % 2
-    kernel = JetKernel(p, [rows], np.arange(1))
+    kernel = JetKernel(p, [rows])
     assert kernel.dtype is np.float32
-    assert kernel.apply(slots).tolist() == [[total % p]]
+    assert kernel.apply(slots).tolist() == [[[total % p]]]
     assert kernel.apply(slots).dtype == np.int64
 
 
@@ -428,12 +453,12 @@ def test_kernel_refuses_an_inexact_form_only():
     p = (1 << 25) + 1
     rows = np.full((1, 8), p - 1)
     with pytest.raises(FeasibilityError):
-        JetKernel(p, [rows], np.arange(1))
-    kernel = JetKernel(p, [rows[:, :4], rows[:, 4:]], np.array([1, 0]))
+        JetKernel(p, [rows])
+    kernel = JetKernel(p, [rows[:, :4], rows[:, 4:]])
     assert kernel.dtype is np.float64
     slots = np.arange(8) + p - 8
-    want = [int(sum((p - 1) * int(s) for s in half)) % p
-            for half in (slots[4:], slots[:4])]
+    want = [[int(sum((p - 1) * int(s) for s in half)) % p]
+            for half in (slots[:4], slots[4:])]
     assert kernel.apply(slots).tolist() == want
 
 
@@ -452,26 +477,27 @@ def test_jet_at_rejects_forms_from_other_spaces():
 
 
 def test_jet_space_map_prime_above_256():
-    # the entry 256 needs more than 8 bits: the matrix dtype follows p
+    # the entry 256 needs more than 8 bits: the blocks' dtype follows p
     p = 257
     P = next(P for P in closed_points_up_to(1, p, 1)
              if [c.idx for c in P.coords] == [1, 256])
     degrees = section_degrees(p, 12)
     jm = jet_space_map(degrees, P)
-    assert jm.matrix.dtype == np.uint16
-    assert jm.matrix.max() == 256
+    assert all(b.dtype == np.uint16 for b in jm.blocks)
+    assert max(int(b.max()) for b in jm.blocks) == 256
     rng = np.random.default_rng(257)
     for _ in range(3):
         slots = rng.integers(0, p, size=jm.cols)
-        assert _matrix_entries(jm, slots) == _oracle_entries(degrees, P, slots)
+        assert _block_entries(jm, slots) == _oracle_entries(degrees, P, slots)
 
 
 def test_jet_space_map_rank_small_case():
-    # 5 + 7 columns against 4 rows at a rational point: full rank
+    # 5 + 7 columns against 2 + 2 rows at a rational point: full rank
     F = closed_points_up_to(1, 5, 1)[0]
     jm = jet_space_map((4, 6), F)
-    assert jm.rows == 4
-    assert rank_mod_p(jm.matrix, 5) == 4
+    assert (jm.rows, jm.cols) == (4, 12)
+    assert [b.shape for b in jm.blocks] == [(2, 5), (2, 7)]
+    assert [rank_mod_p(b, 5) for b in jm.blocks] == [2, 2]
 
 
 def test_rank_mod_p_basics():

@@ -10,7 +10,8 @@ from elldens.base import FeasibilityError, JetKernel, closed_points_up_to, jet_a
 from elldens.density import (exact_density, expected_bad_count, jet_census, mc_density,
                              sample_seed, singular_scan, surjectivity_check)
 from elldens.gf import make_field, prime_power
-from elldens.weier import (jets_at, jets_from_indices, random_weierstrass,
+from elldens.linalg import rank_mod_p
+from elldens.weier import (jets_at, jets_from_indices, random_weierstrass, section_degrees,
                            singular_jets_closed_form, singular_jets_oracle,
                            singular_over_oracle)
 
@@ -88,6 +89,31 @@ def test_surjectivity_full_rank(p, q, m, k, e, rank):
     assert r.rank == rank
     assert r.expected_rank == rank
     assert r.full_rank
+
+
+@pytest.mark.parametrize("p,q,m,k,e,pinned", [
+    (5, 5, 1, 12, 1, (4, 4, 122)),
+    (2, 2, 2, 18, 1, (12, 12, 10426)),
+    (3, 3, 2, 18, 1, (9, 9, 9399)),
+    (2, 2, 1, 1, 2, (14, 16, 18)),
+    (2, 2, 2, 1, 2, (21, 24, 56)),
+    (2, 2, 1, 1, 3, (17, 24, 18)),
+    (5, 5, 1, 1, 4, (12, 16, 12)),
+])
+def test_surjectivity_rank_is_the_dense_joint_rank(p, q, m, k, e, pinned):
+    # the sum of the per-form ranks equals the rank of the joint
+    # block-diagonal matrix, at full rank and rank-deficient alike
+    r = surjectivity_check(p, q, m, k, e)
+    assert (r.rank, r.rows, r.cols) == pinned
+    P = next(P for P in closed_points_up_to(m, q, e) if P.degree == e)
+    blocks = jet_space_map(section_degrees(p, k), P).blocks
+    dense = np.zeros((r.rows, r.cols), dtype=np.int64)
+    row = col = 0
+    for b in blocks:
+        dense[row:row + b.shape[0], col:col + b.shape[1]] = b
+        row, col = row + b.shape[0], col + b.shape[1]
+    assert (row, col) == (r.rows, r.cols)
+    assert rank_mod_p(dense, p) == r.rank
 
 
 def test_surjectivity_fails_when_degree_too_small():
@@ -171,9 +197,13 @@ def test_mc_counts_delta_zero_as_not_smooth():
     from elldens.weier import weierstrass_slots
     setup = _mc_setup(2, 2, 1, 2, 1)
     slots = weierstrass_slots(1, 2, F2, seed=found)[None]
-    dense = np.concatenate([jet_space_map(setup.degrees, P).matrix
-                            for P in closed_points_up_to(1, 2, 1)])
-    want = (slots.astype(np.int64) @ dense.T.astype(np.int64)) % 2
+    # each form's jet rows at each point times that form's own slots
+    cuts = np.cumsum([b.shape[1] for b in
+                      jet_space_map(setup.degrees, closed_points_up_to(1, 2, 1)[0]).blocks])
+    forms = np.split(slots[0].astype(np.int64), cuts[:-1])
+    want = np.concatenate([(b.astype(np.int64) @ s) % 2
+                           for P in closed_points_up_to(1, 2, 1)
+                           for b, s in zip(jet_space_map(setup.degrees, P).blocks, forms)])[None]
     coords = [jet_at(slots, b) for b in setup.blocks]
     assert np.array_equal(np.concatenate([c.reshape(1, -1) for c in coords], axis=1), want)
     assert _delta_zero(setup, coords, slots).tolist() == [True]
@@ -287,7 +317,7 @@ def test_coords_refuses_an_inexact_product():
     rows = np.full((2, 8), p - 1, dtype=np.int64)
     slots = np.full((1, 8), p - 1, dtype=np.int64)
     with pytest.raises(FeasibilityError):
-        JetKernel(p, [rows], np.arange(2))
-    kernel = JetKernel(p, [rows[:, :7]], np.arange(2))
-    assert kernel.apply(slots[:, :7]).tolist() == [[7 * (p - 1) ** 2 % p] * 2]
+        JetKernel(p, [rows])
+    kernel = JetKernel(p, [rows[:, :7]])
+    assert kernel.apply(slots[:, :7]).tolist() == [[[7 * (p - 1) ** 2 % p] * 2]]
 
