@@ -17,12 +17,13 @@ stacks each form's blocks over the points of one residue field (a
 slot vectors, a datum's or a Monte-Carlo batch of draws, by it.  Products
 run in float32 while every sum of ``cols`` products of F_p digits (cols the
 widest form's columns) stays below 2^24, in float64 below 2^53, and are
-refused past that, all by :func:`exact_float_dtype`.  ``point_blocks`` groups
-closed points by degree, keeping a block's kernel while the kept kernels fit
-a byte budget; the Monte-Carlo estimator keeps every kernel, and
-``scan_blocks`` memoizes, per shape (m, q, r, form degrees), the blocks
-within ``_ROW_BUDGET`` bytes.  Any other block has its kernels built, applied
-and dropped in chunks of points within that budget on every call.
+refused past that, all by :func:`exact_float_dtype`.  ``scan_blocks`` is the
+one memo of point blocks: per shape (m, q, r, form degrees) and byte budget
+it groups the closed points by degree and keeps a block's kernel while the
+kept kernels fit the budget.  Scans keep kernels within ``_ROW_BUDGET``
+bytes; the Monte-Carlo estimator, which applies every kernel to every chunk
+of draws, keeps them all.  Any other block has its kernels built, applied
+and dropped in chunks of points within ``_ROW_BUDGET`` on every call.
 
 The blocks are computed on discrete logs in the residue field F_Q (the
 field's :class:`~elldens.gf.LogTables`, to a primitive element g): the value
@@ -52,10 +53,10 @@ from .gf import Embedding, FieldCtx, FieldElem, embedding, make_field, prime_pow
 from .sections import dim_space, monomial_array
 
 DEFAULT_ENUM_CAP = 1 << 26
-# bytes of jet kernels kept per scanned shape, and the most built at once for
-# a block beyond it
+# bytes of jet kernels a scan keeps per shape, and the most built at once for
+# a block beyond them
 _ROW_BUDGET = 1 << 20
-_SCAN_SHAPES = 16  # shapes whose closed points (and kept rows) are memoized
+_SCAN_SHAPES = 16  # (shape, budget) pairs whose point blocks are memoized
 
 
 @dataclass(frozen=True)
@@ -312,13 +313,25 @@ def jet_at(slots: np.ndarray, block: PointBlock) -> np.ndarray:
     return np.moveaxis(coords, -4, -3)
 
 
-def point_blocks(degrees: tuple[int, ...], points,
-                 budget: float = math.inf) -> tuple[PointBlock, ...]:
-    """Closed points, in degree order, as one :class:`PointBlock` per degree
-    for forms of the given degrees; a block keeps its kernel while the kept
-    kernels fit ``budget`` bytes."""
+def scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...],
+                cap: int | None = None, budget: float | None = None) -> tuple[PointBlock, ...]:
+    """The closed points of degree <= r as one :class:`PointBlock` per
+    degree, in degree order, for forms of the given degrees; a block keeps
+    its kernel while the kept kernels fit ``budget`` bytes (default
+    ``_ROW_BUDGET``; Monte-Carlo, which applies every kernel to every chunk
+    of draws, passes ``math.inf``).  Memoized per shape and budget, for scans
+    and Monte-Carlo alike; the enumeration cap is checked on every call."""
+    _check_enum_cap(m, q, r, cap)
+    return _scan_blocks(m, q, r, tuple(degrees), _ROW_BUDGET if budget is None else budget)
+
+
+@lru_cache(maxsize=_SCAN_SHAPES)
+def _scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...],
+                 budget: float) -> tuple[PointBlock, ...]:
     blocks = []
     kept = 0
+    # the caller has checked its own cap
+    points = closed_points_up_to(m, q, r, cap=math.inf)
     for _, group in itertools.groupby(points, key=lambda P: P.degree):
         block = PointBlock(degrees, tuple(group))
         nbytes = len(block.points) * block.point_nbytes
@@ -327,23 +340,6 @@ def point_blocks(degrees: tuple[int, ...], points,
             block = PointBlock(degrees, block.points, jet_kernel(degrees, block.points))
         blocks.append(block)
     return tuple(blocks)
-
-
-def scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...],
-                cap: int | None = None) -> tuple[PointBlock, ...]:
-    """The closed points of degree <= r as one :class:`PointBlock` per
-    degree, for forms of the given degrees.  Memoized per shape; the
-    enumeration cap is checked on every call."""
-    _check_enum_cap(m, q, r, cap)
-    return _scan_blocks(m, q, r, tuple(degrees))
-
-
-@lru_cache(maxsize=_SCAN_SHAPES)
-def _scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...]) -> tuple[PointBlock, ...]:
-    """The blocks of one shape, with their kernels kept while the shape's
-    kept kernels fit ``_ROW_BUDGET`` bytes."""
-    # the caller has checked its own cap
-    return point_blocks(degrees, closed_points_up_to(m, q, r, cap=math.inf), _ROW_BUDGET)
 
 
 @dataclass(frozen=True)

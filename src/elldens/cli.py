@@ -10,7 +10,9 @@ Subcommands:
     minimal         minimality test for stored or seeded coefficient data
 
 Exit codes: 0 on success, 2 on invalid arguments or configuration,
-3 when a requested enumeration exceeds the feasibility cap.
+3 when a requested enumeration exceeds the feasibility cap or an exact
+result has more digits than Python prints.  `zeta` instead leaves out an
+exact value past its size budget or too long to print, and keeps the float.
 
 Output is JSON (default) or CSV via --format.  JSON payloads carry
 format_version, the echoed config, the result, and (unless --no-timing)
@@ -51,7 +53,13 @@ def fraction_decimal(fr: Fraction, digits: int = DECIMAL_DIGITS) -> str:
 
 
 def _fraction_str(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator}"
+    """'num/den'; FeasibilityError when an integer of it has more digits than
+    Python converts to a string (``sys.get_int_max_str_digits()``)."""
+    try:
+        return f"{fr.numerator}/{fr.denominator}"
+    except ValueError:
+        raise FeasibilityError(f"an exact value has more than {sys.get_int_max_str_digits()} "
+                               "digits and cannot be printed") from None
 
 
 def _elem_str(a) -> str:
@@ -186,19 +194,17 @@ def _run_zeta(args):
         fl = _zeta.zeta_inverse_truncated_float(table, args.s, args.R)
         result["truncated_inverse_float"] = repr(fl)
         rows.append(["truncated_inverse_float", repr(fl), ""])
-        try:
-            trunc = _zeta.zeta_inverse_truncated(table, args.s, args.R)
-        except FeasibilityError:
-            trunc = None  # exact route exceeds its size budget at this R
-        if trunc is not None:
-            result["truncated_inverse"] = _fraction_str(trunc)
-            result["truncated_inverse_decimal"] = fraction_decimal(trunc)
-            rows.append(["truncated_inverse", _fraction_str(trunc),
-                         fraction_decimal(trunc)])
-        exact = _zeta.zeta_inverse_exact_Pm(args.m, args.q, args.s)
-        result["exact_inverse"] = _fraction_str(exact)
-        result["exact_inverse_decimal"] = fraction_decimal(exact)
-        rows.append(["exact_inverse", _fraction_str(exact), fraction_decimal(exact)])
+        routes = (("truncated_inverse", _zeta.zeta_inverse_truncated, (table, args.s, args.R)),
+                  ("exact_inverse", _zeta.zeta_inverse_exact_Pm, (args.m, args.q, args.s)))
+        for name, fn, fn_args in routes:
+            try:
+                fr = fn(*fn_args)
+                text = _fraction_str(fr)
+            except FeasibilityError:
+                continue  # past the exact size budget, or too long to print
+            result[name] = text
+            result[f"{name}_decimal"] = fraction_decimal(fr)
+            rows.append([name, text, fraction_decimal(fr)])
     return config, result, rows
 
 

@@ -14,20 +14,22 @@ scalar fiber-scan oracle.
 Monte-Carlo runs draw coefficient forms uniformly (one PCG64 stream per
 sample, seeded by a stable 64-bit hash of (master_seed, index)) in chunks,
 and take a chunk's jets at the closed points of each degree <= r as scans
-take one datum's: one :func:`~elldens.base.jet_at` product per degree, with
-the degree's :class:`~elldens.base.PointBlock` kernel kept (each form's slots
-against its own jet rows only, in float32 wherever that is exact).  The
-batched detector and the discriminant then run once per (chunk, degree), on
-the samples still alive.  Samples whose discriminant form is identically
-zero are counted as not-smooth and tallied separately: a nonzero
-discriminant value at a point of degree <= r settles delta != 0, unsettled
-samples go on through the value rows of the points of the next degrees
-(built the first time a sample needs them), one degree at a time, and only
-when every value vanishes is the form expanded.
+take one datum's, from the same memo of point blocks
+(:func:`~elldens.base.scan_blocks`, here with every kernel kept): one
+:func:`~elldens.base.jet_at` product per degree, each form's slots against
+its own jet rows only, in float32 wherever that is exact.  The batched
+detector and the discriminant then run once per (chunk, degree), on the
+samples still alive.  Samples whose discriminant form is identically zero
+are counted as not-smooth and tallied separately: a nonzero discriminant
+value at a point of degree <= r settles delta != 0, unsettled samples go on
+through the value rows of the points of the next degrees (a memoized probe
+block per degree, built the first time a sample needs it), one degree at a
+time, and only when every value vanishes is the form expanded.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,7 +38,7 @@ import numpy as np
 
 from . import zeta as _zeta
 from .base import (DEFAULT_ENUM_CAP, FeasibilityError, PointBlock, closed_points_up_to,
-                   jet_at, jet_kernel, jet_space_map, point_blocks)
+                   jet_at, jet_kernel, jet_space_map, scan_blocks)
 from .gf import make_field, prime_power
 from .linalg import rank_mod_p
 from .weier import (SingularityWitness, WeierstrassData, WeierstrassJets,
@@ -204,43 +206,17 @@ class DensityReport:
     threshold_warning: bool
 
 
-class _McSetup:
-    """The jet blocks of one (p, q, m, k, r) configuration.
-
-    ``blocks`` holds one :class:`~elldens.base.PointBlock` per degree <= r,
-    in degree order, each with its kernel kept.  The value-only block of a
-    discriminant-probe degree above r is built by :meth:`probe` the first
-    time a sample needs it, and kept.
-    """
-
-    def __init__(self, p: int, q: int, m: int, k: int, r: int):
-        self.q, self.m, self.k, self.r = q, m, k, r
-        _, rr = prime_power(q)
-        self.field = make_field(p, rr)
-        self.degrees = section_degrees(p, k)
-        self.blocks = point_blocks(self.degrees, closed_points_up_to(m, q, r))
-        self.slots = self.blocks[0].cols
-        self._probes: dict[int, PointBlock | None] = {}
-
-    def probe(self, e: int) -> PointBlock | None:
-        """The degree-e points with their value rows (jet entry 0 only,
-        which is all the discriminant needs), or None when enumerating them
-        would pass ``_PROBE_CAP`` rational points."""
-        if e not in self._probes:
-            try:
-                pts = tuple(P for P in closed_points_up_to(self.m, self.q, e, cap=_PROBE_CAP)
-                            if P.degree == e)
-            except FeasibilityError:
-                self._probes[e] = None
-                return None
-            self._probes[e] = PointBlock(self.degrees, pts,
-                                         jet_kernel(self.degrees, pts, entries=1))
-        return self._probes[e]
-
-
-@lru_cache(maxsize=4)
-def _mc_setup(p: int, q: int, m: int, k: int, r: int) -> _McSetup:
-    return _McSetup(p, q, m, k, r)
+@lru_cache(maxsize=8)
+def _probe_block(m: int, q: int, e: int, degrees: tuple[int, ...]) -> PointBlock | None:
+    """The degree-e points with their value rows (jet entry 0 only, which is
+    all the discriminant needs), built the first time a sample needs them,
+    or None when enumerating them would pass ``_PROBE_CAP`` rational
+    points."""
+    try:
+        pts = tuple(P for P in closed_points_up_to(m, q, e, cap=_PROBE_CAP) if P.degree == e)
+    except FeasibilityError:
+        return None
+    return PointBlock(degrees, pts, jet_kernel(degrees, pts, entries=1))
 
 
 def _survivors(blocks, coords, live: np.ndarray, test) -> np.ndarray:
@@ -263,10 +239,10 @@ def _smooth(J: WeierstrassJets) -> np.ndarray:
     return ~singular_jets_closed_form(J).mask
 
 
-def _delta_zero(setup: _McSetup, coords, slots: np.ndarray) -> np.ndarray:
+def _delta_zero(blocks, coords, slots: np.ndarray, k: int, r: int) -> np.ndarray:
     """Per sample (row of `slots`), whether its discriminant form is
     identically zero, from its slot vector and its jet coordinates at the
-    points of each of ``setup.blocks``.
+    points of each of `blocks` (degrees 1..r, twist degree k).
 
     A nonzero discriminant value at a point of degree <= r settles a sample.
     Unsettled samples go on through the probe blocks of the degrees above r
@@ -274,19 +250,19 @@ def _delta_zero(setup: _McSetup, coords, slots: np.ndarray) -> np.ndarray:
     probe value vanishes too is the form expanded exactly.  Probing stops at
     the first degree with too many points; the expansion decides the rest.
     """
-    live = _survivors(setup.blocks, coords, np.arange(len(slots)), _delta_vanishes)
-    for e in range(setup.r + 1, _DELTA_PROBE_DEGREE + 1):
+    P = blocks[0].points[0]
+    live = _survivors(blocks, coords, np.arange(len(slots)), _delta_vanishes)
+    for e in range(r + 1, _DELTA_PROBE_DEGREE + 1):
         if not live.size:
             break
-        probe = setup.probe(e)
+        probe = _probe_block(P.m, P.q, e, blocks[0].degrees)
         if probe is None:
             break
         J = jets_from_coords(probe.field, jet_at(slots[live], probe))
         live = live[_delta_vanishes(J).all(axis=1)]
     zero = np.zeros(len(slots), dtype=bool)
     for i in live:
-        zero[i] = weierstrass_from_slots(setup.m, setup.k, setup.field,
-                                         slots[i]).delta.is_zero
+        zero[i] = weierstrass_from_slots(P.m, k, P.emb.src, slots[i]).delta.is_zero
     return zero
 
 
@@ -294,22 +270,24 @@ def _mc_range(p: int, q: int, m: int, k: int, r: int, master_seed: int,
               lo: int, hi: int, chunk: int = 512) -> tuple[int, int]:
     """(smooth_count, delta_zero_count) over sample indices [lo, hi), drawn
     and tested `chunk` samples at a time."""
-    setup = _mc_setup(p, q, m, k, r)
+    # every kernel is kept: each is applied to every chunk
+    blocks = scan_blocks(m, q, r, section_degrees(p, k), budget=math.inf)
+    cols = blocks[0].cols
     smooth = 0
     delta_zero = 0
     dtype = np.min_scalar_type(p - 1)
     # draws land in the kernels' dtype, in one buffer for every chunk
-    buffer = np.empty((min(chunk, hi - lo), setup.slots), dtype=setup.blocks[0].rows.dtype)
+    buffer = np.empty((min(chunk, hi - lo), cols), dtype=blocks[0].rows.dtype)
     for start in range(lo, hi, chunk):
         slots = buffer[:min(chunk, hi - start)]
         for i, row in enumerate(slots, start):
             rng = np.random.Generator(np.random.PCG64(sample_seed(master_seed, i)))
-            row[:] = rng.integers(0, p, size=setup.slots, dtype=dtype)
-        coords = [jet_at(slots, b) for b in setup.blocks]
-        dz = _delta_zero(setup, coords, slots)
+            row[:] = rng.integers(0, p, size=cols, dtype=dtype)
+        coords = [jet_at(slots, b) for b in blocks]
+        dz = _delta_zero(blocks, coords, slots, k, r)
         delta_zero += int(np.count_nonzero(dz))
         # draws with delta == 0 count as not-smooth
-        smooth += _survivors(setup.blocks, coords, np.flatnonzero(~dz), _smooth).size
+        smooth += _survivors(blocks, coords, np.flatnonzero(~dz), _smooth).size
     return smooth, delta_zero
 
 

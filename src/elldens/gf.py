@@ -778,11 +778,8 @@ def _modulus_roots(src: FieldCtx, dst: FieldCtx):
 
 
 @lru_cache(maxsize=None)
-def embedding(src: FieldCtx, dst: FieldCtx, root_index: int | None = None) -> Embedding:
-    """The canonical embedding src -> dst (smallest root in coefficient order),
-    or the one sending the source generator to dst.from_index(root_index)."""
-    if root_index is not None:
-        return Embedding(src, dst, dst.from_index(root_index))
+def embedding(src: FieldCtx, dst: FieldCtx) -> Embedding:
+    """The canonical embedding src -> dst (smallest root in coefficient order)."""
     if dst.n % src.n != 0:
         raise ValueError(f"no embedding: degree {src.n} does not divide {dst.n}")
     best = min(_modulus_roots(src, dst), key=lambda e: e.coeffs, default=None)

@@ -21,10 +21,12 @@ characteristic, and an exhaustive scan over the whole affine fiber.  The
 fiber point at infinity (0:1:0) is never singular (the Z-partial there is
 Y^2 = 1) and is asserted, never searched.
 
-The closed-form detector works on batches: jets whose entries are
+The closed-form detector takes batches only: jets whose entries are
 :class:`~elldens.gf.FieldArray` s (many points or jet tuples over one
 residue field) give a mask and candidate arrays, with the characteristic's
-branches taken as masks.  Jets with FieldElem entries are a batch of one.
+branches taken as masks.  Scans and single points reach it the same way,
+through the jets of a datum at the points of one
+:class:`~elldens.base.PointBlock` (a one-point block for a single point).
 The discriminant, the fiber equation and the vanishing conditions are
 written once with ring operations, so they run on forms, on FieldElems and
 on FieldArrays.  The oracle and the re-verification of a
@@ -182,21 +184,17 @@ def jets_at(w: WeierstrassData, P: ClosedPoint) -> WeierstrassJets:
     return _datum_jets(w, PointBlock(section_degrees(w.field.p, w.k), (P,))).lane(0)
 
 
-def _batch_jets(field: FieldCtx, idx: np.ndarray, forms) -> WeierstrassJets:
-    m = idx.shape[-1] - 1
-    zero = FieldArray(field, 0)
-    jets = {i: Jet(value=zero, gradient=(zero,) * m) for i in _INDICES}
-    for s_idx, i in enumerate(forms):
-        entries = [FieldArray(field, idx[..., s_idx, j]) for j in range(m + 1)]
-        jets[i] = Jet(value=entries[0], gradient=tuple(entries[1:]))
-    return WeierstrassJets(field, jets[1], jets[2], jets[3], jets[4], jets[6])
-
-
 def jets_from_indices(field: FieldCtx, idx: np.ndarray) -> WeierstrassJets:
     """Batched jets from element indices of shape (..., g, m+1): the g forms
     that vary in the field's characteristic, in index order, then value and
     gradient entries.  The other forms get zero jets."""
-    return _batch_jets(field, idx, varying_indices(field.p))
+    m = idx.shape[-1] - 1
+    zero = FieldArray(field, 0)
+    jets = {i: Jet(value=zero, gradient=(zero,) * m) for i in _INDICES}
+    for s_idx, i in enumerate(varying_indices(field.p)):
+        entries = [FieldArray(field, idx[..., s_idx, j]) for j in range(m + 1)]
+        jets[i] = Jet(value=entries[0], gradient=tuple(entries[1:]))
+    return WeierstrassJets(field, jets[1], jets[2], jets[3], jets[4], jets[6])
 
 
 def jets_from_coords(field: FieldCtx, coords: np.ndarray) -> WeierstrassJets:
@@ -204,14 +202,6 @@ def jets_from_coords(field: FieldCtx, coords: np.ndarray) -> WeierstrassJets:
     gives, shape (..., g, entries, n): the element indices of
     :func:`jets_from_indices`, one entry (values only) or m+1."""
     return jets_from_indices(field, coords @ field.p ** np.arange(field.n, dtype=np.int64))
-
-
-def stack_jets(field: FieldCtx, jets: list[WeierstrassJets]) -> WeierstrassJets:
-    """The batch of the given single-point jets, in order."""
-    idx = np.array([[[jet.value.idx] + [d.idx for d in jet.gradient]
-                     for jet in (J.a1, J.a2, J.a3, J.a4, J.a6)] for J in jets],
-                   dtype=np.int64)
-    return _batch_jets(field, idx, _INDICES)
 
 
 def fiber_equation(J: WeierstrassJets, x, y):
@@ -284,7 +274,15 @@ def _where(mask: np.ndarray, a, b) -> FieldArray:
     return FieldArray(a.ctx, np.where(mask, a.idx, b.idx))
 
 
-def _closed_form(J: WeierstrassJets) -> SingularBatch:
+def singular_jets_closed_form(J: WeierstrassJets) -> SingularBatch:
+    """Solve for the unique singular fiber candidate from batched jets
+    (FieldArray entries), branching by characteristic, and keep it only
+    where the full list of vanishing conditions holds.
+
+    The branches are masks, not tests.  Where the characteristic's branch
+    has no candidate (p = 2 with a1 = 0 and a3 != 0, p = 3 with a2 = 0 and
+    a4 != 0) the one it computes fails dF/dy or dF/dx.
+    """
     F = J.field
     a1, a2, a3, a4, a6 = J.values()
     shape = np.broadcast_shapes(*(v.shape for v in J.values()))
@@ -312,23 +310,6 @@ def _closed_form(J: WeierstrassJets) -> SingularBatch:
     return SingularBatch(mask, x, y)
 
 
-def singular_jets_closed_form(J: WeierstrassJets):
-    """Solve for the unique singular fiber candidate from the jets, branching
-    by characteristic, and keep it only where the full list of vanishing
-    conditions holds.
-
-    Batched jets (FieldArray entries) give a :class:`SingularBatch`; the
-    branches are masks, not tests.  Single jets (FieldElem entries) are a
-    batch of one and give (x, y) or None.  Where the characteristic's
-    branch has no candidate (p = 2 with a1 = 0 and a3 != 0, p = 3 with
-    a2 = 0 and a4 != 0) the one it computes fails dF/dy or dF/dx.
-    """
-    if isinstance(J.a1.value, FieldElem):
-        hit = _closed_form(stack_jets(J.field, [J]))
-        return (hit.x[0], hit.y[0]) if hit.mask[0] else None
-    return _closed_form(J)
-
-
 def singular_jets_oracle(J: WeierstrassJets) -> tuple[FieldElem, FieldElem] | None:
     """Exhaustively scan the whole affine fiber (x, y) in the residue field.
 
@@ -354,11 +335,10 @@ def singular_jets_oracle(J: WeierstrassJets) -> tuple[FieldElem, FieldElem] | No
 
 
 def singular_over_closed_form(w: WeierstrassData, P: ClosedPoint) -> SingularityWitness | None:
-    J = jets_at(w, P)
-    hit = singular_jets_closed_form(J)
-    if hit is None:
-        return None
-    return SingularityWitness(point=P, x=hit[0], y=hit[1], jets=J)
+    """The closed-form detector's witness over one point: the scan of a
+    one-point block."""
+    block = PointBlock(section_degrees(w.field.p, w.k), (P,))
+    return next(_witnesses(w, block), None)
 
 
 def singular_over_oracle(w: WeierstrassData, P: ClosedPoint) -> SingularityWitness | None:
@@ -378,11 +358,17 @@ def singular_witnesses(w: WeierstrassData, r: int,
     re-verified against its own jets.  ``cap`` bounds the point enumeration
     as in :func:`~elldens.base.closed_points_up_to`."""
     for block in scan_blocks(w.m, w.field.size, r, section_degrees(w.field.p, w.k), cap):
-        J = _datum_jets(w, block)
-        hit = singular_jets_closed_form(J)
-        for i in np.flatnonzero(hit.mask):
-            yield SingularityWitness(point=block.points[i], x=hit.x[i], y=hit.y[i],
-                                     jets=J.lane(i))
+        yield from _witnesses(w, block)
+
+
+def _witnesses(w: WeierstrassData, block: PointBlock) -> Iterator[SingularityWitness]:
+    """The verified witnesses over the points of one block, in block order:
+    one jet product and one detector call."""
+    J = _datum_jets(w, block)
+    hit = singular_jets_closed_form(J)
+    for i in np.flatnonzero(hit.mask):
+        yield SingularityWitness(point=block.points[i], x=hit.x[i], y=hit.y[i],
+                                 jets=J.lane(i))
 
 
 def smooth_up_to(w: WeierstrassData, r: int) -> bool:

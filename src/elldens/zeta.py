@@ -92,6 +92,12 @@ def zeta_table(m: int, q: int, R: int) -> ZetaTable:
 MAX_EXACT_PRODUCT_BITS = 1 << 26  # the reduced fraction may use this much
 
 
+def _check_exact_bits(bits: int) -> None:
+    if bits > MAX_EXACT_PRODUCT_BITS:
+        raise FeasibilityError(
+            f"exact product needs ~{bits} bits (> {MAX_EXACT_PRODUCT_BITS})")
+
+
 def _check_truncation_args(table: ZetaTable, s: int, r: int) -> None:
     if s <= table.m:
         raise ValueError(
@@ -111,12 +117,7 @@ def zeta_inverse_truncated(table: ZetaTable, s: int, r: int) -> Fraction:
     (zeta_inverse_truncated_float covers that regime).
     """
     _check_truncation_args(table, s, r)
-    bits = s * sum(e * table.a[e - 1] for e in range(1, r + 1)) * table.q.bit_length()
-    if bits > MAX_EXACT_PRODUCT_BITS:
-        raise FeasibilityError(
-            f"exact truncated product needs ~{bits} bits "
-            f"(> {MAX_EXACT_PRODUCT_BITS}); use zeta_inverse_truncated_float"
-        )
+    _check_exact_bits(s * sum(e * table.a[e - 1] for e in range(1, r + 1)) * table.q.bit_length())
     out = Fraction(1)
     for e in range(1, r + 1):
         out *= (1 - Fraction(1, table.q ** (s * e))) ** table.a[e - 1]
@@ -136,9 +137,14 @@ def zeta_inverse_truncated_float(table: ZetaTable, s: int, r: int) -> float:
 
 
 def zeta_inverse_exact_Pm(m: int, q: int, s: int) -> Fraction:
-    """The exact inverse zeta value of P^m at integer s: prod_i (1 - q^{i-s})."""
+    """The exact inverse zeta value of P^m at integer s: prod_i (1 - q^{i-s}).
+
+    Its denominator divides q^{s(m+1)}; past MAX_EXACT_PRODUCT_BITS bits
+    FeasibilityError is raised, as by :func:`zeta_inverse_truncated`.
+    """
     if s <= m:
         raise ValueError(f"s={s} is in the divergent region for m={m}; need s >= {m + 1}")
+    _check_exact_bits(s * (m + 1) * q.bit_length())
     out = Fraction(1)
     for i in range(m + 1):
         out *= 1 - Fraction(q ** i, q ** s)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -242,6 +243,34 @@ def test_feasibility_exit_3(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["density-exact", "-q", "2", "-m", "2", "-r", "6"],
+    ["density-mc", "-p", "2", "-q", "2", "-m", "2", "-k", "1", "-r", "6", "--samples", "1"],
+], ids=["density-exact", "density-mc"])
+def test_exact_result_too_long_to_print_exits_3(capsys, argv):
+    # the exact density's denominator is 2^16389 (4934 digits): within the
+    # library's exact budget, past the 4300 digits Python converts to a string
+    assert main(argv + ["--no-timing"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,exact", [
+    (["-m", "2", "-q", "2", "-R", "6", "-s", "3"], {"exact_inverse": "21/64"}),
+    (["-m", "1", "-q", "2", "-R", "1", "-s", "20000"], {}),
+    (["-m", "1", "-q", "2", "-R", "1", "-s", "100000000"], {}),  # past the budget
+], ids=["m2-R6-s3", "s20000", "s100000000"])
+def test_zeta_omits_exact_values_it_cannot_print(capsys, argv, exact):
+    t0 = time.perf_counter()
+    code, out = _run(capsys, ["zeta"] + argv + ["--no-timing"])
+    assert time.perf_counter() - t0 < 10
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert float(result["truncated_inverse_float"]) > 0
+    assert {k: v for k, v in result.items() if k.endswith("inverse")} == exact
 
 
 def test_scan_cap_checked_when_the_shape_is_memoized(capsys):

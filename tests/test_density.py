@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from elldens.base import FeasibilityError, JetKernel, closed_points_up_to, jet_at, jet_space_map
+from elldens import base, density
+from elldens.base import (FeasibilityError, JetKernel, closed_points_up_to, jet_at,
+                          jet_space_map, scan_blocks)
 from elldens.density import (exact_density, expected_bad_count, jet_census, mc_density,
                              sample_seed, singular_scan, surjectivity_check)
 from elldens.gf import make_field, prime_power
@@ -193,78 +195,113 @@ def test_mc_counts_delta_zero_as_not_smooth():
             break
     assert found is not None, "no degenerate draw in the sweep"
     # pin one and replay it through the estimator machinery
-    from elldens.density import _delta_zero, _mc_setup
     from elldens.weier import weierstrass_slots
-    setup = _mc_setup(2, 2, 1, 2, 1)
+    degrees = section_degrees(2, 2)
+    blocks = scan_blocks(1, 2, 1, degrees, budget=math.inf)
     slots = weierstrass_slots(1, 2, F2, seed=found)[None]
     # each form's jet rows at each point times that form's own slots
     cuts = np.cumsum([b.shape[1] for b in
-                      jet_space_map(setup.degrees, closed_points_up_to(1, 2, 1)[0]).blocks])
+                      jet_space_map(degrees, closed_points_up_to(1, 2, 1)[0]).blocks])
     forms = np.split(slots[0].astype(np.int64), cuts[:-1])
     want = np.concatenate([(b.astype(np.int64) @ s) % 2
                            for P in closed_points_up_to(1, 2, 1)
-                           for b, s in zip(jet_space_map(setup.degrees, P).blocks, forms)])[None]
-    coords = [jet_at(slots, b) for b in setup.blocks]
+                           for b, s in zip(jet_space_map(degrees, P).blocks, forms)])[None]
+    coords = [jet_at(slots, b) for b in blocks]
     assert np.array_equal(np.concatenate([c.reshape(1, -1) for c in coords], axis=1), want)
-    assert _delta_zero(setup, coords, slots).tolist() == [True]
+    assert density._delta_zero(blocks, coords, slots, 2, 1).tolist() == [True]
 
 
 def test_delta_zero_batch_matches_exact_expansion(monkeypatch):
     # k = 1, r = 1 in characteristic 2: the degree-1 values often fail to
     # settle a draw, so rows reach the degree-2/3 probe and the exact expansion
-    from elldens import density
     from elldens.weier import weierstrass_from_slots, weierstrass_slots
     F2 = make_field(2, 1)
-    setup = density._mc_setup(2, 2, 1, 1, 1)
+    blocks = scan_blocks(1, 2, 1, section_degrees(2, 1), budget=math.inf)
     slots = np.array([weierstrass_slots(1, 1, F2, seed=s) for s in range(400)])
     want = [weierstrass_from_slots(1, 1, F2, row).delta.is_zero for row in slots]
     expanded = []
     monkeypatch.setattr(density, "weierstrass_from_slots",
                         lambda *args: expanded.append(args) or weierstrass_from_slots(*args))
-    coords = [jet_at(slots, b) for b in setup.blocks]
-    assert density._delta_zero(setup, coords, slots).tolist() == want
+    coords = [jet_at(slots, b) for b in blocks]
+    assert density._delta_zero(blocks, coords, slots, 1, 1).tolist() == want
     # the probe settles every draw but the truly degenerate ones
     assert len(expanded) == sum(want) > 0
 
 
-def test_mc_setup_holds_only_jet_rows():
+def _record_blocks(monkeypatch):
+    """The blocks that Monte-Carlo's jet_at calls take, in call order."""
+    used = []
+    monkeypatch.setattr(density, "jet_at",
+                        lambda slots, block: used.append(block) or jet_at(slots, block))
+    return used
+
+
+def test_mc_setup_holds_only_jet_rows(monkeypatch):
     # acceptance-4 configuration: the 7 degree-1 points need 7 * 4 * 3 rows
-    from elldens.density import _McSetup
-    setup = _McSetup(2, 2, 2, 18, 1)
-    [block] = setup.blocks
+    density._probe_block.cache_clear()
+    used = _record_blocks(monkeypatch)
+    mc_density(2, 2, 2, 18, 1, samples=1, master_seed=0)
+    [block] = scan_blocks(2, 2, 1, section_degrees(2, 18), budget=math.inf)
+    assert used == [block]  # the shared memo's block, and no probe block
+    assert density._probe_block.cache_info().currsize == 0
     assert block.rows.shape == (84, 10426)
-    assert (len(block.points), setup.slots) == (7, 10426)
-    assert setup._probes == {}
+    assert (len(block.points), block.cols) == (7, 10426)
     # each of the 4 forms' 21 rows meets only its own slots, in float32
     assert block.rows.dtype is np.float32
     assert block.rows.nbytes == 21 * 10426 * 4
 
 
-def test_probe_rows_built_on_first_need():
-    from elldens import density
+def test_probe_rows_built_on_first_need(monkeypatch):
     from elldens.weier import weierstrass_slots
     F2 = make_field(2, 1)
-    setup = density._McSetup(2, 2, 1, 1, 1)
+    degrees = section_degrees(2, 1)
+    blocks = scan_blocks(1, 2, 1, degrees, budget=math.inf)
     slots = np.array([weierstrass_slots(1, 1, F2, seed=s) for s in range(40)])
-    assert setup._probes == {}
-    density._delta_zero(setup, [jet_at(slots, b) for b in setup.blocks], slots)
-    assert 2 in setup._probes
-    probe = setup.probe(2)
+    density._probe_block.cache_clear()
+    built = []
+    monkeypatch.setattr(density, "jet_kernel",
+                        lambda degs, pts, entries: built.append(pts) or
+                        base.jet_kernel(degs, pts, entries=entries))
+    density._delta_zero(blocks, [jet_at(slots, b) for b in blocks], slots, 1, 1)
+    assert [P.degree for P in built[0]] == [2]
+    needed = len(built)
+    probe = density._probe_block(1, 2, 2, degrees)
     # P^1 over F_2 has one degree-2 point: 4 forms, value rows only, 2 coordinates
-    assert ([P.degree for P in probe.points], probe.rows.shape) == ([2], (8, setup.slots))
-    assert setup.probe(2) is probe
+    assert ([P.degree for P in probe.points], probe.rows.shape) == ([2], (8, blocks[0].cols))
+    assert density._probe_block(1, 2, 2, degrees) is probe
+    assert len(built) == needed  # built once
 
 
 def test_probe_over_cap_is_skipped_and_expansion_decides():
     # the degree-2 points of P^1 over F_257 pass the probe cap; a zero datum
     # vanishes at every degree-1 point and is settled by the expansion
-    from elldens import density
-    setup = density._McSetup(257, 257, 1, 1, 1)
-    assert setup.probe(2) is None
-    slots = np.zeros((2, setup.slots), dtype=np.uint16)
+    degrees = section_degrees(257, 1)
+    assert density._probe_block(1, 257, 2, degrees) is None
+    blocks = scan_blocks(1, 257, 1, degrees, budget=math.inf)
+    slots = np.zeros((2, blocks[0].cols), dtype=np.uint16)
     slots[1, -1] = 1  # a6 = x1^6: delta = -432 x1^12, nonzero at (0:1)
-    coords = [jet_at(slots, b) for b in setup.blocks]
-    assert density._delta_zero(setup, coords, slots).tolist() == [True, False]
+    coords = [jet_at(slots, b) for b in blocks]
+    assert density._delta_zero(blocks, coords, slots, 1, 1).tolist() == [True, False]
+
+
+def test_mc_keeps_every_kernel_past_the_scan_budget(monkeypatch):
+    # with no byte budget for scans, Monte-Carlo still applies a kept kernel
+    # at every degree, gives the same counts, and a scan of the same shape
+    # keeps none
+    cfg, degrees = (2, 4, 1, 6, 2), section_degrees(2, 6)
+    want = mc_density(*cfg, samples=300, master_seed=3)
+    base._scan_blocks.cache_clear()
+    monkeypatch.setattr(base, "_ROW_BUDGET", 0)
+    try:
+        used = _record_blocks(monkeypatch)
+        got = mc_density(*cfg, samples=300, master_seed=3)
+        assert (got.smooth_count, got.delta_zero_count) == (want.smooth_count,
+                                                            want.delta_zero_count)
+        kept = [b.rows is not None for b in used if b.points[0].degree <= 2]
+        assert len(kept) == 2 * math.ceil(300 / 512) and all(kept)
+        assert all(b.rows is None for b in scan_blocks(1, 4, 2, degrees))
+    finally:
+        base._scan_blocks.cache_clear()
 
 
 @pytest.mark.parametrize("cfg,samples", [((11, 11, 3, 1, 1), 20),

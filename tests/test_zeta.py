@@ -1,5 +1,6 @@
 """Point counts, closed-point counts via Moebius inversion, and inverse
 zeta values for projective space."""
+import time
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,16 @@ def test_exact_route_refuses_gigantic_products():
     t = zeta_table(2, 2, 16)
     with pytest.raises(FeasibilityError):
         zeta_inverse_truncated(t, 3, 16)
+
+
+def test_exact_inverse_refuses_gigantic_products():
+    # a 2 * 10^8-bit denominator passes MAX_EXACT_PRODUCT_BITS = 2^26 and is
+    # refused before any arithmetic; 4 * 20000 bits are computed exactly
+    t0 = time.perf_counter()
+    with pytest.raises(FeasibilityError):
+        zeta_inverse_exact_Pm(1, 2, 100_000_000)
+    assert time.perf_counter() - t0 < 2
+    assert zeta_inverse_exact_Pm(1, 2, 20_000).denominator == 2 ** 39_999
 
 
 def test_negative_or_fractional_orbit_count_rejected():
