@@ -4,7 +4,10 @@ A closed point of degree e is a Frobenius orbit of size e of points of
 P^m(F_{q^e}); it is stored through a normalized representative (first nonzero
 coordinate equal to 1, chart = index of that coordinate) chosen canonically
 as the orbit's lexicographically smallest coordinate tuple, ordering field
-elements by coefficient sequence.
+elements by coefficient sequence (:func:`~elldens.gf.coefficient_key`).  The
+points are listed without state: a normalized point stands for its orbit
+when it precedes each of its conjugates in the listing of P^m(F_{q^e}), a
+rule each point checks on its own, over whole index arrays.
 
 The first-order jet of a form at a closed point is its value together with
 the gradient in the chart's local coordinates; vanishing of the pair does not
@@ -18,12 +21,12 @@ slot vectors, a datum's or a Monte-Carlo batch of draws, by it.  Products
 run in float32 while every sum of ``cols`` products of F_p digits (cols the
 widest form's columns) stays below 2^24, in float64 below 2^53, and are
 refused past that, all by :func:`exact_float_dtype`.  ``scan_blocks`` is the
-one memo of point blocks: per shape (m, q, r, form degrees) and byte budget
-it groups the closed points by degree and keeps a block's kernel while the
-kept kernels fit the budget.  Scans keep kernels within ``_ROW_BUDGET``
-bytes; the Monte-Carlo estimator, which applies every kernel to every chunk
-of draws, keeps them all.  Any other block has its kernels built, applied
-and dropped in chunks of points within ``_ROW_BUDGET`` on every call.
+one memo of point blocks: per shape (m, q, r, form degrees) it groups the
+closed points by degree and keeps a block's kernel while the kept kernels
+fit ``_ROW_BUDGET`` bytes, for scans and Monte-Carlo alike.  Any other block
+has its kernels built, applied and dropped in chunks of points within
+``_ROW_BUDGET`` on every call, unless its caller builds the whole kernel
+for itself.
 
 The blocks are computed on discrete logs in the residue field F_Q (the
 field's :class:`~elldens.gf.LogTables`, to a primitive element g): the value
@@ -49,14 +52,15 @@ import numpy as np
 
 from . import zeta as _zeta
 from .errors import FeasibilityError
-from .gf import Embedding, FieldCtx, FieldElem, embedding, make_field, prime_power
+from .gf import (Embedding, FieldArray, FieldCtx, FieldElem, coefficient_key, embedding,
+                 make_field, prime_power)
 from .sections import dim_space, monomial_array
 
 DEFAULT_ENUM_CAP = 1 << 26
-# bytes of jet kernels a scan keeps per shape, and the most built at once for
-# a block beyond them
+# bytes of jet kernels the memo keeps per shape, and the most built at once
+# for a block beyond them
 _ROW_BUDGET = 1 << 20
-_SCAN_SHAPES = 16  # (shape, budget) pairs whose point blocks are memoized
+_SCAN_SHAPES = 16  # shapes whose point blocks are memoized
 
 
 @dataclass(frozen=True)
@@ -93,34 +97,6 @@ class ClosedPoint:
         return f"ClosedPoint(deg={self.degree}, ({pts}), chart={self.chart})"
 
 
-def enumerate_points(m: int, fld: FieldCtx) -> list[tuple[FieldElem, ...]]:
-    """All points of P^m(fld) as normalized tuples (leading 1 at the chart)."""
-    pts: list[tuple[FieldElem, ...]] = []
-    elems = list(fld.elements())
-    for chart in range(m + 1):
-        free = m - chart
-
-        def rec(prefix):
-            if len(prefix) == free:
-                pts.append(
-                    (fld.zero,) * chart + (fld.one,) + tuple(prefix)
-                )
-                return
-            for e in elems:
-                rec(prefix + [e])
-
-        rec([])
-    return pts
-
-
-def _frobenius_point(pt: tuple[FieldElem, ...], q: int) -> tuple[FieldElem, ...]:
-    return tuple(c ** q for c in pt)
-
-
-def _point_key(pt: tuple[FieldElem, ...]):
-    return tuple(c.coeffs for c in pt)
-
-
 def _check_enum_cap(m: int, q: int, r: int, cap: int | None = None) -> None:
     """Raise FeasibilityError when listing the closed points of P^m over F_q
     of degree <= r passes ``cap`` rational points (default 2**26)."""
@@ -140,12 +116,21 @@ def _check_enum_cap(m: int, q: int, r: int, cap: int | None = None) -> None:
 def closed_points_up_to(
     m: int, q: int, r: int, cap: int | None = None
 ) -> list[ClosedPoint]:
-    """All closed points of degree <= r, grouped from Frobenius orbits.
+    """All closed points of degree <= r, by degree.
 
-    Counts per degree are cross-checked against the Moebius-inverted values;
-    enumeration size is guarded by ``cap`` (default 2**26 rational points).
+    The normalized points of P^m(F_{q^e}) are listed chart by chart, free
+    coordinates in element-index order, the first free coordinate outermost.
+    A degree-e point is kept where it strictly precedes each of its e - 1
+    Frobenius conjugates in that listing, which also drops the points of
+    smaller orbits, and is stored as the conjugate with the smallest
+    coordinate tuple under :func:`~elldens.gf.coefficient_key`.  Counts per
+    degree are cross-checked against the Moebius-inverted values;
+    enumeration size is guarded by ``cap`` (default 2**26 rational points),
+    and listing positions and keys must fit in int64.
     """
     _check_enum_cap(m, q, r, cap)
+    if (q ** r) ** (m + 1) > 1 << 63:
+        raise FeasibilityError(f"points of P^{m} over F_{q ** r} have keys past int64")
     p, rr = prime_power(q)
     table = _zeta.zeta_table(m, q, r) if r <= _zeta.MAX_TRUNCATION else None
     base = make_field(p, rr)
@@ -153,29 +138,26 @@ def closed_points_up_to(
     for e in range(1, r + 1):
         res = make_field(p, rr * e)
         emb = embedding(base, res)
-        seen: set = set()
+        key = coefficient_key(res)
         found: list[ClosedPoint] = []
-        for pt in enumerate_points(m, res):
-            key = _point_key(pt)
-            if key in seen:
-                continue
-            orbit = [pt]
-            cur = _frobenius_point(pt, q)
-            while _point_key(cur) != key:
-                orbit.append(cur)
-                cur = _frobenius_point(cur, q)
-            for o in orbit:
-                seen.add(_point_key(o))
-            if len(orbit) != e:
-                continue  # defined over a proper subfield; counted earlier
-            rep = min(orbit, key=_point_key)
-            chart = next(i for i, c in enumerate(rep) if c)
-            found.append(
-                ClosedPoint(
-                    m=m, q=q, degree=e, chart=chart, coords=rep,
-                    field=res, emb=emb,
-                )
-            )
+        for chart in range(m + 1):
+            place = res.size ** np.arange(m - chart - 1, -1, -1, dtype=np.int64)
+            pos = np.arange(res.size ** (m - chart), dtype=np.int64)
+            conj = rep = pos[:, None] // place % res.size  # free coordinates
+            best = key[rep] @ place
+            for _ in range(e - 1):
+                conj = (FieldArray(res, conj) ** q).idx
+                keep = pos < conj @ place
+                pos, conj, rep, best = pos[keep], conj[keep], rep[keep], best[keep]
+                conj_key = key[conj] @ place
+                rep = np.where((conj_key < best)[:, None], conj, rep)
+                best = np.minimum(best, conj_key)
+            lead = (res.zero,) * chart + (res.one,)
+            found.extend(
+                ClosedPoint(m=m, q=q, degree=e, chart=chart,
+                            coords=lead + tuple(map(res.from_index, row)),
+                            field=res, emb=emb)
+                for row in rep.tolist())
         if table is not None and len(found) != table.a[e - 1]:
             raise AssertionError(
                 f"orbit enumeration found {len(found)} degree-{e} points, "
@@ -314,20 +296,18 @@ def jet_at(slots: np.ndarray, block: PointBlock) -> np.ndarray:
 
 
 def scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...],
-                cap: int | None = None, budget: float | None = None) -> tuple[PointBlock, ...]:
+                cap: int | None = None) -> tuple[PointBlock, ...]:
     """The closed points of degree <= r as one :class:`PointBlock` per
     degree, in degree order, for forms of the given degrees; a block keeps
-    its kernel while the kept kernels fit ``budget`` bytes (default
-    ``_ROW_BUDGET``; Monte-Carlo, which applies every kernel to every chunk
-    of draws, passes ``math.inf``).  Memoized per shape and budget, for scans
-    and Monte-Carlo alike; the enumeration cap is checked on every call."""
+    its kernel while the kept kernels fit ``_ROW_BUDGET`` bytes.  Memoized
+    per shape, for scans and Monte-Carlo alike; the enumeration cap is
+    checked on every call."""
     _check_enum_cap(m, q, r, cap)
-    return _scan_blocks(m, q, r, tuple(degrees), _ROW_BUDGET if budget is None else budget)
+    return _scan_blocks(m, q, r, tuple(degrees))
 
 
 @lru_cache(maxsize=_SCAN_SHAPES)
-def _scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...],
-                 budget: float) -> tuple[PointBlock, ...]:
+def _scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...]) -> tuple[PointBlock, ...]:
     blocks = []
     kept = 0
     # the caller has checked its own cap
@@ -335,7 +315,7 @@ def _scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...],
     for _, group in itertools.groupby(points, key=lambda P: P.degree):
         block = PointBlock(degrees, tuple(group))
         nbytes = len(block.points) * block.point_nbytes
-        if kept + nbytes <= budget:
+        if kept + nbytes <= _ROW_BUDGET:
             kept += nbytes
             block = PointBlock(degrees, block.points, jet_kernel(degrees, block.points))
         blocks.append(block)

@@ -248,6 +248,8 @@ def _run_density_exact(args):
 
 
 def _run_density_mc(args):
+    # an exact density too long to print is refused before any sample runs
+    exact = _fraction_str(exact_density(args.q, args.m, args.r))
     rep = mc_density(args.p, args.q, args.m, args.k, args.r,
                      samples=args.samples, master_seed=args.seed)
     config = {"command": "density-mc", "p": args.p, "q": args.q, "m": args.m,
@@ -259,7 +261,7 @@ def _run_density_mc(args):
         "delta_zero_count": rep.delta_zero_count,
         "estimate": rep.estimate,
         "std_error": rep.std_error,
-        "exact_density": _fraction_str(rep.exact),
+        "exact_density": exact,
         "threshold_warning": rep.threshold_warning,
         "estimate_decimal": estimate,
         "exact_decimal": fraction_decimal(rep.exact),
@@ -267,7 +269,7 @@ def _run_density_mc(args):
     rows = [["smooth_count", "delta_zero_count", "samples", "estimate",
              "std_error", "exact", "threshold_warning"],
             [rep.smooth_count, rep.delta_zero_count, rep.samples, estimate,
-             repr(rep.std_error), _fraction_str(rep.exact), rep.threshold_warning]]
+             repr(rep.std_error), exact, rep.threshold_warning]]
     return config, result, rows
 
 

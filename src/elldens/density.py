@@ -15,7 +15,8 @@ Monte-Carlo runs draw coefficient forms uniformly (one PCG64 stream per
 sample, seeded by a stable 64-bit hash of (master_seed, index)) in chunks,
 and take a chunk's jets at the closed points of each degree <= r as scans
 take one datum's, from the same memo of point blocks
-(:func:`~elldens.base.scan_blocks`, here with every kernel kept): one
+(:func:`~elldens.base.scan_blocks`; a kernel the memo does not keep is built
+for the one call and reused by each of its chunks): one
 :func:`~elldens.base.jet_at` product per degree, each form's slots against
 its own jet rows only, in float32 wherever that is exact.  The batched
 detector and the discriminant then run once per (chunk, degree), on the
@@ -29,7 +30,6 @@ time, and only when every value vanishes is the form expanded.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -51,6 +51,7 @@ _DELTA_PROBE_DEGREE = 3  # discriminant values are probed at points up to here
 # expansions of a few samples, so it must not cost more than they do
 _PROBE_CAP = 1 << 15
 _CENSUS_BLOCK = 4096  # jet tuples per detector call; bounds census memory
+_MC_CHUNK = 512  # Monte-Carlo samples drawn and tested together
 
 
 def sample_seed(master_seed: int, index: int) -> int:
@@ -266,40 +267,15 @@ def _delta_zero(blocks, coords, slots: np.ndarray, k: int, r: int) -> np.ndarray
     return zero
 
 
-def _mc_range(p: int, q: int, m: int, k: int, r: int, master_seed: int,
-              lo: int, hi: int, chunk: int = 512) -> tuple[int, int]:
-    """(smooth_count, delta_zero_count) over sample indices [lo, hi), drawn
-    and tested `chunk` samples at a time."""
-    # every kernel is kept: each is applied to every chunk
-    blocks = scan_blocks(m, q, r, section_degrees(p, k), budget=math.inf)
-    cols = blocks[0].cols
-    smooth = 0
-    delta_zero = 0
-    dtype = np.min_scalar_type(p - 1)
-    # draws land in the kernels' dtype, in one buffer for every chunk
-    buffer = np.empty((min(chunk, hi - lo), cols), dtype=blocks[0].rows.dtype)
-    for start in range(lo, hi, chunk):
-        slots = buffer[:min(chunk, hi - start)]
-        for i, row in enumerate(slots, start):
-            rng = np.random.Generator(np.random.PCG64(sample_seed(master_seed, i)))
-            row[:] = rng.integers(0, p, size=cols, dtype=dtype)
-        coords = [jet_at(slots, b) for b in blocks]
-        dz = _delta_zero(blocks, coords, slots, k, r)
-        delta_zero += int(np.count_nonzero(dz))
-        # draws with delta == 0 count as not-smooth
-        smooth += _survivors(blocks, coords, np.flatnonzero(~dz), _smooth).size
-    return smooth, delta_zero
-
-
 def mc_density(p: int, q: int, m: int, k: int, r: int, samples: int,
                master_seed: int) -> DensityReport:
     """Seeded Monte-Carlo estimate of the smooth-over-degree-<=r density.
 
     Sample i draws from its own stream, seeded by ``sample_seed(master_seed,
     i)``, so a report depends on the configuration, the sample count and
-    the master seed alone.  ``threshold_warning`` is ``k < (6m+6) r``: a
-    heuristic for too small a twist degree, not a computed independence
-    test.
+    the master seed alone; samples are drawn and tested ``_MC_CHUNK`` at a
+    time.  ``threshold_warning`` is ``k < (6m+6) r``: a heuristic for too
+    small a twist degree, not a computed independence test.
     """
     pp, _ = prime_power(q)
     if pp != p:
@@ -310,12 +286,32 @@ def mc_density(p: int, q: int, m: int, k: int, r: int, samples: int,
         raise ValueError(f"need samples >= 1, got {samples}")
     warn = k < (6 * m + 6) * r
     exact = exact_density(q, m, r)
-    smooth, dz = _mc_range(p, q, m, k, r, master_seed, 0, samples)
+    # every kernel is applied to every chunk: one the memo does not keep is
+    # built here, for this call only
+    blocks = [b if b.rows is not None else PointBlock(b.degrees, b.points,
+                                                      jet_kernel(b.degrees, b.points))
+              for b in scan_blocks(m, q, r, section_degrees(p, k))]
+    cols = blocks[0].cols
+    smooth = 0
+    delta_zero = 0
+    dtype = np.min_scalar_type(p - 1)
+    # draws land in the kernels' dtype, in one buffer for every chunk
+    buffer = np.empty((min(_MC_CHUNK, samples), cols), dtype=blocks[0].rows.dtype)
+    for start in range(0, samples, _MC_CHUNK):
+        slots = buffer[:min(_MC_CHUNK, samples - start)]
+        for i, row in enumerate(slots, start):
+            rng = np.random.Generator(np.random.PCG64(sample_seed(master_seed, i)))
+            row[:] = rng.integers(0, p, size=cols, dtype=dtype)
+        coords = [jet_at(slots, b) for b in blocks]
+        dz = _delta_zero(blocks, coords, slots, k, r)
+        delta_zero += int(np.count_nonzero(dz))
+        # draws with delta == 0 count as not-smooth
+        smooth += _survivors(blocks, coords, np.flatnonzero(~dz), _smooth).size
     est = smooth / samples
     se = float(np.sqrt(est * (1.0 - est) / samples))
     return DensityReport(
         p=p, q=q, m=m, k=k, r=r, samples=samples, master_seed=master_seed,
-        smooth_count=smooth, delta_zero_count=dz,
+        smooth_count=smooth, delta_zero_count=delta_zero,
         estimate=est, std_error=se, exact=exact, threshold_warning=warn,
     )
 

@@ -767,22 +767,26 @@ class Embedding:
         )
 
 
-def _modulus_roots(src: FieldCtx, dst: FieldCtx):
-    consts = [dst.from_int(c) for c in src.modulus]
-    for cand in dst.elements():
-        acc = dst.zero
-        for c in reversed(consts):
-            acc = acc * cand + c
-        if not acc:
-            yield cand
+def coefficient_key(fld: FieldCtx) -> np.ndarray:
+    """Per element index, an int64 key that orders the elements by
+    coefficient sequence, the coefficient of x^0 most significant: the order
+    in which ``FieldElem.coeffs`` tuples compare."""
+    return fld.log_tables().digits @ fld.p ** np.arange(fld.n - 1, -1, -1, dtype=np.int64)
 
 
 @lru_cache(maxsize=None)
 def embedding(src: FieldCtx, dst: FieldCtx) -> Embedding:
-    """The canonical embedding src -> dst (smallest root in coefficient order)."""
+    """The canonical embedding src -> dst: the root of the source modulus in
+    dst with the smallest :func:`coefficient_key`, found by one Horner pass
+    over every element of dst."""
     if dst.n % src.n != 0:
         raise ValueError(f"no embedding: degree {src.n} does not divide {dst.n}")
-    best = min(_modulus_roots(src, dst), key=lambda e: e.coeffs, default=None)
-    if best is None:  # cannot happen for valid degrees; guard anyway
+    x = FieldArray(dst, np.arange(dst.size))
+    acc = FieldArray(dst, np.zeros(dst.size, dtype=np.int64))
+    for c in reversed(src.modulus):
+        acc = acc * x + c
+    roots = np.flatnonzero(acc.is_zero)
+    if not roots.size:  # cannot happen for valid degrees; guard anyway
         raise ValueError("source modulus has no root in the target field")
-    return Embedding(src, dst, best)
+    best = roots[np.argmin(coefficient_key(dst)[roots])]
+    return Embedding(src, dst, dst.from_index(int(best)))

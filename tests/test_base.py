@@ -1,4 +1,6 @@
 """Closed points of projective space and jet evaluation maps."""
+import hashlib
+import math
 import random
 from functools import lru_cache
 
@@ -78,6 +80,64 @@ def test_degree_exactness():
 def test_feasibility_cap():
     with pytest.raises(FeasibilityError):
         closed_points_up_to(2, 5, 9, cap=10_000)
+
+
+# sha256 of [(degree, chart, coordinate indices)] per listing, recorded from
+# the orbit walk that grew each orbit one Frobenius power at a time
+POINT_LISTINGS = {
+    (1, 2, 8): "5d6fc8b77e4cad95771960e3d1b0d219faac2a9da5e2b04cfe5ea603da77a9b2",
+    (2, 2, 6): "b1d7f1855af7edeb71fac21fc9ccbdaf55395a2b9a13e55e854340104565d5f0",
+    (3, 2, 3): "73aa64cc64036506a2030f2260d3651b1ff90b4bf44e405faed87a9bc74eb9a2",
+    (1, 3, 6): "c29655fdb20c7440f7cd11c480ac78c84e607db765bfbfde60bd4fbb202b95b3",
+    (2, 3, 3): "bd9b040bcf4d228f9eb2056f3e5c38df77516d9860fe997916a749db22faae8f",
+    (1, 4, 4): "60ea96d3c80bf699dd0f3858b3ba4ab2cabcd53a0ea70049cff73b3950787317",
+    (2, 4, 2): "c123c23286ae4164c20b5ebc3b7cb28297aab244118e7358e767b46ae82b7738",
+    (1, 5, 4): "c94c40794920b0cd95f4fd2af162ac91695eafce5aa941b700cdd4441bc85ca1",
+    (1, 8, 3): "0ab5fe9a0cb7093b41180481ac422d7d2eeb0bd7c659ed29957ba92eb35c7381",
+    (2, 8, 2): "d2d4d591d2cbba347341caeb1c9999ae931fac4d09008635d94a6984d37af82b",
+    (1, 9, 3): "519629452cb5eeccb0cf9bdd894e293e31a6521982f5d5085d427fc9dc9fd102",
+    (2, 9, 2): "98f5dd854132e52a90f45774e5e234bf1986a5dbad2306f2a0865b21b0ba0320",
+    (1, 16, 2): "c51b25d88488d6bb7b1f33ad84ec27a1b4df3253523b3fd53bbd71cb914c6522",
+    (1, 27, 2): "3ef107b1be89be3409ff9b3fb66f11f6fa5aa5d914303425f9aa2008d2cfe7f2",
+    (4, 2, 2): "c76b33261d3ab87827ed41a614bfe630c54e188441509c0fd5a55856524c0a74",
+}
+
+
+@pytest.mark.parametrize("m,q,r", list(POINT_LISTINGS))
+def test_points_match_recorded_listing(m, q, r):
+    listing = [(P.degree, P.chart, tuple(c.idx for c in P.coords))
+               for P in closed_points_up_to(m, q, r)]
+    assert hashlib.sha256(repr(listing).encode()).hexdigest() == POINT_LISTINGS[m, q, r]
+
+
+@pytest.mark.parametrize("m,q,r", [(1, 2, 6), (2, 2, 4), (3, 2, 2), (1, 9, 2), (2, 3, 3),
+                                   (1, 4, 3)])
+def test_points_are_one_per_orbit_in_listing_order(m, q, r):
+    # each listed point has e distinct conjugates, is the smallest of them by
+    # coefficient sequence, shares an orbit with no other listed point, and
+    # the list follows the first conjugate met in the listing of P^m(F_{q^e})
+    # (chart by chart, free coordinates by index, the first outermost)
+    seen = set()
+    firsts = []
+    for P in closed_points_up_to(m, q, r):
+        orbit = [tuple(c ** q ** j for c in P.coords) for j in range(P.degree)]
+        keys = [tuple(c.coeffs for c in pt) for pt in orbit]
+        assert len(set(keys)) == P.degree
+        assert keys[0] == min(keys)
+        assert seen.isdisjoint(keys)
+        seen.update(keys)
+        first = min(tuple(c.idx for c in pt[P.chart + 1:]) for pt in orbit)
+        firsts.append((P.degree, P.chart, first))
+    assert firsts == sorted(firsts)
+
+
+def test_point_keys_past_int64_are_refused():
+    # listing positions and keys of a point run up to Q^(m+1), Q = q^r
+    for m, q, r in [(1, 2 ** 32, 1), (2, 2 ** 21, 2)]:
+        with pytest.raises(FeasibilityError, match="int64"):
+            closed_points_up_to(m, q, r, cap=math.inf)
+    with pytest.raises(FeasibilityError, match="int64"):
+        scan_blocks(1, 2 ** 32, 1, section_degrees(2, 1), cap=math.inf)
 
 
 def test_jet_value_matches_embedded_evaluation():

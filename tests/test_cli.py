@@ -258,6 +258,18 @@ def test_exact_result_too_long_to_print_exits_3(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_density_mc_refuses_an_unprintable_exact_density_before_sampling():
+    # a million samples would run for minutes; the refusal comes first
+    proc = subprocess.run(
+        [sys.executable, "-m", "elldens", "density-mc", "-p", "2", "-q", "2", "-m", "2",
+         "-k", "1", "-r", "6", "--samples", "1000000"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv,exact", [
     (["-m", "2", "-q", "2", "-R", "6", "-s", "3"], {"exact_inverse": "21/64"}),
     (["-m", "1", "-q", "2", "-R", "1", "-s", "20000"], {}),

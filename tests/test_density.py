@@ -141,19 +141,17 @@ def test_sample_seed_stable():
 
 
 @pytest.mark.parametrize("p,q,m,k,r,n", [(2, 2, 2, 18, 1, 120), (3, 3, 1, 6, 1, 50)])
-def test_mc_deterministic_and_chunk_invariant(p, q, m, k, r, n):
-    # sample i draws from its own stream: neither the chunk size nor a split
-    # of the index range changes the counts
-    from elldens.density import _mc_range
+def test_mc_deterministic_and_chunk_invariant(p, q, m, k, r, n, monkeypatch):
+    # sample i draws from its own stream: the chunk size does not change the
+    # counts
     a = mc_density(p, q, m, k, r, samples=n, master_seed=9)
     b = mc_density(p, q, m, k, r, samples=n, master_seed=9)
     whole = (a.smooth_count, a.delta_zero_count)
     assert (b.smooth_count, b.delta_zero_count) == whole
     for chunk in (1, 7, 512):
-        assert _mc_range(p, q, m, k, r, 9, 0, n, chunk=chunk) == whole
-    split = n // 3
-    head, tail = _mc_range(p, q, m, k, r, 9, 0, split), _mc_range(p, q, m, k, r, 9, split, n)
-    assert (head[0] + tail[0], head[1] + tail[1]) == whole
+        monkeypatch.setattr(density, "_MC_CHUNK", chunk)
+        c = mc_density(p, q, m, k, r, samples=n, master_seed=9)
+        assert (c.smooth_count, c.delta_zero_count) == whole
     d = mc_density(p, q, m, k, r, samples=n, master_seed=10)
     assert d.smooth_count != a.smooth_count
 
@@ -197,7 +195,8 @@ def test_mc_counts_delta_zero_as_not_smooth():
     # pin one and replay it through the estimator machinery
     from elldens.weier import weierstrass_slots
     degrees = section_degrees(2, 2)
-    blocks = scan_blocks(1, 2, 1, degrees, budget=math.inf)
+    blocks = scan_blocks(1, 2, 1, degrees)
+    assert all(b.rows is not None for b in blocks)  # kept under the default budget
     slots = weierstrass_slots(1, 2, F2, seed=found)[None]
     # each form's jet rows at each point times that form's own slots
     cuts = np.cumsum([b.shape[1] for b in
@@ -216,7 +215,8 @@ def test_delta_zero_batch_matches_exact_expansion(monkeypatch):
     # settle a draw, so rows reach the degree-2/3 probe and the exact expansion
     from elldens.weier import weierstrass_from_slots, weierstrass_slots
     F2 = make_field(2, 1)
-    blocks = scan_blocks(1, 2, 1, section_degrees(2, 1), budget=math.inf)
+    blocks = scan_blocks(1, 2, 1, section_degrees(2, 1))
+    assert all(b.rows is not None for b in blocks)  # kept under the default budget
     slots = np.array([weierstrass_slots(1, 1, F2, seed=s) for s in range(400)])
     want = [weierstrass_from_slots(1, 1, F2, row).delta.is_zero for row in slots]
     expanded = []
@@ -241,7 +241,8 @@ def test_mc_setup_holds_only_jet_rows(monkeypatch):
     density._probe_block.cache_clear()
     used = _record_blocks(monkeypatch)
     mc_density(2, 2, 2, 18, 1, samples=1, master_seed=0)
-    [block] = scan_blocks(2, 2, 1, section_degrees(2, 18), budget=math.inf)
+    [block] = scan_blocks(2, 2, 1, section_degrees(2, 18))
+    assert block.rows is not None  # kept under the default budget
     assert used == [block]  # the shared memo's block, and no probe block
     assert density._probe_block.cache_info().currsize == 0
     assert block.rows.shape == (84, 10426)
@@ -255,7 +256,8 @@ def test_probe_rows_built_on_first_need(monkeypatch):
     from elldens.weier import weierstrass_slots
     F2 = make_field(2, 1)
     degrees = section_degrees(2, 1)
-    blocks = scan_blocks(1, 2, 1, degrees, budget=math.inf)
+    blocks = scan_blocks(1, 2, 1, degrees)
+    assert all(b.rows is not None for b in blocks)  # kept under the default budget
     slots = np.array([weierstrass_slots(1, 1, F2, seed=s) for s in range(40)])
     density._probe_block.cache_clear()
     built = []
@@ -277,7 +279,8 @@ def test_probe_over_cap_is_skipped_and_expansion_decides():
     # vanishes at every degree-1 point and is settled by the expansion
     degrees = section_degrees(257, 1)
     assert density._probe_block(1, 257, 2, degrees) is None
-    blocks = scan_blocks(1, 257, 1, degrees, budget=math.inf)
+    blocks = scan_blocks(1, 257, 1, degrees)
+    assert all(b.rows is not None for b in blocks)  # kept under the default budget
     slots = np.zeros((2, blocks[0].cols), dtype=np.uint16)
     slots[1, -1] = 1  # a6 = x1^6: delta = -432 x1^12, nonzero at (0:1)
     coords = [jet_at(slots, b) for b in blocks]
@@ -285,9 +288,9 @@ def test_probe_over_cap_is_skipped_and_expansion_decides():
 
 
 def test_mc_keeps_every_kernel_past_the_scan_budget(monkeypatch):
-    # with no byte budget for scans, Monte-Carlo still applies a kept kernel
-    # at every degree, gives the same counts, and a scan of the same shape
-    # keeps none
+    # with no byte budget, Monte-Carlo still applies a whole kernel at every
+    # degree, built for the call, and gives the same counts; the shape's one
+    # memo entry keeps none of them after the call
     cfg, degrees = (2, 4, 1, 6, 2), section_degrees(2, 6)
     want = mc_density(*cfg, samples=300, master_seed=3)
     base._scan_blocks.cache_clear()
@@ -299,7 +302,23 @@ def test_mc_keeps_every_kernel_past_the_scan_budget(monkeypatch):
                                                             want.delta_zero_count)
         kept = [b.rows is not None for b in used if b.points[0].degree <= 2]
         assert len(kept) == 2 * math.ceil(300 / 512) and all(kept)
+        assert base._scan_blocks.cache_info().currsize == 1
         assert all(b.rows is None for b in scan_blocks(1, 4, 2, degrees))
+        assert base._scan_blocks.cache_info().currsize == 1
+    finally:
+        base._scan_blocks.cache_clear()
+
+
+def test_mc_leaves_no_kernel_past_the_budget_in_the_memo():
+    # the degree-1 kernel of P^2 over F_3 at k = 18 passes the byte budget:
+    # Monte-Carlo builds it for its own call and the memo does not keep it
+    base._scan_blocks.cache_clear()
+    try:
+        mc_density(3, 3, 2, 18, 1, samples=20, master_seed=0)
+        [block] = scan_blocks(2, 3, 1, section_degrees(3, 18))
+        assert len(block.points) * block.point_nbytes > base._ROW_BUDGET
+        assert block.rows is None
+        assert base._scan_blocks.cache_info().currsize == 1
     finally:
         base._scan_blocks.cache_clear()
 

@@ -141,6 +141,37 @@ def test_embedding_requires_divisible_degree():
         embedding(F4, F8)
 
 
+# the embedding's generator image per (p, n_src, n_dst), recorded from a
+# scalar scan over the target field
+EMBEDDING_ROOTS = {
+    (2, 1, 4): 0, (2, 2, 4): 10, (2, 2, 8): 190, (2, 3, 6): 12, (3, 1, 4): 0,
+    (3, 2, 4): 40, (3, 2, 6): 490, (5, 1, 3): 0, (5, 2, 4): 155, (7, 1, 2): 0,
+    (2, 4, 8): 132,
+}
+
+
+@pytest.mark.parametrize("p,n_src,n_dst", list(EMBEDDING_ROOTS))
+def test_embedding_is_the_smallest_root(p, n_src, n_dst):
+    src, dst = make_field(p, n_src), make_field(p, n_dst)
+    gen = embedding(src, dst).gen_image
+    assert gen.idx == EMBEDDING_ROOTS[p, n_src, n_dst]
+
+    def value(a):
+        acc = dst.zero
+        for c in reversed(src.modulus):
+            acc = acc * a + c
+        return acc
+
+    assert gen.coeffs == min(a.coeffs for a in dst.elements() if not value(a))
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 4), (3, 3), (5, 2), (7, 1)])
+def test_coefficient_key_orders_by_coefficients(p, n):
+    F = make_field(p, n)
+    by_key = np.argsort(gf.coefficient_key(F), kind="stable").tolist()
+    assert by_key == sorted(range(F.size), key=lambda i: F.from_index(i).coeffs)
+
+
 def test_embedding_identity():
     F9 = make_field(3, 2)
     phi = embedding(F9, F9)
