@@ -21,12 +21,12 @@ slot vectors, a datum's or a Monte-Carlo batch of draws, by it.  Products
 run in float32 while every sum of ``cols`` products of F_p digits (cols the
 widest form's columns) stays below 2^24, in float64 below 2^53, and are
 refused past that, all by :func:`exact_float_dtype`.  ``scan_blocks`` is the
-one memo of point blocks: per shape (m, q, r, form degrees) it groups the
-closed points by degree and keeps a block's kernel while the kept kernels
-fit ``_ROW_BUDGET`` bytes, for scans and Monte-Carlo alike.  Any other block
-has its kernels built, applied and dropped in chunks of points within
-``_ROW_BUDGET`` on every call, unless its caller builds the whole kernel
-for itself.
+one memo of point blocks: per shape (m, q, r, form degrees) it cuts each
+degree's points, in listing order, into blocks whose kernel fits
+``_ROW_BUDGET`` bytes, and keeps a block's kernel while the kept kernels fit
+that budget too, for scans and Monte-Carlo alike.  A block is the unit of
+one product: ``jet_at`` applies its kept kernel, or builds the block's
+kernel for the call.
 
 The blocks are computed on discrete logs in the residue field F_Q (the
 field's :class:`~elldens.gf.LogTables`, to a primitive element g): the value
@@ -57,8 +57,8 @@ from .gf import (Embedding, FieldArray, FieldCtx, FieldElem, coefficient_key, em
 from .sections import dim_space, monomial_array
 
 DEFAULT_ENUM_CAP = 1 << 26
-# bytes of jet kernels the memo keeps per shape, and the most built at once
-# for a block beyond them
+# bytes of one point block's jet kernel, and of the kernels the memo keeps
+# per shape
 _ROW_BUDGET = 1 << 20
 _SCAN_SHAPES = 16  # shapes whose point blocks are memoized
 
@@ -208,12 +208,14 @@ class JetKernel:
         return sum(b.nbytes for b in self.blocks)
 
     def apply(self, slots: np.ndarray) -> np.ndarray:
-        """int64 F_p coordinates of slot vectors (the last axis) times the
-        rows: shape ``slots.shape[:-1] + (forms, rows per form)``."""
+        """F_p coordinates of slot vectors (the last axis) times the rows, in
+        dtype ``np.min_scalar_type(p - 1)``: shape ``slots.shape[:-1] +
+        (forms, rows per form)``."""
         x = np.asarray(slots, dtype=self.dtype)
         y = np.stack([x[..., a:b] @ rows.T
                       for (a, b), rows in zip(self.spans, self.blocks)], axis=-2)
-        return (y % self.p).astype(np.int64)
+        # every entry is an exact integer; int64's remainder is cheaper than float's
+        return (y.astype(np.int64) % self.p).astype(np.min_scalar_type(self.p - 1))
 
 
 def _form_cols(P: ClosedPoint, degrees: tuple[int, ...]) -> list[int]:
@@ -243,8 +245,9 @@ def jet_kernel(degrees: tuple[int, ...], points, entries: int | None = None) -> 
 @dataclass(frozen=True, eq=False)
 class PointBlock:
     """Closed points of one residue field and the degrees of the forms whose
-    jets ``jet_at`` takes there.  ``rows``, when kept, is the points'
-    :func:`jet_kernel`."""
+    jets ``jet_at`` takes there, in one product.  ``rows``, when kept, is the
+    points' :func:`jet_kernel`; :func:`scan_blocks` holds a block to
+    ``_ROW_BUDGET`` bytes of kernel unless it has one point."""
 
     degrees: tuple[int, ...]
     points: tuple[ClosedPoint, ...]
@@ -277,31 +280,27 @@ def jet_at(slots: np.ndarray, block: PointBlock) -> np.ndarray:
     Entry 0 is a form's value and entries 1..m its gradient in the point's
     chart coordinates, each as the residue-field coordinates of the element;
     a value-only kernel (``jet_kernel(..., entries=1)``) gives entry 0 alone.
-    A kept kernel gives one product; otherwise kernels are built for chunks
-    of points within ``_ROW_BUDGET`` bytes, each dropped after its product.
+    One product: with the block's kept kernel, or else with the whole
+    block's kernel, built for this call.  Coordinates have dtype
+    ``np.min_scalar_type(p - 1)``.
     """
     if slots.shape[-1] != block.cols:
         raise ValueError(f"slot vector of length {slots.shape[-1]} does not fit forms "
                          f"of degrees {block.degrees} on P^{block.points[0].m}")
-    points = block.points
-    if block.rows is not None:
-        coords = block.rows.apply(slots)
-    else:
-        step = max(1, _ROW_BUDGET // block.point_nbytes)
-        coords = np.concatenate([jet_kernel(block.degrees, points[i:i + step]).apply(slots)
-                                 for i in range(0, len(points), step)], axis=-1)
+    rows = block.rows if block.rows is not None else jet_kernel(block.degrees, block.points)
     forms, n = len(block.degrees), block.field.n
-    coords = coords.reshape(slots.shape[:-1] + (forms, len(points), -1, n))
+    coords = rows.apply(slots).reshape(slots.shape[:-1] + (forms, len(block.points), -1, n))
     return np.moveaxis(coords, -4, -3)
 
 
 def scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...],
                 cap: int | None = None) -> tuple[PointBlock, ...]:
-    """The closed points of degree <= r as one :class:`PointBlock` per
-    degree, in degree order, for forms of the given degrees; a block keeps
-    its kernel while the kept kernels fit ``_ROW_BUDGET`` bytes.  Memoized
-    per shape, for scans and Monte-Carlo alike; the enumeration cap is
-    checked on every call."""
+    """The closed points of degree <= r as :class:`PointBlock` s for forms
+    of the given degrees: each degree's points in listing order, cut into
+    blocks of as many points as fit a ``_ROW_BUDGET``-byte kernel (at least
+    one).  A block keeps its kernel while the kept kernels fit
+    ``_ROW_BUDGET`` bytes.  Memoized per shape, for scans and Monte-Carlo
+    alike; the enumeration cap is checked on every call."""
     _check_enum_cap(m, q, r, cap)
     return _scan_blocks(m, q, r, tuple(degrees))
 
@@ -313,12 +312,15 @@ def _scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...]) -> tuple[Poin
     # the caller has checked its own cap
     points = closed_points_up_to(m, q, r, cap=math.inf)
     for _, group in itertools.groupby(points, key=lambda P: P.degree):
-        block = PointBlock(degrees, tuple(group))
-        nbytes = len(block.points) * block.point_nbytes
-        if kept + nbytes <= _ROW_BUDGET:
-            kept += nbytes
-            block = PointBlock(degrees, block.points, jet_kernel(degrees, block.points))
-        blocks.append(block)
+        group = tuple(group)
+        step = max(1, _ROW_BUDGET // PointBlock(degrees, group[:1]).point_nbytes)
+        for i in range(0, len(group), step):
+            block = PointBlock(degrees, group[i:i + step])
+            nbytes = len(block.points) * block.point_nbytes
+            if kept + nbytes <= _ROW_BUDGET:
+                kept += nbytes
+                block = PointBlock(degrees, block.points, jet_kernel(degrees, block.points))
+            blocks.append(block)
     return tuple(blocks)
 
 

@@ -174,6 +174,8 @@ def _load_datum(args):
     for flag in ("q", "m", "k"):
         if getattr(args, flag) is None:
             raise ValueError(f"--random requires -{flag}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0 with --random, got {args.seed}")
     p, r = prime_power(args.q)
     fld = make_field(p, r)
     return random_weierstrass(args.m, args.k, fld, seed=args.seed)
@@ -358,6 +360,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     t0 = time.monotonic()
     try:
+        if getattr(args, "cap", None) is not None and args.cap < 1:
+            raise ValueError(f"--cap must be >= 1, got {args.cap}")
         config, result, rows = _HANDLERS[args.command](args)
     except FeasibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)

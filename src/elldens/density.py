@@ -14,18 +14,21 @@ scalar fiber-scan oracle.
 Monte-Carlo runs draw coefficient forms uniformly (one PCG64 stream per
 sample, seeded by a stable 64-bit hash of (master_seed, index)) in chunks,
 and take a chunk's jets at the closed points of each degree <= r as scans
-take one datum's, from the same memo of point blocks
+take one datum's, from the same memo of budget-sized point blocks
 (:func:`~elldens.base.scan_blocks`; a kernel the memo does not keep is built
-for the one call and reused by each of its chunks): one
-:func:`~elldens.base.jet_at` product per degree, each form's slots against
-its own jet rows only, in float32 wherever that is exact.  The batched
-detector and the discriminant then run once per (chunk, degree), on the
-samples still alive.  Samples whose discriminant form is identically zero
-are counted as not-smooth and tallied separately: a nonzero discriminant
-value at a point of degree <= r settles delta != 0, unsettled samples go on
-through the value rows of the points of the next degrees (a memoized probe
-block per degree, built the first time a sample needs it), one degree at a
-time, and only when every value vanishes is the form expanded.
+once per call and reused by each of its chunks): one
+:func:`~elldens.base.jet_at` product per block, each form's slots against
+its own jet rows only, in float32 wherever that is exact.  A chunk walks the
+blocks once, and each block's coordinates are dropped before the next
+block's product.  The batched detector and the discriminant run once per
+(chunk, block), each on the samples it still holds: those smooth so far,
+and those whose discriminant values have all vanished so far.  Samples
+whose discriminant form is identically zero are counted as not-smooth and
+tallied separately: a nonzero discriminant value at a point of degree <= r
+settles delta != 0, unsettled samples go on through the value rows of the
+points of the next degrees (a memoized probe block per degree, built the
+first time a sample needs it), one degree at a time, and only when every
+value vanishes is the form expanded.
 """
 from __future__ import annotations
 
@@ -220,18 +223,6 @@ def _probe_block(m: int, q: int, e: int, degrees: tuple[int, ...]) -> PointBlock
     return PointBlock(degrees, pts, jet_kernel(degrees, pts, entries=1))
 
 
-def _survivors(blocks, coords, live: np.ndarray, test) -> np.ndarray:
-    """The samples among `live` for which `test(jets)` holds at every point
-    of the blocks, from each block's :func:`~elldens.base.jet_at` coordinates
-    (one row per sample); one `test` call per block on the samples still
-    alive."""
-    for b, c in zip(blocks, coords):
-        if not live.size:
-            break
-        live = live[test(jets_from_coords(b.field, c[live])).all(axis=1)]
-    return live
-
-
 def _delta_vanishes(J: WeierstrassJets) -> np.ndarray:
     return discriminant_value(*J.values()).is_zero
 
@@ -240,19 +231,18 @@ def _smooth(J: WeierstrassJets) -> np.ndarray:
     return ~singular_jets_closed_form(J).mask
 
 
-def _delta_zero(blocks, coords, slots: np.ndarray, k: int, r: int) -> np.ndarray:
+def _delta_zero(blocks, slots: np.ndarray, live: np.ndarray, k: int, r: int) -> np.ndarray:
     """Per sample (row of `slots`), whether its discriminant form is
-    identically zero, from its slot vector and its jet coordinates at the
-    points of each of `blocks` (degrees 1..r, twist degree k).
+    identically zero, given `live`: the samples whose discriminant values
+    vanish at every point of `blocks` (degrees 1..r, twist degree k), the
+    others being settled.
 
-    A nonzero discriminant value at a point of degree <= r settles a sample.
-    Unsettled samples go on through the probe blocks of the degrees above r
-    up to ``_DELTA_PROBE_DEGREE``, one degree at a time, and only when every
+    Live samples go on through the probe blocks of the degrees above r up
+    to ``_DELTA_PROBE_DEGREE``, one degree at a time, and only when every
     probe value vanishes too is the form expanded exactly.  Probing stops at
     the first degree with too many points; the expansion decides the rest.
     """
     P = blocks[0].points[0]
-    live = _survivors(blocks, coords, np.arange(len(slots)), _delta_vanishes)
     for e in range(r + 1, _DELTA_PROBE_DEGREE + 1):
         if not live.size:
             break
@@ -287,7 +277,7 @@ def mc_density(p: int, q: int, m: int, k: int, r: int, samples: int,
     warn = k < (6 * m + 6) * r
     exact = exact_density(q, m, r)
     # every kernel is applied to every chunk: one the memo does not keep is
-    # built here, for this call only
+    # built here, once for this call
     blocks = [b if b.rows is not None else PointBlock(b.degrees, b.points,
                                                       jet_kernel(b.degrees, b.points))
               for b in scan_blocks(m, q, r, section_degrees(p, k))]
@@ -302,11 +292,18 @@ def mc_density(p: int, q: int, m: int, k: int, r: int, samples: int,
         for i, row in enumerate(slots, start):
             rng = np.random.Generator(np.random.PCG64(sample_seed(master_seed, i)))
             row[:] = rng.integers(0, p, size=cols, dtype=dtype)
-        coords = [jet_at(slots, b) for b in blocks]
-        dz = _delta_zero(blocks, coords, slots, k, r)
+        # the samples whose delta values all vanish so far, and those smooth so far
+        zero = ok = np.arange(len(slots))
+        for b in blocks:
+            if not (zero.size or ok.size):
+                break
+            coords = jet_at(slots, b)
+            zero = zero[_delta_vanishes(jets_from_coords(b.field, coords[zero])).all(axis=1)]
+            ok = ok[_smooth(jets_from_coords(b.field, coords[ok])).all(axis=1)]
+        dz = _delta_zero(blocks, slots, zero, k, r)
         delta_zero += int(np.count_nonzero(dz))
         # draws with delta == 0 count as not-smooth
-        smooth += _survivors(blocks, coords, np.flatnonzero(~dz), _smooth).size
+        smooth += int(np.count_nonzero(~dz[ok]))
     est = smooth / samples
     se = float(np.sqrt(est * (1.0 - est) / samples))
     return DensityReport(
@@ -322,5 +319,5 @@ def mc_density(p: int, q: int, m: int, k: int, r: int, samples: int,
 def singular_scan(w: WeierstrassData, r: int,
                   cap: int | None = None) -> list[SingularityWitness]:
     """All closed points of degree <= r with a singular fiber point, each with
-    its verified witness (x, y); one detector call per degree."""
+    its verified witness (x, y); one detector call per point block."""
     return list(singular_witnesses(w, r, cap))

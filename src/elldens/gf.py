@@ -485,19 +485,29 @@ class LogTables:
     @classmethod
     def build(cls, fld: "FieldCtx") -> "LogTables":
         p, n, order = fld.p, fld.n, fld.size - 1
-        # powers of g as coefficient rows, doubling the known range [0, L)
-        # by one multiplication with g^L per step
-        pows = np.array([fld.one.coeffs], dtype=np.int64)
+        slab = 1 << 14  # rows per product, which bounds the int64 temporaries
+        # powers of g as F_p digit rows, doubling the known range [0, L) by
+        # one multiplication with g^L per step, written in place
+        pows = np.empty((order, n), dtype=np.min_scalar_type(p - 1))
+        pows[0] = fld.one.coeffs
         step = fld.from_index(_primitive_index(fld))
-        while len(pows) < order:
-            pows = np.concatenate([pows, pows @ _times_matrix(step) % p])
+        known = 1
+        while known < order:
+            times = _times_matrix(step)
+            grow = min(known, order - known)
+            for a in range(0, grow, slab):
+                b = min(a + slab, grow)
+                pows[known + a:known + b] = pows[a:b] @ times % p
+            known += grow
             step = step * step
         place = p ** np.arange(n, dtype=np.int64)
-        antilog = pows[:order] @ place
+        antilog = np.empty(order, dtype=np.int64)
+        for a in range(0, order, slab):
+            antilog[a:a + slab] = pows[a:a + slab] @ place
         log = np.zeros(fld.size, dtype=np.int64)
         log[antilog] = np.arange(order)
-        digits = ((np.arange(fld.size, dtype=np.int64)[:, None] // place) % p
-                  ).astype(np.min_scalar_type(p - 1))
+        digits = np.zeros((fld.size, n), dtype=pows.dtype)
+        digits[antilog] = pows
         for arr in (log, antilog, digits):
             arr.flags.writeable = False
         return cls(log=log, antilog=antilog, digits=digits)

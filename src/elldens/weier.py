@@ -352,11 +352,12 @@ def singular_over_oracle(w: WeierstrassData, P: ClosedPoint) -> SingularityWitne
 def singular_witnesses(w: WeierstrassData, r: int,
                        cap: int | None = None) -> Iterator[SingularityWitness]:
     """The witnesses over the closed points of degree <= r that carry a
-    singular fiber point, in degree order.  Per degree, one
-    :func:`~elldens.base.jet_at` product gives the jets at every point of
-    that degree and one batched detector call tests them; each witness is
-    re-verified against its own jets.  ``cap`` bounds the point enumeration
-    as in :func:`~elldens.base.closed_points_up_to`."""
+    singular fiber point, in listing order.  Per point block of
+    :func:`~elldens.base.scan_blocks`, one :func:`~elldens.base.jet_at`
+    product gives the jets at its points and one batched detector call
+    tests them; each witness is re-verified against its own jets.  ``cap``
+    bounds the point enumeration as in
+    :func:`~elldens.base.closed_points_up_to`."""
     for block in scan_blocks(w.m, w.field.size, r, section_degrees(w.field.p, w.k), cap):
         yield from _witnesses(w, block)
 

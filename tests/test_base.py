@@ -1,5 +1,6 @@
 """Closed points of projective space and jet evaluation maps."""
 import hashlib
+import itertools
 import math
 import random
 from functools import lru_cache
@@ -14,7 +15,8 @@ from elldens import base
 from elldens.base import (ClosedPoint, FeasibilityError, Jet, JetKernel, PointBlock,
                           closed_points_up_to, exact_float_dtype, jet_at, jet_kernel,
                           jet_space_map, scan_blocks)
-from elldens.gf import FieldCtx, FieldMismatchError, embedding, is_irreducible, make_field
+from elldens.gf import (FieldCtx, FieldMismatchError, embedding, is_irreducible, make_field,
+                        prime_power)
 from elldens.linalg import rank_mod_p
 from elldens.sections import (Section, dim_space, monomials, random_section,
                               section_from_slots, section_slots)
@@ -295,9 +297,10 @@ def test_jet_at_matches_affine_oracle(q, m):
 
 @pytest.mark.parametrize("q,m,e", [(4, 2, 1), (4, 2, 2), (9, 1, 2), (5, 2, 1), (2, 2, 3)])
 @pytest.mark.parametrize("budget", ["kept", "one chunk", "zero"])
-def test_jet_at_batched_matches_affine_oracle(q, m, e, budget, monkeypatch):
-    # kept rows, rows built in one chunk, and one point per chunk (budget 0)
-    # give the oracle's jets; the third form is zero
+def test_jet_at_batched_matches_affine_oracle(q, m, e, budget):
+    # a kept kernel, one built for the call, and one-point blocks (as
+    # scan_blocks cuts them at budget 0) give the oracle's jets; the third
+    # form is zero
     rng = random.Random(f"jet-batch:{q}:{m}:{e}")
     pts = [P for P in closed_points_up_to(m, q, e) if P.degree == e][:9]
     base_field = pts[0].emb.src
@@ -305,9 +308,8 @@ def test_jet_at_batched_matches_affine_oracle(q, m, e, budget, monkeypatch):
              for d in (2, 3)] + [Section.zero(m, 4, base_field)]
     degrees = tuple(s.d for s in forms)
     rows = jet_kernel(degrees, pts) if budget == "kept" else None
-    if budget == "zero":
-        monkeypatch.setattr(base, "_ROW_BUDGET", 0)
-    for P, jets in zip(pts, _jets(forms, pts, rows)):
+    groups = [[P] for P in pts] if budget == "zero" else [pts]
+    for P, jets in zip(pts, [jets for g in groups for jets in _jets(forms, g, rows)]):
         assert jets[2].vanishes
         loc = P.local_coords()
         for s, J in zip(forms, jets):
@@ -425,14 +427,13 @@ def test_jet_at_rejects_a_slot_vector_of_other_forms():
 
 
 @pytest.mark.parametrize("kind", ["kept", "unkept", "values"])
-def test_jet_at_takes_a_batch_of_slot_vectors(kind, monkeypatch):
+def test_jet_at_takes_a_batch_of_slot_vectors(kind):
     # a batch on the last axis gives the jets of row-by-row calls, for a
-    # kept kernel, kernels built in chunks of one point, and value rows only
+    # kept kernel, a kernel built for each call, and value rows only
     pts = tuple(P for P in closed_points_up_to(2, 4, 2) if P.degree == 2)[:5]
     degrees = section_degrees(2, 1)
     rows = {"kept": jet_kernel(degrees, pts), "unkept": None,
             "values": jet_kernel(degrees, pts, entries=1)}[kind]
-    monkeypatch.setattr(base, "_ROW_BUDGET", 0)
     block = PointBlock(degrees, pts, rows)
     slots = np.random.default_rng(3).integers(0, 2, size=(6, block.cols))
     batch = jet_at(slots, block)
@@ -452,19 +453,53 @@ def test_scan_blocks_keep_rows_within_the_budget(monkeypatch):
     assert [k.nbytes for k in kernels] == [21 * 6 * 112 * 4, 126 * 12 * 112 * 4]
     degrees = section_degrees(2, 2)
     blocks = scan_blocks(2, 4, 2, degrees)
-    assert [b.points[0].degree for b in blocks] == [1, 2]
-    assert [len(b.points) for b in blocks] == [21, 126]
+    # a degree-2 point has 12 rows x 340 slots x 4 bytes: 64 of them fit the
+    # budget, so the 126 points make blocks of 64 and 62
+    assert blocks[1].point_nbytes == 12 * 340 * 4
+    assert 64 * blocks[1].point_nbytes <= base._ROW_BUDGET < 65 * blocks[1].point_nbytes
+    assert [(b.points[0].degree, len(b.points)) for b in blocks] == [(1, 21), (2, 64), (2, 62)]
     kept = [b.rows.nbytes for b in blocks if b.rows is not None]
     assert kept == [len(blocks[0].points) * blocks[0].point_nbytes]
     assert 0 < sum(kept) <= base._ROW_BUDGET
-    assert blocks[1].rows is None  # 126 points x 12 rows x 340 slots x 4 bytes
+    # each degree-2 block fits the budget alone, but not beside the kept one
+    assert all(b.rows is None for b in blocks[1:])
+    assert all(sum(kept) + len(b.points) * b.point_nbytes > base._ROW_BUDGET
+               for b in blocks[1:])
     assert scan_blocks(2, 4, 2, degrees) is blocks
     monkeypatch.setattr(base, "_ROW_BUDGET", 0)
     base._scan_blocks.cache_clear()
     try:
-        assert all(b.rows is None for b in scan_blocks(2, 4, 2, degrees))
+        zero = scan_blocks(2, 4, 2, degrees)
+        assert all(b.rows is None and len(b.points) == 1 for b in zero)
+        assert len(zero) == 21 + 126
     finally:
         base._scan_blocks.cache_clear()
+
+
+@pytest.mark.parametrize("m,q,r,k", [(2, 4, 2, 4), (2, 4, 2, 1), (2, 3, 1, 18), (1, 5, 3, 36),
+                                     (1, 2, 4, 40)])
+@pytest.mark.parametrize("budget", [None, 0, 200_000])
+def test_scan_blocks_list_the_closed_points_in_order(m, q, r, k, budget, monkeypatch):
+    # blocks cut each degree's points in listing order, each within the
+    # budget unless it holds one point, and the kept kernels within it too
+    p, _ = prime_power(q)
+    if budget is not None:
+        monkeypatch.setattr(base, "_ROW_BUDGET", budget)
+    base._scan_blocks.cache_clear()
+    try:
+        blocks = scan_blocks(m, q, r, section_degrees(p, k))
+    finally:
+        base._scan_blocks.cache_clear()
+    points = [P for b in blocks for P in b.points]
+    assert points == closed_points_up_to(m, q, r)
+    assert all(len({P.degree for P in b.points}) == 1 for b in blocks)
+    assert all(len(b.points) == 1 or len(b.points) * b.point_nbytes <= base._ROW_BUDGET
+               for b in blocks)
+    assert sum(b.rows.nbytes for b in blocks if b.rows is not None) <= base._ROW_BUDGET
+    # a block is cut short only where its degree's points run out
+    for b, nxt in itertools.pairwise(blocks):
+        if nxt.points[0].degree == b.points[0].degree:
+            assert (len(b.points) + 1) * b.point_nbytes > base._ROW_BUDGET
 
 
 def test_scan_blocks_check_the_cap_on_every_call():
@@ -504,7 +539,7 @@ def test_float32_product_with_a_24_bit_sum():
     kernel = JetKernel(p, [rows])
     assert kernel.dtype is np.float32
     assert kernel.apply(slots).tolist() == [[[total % p]]]
-    assert kernel.apply(slots).dtype == np.int64
+    assert kernel.apply(slots).dtype == np.uint16  # F_257 digits
 
 
 def test_kernel_refuses_an_inexact_form_only():

@@ -223,6 +223,37 @@ def test_configurations_outside_the_domain_exit_2(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["minimal", "--random", "-q", "4", "-m", "2", "-k", "1", "--cap", "-1"],
+     "--cap must be >= 1, got -1"),
+    (["minimal", "--random", "-q", "4", "-m", "2", "-k", "1", "--cap", "0"],
+     "--cap must be >= 1, got 0"),
+    (["scan", "--random", "-q", "5", "-m", "1", "-k", "1", "-r", "1", "--cap", "0"],
+     "--cap must be >= 1, got 0"),
+    (["census", "-p", "2", "-q", "2", "-m", "1", "-e", "1", "--cap", "-5"],
+     "--cap must be >= 1, got -5"),
+    (["scan", "--random", "-q", "5", "-m", "1", "-k", "1", "-r", "1", "--seed", "-1"],
+     "--seed must be >= 0 with --random, got -1"),
+    (["minimal", "--random", "-q", "5", "-m", "1", "-k", "1", "--seed", "-2"],
+     "--seed must be >= 0 with --random, got -2"),
+], ids=["minimal-cap-negative", "minimal-cap-zero", "scan-cap-zero", "census-cap-negative",
+        "scan-seed-negative", "minimal-seed-negative"])
+def test_flags_outside_their_domain_exit_2(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_density_mc_accepts_a_negative_seed(capsys):
+    # a master seed only names the per-sample streams, so any integer will do
+    code, out = _run(capsys, ["density-mc", "-p", "2", "-q", "2", "-m", "1", "-k", "6",
+                              "-r", "1", "--samples", "5", "--seed", "-4", "--no-timing"])
+    assert code == 0
+    assert json.loads(out)["config"]["seed"] == -4
+
+
 @pytest.mark.parametrize("q,m,k,seed", [(4, 2, 1, 10), (9, 1, 2, 1)])
 def test_scan_and_minimal_golden_outputs(capsys, q, m, k, seed):
     # bytes recorded from the sparse per-monomial jet loop; q = 4 has

@@ -6,15 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from elldens import base, density
+from elldens import base, density, weier
 from elldens.base import (FeasibilityError, JetKernel, closed_points_up_to, jet_at,
                           jet_space_map, scan_blocks)
 from elldens.density import (exact_density, expected_bad_count, jet_census, mc_density,
                              sample_seed, singular_scan, surjectivity_check)
 from elldens.gf import make_field, prime_power
 from elldens.linalg import rank_mod_p
-from elldens.weier import (jets_at, jets_from_indices, random_weierstrass, section_degrees,
-                           singular_jets_closed_form, singular_jets_oracle,
+from elldens.weier import (jets_at, jets_from_coords, jets_from_indices, random_weierstrass,
+                           section_degrees, singular_jets_closed_form, singular_jets_oracle,
                            singular_over_oracle)
 
 
@@ -180,6 +180,16 @@ def test_mc_validates():
         mc_density(2, 2, 1, 6, r=1, samples=0, master_seed=0)
 
 
+def _vanishing(blocks, slots):
+    """The rows of `slots` whose discriminant values vanish at every point of
+    the blocks, as Monte-Carlo's pass over the blocks leaves them."""
+    live = np.arange(len(slots))
+    for b in blocks:
+        live = live[density._delta_vanishes(
+            jets_from_coords(b.field, jet_at(slots[live], b))).all(axis=1)]
+    return live
+
+
 def test_mc_counts_delta_zero_as_not_smooth():
     # characteristic-2 fixture: a1 = a3 = a4 = 0 makes the discriminant
     # vanish identically while fibers y^2 = x^3 + a6 can look pointwise fine;
@@ -207,7 +217,18 @@ def test_mc_counts_delta_zero_as_not_smooth():
                            for b, s in zip(jet_space_map(degrees, P).blocks, forms)])[None]
     coords = [jet_at(slots, b) for b in blocks]
     assert np.array_equal(np.concatenate([c.reshape(1, -1) for c in coords], axis=1), want)
-    assert density._delta_zero(blocks, coords, slots, 2, 1).tolist() == [True]
+    assert _vanishing(blocks, slots).tolist() == [0]
+    assert density._delta_zero(blocks, slots, np.arange(1), 2, 1).tolist() == [True]
+    # end to end: Monte-Carlo draw 76 of master seed 7 at (p, q, m, k, r) =
+    # (2, 2, 1, 1, 1) has delta == 0 and passes the detector at every
+    # degree-1 point, and is counted in delta_zero_count only
+    from elldens.weier import smooth_up_to, weierstrass_from_slots
+    rng = np.random.Generator(np.random.PCG64(sample_seed(7, 76)))
+    w = weierstrass_from_slots(1, 1, F2, rng.integers(0, 2, size=18, dtype=np.uint8))
+    assert w.delta.is_zero and smooth_up_to(w, 1)
+    before, after = (mc_density(2, 2, 1, 1, 1, samples=n, master_seed=7) for n in (76, 77))
+    assert after.smooth_count == before.smooth_count
+    assert after.delta_zero_count == before.delta_zero_count + 1
 
 
 def test_delta_zero_batch_matches_exact_expansion(monkeypatch):
@@ -222,8 +243,7 @@ def test_delta_zero_batch_matches_exact_expansion(monkeypatch):
     expanded = []
     monkeypatch.setattr(density, "weierstrass_from_slots",
                         lambda *args: expanded.append(args) or weierstrass_from_slots(*args))
-    coords = [jet_at(slots, b) for b in blocks]
-    assert density._delta_zero(blocks, coords, slots, 1, 1).tolist() == want
+    assert density._delta_zero(blocks, slots, _vanishing(blocks, slots), 1, 1).tolist() == want
     # the probe settles every draw but the truly degenerate ones
     assert len(expanded) == sum(want) > 0
 
@@ -264,7 +284,7 @@ def test_probe_rows_built_on_first_need(monkeypatch):
     monkeypatch.setattr(density, "jet_kernel",
                         lambda degs, pts, entries: built.append(pts) or
                         base.jet_kernel(degs, pts, entries=entries))
-    density._delta_zero(blocks, [jet_at(slots, b) for b in blocks], slots, 1, 1)
+    density._delta_zero(blocks, slots, _vanishing(blocks, slots), 1, 1)
     assert [P.degree for P in built[0]] == [2]
     needed = len(built)
     probe = density._probe_block(1, 2, 2, degrees)
@@ -283,25 +303,31 @@ def test_probe_over_cap_is_skipped_and_expansion_decides():
     assert all(b.rows is not None for b in blocks)  # kept under the default budget
     slots = np.zeros((2, blocks[0].cols), dtype=np.uint16)
     slots[1, -1] = 1  # a6 = x1^6: delta = -432 x1^12, nonzero at (0:1)
-    coords = [jet_at(slots, b) for b in blocks]
-    assert density._delta_zero(blocks, coords, slots, 1, 1).tolist() == [True, False]
+    live = _vanishing(blocks, slots)
+    assert live.tolist() == [0]
+    assert density._delta_zero(blocks, slots, live, 1, 1).tolist() == [True, False]
 
 
 def test_mc_keeps_every_kernel_past_the_scan_budget(monkeypatch):
-    # with no byte budget, Monte-Carlo still applies a whole kernel at every
-    # degree, built for the call, and gives the same counts; the shape's one
-    # memo entry keeps none of them after the call
+    # with no byte budget, every block holds one point and Monte-Carlo
+    # still applies a kernel at each, built once for the call and reused by
+    # both chunks, and gives the same counts; the shape's one memo entry
+    # keeps none of them after the call
     cfg, degrees = (2, 4, 1, 6, 2), section_degrees(2, 6)
-    want = mc_density(*cfg, samples=300, master_seed=3)
+    want = mc_density(*cfg, samples=600, master_seed=3)
     base._scan_blocks.cache_clear()
     monkeypatch.setattr(base, "_ROW_BUDGET", 0)
     try:
         used = _record_blocks(monkeypatch)
-        got = mc_density(*cfg, samples=300, master_seed=3)
+        got = mc_density(*cfg, samples=600, master_seed=3)
         assert (got.smooth_count, got.delta_zero_count) == (want.smooth_count,
                                                             want.delta_zero_count)
-        kept = [b.rows is not None for b in used if b.points[0].degree <= 2]
-        assert len(kept) == 2 * math.ceil(300 / 512) and all(kept)
+        blocks = [b for b in used if b.points[0].degree <= 2]
+        points = closed_points_up_to(1, 4, 2)  # 5 of degree 1, 6 of degree 2
+        assert len(blocks) == 2 * len(points) == 2 * 11
+        assert all(b.rows is not None for b in blocks)
+        assert blocks[:11] == blocks[11:]  # the same blocks, hence kernels, per chunk
+        assert [b.points for b in blocks[:11]] == [(P,) for P in points]
         assert base._scan_blocks.cache_info().currsize == 1
         assert all(b.rows is None for b in scan_blocks(1, 4, 2, degrees))
         assert base._scan_blocks.cache_info().currsize == 1
@@ -310,15 +336,71 @@ def test_mc_keeps_every_kernel_past_the_scan_budget(monkeypatch):
 
 
 def test_mc_leaves_no_kernel_past_the_budget_in_the_memo():
-    # the degree-1 kernel of P^2 over F_3 at k = 18 passes the byte budget:
-    # Monte-Carlo builds it for its own call and the memo does not keep it
+    # the 13 degree-1 points of P^2 over F_3 at k = 18 pass the byte budget
+    # together: they make blocks of 9 and 4 points, the first kept, the
+    # second built by Monte-Carlo for its own call and not kept by the memo
     base._scan_blocks.cache_clear()
     try:
         mc_density(3, 3, 2, 18, 1, samples=20, master_seed=0)
-        [block] = scan_blocks(2, 3, 1, section_degrees(3, 18))
-        assert len(block.points) * block.point_nbytes > base._ROW_BUDGET
-        assert block.rows is None
+        blocks = scan_blocks(2, 3, 1, section_degrees(3, 18))
+        assert [len(b.points) for b in blocks] == [9, 4]
+        size = blocks[0].point_nbytes
+        assert 9 * size <= base._ROW_BUDGET < 10 * size
+        assert blocks[0].rows is not None and blocks[0].rows.nbytes == 9 * size
+        assert blocks[1].rows is None
         assert base._scan_blocks.cache_info().currsize == 1
+    finally:
+        base._scan_blocks.cache_clear()
+
+
+def _kernel_nbytes(block):
+    """Bytes of the kernel that jet_at applies at a block."""
+    return block.rows.nbytes if block.rows is not None else len(block.points) * block.point_nbytes
+
+
+@pytest.mark.parametrize("budget", [None, 100_000])
+def test_jet_at_takes_blocks_within_the_budget(budget, monkeypatch):
+    # a scan of (q, m, k, r) = (4, 2, 4, 2) data and Monte-Carlo runs whose
+    # degrees split into several blocks: every product's kernel fits the
+    # budget unless its block holds one point
+    if budget is not None:
+        monkeypatch.setattr(base, "_ROW_BUDGET", budget)
+    base._scan_blocks.cache_clear()
+    try:
+        used = _record_blocks(monkeypatch)
+        monkeypatch.setattr(weier, "jet_at",
+                            lambda slots, block: used.append(block) or jet_at(slots, block))
+        singular_scan(random_weierstrass(2, 4, make_field(2, 2), seed=0), 2)
+        mc_density(3, 3, 2, 18, 1, samples=20, master_seed=0)
+        mc_density(2, 4, 1, 6, 2, samples=100, master_seed=0)
+    finally:
+        base._scan_blocks.cache_clear()
+    # more blocks than degrees: the scan's degree 2 and the first run's
+    # degree 1 split
+    assert len(used) > 2 + 1 + 2
+    assert all(len(b.points) == 1 or _kernel_nbytes(b) <= base._ROW_BUDGET for b in used)
+
+
+def test_scan_witnesses_do_not_depend_on_the_budget(monkeypatch):
+    # seeded (q, m, k, r) = (4, 2, 4, 2) data, with witnesses of degree 1 and
+    # 2 in several blocks: the default budget's blocks of 18 degree-2 points
+    # and budget 0's one-point blocks find the same witnesses, in order
+    F4 = make_field(2, 2)
+    data = [random_weierstrass(2, 4, F4, seed=s) for s in (17, 204, 338, 391)]
+
+    def witnesses():
+        return [(h.point, h.x, h.y) for w in data for h in singular_scan(w, 2)]
+
+    base._scan_blocks.cache_clear()
+    want = witnesses()
+    assert [P.degree for P, _, _ in want] == [1, 1, 1, 1, 1, 2, 2, 2, 1, 2, 2]
+    blocks = scan_blocks(2, 4, 2, section_degrees(2, 4))
+    assert [len(b.points) for b in blocks] == [21] + [18] * 7
+    monkeypatch.setattr(base, "_ROW_BUDGET", 0)
+    base._scan_blocks.cache_clear()
+    try:
+        assert witnesses() == want
+        assert all(len(b.points) == 1 for b in scan_blocks(2, 4, 2, section_degrees(2, 4)))
     finally:
         base._scan_blocks.cache_clear()
 

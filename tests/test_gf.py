@@ -1,4 +1,5 @@
 """Finite field construction, arithmetic axioms, Frobenius and embeddings."""
+import hashlib
 import random
 
 import numpy as np
@@ -241,6 +242,38 @@ def test_log_tables_agree_with_field_arithmetic(p, n):
     assert t.digits.dtype == ("uint8" if p < 257 else "uint16")
     for i in (0, 1, F.size - 1):
         assert tuple(int(c) for c in t.digits[i]) == F.from_index(i).coeffs
+
+
+# sha256 of the bytes of log, antilog and digits, as the whole-array doubling
+# build gave them; the slab-by-slab build must reproduce them
+LOG_TABLE_DIGESTS = [
+    (2, 19, ("b8edf18f0551fd241f0e4de485c86573ee3db68e3b2b1d16fd4e8ae5f8ce51f1",
+             "c2d56e84c4175c94dd901a9cd56f5f81aee0c22f39fd7a26fe1c9eb14ac867c1",
+             "a9206d88ed9f58c6f18f4435ef130d97c84ec2be25fab5deb678388fcff46a77")),
+    (3, 11, ("4d1652a606dc51e33dac5afd701268e04344775824f5d5b08a37ce0f6cf89462",
+             "8109976e11ad71af41984232b667ea42adf87299345670f37170172206aac418",
+             "7b4bb8d5898edd0568c02d8db201192bc5c04a3897f377df91eca5c7d78e786a")),
+    (2, 8, ("d7002cc4ed06901ab31dbe2edbbcf6ec8f2d06cf5a632794b3790ceb77367e99",
+             "d4d4e56a8c2c66bf2cc68c015dccdc7f2efefcbab05cf37ec7f5519baef5d40c",
+             "b5c9924fd181c6eac0b4bc03b8e1f31f9ecc1e0686bc42b9ac49d118eecd8e48")),
+    (5, 7, ("752ed3e4575b41dd47b34994a06b55a2bf5e1776f765506b0472120528815949",
+             "89a4a272c305defa3637ae8d1ade88f66ecb3e1d66b875fe631d62d6ddc97035",
+             "a015be45719a4d1bff0edc3cad63370620257850af608a81d334a5ee62e4ac16")),
+    (257, 2, ("be08afd7b87ef13d4704eeea9644fe66d426b108a0591351a8ef779fd8daa04a",
+             "38348b4d1463ad043d9990fcb5b54b59994b3a1bf0abfc735250f7a0b79f2054",
+             "cb3187a5c096059f1c85ae8469d9b30e00bb9d5a51bfcdda8aae83e9bc521d4f")),
+]
+
+
+@pytest.mark.parametrize("p,n,digests", LOG_TABLE_DIGESTS,
+                         ids=[f"F_{p}^{n}" for p, n, _ in LOG_TABLE_DIGESTS])
+def test_log_tables_are_pinned(p, n, digests):
+    t = make_field(p, n).log_tables()
+    assert [a.dtype for a in (t.log, t.antilog, t.digits)] == [
+        np.int64, np.int64, np.min_scalar_type(p - 1)]
+    assert t.digits.shape == (p ** n, n)
+    assert tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                 for a in (t.log, t.antilog, t.digits)) == digests
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (7, 1), (3, 2), (5, 2),
