@@ -485,7 +485,6 @@ class LogTables:
     @classmethod
     def build(cls, fld: "FieldCtx") -> "LogTables":
         p, n, order = fld.p, fld.n, fld.size - 1
-        slab = 1 << 14  # rows per product, which bounds the int64 temporaries
         # powers of g as F_p digit rows, doubling the known range [0, L) by
         # one multiplication with g^L per step, written in place
         pows = np.empty((order, n), dtype=np.min_scalar_type(p - 1))
@@ -495,15 +494,14 @@ class LogTables:
         while known < order:
             times = _times_matrix(step)
             grow = min(known, order - known)
-            for a in range(0, grow, slab):
-                b = min(a + slab, grow)
-                pows[known + a:known + b] = pows[a:b] @ times % p
+            for sl in _slabs(grow):
+                pows[known + sl.start:known + sl.stop] = pows[sl] @ times % p
             known += grow
             step = step * step
         place = p ** np.arange(n, dtype=np.int64)
         antilog = np.empty(order, dtype=np.int64)
-        for a in range(0, order, slab):
-            antilog[a:a + slab] = pows[a:a + slab] @ place
+        for sl in _slabs(order):
+            antilog[sl] = pows[sl] @ place
         log = np.zeros(fld.size, dtype=np.int64)
         log[antilog] = np.arange(order)
         digits = np.zeros((fld.size, n), dtype=pows.dtype)
@@ -511,6 +509,13 @@ class LogTables:
         for arr in (log, antilog, digits):
             arr.flags.writeable = False
         return cls(log=log, antilog=antilog, digits=digits)
+
+
+def _slabs(rows: int):
+    """Slices of [0, rows) of 2^14 rows each: a product on one slab at a
+    time bounds the int64 temporaries of a table over a large field."""
+    for a in range(0, rows, 1 << 14):
+        yield slice(a, min(a + (1 << 14), rows))
 
 
 def _primitive_index(fld: FieldCtx) -> int:
@@ -691,14 +696,14 @@ class _LogKernel:
         t = fld.log_tables()
         self.p, self.order = fld.p, fld.size - 1
         self.log, self.antilog = t.log, t.antilog
-        self.digits = t.digits.astype(np.int64)
+        self.digits = t.digits  # np.min_scalar_type(p - 1): sums widen per call
         self.place = fld.p ** np.arange(fld.n, dtype=np.int64)
 
     def add(self, a, b):
-        return ((self.digits[a] + self.digits[b]) % self.p) @ self.place
+        return np.add(self.digits[a], self.digits[b], dtype=np.int64) % self.p @ self.place
 
     def neg(self, a):
-        return (-self.digits[a] % self.p) @ self.place
+        return np.negative(self.digits[a], dtype=np.int64) % self.p @ self.place
 
     def mul(self, a, b):
         prod = self.antilog[(self.log[a] + self.log[b]) % self.order]
@@ -781,21 +786,29 @@ def coefficient_key(fld: FieldCtx) -> np.ndarray:
     """Per element index, an int64 key that orders the elements by
     coefficient sequence, the coefficient of x^0 most significant: the order
     in which ``FieldElem.coeffs`` tuples compare."""
-    return fld.log_tables().digits @ fld.p ** np.arange(fld.n - 1, -1, -1, dtype=np.int64)
+    digits = fld.log_tables().digits
+    place = fld.p ** np.arange(fld.n - 1, -1, -1, dtype=np.int64)
+    key = np.empty(fld.size, dtype=np.int64)
+    for sl in _slabs(fld.size):
+        key[sl] = digits[sl] @ place
+    return key
 
 
 @lru_cache(maxsize=None)
 def embedding(src: FieldCtx, dst: FieldCtx) -> Embedding:
     """The canonical embedding src -> dst: the root of the source modulus in
     dst with the smallest :func:`coefficient_key`, found by one Horner pass
-    over every element of dst."""
+    over every element of dst, slab by slab."""
     if dst.n % src.n != 0:
         raise ValueError(f"no embedding: degree {src.n} does not divide {dst.n}")
-    x = FieldArray(dst, np.arange(dst.size))
-    acc = FieldArray(dst, np.zeros(dst.size, dtype=np.int64))
-    for c in reversed(src.modulus):
-        acc = acc * x + c
-    roots = np.flatnonzero(acc.is_zero)
+    roots = []
+    for sl in _slabs(dst.size):
+        x = FieldArray(dst, np.arange(sl.start, sl.stop))
+        acc = FieldArray(dst, np.zeros(sl.stop - sl.start, dtype=np.int64))
+        for c in reversed(src.modulus):
+            acc = acc * x + c
+        roots.append(sl.start + np.flatnonzero(acc.is_zero))
+    roots = np.concatenate(roots)
     if not roots.size:  # cannot happen for valid degrees; guard anyway
         raise ValueError("source modulus has no root in the target field")
     best = roots[np.argmin(coefficient_key(dst)[roots])]

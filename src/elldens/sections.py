@@ -9,28 +9,37 @@ Monomial order used throughout (serialization, matrices, division) is graded
 lex with x_0 > x_1 > ... > x_m; for a fixed degree this is plain descending
 tuple order.
 
-A product of two forms is one exact integer convolution (:func:`_product`).
+Form products have one implementation, on term tables (:class:`TermTable`).
 Homogeneity fixes the exponent of x_0, so it is dropped; the other exponents
 e_1..e_m of a term map to the Kronecker key
 
-    e_1 + e_2 B_1 + e_3 B_1 B_2 + ... + e_m B_1 ... B_(m-1),
+    e_1 + e_2 B_1 + e_3 B_1 B_2 + ... + e_m B_1 ... B_(m-1)
 
-where B_j is one more than the largest exponent of x_j in f plus that in g
-(d1 + d2 + 1 for dense forms).  No exponent of the product reaches its
-base, so keys add without carries: the key of a term pair is the sum of the
-terms' keys.  A coefficient is its F_p coordinate vector (coefficients of
-alpha^0 .. alpha^(n-1), for F_{p^n} = F_p[alpha]), and a pair's product is
-the convolution of the two vectors, width W = 2n - 1.  The pairs are sorted
-by key and the rows of equal keys summed in int64, in blocks of about
-``_PAIR_CHUNK`` pairs, so memory follows the terms present, never the
-B_1 ... B_m box (which once m >= 3 is mostly keys of no monomial of degree
-d).  The sums are reduced mod p, alpha^n .. alpha^(2n-2) are folded back
-with the modulus (``FieldCtx._red``), and the exponent of x_0 is restored
-from the degree.
+of a :class:`KeyLayout`, and a table holds a form's keys and one row of F_p
+coordinates per key (coefficients of alpha^0 .. alpha^(n-1), for
+F_{p^n} = F_p[alpha]).  While no exponent of a result reaches its base,
+keys add without carries: the key of a term pair is the sum of the terms'
+keys.  A pair's coefficient is the convolution of the two rows, width
+W = 2n - 1.  The pairs are sorted by key and the rows of equal keys summed
+in int64, in blocks of about ``_PAIR_CHUNK`` pairs, so memory follows the
+terms present, never the B_1 ... B_m box (which once m >= 3 is mostly keys
+of no monomial of degree d).  The sums are reduced mod p and
+alpha^n .. alpha^(2n-2) are folded back with the modulus
+(``FieldCtx._red``).  Sums, differences and integer multiples of tables
+stay tables, so a polynomial in forms is expanded without a
+:class:`Section` in between; the exponent of x_0 is restored from the
+degree when a table becomes a Section again.
+
+``Section * Section`` (:func:`_product`) multiplies the two tables under
+bases B_j one above the largest exponent of x_j in f plus that in g
+(d1 + d2 + 1 for dense forms).  The discriminant
+(:func:`~elldens.weier.discriminant`) expands its whole formula on the
+tables of a1..a6 under one shared base of 12k + 1 per variable, above
+every exponent of a form of degree <= 12k.
 
 Exactness: an entry sums at most min(N1, N2) * n products of two values
 below p, N the factors' term counts.  A product whose bound
-min(N1, N2) * n * (p-1)^2 reaches 2^63, or whose largest key
+min(N1, N2) * n * (p-1)^2 reaches 2^63, or a layout whose largest key
 B_1 ... B_m - 1 does, raises :class:`~elldens.errors.FeasibilityError`
 instead of wrapping.
 """
@@ -38,6 +47,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -271,58 +281,157 @@ class Section:
         return cls(m, d, field, coeffs)
 
 
+def _term_rows(s: Section) -> np.ndarray:
+    """One int64 row per term of s: exponents of x_1..x_m, then F_p coordinates."""
+    return np.array([e[1:] + c.coeffs for e, c in s.coeffs.items()],
+                    dtype=np.int64).reshape(-1, s.m + s.field.n)
+
+
+class KeyLayout(NamedTuple):
+    """Kronecker keys of monomials: the exponent of x_j (j = 1..m) is below
+    ``base[j-1]`` and weighs ``place[j-1]`` in the key."""
+
+    base: np.ndarray   # (m,) int64
+    place: np.ndarray  # (m,) int64
+
+    @classmethod
+    def of(cls, base, m: int, d: int) -> "KeyLayout":
+        """The layout with these bases, for forms up to degree d on P^m;
+        FeasibilityError when its largest key reaches 2^63."""
+        place = [1]
+        for b in base:
+            place.append(place[-1] * int(b))  # Python ints: the check cannot wrap
+        if place[-1] > 1 << 63:  # the largest key is place[-1] - 1
+            raise FeasibilityError(
+                f"the monomial keys of a degree-{d} product on P^{m} exceed the int64 range")
+        return cls(np.array(base, dtype=np.int64), np.array(place[:-1], dtype=np.int64))
+
+
+class TermTable:
+    """A form's terms as arrays (see the module notes): distinct int64 keys
+    under one :class:`KeyLayout` and an (N, n) int64 row of F_p coordinates
+    per key, reduced mod p and never all zero.
+
+    Tables of one ring and layout add, subtract, negate, multiply by ints
+    and multiply; the caller picks a layout whose bases exceed every
+    exponent the results reach.  :meth:`section` turns a table back into a
+    :class:`Section`.
+    """
+
+    __slots__ = ("m", "d", "field", "layout", "keys", "coords")
+
+    def __init__(self, m: int, d: int, field: FieldCtx, layout: KeyLayout,
+                 keys: np.ndarray, coords: np.ndarray):
+        self.m, self.d, self.field, self.layout = m, d, field, layout
+        self.keys, self.coords = keys, coords
+
+    @classmethod
+    def of(cls, s: Section, layout: KeyLayout, rows: np.ndarray | None = None) -> "TermTable":
+        """The table of s; ``rows`` is its :func:`_term_rows` when at hand."""
+        if rows is None:
+            rows = _term_rows(s)
+        return cls(s.m, s.d, s.field, layout, rows[:, :s.m] @ layout.place, rows[:, s.m:])
+
+    def _new(self, d: int, keys: np.ndarray, coords: np.ndarray) -> "TermTable":
+        return TermTable(self.m, d, self.field, self.layout, keys, coords)
+
+    def _check(self, other: "TermTable"):
+        if self.m != other.m or self.field != other.field or self.layout is not other.layout:
+            raise ValueError("term tables of different rings or key layouts")
+
+    def __add__(self, other: "TermTable") -> "TermTable":
+        if not isinstance(other, TermTable):
+            return NotImplemented
+        self._check(other)
+        if not len(other.keys):
+            return self
+        if not len(self.keys):
+            return other
+        if self.d != other.d:
+            raise ValueError(f"cannot add degrees {self.d} and {other.d}")
+        k, v = _collect([(self.keys, self.coords), (other.keys, other.coords)])
+        v %= self.field.p
+        live = v.any(axis=1)
+        return self._new(self.d, k[live], v[live])
+
+    def __neg__(self) -> "TermTable":
+        return self._new(self.d, self.keys, -self.coords % self.field.p)
+
+    def __sub__(self, other: "TermTable") -> "TermTable":
+        if not isinstance(other, TermTable):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            p = self.field.p
+            c = other % p
+            if not c:
+                return self._new(self.d, self.keys[:0], self.coords[:0])
+            if (p - 1) * c >= 1 << 63:
+                raise FeasibilityError(
+                    f"a multiple by {c} over F_{p}^{self.field.n} may exceed the int64 range")
+            return self._new(self.d, self.keys, self.coords * c % p)
+        if not isinstance(other, TermTable):
+            return NotImplemented
+        self._check(other)
+        # one exact integer convolution (see the module notes)
+        fld, d = self.field, self.d + other.d
+        p, n = fld.p, fld.n
+        kf, cf, kg, cg = self.keys, self.coords, other.keys, other.coords
+        if not len(kf) or not len(kg):
+            return self._new(d, kf[:0], cf[:0])
+        if min(len(kf), len(kg)) * n * (p - 1) ** 2 >= 1 << 63:
+            raise FeasibilityError(
+                f"a product of degree-{self.d} and degree-{other.d} forms over "
+                f"F_{p}^{n} may exceed the int64 range")
+        step = max(1, _PAIR_CHUNK // len(kg))
+        held, merged = [], 0  # (keys, value rows) blocks; once merged, held[0] has `merged` keys
+        for i in range(0, len(kf), step):
+            pv = np.zeros((len(kf[i:i + step]) * len(kg), 2 * n - 1), dtype=np.int64)
+            for a in range(n):  # coefficient polynomials in alpha multiply by convolution
+                for b in range(n):
+                    pv[:, a + b] += (cf[i:i + step, a, None] * cg[:, b]).ravel()
+            held.append(((kf[i:i + step, None] + kg).ravel(), pv))
+            # summing once the new pairs outnumber the distinct keys bounds the
+            # memory, and re-sorting those keys costs no more than the pairs
+            if sum(len(b[0]) for b in held) >= merged + max(_PAIR_CHUNK, merged):
+                held = [_collect(held)]
+                merged = len(held[0][0])
+        k, v = _collect(held)
+        v %= p
+        coords = v[:, :n]
+        if n > 1:  # alpha^(n+k) = _red[k]
+            coords = (coords + v[:, n:] @ np.array(fld._red, dtype=np.int64)) % p
+        live = coords.any(axis=1)
+        return self._new(d, k[live], coords[live])
+
+    __rmul__ = __mul__
+
+    def section(self) -> Section:
+        """The form as a :class:`Section`: exponents decoded from the keys,
+        x_0's restored from the degree."""
+        m, d, fld = self.m, self.d, self.field
+        p, n = fld.p, fld.n
+        expo = self.keys[:, None] // self.layout.place % self.layout.base
+        expo = np.concatenate([d - expo.sum(axis=1, keepdims=True), expo], axis=1)
+        if fld._elems is not None:  # interned: p^n <= 4096, so indices fit
+            elems = map(fld._elems.__getitem__, (self.coords @ p ** np.arange(n)).tolist())
+        else:
+            elems = (fld.elem(tuple(c)) for c in self.coords.tolist())
+        # columns to lists, then zip: no list object per term on the way to its tuple
+        return Section._trusted(m, d, fld, dict(zip(zip(*expo.T.tolist()), elems)))
+
+
 def _product(f: Section, g: Section) -> Section:
-    """f * g as one exact integer convolution (see the module notes)."""
+    """f * g: the product of their term tables, under bases one above the
+    largest exponent of each variable in f plus that in g."""
     m, d, fld = f.m, f.d + g.d, f.field
-    p, n = fld.p, fld.n
     if f.is_zero or g.is_zero:
         return Section.zero(m, d, fld)
-    if min(len(f.coeffs), len(g.coeffs)) * n * (p - 1) ** 2 >= 1 << 63:
-        raise FeasibilityError(
-            f"a product of degree-{f.d} and degree-{g.d} forms over "
-            f"F_{p}^{n} may exceed the int64 range")
-    # one row per term: exponents of x_1..x_m, then F_p coordinates
-    rows = np.array([e[1:] + c.coeffs for s in (f, g) for e, c in s.coeffs.items()],
-                    dtype=np.int64)
-    rf, rg = rows[:len(f.coeffs)], rows[len(f.coeffs):]
-    base = (rf[:, :m].max(axis=0) + rg[:, :m].max(axis=0) + 1).tolist()
-    place = [1]
-    for b in base:
-        place.append(place[-1] * b)  # Python ints: the check below cannot wrap
-    if place[-1] > 1 << 63:  # the largest key is place[-1] - 1
-        raise FeasibilityError(
-            f"the monomial keys of a degree-{d} product on P^{m} exceed the int64 range")
-    base, place = np.array(base, dtype=np.int64), np.array(place[:-1], dtype=np.int64)
-    kf, cf = rf[:, :m] @ place, rf[:, m:]
-    kg, cg = rg[:, :m] @ place, rg[:, m:]
-    step = max(1, _PAIR_CHUNK // len(kg))
-    held, merged = [], 0  # (keys, value rows) blocks; once merged, held[0] has `merged` keys
-    for i in range(0, len(kf), step):
-        pv = np.zeros((len(kf[i:i + step]) * len(kg), 2 * n - 1), dtype=np.int64)
-        for a in range(n):  # coefficient polynomials in alpha multiply by convolution
-            for b in range(n):
-                pv[:, a + b] += (cf[i:i + step, a, None] * cg[:, b]).ravel()
-        held.append(((kf[i:i + step, None] + kg).ravel(), pv))
-        # summing once the new pairs outnumber the distinct keys bounds the
-        # memory, and re-sorting those keys costs no more than the pairs
-        if sum(len(b[0]) for b in held) >= merged + max(_PAIR_CHUNK, merged):
-            held = [_collect(held)]
-            merged = len(held[0][0])
-    k, v = _collect(held)
-    v %= p
-    coords = v[:, :n]
-    if n > 1:  # alpha^(n+k) = _red[k]
-        coords = (coords + v[:, n:] @ np.array(fld._red, dtype=np.int64)) % p
-    live = coords.any(axis=1)
-    coords = coords[live]
-    expo = k[live, None] // place % base
-    expo = np.concatenate([d - expo.sum(axis=1, keepdims=True), expo], axis=1)
-    if fld._elems is not None:  # interned: p^n <= 4096, so indices fit
-        elems = map(fld._elems.__getitem__, (coords @ p ** np.arange(n)).tolist())
-    else:
-        elems = (fld.elem(tuple(c)) for c in coords.tolist())
-    # columns to lists, then zip: no list object per term on the way to its tuple
-    return Section._trusted(m, d, fld, dict(zip(zip(*expo.T.tolist()), elems)))
+    rf, rg = _term_rows(f), _term_rows(g)
+    layout = KeyLayout.of(rf[:, :m].max(axis=0) + rg[:, :m].max(axis=0) + 1, m, d)
+    return (TermTable.of(f, layout, rf) * TermTable.of(g, layout, rg)).section()
 
 
 def _collect(blocks: list) -> tuple[np.ndarray, np.ndarray]:

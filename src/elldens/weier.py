@@ -43,12 +43,13 @@ import numpy as np
 
 from .base import ClosedPoint, FeasibilityError, Jet, PointBlock, jet_at, scan_blocks
 from .gf import FieldArray, FieldCtx, FieldElem, FieldMismatchError, make_field
-from .sections import (Section, dim_space, exact_divide, monomials, section_from_slots,
-                       section_slots)
+from .sections import (KeyLayout, Section, TermTable, dim_space, exact_divide, monomials,
+                       section_from_slots, section_slots)
 
 WEIER_FORMAT_VERSION = 1
-# candidate forms a minimality search may try; one costs ~45 us (P^2 over
-# F_2, k = 4), so the default search stays within about a minute
+# candidate forms a minimality search may try, counted over the degrees left
+# after the coordinate-line bound (none for a certified datum); one costs
+# ~45 us (P^2 over F_2, k = 4), so the default search stays within a minute
 MINIMALITY_CAP = 1 << 20
 
 _INDICES = (1, 2, 3, 4, 6)
@@ -115,8 +116,13 @@ class WeierstrassData:
 
 
 def discriminant(w: WeierstrassData) -> Section:
-    """The discriminant form, of degree 12k (see :func:`discriminant_value`)."""
-    delta = discriminant_value(w.a1, w.a2, w.a3, w.a4, w.a6)
+    """The discriminant form, of degree 12k: :func:`discriminant_value` on
+    the :class:`~elldens.sections.TermTable` s of a1..a6 under one key
+    layout with base 12k + 1 per variable (every intermediate has degree
+    <= 12k), turned into a Section once, at the end."""
+    layout = KeyLayout.of((12 * w.k + 1,) * w.m, w.m, 12 * w.k)
+    tables = (TermTable.of(s, layout) for s in (w.a1, w.a2, w.a3, w.a4, w.a6))
+    delta = discriminant_value(*tables).section()
     if delta.d != 12 * w.k and not delta.is_zero:
         raise AssertionError("discriminant degree bookkeeping failed")
     return delta
@@ -129,13 +135,16 @@ def discriminant_value(a1, a2, a3, a4, a6):
     b8 = a1^2 a6 + 4 a2 a6 - a1 a3 a4 + a2 a3^2 - a4^2,
     delta = -b2^2 b8 - 8 b4^3 - 27 b6^2 + 9 b2 b4 b6.
 
-    Ring operations only: coefficient forms give the discriminant form,
-    FieldElem values one fiber's discriminant, FieldArray values a batch.
+    Ring operations only: term tables of the coefficient forms give the
+    discriminant's table, FieldElem values one fiber's discriminant,
+    FieldArray values a batch.  a1^2, a3^2 and a1 a3 are formed once each,
+    so a call makes 15 ring products.
     """
-    b2 = a1 * a1 + 4 * a2
-    b4 = 2 * a4 + a1 * a3
-    b6 = a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * (a3 * a3) - a4 * a4
+    a11, a13, a33 = a1 * a1, a1 * a3, a3 * a3
+    b2 = a11 + 4 * a2
+    b4 = 2 * a4 + a13
+    b6 = a33 + 4 * a6
+    b8 = a11 * a6 + 4 * a2 * a6 - a13 * a4 + a2 * a33 - a4 * a4
     return -(b2 * b2 * b8) - 8 * (b4 * b4 * b4) - 27 * (b6 * b6) + 9 * (b2 * b4 * b6)
 
 
@@ -387,25 +396,33 @@ def minimality_witness(w: WeierstrassData, j_max: int,
                        cap: int | None = None) -> Section | None:
     """A form u of degree 1..j_max with u^i | a_i for all nonzero a_i, if any.
 
-    Candidates are scalar-normalized (leading coefficient 1 in descending
-    grlex order), (q^dim_j - 1)/(q - 1) of them in degree j; when their
-    number passes ``cap`` (default ``MINIMALITY_CAP``) FeasibilityError is
-    raised before any is tried.  With j_max >= k the search is complete:
-    any common u has degree <= k once some a_i is nonzero.
+    The coordinate lines certify first: any such u has degree <= delta,
+    the bound of :func:`minimality_degree_bound`, so delta = 0 proves the
+    datum minimal at every j_max.  Otherwise the normalized candidates of
+    degrees 1..min(j_max, delta) are enumerated (all of 1..j_max when no
+    line restricts a nonzero a_i to a nonzero form), in an order that does
+    not depend on delta: leading coefficient 1 in descending grlex order,
+    (q^dim_j - 1)/(q - 1) of them in degree j.  When the candidates to be
+    enumerated number more than ``cap`` (default ``MINIMALITY_CAP``),
+    FeasibilityError is raised before any is tried; a certified datum
+    never raises it.  With j_max >= k the search is complete: any common u
+    has degree <= k once some a_i is nonzero.
     """
     if j_max < 1:
         raise ValueError(f"need j_max >= 1, got {j_max}")
     F = w.field
     cap = MINIMALITY_CAP if cap is None else cap
+    delta = minimality_degree_bound(w)
+    top = j_max if delta is None else min(j_max, delta)
     count = 0
-    for j in range(1, j_max + 1):
+    for j in range(1, top + 1):
         count += (F.size ** dim_space(w.m, j) - 1) // (F.size - 1)
         if count > cap:
             raise FeasibilityError(
                 f"minimality search up to degree {j} on P^{w.m} over F_{F.size} "
                 f"needs {count} candidate forms > cap {cap}")
     secs = [(i, s) for i, s in w.sections().items() if not s.is_zero]
-    for j in range(1, j_max + 1):
+    for j in range(1, top + 1):
         monos = monomials(w.m, j)
         dim = len(monos)
         for lead in range(dim):
@@ -425,6 +442,77 @@ def minimality_witness(w: WeierstrassData, j_max: int,
                 if all(exact_divide(s, u ** i) is not None for i, s in secs):
                     return u
     return None
+
+
+def minimality_degree_bound(w: WeierstrassData) -> int | None:
+    """The least delta_L over the coordinate lines L of P^m (all coordinates
+    but x_i and x_j zero, i < j; P^1 itself when m = 1), or None when every
+    line restricts every a_i to zero.
+
+    Restricted to L, each nonzero a_i is a binary form in (x_i, x_j);
+    delta_L is the degree of the gcd of the nonzero ones: their least
+    x_j-valuation plus the degree of the gcd of their dehomogenizations at
+    x_j = 1.  If u^i | a_i with deg u >= 1 and some a_i|_L is nonzero, then
+    u|_L is a nonzero form of degree deg u dividing every nonzero a_i|_L,
+    so deg u <= delta_L.
+    """
+    F, m = w.field, w.m
+    secs = [s for s in w.sections().values() if not s.is_zero]
+    best = None
+    for i in range(m + 1):
+        for j in range(i + 1, m + 1):
+            val, g = None, []  # least x_j-valuation; gcd so far (0 before any)
+            for s in secs:
+                line = []  # coefficient of x_i^e x_j^(d-e), e ascending
+                for e in range(s.d + 1):
+                    expo = [0] * (m + 1)
+                    expo[i], expo[j] = e, s.d - e
+                    line.append(s.coeffs.get(tuple(expo), F.zero))
+                line = _ftrim(line)
+                if not line:
+                    continue
+                v = s.d - (len(line) - 1)
+                val = v if val is None else min(val, v)
+                g = _fgcd(g, line)
+                if val == 0 and len(g) == 1:
+                    return 0
+            if val is not None:
+                delta = val + len(g) - 1
+                best = delta if best is None else min(best, delta)
+    return best
+
+
+# univariate polynomials over a field for the line gcds: FieldElem lists,
+# least-significant first, trimmed (no trailing zeros), as gf's F_p tuples
+
+
+def _ftrim(c: list) -> list:
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _fmod(a: list, b: list) -> list:
+    # b monic
+    r = list(a)
+    nb = len(b) - 1
+    while len(r) > nb:
+        lead = r[-1]
+        if lead:
+            shift = len(r) - 1 - nb
+            for t, bt in enumerate(b):
+                r[shift + t] = r[shift + t] - lead * bt
+        r.pop()
+    return _ftrim(r)
+
+
+def _fgcd(a: list, b: list) -> list:
+    while b:
+        # make b monic before reducing
+        inv = b[-1].inverse()
+        bm = [c * inv for c in b]
+        a, b = bm, _fmod(a, bm)
+    return a
 
 
 def is_minimal(w: WeierstrassData, j_max: int) -> bool:

@@ -327,19 +327,36 @@ def test_scan_cap_checked_when_the_shape_is_memoized(capsys):
 
 
 def test_minimal_cap_boundary(capsys):
-    # P^1 over F_5 has (25 - 1)/4 = 6 normalized linear forms
-    src = ["minimal", "--random", "-q", "5", "-m", "1", "-k", "1", "--seed", "3",
+    # seed 4 is not certified by the line P^1 (a4 and a6 have a common factor
+    # of degree 2), so the degree-1 search runs: P^1 over F_5 has
+    # (25 - 1)/4 = 6 normalized linear forms
+    src = ["minimal", "--random", "-q", "5", "-m", "1", "-k", "1", "--seed", "4",
            "--format", "csv"]
     assert main(src + ["--cap", "5"]) == 3
     assert "6 candidate forms > cap 5" in capsys.readouterr().err
     assert _run(capsys, src + ["--cap", "6"]) == (0, "minimal,complete\ntrue,true\n")
 
 
+def test_minimal_certified_datum_ignores_the_cap(capsys):
+    # seed 3 is certified by the line P^1, so no candidate is counted
+    src = ["minimal", "--random", "-q", "5", "-m", "1", "-k", "1", "--seed", "3",
+           "--format", "csv", "--cap", "1"]
+    assert _run(capsys, src) == (0, "minimal,complete\ntrue,true\n")
+
+
 def test_minimal_default_jmax_refuses_a_huge_search(tmp_path):
-    # at jmax = k = 4 on P^2 over F_4 the search has ~3.6e8 candidates, which
-    # ran for more than 10 minutes before the candidate cap existed
+    # a_i = c_i u^i with deg u = 4 on P^2 over F_4: every coordinate line
+    # bounds a witness's degree by 4 or more, so the search at jmax = k = 4
+    # keeps ~3.6e8 candidates, which ran for more than 10 minutes before the
+    # candidate cap existed
+    from elldens.sections import Section, random_section
+    from elldens.weier import WeierstrassData
+    F4 = make_field(2, 2)
+    u = random_section(2, 4, F4, rng_seed=1)
+    a = {i: F4.gen * u ** i for i in (1, 3, 4, 6)}
+    w = WeierstrassData(2, 4, F4, a[1], Section.zero(2, 8, F4), a[3], a[4], a[6])
     path = tmp_path / "datum.json"
-    dump_weier(random_weierstrass(2, 4, make_field(2, 2), seed=1), str(path))
+    dump_weier(w, str(path))
     proc = subprocess.run(
         [sys.executable, "-m", "elldens", "minimal", "--input", str(path)],
         capture_output=True, text=True, timeout=60,
@@ -347,6 +364,20 @@ def test_minimal_default_jmax_refuses_a_huge_search(tmp_path):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: minimality search up to degree 4")
+
+
+def test_minimal_default_jmax_certifies_a_random_datum():
+    # the same shape drawn at random: a coordinate line certifies it, so the
+    # complete search (jmax = k = 4) takes no enumeration at all
+    proc = subprocess.run(
+        [sys.executable, "-m", "elldens", "minimal", "--random", "-q", "4", "-m", "2",
+         "-k", "4", "--seed", "0"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    obj = json.loads(proc.stdout)
+    assert obj["result"] == {"minimal": True, "complete": True}
+    assert obj["timing"]["wall_seconds"] < 1
 
 
 def test_out_file_and_env_dir(capsys, tmp_path, monkeypatch):

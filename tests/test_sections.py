@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from elldens.errors import FeasibilityError
 from elldens.gf import make_field
-from elldens.sections import (InvalidPointError, Section, dim_space,
-                              exact_divide, monomials, random_section,
+from elldens.sections import (InvalidPointError, KeyLayout, Section, TermTable,
+                              dim_space, exact_divide, monomials, random_section,
                               section_from_slots, section_slots)
 
 F5 = make_field(5, 1)
@@ -217,10 +217,11 @@ def _assert_product_matches_oracle(f, g):
 
 
 @st.composite
-def _form(draw, field, m):
-    """A degree-0..12 form: dense (every monomial drawn, zero coefficients
-    allowed) when it has at most 40 monomials, else up to 40 drawn terms."""
-    d = draw(st.integers(0, 12))
+def _form(draw, field, m, d=None):
+    """A form of degree d (default: drawn from 0..12): dense (every monomial
+    drawn, zero coefficients allowed) when it has at most 40 monomials, else
+    up to 40 drawn terms."""
+    d = draw(st.integers(0, 12)) if d is None else d
     monos = monomials(m, d)
     elem = st.integers(0, field.size - 1)
     if len(monos) <= 40 and draw(st.booleans()):
@@ -303,6 +304,67 @@ def test_products_at_high_m_and_degree():
     x2 = Section.monomial(8, (0, 0, 258) + (0,) * 6, F2.one)
     assert (x1 * x2).coeffs == {(0, 258, 258) + (0,) * 6: F2.one}
     assert (x1 * x1).coeffs == {(0, 516) + (0,) * 7: F2.one}
+
+
+# -- term tables against the AffinePoly oracle ------------------------------------
+
+TABLE_FIELDS = [(2, 1), (2, 2), (3, 2), (257, 1)]  # q = 2, 4, 9, 257
+
+
+def _assert_table_is(t, expected: list, d):
+    """t holds distinct keys and reduced, nonzero coordinate rows, has degree
+    d, and its section dehomogenizes to the expected AffinePoly per chart."""
+    p = t.field.p
+    assert len(set(t.keys.tolist())) == len(t.keys) == len(t.coords)
+    assert ((t.coords >= 0) & (t.coords < p)).all() and t.coords.any(axis=1).all()
+    s = t.section()
+    assert s.d == d
+    assert [s.dehomogenize(c) for c in range(t.m + 1)] == expected
+
+
+@st.composite
+def _table_case(draw):
+    field = make_field(*draw(st.sampled_from(TABLE_FIELDS)))
+    m = draw(st.integers(1, 3))
+    f, g = draw(_form(field, m)), draw(_form(field, m))
+    kind = draw(st.sampled_from(("form", "zero", "neg")))
+    h = {"form": lambda: draw(_form(field, m, f.d)),
+         "zero": lambda: Section.zero(m, f.d, field), "neg": lambda: f * -1}[kind]()
+    c = draw(st.sampled_from((0, 1, -1, field.p, -field.p, 3 * field.p + 2)))
+    return f, g, h, c
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=_table_case())
+def test_term_table_ring_operations_match_affine_oracle(case):
+    f, g, h, c = case
+    m = f.m
+    # bases above every exponent the results reach: degree f.d + g.d
+    layout = KeyLayout.of((f.d + g.d + 1,) * m, m, f.d + g.d)
+    tf, tg, th = (TermTable.of(s, layout) for s in (f, g, h))
+    charts = range(m + 1)
+    df, dg, dh = ([s.dehomogenize(i) for i in charts] for s in (f, g, h))
+    _assert_table_is(tf, df, f.d)
+    _assert_table_is(tf * tg, [a * b for a, b in zip(df, dg)], f.d + g.d)
+    _assert_table_is(tf + th, [a + b for a, b in zip(df, dh)], f.d)
+    _assert_table_is(tf - th, [a + b * -1 for a, b in zip(df, dh)], f.d)
+    _assert_table_is(-tf, [a * -1 for a in df], f.d)
+    _assert_table_is(c * tf, [a * c for a in df], f.d)
+    _assert_table_is(tf * c, [a * c for a in df], f.d)
+    # full cancellation leaves the empty table of the same degree
+    zero = tf - tf
+    assert len(zero.keys) == 0 and zero.section() == Section.zero(m, f.d, f.field)
+    assert (zero * tg).section() == Section.zero(m, f.d + g.d, f.field)
+
+
+def test_term_tables_of_different_layouts_do_not_mix():
+    f = _random_sec(2, 2, F5, random.Random("layouts"))
+    a = TermTable.of(f, KeyLayout.of((5, 5), 2, 4))
+    b = TermTable.of(f, KeyLayout.of((5, 5), 2, 4))
+    with pytest.raises(ValueError):
+        a + b
+    with pytest.raises(ValueError):
+        a * b
 
 
 def _spread(m, d, tops):

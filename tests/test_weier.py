@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 from elldens import weier
 from elldens.base import Jet, closed_points_up_to
-from elldens.gf import make_field, prime_power
-from elldens.sections import Section, dim_space
+from elldens.gf import embedding, make_field, prime_power
+from elldens.sections import Section, dim_space, random_section
 from elldens.weier import (WeierstrassData, WeierstrassJets,
                            discriminant_value, dump_weier, in_Mk,
                            infinity_partial, is_minimal, jacobian_vanishes,
                            jets_at, jets_from_indices, load_weier,
-                           minimality_witness, random_weierstrass,
+                           minimality_degree_bound, minimality_witness,
+                           random_weierstrass,
                            section_degrees, singular_jets_closed_form,
                            singular_jets_oracle, singular_over_closed_form,
                            singular_over_oracle, smooth_up_to, total_slots,
@@ -89,6 +90,28 @@ def test_discriminant_degree_all_characteristics():
         w = random_weierstrass(1, k, F, seed=4)
         if not w.delta.is_zero:
             assert w.delta.d == 12 * k
+
+
+@pytest.mark.parametrize("q", (2, 3, 5, 4, 9))
+def test_discriminant_form_evaluates_to_the_values_formula(q):
+    # the term-table expansion against discriminant_value on FieldElem
+    # values, at random points over the base field and over F_{q^3}
+    F = make_field(*prime_power(q))
+    ext = make_field(F.p, 3 * F.n)
+    emb = embedding(F, ext)
+    rng = random.Random(f"disc-eval-{q}")
+    for m, k in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        for seed in range(3):
+            w = random_weierstrass(m, k, F, seed)
+            delta = weier.discriminant(w)
+            assert delta.is_zero or delta.d == 12 * k
+            for fld, e in ((F, None), (ext, emb)):
+                for _ in range(4):
+                    pt = tuple(fld.from_index(rng.randrange(fld.size)) for _ in range(m + 1))
+                    if not any(pt):
+                        continue
+                    vals = [s.evaluate(pt, e) for s in (w.a1, w.a2, w.a3, w.a4, w.a6)]
+                    assert delta.evaluate(pt, e) == discriminant_value(*vals)
 
 
 def test_jets_at_values():
@@ -244,6 +267,82 @@ def test_minimality_checks_each_full_power():
     w = WeierstrassData(1, 1, F2, data[1], Section.zero(1, 2, F2), u ** 2 * x0,
                         data[4], data[6])
     assert minimality_witness(w, 1) is None
+
+
+def _enumerated_witness(w, j_max, monkeypatch):
+    """The minimality search without the line certificate: the oracle."""
+    with monkeypatch.context() as mp:
+        mp.setattr(weier, "minimality_degree_bound", lambda w: None)
+        return minimality_witness(w, j_max)
+
+
+def _nonminimal_datum(F, m, k, u, seed):
+    """a_i = u^i b_i for the varying a_i, with random b_i of degree i(k - deg u)."""
+    secs = {i: Section.zero(m, i * k, F) for i in (1, 2, 3, 4, 6)}
+    for i in varying_indices(F.p):
+        secs[i] = u ** i * random_section(m, i * (k - u.d), F, 100 * seed + i)
+    return WeierstrassData(m, k, F, secs[1], secs[2], secs[3], secs[4], secs[6])
+
+
+@pytest.mark.parametrize("q", (2, 4, 9))
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_line_certificate_against_the_enumeration(q, m, monkeypatch):
+    F = make_field(*prime_power(q))
+    seeds = range(12 if m < 3 else 4)
+    for seed in seeds:  # random data: a witness fits under delta, delta = 0 has none
+        w = random_weierstrass(m, 1, F, seed)
+        delta = minimality_degree_bound(w)
+        wit = _enumerated_witness(w, 1, monkeypatch)
+        assert minimality_witness(w, 1) == wit
+        assert wit is None or delta is None or wit.d <= delta
+    for seed in seeds:  # non-minimal data: never certified, same witness
+        u = random_section(m, 1, F, seed)
+        if u.is_zero:
+            continue
+        w = _nonminimal_datum(F, m, 2, u, seed)
+        delta = minimality_degree_bound(w)
+        assert delta is None or delta >= 1
+        wit = _enumerated_witness(w, 1, monkeypatch)
+        assert wit is not None and minimality_witness(w, 1) == wit
+        assert delta is None or wit.d <= delta
+
+
+def test_line_certificate_bounds_higher_degree_witnesses(monkeypatch):
+    # u of degree 2 on P^1 and P^2: delta >= 2, and the jmax = 2 search
+    # finds the enumeration's witness
+    for F, m in ((make_field(2, 2), 1), (make_field(3, 2), 1), (F2, 2)):
+        for seed in range(3):
+            u = random_section(m, 2, F, seed)
+            w = _nonminimal_datum(F, m, 2, u, seed)
+            delta = minimality_degree_bound(w)
+            assert delta is None or delta >= 2
+            wit = _enumerated_witness(w, 2, monkeypatch)
+            assert wit is not None and minimality_witness(w, 2) == wit
+            assert delta is None or wit.d <= delta
+
+
+def test_line_certificate_on_coordinate_lines():
+    # P^2 over F_5, a4 = x0^4 + x1^4 and a6 = x0^6: on the line x2 = 0 the
+    # dehomogenizations at x1 = 1 are t^4 + 1 and t^6, coprime, and a4 has
+    # x1-valuation 0, so delta = 0 and no candidate is counted
+    F = F5
+    zero = {i: Section.zero(2, i, F) for i in (1, 2, 3)}
+    a4 = Section(2, 4, F, {(4, 0, 0): F.one, (0, 4, 0): F.one})
+    a6 = Section.monomial(2, (6, 0, 0), F.one)
+    w = WeierstrassData(2, 1, F, zero[1], zero[2], zero[3], a4, a6)
+    assert minimality_degree_bound(w) == 0
+    assert minimality_witness(w, 1, cap=1) is None
+    # a4 = x0^4: the lines x2 = 0 and x1 = 0 see gcd x0^4, and on x0 = 0
+    # both forms vanish, so delta = 4 and the search finds u = x0
+    w = WeierstrassData(2, 1, F, zero[1], zero[2], zero[3],
+                        Section.monomial(2, (4, 0, 0), F.one), a6)
+    assert minimality_degree_bound(w) == 4
+    assert minimality_witness(w, 1) == Section.monomial(2, (1, 0, 0), F.one)
+    # the zero datum: no line bounds anything, the enumeration decides
+    w = WeierstrassData(2, 1, F, zero[1], zero[2], zero[3],
+                        Section.zero(2, 4, F), Section.zero(2, 6, F))
+    assert minimality_degree_bound(w) is None
+    assert minimality_witness(w, 1) is not None
 
 
 def test_slots_roundtrip_and_determinism():
