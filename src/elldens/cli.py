@@ -162,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--jmax", type=int, default=None,
                     help="max substitution degree (default: twist degree)")
     sp.add_argument("--cap", type=int, default=None,
-                    help="candidate-form bound override")
+                    help="bound on the candidate forms left to enumerate after "
+                         "the coordinate-line bound")
     _add_common(sp)
 
     return ap
