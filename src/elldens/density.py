@@ -12,9 +12,14 @@ batched closed-form detector; its cross-check compares every tuple with the
 scalar fiber-scan oracle.
 
 Monte-Carlo runs draw coefficient forms uniformly (one PCG64 stream per
-sample, seeded by a stable 64-bit hash of (master_seed, index)) in chunks,
-and take a chunk's jets at the closed points of each degree <= r as scans
-take one datum's, from the same memo of budget-sized point blocks
+sample, seeded by a stable 64-bit hash of (master_seed, index)) in chunks:
+:func:`~elldens.weier.weierstrass_slot_rows` computes NumPy's per-seed
+recipe (SeedSequence, PCG64, bounded integers) for a whole chunk at once,
+bit for bit, so a sample still replays alone through
+:func:`~elldens.weier.weierstrass_slots` or
+:func:`~elldens.weier.random_weierstrass`.  The runs take a chunk's jets
+at the closed points of each degree <= r as scans take one datum's, from
+the same memo of budget-sized point blocks
 (:func:`~elldens.base.scan_blocks`; a kernel the memo does not keep is built
 once per call and reused by each of its chunks): one
 :func:`~elldens.base.jet_at` product per block, each form's slots against
@@ -42,12 +47,13 @@ import numpy as np
 from . import zeta as _zeta
 from .base import (DEFAULT_ENUM_CAP, FeasibilityError, PointBlock, closed_points_up_to,
                    jet_at, jet_kernel, jet_space_map, scan_blocks)
-from .gf import make_field, prime_power
+from .gf import is_prime, make_field, prime_power
 from .linalg import rank_mod_p
 from .weier import (SingularityWitness, WeierstrassData, WeierstrassJets,
                     discriminant_value, jets_from_coords, jets_from_indices,
                     section_degrees, singular_jets_closed_form, singular_jets_oracle,
-                    singular_witnesses, varying_indices, weierstrass_from_slots)
+                    singular_witnesses, varying_indices, weierstrass_from_slots,
+                    weierstrass_slot_rows)
 
 _DELTA_PROBE_DEGREE = 3  # discriminant values are probed at points up to here
 # rational points a probe degree may enumerate: a probe stands in for exact
@@ -61,6 +67,16 @@ def sample_seed(master_seed: int, index: int) -> int:
     """Stable 64-bit per-sample seed derived from (master_seed, index)."""
     h = hashlib.blake2b(f"{master_seed}:{index}".encode(), digest_size=8)
     return int.from_bytes(h.digest(), "big")
+
+
+def _degree_over(p: int, q: int) -> int:
+    """r with q = p^r; ValueError unless p is prime and q a power of it."""
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+    pp, r = prime_power(q)
+    if pp != p:
+        raise ValueError(f"q={q} is not a power of p={p}")
+    return r
 
 
 # -- jet census ------------------------------------------------------------------
@@ -103,9 +119,7 @@ def jet_census(p: int, q: int, m: int, e: int,
     With cross_check=True every tuple is also scanned by the exhaustive
     fiber oracle and any disagreement with the closed form raises.
     """
-    pp, r = prime_power(q)
-    if pp != p:
-        raise ValueError(f"q={q} is not a power of p={p}")
+    r = _degree_over(p, q)
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     cap = DEFAULT_ENUM_CAP if cap is None else cap
@@ -162,9 +176,7 @@ def surjectivity_check(p: int, q: int, m: int, k: int, e: int) -> SurjectivityRe
     point, over F_p after restriction of scalars: the sum of its per-form
     blocks' ranks, the map being block-diagonal.  Full rank means jets of
     the coefficient forms equidistribute at that point."""
-    pp, r = prime_power(q)
-    if pp != p:
-        raise ValueError(f"q={q} is not a power of p={p}")
+    r = _degree_over(p, q)
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     pts = [P for P in closed_points_up_to(m, q, e) if P.degree == e]
@@ -262,14 +274,15 @@ def mc_density(p: int, q: int, m: int, k: int, r: int, samples: int,
     """Seeded Monte-Carlo estimate of the smooth-over-degree-<=r density.
 
     Sample i draws from its own stream, seeded by ``sample_seed(master_seed,
-    i)``, so a report depends on the configuration, the sample count and
-    the master seed alone; samples are drawn and tested ``_MC_CHUNK`` at a
-    time.  ``threshold_warning`` is ``k < (6m+6) r``: a heuristic for too
-    small a twist degree, not a computed independence test.
+    i)`` (one call per sample, in index order), so a report depends on the
+    configuration, the sample count and the master seed alone; samples are
+    drawn and tested ``_MC_CHUNK`` at a time.  A chunk's slots come from one
+    :func:`~elldens.weier.weierstrass_slot_rows` call, row i being
+    ``weierstrass_slots(m, k, F_q, sample_seed(master_seed, i))``.
+    ``threshold_warning`` is ``k < (6m+6) r``: a heuristic for too small a
+    twist degree, not a computed independence test.
     """
-    pp, _ = prime_power(q)
-    if pp != p:
-        raise ValueError(f"q={q} is not a power of p={p}")
+    _degree_over(p, q)
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if samples < 1:
@@ -284,14 +297,12 @@ def mc_density(p: int, q: int, m: int, k: int, r: int, samples: int,
     cols = blocks[0].cols
     smooth = 0
     delta_zero = 0
-    dtype = np.min_scalar_type(p - 1)
     # draws land in the kernels' dtype, in one buffer for every chunk
     buffer = np.empty((min(_MC_CHUNK, samples), cols), dtype=blocks[0].rows.dtype)
     for start in range(0, samples, _MC_CHUNK):
         slots = buffer[:min(_MC_CHUNK, samples - start)]
-        for i, row in enumerate(slots, start):
-            rng = np.random.Generator(np.random.PCG64(sample_seed(master_seed, i)))
-            row[:] = rng.integers(0, p, size=cols, dtype=dtype)
+        weierstrass_slot_rows(p, cols, [sample_seed(master_seed, i)
+                                         for i in range(start, start + len(slots))], slots)
         # the samples whose delta values all vanish so far, and those smooth so far
         zero = ok = np.arange(len(slots))
         for b in blocks:

@@ -35,13 +35,15 @@ on FieldArrays.  The oracle and the re-verification of a
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 import numpy as np
 
-from .base import ClosedPoint, FeasibilityError, Jet, PointBlock, jet_at, scan_blocks
+from .base import (_ROW_BUDGET, ClosedPoint, FeasibilityError, Jet, PointBlock, jet_at,
+                   scan_blocks)
 from .gf import FieldArray, FieldCtx, FieldElem, FieldMismatchError, make_field
 from .sections import (KeyLayout, Section, TermTable, dim_space, exact_divide, monomials,
                        section_from_slots, section_slots)
@@ -532,9 +534,156 @@ def total_slots(m: int, k: int, field: FieldCtx) -> int:
 
 
 def weierstrass_slots(m: int, k: int, field: FieldCtx, seed: int) -> np.ndarray:
+    """The F_p slots of one uniform draw: NumPy's ``integers(0, p)`` from a
+    PCG64 stream seeded with ``seed``, in the smallest dtype holding p - 1.
+    :func:`weierstrass_slot_rows` gives the same rows for many seeds."""
     rng = np.random.Generator(np.random.PCG64(seed))
     return rng.integers(0, field.p, size=total_slots(m, k, field),
                         dtype=np.min_scalar_type(field.p - 1))
+
+
+# NumPy's SeedSequence (a pool of four uint32 words) and PCG64 seeding,
+# computed for many seeds at once.  The hash constants run through a fixed
+# sequence whatever the data, so each step's pair (xor, multiplier) is
+# tabulated: 4 pool fills and 12 cross mixes, then 8 output words.
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_consts(init: int, mult: int, n: int) -> tuple[tuple[np.uint32, np.uint32], ...]:
+    out = []
+    for _ in range(n):
+        nxt = init * mult & 0xFFFFFFFF
+        out.append((np.uint32(init), np.uint32(nxt)))
+        init = nxt
+    return tuple(out)
+
+
+_SS_POOL_CONSTS = _hash_consts(0x43B0D7E5, 0x931E8875, 16)
+_SS_STATE_CONSTS = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hashmix(v: np.ndarray, consts) -> np.ndarray:
+    v = (v ^ consts[0]) * consts[1]
+    return v ^ (v >> 16)
+
+
+def _seed_words(seeds) -> np.ndarray:
+    """``np.random.SeedSequence(s).generate_state(4, np.uint64)`` for every
+    seed s in [0, 2^64), as the columns of a (4, len(seeds)) uint64 array."""
+    s = np.asarray(seeds, dtype=np.uint64)
+    # the entropy words, little-endian, zero-padded to the pool size
+    pool = np.zeros((4, len(s)), dtype=np.uint32)
+    pool[0] = s & 0xFFFFFFFF
+    pool[1] = s >> 32
+    consts = iter(_SS_POOL_CONSTS)
+    for i in range(4):
+        pool[i] = _hashmix(pool[i], next(consts))
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _SS_MIX_L * pool[dst] - _SS_MIX_R * _hashmix(pool[src], next(consts))
+                pool[dst] = mixed ^ (mixed >> 16)
+    state = np.stack([_hashmix(pool[i % 4], c) for i, c in enumerate(_SS_STATE_CONSTS)])
+    # uint32 words pair into uint64 words little-endian
+    return state[0::2].astype(np.uint64) | state[1::2].astype(np.uint64) << np.uint64(32)
+
+
+def _pcg64_states(seed_words: np.ndarray) -> list[tuple[int, int]]:
+    """The (state, inc) ``np.random.PCG64(s)`` starts from, for every column
+    (s0, s1, i0, i1) of :func:`_seed_words`: inc = 2 (i0 i1) + 1 and state
+    ((s0 s1) + inc) M + inc mod 2^128."""
+    states = []
+    for s0, s1, i0, i1 in zip(*seed_words.tolist()):
+        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        states.append((((s0 << 64 | s1) + inc) * _PCG_MULT + inc & _MASK128, inc))
+    return states
+
+
+def _slot_word_budget(cols: int, p: int, width: int) -> int:
+    """Words of `width` bits drawn per row at first: enough for `cols`
+    accepted values but for a rare short row, which draws again."""
+    reject = ((1 << width) % p) / (1 << width)
+    if not reject:
+        return cols
+    extra = cols * reject / (1 - reject)
+    return cols + math.ceil(extra + 6 * math.sqrt(extra) + 8)
+
+
+def _bounded_rows(bg: np.random.PCG64, seed_words: np.ndarray, p: int, dtype: np.dtype,
+                  nwords: int, out: np.ndarray) -> None:
+    """Fill row j of `out` with ``integers(0, p, dtype=dtype)`` drawn from
+    the PCG64 stream of column j of `seed_words` (:func:`_seed_words`):
+    NumPy's Lemire rule on the stream's little-endian words u of w bits,
+    value (u p) >> w unless the low w bits of u p fall below 2^w mod p.
+    `nwords` words are drawn per row; a row short of values draws its
+    stream again, twice as long.  A block's starting states are formed
+    with the block, so no Python integers are held for the whole chunk."""
+    cols = out.shape[1]
+    size = dtype.itemsize
+    width = 8 * size
+    threshold = (1 << width) % p
+    nraw = -(-nwords // (8 // size))
+    wide = np.dtype(f"u{2 * size}")
+    # temporaries per raw byte of a row: the words' products, low words,
+    # acceptance masks, int32 ranks and kept values (under 8 + 12 / size),
+    # or the shifted copy alone when p divides 2^w
+    step = max(1, _ROW_BUDGET // (nraw * 8 * (8 + 12 // size if threshold else 3)))
+    seed = {"state": 0, "inc": 0}
+    full_state = {"bit_generator": "PCG64", "state": seed, "has_uint32": 0, "uinteger": 0}
+    short = []
+    for lo in range(0, seed_words.shape[1], step):
+        group = _pcg64_states(seed_words[:, lo:lo + step])
+        raw = np.empty((len(group), nraw), dtype=np.uint64)
+        for row, (state, inc) in zip(raw, group):
+            seed["state"], seed["inc"] = state, inc
+            bg.state = full_state
+            row[:] = bg.random_raw(nraw)
+        drawn = raw.astype("<u8", copy=False).view(f"<u{size}")
+        if not threshold:
+            # p = 2^j divides 2^w: every word is accepted, (u p) >> w = u >> (w - j)
+            if drawn.shape[1] >= cols:
+                out[lo:lo + len(group)] = drawn[:, :cols] >> (width + 1 - p.bit_length())
+            else:
+                short.extend(range(lo, lo + len(group)))
+            continue
+        prod = drawn.astype(wide)
+        prod *= wide.type(p)
+        accept = prod.astype(dtype) >= threshold
+        rank = np.cumsum(accept, axis=1, dtype=np.int32)
+        ok = rank[:, -1] >= cols
+        accept &= rank <= cols
+        prod >>= width
+        if ok.all():
+            out[lo:lo + len(group)] = prod[accept].reshape(len(group), cols)
+            continue
+        if ok.any():
+            out[lo + np.flatnonzero(ok)] = prod[ok][accept[ok]].reshape(-1, cols)
+        short.extend((lo + np.flatnonzero(~ok)).tolist())
+    if short:
+        redo = np.empty((len(short), cols), dtype=out.dtype)
+        _bounded_rows(bg, seed_words[:, short], p, dtype, 2 * nraw * (8 // size), redo)
+        out[short] = redo
+
+
+def weierstrass_slot_rows(p: int, cols: int, seeds, out: np.ndarray | None = None) -> np.ndarray:
+    """Row j is ``weierstrass_slots`` for seed ``seeds[j]`` (`cols` slots
+    over F_p), bit for bit, written into `out` when given.
+
+    NumPy's per-seed recipe runs for all seeds together: the SeedSequence
+    hash on arrays of seed words, one reused PCG64 set to each seed's
+    starting state for one ``random_raw`` call per row, and the Lemire rule
+    on whole blocks of rows, whose temporaries stay within ``_ROW_BUDGET``
+    bytes.  NumPy draws 64-bit values when p - 1 >= 2^32; those are refused."""
+    dtype = np.min_scalar_type(p - 1)
+    if dtype.itemsize > 4:
+        raise FeasibilityError(f"slot draws need p <= 2^32, got p={p}")
+    if out is None:
+        out = np.empty((len(seeds), cols), dtype=dtype)
+    _bounded_rows(np.random.PCG64(0), _seed_words(seeds), p, dtype,
+                  _slot_word_budget(cols, p, 8 * dtype.itemsize), out)
+    return out
 
 
 def weierstrass_from_slots(m: int, k: int, field: FieldCtx, slots) -> WeierstrassData:

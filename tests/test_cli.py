@@ -214,6 +214,10 @@ def test_density_mc_rejects_the_removed_threads_flag():
     (["surj", "-p", "2", "-q", "2", "-m", "1", "-k", "0", "-e", "1"], "need k >= 1, got 0"),
     (["density-mc", "-p", "2", "-q", "2", "-m", "1", "-k", "0", "-r", "1",
       "--samples", "1", "--seed", "1"], "need k >= 1, got 0"),
+    (["census", "-p", "4", "-q", "4", "-m", "1", "-e", "1"], "p=4 is not prime"),
+    (["surj", "-p", "4", "-q", "4", "-m", "1", "-k", "1", "-e", "1"], "p=4 is not prime"),
+    (["density-mc", "-p", "4", "-q", "4", "-m", "1", "-k", "1", "-r", "1",
+      "--samples", "1"], "p=4 is not prime"),
 ])
 def test_configurations_outside_the_domain_exit_2(capsys, argv, message):
     code = main(argv)

@@ -15,7 +15,7 @@ from elldens.gf import make_field, prime_power
 from elldens.linalg import rank_mod_p
 from elldens.weier import (jets_at, jets_from_coords, jets_from_indices, random_weierstrass,
                            section_degrees, singular_jets_closed_form, singular_jets_oracle,
-                           singular_over_oracle)
+                           singular_over_oracle, weierstrass_slots)
 
 
 def test_expected_bad_count_formula():
@@ -178,6 +178,42 @@ def test_mc_validates():
         mc_density(2, 3, 1, 6, r=1, samples=10, master_seed=0)
     with pytest.raises(ValueError):
         mc_density(2, 2, 1, 6, r=1, samples=0, master_seed=0)
+
+
+@pytest.mark.parametrize("p,q,m,k,r", [(2, 2, 2, 18, 1), (3, 9, 1, 4, 1)])
+def test_mc_rows_are_the_per_sample_draws(p, q, m, k, r, monkeypatch):
+    # every sample's slots are what weierstrass_slots draws from its seed,
+    # across chunk boundaries, so one sample replays alone
+    monkeypatch.setattr(density, "_MC_CHUNK", 7)
+    drawn = []
+    rows = density.weierstrass_slot_rows
+
+    def record(p, cols, seeds, out):
+        drawn.extend(rows(p, cols, seeds, out).copy())
+        return out
+
+    monkeypatch.setattr(density, "weierstrass_slot_rows", record)
+    mc_density(p, q, m, k, r, samples=16, master_seed=5)
+    F = make_field(*prime_power(q))
+    assert len(drawn) == 16
+    for i, row in enumerate(drawn):
+        assert (row == weierstrass_slots(m, k, F, sample_seed(5, i))).all()
+
+
+def test_mc_calls_sample_seed_once_per_sample_in_order(monkeypatch):
+    # the traced benchmark counts sample_seed calls: each sample's seed
+    # comes from one call, made through the module attribute
+    monkeypatch.setattr(density, "_MC_CHUNK", 7)
+    calls = []
+    seed = density.sample_seed
+
+    def counted(master_seed, index):
+        calls.append((master_seed, index))
+        return seed(master_seed, index)
+
+    monkeypatch.setattr(density, "sample_seed", counted)
+    mc_density(3, 3, 1, 6, 1, samples=20, master_seed=4)
+    assert calls == [(4, i) for i in range(20)]
 
 
 def _vanishing(blocks, slots):

@@ -3,6 +3,7 @@ minimality."""
 import hashlib
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elldens import weier
-from elldens.base import Jet, closed_points_up_to
+from elldens.base import FeasibilityError, Jet, closed_points_up_to
+from elldens.density import sample_seed
 from elldens.gf import embedding, make_field, prime_power
 from elldens.sections import Section, dim_space, random_section
 from elldens.weier import (WeierstrassData, WeierstrassJets,
@@ -23,7 +25,8 @@ from elldens.weier import (WeierstrassData, WeierstrassJets,
                            singular_jets_oracle, singular_over_closed_form,
                            singular_over_oracle, smooth_up_to, total_slots,
                            varying_indices, weier_from_obj, weier_to_obj,
-                           weierstrass_from_slots, weierstrass_slots)
+                           weierstrass_from_slots, weierstrass_slot_rows,
+                           weierstrass_slots)
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -480,3 +483,94 @@ def test_discriminant_digests(case, terms, digest):
     w = random_weierstrass(m, k, make_field(p, n), seed)
     assert len(w.delta.coeffs) == terms
     assert hashlib.sha256(json.dumps(w.delta.to_obj()).encode()).hexdigest() == digest
+
+
+# the batched slot draw computes NumPy's per-seed recipe: seeds at the word
+# boundaries of the SeedSequence entropy, and Monte-Carlo's sample seeds
+_DRAW_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [sample_seed(3, i) for i in range(27)]
+_DRAW_PRIMES = [2, 3, 5, 7, 131, 251, 257, 65521, 65537, 2**31 - 1]
+
+
+def _numpy_draw(p, cols, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return rng.integers(0, p, size=cols, dtype=np.min_scalar_type(p - 1))
+
+
+def test_seed_words_are_the_seed_sequence_state():
+    words = weier._seed_words(_DRAW_SEEDS)
+    assert words.shape == (4, len(_DRAW_SEEDS)) and words.dtype == np.uint64
+    for j, s in enumerate(_DRAW_SEEDS):
+        assert (words[:, j] == np.random.SeedSequence(s).generate_state(4, np.uint64)).all()
+
+
+def test_pcg64_states_are_numpys():
+    states = weier._pcg64_states(weier._seed_words(_DRAW_SEEDS))
+    for (state, inc), s in zip(states, _DRAW_SEEDS):
+        assert np.random.PCG64(s).state["state"] == {"state": state, "inc": inc}
+
+
+@pytest.mark.parametrize("p", _DRAW_PRIMES)
+def test_slot_rows_are_numpys_per_seed_draws(p):
+    for cols in (1, 9, 362):
+        rows = weierstrass_slot_rows(p, cols, _DRAW_SEEDS)
+        assert rows.shape == (len(_DRAW_SEEDS), cols)
+        assert rows.dtype == np.min_scalar_type(p - 1)
+        for row, s in zip(rows, _DRAW_SEEDS):
+            assert (row == _numpy_draw(p, cols, s)).all()
+
+
+@pytest.mark.parametrize("p,share", [(2, 3), (5, 3), (131, 3), (257, 3), (65521, 3),
+                                     (2**31 - 1, 3), (5, 1), (131, 1)])
+def test_short_rows_draw_their_streams_again(p, share, monkeypatch):
+    # a first draw of cols // 3 words leaves every row short; one of cols
+    # words leaves some rows short beside full ones, at once for p = 5 and
+    # on the second draw for p = 131, which rejects about half the words
+    monkeypatch.setattr(weier, "_slot_word_budget", lambda cols, p, width: cols // share)
+    passes = []
+    bounded = weier._bounded_rows
+
+    def counted(bg, seed_words, *args):
+        passes.append(seed_words.shape[1])
+        return bounded(bg, seed_words, *args)
+
+    monkeypatch.setattr(weier, "_bounded_rows", counted)
+    rows = weierstrass_slot_rows(p, 200, _DRAW_SEEDS)
+    assert passes[0] == len(_DRAW_SEEDS) and passes[1] > 0
+    if share == 1:
+        assert any(0 < b < a for a, b in zip(passes, passes[1:]))
+    for row, s in zip(rows, _DRAW_SEEDS):
+        assert (row == _numpy_draw(p, 200, s)).all()
+
+
+def test_slot_rows_fill_out_in_row_blocks(monkeypatch):
+    # a budget of one row per block, the values cast into a float32 buffer
+    monkeypatch.setattr(weier, "_ROW_BUDGET", 1)
+    out = np.zeros((len(_DRAW_SEEDS), 100), dtype=np.float32)
+    for p in (2, 5):
+        assert weierstrass_slot_rows(p, 100, _DRAW_SEEDS, out) is out
+        for row, s in zip(out, _DRAW_SEEDS):
+            assert (row == _numpy_draw(p, 100, s)).all()
+
+
+@pytest.mark.parametrize("p,cols", [(2, 10426), (5, 362), (131, 5000), (65521, 3000),
+                                    (2**31 - 1, 3000)])
+def test_slot_row_blocks_stay_within_the_row_budget(p, cols):
+    seeds = [sample_seed(0, i) for i in range(512)]
+    out = np.empty((len(seeds), cols), dtype=np.float32)
+    dtype = np.min_scalar_type(p - 1)
+    seed_words = weier._seed_words(seeds)
+    bg = np.random.PCG64(0)
+    tracemalloc.start()
+    try:
+        weier._bounded_rows(bg, seed_words, p, dtype,
+                            weier._slot_word_budget(cols, p, 8 * dtype.itemsize), out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= weier._ROW_BUDGET
+
+
+def test_slot_rows_refuse_64_bit_draws():
+    # NumPy draws uint64 values once p - 1 >= 2^32
+    with pytest.raises(FeasibilityError):
+        weierstrass_slot_rows(2**32 + 15, 4, [0])
