@@ -368,14 +368,26 @@ def jet_space_map(degrees: tuple[int, ...], P: ClosedPoint) -> JetSpaceMap:
     # r = 1, where g itself is 0
     basis_log = np.arange(r) * tabs.log[P.emb.gen_image.idx] % order
     local = [j for j in range(m + 1) if j != P.chart]
-    blocks = []
-    for d in degrees:
-        beta = monomial_array(m, d)[:, local]  # (dim, m)
-        val_log = beta @ x_log
-        # d/dx_j x^beta = (beta_j mod p) x^(beta - e_j)
-        grad_log = val_log[:, None] + int_log[beta % res.p] - x_log
-        logs = np.concatenate([val_log[:, None], grad_log], axis=1)[:, :, None] + basis_log
-        idx = np.where(logs < zero_log, tabs.antilog[logs % order], 0)
-        digits = tabs.digits[idx]  # (dim, entry, t, coord)
-        blocks.append(digits.transpose(1, 3, 0, 2).reshape(width, len(beta) * r))
-    return JetSpaceMap(blocks=tuple(blocks), degrees=tuple(degrees), point=P)
+    # every form's monomials in one pass; form f's block is a column slice
+    monos = [monomial_array(m, d) for d in degrees]
+    beta = np.concatenate(monos).T[local]  # (m, dims)
+    dims = beta.shape[1]
+    logs = np.empty((m + 1, dims, r), dtype=np.int64)  # (entry, monomial, t)
+    logs[0] = (x_log @ beta)[:, None]
+    # d/dx_j x^beta = (beta_j mod p) x^(beta - e_j)
+    beta %= res.p
+    logs[1:] = int_log[beta][:, :, None]
+    logs[1:] += logs[:1]
+    logs[1:] -= x_log[:, None, None]
+    logs += basis_log
+    zero = logs >= zero_log
+    logs %= order
+    np.take(tabs.antilog, logs, out=logs)  # element indices
+    logs[zero] = 0
+    rows = np.empty((m + 1, res.n, dims, r), dtype=tabs.digits.dtype)
+    for c in range(res.n):
+        np.take(tabs.digits[:, c], logs, out=rows[:, c])
+    rows = rows.reshape(width, dims * r)
+    cuts = itertools.pairwise(itertools.accumulate((len(a) * r for a in monos), initial=0))
+    return JetSpaceMap(blocks=tuple(rows[:, a:b] for a, b in cuts),
+                       degrees=tuple(degrees), point=P)

@@ -20,11 +20,16 @@ coordinates per key (coefficients of alpha^0 .. alpha^(n-1), for
 F_{p^n} = F_p[alpha]).  While no exponent of a result reaches its base,
 keys add without carries: the key of a term pair is the sum of the terms'
 keys.  A pair's coefficient is the convolution of the two rows, width
-W = 2n - 1.  The pairs are sorted by key and the rows of equal keys summed
-in int64, in blocks of about ``_PAIR_CHUNK`` pairs, so memory follows the
-terms present, never the B_1 ... B_m box (which once m >= 3 is mostly keys
-of no monomial of degree d).  The sums are reduced mod p and
-alpha^n .. alpha^(2n-2) are folded back with the modulus
+W = 2n - 1.  The pairs are formed in blocks of about ``_PAIR_CHUNK`` and
+summed in int64 in one of two ways, chosen from two sizes: the result's key
+span (largest pair key - smallest + 1) and its number of term pairs.  When
+the span is no wider than the pairs, every pair is added into a (W, span)
+accumulator at its key's column, with no sort, and the accumulator is no
+larger than the pairs.  A wider span (sparse forms, mostly at m >= 3, where
+the B_1 ... B_m box is mostly keys of no monomial of degree d) has its
+pairs sorted by key and the rows of equal keys summed, block by block, so
+memory follows the terms present, never the span.  The sums are reduced
+mod p and alpha^n .. alpha^(2n-2) are folded back with the modulus
 (``FieldCtx._red``).  Sums, differences and integer multiples of tables
 stay tables, so a polynomial in forms is expanded without a
 :class:`Section` in between; the exponent of x_0 is restored from the
@@ -386,19 +391,32 @@ class TermTable:
                 f"a product of degree-{self.d} and degree-{other.d} forms over "
                 f"F_{p}^{n} may exceed the int64 range")
         step = max(1, _PAIR_CHUNK // len(kg))
-        held, merged = [], 0  # (keys, value rows) blocks; once merged, held[0] has `merged` keys
-        for i in range(0, len(kf), step):
-            pv = np.zeros((len(kf[i:i + step]) * len(kg), 2 * n - 1), dtype=np.int64)
-            for a in range(n):  # coefficient polynomials in alpha multiply by convolution
-                for b in range(n):
-                    pv[:, a + b] += (cf[i:i + step, a, None] * cg[:, b]).ravel()
-            held.append(((kf[i:i + step, None] + kg).ravel(), pv))
-            # summing once the new pairs outnumber the distinct keys bounds the
-            # memory, and re-sorting those keys costs no more than the pairs
-            if sum(len(b[0]) for b in held) >= merged + max(_PAIR_CHUNK, merged):
-                held = [_collect(held)]
-                merged = len(held[0][0])
-        k, v = _collect(held)
+        lo = int(kf.min()) + int(kg.min())
+        span = int(kf.max()) + int(kg.max()) - lo + 1
+        if span <= len(kf) * len(kg):
+            # one accumulator column per key of the span: no larger than the
+            # pairs, and summing into it needs no sort
+            acc = np.zeros((2 * n - 1, span), dtype=np.int64)
+            for i in range(0, len(kf), step):
+                at = (kf[i:i + step, None] - lo + kg).ravel()
+                for a in range(n):  # coefficient polynomials in alpha multiply by convolution
+                    for b in range(n):
+                        np.add.at(acc[a + b], at, (cf[i:i + step, a, None] * cg[:, b]).ravel())
+            k, v = np.arange(lo, lo + span, dtype=np.int64), acc.T
+        else:
+            held, merged = [], 0  # (keys, value rows) blocks; once merged, held[0] has `merged` keys
+            for i in range(0, len(kf), step):
+                pv = np.zeros((len(kf[i:i + step]) * len(kg), 2 * n - 1), dtype=np.int64)
+                for a in range(n):
+                    for b in range(n):
+                        pv[:, a + b] += (cf[i:i + step, a, None] * cg[:, b]).ravel()
+                held.append(((kf[i:i + step, None] + kg).ravel(), pv))
+                # summing once the new pairs outnumber the distinct keys bounds the
+                # memory, and re-sorting those keys costs no more than the pairs
+                if sum(len(b[0]) for b in held) >= merged + max(_PAIR_CHUNK, merged):
+                    held = [_collect(held)]
+                    merged = len(held[0][0])
+            k, v = _collect(held)
         v %= p
         coords = v[:, :n]
         if n > 1:  # alpha^(n+k) = _red[k]
@@ -412,15 +430,11 @@ class TermTable:
         """The form as a :class:`Section`: exponents decoded from the keys,
         x_0's restored from the degree."""
         m, d, fld = self.m, self.d, self.field
-        p, n = fld.p, fld.n
         expo = self.keys[:, None] // self.layout.place % self.layout.base
         expo = np.concatenate([d - expo.sum(axis=1, keepdims=True), expo], axis=1)
-        if fld._elems is not None:  # interned: p^n <= 4096, so indices fit
-            elems = map(fld._elems.__getitem__, (self.coords @ p ** np.arange(n)).tolist())
-        else:
-            elems = (fld.elem(tuple(c)) for c in self.coords.tolist())
         # columns to lists, then zip: no list object per term on the way to its tuple
-        return Section._trusted(m, d, fld, dict(zip(zip(*expo.T.tolist()), elems)))
+        return Section._trusted(m, d, fld,
+                                dict(zip(zip(*expo.T.tolist()), _elements(fld, self.coords))))
 
 
 def _product(f: Section, g: Section) -> Section:
@@ -432,6 +446,14 @@ def _product(f: Section, g: Section) -> Section:
     rf, rg = _term_rows(f), _term_rows(g)
     layout = KeyLayout.of(rf[:, :m].max(axis=0) + rg[:, :m].max(axis=0) + 1, m, d)
     return (TermTable.of(f, layout, rf) * TermTable.of(g, layout, rg)).section()
+
+
+def _elements(fld: FieldCtx, coords: np.ndarray):
+    """The field elements of (N, n) F_p coordinate rows reduced mod p, in
+    row order, as an iterator."""
+    if fld._elems is not None:  # interned: p^n <= 4096, so indices fit
+        return map(fld._elems.__getitem__, (coords @ fld.p ** np.arange(fld.n)).tolist())
+    return (fld.elem(tuple(c)) for c in coords.tolist())
 
 
 def _collect(blocks: list) -> tuple[np.ndarray, np.ndarray]:
@@ -612,18 +634,30 @@ def random_section(m: int, d: int, field: FieldCtx, rng_seed: int) -> Section:
 
 def section_from_slots(m: int, d: int, field: FieldCtx, slots) -> Section:
     """Build a section from a flat vector of F_p coordinates: for monomial i
-    (descending grlex), entries [i*n, (i+1)*n) are its coefficient vector."""
-    n = field.n
-    coeffs = {}
-    for i, expo in enumerate(monomials(m, d)):
-        vec = tuple(int(v) for v in slots[i * n:(i + 1) * n])
-        if any(vec):
-            coeffs[expo] = field.elem(vec)
-    return Section(m, d, field, coeffs)
+    (descending grlex), entries [i*n, (i+1)*n) are its coefficient vector.
+    A vector of any other length than dim_space(m, d) * n is refused."""
+    monos, n = monomials(m, d), field.n
+    rows = np.asarray(slots, dtype=np.int64)
+    if rows.shape != (len(monos) * n,):
+        raise ValueError(f"a degree-{d} form on P^{m} over F_{field.p}^{n} takes "
+                         f"{len(monos) * n} slots, got shape {rows.shape}")
+    rows = rows.reshape(-1, n) % field.p
+    live = rows.any(axis=1).nonzero()[0]
+    return Section._trusted(m, d, field, dict(zip(map(monos.__getitem__, live.tolist()),
+                                                  _elements(field, rows[live]))))
+
+
+@lru_cache(maxsize=None)
+def _monomial_index(m: int, d: int) -> dict[tuple[int, ...], int]:
+    """The position of each exponent tuple in ``monomials(m, d)``."""
+    return {e: i for i, e in enumerate(monomials(m, d))}
 
 
 def section_slots(s: Section) -> np.ndarray:
     """The flat int64 F_p coordinate vector of a section, inverse to
     :func:`section_from_slots` (same layout)."""
-    return np.array([s.coeffs.get(e, s.field.zero).coeffs for e in monomials(s.m, s.d)],
-                    dtype=np.int64).ravel()
+    n, terms = s.field.n, len(s.coeffs)
+    out = np.zeros((dim_space(s.m, s.d), n), dtype=np.int64)
+    at = np.fromiter(map(_monomial_index(s.m, s.d).__getitem__, s.coeffs), np.int64, terms)
+    out[at] = np.array([c.coeffs for c in s.coeffs.values()], dtype=np.int64).reshape(terms, n)
+    return out.ravel()

@@ -689,8 +689,12 @@ def weierstrass_slot_rows(p: int, cols: int, seeds, out: np.ndarray | None = Non
 def weierstrass_from_slots(m: int, k: int, field: FieldCtx, slots) -> WeierstrassData:
     """Decode a flat F_p slot vector (the jet blocks' columns, form after
     form: varying forms in index order, monomials in descending grlex, base-field
-    coordinates innermost) into a WeierstrassData."""
+    coordinates innermost) into a WeierstrassData.  A vector of any other
+    length than :func:`total_slots` is refused."""
     n = field.n
+    if len(slots) != total_slots(m, k, field):
+        raise ValueError(f"a datum with k={k} on P^{m} over F_{field.p}^{n} takes "
+                         f"{total_slots(m, k, field)} slots, got {len(slots)}")
     secs: dict[int, Section] = {}
     off = 0
     for i in varying_indices(field.p):

@@ -1,16 +1,20 @@
 """Homogeneous sections: monomial bases, ring operations, evaluation,
 dehomogenization, formal partials and exact division."""
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elldens import sections
 from elldens.errors import FeasibilityError
 from elldens.gf import make_field
 from elldens.sections import (InvalidPointError, KeyLayout, Section, TermTable,
                               dim_space, exact_divide, monomials, random_section,
                               section_from_slots, section_slots)
+from elldens.weier import random_weierstrass, weierstrass_from_slots
 
 F5 = make_field(5, 1)
 F2 = make_field(2, 1)
@@ -186,6 +190,16 @@ def test_section_slots_roundtrip():
     zero = Section.zero(2, 3, F9)
     assert not section_slots(zero).any()
     assert section_from_slots(2, 3, F9, section_slots(zero)) == zero
+    # a vector of the wrong length is refused, not cut or padded
+    F3 = make_field(3, 1)
+    for slots in ([1, 2], [1, 2, 1, 1, 1], [], [[1, 2, 1]]):
+        with pytest.raises(ValueError, match="slots"):
+            section_from_slots(1, 2, F3, slots)
+    w = random_weierstrass(1, 1, F5, seed=4)
+    assert weierstrass_from_slots(1, 1, F5, w.slots()).sections() == w.sections()
+    for cut in (w.slots()[:-1], np.append(w.slots(), 1)):
+        with pytest.raises(ValueError, match="slots"):
+            weierstrass_from_slots(1, 1, F5, cut)
 
 
 def test_obj_roundtrip():
@@ -290,10 +304,23 @@ def test_product_at_p_2_31_minus_1_exact_or_infeasible():
         three * g
 
 
+def _sparse(m, d, field, terms, seed):
+    """A form with up to ``terms`` random monomials of degree d, nonzero
+    coefficients."""
+    rng = random.Random(seed)
+    monos = monomials(m, d)
+    return Section(m, d, field, {monos[rng.randrange(len(monos))]:
+                                 field.from_index(rng.randrange(1, field.size))
+                                 for _ in range(terms)})
+
+
 def test_products_at_high_m_and_degree():
     # keys are sized by the exponents present, not by the degree-d monomials
     # of P^m: a k = 1 discriminant's degree on P^7 and sparse degree-516
-    # products on P^8 are exact
+    # products on P^8 are exact, and so is a sparse product over F_4 on P^3
+    # (its key span is ~260 times its term pairs)
+    _assert_product_matches_oracle(_sparse(3, 40, make_field(2, 2), 30, "wide-f"),
+                                   _sparse(3, 40, make_field(2, 2), 30, "wide-g"))
     F2 = make_field(2, 1)
     rng = random.Random("high-m")
     monos = monomials(7, 6)
@@ -304,6 +331,17 @@ def test_products_at_high_m_and_degree():
     x2 = Section.monomial(8, (0, 0, 258) + (0,) * 6, F2.one)
     assert (x1 * x2).coeffs == {(0, 258, 258) + (0,) * 6: F2.one}
     assert (x1 * x1).coeffs == {(0, 516) + (0,) * 7: F2.one}
+
+
+def _tables(f, g):
+    """The term tables of f and g under the layout of their product, and
+    the product's key span."""
+    m = f.m
+    layout = KeyLayout.of([max(e[j] for e in f.coeffs) + max(e[j] for e in g.coeffs) + 1
+                           for j in range(1, m + 1)], m, f.d + g.d)
+    tf, tg = TermTable.of(f, layout), TermTable.of(g, layout)
+    span = int(tf.keys.max() + tg.keys.max() - tf.keys.min() - tg.keys.min()) + 1
+    return tf, tg, span
 
 
 # -- term tables against the AffinePoly oracle ------------------------------------
@@ -393,3 +431,42 @@ def test_power_square_and_multiply():
     for e in range(8):
         assert u ** e == acc
         acc = acc * u
+
+
+def test_narrow_key_span_products_never_sort(monkeypatch):
+    # dense forms: the product's key span is no wider than its term pairs,
+    # so every pair is summed into its key's column and the sort is unused
+    cases = []
+    for p, n in ((2, 1), (2, 2), (257, 1)):
+        field = make_field(p, n)
+        top = field.from_index(field.size - 1)
+        for m, d1, d2 in ((1, 7, 5), (2, 4, 3), (2, 9, 18)):
+            cases.append(tuple(Section(m, d, field, {e: top for e in monomials(m, d)})
+                               for d in (d1, d2)))
+    for f, g in cases:
+        tf, tg, span = _tables(f, g)
+        assert span <= len(tf.keys) * len(tg.keys)
+
+    def refuse(blocks):
+        raise AssertionError("a narrow key span reached the sort")
+    monkeypatch.setattr(sections, "_collect", refuse)
+    for f, g in cases:
+        _assert_product_matches_oracle(f, g)
+
+
+def test_wide_key_span_products_allocate_by_pairs():
+    # sparse forms on P^3 over F_4: 900 term pairs over a key span of
+    # ~230,000; the product sorts its pairs and never allocates an
+    # accumulator row per key of the span (8 bytes each, 3 rows)
+    F4 = make_field(2, 2)
+    f, g = _sparse(3, 40, F4, 30, "wide-f"), _sparse(3, 40, F4, 30, "wide-g")
+    tf, tg, span = _tables(f, g)
+    assert span > 100 * len(tf.keys) * len(tg.keys)
+    tracemalloc.start()
+    try:
+        prod = tf * tg
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < span * 8 // 4
+    assert prod.section() == f * g
