@@ -336,7 +336,8 @@ class JetSpaceMap:
     residue-field coordinate, (m+1)*n_res of them; and columns by monomial
     (descending grlex), then base-field coordinate, dim_space(m, d_f)*n_base
     of them.  Entries come from the residue field's log/antilog/digit tables
-    and have dtype ``np.min_scalar_type(p - 1)``.
+    and have dtype ``np.min_scalar_type(p - 1)``.  The blocks are column
+    slices (views) of one matrix, the forms' columns side by side.
     """
 
     blocks: tuple[np.ndarray, ...]
@@ -382,7 +383,8 @@ def jet_space_map(degrees: tuple[int, ...], P: ClosedPoint) -> JetSpaceMap:
     logs += basis_log
     zero = logs >= zero_log
     logs %= order
-    np.take(tabs.antilog, logs, out=logs)  # element indices
+    # element indices, in place: take buffers `out` when mode='raise'
+    np.take(tabs.antilog, logs, out=logs)
     logs[zero] = 0
     rows = np.empty((m + 1, res.n, dims, r), dtype=tabs.digits.dtype)
     for c in range(res.n):
