@@ -16,15 +16,16 @@ jets over F_p by restriction of scalars, one matrix per form: each form's jet
 is a linear image of its own coefficients only, so the joint map is
 block-diagonal and only its diagonal blocks are built.  A :class:`JetKernel`
 stacks each form's blocks over the points of one residue field (a
-:class:`PointBlock`) and is the one F_p product kernel: ``jet_at`` multiplies
-slot vectors, a datum's or a Monte-Carlo batch of draws, by it.  Products
-run in float32 while every sum of ``cols`` products of F_p digits (cols the
-widest form's columns) stays below 2^24, in float64 below 2^53, and are
-refused past that, all by :func:`exact_float_dtype`.  ``scan_blocks`` is the
-one memo of point blocks: per shape (m, q, r, form degrees) it cuts each
-degree's points, in listing order, into blocks whose kernel fits
-``_ROW_BUDGET`` bytes, and keeps a block's kernel while the kept kernels fit
-that budget too, for scans and Monte-Carlo alike.  A block is the unit of
+:class:`PointBlock`), stored as F_p digits, and is the one F_p product
+kernel: ``jet_at`` multiplies slot vectors, a datum's or a Monte-Carlo batch
+of draws, by it.  Products run in float32 while every sum of ``cols``
+products of F_p digits (cols the widest form's columns) stays below 2^24, in
+float64 below 2^53, and are refused past that, all by
+:func:`exact_float_dtype`.  ``scan_blocks`` is the one memo of point blocks,
+for scans, Monte-Carlo and its discriminant probe alike: per shape (m, q, r,
+form degrees) it cuts each degree's points, in listing order, into blocks
+whose float product fits ``_ROW_BUDGET`` bytes, and keeps a block's kernel
+while the kept kernels' digits fit that budget too.  A block is the unit of
 one product: ``jet_at`` applies its kept kernel, or builds the block's
 kernel for the call.
 
@@ -57,8 +58,8 @@ from .gf import (Embedding, FieldArray, FieldCtx, FieldElem, coefficient_key, em
 from .sections import dim_space, monomial_array
 
 DEFAULT_ENUM_CAP = 1 << 26
-# bytes of one point block's jet kernel, and of the kernels the memo keeps
-# per shape
+# bytes of one point block's float product, and of the kernels (F_p digits)
+# the memo keeps per shape
 _ROW_BUDGET = 1 << 20
 _SCAN_SHAPES = 16  # shapes whose point blocks are memoized
 
@@ -188,15 +189,16 @@ class JetKernel:
     The slot vector is the concatenation of one column slice per form, and
     each form's rows meet only its own slice: ``blocks[f]`` holds form f's
     rows against its ``blocks[f].shape[1]`` columns, the same number of rows
-    for every form, in the smallest float dtype in which every sum is exact
-    (see :func:`exact_float_dtype`).  ``shape`` is that of the joint
-    block-diagonal matrix.
+    for every form, as F_p digits (dtype ``np.min_scalar_type(p - 1)``).
+    ``dtype`` is the smallest float dtype in which every sum is exact (see
+    :func:`exact_float_dtype`); ``apply`` casts one form's block at a time to
+    it.  ``shape`` is that of the joint block-diagonal matrix.
     """
 
     def __init__(self, p: int, blocks):
         self.p = p
         self.dtype = exact_float_dtype(max(b.shape[1] for b in blocks), p)
-        self.blocks = tuple(np.asarray(b, dtype=self.dtype) for b in blocks)
+        self.blocks = tuple(np.asarray(b, dtype=np.min_scalar_type(p - 1)) for b in blocks)
         for b in self.blocks:
             b.flags.writeable = False
         self.spans = tuple(itertools.pairwise(
@@ -212,7 +214,7 @@ class JetKernel:
         dtype ``np.min_scalar_type(p - 1)``: shape ``slots.shape[:-1] +
         (forms, rows per form)``."""
         x = np.asarray(slots, dtype=self.dtype)
-        y = np.stack([x[..., a:b] @ rows.T
+        y = np.stack([x[..., a:b] @ rows.astype(self.dtype).T
                       for (a, b), rows in zip(self.spans, self.blocks)], axis=-2)
         # every entry is an exact integer; int64's remainder is cheaper than float's
         return (y.astype(np.int64) % self.p).astype(np.min_scalar_type(self.p - 1))
@@ -223,22 +225,20 @@ def _form_cols(P: ClosedPoint, degrees: tuple[int, ...]) -> list[int]:
     return [dim_space(P.m, d) * P.emb.src.n for d in degrees]
 
 
-def jet_kernel(degrees: tuple[int, ...], points, entries: int | None = None) -> JetKernel:
+def jet_kernel(degrees: tuple[int, ...], points) -> JetKernel:
     """The :class:`JetKernel` of the jets of forms of the given degrees at
-    points of one residue field: form f's rows are, per point, the first
-    ``entries`` (default m+1) row groups of ``jet_space_map(degrees,
-    P).blocks[f]``, entry 0 = value, 1..m = gradient, each by residue-field
-    coordinate.  ``entries=1`` keeps the values only."""
+    points of one residue field: form f's rows are, per point, the rows of
+    ``jet_space_map(degrees, P).blocks[f]``, entry 0 = value, 1..m =
+    gradient, each by residue-field coordinate."""
     P0 = points[0]
     if any(P.field is not P0.field for P in points):
         raise ValueError("jet_kernel takes the points of one residue field")
-    widths = _form_cols(P0, degrees)
-    dtype = exact_float_dtype(max(widths), P0.field.p)
-    size = (P0.m + 1 if entries is None else entries) * P0.field.n  # rows a point
-    blocks = [np.empty((len(points) * size, w), dtype=dtype) for w in widths]
+    size = (P0.m + 1) * P0.field.n  # rows a point
+    blocks = [np.empty((len(points) * size, w), dtype=np.min_scalar_type(P0.field.p - 1))
+              for w in _form_cols(P0, degrees)]
     for i, P in enumerate(points):
         for blk, rows in zip(blocks, jet_space_map(degrees, P).blocks):
-            blk[i * size:(i + 1) * size] = rows[:size]
+            blk[i * size:(i + 1) * size] = rows
     return JetKernel(P0.field.p, blocks)
 
 
@@ -246,8 +246,8 @@ def jet_kernel(degrees: tuple[int, ...], points, entries: int | None = None) -> 
 class PointBlock:
     """Closed points of one residue field and the degrees of the forms whose
     jets ``jet_at`` takes there, in one product.  ``rows``, when kept, is the
-    points' :func:`jet_kernel`; :func:`scan_blocks` holds a block to
-    ``_ROW_BUDGET`` bytes of kernel unless it has one point."""
+    points' :func:`jet_kernel`; :func:`scan_blocks` holds a block's float
+    product to ``_ROW_BUDGET`` bytes unless it has one point."""
 
     degrees: tuple[int, ...]
     points: tuple[ClosedPoint, ...]
@@ -263,23 +263,28 @@ class PointBlock:
 
     @property
     def point_nbytes(self) -> int:
-        """Bytes of one point's rows in the block's kernel: each form's
-        (m+1) n_res rows against its own columns."""
+        """Bytes of one point's rows in the block's float product: each
+        form's (m+1) n_res rows against its own columns."""
         P, widths = self.points[0], _form_cols(self.points[0], self.degrees)
         itemsize = np.dtype(exact_float_dtype(max(widths), P.field.p)).itemsize
         return (P.m + 1) * self.field.n * sum(widths) * itemsize
 
+    @property
+    def kernel_nbytes(self) -> int:
+        """Bytes of the block's kernel as stored, in F_p digits."""
+        digits = np.dtype(np.min_scalar_type(self.field.p - 1)).itemsize
+        return len(self.points) * (self.points[0].m + 1) * self.field.n * self.cols * digits
+
 
 def jet_at(slots: np.ndarray, block: PointBlock) -> np.ndarray:
     """F_p jet coordinates of forms at the points of a block, shape
-    ``slots.shape[:-1] + (points, forms, entries, n_res)``: slot vectors on
+    ``slots.shape[:-1] + (points, forms, m+1, n_res)``: slot vectors on
     the last axis, each the concatenation of forms of degrees
     ``block.degrees`` (as :func:`~elldens.sections.section_slots`), times the
     points' jet kernel, mod p.
 
     Entry 0 is a form's value and entries 1..m its gradient in the point's
-    chart coordinates, each as the residue-field coordinates of the element;
-    a value-only kernel (``jet_kernel(..., entries=1)``) gives entry 0 alone.
+    chart coordinates, each as the residue-field coordinates of the element.
     One product: with the block's kept kernel, or else with the whole
     block's kernel, built for this call.  Coordinates have dtype
     ``np.min_scalar_type(p - 1)``.
@@ -288,19 +293,19 @@ def jet_at(slots: np.ndarray, block: PointBlock) -> np.ndarray:
         raise ValueError(f"slot vector of length {slots.shape[-1]} does not fit forms "
                          f"of degrees {block.degrees} on P^{block.points[0].m}")
     rows = block.rows if block.rows is not None else jet_kernel(block.degrees, block.points)
-    forms, n = len(block.degrees), block.field.n
-    coords = rows.apply(slots).reshape(slots.shape[:-1] + (forms, len(block.points), -1, n))
-    return np.moveaxis(coords, -4, -3)
+    shape = (len(block.degrees), len(block.points), block.points[0].m + 1, block.field.n)
+    return np.moveaxis(rows.apply(slots).reshape(slots.shape[:-1] + shape), -4, -3)
 
 
 def scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...],
                 cap: int | None = None) -> tuple[PointBlock, ...]:
     """The closed points of degree <= r as :class:`PointBlock` s for forms
     of the given degrees: each degree's points in listing order, cut into
-    blocks of as many points as fit a ``_ROW_BUDGET``-byte kernel (at least
-    one).  A block keeps its kernel while the kept kernels fit
-    ``_ROW_BUDGET`` bytes.  Memoized per shape, for scans and Monte-Carlo
-    alike; the enumeration cap is checked on every call."""
+    blocks of as many points as fit a ``_ROW_BUDGET``-byte float product (at
+    least one).  A block keeps its kernel while the kept kernels, stored as
+    F_p digits, fit ``_ROW_BUDGET`` bytes.  Memoized per shape, for scans,
+    Monte-Carlo and its discriminant probe alike; the enumeration cap is
+    checked on every call."""
     _check_enum_cap(m, q, r, cap)
     return _scan_blocks(m, q, r, tuple(degrees))
 
@@ -316,9 +321,8 @@ def _scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...]) -> tuple[Poin
         step = max(1, _ROW_BUDGET // PointBlock(degrees, group[:1]).point_nbytes)
         for i in range(0, len(group), step):
             block = PointBlock(degrees, group[i:i + step])
-            nbytes = len(block.points) * block.point_nbytes
-            if kept + nbytes <= _ROW_BUDGET:
-                kept += nbytes
+            if kept + block.kernel_nbytes <= _ROW_BUDGET:
+                kept += block.kernel_nbytes
                 block = PointBlock(degrees, block.points, jet_kernel(degrees, block.points))
             blocks.append(block)
     return tuple(blocks)

@@ -23,16 +23,17 @@ the same memo of budget-sized point blocks
 (:func:`~elldens.base.scan_blocks`; a kernel the memo does not keep is built
 once per call and reused by each of its chunks): one
 :func:`~elldens.base.jet_at` product per block, each form's slots against
-its own jet rows only, in float32 wherever that is exact.  A chunk walks the
-blocks once, and each block's coordinates are dropped before the next
-block's product.  The batched detector and the discriminant run once per
-(chunk, block), each on the samples it still holds: those smooth so far,
-and those whose discriminant values have all vanished so far.  Samples
-whose discriminant form is identically zero are counted as not-smooth and
-tallied separately: a nonzero discriminant value at a point of degree <= r
-settles delta != 0, unsettled samples go on through the value rows of the
-points of the next degrees (a memoized probe block per degree, built the
-first time a sample needs it), one degree at a time, and only when every
+its own jet rows only (stored as F_p digits), multiplied in float32 wherever
+that is exact.  A chunk walks the blocks once, and each block's coordinates
+are dropped before the next block's product.  The batched detector and the
+discriminant run once per (chunk, block), each on the samples it still
+holds: those smooth so far, and those whose discriminant values have all
+vanished so far.  Samples whose discriminant form is identically zero are
+counted as not-smooth and tallied separately: a nonzero discriminant value
+at a point of degree <= r settles delta != 0, unsettled samples go on
+through the discriminant values at the points of the next degrees, one
+degree at a time, from the same memo (the degree-e blocks of the shape of
+degree <= e, built the first time a sample needs them), and only when every
 value vanishes is the form expanded.
 """
 from __future__ import annotations
@@ -40,7 +41,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -222,19 +222,6 @@ class DensityReport:
     threshold_warning: bool
 
 
-@lru_cache(maxsize=8)
-def _probe_block(m: int, q: int, e: int, degrees: tuple[int, ...]) -> PointBlock | None:
-    """The degree-e points with their value rows (jet entry 0 only, which is
-    all the discriminant needs), built the first time a sample needs them,
-    or None when enumerating them would pass ``_PROBE_CAP`` rational
-    points."""
-    try:
-        pts = tuple(P for P in closed_points_up_to(m, q, e, cap=_PROBE_CAP) if P.degree == e)
-    except FeasibilityError:
-        return None
-    return PointBlock(degrees, pts, jet_kernel(degrees, pts, entries=1))
-
-
 def _delta_vanishes(J: WeierstrassJets) -> np.ndarray:
     return discriminant_value(*J.values()).is_zero
 
@@ -249,20 +236,24 @@ def _delta_zero(blocks, slots: np.ndarray, live: np.ndarray, k: int, r: int) -> 
     vanish at every point of `blocks` (degrees 1..r, twist degree k), the
     others being settled.
 
-    Live samples go on through the probe blocks of the degrees above r up
-    to ``_DELTA_PROBE_DEGREE``, one degree at a time, and only when every
-    probe value vanishes too is the form expanded exactly.  Probing stops at
-    the first degree with too many points; the expansion decides the rest.
+    Live samples go on through the degree-e blocks of ``scan_blocks(m, q,
+    e, ...)`` for the degrees e above r up to ``_DELTA_PROBE_DEGREE``, one
+    degree at a time, and only when every probe value vanishes too is the
+    form expanded exactly.  Probing stops at the first degree whose listing
+    passes ``_PROBE_CAP`` rational points; the expansion decides the rest.
     """
     P = blocks[0].points[0]
     for e in range(r + 1, _DELTA_PROBE_DEGREE + 1):
         if not live.size:
             break
-        probe = _probe_block(P.m, P.q, e, blocks[0].degrees)
-        if probe is None:
+        try:
+            probe = scan_blocks(P.m, P.q, e, blocks[0].degrees, cap=_PROBE_CAP)
+        except FeasibilityError:
             break
-        J = jets_from_coords(probe.field, jet_at(slots[live], probe))
-        live = live[_delta_vanishes(J).all(axis=1)]
+        for b in probe:
+            if b.points[0].degree == e and live.size:
+                J = jets_from_coords(b.field, jet_at(slots[live], b))
+                live = live[_delta_vanishes(J).all(axis=1)]
     zero = np.zeros(len(slots), dtype=bool)
     for i in live:
         zero[i] = weierstrass_from_slots(P.m, k, P.emb.src, slots[i]).delta.is_zero

@@ -329,12 +329,12 @@ def _drawn_point(data, m, base_field, e):
                        field=res, emb=embedding(base_field, res))
 
 
-def _dense_rows(degrees, points, entries):
-    """The dense block-diagonal matrix of the points' jet_space_map blocks,
-    the first ``entries`` jet entries of each form: form-major, then point,
-    entry and residue coordinate, each form's rows against its own columns."""
+def _dense_rows(degrees, points):
+    """The dense block-diagonal matrix of the points' jet_space_map blocks:
+    form-major, then point, entry and residue coordinate, each form's rows
+    against its own columns."""
     maps = [jet_space_map(degrees, P).blocks for P in points]
-    size = entries * points[0].field.n
+    size = (points[0].m + 1) * points[0].field.n
     widths = [b.shape[1] for b in maps[0]]
     dense = np.zeros((len(degrees) * len(points) * size, sum(widths)), dtype=np.int64)
     col = 0
@@ -347,7 +347,7 @@ def _dense_rows(degrees, points, entries):
 
 
 # (p, base degree r, wide): a wide form at p = 257 has >= 256 columns, so its
-# sums pass 2^24 and the kernel takes float64; every other case is float32
+# sums pass 2^24 and the product runs in float64; every other case in float32
 KERNEL_CONFIGS = [(2, 1, False), (2, 2, False), (3, 1, False), (3, 2, False),
                   (5, 1, False), (5, 2, False), (257, 1, False), (257, 1, True)]
 
@@ -357,7 +357,7 @@ KERNEL_CONFIGS = [(2, 1, False), (2, 2, False), (3, 1, False), (3, 2, False),
 @given(data=st.data())
 def test_jet_kernel_matches_the_integer_product(p, r, wide, data):
     # points of one residue field, of degree 1 or 2 over the base; batches
-    # of one and of many and a bare vector
+    # of one and of many and a bare vector; rows stored as F_p digits
     m = data.draw(st.integers(1, 2), label="m")
     base_field = make_field(p, r)
     e = data.draw(st.integers(1, 2), label="e")
@@ -367,10 +367,11 @@ def test_jet_kernel_matches_the_integer_product(p, r, wide, data):
                               label="degrees"))
     if wide:
         degrees += (300 if m == 1 else 22,)
-    entries = data.draw(st.sampled_from((1, m + 1)), label="entries")
-    kernel = jet_kernel(degrees, points, entries=None if entries == m + 1 else entries)
+    kernel = jet_kernel(degrees, points)
     assert kernel.dtype is (np.float64 if wide else np.float32)
-    dense = _dense_rows(degrees, points, entries)
+    assert all(b.dtype == np.min_scalar_type(p - 1) for b in kernel.blocks)
+    assert kernel.nbytes == sum(b.size for b in kernel.blocks) * (1 if p < 257 else 2)
+    dense = _dense_rows(degrees, points)
     assert kernel.shape == dense.shape
     batch = data.draw(st.sampled_from((1, 7)), label="batch")
     rng = np.random.default_rng(data.draw(st.integers(0, 1 << 30), label="seed"))
@@ -426,45 +427,55 @@ def test_jet_at_rejects_a_slot_vector_of_other_forms():
             jet_at(slots, block)
 
 
-@pytest.mark.parametrize("kind", ["kept", "unkept", "values"])
+@pytest.mark.parametrize("kind", ["kept", "unkept"])
 def test_jet_at_takes_a_batch_of_slot_vectors(kind):
     # a batch on the last axis gives the jets of row-by-row calls, for a
-    # kept kernel, a kernel built for each call, and value rows only
+    # kept kernel and a kernel built for each call
     pts = tuple(P for P in closed_points_up_to(2, 4, 2) if P.degree == 2)[:5]
     degrees = section_degrees(2, 1)
-    rows = {"kept": jet_kernel(degrees, pts), "unkept": None,
-            "values": jet_kernel(degrees, pts, entries=1)}[kind]
+    rows = {"kept": jet_kernel(degrees, pts), "unkept": None}[kind]
     block = PointBlock(degrees, pts, rows)
     slots = np.random.default_rng(3).integers(0, 2, size=(6, block.cols))
     batch = jet_at(slots, block)
-    entries = 1 if kind == "values" else 3
-    assert batch.shape == (6, 5, 4, entries, 4)  # residue field F_16
+    assert batch.shape == (6, 5, 4, 3, 4)  # residue field F_16
     assert np.array_equal(batch, np.stack([jet_at(row, block) for row in slots]))
     assert np.array_equal(jet_at(slots.reshape(2, 3, -1), block),
-                          batch.reshape(2, 3, 5, 4, entries, 4))
+                          batch.reshape(2, 3, 5, 4, 3, 4))
     full = jet_at(slots, PointBlock(degrees, pts, jet_kernel(degrees, pts)))
-    assert np.array_equal(batch, full[..., :entries, :])
+    assert np.array_equal(batch, full)
+    # an empty batch gives no jets, in the shape of a batch
+    empty = jet_at(slots[:0], block)
+    assert (empty.shape, empty.dtype) == ((0, 5, 4, 3, 4), np.uint8)
 
 
 def test_scan_blocks_keep_rows_within_the_budget(monkeypatch):
     # at k = 1 both degrees' kernels fit: 21 x 6 rows x 112 slots and
-    # 126 x 12 rows x 112 slots, each form's rows against its own slots only
+    # 126 x 12 rows x 112 slots, each form's rows against its own slots
+    # only, stored as F_2 digits of one byte
     kernels = [b.rows for b in scan_blocks(2, 4, 2, section_degrees(2, 1))]
-    assert [k.nbytes for k in kernels] == [21 * 6 * 112 * 4, 126 * 12 * 112 * 4]
+    assert [k.nbytes for k in kernels] == [21 * 6 * 112, 126 * 12 * 112]
     degrees = section_degrees(2, 2)
     blocks = scan_blocks(2, 4, 2, degrees)
-    # a degree-2 point has 12 rows x 340 slots x 4 bytes: 64 of them fit the
-    # budget, so the 126 points make blocks of 64 and 62
+    # a degree-2 point has 12 rows x 340 slots x 4 bytes in the float32
+    # product: 64 of them fit the budget, so the 126 points make blocks of
+    # 64 and 62
     assert blocks[1].point_nbytes == 12 * 340 * 4
     assert 64 * blocks[1].point_nbytes <= base._ROW_BUDGET < 65 * blocks[1].point_nbytes
     assert [(b.points[0].degree, len(b.points)) for b in blocks] == [(1, 21), (2, 64), (2, 62)]
-    kept = [b.rows.nbytes for b in blocks if b.rows is not None]
-    assert kept == [len(blocks[0].points) * blocks[0].point_nbytes]
-    assert 0 < sum(kept) <= base._ROW_BUDGET
-    # each degree-2 block fits the budget alone, but not beside the kept one
-    assert all(b.rows is None for b in blocks[1:])
-    assert all(sum(kept) + len(b.points) * b.point_nbytes > base._ROW_BUDGET
-               for b in blocks[1:])
+    # the memo counts the bytes it stores, one per digit: all three
+    # kernels fit the budget together
+    assert [b.rows.nbytes for b in blocks] == [21 * 6 * 340, 64 * 12 * 340, 62 * 12 * 340]
+    assert sum(b.rows.nbytes for b in blocks) <= base._ROW_BUDGET
+    # at k = 3, blocks of 31 degree-2 points: the fourth fits the budget
+    # alone but not beside the kept ones, and the last, of 2 points, fits
+    wide = scan_blocks(2, 4, 2, section_degrees(2, 3))
+    assert [len(b.points) for b in wide] == [21, 31, 31, 31, 31, 2]
+    assert [b.rows is None for b in wide] == [False] * 4 + [True, False]
+    kept = [b.rows.nbytes for b in wide if b.rows is not None]
+    assert kept == [b.kernel_nbytes for b in wide if b.rows is not None]
+    assert sum(kept) <= base._ROW_BUDGET
+    assert sum(kept[:4]) + wide[4].kernel_nbytes > base._ROW_BUDGET
+    assert wide[4].kernel_nbytes <= 31 * wide[4].point_nbytes <= base._ROW_BUDGET
     assert scan_blocks(2, 4, 2, degrees) is blocks
     monkeypatch.setattr(base, "_ROW_BUDGET", 0)
     base._scan_blocks.cache_clear()
@@ -495,6 +506,7 @@ def test_scan_blocks_list_the_closed_points_in_order(m, q, r, k, budget, monkeyp
     assert all(len({P.degree for P in b.points}) == 1 for b in blocks)
     assert all(len(b.points) == 1 or len(b.points) * b.point_nbytes <= base._ROW_BUDGET
                for b in blocks)
+    assert all(b.rows is None or b.rows.nbytes == b.kernel_nbytes for b in blocks)
     assert sum(b.rows.nbytes for b in blocks if b.rows is not None) <= base._ROW_BUDGET
     # a block is cut short only where its degree's points run out
     for b, nxt in itertools.pairwise(blocks):

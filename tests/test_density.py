@@ -294,47 +294,55 @@ def _record_blocks(monkeypatch):
 
 def test_mc_setup_holds_only_jet_rows(monkeypatch):
     # acceptance-4 configuration: the 7 degree-1 points need 7 * 4 * 3 rows
-    density._probe_block.cache_clear()
     used = _record_blocks(monkeypatch)
     mc_density(2, 2, 2, 18, 1, samples=1, master_seed=0)
     [block] = scan_blocks(2, 2, 1, section_degrees(2, 18))
     assert block.rows is not None  # kept under the default budget
     assert used == [block]  # the shared memo's block, and no probe block
-    assert density._probe_block.cache_info().currsize == 0
     assert block.rows.shape == (84, 10426)
     assert (len(block.points), block.cols) == (7, 10426)
-    # each of the 4 forms' 21 rows meets only its own slots, in float32
+    # each of the 4 forms' 21 rows meets only its own slots, stored as
+    # one-byte F_2 digits and multiplied in float32
     assert block.rows.dtype is np.float32
-    assert block.rows.nbytes == 21 * 10426 * 4
+    assert all(b.dtype == np.uint8 for b in block.rows.blocks)
+    assert block.rows.nbytes == 21 * 10426
 
 
-def test_probe_rows_built_on_first_need(monkeypatch):
-    from elldens.weier import weierstrass_slots
-    F2 = make_field(2, 1)
-    degrees = section_degrees(2, 1)
-    blocks = scan_blocks(1, 2, 1, degrees)
-    assert all(b.rows is not None for b in blocks)  # kept under the default budget
-    slots = np.array([weierstrass_slots(1, 1, F2, seed=s) for s in range(40)])
-    density._probe_block.cache_clear()
-    built = []
-    monkeypatch.setattr(density, "jet_kernel",
-                        lambda degs, pts, entries: built.append(pts) or
-                        base.jet_kernel(degs, pts, entries=entries))
-    density._delta_zero(blocks, slots, _vanishing(blocks, slots), 1, 1)
-    assert [P.degree for P in built[0]] == [2]
-    needed = len(built)
-    probe = density._probe_block(1, 2, 2, degrees)
-    # P^1 over F_2 has one degree-2 point: 4 forms, value rows only, 2 coordinates
-    assert ([P.degree for P in probe.points], probe.rows.shape) == ([2], (8, blocks[0].cols))
-    assert density._probe_block(1, 2, 2, degrees) is probe
-    assert len(built) == needed  # built once
+def test_probe_reads_the_scan_memo(monkeypatch):
+    # at (p, q, m, k, r) = (2, 2, 1, 1, 1) draws reach the probe at degrees
+    # 2 and 3; its blocks are the degree-e blocks of the memo's shape of
+    # degree <= e, kernels kept, so a second run builds no kernel
+    cfg, degrees = (2, 2, 1, 1, 1), section_degrees(2, 1)
+    base._scan_blocks.cache_clear()
+    try:
+        used = _record_blocks(monkeypatch)
+        want = mc_density(*cfg, samples=200, master_seed=0)
+        probes = [b for b in used if b.points[0].degree > 1]
+        assert {b.points[0].degree for b in probes} == {2, 3}
+        for b in probes:
+            e = b.points[0].degree
+            assert any(b is c for c in scan_blocks(1, 2, e, degrees) if c.points[0].degree == e)
+            assert b.rows is not None
+        built = []
+        for module in (base, density):
+            monkeypatch.setattr(module, "jet_kernel", lambda degs, pts: built.append(pts) or
+                                base.jet_kernel(degs, pts))
+        used.clear()
+        got = mc_density(*cfg, samples=200, master_seed=0)
+        assert [b for b in used if b.points[0].degree > 1] == probes
+        assert built == []
+        assert (got.smooth_count, got.delta_zero_count) == (want.smooth_count,
+                                                            want.delta_zero_count)
+    finally:
+        base._scan_blocks.cache_clear()
 
 
 def test_probe_over_cap_is_skipped_and_expansion_decides():
     # the degree-2 points of P^1 over F_257 pass the probe cap; a zero datum
     # vanishes at every degree-1 point and is settled by the expansion
     degrees = section_degrees(257, 1)
-    assert density._probe_block(1, 257, 2, degrees) is None
+    with pytest.raises(FeasibilityError):
+        scan_blocks(1, 257, 2, degrees, cap=density._PROBE_CAP)
     blocks = scan_blocks(1, 257, 1, degrees)
     assert all(b.rows is not None for b in blocks)  # kept under the default budget
     slots = np.zeros((2, blocks[0].cols), dtype=np.uint16)
@@ -372,18 +380,20 @@ def test_mc_keeps_every_kernel_past_the_scan_budget(monkeypatch):
 
 
 def test_mc_leaves_no_kernel_past_the_budget_in_the_memo():
-    # the 13 degree-1 points of P^2 over F_3 at k = 18 pass the byte budget
-    # together: they make blocks of 9 and 4 points, the first kept, the
-    # second built by Monte-Carlo for its own call and not kept by the memo
+    # the 13 degree-1 points of P^2 over F_3 at k = 31 pass the byte budget
+    # together, as stored digits too: they make four blocks of 3 points,
+    # kept, and one of 1, built by Monte-Carlo for its own call and not
+    # kept by the memo
     base._scan_blocks.cache_clear()
     try:
-        mc_density(3, 3, 2, 18, 1, samples=20, master_seed=0)
-        blocks = scan_blocks(2, 3, 1, section_degrees(3, 18))
-        assert [len(b.points) for b in blocks] == [9, 4]
-        size = blocks[0].point_nbytes
-        assert 9 * size <= base._ROW_BUDGET < 10 * size
-        assert blocks[0].rows is not None and blocks[0].rows.nbytes == 9 * size
-        assert blocks[1].rows is None
+        mc_density(3, 3, 2, 31, 1, samples=20, master_seed=0)
+        blocks = scan_blocks(2, 3, 1, section_degrees(3, 31))
+        assert [len(b.points) for b in blocks] == [3, 3, 3, 3, 1]
+        size = blocks[0].point_nbytes  # float32 product bytes of a point
+        assert 3 * size <= base._ROW_BUDGET < 4 * size
+        assert all(b.rows is not None and b.rows.nbytes == 3 * size // 4 for b in blocks[:4])
+        assert 12 * size // 4 <= base._ROW_BUDGET < 13 * size // 4
+        assert blocks[4].rows is None
         assert base._scan_blocks.cache_info().currsize == 1
     finally:
         base._scan_blocks.cache_clear()
