@@ -22,12 +22,13 @@ of draws, by it.  Products run in float32 while every sum of ``cols``
 products of F_p digits (cols the widest form's columns) stays below 2^24, in
 float64 below 2^53, and are refused past that, all by
 :func:`exact_float_dtype`.  ``scan_blocks`` is the one memo of point blocks,
-for scans, Monte-Carlo and its discriminant probe alike: per shape (m, q, r,
-form degrees) it cuts each degree's points, in listing order, into blocks
-whose float product fits ``_ROW_BUDGET`` bytes, and keeps a block's kernel
-while the kept kernels' digits fit that budget too.  A block is the unit of
-one product: ``jet_at`` applies its kept kernel, or builds the block's
-kernel for the call.
+for scans, Monte-Carlo and its discriminant probe alike, with one entry per
+point degree e (and m, q, form degrees): it cuts the degree-e points, in
+listing order, into blocks whose float product fits ``_ROW_BUDGET`` bytes,
+and keeps a block's kernel while the entry's kept digits fit that budget
+too, so a point's kernel is held once whatever r reads it.  A block is the
+unit of one product: ``jet_at`` applies its kept kernel, or builds the
+block's kernel for the call.
 
 The blocks are computed on discrete logs in the residue field F_Q (the
 field's :class:`~elldens.gf.LogTables`, to a primitive element g): the value
@@ -59,9 +60,9 @@ from .sections import dim_space, monomial_array
 
 DEFAULT_ENUM_CAP = 1 << 26
 # bytes of one point block's float product, and of the kernels (F_p digits)
-# the memo keeps per shape
+# the memo keeps per point degree
 _ROW_BUDGET = 1 << 20
-_SCAN_SHAPES = 16  # shapes whose point blocks are memoized
+_SCAN_SHAPES = 16  # (m, q, point degree, form degrees) whose blocks are memoized
 
 
 @dataclass(frozen=True)
@@ -247,7 +248,8 @@ class PointBlock:
     """Closed points of one residue field and the degrees of the forms whose
     jets ``jet_at`` takes there, in one product.  ``rows``, when kept, is the
     points' :func:`jet_kernel`; :func:`scan_blocks` holds a block's float
-    product to ``_ROW_BUDGET`` bytes unless it has one point."""
+    product to ``_ROW_BUDGET`` bytes unless it has one point, and the kept
+    kernels of one point degree to ``_ROW_BUDGET`` bytes together."""
 
     degrees: tuple[int, ...]
     points: tuple[ClosedPoint, ...]
@@ -302,29 +304,27 @@ def scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...],
     """The closed points of degree <= r as :class:`PointBlock` s for forms
     of the given degrees: each degree's points in listing order, cut into
     blocks of as many points as fit a ``_ROW_BUDGET``-byte float product (at
-    least one).  A block keeps its kernel while the kept kernels, stored as
-    F_p digits, fit ``_ROW_BUDGET`` bytes.  Memoized per shape, for scans,
-    Monte-Carlo and its discriminant probe alike; the enumeration cap is
-    checked on every call."""
+    least one).  A block keeps its kernel while its degree's kept kernels,
+    stored as F_p digits, fit ``_ROW_BUDGET`` bytes.  Memoized per point
+    degree: scans, Monte-Carlo and its discriminant probe read one degree's
+    blocks at every r.  The enumeration cap is checked on every call."""
     _check_enum_cap(m, q, r, cap)
-    return _scan_blocks(m, q, r, tuple(degrees))
+    return tuple(itertools.chain.from_iterable(
+        _scan_blocks(m, q, e, tuple(degrees)) for e in range(1, r + 1)))
 
 
 @lru_cache(maxsize=_SCAN_SHAPES)
-def _scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...]) -> tuple[PointBlock, ...]:
-    blocks = []
-    kept = 0
+def _scan_blocks(m: int, q: int, e: int, degrees: tuple[int, ...]) -> tuple[PointBlock, ...]:
     # the caller has checked its own cap
-    points = closed_points_up_to(m, q, r, cap=math.inf)
-    for _, group in itertools.groupby(points, key=lambda P: P.degree):
-        group = tuple(group)
-        step = max(1, _ROW_BUDGET // PointBlock(degrees, group[:1]).point_nbytes)
-        for i in range(0, len(group), step):
-            block = PointBlock(degrees, group[i:i + step])
-            if kept + block.kernel_nbytes <= _ROW_BUDGET:
-                kept += block.kernel_nbytes
-                block = PointBlock(degrees, block.points, jet_kernel(degrees, block.points))
-            blocks.append(block)
+    points = tuple(P for P in closed_points_up_to(m, q, e, cap=math.inf) if P.degree == e)
+    step = max(1, _ROW_BUDGET // PointBlock(degrees, points[:1]).point_nbytes)
+    blocks, kept = [], 0
+    for i in range(0, len(points), step):
+        block = PointBlock(degrees, points[i:i + step])
+        if kept + block.kernel_nbytes <= _ROW_BUDGET:
+            kept += block.kernel_nbytes
+            block = PointBlock(degrees, block.points, jet_kernel(degrees, block.points))
+        blocks.append(block)
     return tuple(blocks)
 
 

@@ -32,9 +32,9 @@ vanished so far.  Samples whose discriminant form is identically zero are
 counted as not-smooth and tallied separately: a nonzero discriminant value
 at a point of degree <= r settles delta != 0, unsettled samples go on
 through the discriminant values at the points of the next degrees, one
-degree at a time, from the same memo (the degree-e blocks of the shape of
-degree <= e, built the first time a sample needs them), and only when every
-value vanishes is the form expanded.
+degree at a time, from the same memo (its degree-e entry, built the first
+time a sample needs it; the entries of lower degree are the very blocks the
+run applied), and only when every value vanishes is the form expanded.
 """
 from __future__ import annotations
 
@@ -122,14 +122,17 @@ def jet_census(p: int, q: int, m: int, e: int,
     r = _degree_over(p, q)
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
+    if e < 1:
+        raise ValueError(f"need e >= 1, got {e}")
     cap = DEFAULT_ENUM_CAP if cap is None else cap
-    fld = make_field(p, r * e)
     g = len(varying_indices(p))
-    total = fld.size ** (g * (m + 1))
-    if total > cap:
-        raise FeasibilityError(
-            f"jet census needs {total} tuples > cap {cap}"
-        )
+    # the census walks q^exponent tuples, and q^exponent > cap wherever
+    # 2^exponent is; the field's tables, ~q^e entries, wait for the cap
+    exponent = e * g * (m + 1)
+    if exponent >= cap.bit_length() or q ** exponent > cap:
+        raise FeasibilityError(f"jet census needs {q}^{exponent} tuples > cap {cap}")
+    total = q ** exponent
+    fld = make_field(p, r * e)
     width = m + 1
     # tuple t has base-Q digits t // place % Q, first entry most significant
     place = fld.size ** np.arange(g * width - 1, -1, -1, dtype=np.int64)
@@ -179,6 +182,8 @@ def surjectivity_check(p: int, q: int, m: int, k: int, e: int) -> SurjectivityRe
     r = _degree_over(p, q)
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
+    if e < 1:
+        raise ValueError(f"need e >= 1, got {e}")
     pts = [P for P in closed_points_up_to(m, q, e) if P.degree == e]
     P = pts[0]
     degrees = section_degrees(p, k)
@@ -238,9 +243,11 @@ def _delta_zero(blocks, slots: np.ndarray, live: np.ndarray, k: int, r: int) -> 
 
     Live samples go on through the degree-e blocks of ``scan_blocks(m, q,
     e, ...)`` for the degrees e above r up to ``_DELTA_PROBE_DEGREE``, one
-    degree at a time, and only when every probe value vanishes too is the
-    form expanded exactly.  Probing stops at the first degree whose listing
-    passes ``_PROBE_CAP`` rational points; the expansion decides the rest.
+    degree at a time; the memo holds one entry per point degree, so the
+    blocks below e that it skips are those the run has read, not copies.
+    Only when every probe value vanishes too is the form expanded exactly.
+    Probing stops at the first degree whose listing passes ``_PROBE_CAP``
+    rational points; the expansion decides the rest.
     """
     P = blocks[0].points[0]
     for e in range(r + 1, _DELTA_PROBE_DEGREE + 1):

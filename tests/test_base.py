@@ -448,7 +448,7 @@ def test_jet_at_takes_a_batch_of_slot_vectors(kind):
     assert (empty.shape, empty.dtype) == ((0, 5, 4, 3, 4), np.uint8)
 
 
-def test_scan_blocks_keep_rows_within_the_budget(monkeypatch):
+def test_scan_blocks_keep_rows_within_the_budget(monkeypatch, fresh_memo):
     # at k = 1 both degrees' kernels fit: 21 x 6 rows x 112 slots and
     # 126 x 12 rows x 112 slots, each form's rows against its own slots
     # only, stored as F_2 digits of one byte
@@ -466,52 +466,71 @@ def test_scan_blocks_keep_rows_within_the_budget(monkeypatch):
     # kernels fit the budget together
     assert [b.rows.nbytes for b in blocks] == [21 * 6 * 340, 64 * 12 * 340, 62 * 12 * 340]
     assert sum(b.rows.nbytes for b in blocks) <= base._ROW_BUDGET
-    # at k = 3, blocks of 31 degree-2 points: the fourth fits the budget
-    # alone but not beside the kept ones, and the last, of 2 points, fits
+    # at k = 3, blocks of 31 degree-2 points, all kept: the budget holds
+    # per point degree, so degree 2's kernels fit it while both degrees'
+    # pass it
     wide = scan_blocks(2, 4, 2, section_degrees(2, 3))
     assert [len(b.points) for b in wide] == [21, 31, 31, 31, 31, 2]
-    assert [b.rows is None for b in wide] == [False] * 4 + [True, False]
-    kept = [b.rows.nbytes for b in wide if b.rows is not None]
-    assert kept == [b.kernel_nbytes for b in wide if b.rows is not None]
-    assert sum(kept) <= base._ROW_BUDGET
-    assert sum(kept[:4]) + wide[4].kernel_nbytes > base._ROW_BUDGET
-    assert wide[4].kernel_nbytes <= 31 * wide[4].point_nbytes <= base._ROW_BUDGET
-    assert scan_blocks(2, 4, 2, degrees) is blocks
+    assert all(b.rows is not None for b in wide)
+    assert all(b.rows.nbytes == b.kernel_nbytes for b in wide)
+    assert sum(b.kernel_nbytes for b in wide[1:]) <= base._ROW_BUDGET
+    assert sum(b.kernel_nbytes for b in wide) > base._ROW_BUDGET
+    # at k = 4, blocks of 18 degree-2 points: the fifth fits the budget
+    # alone but not beside its degree's four kept ones, nor do the last two
+    wider = scan_blocks(2, 4, 2, section_degrees(2, 4))
+    assert [len(b.points) for b in wider] == [21] + [18] * 7
+    assert [b.rows is None for b in wider] == [False] * 5 + [True] * 3
+    kept = [b.rows.nbytes for b in wider[1:5]]
+    assert kept == [b.kernel_nbytes for b in wider[1:5]]
+    assert sum(kept) <= base._ROW_BUDGET < sum(kept) + wider[5].kernel_nbytes
+    assert wider[5].kernel_nbytes <= 18 * wider[5].point_nbytes <= base._ROW_BUDGET
+    # every call reads the memo's blocks
+    assert all(a is b for a, b in zip(scan_blocks(2, 4, 2, degrees), blocks, strict=True))
     monkeypatch.setattr(base, "_ROW_BUDGET", 0)
-    base._scan_blocks.cache_clear()
-    try:
-        zero = scan_blocks(2, 4, 2, degrees)
-        assert all(b.rows is None and len(b.points) == 1 for b in zero)
-        assert len(zero) == 21 + 126
-    finally:
-        base._scan_blocks.cache_clear()
+    fresh_memo()
+    zero = scan_blocks(2, 4, 2, degrees)
+    assert all(b.rows is None and len(b.points) == 1 for b in zero)
+    assert len(zero) == 21 + 126
 
 
 @pytest.mark.parametrize("m,q,r,k", [(2, 4, 2, 4), (2, 4, 2, 1), (2, 3, 1, 18), (1, 5, 3, 36),
                                      (1, 2, 4, 40)])
 @pytest.mark.parametrize("budget", [None, 0, 200_000])
-def test_scan_blocks_list_the_closed_points_in_order(m, q, r, k, budget, monkeypatch):
+def test_scan_blocks_list_the_closed_points_in_order(m, q, r, k, budget, monkeypatch,
+                                                      fresh_memo):
     # blocks cut each degree's points in listing order, each within the
-    # budget unless it holds one point, and the kept kernels within it too
+    # budget unless it holds one point, and each degree's kept kernels
+    # within it too
     p, _ = prime_power(q)
     if budget is not None:
         monkeypatch.setattr(base, "_ROW_BUDGET", budget)
-    base._scan_blocks.cache_clear()
-    try:
-        blocks = scan_blocks(m, q, r, section_degrees(p, k))
-    finally:
-        base._scan_blocks.cache_clear()
+    blocks = scan_blocks(m, q, r, section_degrees(p, k))
     points = [P for b in blocks for P in b.points]
     assert points == closed_points_up_to(m, q, r)
     assert all(len({P.degree for P in b.points}) == 1 for b in blocks)
     assert all(len(b.points) == 1 or len(b.points) * b.point_nbytes <= base._ROW_BUDGET
                for b in blocks)
     assert all(b.rows is None or b.rows.nbytes == b.kernel_nbytes for b in blocks)
-    assert sum(b.rows.nbytes for b in blocks if b.rows is not None) <= base._ROW_BUDGET
+    for e in range(1, r + 1):
+        assert sum(b.rows.nbytes for b in blocks
+                   if b.rows is not None and b.points[0].degree == e) <= base._ROW_BUDGET
     # a block is cut short only where its degree's points run out
     for b, nxt in itertools.pairwise(blocks):
         if nxt.points[0].degree == b.points[0].degree:
             assert (len(b.points) + 1) * b.point_nbytes > base._ROW_BUDGET
+
+
+def test_scan_blocks_share_each_degree_across_r(fresh_memo):
+    # one memo entry per point degree: the shape of degree <= r + 1 starts
+    # with the very blocks, hence kernels, of the shape of degree <= r
+    for m, q, r, degrees in [(2, 2, 1, section_degrees(2, 18)), (1, 5, 2, section_degrees(5, 36)),
+                             (2, 4, 1, section_degrees(2, 4))]:
+        low = scan_blocks(m, q, r, degrees)
+        high = scan_blocks(m, q, r + 1, degrees)
+        assert len(high) > len(low)
+        assert all(a is b for a, b in zip(low, high))
+        assert {P.degree for b in high[len(low):] for P in b.points} == {r + 1}
+    assert base._scan_blocks.cache_info().currsize == 2 + 3 + 2
 
 
 def test_scan_blocks_check_the_cap_on_every_call():

@@ -218,6 +218,8 @@ def test_density_mc_rejects_the_removed_threads_flag():
     (["surj", "-p", "4", "-q", "4", "-m", "1", "-k", "1", "-e", "1"], "p=4 is not prime"),
     (["density-mc", "-p", "4", "-q", "4", "-m", "1", "-k", "1", "-r", "1",
       "--samples", "1"], "p=4 is not prime"),
+    (["census", "-p", "2", "-q", "2", "-m", "1", "-e", "0"], "need e >= 1, got 0"),
+    (["surj", "-p", "2", "-q", "2", "-m", "1", "-k", "1", "-e", "0"], "need e >= 1, got 0"),
 ])
 def test_configurations_outside_the_domain_exit_2(capsys, argv, message):
     code = main(argv)
@@ -278,6 +280,18 @@ def test_feasibility_exit_3(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "cap" in err
+
+
+def test_census_refuses_a_huge_extension_at_once():
+    # the cap is checked before F_{2^300} is built, which would not finish
+    proc = subprocess.run(
+        [sys.executable, "-m", "elldens", "census", "-p", "2", "-q", "2", "-m", "1",
+         "-e", "300"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "error: jet census needs 2^2400 tuples > cap 67108864\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -70,6 +70,24 @@ def test_census_validates_and_caps():
         jet_census(2, 3, 1, 1)
     with pytest.raises(FeasibilityError):
         jet_census(2, 2, 2, 3)
+    with pytest.raises(ValueError, match="need e >= 1, got 0"):
+        jet_census(2, 2, 1, 0)
+
+
+def test_census_checks_the_cap_before_building_the_field(monkeypatch):
+    # F_{2^300} would take minutes to find and more memory than any
+    # machine has to tabulate; the 2^2400 tuples are refused first
+    def refuse(p, n):
+        raise AssertionError(f"built F_{p}^{n}")
+
+    monkeypatch.setattr(density, "make_field", refuse)
+    with pytest.raises(FeasibilityError, match=r"2\^2400 tuples > cap"):
+        jet_census(2, 2, 1, 300)
+    # the cap's boundary: 2^16 tuples at (q, m, e) = (2, 1, 2)
+    with pytest.raises(FeasibilityError):
+        jet_census(2, 2, 1, 2, cap=(1 << 16) - 1)
+    monkeypatch.undo()
+    assert jet_census(2, 2, 1, 2, cap=1 << 16).total == 1 << 16
 
 
 def test_census_q_not_prime():
@@ -308,33 +326,42 @@ def test_mc_setup_holds_only_jet_rows(monkeypatch):
     assert block.rows.nbytes == 21 * 10426
 
 
-def test_probe_reads_the_scan_memo(monkeypatch):
+def test_probe_reads_the_scan_memo(monkeypatch, fresh_memo):
     # at (p, q, m, k, r) = (2, 2, 1, 1, 1) draws reach the probe at degrees
-    # 2 and 3; its blocks are the degree-e blocks of the memo's shape of
-    # degree <= e, kernels kept, so a second run builds no kernel
+    # 2 and 3; its blocks are the memo's degree-e entries, kernels kept, so
+    # a second run builds no kernel
     cfg, degrees = (2, 2, 1, 1, 1), section_degrees(2, 1)
-    base._scan_blocks.cache_clear()
-    try:
-        used = _record_blocks(monkeypatch)
-        want = mc_density(*cfg, samples=200, master_seed=0)
-        probes = [b for b in used if b.points[0].degree > 1]
-        assert {b.points[0].degree for b in probes} == {2, 3}
-        for b in probes:
-            e = b.points[0].degree
-            assert any(b is c for c in scan_blocks(1, 2, e, degrees) if c.points[0].degree == e)
-            assert b.rows is not None
-        built = []
-        for module in (base, density):
-            monkeypatch.setattr(module, "jet_kernel", lambda degs, pts: built.append(pts) or
-                                base.jet_kernel(degs, pts))
-        used.clear()
-        got = mc_density(*cfg, samples=200, master_seed=0)
-        assert [b for b in used if b.points[0].degree > 1] == probes
-        assert built == []
-        assert (got.smooth_count, got.delta_zero_count) == (want.smooth_count,
-                                                            want.delta_zero_count)
-    finally:
-        base._scan_blocks.cache_clear()
+    used = _record_blocks(monkeypatch)
+    want = mc_density(*cfg, samples=200, master_seed=0)
+    probes = [b for b in used if b.points[0].degree > 1]
+    assert {b.points[0].degree for b in probes} == {2, 3}
+    for b in probes:
+        e = b.points[0].degree
+        assert any(b is c for c in scan_blocks(1, 2, e, degrees) if c.points[0].degree == e)
+        assert b.rows is not None
+    built = []
+    for module in (base, density):
+        monkeypatch.setattr(module, "jet_kernel", lambda degs, pts: built.append(pts) or
+                            base.jet_kernel(degs, pts))
+    used.clear()
+    got = mc_density(*cfg, samples=200, master_seed=0)
+    assert [b for b in used if b.points[0].degree > 1] == probes
+    assert built == []
+    assert (got.smooth_count, got.delta_zero_count) == (want.smooth_count,
+                                                        want.delta_zero_count)
+
+
+def test_mc_builds_each_jet_map_once(monkeypatch, fresh_memo):
+    # mc_ref's configuration: the probe at degree 2 reads the memo's
+    # degree-1 entry that the run applied, so each of the 7 degree-1 and 7
+    # degree-2 points gets one jet map, and the memo one entry per degree
+    calls = []
+    monkeypatch.setattr(base, "jet_space_map",
+                        lambda degrees, P: calls.append(P) or jet_space_map(degrees, P))
+    mc_density(2, 2, 2, 18, 1, samples=256, master_seed=7)
+    assert len(calls) == len(set(calls)) == 14
+    assert [P.degree for P in calls] == [1] * 7 + [2] * 7
+    assert base._scan_blocks.cache_info().currsize == 2
 
 
 def test_probe_over_cap_is_skipped_and_expansion_decides():
@@ -352,51 +379,44 @@ def test_probe_over_cap_is_skipped_and_expansion_decides():
     assert density._delta_zero(blocks, slots, live, 1, 1).tolist() == [True, False]
 
 
-def test_mc_keeps_every_kernel_past_the_scan_budget(monkeypatch):
+def test_mc_keeps_every_kernel_past_the_scan_budget(monkeypatch, fresh_memo):
     # with no byte budget, every block holds one point and Monte-Carlo
     # still applies a kernel at each, built once for the call and reused by
-    # both chunks, and gives the same counts; the shape's one memo entry
-    # keeps none of them after the call
+    # both chunks, and gives the same counts; the memo's entries, one per
+    # point degree, keep none of them after the call
     cfg, degrees = (2, 4, 1, 6, 2), section_degrees(2, 6)
     want = mc_density(*cfg, samples=600, master_seed=3)
-    base._scan_blocks.cache_clear()
+    fresh_memo()
     monkeypatch.setattr(base, "_ROW_BUDGET", 0)
-    try:
-        used = _record_blocks(monkeypatch)
-        got = mc_density(*cfg, samples=600, master_seed=3)
-        assert (got.smooth_count, got.delta_zero_count) == (want.smooth_count,
-                                                            want.delta_zero_count)
-        blocks = [b for b in used if b.points[0].degree <= 2]
-        points = closed_points_up_to(1, 4, 2)  # 5 of degree 1, 6 of degree 2
-        assert len(blocks) == 2 * len(points) == 2 * 11
-        assert all(b.rows is not None for b in blocks)
-        assert blocks[:11] == blocks[11:]  # the same blocks, hence kernels, per chunk
-        assert [b.points for b in blocks[:11]] == [(P,) for P in points]
-        assert base._scan_blocks.cache_info().currsize == 1
-        assert all(b.rows is None for b in scan_blocks(1, 4, 2, degrees))
-        assert base._scan_blocks.cache_info().currsize == 1
-    finally:
-        base._scan_blocks.cache_clear()
+    used = _record_blocks(monkeypatch)
+    got = mc_density(*cfg, samples=600, master_seed=3)
+    assert (got.smooth_count, got.delta_zero_count) == (want.smooth_count,
+                                                        want.delta_zero_count)
+    blocks = [b for b in used if b.points[0].degree <= 2]
+    points = closed_points_up_to(1, 4, 2)  # 5 of degree 1, 6 of degree 2
+    assert len(blocks) == 2 * len(points) == 2 * 11
+    assert all(b.rows is not None for b in blocks)
+    assert blocks[:11] == blocks[11:]  # the same blocks, hence kernels, per chunk
+    assert [b.points for b in blocks[:11]] == [(P,) for P in points]
+    assert base._scan_blocks.cache_info().currsize == 2
+    assert all(b.rows is None for b in scan_blocks(1, 4, 2, degrees))
+    assert base._scan_blocks.cache_info().currsize == 2
 
 
-def test_mc_leaves_no_kernel_past_the_budget_in_the_memo():
+def test_mc_leaves_no_kernel_past_the_budget_in_the_memo(fresh_memo):
     # the 13 degree-1 points of P^2 over F_3 at k = 31 pass the byte budget
     # together, as stored digits too: they make four blocks of 3 points,
     # kept, and one of 1, built by Monte-Carlo for its own call and not
     # kept by the memo
-    base._scan_blocks.cache_clear()
-    try:
-        mc_density(3, 3, 2, 31, 1, samples=20, master_seed=0)
-        blocks = scan_blocks(2, 3, 1, section_degrees(3, 31))
-        assert [len(b.points) for b in blocks] == [3, 3, 3, 3, 1]
-        size = blocks[0].point_nbytes  # float32 product bytes of a point
-        assert 3 * size <= base._ROW_BUDGET < 4 * size
-        assert all(b.rows is not None and b.rows.nbytes == 3 * size // 4 for b in blocks[:4])
-        assert 12 * size // 4 <= base._ROW_BUDGET < 13 * size // 4
-        assert blocks[4].rows is None
-        assert base._scan_blocks.cache_info().currsize == 1
-    finally:
-        base._scan_blocks.cache_clear()
+    mc_density(3, 3, 2, 31, 1, samples=20, master_seed=0)
+    blocks = scan_blocks(2, 3, 1, section_degrees(3, 31))
+    assert [len(b.points) for b in blocks] == [3, 3, 3, 3, 1]
+    size = blocks[0].point_nbytes  # float32 product bytes of a point
+    assert 3 * size <= base._ROW_BUDGET < 4 * size
+    assert all(b.rows is not None and b.rows.nbytes == 3 * size // 4 for b in blocks[:4])
+    assert 12 * size // 4 <= base._ROW_BUDGET < 13 * size // 4
+    assert blocks[4].rows is None
+    assert base._scan_blocks.cache_info().currsize == 1
 
 
 def _kernel_nbytes(block):
@@ -405,29 +425,25 @@ def _kernel_nbytes(block):
 
 
 @pytest.mark.parametrize("budget", [None, 100_000])
-def test_jet_at_takes_blocks_within_the_budget(budget, monkeypatch):
+def test_jet_at_takes_blocks_within_the_budget(budget, monkeypatch, fresh_memo):
     # a scan of (q, m, k, r) = (4, 2, 4, 2) data and Monte-Carlo runs whose
     # degrees split into several blocks: every product's kernel fits the
     # budget unless its block holds one point
     if budget is not None:
         monkeypatch.setattr(base, "_ROW_BUDGET", budget)
-    base._scan_blocks.cache_clear()
-    try:
-        used = _record_blocks(monkeypatch)
-        monkeypatch.setattr(weier, "jet_at",
-                            lambda slots, block: used.append(block) or jet_at(slots, block))
-        singular_scan(random_weierstrass(2, 4, make_field(2, 2), seed=0), 2)
-        mc_density(3, 3, 2, 18, 1, samples=20, master_seed=0)
-        mc_density(2, 4, 1, 6, 2, samples=100, master_seed=0)
-    finally:
-        base._scan_blocks.cache_clear()
+    used = _record_blocks(monkeypatch)
+    monkeypatch.setattr(weier, "jet_at",
+                        lambda slots, block: used.append(block) or jet_at(slots, block))
+    singular_scan(random_weierstrass(2, 4, make_field(2, 2), seed=0), 2)
+    mc_density(3, 3, 2, 18, 1, samples=20, master_seed=0)
+    mc_density(2, 4, 1, 6, 2, samples=100, master_seed=0)
     # more blocks than degrees: the scan's degree 2 and the first run's
     # degree 1 split
     assert len(used) > 2 + 1 + 2
     assert all(len(b.points) == 1 or _kernel_nbytes(b) <= base._ROW_BUDGET for b in used)
 
 
-def test_scan_witnesses_do_not_depend_on_the_budget(monkeypatch):
+def test_scan_witnesses_do_not_depend_on_the_budget(monkeypatch, fresh_memo):
     # seeded (q, m, k, r) = (4, 2, 4, 2) data, with witnesses of degree 1 and
     # 2 in several blocks: the default budget's blocks of 18 degree-2 points
     # and budget 0's one-point blocks find the same witnesses, in order
@@ -437,18 +453,14 @@ def test_scan_witnesses_do_not_depend_on_the_budget(monkeypatch):
     def witnesses():
         return [(h.point, h.x, h.y) for w in data for h in singular_scan(w, 2)]
 
-    base._scan_blocks.cache_clear()
     want = witnesses()
     assert [P.degree for P, _, _ in want] == [1, 1, 1, 1, 1, 2, 2, 2, 1, 2, 2]
     blocks = scan_blocks(2, 4, 2, section_degrees(2, 4))
     assert [len(b.points) for b in blocks] == [21] + [18] * 7
     monkeypatch.setattr(base, "_ROW_BUDGET", 0)
-    base._scan_blocks.cache_clear()
-    try:
-        assert witnesses() == want
-        assert all(len(b.points) == 1 for b in scan_blocks(2, 4, 2, section_degrees(2, 4)))
-    finally:
-        base._scan_blocks.cache_clear()
+    fresh_memo()
+    assert witnesses() == want
+    assert all(len(b.points) == 1 for b in scan_blocks(2, 4, 2, section_degrees(2, 4)))
 
 
 @pytest.mark.parametrize("cfg,samples", [((11, 11, 3, 1, 1), 20),
