@@ -11,14 +11,14 @@ rule each point checks on its own, over whole index arrays.
 
 The first-order jet of a form at a closed point is its value together with
 the gradient in the chart's local coordinates; vanishing of the pair does not
-depend on the chart.  ``jet_space_map`` expresses coefficient vectors ->
-jets over F_p by restriction of scalars, one matrix per form: each form's jet
-is a linear image of its own coefficients only, so the joint map is
-block-diagonal and only its diagonal blocks are built.  A :class:`JetKernel`
-stacks each form's blocks over the points of one residue field (a
-:class:`PointBlock`), stored as F_p digits, and is the one F_p product
-kernel: ``jet_at`` multiplies slot vectors, a datum's or a Monte-Carlo batch
-of draws, by it.  Products run in float32 while every sum of ``cols``
+depend on the chart.  Over F_p, by restriction of scalars, coefficient vectors
+-> jets is one matrix per form: each form's jet is a linear image of its own
+coefficients only, so the joint map is block-diagonal and only its diagonal
+blocks are built.  A :class:`PointBlock` (points of one residue field) is the
+unit of one build and one product: ``jet_space_map`` writes its points' rows,
+as F_p digits, into the block's :class:`JetKernel`, the one F_p product
+kernel, and ``jet_at`` multiplies slot vectors, a datum's or a Monte-Carlo
+batch of draws, by it.  Products run in float32 while every sum of ``cols``
 products of F_p digits (cols the widest form's columns) stays below 2^24, in
 float64 below 2^53, and are refused past that, all by
 :func:`exact_float_dtype`.  ``scan_blocks`` is the one memo of point blocks,
@@ -26,9 +26,8 @@ for scans, Monte-Carlo and its discriminant probe alike, with one entry per
 point degree e (and m, q, form degrees): it cuts the degree-e points, in
 listing order, into blocks whose float product fits ``_ROW_BUDGET`` bytes,
 and keeps a block's kernel while the entry's kept digits fit that budget
-too, so a point's kernel is held once whatever r reads it.  A block is the
-unit of one product: ``jet_at`` applies its kept kernel, or builds the
-block's kernel for the call.
+too, so a point's kernel is held once whatever r reads it; ``jet_at`` builds
+an unkept block's kernel for the call.
 
 The blocks are computed on discrete logs in the residue field F_Q (the
 field's :class:`~elldens.gf.LogTables`, to a primitive element g): the value
@@ -101,18 +100,18 @@ class ClosedPoint:
 
 def _check_enum_cap(m: int, q: int, r: int, cap: int | None = None) -> None:
     """Raise FeasibilityError when listing the closed points of P^m over F_q
-    of degree <= r passes ``cap`` rational points (default 2**26)."""
+    of degree <= r passes ``cap`` rational points (default 2**26).  The sum
+    stops at the first partial sum past the cap, which the message does not
+    print: at large r neither the sum nor its decimal digits are cheap."""
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     cap = DEFAULT_ENUM_CAP if cap is None else cap
-    total_rational = sum(
-        sum(q ** (e * i) for i in range(m + 1)) for e in range(1, r + 1)
-    )
-    if total_rational > cap:
-        raise FeasibilityError(
-            f"enumerating P^{m} over F_{q} up to degree {r} needs "
-            f"{total_rational} rational points > cap {cap}"
-        )
+    total = 0
+    for e in range(1, r + 1):
+        total += sum(q ** (e * i) for i in range(m + 1))
+        if total > cap:
+            raise FeasibilityError(f"enumerating P^{m} over F_{q} up to degree {r} needs "
+                                   f"more rational points than cap {cap}")
 
 
 def closed_points_up_to(
@@ -226,56 +225,50 @@ def _form_cols(P: ClosedPoint, degrees: tuple[int, ...]) -> list[int]:
     return [dim_space(P.m, d) * P.emb.src.n for d in degrees]
 
 
-def jet_kernel(degrees: tuple[int, ...], points) -> JetKernel:
-    """The :class:`JetKernel` of the jets of forms of the given degrees at
-    points of one residue field: form f's rows are, per point, the rows of
-    ``jet_space_map(degrees, P).blocks[f]``, entry 0 = value, 1..m =
-    gradient, each by residue-field coordinate."""
-    P0 = points[0]
-    if any(P.field is not P0.field for P in points):
-        raise ValueError("jet_kernel takes the points of one residue field")
-    size = (P0.m + 1) * P0.field.n  # rows a point
-    blocks = [np.empty((len(points) * size, w), dtype=np.min_scalar_type(P0.field.p - 1))
-              for w in _form_cols(P0, degrees)]
-    for i, P in enumerate(points):
-        for blk, rows in zip(blocks, jet_space_map(degrees, P).blocks):
-            blk[i * size:(i + 1) * size] = rows
-    return JetKernel(P0.field.p, blocks)
-
-
 @dataclass(frozen=True, eq=False)
 class PointBlock:
     """Closed points of one residue field and the degrees of the forms whose
-    jets ``jet_at`` takes there, in one product.  ``rows``, when kept, is the
-    points' :func:`jet_kernel`; :func:`scan_blocks` holds a block's float
-    product to ``_ROW_BUDGET`` bytes unless it has one point, and the kept
-    kernels of one point degree to ``_ROW_BUDGET`` bytes together."""
+    jets ``jet_at`` takes there, in one product.  ``kernel``, when kept, is
+    the points' :class:`JetKernel`, built by :func:`jet_space_map`, whose
+    joint block-diagonal matrix has ``rows`` x ``cols`` entries;
+    :func:`scan_blocks` holds a block's float product to ``_ROW_BUDGET``
+    bytes unless it has one point, and the kept kernels of one point degree
+    to ``_ROW_BUDGET`` bytes together.  ``point`` is the first point."""
 
     degrees: tuple[int, ...]
     points: tuple[ClosedPoint, ...]
-    rows: JetKernel | None = None
+    kernel: JetKernel | None = None
+
+    @property
+    def point(self) -> ClosedPoint:
+        return self.points[0]
 
     @property
     def field(self) -> FieldCtx:
-        return self.points[0].field
+        return self.point.field
+
+    @property
+    def rows(self) -> int:
+        """(m+1) n_res rows per point and form."""
+        return len(self.points) * len(self.degrees) * (self.point.m + 1) * self.field.n
 
     @property
     def cols(self) -> int:
-        return sum(_form_cols(self.points[0], self.degrees))
+        return sum(_form_cols(self.point, self.degrees))
 
     @property
     def point_nbytes(self) -> int:
         """Bytes of one point's rows in the block's float product: each
         form's (m+1) n_res rows against its own columns."""
-        P, widths = self.points[0], _form_cols(self.points[0], self.degrees)
-        itemsize = np.dtype(exact_float_dtype(max(widths), P.field.p)).itemsize
-        return (P.m + 1) * self.field.n * sum(widths) * itemsize
+        widths = _form_cols(self.point, self.degrees)
+        itemsize = np.dtype(exact_float_dtype(max(widths), self.field.p)).itemsize
+        return (self.point.m + 1) * self.field.n * sum(widths) * itemsize
 
     @property
     def kernel_nbytes(self) -> int:
         """Bytes of the block's kernel as stored, in F_p digits."""
         digits = np.dtype(np.min_scalar_type(self.field.p - 1)).itemsize
-        return len(self.points) * (self.points[0].m + 1) * self.field.n * self.cols * digits
+        return self.rows // len(self.degrees) * self.cols * digits
 
 
 def jet_at(slots: np.ndarray, block: PointBlock) -> np.ndarray:
@@ -287,16 +280,18 @@ def jet_at(slots: np.ndarray, block: PointBlock) -> np.ndarray:
 
     Entry 0 is a form's value and entries 1..m its gradient in the point's
     chart coordinates, each as the residue-field coordinates of the element.
-    One product: with the block's kept kernel, or else with the whole
-    block's kernel, built for this call.  Coordinates have dtype
-    ``np.min_scalar_type(p - 1)``.
+    One product: with the block's kept kernel, or else with the kernel of
+    :func:`jet_space_map` at the block's points, built for this call.
+    Coordinates have dtype ``np.min_scalar_type(p - 1)``.
     """
     if slots.shape[-1] != block.cols:
         raise ValueError(f"slot vector of length {slots.shape[-1]} does not fit forms "
-                         f"of degrees {block.degrees} on P^{block.points[0].m}")
-    rows = block.rows if block.rows is not None else jet_kernel(block.degrees, block.points)
-    shape = (len(block.degrees), len(block.points), block.points[0].m + 1, block.field.n)
-    return np.moveaxis(rows.apply(slots).reshape(slots.shape[:-1] + shape), -4, -3)
+                         f"of degrees {block.degrees} on P^{block.point.m}")
+    kernel = block.kernel
+    if kernel is None:
+        kernel = jet_space_map(block.degrees, block.points).kernel
+    shape = (len(block.degrees), len(block.points), block.point.m + 1, block.field.n)
+    return np.moveaxis(kernel.apply(slots).reshape(slots.shape[:-1] + shape), -4, -3)
 
 
 def scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...],
@@ -304,10 +299,11 @@ def scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...],
     """The closed points of degree <= r as :class:`PointBlock` s for forms
     of the given degrees: each degree's points in listing order, cut into
     blocks of as many points as fit a ``_ROW_BUDGET``-byte float product (at
-    least one).  A block keeps its kernel while its degree's kept kernels,
-    stored as F_p digits, fit ``_ROW_BUDGET`` bytes.  Memoized per point
-    degree: scans, Monte-Carlo and its discriminant probe read one degree's
-    blocks at every r.  The enumeration cap is checked on every call."""
+    least one).  A block keeps its kernel, one :func:`jet_space_map` call,
+    while its degree's kept kernels, stored as F_p digits, fit
+    ``_ROW_BUDGET`` bytes.  Memoized per point degree: scans, Monte-Carlo
+    and its discriminant probe read one degree's blocks at every r.  The
+    enumeration cap is checked on every call."""
     _check_enum_cap(m, q, r, cap)
     return tuple(itertools.chain.from_iterable(
         _scan_blocks(m, q, e, tuple(degrees)) for e in range(1, r + 1)))
@@ -323,77 +319,58 @@ def _scan_blocks(m: int, q: int, e: int, degrees: tuple[int, ...]) -> tuple[Poin
         block = PointBlock(degrees, points[i:i + step])
         if kept + block.kernel_nbytes <= _ROW_BUDGET:
             kept += block.kernel_nbytes
-            block = PointBlock(degrees, block.points, jet_kernel(degrees, block.points))
+            block = jet_space_map(degrees, block.points)
         blocks.append(block)
     return tuple(blocks)
 
 
-@dataclass(frozen=True)
-class JetSpaceMap:
-    """The matrices over F_p of (coefficient vectors of forms of the given
-    degrees) -> (their jets at one closed point), after restriction of
-    scalars: one block per form, since each form's jet depends on its own
-    coefficients only.  The joint map is block-diagonal in the blocks;
-    ``rows`` and ``cols`` are its shape.
-
-    ``blocks[f]`` has rows by entry (0 = value, 1..m = gradient), then
-    residue-field coordinate, (m+1)*n_res of them; and columns by monomial
-    (descending grlex), then base-field coordinate, dim_space(m, d_f)*n_base
-    of them.  Entries come from the residue field's log/antilog/digit tables
-    and have dtype ``np.min_scalar_type(p - 1)``.  The blocks are column
-    slices (views) of one matrix, the forms' columns side by side.
-    """
-
-    blocks: tuple[np.ndarray, ...]
-    degrees: tuple[int, ...]
-    point: ClosedPoint
-
-    @property
-    def rows(self) -> int:
-        return sum(b.shape[0] for b in self.blocks)
-
-    @property
-    def cols(self) -> int:
-        return sum(b.shape[1] for b in self.blocks)
-
-
-def jet_space_map(degrees: tuple[int, ...], P: ClosedPoint) -> JetSpaceMap:
-    """The jet evaluation blocks at P for one form per degree."""
-    res, m, r = P.field, P.m, P.emb.src.n
+def jet_space_map(degrees: tuple[int, ...], points) -> PointBlock:
+    """The :class:`PointBlock` of points of one residue field, with its
+    kernel: form f's rows run by point, then entry (0 = value, 1..m =
+    gradient), then residue-field coordinate, (m+1)*n_res a point; its
+    columns by monomial (descending grlex), then base-field coordinate,
+    dim_space(m, d_f)*n_base of them.  Each point's rows are written into one
+    digit matrix, the forms' columns side by side; the logs that do not
+    depend on the point are taken once per block."""
+    points = tuple(points)
+    P0 = points[0]
+    if any(P.field is not P0.field for P in points):
+        raise ValueError("jet_space_map takes the points of one residue field")
+    res, m, r = P0.field, P0.m, P0.emb.src.n
     tabs = res.log_tables()
     order = res.size - 1
-    width = (m + 1) * res.n
     # see the module notes for zero_log
     zero_log = (max(degrees, default=0) + 2) * order
-    x_log = np.array([tabs.log[x.idx] if x else zero_log for x in P.local_coords()],
-                     dtype=np.int64)
     int_log = tabs.log[:res.p].copy()  # log of beta_j mod p in F_p
     int_log[0] = 2 * zero_log
     # logs of the base-field basis images emb(g)^t; only t = 0 occurs when
     # r = 1, where g itself is 0
-    basis_log = np.arange(r) * tabs.log[P.emb.gen_image.idx] % order
-    local = [j for j in range(m + 1) if j != P.chart]
-    # every form's monomials in one pass; form f's block is a column slice
+    basis_log = np.arange(r) * tabs.log[P0.emb.gen_image.idx] % order
+    # every form's monomials side by side; form f's block is a column slice
     monos = [monomial_array(m, d) for d in degrees]
-    beta = np.concatenate(monos).T[local]  # (m, dims)
+    beta = np.concatenate(monos).T  # (m+1, dims)
     dims = beta.shape[1]
-    logs = np.empty((m + 1, dims, r), dtype=np.int64)  # (entry, monomial, t)
-    logs[0] = (x_log @ beta)[:, None]
     # d/dx_j x^beta = (beta_j mod p) x^(beta - e_j)
-    beta %= res.p
-    logs[1:] = int_log[beta][:, :, None]
-    logs[1:] += logs[:1]
-    logs[1:] -= x_log[:, None, None]
-    logs += basis_log
-    zero = logs >= zero_log
-    logs %= order
-    # element indices, in place: take buffers `out` when mode='raise'
-    np.take(tabs.antilog, logs, out=logs)
-    logs[zero] = 0
-    rows = np.empty((m + 1, res.n, dims, r), dtype=tabs.digits.dtype)
-    for c in range(res.n):
-        np.take(tabs.digits[:, c], logs, out=rows[:, c])
-    rows = rows.reshape(width, dims * r)
+    beta_log = int_log[beta % res.p]
+    rows = np.empty((len(points), m + 1, res.n, dims, r), dtype=tabs.digits.dtype)
+    logs = np.empty((m + 1, dims, r), dtype=np.int64)  # (entry, monomial, t)
+    for P, out in zip(points, rows):
+        local = [j for j in range(m + 1) if j != P.chart]
+        x_log = np.array([tabs.log[x.idx] if x else zero_log for x in P.local_coords()],
+                         dtype=np.int64)
+        logs[0] = (x_log @ beta[local])[:, None]
+        logs[1:] = beta_log[local][:, :, None]
+        logs[1:] += logs[:1]
+        logs[1:] -= x_log[:, None, None]
+        logs += basis_log
+        zero = logs >= zero_log
+        logs %= order
+        # element indices, in place: take buffers `out` when mode='raise'
+        np.take(tabs.antilog, logs, out=logs)
+        logs[zero] = 0
+        for c in range(res.n):
+            np.take(tabs.digits[:, c], logs, out=out[:, c])
+    rows = rows.reshape(-1, dims * r)
     cuts = itertools.pairwise(itertools.accumulate((len(a) * r for a in monos), initial=0))
-    return JetSpaceMap(blocks=tuple(rows[:, a:b] for a, b in cuts),
-                       degrees=tuple(degrees), point=P)
+    return PointBlock(tuple(degrees), points,
+                      JetKernel(res.p, [rows[:, a:b] for a, b in cuts]))

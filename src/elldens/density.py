@@ -17,24 +17,25 @@ sample, seeded by a stable 64-bit hash of (master_seed, index)) in chunks:
 recipe (SeedSequence, PCG64, bounded integers) for a whole chunk at once,
 bit for bit, so a sample still replays alone through
 :func:`~elldens.weier.weierstrass_slots` or
-:func:`~elldens.weier.random_weierstrass`.  The runs take a chunk's jets
-at the closed points of each degree <= r as scans take one datum's, from
-the same memo of budget-sized point blocks
-(:func:`~elldens.base.scan_blocks`; a kernel the memo does not keep is built
-once per call and reused by each of its chunks): one
-:func:`~elldens.base.jet_at` product per block, each form's slots against
-its own jet rows only (stored as F_p digits), multiplied in float32 wherever
-that is exact.  A chunk walks the blocks once, and each block's coordinates
-are dropped before the next block's product.  The batched detector and the
-discriminant run once per (chunk, block), each on the samples it still
-holds: those smooth so far, and those whose discriminant values have all
-vanished so far.  Samples whose discriminant form is identically zero are
-counted as not-smooth and tallied separately: a nonzero discriminant value
-at a point of degree <= r settles delta != 0, unsettled samples go on
-through the discriminant values at the points of the next degrees, one
-degree at a time, from the same memo (its degree-e entry, built the first
-time a sample needs it; the entries of lower degree are the very blocks the
-run applied), and only when every value vanishes is the form expanded.
+:func:`~elldens.weier.random_weierstrass`.  The runs take a chunk's jets at
+the closed points of each degree <= r as scans take one datum's, from the
+same memo of budget-sized point blocks (:func:`~elldens.base.scan_blocks`; a
+block whose kernel the memo does not keep is rebuilt by
+:func:`~elldens.base.jet_space_map` once per call and reused by each of its
+chunks): one :func:`~elldens.base.jet_at` product per block, each form's
+slots against its own jet rows only (stored as F_p digits), multiplied in
+float32 wherever that is exact.  A chunk walks the blocks once, and each
+block's coordinates are dropped before the next block's product.  The batched
+detector and the discriminant run once per (chunk, block), each on the
+samples it still holds: those smooth so far, and those whose discriminant
+values have all vanished so far.  Samples whose discriminant form is
+identically zero are counted as not-smooth and tallied separately: a nonzero
+discriminant value at a point of degree <= r settles delta != 0, unsettled
+samples go on through the discriminant values at the points of the next
+degrees, one degree at a time, from the same memo (its degree-e entry, built
+the first time a sample needs it; the entries of lower degree are the very
+blocks the run applied), and only when every value vanishes is the form
+expanded.
 """
 from __future__ import annotations
 
@@ -45,8 +46,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import zeta as _zeta
-from .base import (DEFAULT_ENUM_CAP, FeasibilityError, PointBlock, closed_points_up_to,
-                   jet_at, jet_kernel, jet_space_map, scan_blocks)
+from .base import (DEFAULT_ENUM_CAP, FeasibilityError, closed_points_up_to, jet_at,
+                   jet_space_map, scan_blocks)
 from .gf import is_prime, make_field, prime_power
 from .linalg import rank_mod_p
 from .weier import (SingularityWitness, WeierstrassData, WeierstrassJets,
@@ -187,12 +188,12 @@ def surjectivity_check(p: int, q: int, m: int, k: int, e: int) -> SurjectivityRe
     pts = [P for P in closed_points_up_to(m, q, e) if P.degree == e]
     P = pts[0]
     degrees = section_degrees(p, k)
-    jm = jet_space_map(degrees, P)
-    rank = sum(rank_mod_p(b, p) for b in jm.blocks)
+    block = jet_space_map(degrees, (P,))
+    rank = sum(rank_mod_p(b, p) for b in block.kernel.blocks)
     g = len(degrees)
     return SurjectivityReport(
         p=p, q=q, m=m, k=k, e=e, rank=rank,
-        expected_rank=g * e * (m + 1) * r, rows=jm.rows, cols=jm.cols,
+        expected_rank=g * e * (m + 1) * r, rows=block.rows, cols=block.cols,
     )
 
 
@@ -249,7 +250,7 @@ def _delta_zero(blocks, slots: np.ndarray, live: np.ndarray, k: int, r: int) -> 
     Probing stops at the first degree whose listing passes ``_PROBE_CAP``
     rational points; the expansion decides the rest.
     """
-    P = blocks[0].points[0]
+    P = blocks[0].point
     for e in range(r + 1, _DELTA_PROBE_DEGREE + 1):
         if not live.size:
             break
@@ -258,7 +259,7 @@ def _delta_zero(blocks, slots: np.ndarray, live: np.ndarray, k: int, r: int) -> 
         except FeasibilityError:
             break
         for b in probe:
-            if b.points[0].degree == e and live.size:
+            if b.point.degree == e and live.size:
                 J = jets_from_coords(b.field, jet_at(slots[live], b))
                 live = live[_delta_vanishes(J).all(axis=1)]
     zero = np.zeros(len(slots), dtype=bool)
@@ -289,14 +290,13 @@ def mc_density(p: int, q: int, m: int, k: int, r: int, samples: int,
     exact = exact_density(q, m, r)
     # every kernel is applied to every chunk: one the memo does not keep is
     # built here, once for this call
-    blocks = [b if b.rows is not None else PointBlock(b.degrees, b.points,
-                                                      jet_kernel(b.degrees, b.points))
+    blocks = [b if b.kernel is not None else jet_space_map(b.degrees, b.points)
               for b in scan_blocks(m, q, r, section_degrees(p, k))]
     cols = blocks[0].cols
     smooth = 0
     delta_zero = 0
     # draws land in the kernels' dtype, in one buffer for every chunk
-    buffer = np.empty((min(_MC_CHUNK, samples), cols), dtype=blocks[0].rows.dtype)
+    buffer = np.empty((min(_MC_CHUNK, samples), cols), dtype=blocks[0].kernel.dtype)
     for start in range(0, samples, _MC_CHUNK):
         slots = buffer[:min(_MC_CHUNK, samples - start)]
         weierstrass_slot_rows(p, cols, [sample_seed(master_seed, i)

@@ -181,7 +181,7 @@ def _datum_jets(w: WeierstrassData, block: PointBlock) -> WeierstrassJets:
     """The datum's jets at the points of a block (whose degrees are
     ``section_degrees``), a batch over the points: one
     :func:`~elldens.base.jet_at` product with the datum's slot vector."""
-    P = block.points[0]
+    P = block.point
     if w.m != P.m:
         raise ValueError("datum and point live on different projective spaces")
     if w.field != P.emb.src:

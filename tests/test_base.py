@@ -13,8 +13,8 @@ from hypothesis.extra.numpy import arrays
 
 from elldens import base
 from elldens.base import (ClosedPoint, FeasibilityError, Jet, JetKernel, PointBlock,
-                          closed_points_up_to, exact_float_dtype, jet_at, jet_kernel,
-                          jet_space_map, scan_blocks)
+                          closed_points_up_to, exact_float_dtype, jet_at, jet_space_map,
+                          scan_blocks)
 from elldens.gf import (FieldCtx, FieldMismatchError, embedding, is_irreducible, make_field,
                         prime_power)
 from elldens.linalg import rank_mod_p
@@ -24,10 +24,10 @@ from elldens.weier import jets_at, random_weierstrass, section_degrees
 from elldens.zeta import zeta_table
 
 
-def _jets(forms, block_points, rows=None):
+def _jets(forms, block_points, kernel=None):
     """Jets of the forms at points of one residue field from one batched
     jet_at call, as one list of Jets per point."""
-    block = PointBlock(tuple(s.d for s in forms), tuple(block_points), rows)
+    block = PointBlock(tuple(s.d for s in forms), tuple(block_points), kernel)
     slots = np.concatenate([section_slots(s) for s in forms])
     res = block.field
     idx = jet_at(slots, block) @ res.p ** np.arange(res.n)
@@ -186,9 +186,9 @@ def test_jet_space_map_reproduces_jets():
     F2 = make_field(2, 1)
     degrees = (2, 3)
     for P in closed_points_up_to(1, 2, 3):
-        jm = jet_space_map(degrees, P)
+        jm = jet_space_map(degrees, (P,))
         res = P.field
-        for d, block in zip(degrees, jm.blocks):
+        for d, block in zip(degrees, jm.kernel.blocks):
             slots = np.array([rng.randrange(2) for _ in range(dim_space(1, d))], dtype=np.int64)
             out = (block.astype(np.int64) @ slots) % 2
             s = Section(1, d, F2, {e: F2.from_index(int(slots[t]))
@@ -223,7 +223,7 @@ def _block_entries(jm, slots):
     res = jm.point.field
     slots = np.asarray(slots, dtype=np.int64)
     out, col = [], 0
-    for block in jm.blocks:
+    for block in jm.kernel.blocks:
         vals = (block.astype(np.int64) @ slots[col:col + block.shape[1]]) % res.p
         col += block.shape[1]
         out += [res.elem(tuple(int(v) for v in vals[i:i + res.n]))
@@ -267,7 +267,7 @@ def test_jet_space_map_matches_affine_oracle(p, q, m, data):
     drawn = data.draw(st.lists(st.integers(0, 3 * p), min_size=0, max_size=2),
                       label="degrees")
     degrees = (p + data.draw(st.integers(0, p), label="extra"),) + tuple(drawn)
-    jm = jet_space_map(degrees, P)
+    jm = jet_space_map(degrees, (P,))
     slots = data.draw(arrays(np.int64, jm.cols, elements=st.integers(0, p - 1),
                              fill=st.nothing()),
                       label="slots")
@@ -307,9 +307,9 @@ def test_jet_at_batched_matches_affine_oracle(q, m, e, budget):
     forms = [random_section(m, d, base_field, rng_seed=rng.randrange(1 << 30))
              for d in (2, 3)] + [Section.zero(m, 4, base_field)]
     degrees = tuple(s.d for s in forms)
-    rows = jet_kernel(degrees, pts) if budget == "kept" else None
+    kernel = jet_space_map(degrees, pts).kernel if budget == "kept" else None
     groups = [[P] for P in pts] if budget == "zero" else [pts]
-    for P, jets in zip(pts, [jets for g in groups for jets in _jets(forms, g, rows)]):
+    for P, jets in zip(pts, [jets for g in groups for jets in _jets(forms, g, kernel)]):
         assert jets[2].vanishes
         loc = P.local_coords()
         for s, J in zip(forms, jets):
@@ -319,13 +319,37 @@ def test_jet_at_batched_matches_affine_oracle(q, m, e, budget):
                                        for j in range(1, m + 1))
 
 
+def test_jet_at_mixed_chart_block_matches_affine_oracle():
+    # one block over all 13 degree-1 points of P^2 over F_3: charts 0, 1
+    # and 2 side by side, zero local coordinates included, each point's jets
+    # checked against the AffinePoly partials in its own chart
+    pts = tuple(closed_points_up_to(2, 3, 1))
+    assert len(pts) == 13 and {P.chart for P in pts} == {0, 1, 2}
+    assert any(not all(P.local_coords()) for P in pts)
+    rng = random.Random("jet-mixed-charts")
+    F3 = pts[0].emb.src
+    forms = [random_section(2, d, F3, rng_seed=rng.randrange(1 << 30)) for d in (1, 3, 4, 6)]
+    block = jet_space_map(tuple(s.d for s in forms), pts)
+    assert block.point is pts[0] and block.kernel is not None
+    for P, jets in zip(pts, _jets(forms, pts, block.kernel), strict=True):
+        loc = P.local_coords()
+        for s, J in zip(forms, jets):
+            aff = s.dehomogenize(P.chart)
+            assert J.value == aff.evaluate(loc, emb=P.emb)
+            assert J.gradient == tuple(aff.partial(j).evaluate(loc, emb=P.emb)
+                                       for j in range(1, 3))
+
+
 def _drawn_point(data, m, base_field, e):
-    """A point of P^m with chart 0 and drawn coordinates in F_{q^e}; it need
-    not be an orbit's canonical representative, which no matrix reads."""
+    """A point of P^m with a drawn chart and drawn free coordinates in
+    F_{q^e}; it need not be an orbit's canonical representative, which no
+    matrix reads."""
     res = make_field(base_field.p, base_field.n * e)
-    coords = [data.draw(st.integers(0, res.size - 1), label="coord") for _ in range(m)]
-    return ClosedPoint(m=m, q=base_field.size, degree=e, chart=0,
-                       coords=(res.one,) + tuple(map(res.from_index, coords)),
+    chart = data.draw(st.integers(0, m), label="chart")
+    coords = [data.draw(st.integers(0, res.size - 1), label="coord")
+              for _ in range(m - chart)]
+    return ClosedPoint(m=m, q=base_field.size, degree=e, chart=chart,
+                       coords=(res.zero,) * chart + (res.one,) + tuple(map(res.from_index, coords)),
                        field=res, emb=embedding(base_field, res))
 
 
@@ -333,7 +357,7 @@ def _dense_rows(degrees, points):
     """The dense block-diagonal matrix of the points' jet_space_map blocks:
     form-major, then point, entry and residue coordinate, each form's rows
     against its own columns."""
-    maps = [jet_space_map(degrees, P).blocks for P in points]
+    maps = [jet_space_map(degrees, (P,)).kernel.blocks for P in points]
     size = (points[0].m + 1) * points[0].field.n
     widths = [b.shape[1] for b in maps[0]]
     dense = np.zeros((len(degrees) * len(points) * size, sum(widths)), dtype=np.int64)
@@ -367,7 +391,7 @@ def test_jet_kernel_matches_the_integer_product(p, r, wide, data):
                               label="degrees"))
     if wide:
         degrees += (300 if m == 1 else 22,)
-    kernel = jet_kernel(degrees, points)
+    kernel = jet_space_map(degrees, points).kernel
     assert kernel.dtype is (np.float64 if wide else np.float32)
     assert all(b.dtype == np.min_scalar_type(p - 1) for b in kernel.blocks)
     assert kernel.nbytes == sum(b.size for b in kernel.blocks) * (1 if p < 257 else 2)
@@ -387,7 +411,7 @@ def test_jet_kernel_refuses_points_of_two_residue_fields():
     pts = closed_points_up_to(1, 2, 3)
     mixed = [next(P for P in pts if P.degree == e) for e in (2, 3)]
     with pytest.raises(ValueError, match="one residue field"):
-        jet_kernel((2, 3), mixed)
+        jet_space_map((2, 3), mixed)
     with pytest.raises(ValueError, match="one residue field"):
         jet_at(np.zeros(7, dtype=np.int64), PointBlock((2, 3), tuple(mixed)))
 
@@ -401,12 +425,12 @@ def test_jet_space_map_is_zero_off_each_forms_block(q, m, e):
     widths = [dim_space(m, d) * r for d in degrees]
     pts = [P for P in closed_points_up_to(m, q, e) if P.degree == e][:6]
     for P in pts:
-        jm = jet_space_map(degrees, P)
+        jm = jet_space_map(degrees, (P,))
         height = (m + 1) * P.field.n
-        assert [b.shape for b in jm.blocks] == [(height, w) for w in widths]
-        assert all(b.any() for b in jm.blocks)
+        assert [b.shape for b in jm.kernel.blocks] == [(height, w) for w in widths]
+        assert all(b.any() for b in jm.kernel.blocks)
         assert (jm.rows, jm.cols) == (len(degrees) * height, sum(widths))
-    kernel = jet_kernel(degrees, pts)
+    kernel = jet_space_map(degrees, pts).kernel
     rng = np.random.default_rng(q * 10 + m)
     col = 0
     for f, w in enumerate(widths):
@@ -416,6 +440,17 @@ def test_jet_space_map_is_zero_off_each_forms_block(q, m, e):
         coords = kernel.apply(slots)
         assert not np.delete(coords, f, axis=1).any()
         assert coords[:, f].any()
+
+
+def test_jet_space_map_block_has_the_shape_the_tracer_reads():
+    # bench/tracing.py counts a call's rows * cols joint cells and its rows
+    # per point degree from the returned block alone
+    pts = tuple(P for P in closed_points_up_to(2, 4, 2) if P.degree == 2)[:5]
+    block = jet_space_map(section_degrees(2, 1), pts)
+    assert type(block.rows) is int and type(block.cols) is int
+    # 5 points x 4 forms x 3 entries x F_16's 4 coordinates
+    assert (block.rows, block.cols) == block.kernel.shape == (5 * 4 * 3 * 4, 112)
+    assert block.point.degree == 2
 
 
 def test_jet_at_rejects_a_slot_vector_of_other_forms():
@@ -433,15 +468,15 @@ def test_jet_at_takes_a_batch_of_slot_vectors(kind):
     # kept kernel and a kernel built for each call
     pts = tuple(P for P in closed_points_up_to(2, 4, 2) if P.degree == 2)[:5]
     degrees = section_degrees(2, 1)
-    rows = {"kept": jet_kernel(degrees, pts), "unkept": None}[kind]
-    block = PointBlock(degrees, pts, rows)
+    kernel = {"kept": jet_space_map(degrees, pts).kernel, "unkept": None}[kind]
+    block = PointBlock(degrees, pts, kernel)
     slots = np.random.default_rng(3).integers(0, 2, size=(6, block.cols))
     batch = jet_at(slots, block)
     assert batch.shape == (6, 5, 4, 3, 4)  # residue field F_16
     assert np.array_equal(batch, np.stack([jet_at(row, block) for row in slots]))
     assert np.array_equal(jet_at(slots.reshape(2, 3, -1), block),
                           batch.reshape(2, 3, 5, 4, 3, 4))
-    full = jet_at(slots, PointBlock(degrees, pts, jet_kernel(degrees, pts)))
+    full = jet_at(slots, jet_space_map(degrees, pts))
     assert np.array_equal(batch, full)
     # an empty batch gives no jets, in the shape of a batch
     empty = jet_at(slots[:0], block)
@@ -452,7 +487,7 @@ def test_scan_blocks_keep_rows_within_the_budget(monkeypatch, fresh_memo):
     # at k = 1 both degrees' kernels fit: 21 x 6 rows x 112 slots and
     # 126 x 12 rows x 112 slots, each form's rows against its own slots
     # only, stored as F_2 digits of one byte
-    kernels = [b.rows for b in scan_blocks(2, 4, 2, section_degrees(2, 1))]
+    kernels = [b.kernel for b in scan_blocks(2, 4, 2, section_degrees(2, 1))]
     assert [k.nbytes for k in kernels] == [21 * 6 * 112, 126 * 12 * 112]
     degrees = section_degrees(2, 2)
     blocks = scan_blocks(2, 4, 2, degrees)
@@ -461,26 +496,26 @@ def test_scan_blocks_keep_rows_within_the_budget(monkeypatch, fresh_memo):
     # 64 and 62
     assert blocks[1].point_nbytes == 12 * 340 * 4
     assert 64 * blocks[1].point_nbytes <= base._ROW_BUDGET < 65 * blocks[1].point_nbytes
-    assert [(b.points[0].degree, len(b.points)) for b in blocks] == [(1, 21), (2, 64), (2, 62)]
+    assert [(b.point.degree, len(b.points)) for b in blocks] == [(1, 21), (2, 64), (2, 62)]
     # the memo counts the bytes it stores, one per digit: all three
     # kernels fit the budget together
-    assert [b.rows.nbytes for b in blocks] == [21 * 6 * 340, 64 * 12 * 340, 62 * 12 * 340]
-    assert sum(b.rows.nbytes for b in blocks) <= base._ROW_BUDGET
+    assert [b.kernel.nbytes for b in blocks] == [21 * 6 * 340, 64 * 12 * 340, 62 * 12 * 340]
+    assert sum(b.kernel.nbytes for b in blocks) <= base._ROW_BUDGET
     # at k = 3, blocks of 31 degree-2 points, all kept: the budget holds
     # per point degree, so degree 2's kernels fit it while both degrees'
     # pass it
     wide = scan_blocks(2, 4, 2, section_degrees(2, 3))
     assert [len(b.points) for b in wide] == [21, 31, 31, 31, 31, 2]
-    assert all(b.rows is not None for b in wide)
-    assert all(b.rows.nbytes == b.kernel_nbytes for b in wide)
+    assert all(b.kernel is not None for b in wide)
+    assert all(b.kernel.nbytes == b.kernel_nbytes for b in wide)
     assert sum(b.kernel_nbytes for b in wide[1:]) <= base._ROW_BUDGET
     assert sum(b.kernel_nbytes for b in wide) > base._ROW_BUDGET
     # at k = 4, blocks of 18 degree-2 points: the fifth fits the budget
     # alone but not beside its degree's four kept ones, nor do the last two
     wider = scan_blocks(2, 4, 2, section_degrees(2, 4))
     assert [len(b.points) for b in wider] == [21] + [18] * 7
-    assert [b.rows is None for b in wider] == [False] * 5 + [True] * 3
-    kept = [b.rows.nbytes for b in wider[1:5]]
+    assert [b.kernel is None for b in wider] == [False] * 5 + [True] * 3
+    kept = [b.kernel.nbytes for b in wider[1:5]]
     assert kept == [b.kernel_nbytes for b in wider[1:5]]
     assert sum(kept) <= base._ROW_BUDGET < sum(kept) + wider[5].kernel_nbytes
     assert wider[5].kernel_nbytes <= 18 * wider[5].point_nbytes <= base._ROW_BUDGET
@@ -489,7 +524,7 @@ def test_scan_blocks_keep_rows_within_the_budget(monkeypatch, fresh_memo):
     monkeypatch.setattr(base, "_ROW_BUDGET", 0)
     fresh_memo()
     zero = scan_blocks(2, 4, 2, degrees)
-    assert all(b.rows is None and len(b.points) == 1 for b in zero)
+    assert all(b.kernel is None and len(b.points) == 1 for b in zero)
     assert len(zero) == 21 + 126
 
 
@@ -510,13 +545,13 @@ def test_scan_blocks_list_the_closed_points_in_order(m, q, r, k, budget, monkeyp
     assert all(len({P.degree for P in b.points}) == 1 for b in blocks)
     assert all(len(b.points) == 1 or len(b.points) * b.point_nbytes <= base._ROW_BUDGET
                for b in blocks)
-    assert all(b.rows is None or b.rows.nbytes == b.kernel_nbytes for b in blocks)
+    assert all(b.kernel is None or b.kernel.nbytes == b.kernel_nbytes for b in blocks)
     for e in range(1, r + 1):
-        assert sum(b.rows.nbytes for b in blocks
-                   if b.rows is not None and b.points[0].degree == e) <= base._ROW_BUDGET
+        assert sum(b.kernel.nbytes for b in blocks
+                   if b.kernel is not None and b.point.degree == e) <= base._ROW_BUDGET
     # a block is cut short only where its degree's points run out
     for b, nxt in itertools.pairwise(blocks):
-        if nxt.points[0].degree == b.points[0].degree:
+        if nxt.point.degree == b.point.degree:
             assert (len(b.points) + 1) * b.point_nbytes > base._ROW_BUDGET
 
 
@@ -608,9 +643,9 @@ def test_jet_space_map_prime_above_256():
     P = next(P for P in closed_points_up_to(1, p, 1)
              if [c.idx for c in P.coords] == [1, 256])
     degrees = section_degrees(p, 12)
-    jm = jet_space_map(degrees, P)
-    assert all(b.dtype == np.uint16 for b in jm.blocks)
-    assert max(int(b.max()) for b in jm.blocks) == 256
+    jm = jet_space_map(degrees, (P,))
+    assert all(b.dtype == np.uint16 for b in jm.kernel.blocks)
+    assert max(int(b.max()) for b in jm.kernel.blocks) == 256
     rng = np.random.default_rng(257)
     for _ in range(3):
         slots = rng.integers(0, p, size=jm.cols)
@@ -620,10 +655,10 @@ def test_jet_space_map_prime_above_256():
 def test_jet_space_map_rank_small_case():
     # 5 + 7 columns against 2 + 2 rows at a rational point: full rank
     F = closed_points_up_to(1, 5, 1)[0]
-    jm = jet_space_map((4, 6), F)
+    jm = jet_space_map((4, 6), (F,))
     assert (jm.rows, jm.cols) == (4, 12)
-    assert [b.shape for b in jm.blocks] == [(2, 5), (2, 7)]
-    assert [rank_mod_p(b, 5) for b in jm.blocks] == [2, 2]
+    assert [b.shape for b in jm.kernel.blocks] == [(2, 5), (2, 7)]
+    assert [rank_mod_p(b, 5) for b in jm.kernel.blocks] == [2, 2]
 
 
 def test_rank_mod_p_basics():

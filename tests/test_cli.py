@@ -344,6 +344,23 @@ def test_scan_cap_checked_when_the_shape_is_memoized(capsys):
     assert main(src + ["--cap", "32"]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--random", "-q", "5", "-m", "1", "-k", "1", "--seed", "13", "-r", "7000"],
+    ["scan", "--random", "-q", "5", "-m", "1", "-k", "1", "--seed", "13", "-r", "100000"],
+    ["surj", "-p", "5", "-q", "5", "-m", "1", "-k", "1", "-e", "7000"],
+], ids=["scan-r7000", "scan-r100000", "surj-e7000"])
+def test_enumeration_cap_refuses_a_large_degree_promptly(capsys, argv):
+    # the rational point count passes the default cap at degree 12; its
+    # full sum would take past 4300 digits to print, and at r = 100000 long
+    # to add up
+    t0 = time.perf_counter()
+    assert main(argv + ["--no-timing"]) == 3
+    assert time.perf_counter() - t0 < 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: enumerating P^1 over F_5 up to degree ")
+    assert err.endswith(f"needs more rational points than cap {1 << 26}\n")
+
+
 def test_minimal_cap_boundary(capsys):
     # seed 4 is not certified by the line P^1 (a4 and a6 have a common factor
     # of degree 2), so the degree-1 search runs: P^1 over F_5 has

@@ -126,7 +126,7 @@ def test_surjectivity_rank_is_the_dense_joint_rank(p, q, m, k, e, pinned):
     r = surjectivity_check(p, q, m, k, e)
     assert (r.rank, r.rows, r.cols) == pinned
     P = next(P for P in closed_points_up_to(m, q, e) if P.degree == e)
-    blocks = jet_space_map(section_degrees(p, k), P).blocks
+    blocks = jet_space_map(section_degrees(p, k), (P,)).kernel.blocks
     dense = np.zeros((r.rows, r.cols), dtype=np.int64)
     row = col = 0
     for b in blocks:
@@ -260,15 +260,14 @@ def test_mc_counts_delta_zero_as_not_smooth():
     from elldens.weier import weierstrass_slots
     degrees = section_degrees(2, 2)
     blocks = scan_blocks(1, 2, 1, degrees)
-    assert all(b.rows is not None for b in blocks)  # kept under the default budget
+    assert all(b.kernel is not None for b in blocks)  # kept under the default budget
     slots = weierstrass_slots(1, 2, F2, seed=found)[None]
     # each form's jet rows at each point times that form's own slots
-    cuts = np.cumsum([b.shape[1] for b in
-                      jet_space_map(degrees, closed_points_up_to(1, 2, 1)[0]).blocks])
+    per_point = [jet_space_map(degrees, (P,)).kernel.blocks for P in closed_points_up_to(1, 2, 1)]
+    cuts = np.cumsum([b.shape[1] for b in per_point[0]])
     forms = np.split(slots[0].astype(np.int64), cuts[:-1])
     want = np.concatenate([(b.astype(np.int64) @ s) % 2
-                           for P in closed_points_up_to(1, 2, 1)
-                           for b, s in zip(jet_space_map(degrees, P).blocks, forms)])[None]
+                           for maps in per_point for b, s in zip(maps, forms)])[None]
     coords = [jet_at(slots, b) for b in blocks]
     assert np.array_equal(np.concatenate([c.reshape(1, -1) for c in coords], axis=1), want)
     assert _vanishing(blocks, slots).tolist() == [0]
@@ -291,7 +290,7 @@ def test_delta_zero_batch_matches_exact_expansion(monkeypatch):
     from elldens.weier import weierstrass_from_slots, weierstrass_slots
     F2 = make_field(2, 1)
     blocks = scan_blocks(1, 2, 1, section_degrees(2, 1))
-    assert all(b.rows is not None for b in blocks)  # kept under the default budget
+    assert all(b.kernel is not None for b in blocks)  # kept under the default budget
     slots = np.array([weierstrass_slots(1, 1, F2, seed=s) for s in range(400)])
     want = [weierstrass_from_slots(1, 1, F2, row).delta.is_zero for row in slots]
     expanded = []
@@ -315,15 +314,15 @@ def test_mc_setup_holds_only_jet_rows(monkeypatch):
     used = _record_blocks(monkeypatch)
     mc_density(2, 2, 2, 18, 1, samples=1, master_seed=0)
     [block] = scan_blocks(2, 2, 1, section_degrees(2, 18))
-    assert block.rows is not None  # kept under the default budget
+    assert block.kernel is not None  # kept under the default budget
     assert used == [block]  # the shared memo's block, and no probe block
-    assert block.rows.shape == (84, 10426)
+    assert block.kernel.shape == (84, 10426)
     assert (len(block.points), block.cols) == (7, 10426)
     # each of the 4 forms' 21 rows meets only its own slots, stored as
     # one-byte F_2 digits and multiplied in float32
-    assert block.rows.dtype is np.float32
-    assert all(b.dtype == np.uint8 for b in block.rows.blocks)
-    assert block.rows.nbytes == 21 * 10426
+    assert block.kernel.dtype is np.float32
+    assert all(b.dtype == np.uint8 for b in block.kernel.blocks)
+    assert block.kernel.nbytes == 21 * 10426
 
 
 def test_probe_reads_the_scan_memo(monkeypatch, fresh_memo):
@@ -333,19 +332,19 @@ def test_probe_reads_the_scan_memo(monkeypatch, fresh_memo):
     cfg, degrees = (2, 2, 1, 1, 1), section_degrees(2, 1)
     used = _record_blocks(monkeypatch)
     want = mc_density(*cfg, samples=200, master_seed=0)
-    probes = [b for b in used if b.points[0].degree > 1]
-    assert {b.points[0].degree for b in probes} == {2, 3}
+    probes = [b for b in used if b.point.degree > 1]
+    assert {b.point.degree for b in probes} == {2, 3}
     for b in probes:
-        e = b.points[0].degree
-        assert any(b is c for c in scan_blocks(1, 2, e, degrees) if c.points[0].degree == e)
-        assert b.rows is not None
+        e = b.point.degree
+        assert any(b is c for c in scan_blocks(1, 2, e, degrees) if c.point.degree == e)
+        assert b.kernel is not None
     built = []
     for module in (base, density):
-        monkeypatch.setattr(module, "jet_kernel", lambda degs, pts: built.append(pts) or
-                            base.jet_kernel(degs, pts))
+        monkeypatch.setattr(module, "jet_space_map", lambda degs, pts: built.append(pts) or
+                            jet_space_map(degs, pts))
     used.clear()
     got = mc_density(*cfg, samples=200, master_seed=0)
-    assert [b for b in used if b.points[0].degree > 1] == probes
+    assert [b for b in used if b.point.degree > 1] == probes
     assert built == []
     assert (got.smooth_count, got.delta_zero_count) == (want.smooth_count,
                                                         want.delta_zero_count)
@@ -354,13 +353,15 @@ def test_probe_reads_the_scan_memo(monkeypatch, fresh_memo):
 def test_mc_builds_each_jet_map_once(monkeypatch, fresh_memo):
     # mc_ref's configuration: the probe at degree 2 reads the memo's
     # degree-1 entry that the run applied, so each of the 7 degree-1 and 7
-    # degree-2 points gets one jet map, and the memo one entry per degree
+    # degree-2 points is in one jet map, and the memo has one entry per degree
     calls = []
-    monkeypatch.setattr(base, "jet_space_map",
-                        lambda degrees, P: calls.append(P) or jet_space_map(degrees, P))
+    for module in (base, density):
+        monkeypatch.setattr(module, "jet_space_map", lambda degrees, pts: calls.append(pts)
+                            or jet_space_map(degrees, pts))
     mc_density(2, 2, 2, 18, 1, samples=256, master_seed=7)
-    assert len(calls) == len(set(calls)) == 14
-    assert [P.degree for P in calls] == [1] * 7 + [2] * 7
+    points = [P for pts in calls for P in pts]
+    assert len(points) == len(set(points)) == 14
+    assert [P.degree for P in points] == [1] * 7 + [2] * 7
     assert base._scan_blocks.cache_info().currsize == 2
 
 
@@ -371,7 +372,7 @@ def test_probe_over_cap_is_skipped_and_expansion_decides():
     with pytest.raises(FeasibilityError):
         scan_blocks(1, 257, 2, degrees, cap=density._PROBE_CAP)
     blocks = scan_blocks(1, 257, 1, degrees)
-    assert all(b.rows is not None for b in blocks)  # kept under the default budget
+    assert all(b.kernel is not None for b in blocks)  # kept under the default budget
     slots = np.zeros((2, blocks[0].cols), dtype=np.uint16)
     slots[1, -1] = 1  # a6 = x1^6: delta = -432 x1^12, nonzero at (0:1)
     live = _vanishing(blocks, slots)
@@ -392,14 +393,14 @@ def test_mc_keeps_every_kernel_past_the_scan_budget(monkeypatch, fresh_memo):
     got = mc_density(*cfg, samples=600, master_seed=3)
     assert (got.smooth_count, got.delta_zero_count) == (want.smooth_count,
                                                         want.delta_zero_count)
-    blocks = [b for b in used if b.points[0].degree <= 2]
+    blocks = [b for b in used if b.point.degree <= 2]
     points = closed_points_up_to(1, 4, 2)  # 5 of degree 1, 6 of degree 2
     assert len(blocks) == 2 * len(points) == 2 * 11
-    assert all(b.rows is not None for b in blocks)
+    assert all(b.kernel is not None for b in blocks)
     assert blocks[:11] == blocks[11:]  # the same blocks, hence kernels, per chunk
     assert [b.points for b in blocks[:11]] == [(P,) for P in points]
     assert base._scan_blocks.cache_info().currsize == 2
-    assert all(b.rows is None for b in scan_blocks(1, 4, 2, degrees))
+    assert all(b.kernel is None for b in scan_blocks(1, 4, 2, degrees))
     assert base._scan_blocks.cache_info().currsize == 2
 
 
@@ -413,15 +414,17 @@ def test_mc_leaves_no_kernel_past_the_budget_in_the_memo(fresh_memo):
     assert [len(b.points) for b in blocks] == [3, 3, 3, 3, 1]
     size = blocks[0].point_nbytes  # float32 product bytes of a point
     assert 3 * size <= base._ROW_BUDGET < 4 * size
-    assert all(b.rows is not None and b.rows.nbytes == 3 * size // 4 for b in blocks[:4])
+    assert all(b.kernel is not None and b.kernel.nbytes == 3 * size // 4 for b in blocks[:4])
     assert 12 * size // 4 <= base._ROW_BUDGET < 13 * size // 4
-    assert blocks[4].rows is None
+    assert blocks[4].kernel is None
     assert base._scan_blocks.cache_info().currsize == 1
 
 
 def _kernel_nbytes(block):
     """Bytes of the kernel that jet_at applies at a block."""
-    return block.rows.nbytes if block.rows is not None else len(block.points) * block.point_nbytes
+    if block.kernel is not None:
+        return block.kernel.nbytes
+    return len(block.points) * block.point_nbytes
 
 
 @pytest.mark.parametrize("budget", [None, 100_000])
