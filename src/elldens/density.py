@@ -7,9 +7,10 @@ census verifies the per-point ingredient by brute force: among all jet tuples
 of the varying coefficient forms at a point with residue field F_{q^e},
 exactly a q^{-(m+1)e} fraction admits a singular fiber point.
 
-The census walks the tuple space in blocks of base-Q digits through the
-batched closed-form detector; its cross-check compares every tuple with the
-scalar fiber-scan oracle.
+The census walks the tuple space as value tuples (g base-Q digits) times
+gradient tuples (g*m digits): a detector call pairs (V, 1) value rows with
+(1, W) gradient rows, so only the base-direction tests run once per tuple.
+Its cross-check compares every tuple with the scalar fiber-scan oracle.
 
 Monte-Carlo runs draw coefficient forms uniformly (one PCG64 stream per
 sample, seeded by a stable 64-bit hash of (master_seed, index)) in chunks:
@@ -60,7 +61,7 @@ _DELTA_PROBE_DEGREE = 3  # discriminant values are probed at points up to here
 # rational points a probe degree may enumerate: a probe stands in for exact
 # expansions of a few samples, so it must not cost more than they do
 _PROBE_CAP = 1 << 15
-_CENSUS_BLOCK = 4096  # jet tuples per detector call; bounds census memory
+_CENSUS_BLOCK = 4096  # jet tuples (V values x W gradients) per detector call
 _MC_CHUNK = 512  # Monte-Carlo samples drawn and tested together
 
 
@@ -117,8 +118,10 @@ def jet_census(p: int, q: int, m: int, e: int,
     """Exhaustively classify every jet tuple at a degree-e point as admitting
     a singular fiber point or not.
 
+    Each chunk of W <= ``_CENSUS_BLOCK`` gradient tuples meets the value
+    tuples V = ``_CENSUS_BLOCK // W`` at a time, one detector call each.
     With cross_check=True every tuple is also scanned by the exhaustive
-    fiber oracle and any disagreement with the closed form raises.
+    fiber oracle and a disagreement raises, naming the tuple's digits.
     """
     r = _degree_over(p, q)
     if m < 1:
@@ -134,23 +137,31 @@ def jet_census(p: int, q: int, m: int, e: int,
         raise FeasibilityError(f"jet census needs {q}^{exponent} tuples > cap {cap}")
     total = q ** exponent
     fld = make_field(p, r * e)
-    width = m + 1
-    # tuple t has base-Q digits t // place % Q, first entry most significant
-    place = fld.size ** np.arange(g * width - 1, -1, -1, dtype=np.int64)
+    Q = fld.size
+
+    def digits(start: int, stop: int, width: int) -> np.ndarray:
+        """Base-Q digits of start..stop-1, first digit most significant."""
+        return np.stack(np.unravel_index(np.arange(start, stop), (Q,) * width), axis=-1)
+
+    grads = Q ** (g * m)
+    W = min(grads, _CENSUS_BLOCK)
+    V = _CENSUS_BLOCK // W
+    values = digits(0, Q ** g, g)[:, None]  # (Q^g, 1, g)
     bad = 0
-    for start in range(0, total, _CENSUS_BLOCK):
-        tuples = np.arange(start, min(start + _CENSUS_BLOCK, total))
-        digits = (tuples[:, None] // place % fld.size).reshape(-1, g, width)
-        J = jets_from_indices(fld, digits)
-        hit = singular_jets_closed_form(J).mask
-        bad += int(np.count_nonzero(hit))
-        if cross_check:
-            for i, h in enumerate(hit):
-                if (singular_jets_oracle(J.lane(i)) is not None) != h:
-                    raise AssertionError(
-                        "closed form and fiber scan disagree on jets "
-                        f"{tuple(digits[i].ravel().tolist())}"
-                    )
+    for w0 in range(0, grads, W):
+        gd = digits(w0, min(w0 + W, grads), g * m).reshape(1, -1, g, m)
+        for v0 in range(0, len(values), V):
+            vd = values[v0:v0 + V]
+            J = jets_from_indices(fld, vd, gd)
+            hit = singular_jets_closed_form(J).mask
+            bad += int(np.count_nonzero(hit))
+            if cross_check:
+                for (i, j), h, lane in zip(np.ndindex(hit.shape), hit.flat, J.lanes()):
+                    if (singular_jets_oracle(lane) is not None) != h:
+                        row = np.concatenate((vd[i, 0, :, None], gd[0, j]), axis=1)
+                        raise AssertionError(
+                            f"closed form ({'singular' if h else 'smooth'}) and fiber "
+                            f"scan disagree on jets {tuple(row.ravel().tolist())}")
     return JetCensus(p=p, q=q, m=m, e=e, g=g, total=total, bad=bad,
                      expected_bad=expected_bad_count(p, q, m, e))
 

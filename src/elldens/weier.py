@@ -24,8 +24,11 @@ Y^2 = 1) and is asserted, never searched.
 The closed-form detector takes batches only: jets whose entries are
 :class:`~elldens.gf.FieldArray` s (many points or jet tuples over one
 residue field) give a mask and candidate arrays, with the characteristic's
-branches taken as masks.  Scans and single points reach it the same way,
-through the jets of a datum at the points of one
+branches taken as masks.  The entries need only broadcast: the candidate
+and the F, dF/dx, dF/dy tests run in the values' shape, the base-direction
+tests in the joint shape, so a census pairing (V, 1) values with (1, W)
+gradients solves once per value tuple.  Scans and single points reach it
+the same way, through the jets of a datum at the points of one
 :class:`~elldens.base.PointBlock` (a one-point block for a single point).
 The discriminant, the fiber equation and the vanishing conditions are
 written once with ring operations, so they run on forms, on FieldElems and
@@ -153,8 +156,9 @@ def discriminant_value(a1, a2, a3, a4, a6):
 @dataclass(frozen=True)
 class WeierstrassJets:
     """First-order jets of all five coefficient forms: at one closed point
-    with FieldElem entries, or at a batch of points with one residue field
-    with FieldArray entries (see :func:`jets_from_indices`)."""
+    with FieldElem entries, or at a batch of points or jet tuples over one
+    residue field with FieldArray entries that broadcast against each other
+    (see :func:`jets_from_indices`)."""
 
     field: FieldCtx
     a1: Jet
@@ -167,14 +171,26 @@ class WeierstrassJets:
         return (self.a1.value, self.a2.value, self.a3.value,
                 self.a4.value, self.a6.value)
 
-    def lane(self, i: int) -> "WeierstrassJets":
-        """The single-point jets at lane i of a 1-d batch."""
-        def pick(a: FieldArray) -> FieldElem:
-            return a[i] if a.shape else a[()]
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The joint broadcast shape of the batch's entries."""
+        return np.broadcast_shapes(*(a.shape for jet in (self.a1, self.a2, self.a3,
+                                                         self.a4, self.a6)
+                                     for a in (jet.value, *jet.gradient)))
 
-        return WeierstrassJets(self.field, *(
-            Jet(value=pick(jet.value), gradient=tuple(pick(d) for d in jet.gradient))
-            for jet in (self.a1, self.a2, self.a3, self.a4, self.a6)))
+    def lanes(self, where: np.ndarray | None = None) -> Iterator["WeierstrassJets"]:
+        """The single-point jets of every lane in C order of the joint shape,
+        or of the lanes where ``where`` (of that shape) holds: each entry is
+        broadcast to the joint shape and read out once for all of them."""
+        shape, elem = self.shape, self.field.from_index
+        pick = slice(None) if where is None else np.ravel(where)
+        cols = [[np.broadcast_to(a.idx, shape).ravel()[pick].tolist()
+                 for a in (jet.value, *jet.gradient)]
+                for jet in (self.a1, self.a2, self.a3, self.a4, self.a6)]
+        for k in range(len(cols[0][0])):
+            yield WeierstrassJets(self.field, *(
+                Jet(value=elem(c[0][k]), gradient=tuple(elem(d[k]) for d in c[1:]))
+                for c in cols))
 
 
 def _datum_jets(w: WeierstrassData, block: PointBlock) -> WeierstrassJets:
@@ -192,19 +208,26 @@ def _datum_jets(w: WeierstrassData, block: PointBlock) -> WeierstrassJets:
 def jets_at(w: WeierstrassData, P: ClosedPoint) -> WeierstrassJets:
     """The jets of all five coefficient forms at one closed point: the
     batched kernel at a single point."""
-    return _datum_jets(w, PointBlock(section_degrees(w.field.p, w.k), (P,))).lane(0)
+    return next(_datum_jets(w, PointBlock(section_degrees(w.field.p, w.k), (P,))).lanes())
 
 
-def jets_from_indices(field: FieldCtx, idx: np.ndarray) -> WeierstrassJets:
+def jets_from_indices(field: FieldCtx, idx: np.ndarray,
+                      gradients: np.ndarray | None = None) -> WeierstrassJets:
     """Batched jets from element indices of shape (..., g, m+1): the g forms
     that vary in the field's characteristic, in index order, then value and
-    gradient entries.  The other forms get zero jets."""
-    m = idx.shape[-1] - 1
+    gradient entries.  With ``gradients`` given, ``idx`` holds the values
+    alone, shape (..., g), and ``gradients`` the gradient entries, shape
+    (..., g, m); the two broadcast against each other, so (V, 1, g) values
+    and (1, W, g, m) gradients give the V*W tuples without writing them
+    out.  The other forms get zero jets."""
+    if gradients is None:
+        idx, gradients = idx[..., 0], idx[..., 1:]
+    m = gradients.shape[-1]
     zero = FieldArray(field, 0)
     jets = {i: Jet(value=zero, gradient=(zero,) * m) for i in _INDICES}
     for s_idx, i in enumerate(varying_indices(field.p)):
-        entries = [FieldArray(field, idx[..., s_idx, j]) for j in range(m + 1)]
-        jets[i] = Jet(value=entries[0], gradient=tuple(entries[1:]))
+        jets[i] = Jet(value=FieldArray(field, idx[..., s_idx]), gradient=tuple(
+            FieldArray(field, gradients[..., s_idx, j]) for j in range(m)))
     return WeierstrassJets(field, jets[1], jets[2], jets[3], jets[4], jets[6])
 
 
@@ -273,7 +296,8 @@ class SingularityWitness:
 
 class SingularBatch(NamedTuple):
     """The closed-form detector on a batch: lane i has a singular fiber point
-    iff mask[i], and it is (x[i], y[i]); mask, x and y share one shape."""
+    iff mask[i], and it is (x[i], y[i]); mask, x and y share one shape, the
+    joint broadcast shape of the jets' entries."""
 
     mask: np.ndarray
     x: FieldArray
@@ -292,7 +316,8 @@ def singular_jets_closed_form(J: WeierstrassJets) -> SingularBatch:
 
     The branches are masks, not tests.  Where the characteristic's branch
     has no candidate (p = 2 with a1 = 0 and a3 != 0, p = 3 with a2 = 0 and
-    a4 != 0) the one it computes fails dF/dy or dF/dx.
+    a4 != 0) the one it computes fails dF/dy or dF/dx.  Entries that only
+    broadcast give mask, x and y in the joint shape (views past the values').
     """
     F = J.field
     a1, a2, a3, a4, a6 = J.values()
@@ -315,9 +340,13 @@ def singular_jets_closed_form(J: WeierstrassJets) -> SingularBatch:
         y = zero
     mask = np.ones(shape, dtype=bool)
     for cond in vanishing_conditions(J, x, y):
-        mask &= cond.is_zero
+        mask = mask & cond.is_zero
         if not mask.any():
             break  # every lane has failed; the rest cannot change that
+    joint = J.shape
+    if joint != shape:
+        mask = np.broadcast_to(mask, joint)
+        x, y = (FieldArray(F, np.broadcast_to(a.idx, joint)) for a in (x, y))
     return SingularBatch(mask, x, y)
 
 
@@ -378,9 +407,8 @@ def _witnesses(w: WeierstrassData, block: PointBlock) -> Iterator[SingularityWit
     one jet product and one detector call."""
     J = _datum_jets(w, block)
     hit = singular_jets_closed_form(J)
-    for i in np.flatnonzero(hit.mask):
-        yield SingularityWitness(point=block.points[i], x=hit.x[i], y=hit.y[i],
-                                 jets=J.lane(i))
+    for i, jets in zip(np.flatnonzero(hit.mask), J.lanes(hit.mask)):
+        yield SingularityWitness(point=block.points[i], x=hit.x[i], y=hit.y[i], jets=jets)
 
 
 def smooth_up_to(w: WeierstrassData, r: int) -> bool:

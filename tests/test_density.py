@@ -60,9 +60,55 @@ def test_census_2_2_2_2_sample_matches_oracle():
     rows = rng.integers(0, F4.size, size=(2000, 4, 3))
     J = jets_from_indices(F4, rows)
     hit = singular_jets_closed_form(J).mask
-    for i in range(len(rows)):
-        assert bool(hit[i]) == (singular_jets_oracle(J.lane(i)) is not None)
+    for h, lane in zip(hit, J.lanes(), strict=True):
+        assert bool(h) == (singular_jets_oracle(lane) is not None)
     assert hit.any()
+
+
+def test_census_cross_check_names_the_disagreeing_tuple(monkeypatch):
+    # the oracle is made to flip its answer on one tuple, given in the
+    # (form, entry) layout: a1 = (1, 0), a3 = (1, 1), a4 = (0, 1), a6 = (0, 0)
+    target = (1, 0, 1, 1, 0, 1, 0, 0)
+    oracle = density.singular_jets_oracle
+
+    def flipped(J):
+        hit = oracle(J)
+        digits = tuple(e.idx for jet in (J.a1, J.a3, J.a4, J.a6)
+                       for e in (jet.value, *jet.gradient))
+        if digits != target:
+            return hit
+        return None if hit is not None else (J.field.zero, J.field.zero)
+
+    monkeypatch.setattr(density, "singular_jets_oracle", flipped)
+    with pytest.raises(AssertionError) as err:
+        jet_census(2, 2, 1, 1, cross_check=True)
+    msg = str(err.value)
+    verdict, digits = msg.split("(")[1].split(")")[0], msg.split("jets ")[1]
+    assert digits == str(target)
+    rows = np.array(target).reshape(1, 4, 2)
+    hit = singular_jets_closed_form(jets_from_indices(make_field(2, 1), rows)).mask
+    assert verdict == ("singular" if hit[0] else "smooth")
+
+
+@pytest.mark.parametrize("p,q,m,e", [
+    (5, 5, 2, 1),  # 625 gradient tuples: 6 value rows per call
+    (2, 2, 3, 1),  # exactly _CENSUS_BLOCK gradient tuples: one value row per call
+    (2, 2, 4, 1),  # 16 gradient chunks per value row
+    (7, 7, 1, 1), (7, 7, 2, 1), (3, 9, 1, 1), (5, 5, 1, 2),
+])
+def test_census_block_regimes(monkeypatch, p, q, m, e):
+    sizes = []
+    detector = density.singular_jets_closed_form
+
+    def counted(J):
+        sizes.append(math.prod(J.shape))
+        return detector(J)
+
+    monkeypatch.setattr(density, "singular_jets_closed_form", counted)
+    c = jet_census(p, q, m, e)
+    assert c.bad == expected_bad_count(p, q, m, e)
+    assert max(sizes) <= density._CENSUS_BLOCK
+    assert sum(sizes) == c.total
 
 
 def test_census_validates_and_caps():

@@ -457,6 +457,45 @@ def test_batched_detector_and_discriminant_match_scalar_and_oracle(p, n, data):
         assert delta[i] == discriminant_value(*single.values())
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("m", [1, 2])
+def test_detector_broadcasts_values_against_gradients(p, m):
+    # every tuple over F_p as (V, 1) value rows against (1, W) gradient rows
+    F = make_field(p, 1)
+    g = len(varying_indices(p))
+    vals = np.stack(np.unravel_index(np.arange(p ** g), (p,) * g), axis=-1)
+    grads = np.stack(np.unravel_index(np.arange(p ** (g * m)), (p,) * (g * m)),
+                     axis=-1).reshape(-1, g, m)
+    V, W = len(vals), len(grads)
+    J = jets_from_indices(F, vals[:, None], grads[None])
+    assert J.shape == (V, W)
+    hit = singular_jets_closed_form(J)
+    assert hit.mask.shape == hit.x.shape == hit.y.shape == (V, W)
+    rows = np.concatenate((np.broadcast_to(vals[:, None, :, None], (V, W, g, 1)),
+                           np.broadcast_to(grads[None], (V, W, g, m))), axis=-1)
+    flat = singular_jets_closed_form(jets_from_indices(F, rows.reshape(V * W, g, m + 1)))
+    assert np.array_equal(hit.mask.ravel(), flat.mask)
+    assert np.array_equal(hit.x.idx.ravel(), flat.x.idx)
+    assert np.array_equal(hit.y.idx.ravel(), flat.y.idx)
+    assert hit.mask.any() and not hit.mask.all()
+    # the lanes of the broadcast batch are the tuples' own jets, in C order
+    if V * W <= 4096:
+        assert list(J.lanes()) == [_single_jets(F, r) for r in rows.reshape(-1, g, m + 1)]
+    pick = np.zeros((V, W), dtype=bool)
+    pick[0, 0] = pick[-1, -1] = True
+    pick[np.unravel_index(np.flatnonzero(hit.mask)[:4], (V, W))] = True
+    for i, j, lane in zip(*np.nonzero(pick), J.lanes(pick), strict=True):
+        assert lane == _single_jets(F, rows[i, j])
+        assert (singular_jets_oracle(lane) is not None) == bool(hit.mask[i, j])
+    # values that fail F, dF/dx or dF/dy: the mask still has the joint shape
+    fail = vals[~singular_jets_closed_form(
+        jets_from_indices(F, vals, np.zeros((V, g, 0), dtype=np.int64))).mask]
+    assert len(fail)
+    dead = singular_jets_closed_form(jets_from_indices(F, fail[:, None], grads[None]))
+    assert dead.mask.shape == dead.x.shape == dead.y.shape == (len(fail), W)
+    assert not dead.mask.any()
+
+
 # sha256 of json.dumps(w.delta.to_obj()) for random_weierstrass(m, k, F_q,
 # seed), recorded with the term-by-term product loop that preceded the
 # convolution kernel: ((q, m, k, seed), terms, digest)
