@@ -7,6 +7,9 @@ q = p^r is realised as F_{p^{r*e}}; the inclusion F_q -> F_{q^e} is an
 
 Moduli are found by a seeded deterministic random search, so a given (p, n)
 always yields the same field and serialized artifacts reproduce bit-for-bit.
+Every integer factorization is one :func:`prime_factors` generator, and
+every element index (coefficients as base-p digits, least significant
+first) is a product with one array, ``FieldCtx.place``.
 Every field builds, on first use of :meth:`FieldCtx.log_tables`, NumPy
 discrete-log, antilog and digit tables for array arithmetic (see
 :class:`LogTables`).  Small fields (size <= 256) build them at once and
@@ -37,34 +40,34 @@ class FieldMismatchError(ValueError):
     """Raised when combining elements of two different field contexts."""
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def prime_factors(n: int):
+    """The (prime, exponent) pairs of n >= 1, primes ascending, by trial
+    division up to the square root of what is left.  Each pair is yielded
+    as soon as it is found, so a caller that needs only the first prime
+    stops there."""
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            yield d, e
         d += 1
-    return True
+    if n > 1:
+        yield n, 1
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and next(prime_factors(n))[0] == n
 
 
 def prime_power(q: int) -> tuple[int, int]:
     """Decompose a prime power q as (p, r) with q = p**r; reject other q."""
     if q < 2:
         raise ValueError(f"q must be a prime power >= 2, got {q}")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        p = q
-    r = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        r += 1
-    if rest != 1:
+    p, r = next(prime_factors(q))
+    if p ** r != q:
         raise ValueError(f"q={q} is not a prime power")
     return p, r
 
@@ -130,20 +133,6 @@ def _x_pth_power_mod(f: tuple[int, ...], p: int, e: int) -> tuple[int, ...]:
     return t
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
     """Irreducibility of a monic degree-n polynomial over F_p.
 
@@ -157,7 +146,7 @@ def is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
     top = _x_pth_power_mod(modulus, p, n)
     if top != x:
         return False
-    for ell in _prime_factors(n):
+    for ell, _ in prime_factors(n):
         t = _x_pth_power_mod(modulus, p, n // ell)
         diff = list(t)
         while len(diff) < 2:
@@ -312,7 +301,7 @@ class FieldCtx:
     """The field F_{p^n} = F_p[x]/(modulus), with interned elements."""
 
     __slots__ = (
-        "p", "n", "modulus", "size",
+        "p", "n", "modulus", "size", "place",
         "_elems", "_addt", "_mult", "_invt", "_negt", "_red", "_logt", "_kern",
         "zero", "one", "gen",
     )
@@ -331,8 +320,8 @@ class FieldCtx:
         self.n = n
         self.modulus = modulus
         self.size = p ** n
-        # reduction table for x^n .. x^(2n-2) mod modulus
-        self._red = self._build_reduction()
+        self.place = p ** np.arange(n, dtype=np.int64)  # digit rows @ place: indices
+        self.place.flags.writeable = False
         self._elems = None
         self._addt = self._mult = self._invt = self._negt = None
         self._logt = self._kern = None
@@ -340,6 +329,9 @@ class FieldCtx:
             self._elems = [
                 FieldElem(self, self._decode(i), i) for i in range(self.size)
             ]
+        # x^(n+k) mod modulus for k = 0..n-2, the rows of _mul_coeffs' reduction
+        self._red = tuple(self.elem_from_poly((0,) * (n + k) + (1,)).coeffs
+                          for k in range(n - 1))
         self.zero = self.elem((0,) * n)
         self.one = self.from_int(1)
         self.gen = self.elem_from_poly((0, 1))
@@ -360,23 +352,6 @@ class FieldCtx:
         for c in reversed(coeffs):
             idx = idx * self.p + c
         return idx
-
-    def _build_reduction(self) -> tuple[tuple[int, ...], ...]:
-        # x^(n+k) mod modulus for k = 0..n-2, as coefficient tuples
-        p, n = self.p, self.n
-        rows = []
-        cur = tuple((-c) % p for c in self.modulus[:n])  # x^n
-        rows.append(cur)
-        for _ in range(n - 2):
-            shifted = (0,) + cur[:-1]
-            carry = cur[-1]
-            if carry:
-                shifted = tuple(
-                    (s + carry * r) % p for s, r in zip(shifted, rows[0])
-                )
-            cur = shifted
-            rows.append(cur)
-        return tuple(rows)
 
     def _mul_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         p, n = self.p, self.n
@@ -400,9 +375,8 @@ class FieldCtx:
         t = self.log_tables()
         order = self.size - 1
         digits = t.digits.astype(np.int64)
-        place = self.p ** np.arange(self.n, dtype=np.int64)
-        addt = (digits[:, None] + digits) % self.p @ place
-        negt = -digits % self.p @ place
+        addt = (digits[:, None] + digits) % self.p @ self.place
+        negt = -digits % self.p @ self.place
         mult = t.antilog[(t.log[:, None] + t.log) % order]
         mult[0] = mult[:, 0] = 0
         invt = t.antilog[-t.log % order]
@@ -498,10 +472,9 @@ class LogTables:
                 pows[known + sl.start:known + sl.stop] = pows[sl] @ times % p
             known += grow
             step = step * step
-        place = p ** np.arange(n, dtype=np.int64)
         antilog = np.empty(order, dtype=np.int64)
         for sl in _slabs(order):
-            antilog[sl] = pows[sl] @ place
+            antilog[sl] = pows[sl] @ fld.place
         log = np.zeros(fld.size, dtype=np.int64)
         log[antilog] = np.arange(order)
         digits = np.zeros((fld.size, n), dtype=pows.dtype)
@@ -521,7 +494,7 @@ def _slabs(rows: int):
 def _primitive_index(fld: FieldCtx) -> int:
     """Smallest element index whose multiplicative order is size - 1."""
     order = fld.size - 1
-    factors = _prime_factors(order)
+    factors = [ell for ell, _ in prime_factors(order)]
     for i in range(1, fld.size):
         a = fld.from_index(i)
         if all(a ** (order // ell) != fld.one for ell in factors):
@@ -697,7 +670,7 @@ class _LogKernel:
         self.p, self.order = fld.p, fld.size - 1
         self.log, self.antilog = t.log, t.antilog
         self.digits = t.digits  # np.min_scalar_type(p - 1): sums widen per call
-        self.place = fld.p ** np.arange(fld.n, dtype=np.int64)
+        self.place = fld.place
 
     def add(self, a, b):
         return np.add(self.digits[a], self.digits[b], dtype=np.int64) % self.p @ self.place

@@ -181,12 +181,7 @@ class Section:
         d = other.d if self.is_zero and self.d != other.d else self.d
         out = dict(self.coeffs)
         for expo, c in other.coeffs.items():
-            s = out.get(expo)
-            t = c if s is None else s + c
-            if t:
-                out[expo] = t
-            elif s is not None:
-                del out[expo]
+            _accumulate(out, expo, c)
         return Section._trusted(self.m, d, self.field, out)
 
     def __neg__(self) -> "Section":
@@ -452,7 +447,7 @@ def _elements(fld: FieldCtx, coords: np.ndarray):
     """The field elements of (N, n) F_p coordinate rows reduced mod p, in
     row order, as an iterator."""
     if fld._elems is not None:  # interned: p^n <= 4096, so indices fit
-        return map(fld._elems.__getitem__, (coords @ fld.p ** np.arange(fld.n)).tolist())
+        return map(fld._elems.__getitem__, (coords @ fld.place).tolist())
     return (fld.elem(tuple(c)) for c in coords.tolist())
 
 
@@ -467,6 +462,16 @@ def _collect(blocks: list) -> tuple[np.ndarray, np.ndarray]:
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     first = first.nonzero()[0]
     return keys[first], np.add.reduceat(vals, first, axis=0)
+
+
+def _accumulate(out: dict, expo: tuple[int, ...], c: FieldElem) -> None:
+    """out[expo] += c in a sparse term dict, the term dropped when it sums to zero."""
+    s = out.get(expo)
+    t = c if s is None else s + c
+    if t:
+        out[expo] = t
+    elif s is not None:
+        del out[expo]
 
 
 def power_table(x: FieldElem, top: int) -> list[FieldElem]:
@@ -515,12 +520,7 @@ class AffinePoly:
             return NotImplemented
         out = dict(self.coeffs)
         for expo, c in other.coeffs.items():
-            s = out.get(expo)
-            t = c if s is None else s + c
-            if t:
-                out[expo] = t
-            elif s is not None:
-                del out[expo]
+            _accumulate(out, expo, c)
         return AffinePoly(self.m, self.field, out)
 
     def __mul__(self, other):
@@ -528,14 +528,7 @@ class AffinePoly:
             out: dict[tuple[int, ...], FieldElem] = {}
             for e1, c1 in self.coeffs.items():
                 for e2, c2 in other.coeffs.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    c = c1 * c2
-                    s = out.get(e)
-                    t = c if s is None else s + c
-                    if t:
-                        out[e] = t
-                    elif s is not None:
-                        del out[e]
+                    _accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
             return AffinePoly(self.m, self.field, out)
         if isinstance(other, (FieldElem, int)):
             c0 = self.field.from_int(other) if isinstance(other, int) else other
@@ -554,18 +547,8 @@ class AffinePoly:
         out: dict[tuple[int, ...], FieldElem] = {}
         for expo, c in self.coeffs.items():
             e = expo[jj]
-            if e == 0:
-                continue
-            mult = c * e
-            if not mult:
-                continue  # exponent divisible by the characteristic
-            dexpo = expo[:jj] + (e - 1,) + expo[jj + 1:]
-            s = out.get(dexpo)
-            t = mult if s is None else s + mult
-            if t:
-                out[dexpo] = t
-            elif s is not None:
-                del out[dexpo]
+            if e:  # an exponent divisible by the characteristic adds zero
+                _accumulate(out, expo[:jj] + (e - 1,) + expo[jj + 1:], c * e)
         return AffinePoly(self.m, self.field, out)
 
     def evaluate(self, pt: tuple[FieldElem, ...], emb: Embedding | None = None) -> FieldElem:
@@ -611,13 +594,7 @@ def exact_divide(f: Section, g: Section) -> Section | None:
         c = rem[lead_r] / lead_c
         quot[diff] = c
         for expo, gc in g.coeffs.items():
-            e = tuple(a + b for a, b in zip(diff, expo))
-            s = rem.get(e)
-            t = -(c * gc) if s is None else s - c * gc
-            if t:
-                rem[e] = t
-            elif s is not None:
-                del rem[e]
+            _accumulate(rem, tuple(a + b for a, b in zip(diff, expo)), -(c * gc))
     h = Section(f.m, f.d - g.d, f.field, quot)
     if g * h != f:  # exactness is always re-verified
         return None

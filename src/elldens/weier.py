@@ -235,7 +235,7 @@ def jets_from_coords(field: FieldCtx, coords: np.ndarray) -> WeierstrassJets:
     """Batched jets from the F_p coordinates that :func:`~elldens.base.jet_at`
     gives, shape (..., g, entries, n): the element indices of
     :func:`jets_from_indices`, one entry (values only) or m+1."""
-    return jets_from_indices(field, coords @ field.p ** np.arange(field.n, dtype=np.int64))
+    return jets_from_indices(field, coords @ field.place)
 
 
 def fiber_equation(J: WeierstrassJets, x, y):
@@ -765,10 +765,10 @@ def weier_from_obj(obj: dict) -> WeierstrassData:
                 f"stored field modulus {list(field.modulus)} of F_{field.p}^{field.n} "
                 f"is not the expected modulus {list(expected)}")
         m, k = int(obj["m"]), int(obj["k"])
-        secs = {}
-        for i in _INDICES:
-            recs = obj["sections"].get(f"a{i}", [])
-            secs[i] = Section.from_obj(m, i * k, field, recs)
+        sobj = obj["sections"]
+        if not isinstance(sobj, dict):
+            raise TypeError(f"sections must be an object, got {type(sobj).__name__}")
+        secs = {i: Section.from_obj(m, i * k, field, sobj.get(f"a{i}", [])) for i in _INDICES}
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed fibration object: {exc}") from exc
     return WeierstrassData(m, k, field,

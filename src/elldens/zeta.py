@@ -15,21 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FeasibilityError
-from .gf import prime_power
+from .gf import prime_factors, prime_power
 
 MAX_TRUNCATION = 32
 
 
 def _mobius(n: int) -> int:
-    mu, d = 1, 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            mu = -mu
-        d += 1
-    if n > 1:
+    mu = 1
+    for _, e in prime_factors(n):
+        if e > 1:
+            return 0
         mu = -mu
     return mu
 

@@ -160,6 +160,20 @@ def test_scan_rejects_stored_datum_with_other_modulus(capsys, tmp_path):
                             "the expected modulus [1, 0, 1]\n")
 
 
+@pytest.mark.parametrize("sections", [[], None, "abc"])
+def test_minimal_rejects_sections_that_are_not_an_object(capsys, tmp_path, sections):
+    obj = weier_to_obj(random_weierstrass(1, 1, make_field(5, 1), seed=1))
+    obj["sections"] = sections
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(obj))
+    code = main(["minimal", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed fibration object: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_scan_random_k18_finishes():
     # the k = 18 discriminant on P^2 (degree 216, 11,908 terms) is expanded
     # eagerly when the datum is built

@@ -1,6 +1,7 @@
 """Finite field construction, arithmetic axioms, Frobenius and embeddings."""
 import hashlib
 import random
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from elldens import gf
 from elldens.gf import (FieldArray, FieldMismatchError, embedding,
                         frobenius, is_irreducible, make_field, prime_power)
+from elldens.zeta import _mobius
 
 
 def test_prime_power():
@@ -18,6 +20,60 @@ def test_prime_power():
     for bad in (1, 6, 12, 100, 0, -4):
         with pytest.raises(ValueError):
             prime_power(bad)
+
+
+def _sieved_factors(limit: int) -> list[list[tuple[int, int]]]:
+    """The (prime, exponent) pairs of every n < limit, from a smallest-prime-
+    factor sieve (no trial division)."""
+    spf = [0] * limit
+    for d in range(2, limit):
+        if not spf[d]:
+            for j in range(d, limit, d):
+                spf[j] = spf[j] or d
+    out = [[] for _ in range(limit)]
+    for n in range(2, limit):
+        rest, pairs = n, {}
+        while rest > 1:
+            pairs[spf[rest]] = pairs.get(spf[rest], 0) + 1
+            rest //= spf[rest]
+        out[n] = sorted(pairs.items())
+    return out
+
+
+def test_number_theory_matches_a_sieve():
+    for n, pairs in enumerate(_sieved_factors(5000)):
+        if n:
+            assert list(gf.prime_factors(n)) == pairs, n
+            assert _mobius(n) == (0 if any(e > 1 for _, e in pairs) else (-1) ** len(pairs)), n
+        assert gf.is_prime(n) == (pairs == [(n, 1)]), n
+        if n < 2:
+            with pytest.raises(ValueError, match=f"^q must be a prime power >= 2, got {n}$"):
+                prime_power(n)
+        elif len(pairs) == 1:
+            assert prime_power(n) == pairs[0], n
+        else:
+            with pytest.raises(ValueError, match=f"^q={n} is not a prime power$"):
+                prime_power(n)
+
+
+def test_factor_tests_stop_at_the_first_prime():
+    # the cofactor 2^61 - 1 is prime: running the trial division to its
+    # square root would take past 10^9 divisions
+    big = 2 ** 61 - 1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="is not a prime power"):
+        prime_power(2 * big)
+    assert not gf.is_prime(4 * big)
+    assert next(gf.prime_factors(6 * big)) == (2, 1)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (2, 9), (3, 5), (5, 3), (257, 2), (2, 19)])
+def test_reduction_rows_are_powers_of_the_generator(p, n):
+    F = make_field(p, n)
+    assert len(F._red) == n - 1
+    for k in range(n - 1):
+        assert F._red[k] == (F.gen ** (n + k)).coeffs, k
 
 
 def test_make_field_validates():
