@@ -5,29 +5,10 @@ The package builds finite fields (`gf`), homogeneous coordinate sections
 data with singularity detection (`weier`), zeta-function point counting
 (`zeta`), and the density machinery tying them together (`density`).
 A command line front end lives in `cli`.
+
+Importing the package loads none of its modules: import the module you use
+(``from elldens import gf`` or ``from elldens.density import mc_density``),
+so a caller pays only for what it reads.
 """
 
-from .base import ClosedPoint, FeasibilityError, closed_points_up_to, jet_space_map
-from .density import (DensityReport, JetCensus, SurjectivityReport,
-                      exact_density, jet_census, mc_density, singular_scan,
-                      surjectivity_check)
-from .gf import FieldCtx, FieldElem, FieldMismatchError, embedding, frobenius, make_field
-from .sections import InvalidPointError, Section, dim_space, monomials, random_section
-from .weier import (WeierstrassData, discriminant, is_minimal, random_weierstrass,
-                    singular_over_closed_form, singular_over_oracle, smooth_up_to)
-from .zeta import (zeta_inverse_exact_Pm, zeta_inverse_truncated,
-                   zeta_inverse_truncated_float, zeta_table)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ClosedPoint", "DensityReport", "FeasibilityError", "FieldCtx", "FieldElem",
-    "FieldMismatchError", "InvalidPointError", "JetCensus", "Section",
-    "SurjectivityReport", "WeierstrassData", "closed_points_up_to",
-    "dim_space", "discriminant", "embedding", "exact_density", "frobenius",
-    "is_minimal", "jet_census", "jet_space_map", "make_field", "mc_density",
-    "monomials", "random_section", "random_weierstrass", "singular_over_closed_form",
-    "singular_over_oracle", "singular_scan", "smooth_up_to", "surjectivity_check",
-    "zeta_inverse_exact_Pm", "zeta_inverse_truncated",
-    "zeta_inverse_truncated_float", "zeta_table",
-]

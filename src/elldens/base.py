@@ -216,8 +216,11 @@ class JetKernel:
         x = np.asarray(slots, dtype=self.dtype)
         y = np.stack([x[..., a:b] @ rows.astype(self.dtype).T
                       for (a, b), rows in zip(self.spans, self.blocks)], axis=-2)
-        # every entry is an exact integer; int64's remainder is cheaper than float's
-        return (y.astype(np.int64) % self.p).astype(np.min_scalar_type(self.p - 1))
+        # every entry is an exact integer below 2^24 in float32 and 2^53 in
+        # float64, so int32 and int64 hold it; their remainder is cheaper
+        # than float's, and int32's cheaper again
+        wide = np.int32 if self.dtype is np.float32 else np.int64
+        return (y.astype(wide) % self.p).astype(np.min_scalar_type(self.p - 1))
 
 
 def _form_cols(P: ClosedPoint, degrees: tuple[int, ...]) -> list[int]:
@@ -368,8 +371,8 @@ def jet_space_map(degrees: tuple[int, ...], points) -> PointBlock:
         # element indices, in place: take buffers `out` when mode='raise'
         np.take(tabs.antilog, logs, out=logs)
         logs[zero] = 0
-        for c in range(res.n):
-            np.take(tabs.digits[:, c], logs, out=out[:, c])
+        for c, column in enumerate(tabs.columns):
+            np.take(column, logs, out=out[:, c])
     rows = rows.reshape(-1, dims * r)
     cuts = itertools.pairwise(itertools.accumulate((len(a) * r for a in monos), initial=0))
     return PointBlock(tuple(degrees), points,

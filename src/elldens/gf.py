@@ -58,18 +58,64 @@ def prime_factors(n: int):
         yield n, 1
 
 
+# Miller-Rabin to the first 13 prime bases decides primality of every n below
+# psi_13, the least strong pseudoprime to all of them (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and next(prime_factors(n))[0] == n
+    """Whether n is prime, by Miller-Rabin to the bases ``_MR_BASES``.
+    FeasibilityError when n passes every base at or above ``_MR_EXACT_BELOW``,
+    where passing them proves nothing."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_EXACT_BELOW:
+        # imported here: a rare path, and gf otherwise imports no package module
+        from .errors import FeasibilityError
+        raise FeasibilityError(
+            f"cannot decide whether {n} is prime: Miller-Rabin to the first "
+            f"{len(_MR_BASES)} prime bases is exact only below {_MR_EXACT_BELOW}")
+    return True
+
+
+def _iroot(n: int, r: int) -> int:
+    """floor(n ** (1/r)) for n >= 1, by Newton's method on integers."""
+    x = 1 << -(-n.bit_length() // r)  # above the root
+    while True:
+        y = ((r - 1) * x + n // x ** (r - 1)) // r
+        if y >= x:
+            return x
+        x = y
 
 
 def prime_power(q: int) -> tuple[int, int]:
     """Decompose a prime power q as (p, r) with q = p**r; reject other q."""
     if q < 2:
         raise ValueError(f"q must be a prime power >= 2, got {q}")
-    p, r = next(prime_factors(q))
-    if p ** r != q:
-        raise ValueError(f"q={q} is not a prime power")
-    return p, r
+    if is_prime(q):
+        return q, 1
+    for r in range(2, q.bit_length()):
+        p = _iroot(q, r)
+        if p ** r == q and is_prime(p):
+            return p, r
+    raise ValueError(f"q={q} is not a prime power")
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +495,15 @@ class LogTables:
     element of order Q-1 with the smallest index;
     ``log`` inverts it on nonzero indices, and ``log[0] = 0`` is a
     placeholder that callers must mask.  ``digits[i]`` is the coefficient
-    vector of index i, with dtype ``np.min_scalar_type(p - 1)``.
+    vector of index i, with dtype ``np.min_scalar_type(p - 1)``, and
+    ``columns`` its C-contiguous transpose: a gather from ``columns[c]``
+    reads coefficient c without copying a strided column of ``digits``.
     """
 
     log: np.ndarray       # (Q,) int64
     antilog: np.ndarray   # (Q-1,) int64
     digits: np.ndarray    # (Q, n)
+    columns: np.ndarray   # (n, Q)
 
     @classmethod
     def build(cls, fld: "FieldCtx") -> "LogTables":
@@ -479,9 +528,10 @@ class LogTables:
         log[antilog] = np.arange(order)
         digits = np.zeros((fld.size, n), dtype=pows.dtype)
         digits[antilog] = pows
-        for arr in (log, antilog, digits):
+        columns = np.ascontiguousarray(digits.T)
+        for arr in (log, antilog, digits, columns):
             arr.flags.writeable = False
-        return cls(log=log, antilog=antilog, digits=digits)
+        return cls(log=log, antilog=antilog, digits=digits, columns=columns)
 
 
 def _slabs(rows: int):

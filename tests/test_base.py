@@ -245,7 +245,9 @@ def _oracle_points(m, q):
     return tuple(out)
 
 
-ORACLE_CONFIGS = [(2, 4, 2), (3, 3, 2), (5, 25, 1), (3, 9, 1), (7, 7, 2)]
+# (2, 64, 1): degree-2 points have the 4096-element residue field F_{2^12},
+# past the operation tables, read through the log tables' digit columns
+ORACLE_CONFIGS = [(2, 4, 2), (3, 3, 2), (5, 25, 1), (3, 9, 1), (7, 7, 2), (2, 64, 1)]
 
 
 def test_oracle_points_cover_degrees_and_zero_coordinates():

@@ -308,6 +308,16 @@ def test_census_refuses_a_huge_extension_at_once():
     assert proc.stderr == "error: jet census needs 2^2400 tuples > cap 67108864\n"
 
 
+def test_scan_over_a_17_digit_prime_field_exits_3_at_once(capsys):
+    # trial division to the square root of q would take ~10^8 steps, twice
+    start = time.perf_counter()
+    code = main(["scan", "--random", "-q", "10000000000000061", "-m", "1", "-k", "1",
+                 "-r", "1"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["density-exact", "-q", "2", "-m", "2", "-r", "6"],
     ["density-mc", "-p", "2", "-q", "2", "-m", "2", "-k", "1", "-r", "6", "--samples", "1"],

@@ -9,6 +9,7 @@ import pytest
 from elldens import gf
 from elldens.gf import (FieldArray, FieldMismatchError, embedding,
                         frobenius, is_irreducible, make_field, prime_power)
+from elldens.errors import FeasibilityError
 from elldens.zeta import _mobius
 
 
@@ -20,6 +21,30 @@ def test_prime_power():
     for bad in (1, 6, 12, 100, 0, -4):
         with pytest.raises(ValueError):
             prime_power(bad)
+
+
+def test_prime_power_of_large_primes_at_once():
+    # trial division would run to 2^30.5 for both
+    start = time.perf_counter()
+    assert prime_power(2 ** 61 - 1) == (2 ** 61 - 1, 1)
+    assert prime_power((2 ** 31 - 1) ** 2) == (2 ** 31 - 1, 2)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_miller_rabin_bound():
+    # the least strong pseudoprimes to the first t prime bases, psi_t for
+    # t = 2, 3, 4, 5, 6, 8, 11 and 12 (psi_12 passes 2..37, and 41 exposes
+    # it); psi_13 passes every base, so at and past it a pass decides nothing
+    for n in (1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 318665857834031151167461):
+        assert not gf.is_prime(n), n
+    for n in (gf._MR_EXACT_BELOW, 2 ** 89 - 1):
+        with pytest.raises(FeasibilityError, match=f"^cannot decide whether {n} is prime"):
+            gf.is_prime(n)
+    assert not gf.is_prime(2 ** 89 + 1)  # divisible by 3
+    assert not gf.is_prime((2 ** 61 - 1) * (2 ** 67 - 1))
+    with pytest.raises(ValueError, match="is not a prime power$"):
+        prime_power((2 ** 61 - 1) * (2 ** 67 - 1))
 
 
 def _sieved_factors(limit: int) -> list[list[tuple[int, int]]]:
@@ -328,6 +353,8 @@ def test_log_tables_are_pinned(p, n, digests):
     assert [a.dtype for a in (t.log, t.antilog, t.digits)] == [
         np.int64, np.int64, np.min_scalar_type(p - 1)]
     assert t.digits.shape == (p ** n, n)
+    assert t.columns.flags.c_contiguous and not t.columns.flags.writeable
+    assert np.array_equal(t.columns, t.digits.T)
     assert tuple(hashlib.sha256(a.tobytes()).hexdigest()
                  for a in (t.log, t.antilog, t.digits)) == digests
 
