@@ -18,10 +18,11 @@ blocks are built.  A :class:`PointBlock` (points of one residue field) is the
 unit of one build and one product: ``jet_space_map`` writes its points' rows,
 as F_p digits, into the block's :class:`JetKernel`, the one F_p product
 kernel, and ``jet_at`` multiplies slot vectors, a datum's or a Monte-Carlo
-batch of draws, by it.  Products run in float32 while every sum of ``cols``
-products of F_p digits (cols the widest form's columns) stays below 2^24, in
-float64 below 2^53, and are refused past that, all by
-:func:`exact_float_dtype`.  ``scan_blocks`` is the one memo of point blocks,
+batch of draws, by it and returns the jets as residue-field element indices,
+the one format in which jets leave this module.  Products run in float32
+while every sum of ``cols`` products of F_p digits (cols the widest form's
+columns) stays below 2^24, in float64 below 2^53, and are refused past that,
+all by :func:`exact_float_dtype`.  ``scan_blocks`` is the one memo of point blocks,
 for scans, Monte-Carlo and its discriminant probe alike, with one entry per
 point degree e (and m, q, form degrees): it cuts the degree-e points, in
 listing order, into blocks whose float product fits ``_ROW_BUDGET`` bytes,
@@ -65,18 +66,6 @@ _SCAN_SHAPES = 16  # (m, q, point degree, form degrees) whose blocks are memoize
 
 
 @dataclass(frozen=True)
-class Jet:
-    """Value and local-coordinate gradient of a form at a closed point."""
-
-    value: FieldElem
-    gradient: tuple[FieldElem, ...]
-
-    @property
-    def vanishes(self) -> bool:
-        return not self.value and not any(self.gradient)
-
-
-@dataclass(frozen=True)
 class ClosedPoint:
     """A degree-e closed point of P^m over F_q, via a normalized orbit
     representative with coordinates in the residue field F_{q^e}."""
@@ -100,15 +89,16 @@ class ClosedPoint:
 
 def _check_enum_cap(m: int, q: int, r: int, cap: int | None = None) -> None:
     """Raise FeasibilityError when listing the closed points of P^m over F_q
-    of degree <= r passes ``cap`` rational points (default 2**26).  The sum
-    stops at the first partial sum past the cap, which the message does not
-    print: at large r neither the sum nor its decimal digits are cheap."""
+    of degree <= r passes ``cap`` rational points (default 2**26): the
+    partial sums of #P^m(F_{q^e}) over e, stopping at the first past the
+    cap, which the message does not print: at large r neither the sum nor
+    its decimal digits are cheap."""
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     cap = DEFAULT_ENUM_CAP if cap is None else cap
     total = 0
     for e in range(1, r + 1):
-        total += sum(q ** (e * i) for i in range(m + 1))
+        total += _zeta.projective_points(m, q ** e)
         if total > cap:
             raise FeasibilityError(f"enumerating P^{m} over F_{q} up to degree {r} needs "
                                    f"more rational points than cap {cap}")
@@ -275,17 +265,17 @@ class PointBlock:
 
 
 def jet_at(slots: np.ndarray, block: PointBlock) -> np.ndarray:
-    """F_p jet coordinates of forms at the points of a block, shape
-    ``slots.shape[:-1] + (points, forms, m+1, n_res)``: slot vectors on
-    the last axis, each the concatenation of forms of degrees
-    ``block.degrees`` (as :func:`~elldens.sections.section_slots`), times the
-    points' jet kernel, mod p.
+    """Jets of forms at the points of a block as int64 element indices of
+    the residue field, shape ``slots.shape[:-1] + (points, forms, m+1)``:
+    slot vectors on the last axis, each the concatenation of forms of
+    degrees ``block.degrees`` (as :func:`~elldens.sections.section_slots`),
+    times the points' jet kernel, mod p.
 
     Entry 0 is a form's value and entries 1..m its gradient in the point's
-    chart coordinates, each as the residue-field coordinates of the element.
-    One product: with the block's kept kernel, or else with the kernel of
-    :func:`jet_space_map` at the block's points, built for this call.
-    Coordinates have dtype ``np.min_scalar_type(p - 1)``.
+    chart coordinates.  One product: with the block's kept kernel, or else
+    with the kernel of :func:`jet_space_map` at the block's points, built
+    for this call; its F_p digits become indices here, through
+    ``FieldCtx.place``.
     """
     if slots.shape[-1] != block.cols:
         raise ValueError(f"slot vector of length {slots.shape[-1]} does not fit forms "
@@ -294,7 +284,8 @@ def jet_at(slots: np.ndarray, block: PointBlock) -> np.ndarray:
     if kernel is None:
         kernel = jet_space_map(block.degrees, block.points).kernel
     shape = (len(block.degrees), len(block.points), block.point.m + 1, block.field.n)
-    return np.moveaxis(kernel.apply(slots).reshape(slots.shape[:-1] + shape), -4, -3)
+    digits = np.moveaxis(kernel.apply(slots).reshape(slots.shape[:-1] + shape), -4, -3)
+    return digits @ block.field.place
 
 
 def scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...],

@@ -52,26 +52,31 @@ def fraction_decimal(fr: Fraction, digits: int = DECIMAL_DIGITS) -> str:
     return str(val)
 
 
+def _unprintable() -> FeasibilityError:
+    return FeasibilityError(f"an exact value has more than {sys.get_int_max_str_digits()} "
+                            "digits and cannot be printed")
+
+
 def _fraction_str(fr: Fraction) -> str:
-    """'num/den'; FeasibilityError when an integer of it has more digits than
-    Python converts to a string (``sys.get_int_max_str_digits()``)."""
-    try:
-        return f"{fr.numerator}/{fr.denominator}"
-    except ValueError:
-        raise FeasibilityError(f"an exact value has more than {sys.get_int_max_str_digits()} "
-                               "digits and cannot be printed") from None
+    """'num/den' of a value known to print: one :func:`_check_printable`
+    has passed, or a census fraction, whose denominator is at most its cap."""
+    return f"{fr.numerator}/{fr.denominator}"
 
 
-def _elem_str(a) -> str:
-    return str(a.idx)
+def _check_printable(q: int, E: int) -> None:
+    """FeasibilityError when q^E, the reduced denominator of an exact value
+    in (0, 1), has more digits than Python prints; decided before the value
+    is computed, on integers: q^E >= 2^(E (b - 1)), b the bit length of q,
+    and 10^limit < 2^(4 limit), so q^E is formed only below 8 limit bits."""
+    limit = sys.get_int_max_str_digits()
+    if limit and (E * (q.bit_length() - 1) >= 4 * limit or q ** E >= 10 ** limit):
+        raise _unprintable()
 
 
-def _point_obj(P) -> dict:
-    return {
-        "degree": P.degree,
-        "chart": P.chart,
-        "coords": [c.idx for c in P.coords],
-    }
+def _check_printable_density(q: int, m: int, r: int) -> None:
+    """:func:`_check_printable` for ``exact_density(q, m, r)``."""
+    table = _zeta.zeta_table(m, q, r)
+    _check_printable(q, _zeta.truncated_exponent(table, m + 1, r))
 
 
 # -- argument plumbing ---------------------------------------------------------------
@@ -197,10 +202,13 @@ def _run_zeta(args):
         fl = _zeta.zeta_inverse_truncated_float(table, args.s, args.R)
         result["truncated_inverse_float"] = repr(fl)
         rows.append(["truncated_inverse_float", repr(fl), ""])
-        routes = (("truncated_inverse", _zeta.zeta_inverse_truncated, (table, args.s, args.R)),
-                  ("exact_inverse", _zeta.zeta_inverse_exact_Pm, (args.m, args.q, args.s)))
-        for name, fn, fn_args in routes:
+        routes = (("truncated_inverse", _zeta.zeta_inverse_truncated, (table, args.s, args.R),
+                   _zeta.truncated_exponent(table, args.s, args.R)),
+                  ("exact_inverse", _zeta.zeta_inverse_exact_Pm, (args.m, args.q, args.s),
+                   _zeta.exact_Pm_exponent(args.m, args.s)))
+        for name, fn, fn_args, exponent in routes:
             try:
+                _check_printable(args.q, exponent)
                 fr = fn(*fn_args)
                 text = _fraction_str(fr)
             except FeasibilityError:
@@ -241,6 +249,7 @@ def _run_surj(args):
 
 
 def _run_density_exact(args):
+    _check_printable_density(args.q, args.m, args.r)
     val = exact_density(args.q, args.m, args.r)
     config = {"command": "density-exact", "q": args.q, "m": args.m, "r": args.r}
     result = {"density": _fraction_str(val),
@@ -252,9 +261,10 @@ def _run_density_exact(args):
 
 def _run_density_mc(args):
     # an exact density too long to print is refused before any sample runs
-    exact = _fraction_str(exact_density(args.q, args.m, args.r))
+    _check_printable_density(args.q, args.m, args.r)
     rep = mc_density(args.p, args.q, args.m, args.k, args.r,
                      samples=args.samples, master_seed=args.seed)
+    exact = _fraction_str(rep.exact)
     config = {"command": "density-mc", "p": args.p, "q": args.q, "m": args.m,
               "k": args.k, "r": args.r, "samples": args.samples,
               "seed": args.seed}
@@ -285,7 +295,9 @@ def _run_scan(args):
     result = {
         "singular_points": len(hits),
         "witnesses": [
-            {"point": _point_obj(h.point), "x": h.x.idx, "y": h.y.idx}
+            {"point": {"degree": h.point.degree, "chart": h.point.chart,
+                       "coords": [c.idx for c in h.point.coords]},
+             "x": h.x.idx, "y": h.y.idx}
             for h in hits
         ],
     }
@@ -293,7 +305,7 @@ def _run_scan(args):
     for h in hits:
         coords = ":".join(str(c.idx) for c in h.point.coords)
         rows.append([h.point.degree, h.point.chart, coords,
-                     _elem_str(h.x), _elem_str(h.y)])
+                     h.x.idx, h.y.idx])
     return config, result, rows
 
 
@@ -364,13 +376,17 @@ def main(argv=None) -> int:
         if getattr(args, "cap", None) is not None and args.cap < 1:
             raise ValueError(f"--cap must be >= 1, got {args.cap}")
         config, result, rows = _HANDLERS[args.command](args)
+        try:
+            text = _render(args, config, result, rows, time.monotonic() - t0)
+        except ValueError:  # an integer of the result is too long to print
+            raise _unprintable() from None
     except FeasibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_out(args, _render(args, config, result, rows, time.monotonic() - t0))
+    _write_out(args, text)
     return 0
 
 

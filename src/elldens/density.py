@@ -25,8 +25,9 @@ block whose kernel the memo does not keep is rebuilt by
 :func:`~elldens.base.jet_space_map` once per call and reused by each of its
 chunks): one :func:`~elldens.base.jet_at` product per block, each form's
 slots against its own jet rows only (stored as F_p digits), multiplied in
-float32 wherever that is exact.  A chunk walks the blocks once, and each
-block's coordinates are dropped before the next block's product.  The batched
+float32 wherever that is exact, its jets returned as element indices.  A
+chunk walks the blocks once, and each block's jets are dropped before the
+next block's product.  The batched
 detector and the discriminant run once per (chunk, block), each on the
 samples it still holds: those smooth so far, and those whose discriminant
 values have all vanished so far.  Samples whose discriminant form is
@@ -52,7 +53,7 @@ from .base import (DEFAULT_ENUM_CAP, FeasibilityError, closed_points_up_to, jet_
 from .gf import is_prime, make_field, prime_power
 from .linalg import rank_mod_p
 from .weier import (SingularityWitness, WeierstrassData, WeierstrassJets,
-                    discriminant_value, jets_from_coords, jets_from_indices,
+                    discriminant_value, jets_from_indices,
                     section_degrees, singular_jets_closed_form, singular_jets_oracle,
                     singular_witnesses, varying_indices, weierstrass_from_slots,
                     weierstrass_slot_rows)
@@ -134,7 +135,9 @@ def jet_census(p: int, q: int, m: int, e: int,
     # 2^exponent is; the field's tables, ~q^e entries, wait for the cap
     exponent = e * g * (m + 1)
     if exponent >= cap.bit_length() or q ** exponent > cap:
-        raise FeasibilityError(f"jet census needs {q}^{exponent} tuples > cap {cap}")
+        # e and m come from outside, so their product may be too long to print
+        need = f"{q}^{exponent} tuples >" if exponent < 1 << 64 else "more tuples than"
+        raise FeasibilityError(f"jet census needs {need} cap {cap}")
     total = q ** exponent
     fld = make_field(p, r * e)
     Q = fld.size
@@ -271,7 +274,7 @@ def _delta_zero(blocks, slots: np.ndarray, live: np.ndarray, k: int, r: int) -> 
             break
         for b in probe:
             if b.point.degree == e and live.size:
-                J = jets_from_coords(b.field, jet_at(slots[live], b))
+                J = jets_from_indices(b.field, jet_at(slots[live], b))
                 live = live[_delta_vanishes(J).all(axis=1)]
     zero = np.zeros(len(slots), dtype=bool)
     for i in live:
@@ -317,9 +320,9 @@ def mc_density(p: int, q: int, m: int, k: int, r: int, samples: int,
         for b in blocks:
             if not (zero.size or ok.size):
                 break
-            coords = jet_at(slots, b)
-            zero = zero[_delta_vanishes(jets_from_coords(b.field, coords[zero])).all(axis=1)]
-            ok = ok[_smooth(jets_from_coords(b.field, coords[ok])).all(axis=1)]
+            jets = jet_at(slots, b)
+            zero = zero[_delta_vanishes(jets_from_indices(b.field, jets[zero])).all(axis=1)]
+            ok = ok[_smooth(jets_from_indices(b.field, jets[ok])).all(axis=1)]
         dz = _delta_zero(blocks, slots, zero, k, r)
         delta_zero += int(np.count_nonzero(dz))
         # draws with delta == 0 count as not-smooth

@@ -7,9 +7,10 @@ q = p^r is realised as F_{p^{r*e}}; the inclusion F_q -> F_{q^e} is an
 
 Moduli are found by a seeded deterministic random search, so a given (p, n)
 always yields the same field and serialized artifacts reproduce bit-for-bit.
-Every integer factorization is one :func:`prime_factors` generator, and
-every element index (coefficients as base-p digits, least significant
-first) is a product with one array, ``FieldCtx.place``.
+Every integer factorization is one :func:`prime_factors` generator, every
+power by square-and-multiply one :func:`power` loop, and every element
+index (coefficients as base-p digits, least significant first) is a
+product with one array, ``FieldCtx.place``.
 Every field builds, on first use of :meth:`FieldCtx.log_tables`, NumPy
 discrete-log, antilog and digit tables for array arithmetic (see
 :class:`LogTables`).  Small fields (size <= 256) build them at once and
@@ -25,6 +26,7 @@ gathers for products and quotients and base-p digit sums for sums.
 """
 from __future__ import annotations
 
+import operator
 import random
 from array import array
 from dataclasses import dataclass
@@ -162,20 +164,35 @@ def _pgcd(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
     return a
 
 
+def power(x, e: int, mul=operator.mul):
+    """x^e for e >= 1 under the associative product ``mul``: the one
+    square-and-multiply loop, for field elements, forms and polynomials mod
+    f.  No identity is multiplied; callers answer e = 0."""
+    if e < 1:
+        raise ValueError(f"need e >= 1, got {e}")
+    out = None
+    while True:
+        if e & 1:
+            out = x if out is None else mul(out, x)
+        e >>= 1
+        if not e:
+            return out
+        x = mul(x, x)
+
+
+def power_table(x, top: int) -> list:
+    """[1, x, x^2, ..., x^top] for a field element x."""
+    pows = [x.ctx.one]
+    for _ in range(top):
+        pows.append(pows[-1] * x)
+    return pows
+
+
 def _x_pth_power_mod(f: tuple[int, ...], p: int, e: int) -> tuple[int, ...]:
     """x^(p^e) mod f, by iterating the p-power map e times."""
     t = _pmod((0, 1), f, p)
     for _ in range(e):
-        # t <- t^p mod f via square-and-multiply on the exponent p
-        acc: tuple[int, ...] = (1,)
-        base = t
-        exp = p
-        while exp:
-            if exp & 1:
-                acc = _pmod(_pmul(acc, base, p), f, p)
-            base = _pmod(_pmul(base, base, p), f, p)
-            exp >>= 1
-        t = acc
+        t = power(t, p, lambda a, b: _pmod(_pmul(a, b, p), f, p))
     return t
 
 
@@ -284,7 +301,9 @@ class FieldElem:
         ctx = self.ctx
         if ctx._mult is not None:
             return ctx._elems[ctx._mult[self.idx * ctx.size + o.idx]]
-        return ctx.elem(ctx._mul_coeffs(self.coeffs, o.coeffs))
+        if ctx.n == 1:
+            return ctx.from_int(self.coeffs[0] * o.coeffs[0])
+        return ctx.elem_from_poly(_pmul(self.coeffs, o.coeffs, ctx.p))
 
     __rmul__ = __mul__
 
@@ -313,14 +332,7 @@ class FieldElem:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.ctx.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e) if e else self.ctx.one
 
     # -- comparisons & misc ---------------------------------------------------
 
@@ -375,7 +387,7 @@ class FieldCtx:
             self._elems = [
                 FieldElem(self, self._decode(i), i) for i in range(self.size)
             ]
-        # x^(n+k) mod modulus for k = 0..n-2, the rows of _mul_coeffs' reduction
+        # x^(n+k) mod modulus for k = 0..n-2, the rows of TermTable's reduction
         self._red = tuple(self.elem_from_poly((0,) * (n + k) + (1,)).coeffs
                           for k in range(n - 1))
         self.zero = self.elem((0,) * n)
@@ -398,24 +410,6 @@ class FieldCtx:
         for c in reversed(coeffs):
             idx = idx * self.p + c
         return idx
-
-    def _mul_coeffs(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        p, n = self.p, self.n
-        if n == 1:
-            return ((a[0] * b[0]) % p,)
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        out = list(prod[:n])
-        for k in range(n - 1):
-            c = prod[n + k]
-            if c:
-                row = self._red[k]
-                for t in range(n):
-                    out[t] = (out[t] + c * row[t]) % p
-        return tuple(out)
 
     def _build_tables(self):
         t = self.log_tables()
@@ -752,10 +746,7 @@ def make_field(p: int, n: int) -> FieldCtx:
 def frobenius(a: FieldElem, q: int) -> FieldElem:
     """The power map a -> a^q; q must be a power of the characteristic."""
     p = a.ctx.p
-    rest = q
-    while rest > 1 and rest % p == 0:
-        rest //= p
-    if rest != 1:
+    if prime_power(q)[0] != p:
         raise ValueError(f"q={q} is not a power of the characteristic {p}")
     return a ** q
 
@@ -782,10 +773,7 @@ class Embedding:
         self.src = src
         self.dst = dst
         self.gen_image = gen_image
-        pows = [dst.one]
-        for _ in range(src.n - 1):
-            pows.append(pows[-1] * gen_image)
-        self._powers = tuple(pows)
+        self._powers = tuple(power_table(gen_image, src.n - 1))
 
     def apply(self, a: FieldElem) -> FieldElem:
         if not (a.ctx is self.src or a.ctx == self.src):

@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FeasibilityError
-from .gf import Embedding, FieldCtx, FieldElem
+from .gf import Embedding, FieldCtx, FieldElem, power, power_table
 
 _PAIR_CHUNK = 1 << 12  # term pairs formed per block
 
@@ -211,17 +211,9 @@ class Section:
     def __pow__(self, e: int) -> "Section":
         if e < 0:
             raise ValueError("negative powers of sections are not defined")
-        out = None  # square-and-multiply; None stands for the constant 1
-        base = self
-        while e:
-            if e & 1:
-                out = base if out is None else out * base
-            e >>= 1
-            if e:
-                base = base * base
-        if out is None:
-            return Section(self.m, 0, self.field, {(0,) * (self.m + 1): self.field.one})
-        return out
+        if e:
+            return power(self, e)
+        return Section(self.m, 0, self.field, {(0,) * (self.m + 1): self.field.one})
 
     # -- geometry ---------------------------------------------------------------
 
@@ -232,16 +224,7 @@ class Section:
             raise ValueError(f"point needs {self.m + 1} coordinates")
         if not any(pt):
             raise InvalidPointError("all-zero tuple is not a projective point")
-        target = emb.dst if emb is not None else self.field
-        pows = [power_table(x, self.d) for x in pt]
-        acc = target.zero
-        for expo, c in self.coeffs.items():
-            term = emb(c) if emb is not None else c
-            for x_pows, e in zip(pows, expo):
-                if e:
-                    term = term * x_pows[e]
-            acc = acc + term
-        return acc
+        return _evaluate(self.coeffs, pt, self.d, self.field, emb)
 
     def dehomogenize(self, chart: int) -> "AffinePoly":
         """Substitute x_chart = 1; variables are the remaining coordinates in
@@ -254,11 +237,6 @@ class Section:
             # distinct homogeneous monomials of equal degree stay distinct
             out[beta] = c
         return AffinePoly(self.m, self.field, out)
-
-    def leading_monomial(self) -> tuple[int, ...] | None:
-        if not self.coeffs:
-            return None
-        return max(self.coeffs, key=_grlex_key)
 
     # -- serialization -----------------------------------------------------------
 
@@ -474,12 +452,19 @@ def _accumulate(out: dict, expo: tuple[int, ...], c: FieldElem) -> None:
         del out[expo]
 
 
-def power_table(x: FieldElem, top: int) -> list[FieldElem]:
-    """[1, x, x^2, ..., x^top]."""
-    pows = [x.ctx.one]
-    for _ in range(top):
-        pows.append(pows[-1] * x)
-    return pows
+def _evaluate(coeffs: dict, pt, top: int, field: FieldCtx, emb: Embedding | None) -> FieldElem:
+    """The sum of c * pt^expo over the terms, c mapped by emb when given and
+    pt's coordinates raised to exponents of at most top: the one evaluation
+    of :class:`Section` and :class:`AffinePoly`."""
+    pows = [power_table(x, top) for x in pt]
+    acc = (emb.dst if emb is not None else field).zero
+    for expo, c in coeffs.items():
+        term = emb(c) if emb is not None else c
+        for x_pows, e in zip(pows, expo):
+            if e:
+                term = term * x_pows[e]
+        acc = acc + term
+    return acc
 
 
 class AffinePoly:
@@ -554,17 +539,8 @@ class AffinePoly:
     def evaluate(self, pt: tuple[FieldElem, ...], emb: Embedding | None = None) -> FieldElem:
         if len(pt) != self.m:
             raise ValueError(f"point needs {self.m} coordinates")
-        target = emb.dst if emb is not None else self.field
-        top = max((max(e) for e in self.coeffs), default=0)
-        pows = [power_table(x, top) for x in pt]
-        acc = target.zero
-        for expo, c in self.coeffs.items():
-            term = emb(c) if emb is not None else c
-            for x_pows, e in zip(pows, expo):
-                if e:
-                    term = term * x_pows[e]
-            acc = acc + term
-        return acc
+        return _evaluate(self.coeffs, pt, max((max(e) for e in self.coeffs), default=0),
+                         self.field, emb)
 
 
 def exact_divide(f: Section, g: Section) -> Section | None:
@@ -582,7 +558,7 @@ def exact_divide(f: Section, g: Section) -> Section | None:
         return Section.zero(f.m, max(f.d - g.d, 0), f.field)
     if f.d < g.d:
         return None
-    lead_g = g.leading_monomial()
+    lead_g = max(g.coeffs, key=_grlex_key)
     lead_c = g.coeffs[lead_g]
     rem = dict(f.coeffs)
     quot: dict[tuple[int, ...], FieldElem] = {}

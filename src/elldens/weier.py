@@ -37,6 +37,7 @@ on FieldArrays.  The oracle and the re-verification of a
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections.abc import Iterator
@@ -45,8 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .base import (_ROW_BUDGET, ClosedPoint, FeasibilityError, Jet, PointBlock, jet_at,
-                   scan_blocks)
+from . import zeta as _zeta
+from .base import _ROW_BUDGET, ClosedPoint, FeasibilityError, PointBlock, jet_at, scan_blocks
 from .gf import FieldArray, FieldCtx, FieldElem, FieldMismatchError, make_field
 from .sections import (KeyLayout, Section, TermTable, dim_space, exact_divide, monomials,
                        section_from_slots, section_slots)
@@ -154,6 +155,18 @@ def discriminant_value(a1, a2, a3, a4, a6):
 
 
 @dataclass(frozen=True)
+class Jet:
+    """Value and local-coordinate gradient of a form at a closed point."""
+
+    value: FieldElem
+    gradient: tuple[FieldElem, ...]
+
+    @property
+    def vanishes(self) -> bool:
+        return not self.value and not any(self.gradient)
+
+
+@dataclass(frozen=True)
 class WeierstrassJets:
     """First-order jets of all five coefficient forms: at one closed point
     with FieldElem entries, or at a batch of points or jet tuples over one
@@ -202,7 +215,7 @@ def _datum_jets(w: WeierstrassData, block: PointBlock) -> WeierstrassJets:
         raise ValueError("datum and point live on different projective spaces")
     if w.field != P.emb.src:
         raise FieldMismatchError("datum's field is not the point's base field")
-    return jets_from_coords(block.field, jet_at(w.slots(), block))
+    return jets_from_indices(block.field, jet_at(w.slots(), block))
 
 
 def jets_at(w: WeierstrassData, P: ClosedPoint) -> WeierstrassJets:
@@ -213,13 +226,14 @@ def jets_at(w: WeierstrassData, P: ClosedPoint) -> WeierstrassJets:
 
 def jets_from_indices(field: FieldCtx, idx: np.ndarray,
                       gradients: np.ndarray | None = None) -> WeierstrassJets:
-    """Batched jets from element indices of shape (..., g, m+1): the g forms
-    that vary in the field's characteristic, in index order, then value and
-    gradient entries.  With ``gradients`` given, ``idx`` holds the values
-    alone, shape (..., g), and ``gradients`` the gradient entries, shape
-    (..., g, m); the two broadcast against each other, so (V, 1, g) values
-    and (1, W, g, m) gradients give the V*W tuples without writing them
-    out.  The other forms get zero jets."""
+    """Batched jets from element indices of shape (..., g, m+1), as
+    :func:`~elldens.base.jet_at` gives them: the g forms that vary in the
+    field's characteristic, in index order, then value and gradient
+    entries.  With ``gradients`` given, ``idx`` holds the values alone,
+    shape (..., g), and ``gradients`` the gradient entries, shape (..., g,
+    m); the two broadcast against each other, so (V, 1, g) values and (1,
+    W, g, m) gradients give the V*W tuples without writing them out.  The
+    other forms get zero jets."""
     if gradients is None:
         idx, gradients = idx[..., 0], idx[..., 1:]
     m = gradients.shape[-1]
@@ -229,13 +243,6 @@ def jets_from_indices(field: FieldCtx, idx: np.ndarray,
         jets[i] = Jet(value=FieldArray(field, idx[..., s_idx]), gradient=tuple(
             FieldArray(field, gradients[..., s_idx, j]) for j in range(m)))
     return WeierstrassJets(field, jets[1], jets[2], jets[3], jets[4], jets[6])
-
-
-def jets_from_coords(field: FieldCtx, coords: np.ndarray) -> WeierstrassJets:
-    """Batched jets from the F_p coordinates that :func:`~elldens.base.jet_at`
-    gives, shape (..., g, entries, n): the element indices of
-    :func:`jets_from_indices`, one entry (values only) or m+1."""
-    return jets_from_indices(field, coords @ field.place)
 
 
 def fiber_equation(J: WeierstrassJets, x, y):
@@ -446,7 +453,8 @@ def minimality_witness(w: WeierstrassData, j_max: int,
     top = j_max if delta is None else min(j_max, delta)
     count = 0
     for j in range(1, top + 1):
-        count += (F.size ** dim_space(w.m, j) - 1) // (F.size - 1)
+        # the forms of degree j up to scaling are the points of P^(dim - 1)
+        count += _zeta.projective_points(dim_space(w.m, j) - 1, F.size)
         if count > cap:
             raise FeasibilityError(
                 f"minimality search up to degree {j} on P^{w.m} over F_{F.size} "
@@ -458,14 +466,10 @@ def minimality_witness(w: WeierstrassData, j_max: int,
         for lead in range(dim):
             # leading coefficient 1, earlier monomials zero, later ones free
             free = dim - lead - 1
-            for idx in range(F.size ** free):
-                coeffs = {monos[lead]: F.one}
-                rest = idx
-                for t in range(free):
-                    rest, ci = divmod(rest, F.size)
-                    if ci:
-                        coeffs[monos[lead + 1 + t]] = F.from_index(ci)
-                u = Section(w.m, j, F, coeffs)
+            for digits in itertools.product(F.elements(), repeat=free):
+                # the first free monomial's coefficient is the innermost digit
+                coeffs = dict(zip(monos[lead + 1:], reversed(digits)))
+                u = Section(w.m, j, F, {monos[lead]: F.one, **coeffs})
                 # u | a_i is necessary for u^i | a_i and needs no power of u
                 if not all(exact_divide(s, u) is not None for _, s in secs):
                     continue

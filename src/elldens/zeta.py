@@ -30,18 +30,22 @@ def _mobius(n: int) -> int:
 
 
 def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def projective_points(m: int, Q: int) -> int:
+    """#P^m(F_Q) = (Q^(m+1) - 1)/(Q - 1) = sum_{i=0}^m Q^i, in closed form."""
+    return (Q ** (m + 1) - 1) // (Q - 1)
 
 
 def point_counts(m: int, q: int, R: int) -> list[int]:
-    """[N_1, ..., N_R] with N_r = sum_{i=0}^m q^{r i} = #P^m(F_{q^r})."""
+    """[N_1, ..., N_R] with N_r = #P^m(F_{q^r})."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     prime_power(q)  # rejects q that is not a prime power
     if not 1 <= R <= MAX_TRUNCATION:
         raise ValueError(f"truncation must lie in 1..{MAX_TRUNCATION}, got {R}")
-    return [sum(q ** (r * i) for i in range(m + 1)) for r in range(1, R + 1)]
+    return [projective_points(m, q ** r) for r in range(1, R + 1)]
 
 
 def closed_point_counts(N: list[int]) -> list[int]:
@@ -87,10 +91,25 @@ def zeta_table(m: int, q: int, R: int) -> ZetaTable:
 MAX_EXACT_PRODUCT_BITS = 1 << 26  # the reduced fraction may use this much
 
 
-def _check_exact_bits(bits: int) -> None:
-    if bits > MAX_EXACT_PRODUCT_BITS:
+def _check_exact_bits(q: int, E: int) -> None:
+    """FeasibilityError when a fraction with denominator q^E may pass the
+    size budget.  The message names the budget alone: E is unbounded."""
+    if E * q.bit_length() > MAX_EXACT_PRODUCT_BITS:
         raise FeasibilityError(
-            f"exact product needs ~{bits} bits (> {MAX_EXACT_PRODUCT_BITS})")
+            f"exact product needs more than {MAX_EXACT_PRODUCT_BITS} bits")
+
+
+def truncated_exponent(table: ZetaTable, s: int, r: int) -> int:
+    """E with q^E the reduced denominator of ``zeta_inverse_truncated(table,
+    s, r)``: s * sum_{e<=r} e a_e, since each factor is (q^(se) - 1)/q^(se)
+    and q^(se) - 1 is prime to q."""
+    return s * sum(e * table.a[e - 1] for e in range(1, r + 1))
+
+
+def exact_Pm_exponent(m: int, s: int) -> int:
+    """E with q^E the reduced denominator of ``zeta_inverse_exact_Pm(m, q,
+    s)``: sum_{i=0}^m (s - i), since 1 - q^(i-s) = (q^(s-i) - 1)/q^(s-i)."""
+    return (m + 1) * s - m * (m + 1) // 2
 
 
 def _check_truncation_args(table: ZetaTable, s: int, r: int) -> None:
@@ -107,12 +126,12 @@ def zeta_inverse_truncated(table: ZetaTable, s: int, r: int) -> Fraction:
 
     Requires s >= m+1; smaller s lies in the divergent region of the full
     product and is rejected.  The reduced denominator is q to the power
-    s * sum(e * a_e), so the exact form blows up combinatorially in r;
+    :func:`truncated_exponent`, so the exact form blows up combinatorially in r;
     requests beyond MAX_EXACT_PRODUCT_BITS raise FeasibilityError
     (zeta_inverse_truncated_float covers that regime).
     """
     _check_truncation_args(table, s, r)
-    _check_exact_bits(s * sum(e * table.a[e - 1] for e in range(1, r + 1)) * table.q.bit_length())
+    _check_exact_bits(table.q, truncated_exponent(table, s, r))
     out = Fraction(1)
     for e in range(1, r + 1):
         out *= (1 - Fraction(1, table.q ** (s * e))) ** table.a[e - 1]
@@ -134,12 +153,13 @@ def zeta_inverse_truncated_float(table: ZetaTable, s: int, r: int) -> float:
 def zeta_inverse_exact_Pm(m: int, q: int, s: int) -> Fraction:
     """The exact inverse zeta value of P^m at integer s: prod_i (1 - q^{i-s}).
 
-    Its denominator divides q^{s(m+1)}; past MAX_EXACT_PRODUCT_BITS bits
-    FeasibilityError is raised, as by :func:`zeta_inverse_truncated`.
+    Its reduced denominator is q^E, E = :func:`exact_Pm_exponent`; past
+    MAX_EXACT_PRODUCT_BITS bits FeasibilityError is raised, as by
+    :func:`zeta_inverse_truncated`.
     """
     if s <= m:
         raise ValueError(f"s={s} is in the divergent region for m={m}; need s >= {m + 1}")
-    _check_exact_bits(s * (m + 1) * q.bit_length())
+    _check_exact_bits(q, exact_Pm_exponent(m, s))
     out = Fraction(1)
     for i in range(m + 1):
         out *= 1 - Fraction(q ** i, q ** s)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from elldens import base
-from elldens.base import (ClosedPoint, FeasibilityError, Jet, JetKernel, PointBlock,
+from elldens.base import (ClosedPoint, FeasibilityError, JetKernel, PointBlock,
                           closed_points_up_to, exact_float_dtype, jet_at, jet_space_map,
                           scan_blocks)
 from elldens.gf import (FieldCtx, FieldMismatchError, embedding, is_irreducible, make_field,
@@ -20,7 +20,7 @@ from elldens.gf import (FieldCtx, FieldMismatchError, embedding, is_irreducible,
 from elldens.linalg import rank_mod_p
 from elldens.sections import (Section, dim_space, monomials, random_section,
                               section_from_slots, section_slots)
-from elldens.weier import jets_at, random_weierstrass, section_degrees
+from elldens.weier import Jet, jets_at, random_weierstrass, section_degrees
 from elldens.zeta import zeta_table
 
 
@@ -30,7 +30,7 @@ def _jets(forms, block_points, kernel=None):
     block = PointBlock(tuple(s.d for s in forms), tuple(block_points), kernel)
     slots = np.concatenate([section_slots(s) for s in forms])
     res = block.field
-    idx = jet_at(slots, block) @ res.p ** np.arange(res.n)
+    idx = jet_at(slots, block)
     return [[Jet(value=res.from_index(int(e[0])),
                  gradient=tuple(res.from_index(int(g)) for g in e[1:])) for e in pt]
             for pt in idx]
@@ -474,15 +474,15 @@ def test_jet_at_takes_a_batch_of_slot_vectors(kind):
     block = PointBlock(degrees, pts, kernel)
     slots = np.random.default_rng(3).integers(0, 2, size=(6, block.cols))
     batch = jet_at(slots, block)
-    assert batch.shape == (6, 5, 4, 3, 4)  # residue field F_16
+    assert batch.shape == (6, 5, 4, 3)  # element indices of F_16
     assert np.array_equal(batch, np.stack([jet_at(row, block) for row in slots]))
     assert np.array_equal(jet_at(slots.reshape(2, 3, -1), block),
-                          batch.reshape(2, 3, 5, 4, 3, 4))
+                          batch.reshape(2, 3, 5, 4, 3))
     full = jet_at(slots, jet_space_map(degrees, pts))
     assert np.array_equal(batch, full)
     # an empty batch gives no jets, in the shape of a batch
     empty = jet_at(slots[:0], block)
-    assert (empty.shape, empty.dtype) == ((0, 5, 4, 3, 4), np.uint8)
+    assert (empty.shape, empty.dtype) == ((0, 5, 4, 3), np.int64)
 
 
 def test_scan_blocks_keep_rows_within_the_budget(monkeypatch, fresh_memo):

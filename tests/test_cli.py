@@ -331,6 +331,70 @@ def test_exact_result_too_long_to_print_exits_3(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_UNPRINTABLE = (f"error: an exact value has more than {sys.get_int_max_str_digits()} "
+                "digits and cannot be printed\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeta", "-m", "20000", "-q", "2", "-R", "1"],
+    ["zeta", "-m", "20000", "-q", "2", "-R", "1", "--format", "csv"],
+    ["zeta", "-m", "1000000", "-q", "2", "-R", "1"],
+    ["density-exact", "-q", "2", "-m", "20000", "-r", "1"],
+    ["density-exact", "-q", "65536", "-m", "5", "-r", "32"],
+    ["density-exact", "-q", "2", "-m", "1", "-r", "16"],
+    ["density-exact", "-q", "2", "-m", "1", "-r", "21"],
+    ["density-mc", "-p", "2", "-q", "2", "-m", "1", "-k", "1", "-r", "21", "--samples", "1"],
+], ids=["zeta-m20000", "zeta-m20000-csv", "zeta-m1000000", "exact-m20000", "exact-q65536",
+        "exact-r16", "exact-r21", "mc-r21"])
+def test_unprintable_results_exit_3_at_once(capsys, argv):
+    # N_1 of P^20000 over F_2 has 6,021 digits, and the exact densities'
+    # denominators q^E are far past 4300 digits; each is refused by its
+    # length alone, before a long product or any sample, with one message
+    t0 = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - t0 < 2
+    assert capsys.readouterr() == ("", _UNPRINTABLE)
+
+
+def test_census_message_stays_printable():
+    # e and m of 4001 digits each: the tuple exponent has ~8000 digits, too
+    # many to print, so the message names the cap alone
+    huge = str(10 ** 4000)
+    proc = subprocess.run(
+        [sys.executable, "-m", "elldens", "census", "-p", "2", "-q", "2", "-m", huge,
+         "-e", huge],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 3
+    assert proc.stderr == "error: jet census needs more tuples than cap 67108864\n"
+
+
+@pytest.mark.parametrize("q", [2, 3, 10, 16, 65537])
+def test_printability_is_decided_from_the_exponent(q):
+    # the check refuses q^E exactly where str() does, at the least limit
+    # Python accepts and with no limit, without forming q^E when it is long
+    from elldens import cli
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        for E in range(1, 4 * 640):  # 2^(4 limit) > 10^limit: past the boundary
+            try:
+                str(q ** E)
+            except ValueError:
+                with pytest.raises(cli.FeasibilityError):
+                    cli._check_printable(q, E)
+            else:
+                cli._check_printable(q, E)
+        t0 = time.perf_counter()
+        with pytest.raises(cli.FeasibilityError):
+            cli._check_printable(q, 10 ** 100)
+        assert time.perf_counter() - t0 < 1
+        sys.set_int_max_str_digits(0)
+        cli._check_printable(q, 10 ** 100)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_density_mc_refuses_an_unprintable_exact_density_before_sampling():
     # a million samples would run for minutes; the refusal comes first
     proc = subprocess.run(
@@ -347,11 +411,14 @@ def test_density_mc_refuses_an_unprintable_exact_density_before_sampling():
     (["-m", "2", "-q", "2", "-R", "6", "-s", "3"], {"exact_inverse": "21/64"}),
     (["-m", "1", "-q", "2", "-R", "1", "-s", "20000"], {}),
     (["-m", "1", "-q", "2", "-R", "1", "-s", "100000000"], {}),  # past the budget
-], ids=["m2-R6-s3", "s20000", "s100000000"])
+    # the truncated product's denominator 2^(2 sum_{e<=21} e a_e) is left
+    # out by its length, before it is computed (87 s)
+    (["-m", "1", "-q", "2", "-R", "21", "-s", "2"], {"exact_inverse": "3/8"}),
+], ids=["m2-R6-s3", "s20000", "s100000000", "R21-s2"])
 def test_zeta_omits_exact_values_it_cannot_print(capsys, argv, exact):
     t0 = time.perf_counter()
     code, out = _run(capsys, ["zeta"] + argv + ["--no-timing"])
-    assert time.perf_counter() - t0 < 10
+    assert time.perf_counter() - t0 < 2
     assert code == 0
     result = json.loads(out)["result"]
     assert float(result["truncated_inverse_float"]) > 0

@@ -13,9 +13,10 @@ from elldens.density import (exact_density, expected_bad_count, jet_census, mc_d
                              sample_seed, singular_scan, surjectivity_check)
 from elldens.gf import make_field, prime_power
 from elldens.linalg import rank_mod_p
-from elldens.weier import (jets_at, jets_from_coords, jets_from_indices, random_weierstrass,
+from elldens.weier import (in_Mk, jets_at, jets_from_indices, random_weierstrass,
                            section_degrees, singular_jets_closed_form, singular_jets_oracle,
-                           singular_over_oracle, weierstrass_slots)
+                           singular_over_oracle, smooth_up_to, weierstrass_from_slots,
+                           weierstrass_slots)
 
 
 def test_expected_bad_count_formula():
@@ -286,7 +287,7 @@ def _vanishing(blocks, slots):
     live = np.arange(len(slots))
     for b in blocks:
         live = live[density._delta_vanishes(
-            jets_from_coords(b.field, jet_at(slots[live], b))).all(axis=1)]
+            jets_from_indices(b.field, jet_at(slots[live], b))).all(axis=1)]
     return live
 
 
@@ -369,6 +370,27 @@ def test_mc_setup_holds_only_jet_rows(monkeypatch):
     assert block.kernel.dtype is np.float32
     assert all(b.dtype == np.uint8 for b in block.kernel.blocks)
     assert block.kernel.nbytes == 21 * 10426
+
+
+def test_mc_stops_a_chunk_once_every_sample_is_settled(monkeypatch):
+    # one sample at r = 3 (no probe degree is left): a draw singular at a
+    # degree-1 point whose discriminant is nonzero there is settled by the
+    # first block, and the chunk reads no further block; the counts still
+    # agree with the datum's own scan and discriminant
+    F2 = make_field(2, 1)
+    blocks = scan_blocks(1, 2, 3, section_degrees(2, 1))
+    assert len(blocks) == 3  # one per point degree
+    used = _record_blocks(monkeypatch)
+    stopped = 0
+    for seed in range(12):
+        used.clear()
+        rep = mc_density(2, 2, 1, 1, 3, samples=1, master_seed=seed)
+        w = weierstrass_from_slots(1, 1, F2, weierstrass_slots(1, 1, F2, sample_seed(seed, 0)))
+        assert rep.delta_zero_count == (not in_Mk(w))
+        assert rep.smooth_count == (in_Mk(w) and smooth_up_to(w, 3))
+        assert used == list(blocks[:len(used)])
+        stopped += len(used) < len(blocks)
+    assert 0 < stopped < 12
 
 
 def test_probe_reads_the_scan_memo(monkeypatch, fresh_memo):

@@ -164,6 +164,25 @@ def test_int_coercion_and_pow():
     assert a ** 0 == F.one
     assert a ** -1 == a.inverse()
     assert (a ** 6) == F.one
+    assert 2 / a == F.from_int(3)  # 3 * 3 = 2 mod 7
+    assert a == 3 and a == 10 and a != 4
+
+
+def test_power_is_one_square_and_multiply_loop():
+    # e.bit_length() - 1 squarings and one product per further set bit; no
+    # identity is multiplied, so e = 0 is the caller's
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a * b
+
+    for e in range(1, 70):
+        calls.clear()
+        assert gf.power(3, e, mul) == 3 ** e
+        assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1
+    with pytest.raises(ValueError):
+        gf.power(3, 0)
 
 
 def test_field_mismatch_rejected():
@@ -283,14 +302,18 @@ def test_operation_tables_match_coefficient_arithmetic_on_all_pairs(p, n):
     F = make_field(p, n)
     size = F.size
     coeffs = [F._decode(i) for i in range(size)]
+
+    def mul(a, b):
+        return F.elem_from_poly(gf._pmul(a, b, p)).coeffs
+
     for i, a in enumerate(coeffs):
         assert F._negt[i] == F._encode(tuple(-c % p for c in a))
         if i:
-            assert F._encode(F._mul_coeffs(a, coeffs[F._invt[i]])) == 1
+            assert F._encode(mul(a, coeffs[F._invt[i]])) == 1
         for j, b in enumerate(coeffs):
             assert F._addt[i * size + j] == F._encode(
                 tuple((x + y) % p for x, y in zip(a, b)))
-            assert F._mult[i * size + j] == F._encode(F._mul_coeffs(a, b))
+            assert F._mult[i * size + j] == F._encode(mul(a, b))
 
 
 def test_from_index_bijective():

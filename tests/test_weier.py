@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elldens import weier
-from elldens.base import FeasibilityError, Jet, closed_points_up_to
+from elldens.base import FeasibilityError, closed_points_up_to
 from elldens.density import sample_seed
 from elldens.gf import embedding, make_field, prime_power
 from elldens.sections import Section, dim_space, random_section
-from elldens.weier import (WeierstrassData, WeierstrassJets,
+from elldens.weier import (Jet, WeierstrassData, WeierstrassJets,
                            discriminant_value, dump_weier, in_Mk,
                            infinity_partial, is_minimal, jacobian_vanishes,
                            jets_at, jets_from_indices, load_weier,

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from elldens.errors import FeasibilityError
-from elldens.zeta import (MAX_TRUNCATION, point_counts, zeta_inverse_exact_Pm,
-                          zeta_inverse_truncated, zeta_inverse_truncated_float,
-                          zeta_table)
+from elldens.zeta import (MAX_EXACT_PRODUCT_BITS, MAX_TRUNCATION, exact_Pm_exponent,
+                          point_counts, projective_points, truncated_exponent,
+                          zeta_inverse_exact_Pm, zeta_inverse_truncated,
+                          zeta_inverse_truncated_float, zeta_table)
 
 
 def test_point_counts_projective_line_and_plane():
@@ -16,6 +17,37 @@ def test_point_counts_projective_line_and_plane():
     assert point_counts(2, 2, 3) == [7, 21, 73]
     assert point_counts(1, 5, 2) == [6, 26]
     assert point_counts(2, 3, 2) == [13, 91]
+
+
+def test_point_count_closed_form_is_the_geometric_sum():
+    for m in range(1, 6):
+        for Q in (2, 3, 4, 5, 8, 9, 49, 65536):
+            assert projective_points(m, Q) == sum(Q ** i for i in range(m + 1))
+    # a sum of m + 1 big powers took 13.7 s here
+    t0 = time.perf_counter()
+    assert point_counts(100_000, 2, 1) == [2 ** 100_001 - 1]
+    assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize("m,q,R,s", [(1, 2, 4, 2), (2, 2, 3, 3), (1, 3, 3, 4), (2, 4, 2, 3),
+                                     (3, 5, 2, 5)])
+def test_exact_products_have_denominator_q_to_the_exponent(m, q, R, s):
+    t = zeta_table(m, q, R)
+    for r in range(R + 1):
+        assert zeta_inverse_truncated(t, s, r).denominator == q ** truncated_exponent(t, s, r)
+    assert zeta_inverse_exact_Pm(m, q, s).denominator == q ** exact_Pm_exponent(m, s)
+
+
+@pytest.mark.parametrize("m,q,R", [(20000, 2, 1), (5, 65536, 32)])
+def test_exact_budget_message_names_the_budget(m, q, R):
+    # the denominators' bit counts are too long to print; the message names
+    # the budget alone
+    t = zeta_table(m, q, R)
+    for call in (lambda: zeta_inverse_truncated(t, m + 1, R),
+                 lambda: zeta_inverse_exact_Pm(m, q, 10 ** 9)):
+        with pytest.raises(FeasibilityError) as exc:
+            call()
+        assert str(exc.value) == f"exact product needs more than {MAX_EXACT_PRODUCT_BITS} bits"
 
 
 def test_closed_point_counts_known_values():
