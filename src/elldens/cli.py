@@ -380,13 +380,13 @@ def main(argv=None) -> int:
             text = _render(args, config, result, rows, time.monotonic() - t0)
         except ValueError:  # an integer of the result is too long to print
             raise _unprintable() from None
+        _write_out(args, text)
     except FeasibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_out(args, text)
     return 0
 
 

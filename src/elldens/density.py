@@ -23,14 +23,17 @@ the closed points of each degree <= r as scans take one datum's, from the
 same memo of budget-sized point blocks (:func:`~elldens.base.scan_blocks`; a
 block whose kernel the memo does not keep is rebuilt by
 :func:`~elldens.base.jet_space_map` once per call and reused by each of its
-chunks): one :func:`~elldens.base.jet_at` product per block, each form's
+chunks): one :func:`~elldens.base.jet_at` product per block, taken for the
+samples either test still holds, each form's
 slots against its own jet rows only (stored as F_p digits), multiplied in
 float32 wherever that is exact, its jets returned as element indices.  A
 chunk walks the blocks once, and each block's jets are dropped before the
 next block's product.  The batched
 detector and the discriminant run once per (chunk, block), each on the
 samples it still holds: those smooth so far, and those whose discriminant
-values have all vanished so far.  Samples whose discriminant form is
+values have all vanished so far; over a residue field with a
+:class:`~elldens.weier.ValueTable` both read their values' verdicts from
+it.  Samples whose discriminant form is
 identically zero are counted as not-smooth and tallied separately: a nonzero
 discriminant value at a point of degree <= r settles delta != 0, unsettled
 samples go on through the discriminant values at the points of the next
@@ -52,17 +55,16 @@ from .base import (DEFAULT_ENUM_CAP, FeasibilityError, closed_points_up_to, jet_
                    jet_space_map, scan_blocks)
 from .gf import is_prime, make_field, prime_power
 from .linalg import rank_mod_p
-from .weier import (SingularityWitness, WeierstrassData, WeierstrassJets,
+from .weier import (_CENSUS_BLOCK, SingularityWitness, WeierstrassData, WeierstrassJets,
                     discriminant_value, jets_from_indices,
                     section_degrees, singular_jets_closed_form, singular_jets_oracle,
-                    singular_witnesses, varying_indices, weierstrass_from_slots,
-                    weierstrass_slot_rows)
+                    singular_witnesses, value_keys, varying_indices,
+                    weierstrass_from_slots, weierstrass_slot_rows)
 
 _DELTA_PROBE_DEGREE = 3  # discriminant values are probed at points up to here
 # rational points a probe degree may enumerate: a probe stands in for exact
 # expansions of a few samples, so it must not cost more than they do
 _PROBE_CAP = 1 << 15
-_CENSUS_BLOCK = 4096  # jet tuples (V values x W gradients) per detector call
 _MC_CHUNK = 512  # Monte-Carlo samples drawn and tested together
 
 
@@ -243,11 +245,25 @@ class DensityReport:
 
 
 def _delta_vanishes(J: WeierstrassJets) -> np.ndarray:
-    return discriminant_value(*J.values()).is_zero
+    """Per lane, whether the discriminant value vanishes: a gather from the
+    field's :class:`~elldens.weier.ValueTable` where it has one."""
+    found = value_keys(J)
+    if found is None:
+        return discriminant_value(*J.values()).is_zero
+    table, key = found
+    return table.delta_zero[key]
 
 
 def _smooth(J: WeierstrassJets) -> np.ndarray:
     return ~singular_jets_closed_form(J).mask
+
+
+def _rows_of(field, jets: np.ndarray, live: np.ndarray, rows: np.ndarray) -> WeierstrassJets:
+    """The batch of jets of `rows`, a sorted subset of the sorted `live`,
+    from `jets`, the jets of `live` (element indices of `field`)."""
+    if len(rows) < len(live):
+        jets = jets[np.searchsorted(live, rows)]
+    return jets_from_indices(field, jets)
 
 
 def _delta_zero(blocks, slots: np.ndarray, live: np.ndarray, k: int, r: int) -> np.ndarray:
@@ -320,9 +336,13 @@ def mc_density(p: int, q: int, m: int, k: int, r: int, samples: int,
         for b in blocks:
             if not (zero.size or ok.size):
                 break
-            jets = jet_at(slots, b)
-            zero = zero[_delta_vanishes(jets_from_indices(b.field, jets[zero])).all(axis=1)]
-            ok = ok[_smooth(jets_from_indices(b.field, jets[ok])).all(axis=1)]
+            # the product only for the rows either test still reads
+            held = np.zeros(len(slots), dtype=bool)
+            held[zero] = held[ok] = True
+            live = np.flatnonzero(held)
+            jets = jet_at(slots if len(live) == len(slots) else slots[live], b)
+            zero = zero[_delta_vanishes(_rows_of(b.field, jets, live, zero)).all(axis=1)]
+            ok = ok[_smooth(_rows_of(b.field, jets, live, ok)).all(axis=1)]
         dz = _delta_zero(blocks, slots, zero, k, r)
         delta_zero += int(np.count_nonzero(dz))
         # draws with delta == 0 count as not-smooth

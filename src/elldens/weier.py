@@ -24,11 +24,18 @@ Y^2 = 1) and is asserted, never searched.
 The closed-form detector takes batches only: jets whose entries are
 :class:`~elldens.gf.FieldArray` s (many points or jet tuples over one
 residue field) give a mask and candidate arrays, with the characteristic's
-branches taken as masks.  The entries need only broadcast: the candidate
-and the F, dF/dx, dF/dy tests run in the values' shape, the base-direction
-tests in the joint shape, so a census pairing (V, 1) values with (1, W)
-gradients solves once per value tuple.  Scans and single points reach it
-the same way, through the jets of a datum at the points of one
+branches taken as masks.  It runs in two stages.  The value stage (the
+candidate and the F, dF/dx, dF/dy tests) reads the g coefficient values
+alone and runs in the values' shape; the base stage tests the m base
+directions one at a time, each on the lanes of the joint shape that have
+passed so far, gathering their gradient entries from broadcast views.  A
+residue field with at most ``_VALUE_TABLE_LIMIT`` value tuples (Q^g) has a
+:class:`ValueTable`, built on first use from the same formulas: there the
+value stage, and the discriminant test on values, is one gather on the
+value key.  So a census pairing (V, 1) values with (1, W) gradients solves
+once per value tuple, and Monte-Carlo over small residue fields once per
+field.  Scans and single points reach the detector the same way, through
+the jets of a datum at the points of one
 :class:`~elldens.base.PointBlock` (a one-point block for a single point).
 The discriminant, the fiber equation and the vanishing conditions are
 written once with ring operations, so they run on forms, on FieldElems and
@@ -57,6 +64,11 @@ WEIER_FORMAT_VERSION = 1
 # after the coordinate-line bound (none for a certified datum); one costs
 # ~45 us (P^2 over F_2, k = 4), so the default search stays within a minute
 MINIMALITY_CAP = 1 << 20
+# value tuples (Q^g) up to which a residue field gets a ValueTable: F_125 at
+# g = 2 (15,625 tuples, ~6 ms to build) and F_8 at g = 4 do, F_16 at g = 4
+# and F_27 at g = 3 do not, so a one-shot scan never builds more than it reads
+_VALUE_TABLE_LIMIT = 1 << 14
+_CENSUS_BLOCK = 4096  # jet tuples per batched detector call (census, table slabs)
 
 _INDICES = (1, 2, 3, 4, 6)
 
@@ -251,20 +263,34 @@ def fiber_equation(J: WeierstrassJets, x, y):
             - x * x * x - J.a2.value * x * x - J.a4.value * x - J.a6.value)
 
 
-def vanishing_conditions(J: WeierstrassJets, x, y):
-    """F, dF/dx, dF/dy and the m base-direction partials at (x, y), lazily;
-    (x, y) is a singular point of the total space iff all of them vanish.
-    Ring operations only, so they run on single jets and on batches."""
+def value_conditions(J: WeierstrassJets, x, y):
+    """F, dF/dx and dF/dy at (x, y), lazily: the conditions that read the
+    coefficient values alone."""
     yield fiber_equation(J, x, y)
     # dF/dx = a1*y - 3x^2 - 2*a2*x - a4
     yield J.a1.value * y - 3 * (x * x) - 2 * (J.a2.value * x) - J.a4.value
     # dF/dy = 2y + a1*x + a3
     yield 2 * y + J.a1.value * x + J.a3.value
-    xy = x * y
-    x2 = x * x
-    for g1, g2, g3, g4, g6 in zip(J.a1.gradient, J.a2.gradient, J.a3.gradient,
-                                  J.a4.gradient, J.a6.gradient):
-        yield g1 * xy + g3 * y - g2 * x2 - g4 * x - g6
+
+
+def base_condition(g1, g2, g3, g4, g6, x, y):
+    """The partial at (x, y) along one base direction, from the five forms'
+    gradient entries in that direction."""
+    return g1 * (x * y) + g3 * y - g2 * (x * x) - g4 * x - g6
+
+
+def _directions(J: WeierstrassJets):
+    """Per base direction, the five forms' gradient entries."""
+    return zip(J.a1.gradient, J.a2.gradient, J.a3.gradient, J.a4.gradient, J.a6.gradient)
+
+
+def vanishing_conditions(J: WeierstrassJets, x, y):
+    """F, dF/dx, dF/dy and the m base-direction partials at (x, y), lazily;
+    (x, y) is a singular point of the total space iff all of them vanish.
+    Ring operations only, so they run on single jets and on batches."""
+    yield from value_conditions(J, x, y)
+    for grads in _directions(J):
+        yield base_condition(*grads, x, y)
 
 
 def jacobian_vanishes(J: WeierstrassJets, x: FieldElem, y: FieldElem) -> bool:
@@ -316,16 +342,13 @@ def _where(mask: np.ndarray, a, b) -> FieldArray:
     return FieldArray(a.ctx, np.where(mask, a.idx, b.idx))
 
 
-def singular_jets_closed_form(J: WeierstrassJets) -> SingularBatch:
-    """Solve for the unique singular fiber candidate from batched jets
-    (FieldArray entries), branching by characteristic, and keep it only
-    where the full list of vanishing conditions holds.
+def _candidate(J: WeierstrassJets) -> tuple[FieldArray, FieldArray]:
+    """The unique singular fiber candidate (x, y) per lane of the values'
+    shape, branching by characteristic.
 
     The branches are masks, not tests.  Where the characteristic's branch
     has no candidate (p = 2 with a1 = 0 and a3 != 0, p = 3 with a2 = 0 and
-    a4 != 0) the one it computes fails dF/dy or dF/dx.  Entries that only
-    broadcast give mask, x and y in the joint shape (views past the values').
-    """
+    a4 != 0) the one it computes fails dF/dy or dF/dx."""
     F = J.field
     a1, a2, a3, a4, a6 = J.values()
     shape = np.broadcast_shapes(*(v.shape for v in J.values()))
@@ -345,15 +368,132 @@ def singular_jets_closed_form(J: WeierstrassJets) -> SingularBatch:
         c = -(F.from_int(3) / F.from_int(2))
         x = _where(free, zero, c * (a6 / _where(free, F.one, a4)))
         y = zero
-    mask = np.ones(shape, dtype=bool)
-    for cond in vanishing_conditions(J, x, y):
-        mask = mask & cond.is_zero
-        if not mask.any():
+    return x, y
+
+
+def _value_stage(J: WeierstrassJets) -> tuple[np.ndarray, FieldArray, FieldArray]:
+    """By the formulas: per lane of the values' shape, whether F, dF/dx and
+    dF/dy vanish at the candidate, and the candidate (x, y)."""
+    x, y = _candidate(J)
+    passes = np.ones(np.broadcast_shapes(*(v.shape for v in J.values())), dtype=bool)
+    for cond in value_conditions(J, x, y):
+        passes &= cond.is_zero
+        if not passes.any():
             break  # every lane has failed; the rest cannot change that
+    return passes, x, y
+
+
+class ValueTable(NamedTuple):
+    """The value stage and the discriminant test on every value tuple of a
+    residue field, indexed by the value key (see :func:`value_keys`):
+    whether F, dF/dx and dF/dy vanish at the candidate, the candidate
+    (x, y) as element indices in ``np.min_scalar_type(Q - 1)``, and whether
+    the discriminant vanishes."""
+
+    passes: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    delta_zero: np.ndarray
+
+
+_value_tables: dict[FieldCtx, ValueTable] = {}
+
+
+def value_table(field: FieldCtx) -> ValueTable | None:
+    """The field's value table, built on first use and kept, or None where
+    its value tuples number more than ``_VALUE_TABLE_LIMIT``."""
+    g = len(varying_indices(field.p))
+    if field.size ** g > _VALUE_TABLE_LIMIT:
+        return None
+    table = _value_tables.get(field)
+    if table is None:
+        table = _value_tables[field] = _build_value_table(field, g)
+    return table
+
+
+def _build_value_table(field: FieldCtx, g: int) -> ValueTable:
+    """:func:`_value_stage` and :func:`discriminant_value` on all Q^g value
+    tuples in key order, ``_CENSUS_BLOCK`` tuples at a time."""
+    Q = field.size
+    size = Q ** g
+    small = np.min_scalar_type(Q - 1)
+    table = ValueTable(np.empty(size, dtype=bool), np.empty(size, dtype=small),
+                       np.empty(size, dtype=small), np.empty(size, dtype=bool))
+    for lo in range(0, size, _CENSUS_BLOCK):
+        keys = np.arange(lo, min(lo + _CENSUS_BLOCK, size))
+        # the key's base-Q digit f is the value of the f-th varying form
+        vals = np.stack([keys // Q ** f % Q for f in range(g)], axis=-1)
+        J = jets_from_indices(field, vals, np.zeros(vals.shape + (0,), dtype=np.int64))
+        part = slice(lo, lo + len(keys))
+        table.passes[part], x, y = _value_stage(J)
+        table.x[part], table.y[part] = x.idx, y.idx
+        table.delta_zero[part] = discriminant_value(*J.values()).is_zero
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def value_keys(J: WeierstrassJets) -> tuple[ValueTable, np.ndarray] | None:
+    """The field's value table and the batch's value keys sum_f v_f Q^f, v_f
+    the value of the f-th varying form, in the values' shape; None where
+    the field has no table or a form fixed at zero in the characteristic
+    has a nonzero value."""
+    table = value_table(J.field)
+    if table is None:
+        return None
+    vals = dict(zip(_INDICES, J.values()))
+    vary = varying_indices(J.field.p)
+    if any(vals[i].idx.any() for i in _INDICES if i not in vary):
+        return None
+    key = 0
+    for i in reversed(vary):
+        key = key * J.field.size + vals[i].idx
+    return table, key
+
+
+def _gather(a: FieldArray, grid: tuple[int, ...], at: tuple[np.ndarray, ...]) -> FieldArray:
+    """The entries of ``a``, broadcast to ``grid``, at the lanes ``at``, read
+    from a view; a 0-d ``a`` (one element for every lane, as a fixed form's
+    zero gradient) as it is."""
+    if not a.idx.ndim:
+        return a
+    return FieldArray(a.ctx, (a.idx if a.shape == grid else np.broadcast_to(a.idx, grid))[at])
+
+
+def singular_jets_closed_form(J: WeierstrassJets) -> SingularBatch:
+    """Solve for the unique singular fiber candidate from batched jets
+    (FieldArray entries), branching by characteristic, and keep it only
+    where the full list of vanishing conditions holds.
+
+    The value stage comes first, in the values' shape: one gather from the
+    field's :class:`ValueTable` where it has one, else the candidate and
+    the F, dF/dx, dF/dy tests by their formulas.  The base stage then tests
+    one direction at a time on the lanes of the joint shape that have
+    passed so far (``np.flatnonzero``, ``np.unravel_index``), gathering
+    each direction's gradient entries at those lanes from broadcast views,
+    never from copies in the joint shape.  Entries that only broadcast give
+    mask, x and y in the joint shape (x and y views past the values').
+    """
+    F = J.field
+    found = value_keys(J)
+    if found is None:
+        passes, x, y = _value_stage(J)
+    else:
+        table, key = found
+        passes = table.passes[key]
+        x, y = FieldArray(F, table.x[key]), FieldArray(F, table.y[key])
     joint = J.shape
-    if joint != shape:
-        mask = np.broadcast_to(mask, joint)
-        x, y = (FieldArray(F, np.broadcast_to(a.idx, joint)) for a in (x, y))
+    grid = joint or (1,)  # a batch of one lane has the lane shape ()
+    lanes = np.flatnonzero(np.broadcast_to(passes, grid))
+    for grads in _directions(J):
+        if not lanes.size:
+            break
+        at = np.unravel_index(lanes, grid)
+        lanes = lanes[base_condition(*(_gather(a, grid, at) for a in (*grads, x, y))).is_zero]
+    mask = np.zeros(joint, dtype=bool)
+    mask.reshape(-1)[lanes] = True
+    x, y = (a if a.shape == joint else FieldArray(F, np.broadcast_to(a.idx, joint))
+            for a in (x, y))
     return SingularBatch(mask, x, y)
 
 

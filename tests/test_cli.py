@@ -521,6 +521,25 @@ def test_out_file_and_env_dir(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "rel.csv").exists()
 
 
+def test_unwritable_out_exits_2_with_one_error_line(capsys, tmp_path):
+    missing = tmp_path / "no-such-dir" / "x.json"
+    code = main(["zeta", "-m", "1", "-q", "2", "-R", "2", "--out", str(missing)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    # the same from the command line: no traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "elldens", "zeta", "-m", "1", "-q", "2", "-R", "2",
+         "--out", str(missing)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def test_byte_identical_reruns_with_out(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["density-mc", "-p", "2", "-q", "2", "-m", "1", "-k", "6", "-r", "1",

@@ -393,6 +393,29 @@ def test_mc_stops_a_chunk_once_every_sample_is_settled(monkeypatch):
     assert 0 < stopped < 12
 
 
+def test_mc_takes_products_only_for_live_rows(monkeypatch):
+    # at (5, 5, 1, 36, 3) draws settle along the way (singular at a point):
+    # later blocks' products take only the rows still live, and the counts
+    # are the golden file's, recorded with whole-chunk products
+    rows = []
+    monkeypatch.setattr(density, "jet_at",
+                        lambda slots, block: rows.append(len(slots)) or jet_at(slots, block))
+    rep = mc_density(5, 5, 1, 36, 3, samples=200, master_seed=7)
+    assert (rep.smooth_count, rep.delta_zero_count) == (149, 0)
+    blocks = scan_blocks(1, 5, 3, section_degrees(5, 36))
+    assert len(rows) == len(blocks) and rows[0] == 200
+    assert sum(rows) < 200 * len(blocks)
+    # with Delta-zero draws in the mix, the counts are each datum's own
+    F2 = make_field(2, 1)
+    rows.clear()
+    rep = mc_density(2, 2, 1, 1, 3, samples=64, master_seed=2)
+    data = [weierstrass_from_slots(1, 1, F2, weierstrass_slots(1, 1, F2, sample_seed(2, i)))
+            for i in range(64)]
+    assert rep.delta_zero_count == sum(not in_Mk(w) for w in data) > 0
+    assert rep.smooth_count == sum(in_Mk(w) and smooth_up_to(w, 3) for w in data)
+    assert sum(rows) < 64 * len(scan_blocks(1, 2, 3, section_degrees(2, 1)))
+
+
 def test_probe_reads_the_scan_memo(monkeypatch, fresh_memo):
     # at (p, q, m, k, r) = (2, 2, 1, 1, 1) draws reach the probe at degrees
     # 2 and 3; its blocks are the memo's degree-e entries, kernels kept, so

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from elldens import weier
 from elldens.base import FeasibilityError, closed_points_up_to
 from elldens.density import sample_seed
-from elldens.gf import embedding, make_field, prime_power
+from elldens.gf import FieldArray, embedding, make_field, prime_power
 from elldens.sections import Section, dim_space, random_section
 from elldens.weier import (Jet, WeierstrassData, WeierstrassJets,
                            discriminant_value, dump_weier, in_Mk,
@@ -494,6 +494,171 @@ def test_detector_broadcasts_values_against_gradients(p, m):
     dead = singular_jets_closed_form(jets_from_indices(F, fail[:, None], grads[None]))
     assert dead.mask.shape == dead.x.shape == dead.y.shape == (len(fail), W)
     assert not dead.mask.any()
+
+
+# every field with a value table that the tests or the benchmark reach
+_TABLE_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (5, 3),
+                 (7, 1), (7, 2)]
+
+
+def _all_values(F):
+    """Every value tuple over F, (Q^g, g), in key order."""
+    g = len(varying_indices(F.p))
+    return np.stack(np.unravel_index(np.arange(F.size ** g), (F.size,) * g), axis=-1)[:, ::-1]
+
+
+def _sparse_gradients(F, shape, seed):
+    """Seeded gradient entries, zero half of the time, so that the base
+    conditions often hold and the mask has hits."""
+    rng = np.random.default_rng(seed)
+    return np.where(rng.random(shape) < 0.5, 0, rng.integers(0, F.size, shape))
+
+
+def _both_paths(J, monkeypatch):
+    """Detector and discriminant verdict through the field's value table,
+    then through the formulas (the table limit forced to 0)."""
+    from elldens import density
+    assert weier.value_keys(J) is not None
+    runs = []
+    for limit in (weier._VALUE_TABLE_LIMIT, 0):
+        monkeypatch.setattr(weier, "_VALUE_TABLE_LIMIT", limit)
+        runs.append((singular_jets_closed_form(J), density._delta_vanishes(J)))
+    monkeypatch.undo()
+    return runs
+
+
+@pytest.mark.parametrize("p,n", _TABLE_FIELDS)
+@pytest.mark.parametrize("m", [1, 2])
+def test_value_table_path_equals_formula_path(p, n, m, monkeypatch):
+    F = make_field(p, n)
+    vals = _all_values(F)
+    g = vals.shape[1]
+    # lanes (S, P): every value tuple once, each with its own gradients
+    S = F.size ** (g - 1)
+    grads = _sparse_gradients(F, (S, F.size, g, m), seed=1000 * p + 10 * n + m)
+    lanes = jets_from_indices(F, vals.reshape(S, F.size, g), grads)
+    # census (V, 1) x (1, W): every value tuple against W gradient tuples
+    census = jets_from_indices(F, vals[:, None], _sparse_gradients(F, (1, 6, g, m), seed=m))
+    for J, shape in ((lanes, (S, F.size)), (census, (len(vals), 6))):
+        (table, dz_table), (formula, dz_formula) = _both_paths(J, monkeypatch)
+        assert table.mask.shape == table.x.shape == table.y.shape == shape
+        assert table.mask.dtype == formula.mask.dtype == bool
+        assert table.x.idx.dtype == formula.x.idx.dtype == np.int64
+        assert np.array_equal(table.mask, formula.mask)
+        assert np.array_equal(table.x.idx, formula.x.idx)
+        assert np.array_equal(table.y.idx, formula.y.idx)
+        assert np.array_equal(dz_table, dz_formula)
+        assert table.mask.any()
+    # every value tuple's verdicts are the formulas' on that tuple alone
+    built = weier.value_table(F)
+    assert built.x.dtype == built.y.dtype == np.min_scalar_type(F.size - 1)
+    no_grad = jets_from_indices(F, vals, np.zeros(vals.shape + (0,), dtype=np.int64))
+    passes, x, y = weier._value_stage(no_grad)
+    assert np.array_equal(built.passes, passes)
+    assert np.array_equal(built.x, x.idx) and np.array_equal(built.y, y.idx)
+    assert np.array_equal(built.delta_zero, discriminant_value(*no_grad.values()).is_zero)
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (2, 4)])
+def test_detector_takes_a_batch_of_one_lane(p, n):
+    # jets of shape (g, m+1): every entry is 0-d and so are mask, x and y
+    F = make_field(p, n)
+    g = len(varying_indices(p))
+    rng = np.random.default_rng(p)
+    for _ in range(20):
+        row = np.where(rng.random((g, 3)) < 0.6, 0, rng.integers(0, F.size, (g, 3)))
+        hit = singular_jets_closed_form(jets_from_indices(F, row))
+        assert hit.mask.shape == hit.x.shape == hit.y.shape == ()
+        oracle = singular_jets_oracle(_single_jets(F, row.tolist()))
+        assert bool(hit.mask) == (oracle is not None)
+        if oracle is not None:
+            assert (hit.x.idx, hit.y.idx) == (oracle[0].idx, oracle[1].idx)
+
+
+def test_value_key_falls_back_on_a_fixed_form_that_is_nonzero():
+    # hand-built jets with a2 != 0 in characteristic 2: the table's key
+    # ignores a2, so the formulas decide
+    F4 = make_field(2, 2)
+
+    def jet(values, grads):
+        return Jet(value=FieldArray(F4, values), gradient=(FieldArray(F4, grads),))
+
+    zero = jet(0, 0)
+    J = WeierstrassJets(F4, jet([1, 2, 0], 0), jet([1, 3, 2], [0, 1, 0]), zero, zero, zero)
+    assert weier.value_keys(J) is None
+    hit = singular_jets_closed_form(J)
+    oracle = [singular_jets_oracle(lane) is not None for lane in J.lanes()]
+    assert hit.mask.tolist() == oracle
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 3)])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fields_past_the_table_limit_build_none_and_match_the_oracle(p, n, data):
+    F = make_field(p, n)
+    assert weier.value_table(F) is None
+    m = data.draw(st.integers(1, 2))
+    rows = [_planted_row(F, m, data.draw) for _ in range(data.draw(st.integers(1, 4)))]
+    J = jets_from_indices(F, np.array(rows, dtype=np.int64))
+    hit = singular_jets_closed_form(J)
+    for i, row in enumerate(rows):
+        oracle = singular_jets_oracle(_single_jets(F, row))
+        assert bool(hit.mask[i]) == (oracle is not None)
+        if hit.mask[i]:
+            assert (hit.x[i], hit.y[i]) == oracle
+    assert F not in weier._value_tables
+
+
+def test_large_field_scan_builds_no_table():
+    # F_{2^14}, no table.  y^2 = x^3 + a6 with a6 = x0^5 x1 + x1^6: the
+    # candidate is (0, a6^(1/2)), and the base partial d(a6) vanishes only
+    # at (0:1) (t^5 + 1 has derivative t^4 on x1 = 1, s + s^6 has 1 on x0 = 1)
+    F = make_field(2, 14)
+    a6 = Section.monomial(1, (5, 1), F.one) + Section.monomial(1, (0, 6), F.one)
+    w = WeierstrassData(1, 1, F, *(Section.zero(1, d, F) for d in (1, 2, 3, 4)), a6)
+    [hit] = weier.singular_witnesses(w, 1)
+    assert hit.point.coords == (F.zero, F.one)
+    assert (hit.x, hit.y) == (F.zero, F.one)
+    assert jacobian_vanishes(jets_at(w, hit.point), hit.x, hit.y)
+    assert weier.value_table(F) is None and F not in weier._value_tables
+
+
+def test_value_tables_are_built_lazily():
+    # a fresh import, a census set-up and a point listing build no table
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from elldens import base, gf, weier\n"
+            "assert not weier._value_tables\n"
+            "for p, n in ((5, 1), (5, 3), (2, 1), (3, 2)):\n"
+            "    gf.make_field(p, n)\n"
+            "base.closed_points_up_to(1, 5, 3)\n"
+            "assert not weier._value_tables, weier._value_tables\n"
+            "weier.value_table(gf.make_field(5, 3))\n"
+            "assert list(weier._value_tables) == [gf.make_field(5, 3)]\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_value_table_size_and_limit():
+    F125 = make_field(5, 3)
+    table = weier.value_table(F125)
+    assert len(table.passes) == 125 ** 2
+    assert sum(a.nbytes for a in table) < 64 * 1024
+    assert not any(a.flags.writeable for a in table)
+    assert weier.value_table(F125) is table  # kept per field
+    # the limit admits F_125 at g = 2 and F_8 at g = 4, not F_16 at g = 4,
+    # F_27 at g = 3 nor F_7^3 at g = 2
+    assert weier.value_table(make_field(2, 3)) is not None
+    for p, n in ((2, 4), (3, 3), (7, 3)):
+        assert weier.value_table(make_field(p, n)) is None
+    # a census within the default cap (q^(e g (m+1)) tuples, m >= 1) has
+    # Q^g <= 2^13, so it always reads a table
+    from elldens.base import DEFAULT_ENUM_CAP
+    assert (DEFAULT_ENUM_CAP.bit_length() - 1) // 2 < weier._VALUE_TABLE_LIMIT.bit_length() - 1
 
 
 # sha256 of json.dumps(w.delta.to_obj()) for random_weierstrass(m, k, F_q,
