@@ -195,10 +195,6 @@ class JetKernel:
             itertools.accumulate((b.shape[1] for b in self.blocks), initial=0)))
         self.shape = (sum(b.shape[0] for b in self.blocks), self.spans[-1][1])
 
-    @property
-    def nbytes(self) -> int:
-        return sum(b.nbytes for b in self.blocks)
-
     def apply(self, slots: np.ndarray) -> np.ndarray:
         """F_p coordinates of slot vectors (the last axis) times the rows, in
         dtype ``np.min_scalar_type(p - 1)``: shape ``slots.shape[:-1] +

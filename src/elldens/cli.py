@@ -31,9 +31,9 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
 from . import zeta as _zeta
-from .base import FeasibilityError
 from .density import (exact_density, jet_census, mc_density, singular_scan,
                       surjectivity_check)
+from .errors import FeasibilityError
 from .gf import make_field, prime_power
 from .weier import load_weier, minimality_witness, random_weierstrass
 

@@ -29,11 +29,11 @@ slots against its own jet rows only (stored as F_p digits), multiplied in
 float32 wherever that is exact, its jets returned as element indices.  A
 chunk walks the blocks once, and each block's jets are dropped before the
 next block's product.  The batched
-detector and the discriminant run once per (chunk, block), each on the
-samples it still holds: those smooth so far, and those whose discriminant
-values have all vanished so far; over a residue field with a
-:class:`~elldens.weier.ValueTable` both read their values' verdicts from
-it.  Samples whose discriminant form is
+detector and the discriminant test (:func:`~elldens.weier.delta_vanishes`)
+run once per (chunk, block), each on the samples it still holds: those
+smooth so far, and those whose discriminant values have all vanished so
+far; both read a small residue field's value table in ``weier``.  Samples
+whose discriminant form is
 identically zero are counted as not-smooth and tallied separately: a nonzero
 discriminant value at a point of degree <= r settles delta != 0, unsettled
 samples go on through the discriminant values at the points of the next
@@ -51,15 +51,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import zeta as _zeta
-from .base import (DEFAULT_ENUM_CAP, FeasibilityError, closed_points_up_to, jet_at,
-                   jet_space_map, scan_blocks)
+from .base import DEFAULT_ENUM_CAP, closed_points_up_to, jet_at, jet_space_map, scan_blocks
+from .errors import FeasibilityError
 from .gf import is_prime, make_field, prime_power
 from .linalg import rank_mod_p
 from .weier import (_CENSUS_BLOCK, SingularityWitness, WeierstrassData, WeierstrassJets,
-                    discriminant_value, jets_from_indices,
-                    section_degrees, singular_jets_closed_form, singular_jets_oracle,
-                    singular_witnesses, value_keys, varying_indices,
-                    weierstrass_from_slots, weierstrass_slot_rows)
+                    delta_vanishes, jets_from_indices, section_degrees,
+                    singular_jets_closed_form, singular_jets_oracle, singular_witnesses,
+                    varying_indices, weierstrass_from_slots, weierstrass_slot_rows)
 
 _DELTA_PROBE_DEGREE = 3  # discriminant values are probed at points up to here
 # rational points a probe degree may enumerate: a probe stands in for exact
@@ -244,16 +243,6 @@ class DensityReport:
     threshold_warning: bool
 
 
-def _delta_vanishes(J: WeierstrassJets) -> np.ndarray:
-    """Per lane, whether the discriminant value vanishes: a gather from the
-    field's :class:`~elldens.weier.ValueTable` where it has one."""
-    found = value_keys(J)
-    if found is None:
-        return discriminant_value(*J.values()).is_zero
-    table, key = found
-    return table.delta_zero[key]
-
-
 def _smooth(J: WeierstrassJets) -> np.ndarray:
     return ~singular_jets_closed_form(J).mask
 
@@ -291,7 +280,7 @@ def _delta_zero(blocks, slots: np.ndarray, live: np.ndarray, k: int, r: int) -> 
         for b in probe:
             if b.point.degree == e and live.size:
                 J = jets_from_indices(b.field, jet_at(slots[live], b))
-                live = live[_delta_vanishes(J).all(axis=1)]
+                live = live[delta_vanishes(J).all(axis=1)]
     zero = np.zeros(len(slots), dtype=bool)
     for i in live:
         zero[i] = weierstrass_from_slots(P.m, k, P.emb.src, slots[i]).delta.is_zero
@@ -341,7 +330,7 @@ def mc_density(p: int, q: int, m: int, k: int, r: int, samples: int,
             held[zero] = held[ok] = True
             live = np.flatnonzero(held)
             jets = jet_at(slots if len(live) == len(slots) else slots[live], b)
-            zero = zero[_delta_vanishes(_rows_of(b.field, jets, live, zero)).all(axis=1)]
+            zero = zero[delta_vanishes(_rows_of(b.field, jets, live, zero)).all(axis=1)]
             ok = ok[_smooth(_rows_of(b.field, jets, live, ok)).all(axis=1)]
         dz = _delta_zero(blocks, slots, zero, k, r)
         delta_zero += int(np.count_nonzero(dz))

@@ -180,14 +180,6 @@ def power(x, e: int, mul=operator.mul):
         x = mul(x, x)
 
 
-def power_table(x, top: int) -> list:
-    """[1, x, x^2, ..., x^top] for a field element x."""
-    pows = [x.ctx.one]
-    for _ in range(top):
-        pows.append(pows[-1] * x)
-    return pows
-
-
 def _x_pth_power_mod(f: tuple[int, ...], p: int, e: int) -> tuple[int, ...]:
     """x^(p^e) mod f, by iterating the p-power map e times."""
     t = _pmod((0, 1), f, p)
@@ -743,19 +735,12 @@ def make_field(p: int, n: int) -> FieldCtx:
     return FieldCtx(p, n, _find_modulus(p, n))
 
 
-def frobenius(a: FieldElem, q: int) -> FieldElem:
-    """The power map a -> a^q; q must be a power of the characteristic."""
-    p = a.ctx.p
-    if prime_power(q)[0] != p:
-        raise ValueError(f"q={q} is not a power of the characteristic {p}")
-    return a ** q
-
-
 class Embedding:
     """A ring embedding F_{p^n1} -> F_{p^n2} determined by a root of the
-    source modulus in the target; applies coefficientwise via cached powers."""
+    source modulus in the target, ``gen_image``: the generator's image,
+    whose discrete log places the base-field basis in the jet kernels."""
 
-    __slots__ = ("src", "dst", "gen_image", "_powers")
+    __slots__ = ("src", "dst", "gen_image")
 
     def __init__(self, src: FieldCtx, dst: FieldCtx, gen_image: FieldElem):
         if src.p != dst.p:
@@ -773,18 +758,6 @@ class Embedding:
         self.src = src
         self.dst = dst
         self.gen_image = gen_image
-        self._powers = tuple(power_table(gen_image, src.n - 1))
-
-    def apply(self, a: FieldElem) -> FieldElem:
-        if not (a.ctx is self.src or a.ctx == self.src):
-            raise FieldMismatchError("element does not belong to the source field")
-        acc = self.dst.zero
-        for c, w in zip(a.coeffs, self._powers):
-            if c:
-                acc = acc + self.dst.from_int(c) * w
-        return acc
-
-    __call__ = apply
 
     def __repr__(self):
         return (

@@ -1,9 +1,12 @@
-"""Homogeneous forms on P^m over a finite field, and their affine charts.
+"""Homogeneous forms on P^m over a finite field: sparse forms, their F_p
+slot vectors, products on term tables and exact division.
 
 A :class:`Section` is a degree-d form in m+1 variables x_0..x_m, stored as a
 sparse dict from exponent tuples (summing to d) to nonzero field elements.
-Dehomogenizing on the chart x_c = 1 produces an :class:`AffinePoly` in the m
-local coordinates (the remaining variables, in index order).
+Forms are not evaluated here: their values and gradients at closed points
+come from the jet products of :mod:`elldens.base`, which the tests check
+against a scalar evaluation of the forms and of their affine charts with
+formal partials.
 
 Monomial order used throughout (serialization, matrices, division) is graded
 lex with x_0 > x_1 > ... > x_m; for a fixed degree this is plain descending
@@ -57,13 +60,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FeasibilityError
-from .gf import Embedding, FieldCtx, FieldElem, power, power_table
+from .gf import FieldCtx, FieldElem, power
 
 _PAIR_CHUNK = 1 << 12  # term pairs formed per block
-
-
-class InvalidPointError(ValueError):
-    """Raised when evaluating at the all-zero tuple."""
 
 
 def dim_space(m: int, d: int) -> int:
@@ -140,10 +139,6 @@ class Section:
     def zero(cls, m: int, d: int, field: FieldCtx) -> "Section":
         return cls(m, d, field, {})
 
-    @classmethod
-    def monomial(cls, m: int, expo: tuple[int, ...], coeff: FieldElem) -> "Section":
-        return cls(m, sum(expo), coeff.ctx, {tuple(expo): coeff})
-
     # -- predicates -------------------------------------------------------------
 
     @property
@@ -214,29 +209,6 @@ class Section:
         if e:
             return power(self, e)
         return Section(self.m, 0, self.field, {(0,) * (self.m + 1): self.field.one})
-
-    # -- geometry ---------------------------------------------------------------
-
-    def evaluate(self, pt: tuple[FieldElem, ...], emb: Embedding | None = None) -> FieldElem:
-        """Value at a coordinate tuple over an extension (via emb) or over the
-        base field itself (emb omitted).  Rejects the all-zero tuple."""
-        if len(pt) != self.m + 1:
-            raise ValueError(f"point needs {self.m + 1} coordinates")
-        if not any(pt):
-            raise InvalidPointError("all-zero tuple is not a projective point")
-        return _evaluate(self.coeffs, pt, self.d, self.field, emb)
-
-    def dehomogenize(self, chart: int) -> "AffinePoly":
-        """Substitute x_chart = 1; variables are the remaining coordinates in
-        index order."""
-        if not 0 <= chart <= self.m:
-            raise ValueError(f"chart index {chart} out of range")
-        out: dict[tuple[int, ...], FieldElem] = {}
-        for expo, c in self.coeffs.items():
-            beta = expo[:chart] + expo[chart + 1:]
-            # distinct homogeneous monomials of equal degree stay distinct
-            out[beta] = c
-        return AffinePoly(self.m, self.field, out)
 
     # -- serialization -----------------------------------------------------------
 
@@ -452,97 +424,6 @@ def _accumulate(out: dict, expo: tuple[int, ...], c: FieldElem) -> None:
         del out[expo]
 
 
-def _evaluate(coeffs: dict, pt, top: int, field: FieldCtx, emb: Embedding | None) -> FieldElem:
-    """The sum of c * pt^expo over the terms, c mapped by emb when given and
-    pt's coordinates raised to exponents of at most top: the one evaluation
-    of :class:`Section` and :class:`AffinePoly`."""
-    pows = [power_table(x, top) for x in pt]
-    acc = (emb.dst if emb is not None else field).zero
-    for expo, c in coeffs.items():
-        term = emb(c) if emb is not None else c
-        for x_pows, e in zip(pows, expo):
-            if e:
-                term = term * x_pows[e]
-        acc = acc + term
-    return acc
-
-
-class AffinePoly:
-    """A polynomial in m affine coordinates t_1..t_m over a finite field."""
-
-    __slots__ = ("m", "field", "coeffs")
-
-    def __init__(self, m: int, field: FieldCtx, coeffs=None):
-        self.m = m
-        self.field = field
-        clean: dict[tuple[int, ...], FieldElem] = {}
-        for expo, c in (coeffs or {}).items():
-            expo = tuple(expo)
-            if len(expo) != m or any(e < 0 for e in expo):
-                raise ValueError(f"exponent tuple {expo} invalid for m={m}")
-            if c:
-                clean[expo] = c
-        self.coeffs = clean
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, AffinePoly):
-            return NotImplemented
-        return (
-            self.m == other.m
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return f"AffinePoly(m={self.m}, {len(self.coeffs)} terms)"
-
-    def __add__(self, other: "AffinePoly") -> "AffinePoly":
-        if not isinstance(other, AffinePoly):
-            return NotImplemented
-        out = dict(self.coeffs)
-        for expo, c in other.coeffs.items():
-            _accumulate(out, expo, c)
-        return AffinePoly(self.m, self.field, out)
-
-    def __mul__(self, other):
-        if isinstance(other, AffinePoly):
-            out: dict[tuple[int, ...], FieldElem] = {}
-            for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
-                    _accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-            return AffinePoly(self.m, self.field, out)
-        if isinstance(other, (FieldElem, int)):
-            c0 = self.field.from_int(other) if isinstance(other, int) else other
-            return AffinePoly(
-                self.m, self.field, {e: c * c0 for e, c in self.coeffs.items()}
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def partial(self, j: int) -> "AffinePoly":
-        """Formal partial derivative with respect to t_j, 1 <= j <= m."""
-        if not 1 <= j <= self.m:
-            raise ValueError(f"variable index {j} out of range 1..{self.m}")
-        jj = j - 1
-        out: dict[tuple[int, ...], FieldElem] = {}
-        for expo, c in self.coeffs.items():
-            e = expo[jj]
-            if e:  # an exponent divisible by the characteristic adds zero
-                _accumulate(out, expo[:jj] + (e - 1,) + expo[jj + 1:], c * e)
-        return AffinePoly(self.m, self.field, out)
-
-    def evaluate(self, pt: tuple[FieldElem, ...], emb: Embedding | None = None) -> FieldElem:
-        if len(pt) != self.m:
-            raise ValueError(f"point needs {self.m} coordinates")
-        return _evaluate(self.coeffs, pt, max((max(e) for e in self.coeffs), default=0),
-                         self.field, emb)
-
-
 def exact_divide(f: Section, g: Section) -> Section | None:
     """The quotient h with f = g * h, or None when g does not divide f.
 
@@ -575,14 +456,6 @@ def exact_divide(f: Section, g: Section) -> Section | None:
     if g * h != f:  # exactness is always re-verified
         return None
     return h
-
-
-def random_section(m: int, d: int, field: FieldCtx, rng_seed: int) -> Section:
-    """A uniform random degree-d form: every monomial coefficient uniform over
-    the field, drawn from a PCG64 stream seeded with rng_seed."""
-    rng = np.random.Generator(np.random.PCG64(rng_seed))
-    return section_from_slots(m, d, field,
-                              rng.integers(0, field.p, size=dim_space(m, d) * field.n))
 
 
 def section_from_slots(m: int, d: int, field: FieldCtx, slots) -> Section:

@@ -34,13 +34,16 @@ residue field with at most ``_VALUE_TABLE_LIMIT`` value tuples (Q^g) has a
 value stage, and the discriminant test on values, is one gather on the
 value key.  So a census pairing (V, 1) values with (1, W) gradients solves
 once per value tuple, and Monte-Carlo over small residue fields once per
-field.  Scans and single points reach the detector the same way, through
-the jets of a datum at the points of one
-:class:`~elldens.base.PointBlock` (a one-point block for a single point).
-The discriminant, the fiber equation and the vanishing conditions are
-written once with ring operations, so they run on forms, on FieldElems and
-on FieldArrays.  The oracle and the re-verification of a
-:class:`SingularityWitness` stay scalar.
+field.  The table's layout is read in this module alone: the detector and
+:func:`delta_vanishes` are its two readers.  A datum reaches the detector
+through its jets at the points of one :class:`~elldens.base.PointBlock`,
+one :func:`~elldens.base.jet_at` product; a single point is a lane of its
+block (or the one lane of the block ``jet_space_map(degrees, (P,))``), and
+:meth:`WeierstrassJets.lanes` reads single-point jets back out.  The
+discriminant, the fiber equation and the vanishing conditions are written
+once with ring operations, so they run on forms, on FieldElems and on
+FieldArrays.  The oracle, which scans one lane's fiber, and the
+re-verification of a :class:`SingularityWitness` stay scalar.
 """
 from __future__ import annotations
 
@@ -54,7 +57,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import zeta as _zeta
-from .base import _ROW_BUDGET, ClosedPoint, FeasibilityError, PointBlock, jet_at, scan_blocks
+from .base import _ROW_BUDGET, ClosedPoint, PointBlock, jet_at, scan_blocks
+from .errors import FeasibilityError
 from .gf import FieldArray, FieldCtx, FieldElem, FieldMismatchError, make_field
 from .sections import (KeyLayout, Section, TermTable, dim_space, exact_divide, monomials,
                        section_from_slots, section_slots)
@@ -173,10 +177,6 @@ class Jet:
     value: FieldElem
     gradient: tuple[FieldElem, ...]
 
-    @property
-    def vanishes(self) -> bool:
-        return not self.value and not any(self.gradient)
-
 
 @dataclass(frozen=True)
 class WeierstrassJets:
@@ -228,12 +228,6 @@ def _datum_jets(w: WeierstrassData, block: PointBlock) -> WeierstrassJets:
     if w.field != P.emb.src:
         raise FieldMismatchError("datum's field is not the point's base field")
     return jets_from_indices(block.field, jet_at(w.slots(), block))
-
-
-def jets_at(w: WeierstrassData, P: ClosedPoint) -> WeierstrassJets:
-    """The jets of all five coefficient forms at one closed point: the
-    batched kernel at a single point."""
-    return next(_datum_jets(w, PointBlock(section_degrees(w.field.p, w.k), (P,))).lanes())
 
 
 def jets_from_indices(field: FieldCtx, idx: np.ndarray,
@@ -497,6 +491,17 @@ def singular_jets_closed_form(J: WeierstrassJets) -> SingularBatch:
     return SingularBatch(mask, x, y)
 
 
+def delta_vanishes(J: WeierstrassJets) -> np.ndarray:
+    """Per lane of the values' shape, whether the discriminant value
+    vanishes: a gather from the field's :class:`ValueTable` where it has
+    one."""
+    found = value_keys(J)
+    if found is None:
+        return discriminant_value(*J.values()).is_zero
+    table, key = found
+    return table.delta_zero[key]
+
+
 def singular_jets_oracle(J: WeierstrassJets) -> tuple[FieldElem, FieldElem] | None:
     """Exhaustively scan the whole affine fiber (x, y) in the residue field.
 
@@ -521,21 +526,6 @@ def singular_jets_oracle(J: WeierstrassJets) -> tuple[FieldElem, FieldElem] | No
     return None
 
 
-def singular_over_closed_form(w: WeierstrassData, P: ClosedPoint) -> SingularityWitness | None:
-    """The closed-form detector's witness over one point: the scan of a
-    one-point block."""
-    block = PointBlock(section_degrees(w.field.p, w.k), (P,))
-    return next(_witnesses(w, block), None)
-
-
-def singular_over_oracle(w: WeierstrassData, P: ClosedPoint) -> SingularityWitness | None:
-    J = jets_at(w, P)
-    hit = singular_jets_oracle(J)
-    if hit is None:
-        return None
-    return SingularityWitness(point=P, x=hit[0], y=hit[1], jets=J)
-
-
 def singular_witnesses(w: WeierstrassData, r: int,
                        cap: int | None = None) -> Iterator[SingularityWitness]:
     """The witnesses over the closed points of degree <= r that carry a
@@ -556,17 +546,6 @@ def _witnesses(w: WeierstrassData, block: PointBlock) -> Iterator[SingularityWit
     hit = singular_jets_closed_form(J)
     for i, jets in zip(np.flatnonzero(hit.mask), J.lanes(hit.mask)):
         yield SingularityWitness(point=block.points[i], x=hit.x[i], y=hit.y[i], jets=jets)
-
-
-def smooth_up_to(w: WeierstrassData, r: int) -> bool:
-    """True iff the total space is smooth over every closed point of degree
-    <= r (by the closed-form detector)."""
-    return next(singular_witnesses(w, r), None) is None
-
-
-def in_Mk(w: WeierstrassData) -> bool:
-    """Whether some fiber is smooth, i.e. the discriminant form is nonzero."""
-    return not w.delta.is_zero
 
 
 def minimality_witness(w: WeierstrassData, j_max: int,
@@ -687,11 +666,6 @@ def _fgcd(a: list, b: list) -> list:
         bm = [c * inv for c in b]
         a, b = bm, _fmod(a, bm)
     return a
-
-
-def is_minimal(w: WeierstrassData, j_max: int) -> bool:
-    """True iff no degree-<=j_max form u has u^i dividing every nonzero a_i."""
-    return minimality_witness(w, j_max) is None
 
 
 def random_weierstrass(m: int, k: int, field: FieldCtx, seed: int) -> WeierstrassData:

@@ -9,15 +9,17 @@ criterion 4 uses three binomial standard errors.
 import random
 from fractions import Fraction
 
-from elldens.base import closed_points_up_to
+from elldens.base import closed_points_up_to, jet_at, scan_blocks
 from elldens.density import jet_census, mc_density, surjectivity_check
 from elldens.gf import make_field
 from elldens.sections import Section
-from elldens.weier import (WeierstrassData, infinity_partial, jets_at,
-                           minimality_witness, random_weierstrass,
-                           singular_over_closed_form, singular_over_oracle)
+from elldens.weier import (WeierstrassData, infinity_partial, jets_from_indices,
+                           minimality_witness, random_weierstrass, section_degrees,
+                           singular_jets_closed_form, singular_jets_oracle,
+                           singular_witnesses)
 from elldens.zeta import (zeta_inverse_exact_Pm, zeta_inverse_truncated,
                           zeta_inverse_truncated_float, zeta_table)
+from support import monomial
 
 
 def _report(cid: int, desc: str, ok: bool) -> None:
@@ -87,28 +89,33 @@ def test_acceptance_4_mc_vs_exact():
             default_ok and hits >= 19)
 
 
+def _block_jets(w, block):
+    """The datum's jets at the points of a block: one jet product."""
+    return jets_from_indices(block.field, jet_at(w.slots(), block))
+
+
 def test_acceptance_5_oracle_equivalence():
+    # every point of degree <= 2 on P^1 and <= 1 on P^2: the closed form's
+    # mask over the point's block against the oracle on the point's own lane
     rng = random.Random("acceptance-oracle")
     disagreements = 0
     checked = 0
     for p in (2, 3, 5):
         F = make_field(p, 1)
-        pts1 = closed_points_up_to(1, p, 2)
-        pts2 = closed_points_up_to(2, p, 1)
+        blocks = {m: scan_blocks(m, p, r, section_degrees(p, 1)) for m, r in ((1, 2), (2, 1))}
+        assert [P for b in blocks[1] for P in b.points] == closed_points_up_to(1, p, 2)
+        assert [P for b in blocks[2] for P in b.points] == closed_points_up_to(2, p, 1)
         for _ in range(500):
             seed = rng.randrange(2 ** 32)
-            w1 = random_weierstrass(1, 1, F, seed=seed)
-            for P in pts1:
-                checked += 1
-                if ((singular_over_closed_form(w1, P) is None)
-                        != (singular_over_oracle(w1, P) is None)):
-                    disagreements += 1
-            w2 = random_weierstrass(2, 1, F, seed=seed)
-            for P in pts2:
-                checked += 1
-                if ((singular_over_closed_form(w2, P) is None)
-                        != (singular_over_oracle(w2, P) is None)):
-                    disagreements += 1
+            for m in (1, 2):
+                w = random_weierstrass(m, 1, F, seed=seed)
+                for b in blocks[m]:
+                    J = _block_jets(w, b)
+                    mask = singular_jets_closed_form(J).mask
+                    for hit, lane in zip(mask, J.lanes(), strict=True):
+                        checked += 1
+                        if bool(hit) != (singular_jets_oracle(lane) is not None):
+                            disagreements += 1
     _report(5, f"oracle equivalence: {checked} point-tests, "
                f"{disagreements} disagreements", disagreements == 0)
 
@@ -121,7 +128,7 @@ def _const_datum(field, m, k, c4, c6):
         if c == 0:
             secs[i] = Section.zero(m, d, field)
         else:
-            secs[i] = Section.monomial(m, (d,) + (0,) * m, field.from_int(c))
+            secs[i] = monomial(m, (d,) + (0,) * m, field.from_int(c))
     return WeierstrassData(m=m, k=k, field=field, a1=secs[1], a2=secs[2],
                            a3=secs[3], a4=secs[4], a6=secs[6])
 
@@ -131,30 +138,25 @@ def test_acceptance_6_trivial_invariants():
     F5 = make_field(5, 1)
     pts = closed_points_up_to(1, 7, 2)
 
+    # a witness over every point of degree <= 2, in listing order
     cusp = _const_datum(F5, 1, 1, 0, 0)
-    cusp_ok = cusp.delta.is_zero and all(
-        singular_over_closed_form(cusp, P) is not None
-        for P in closed_points_up_to(1, 5, 2)
-    )
+    cusp_ok = cusp.delta.is_zero and (
+        [wit.point for wit in singular_witnesses(cusp, 2)] == closed_points_up_to(1, 5, 2))
 
     node = _const_datum(F7, 1, 1, -3, 2)
-    node_ok = node.delta.is_zero
-    witness_ok = True
-    for P in pts:
-        wit = singular_over_closed_form(node, P)
-        if wit is None:
-            node_ok = False
-            continue
-        if P.chart == 0 and not (wit.x == P.field.one and wit.y == P.field.zero):
-            witness_ok = False
+    node_wits = list(singular_witnesses(node, 2))
+    node_ok = node.delta.is_zero and [wit.point for wit in node_wits] == pts
+    witness_ok = all(wit.x == wit.point.field.one and wit.y == wit.point.field.zero
+                     for wit in node_wits if wit.point.chart == 0)
 
     # the section at infinity (0:1:0) is never a singular point
     inf_ok = True
     for seed in range(25):
         w = random_weierstrass(1, 1, F7, seed=seed)
-        for P in closed_points_up_to(1, 7, 1):
-            if infinity_partial(jets_at(w, P)) == P.field.zero:
-                inf_ok = False
+        for b in scan_blocks(1, 7, 1, section_degrees(7, 1)):
+            for lane in _block_jets(w, b).lanes():
+                if infinity_partial(lane) == b.field.zero:
+                    inf_ok = False
 
     non_min = _const_datum(F5, 1, 1, 0, 1)  # (a4, a6) = (0, x0^6)
     min_ok = minimality_witness(non_min, 1) is not None

@@ -11,17 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from elldens import base
-from elldens.base import (ClosedPoint, FeasibilityError, JetKernel, PointBlock,
-                          closed_points_up_to, exact_float_dtype, jet_at, jet_space_map,
-                          scan_blocks)
+from elldens import base, weier
+from elldens.base import (ClosedPoint, JetKernel, PointBlock, closed_points_up_to,
+                          exact_float_dtype, jet_at, jet_space_map, scan_blocks)
+from elldens.errors import FeasibilityError
 from elldens.gf import (FieldCtx, FieldMismatchError, embedding, is_irreducible, make_field,
                         prime_power)
 from elldens.linalg import rank_mod_p
-from elldens.sections import (Section, dim_space, monomials, random_section,
-                              section_from_slots, section_slots)
-from elldens.weier import Jet, jets_at, random_weierstrass, section_degrees
+from elldens.sections import Section, dim_space, monomials, section_from_slots, section_slots
+from elldens.weier import Jet, random_weierstrass, section_degrees
 from elldens.zeta import zeta_table
+from support import (dehomogenize, evaluate, monomial, random_section, stored_nbytes,
+                     vanishes)
 
 
 def _jets(forms, block_points, kernel=None):
@@ -150,7 +151,7 @@ def test_jet_value_matches_embedded_evaluation():
             coeffs = {e: F3.from_index(rng.randrange(3)) for e in monomials(1, 4)}
             s = Section(1, 4, F3, coeffs)
             J = _jet(s, P)
-            direct = s.evaluate(P.coords, emb=P.emb)
+            direct = evaluate(s, P.coords, emb=P.emb)
             assert J.value == direct
 
 
@@ -162,7 +163,7 @@ def test_jet_gradient_matches_affine_partials():
             coeffs = {e: F2.from_index(rng.randrange(2)) for e in monomials(2, 3)}
             s = Section(2, 3, F2, coeffs)
             J = _jet(s, P)
-            aff = s.dehomogenize(P.chart)
+            aff = dehomogenize(s, P.chart)
             loc = P.local_coords()
             for j in range(1, 3):
                 want = aff.partial(j).evaluate(loc, emb=P.emb)
@@ -174,9 +175,9 @@ def test_jet_vanishes_property():
     P = closed_points_up_to(1, 2, 1)[0]
     s = Section.zero(1, 4, F2)
     J = _jet(s, P)
-    assert J.vanishes
-    s2 = Section.monomial(1, (4, 0), F2.one)
-    assert not _jet(s2, P).vanishes  # value 1 at the (1:0) point
+    assert vanishes(J)
+    s2 = monomial(1, (4, 0), F2.one)
+    assert not vanishes(_jet(s2, P))  # value 1 at the (1:0) point
 
 
 def test_jet_space_map_reproduces_jets():
@@ -211,7 +212,7 @@ def _oracle_entries(degrees, P, slots):
         width = dim_space(P.m, d) * base.n
         s = section_from_slots(P.m, d, base, slots[off:off + width])
         off += width
-        aff = s.dehomogenize(P.chart)
+        aff = dehomogenize(s, P.chart)
         out.append(aff.evaluate(loc, emb=P.emb))
         out += [aff.partial(j).evaluate(loc, emb=P.emb) for j in range(1, P.m + 1)]
     return out
@@ -290,9 +291,9 @@ def test_jet_at_matches_affine_oracle(q, m):
         for P, jets in zip(pts, _jets(forms, pts)):
             loc = P.local_coords()
             for s, J in zip(forms, jets):
-                aff = s.dehomogenize(P.chart)
+                aff = dehomogenize(s, P.chart)
                 assert J.value == aff.evaluate(loc, emb=P.emb)
-                assert J.value == s.evaluate(P.coords, emb=P.emb)
+                assert J.value == evaluate(s, P.coords, emb=P.emb)
                 assert J.gradient == tuple(aff.partial(j).evaluate(loc, emb=P.emb)
                                            for j in range(1, m + 1))
 
@@ -312,10 +313,10 @@ def test_jet_at_batched_matches_affine_oracle(q, m, e, budget):
     kernel = jet_space_map(degrees, pts).kernel if budget == "kept" else None
     groups = [[P] for P in pts] if budget == "zero" else [pts]
     for P, jets in zip(pts, [jets for g in groups for jets in _jets(forms, g, kernel)]):
-        assert jets[2].vanishes
+        assert vanishes(jets[2])
         loc = P.local_coords()
         for s, J in zip(forms, jets):
-            aff = s.dehomogenize(P.chart)
+            aff = dehomogenize(s, P.chart)
             assert J.value == aff.evaluate(loc, emb=P.emb)
             assert J.gradient == tuple(aff.partial(j).evaluate(loc, emb=P.emb)
                                        for j in range(1, m + 1))
@@ -336,7 +337,7 @@ def test_jet_at_mixed_chart_block_matches_affine_oracle():
     for P, jets in zip(pts, _jets(forms, pts, block.kernel), strict=True):
         loc = P.local_coords()
         for s, J in zip(forms, jets):
-            aff = s.dehomogenize(P.chart)
+            aff = dehomogenize(s, P.chart)
             assert J.value == aff.evaluate(loc, emb=P.emb)
             assert J.gradient == tuple(aff.partial(j).evaluate(loc, emb=P.emb)
                                        for j in range(1, 3))
@@ -396,7 +397,7 @@ def test_jet_kernel_matches_the_integer_product(p, r, wide, data):
     kernel = jet_space_map(degrees, points).kernel
     assert kernel.dtype is (np.float64 if wide else np.float32)
     assert all(b.dtype == np.min_scalar_type(p - 1) for b in kernel.blocks)
-    assert kernel.nbytes == sum(b.size for b in kernel.blocks) * (1 if p < 257 else 2)
+    assert stored_nbytes(kernel) == sum(b.size for b in kernel.blocks) * (1 if p < 257 else 2)
     dense = _dense_rows(degrees, points)
     assert kernel.shape == dense.shape
     batch = data.draw(st.sampled_from((1, 7)), label="batch")
@@ -490,7 +491,7 @@ def test_scan_blocks_keep_rows_within_the_budget(monkeypatch, fresh_memo):
     # 126 x 12 rows x 112 slots, each form's rows against its own slots
     # only, stored as F_2 digits of one byte
     kernels = [b.kernel for b in scan_blocks(2, 4, 2, section_degrees(2, 1))]
-    assert [k.nbytes for k in kernels] == [21 * 6 * 112, 126 * 12 * 112]
+    assert [stored_nbytes(k) for k in kernels] == [21 * 6 * 112, 126 * 12 * 112]
     degrees = section_degrees(2, 2)
     blocks = scan_blocks(2, 4, 2, degrees)
     # a degree-2 point has 12 rows x 340 slots x 4 bytes in the float32
@@ -501,15 +502,16 @@ def test_scan_blocks_keep_rows_within_the_budget(monkeypatch, fresh_memo):
     assert [(b.point.degree, len(b.points)) for b in blocks] == [(1, 21), (2, 64), (2, 62)]
     # the memo counts the bytes it stores, one per digit: all three
     # kernels fit the budget together
-    assert [b.kernel.nbytes for b in blocks] == [21 * 6 * 340, 64 * 12 * 340, 62 * 12 * 340]
-    assert sum(b.kernel.nbytes for b in blocks) <= base._ROW_BUDGET
+    assert [stored_nbytes(b.kernel) for b in blocks] == [21 * 6 * 340, 64 * 12 * 340,
+                                                         62 * 12 * 340]
+    assert sum(stored_nbytes(b.kernel) for b in blocks) <= base._ROW_BUDGET
     # at k = 3, blocks of 31 degree-2 points, all kept: the budget holds
     # per point degree, so degree 2's kernels fit it while both degrees'
     # pass it
     wide = scan_blocks(2, 4, 2, section_degrees(2, 3))
     assert [len(b.points) for b in wide] == [21, 31, 31, 31, 31, 2]
     assert all(b.kernel is not None for b in wide)
-    assert all(b.kernel.nbytes == b.kernel_nbytes for b in wide)
+    assert all(stored_nbytes(b.kernel) == b.kernel_nbytes for b in wide)
     assert sum(b.kernel_nbytes for b in wide[1:]) <= base._ROW_BUDGET
     assert sum(b.kernel_nbytes for b in wide) > base._ROW_BUDGET
     # at k = 4, blocks of 18 degree-2 points: the fifth fits the budget
@@ -517,7 +519,7 @@ def test_scan_blocks_keep_rows_within_the_budget(monkeypatch, fresh_memo):
     wider = scan_blocks(2, 4, 2, section_degrees(2, 4))
     assert [len(b.points) for b in wider] == [21] + [18] * 7
     assert [b.kernel is None for b in wider] == [False] * 5 + [True] * 3
-    kept = [b.kernel.nbytes for b in wider[1:5]]
+    kept = [stored_nbytes(b.kernel) for b in wider[1:5]]
     assert kept == [b.kernel_nbytes for b in wider[1:5]]
     assert sum(kept) <= base._ROW_BUDGET < sum(kept) + wider[5].kernel_nbytes
     assert wider[5].kernel_nbytes <= 18 * wider[5].point_nbytes <= base._ROW_BUDGET
@@ -547,9 +549,9 @@ def test_scan_blocks_list_the_closed_points_in_order(m, q, r, k, budget, monkeyp
     assert all(len({P.degree for P in b.points}) == 1 for b in blocks)
     assert all(len(b.points) == 1 or len(b.points) * b.point_nbytes <= base._ROW_BUDGET
                for b in blocks)
-    assert all(b.kernel is None or b.kernel.nbytes == b.kernel_nbytes for b in blocks)
+    assert all(b.kernel is None or stored_nbytes(b.kernel) == b.kernel_nbytes for b in blocks)
     for e in range(1, r + 1):
-        assert sum(b.kernel.nbytes for b in blocks
+        assert sum(stored_nbytes(b.kernel) for b in blocks
                    if b.kernel is not None and b.point.degree == e) <= base._ROW_BUDGET
     # a block is cut short only where its degree's points run out
     for b, nxt in itertools.pairwise(blocks):
@@ -626,17 +628,19 @@ def test_kernel_refuses_an_inexact_form_only():
 
 
 def test_jet_at_rejects_forms_from_other_spaces():
+    # a datum's jets at the one-point block of P, from another P^m or field
     P = closed_points_up_to(1, 9, 1)[3]
     F9 = P.emb.src
+    block = jet_space_map(section_degrees(3, 1), (P,))
     with pytest.raises(ValueError, match="projective spaces"):
-        jets_at(random_weierstrass(2, 1, F9, seed=1), P)
+        weier._datum_jets(random_weierstrass(2, 1, F9, seed=1), block)
     # same size, other modulus: slots would be read in the wrong basis
     other = next(FieldCtx(3, 2, (c0, c1, 1)) for c0 in range(3) for c1 in range(3)
                  if (c0, c1, 1) != F9.modulus and is_irreducible((c0, c1, 1), 3))
     with pytest.raises(FieldMismatchError):
-        jets_at(random_weierstrass(1, 1, other, seed=1), P)
+        weier._datum_jets(random_weierstrass(1, 1, other, seed=1), block)
     with pytest.raises(FieldMismatchError):
-        jets_at(random_weierstrass(1, 1, make_field(3, 1), seed=1), P)
+        weier._datum_jets(random_weierstrass(1, 1, make_field(3, 1), seed=1), block)
 
 
 def test_jet_space_map_prime_above_256():

@@ -16,6 +16,7 @@ from elldens.cli import fraction_decimal, main
 from elldens.gf import make_field, prime_power
 from elldens.weier import dump_weier, random_weierstrass, weier_to_obj
 from fractions import Fraction
+from support import monomial, random_section
 
 
 def _run(capsys, argv):
@@ -131,7 +132,7 @@ def test_minimal_from_file(capsys, tmp_path):
         m=1, k=1, field=F5,
         a1=Section.zero(1, 1, F5), a2=Section.zero(1, 2, F5),
         a3=Section.zero(1, 3, F5), a4=Section.zero(1, 4, F5),
-        a6=Section.monomial(1, (6, 0), F5.one),
+        a6=monomial(1, (6, 0), F5.one),
     )
     path = tmp_path / "datum.json"
     dump_weier(w, str(path))
@@ -475,7 +476,7 @@ def test_minimal_default_jmax_refuses_a_huge_search(tmp_path):
     # bounds a witness's degree by 4 or more, so the search at jmax = k = 4
     # keeps ~3.6e8 candidates, which ran for more than 10 minutes before the
     # candidate cap existed
-    from elldens.sections import Section, random_section
+    from elldens.sections import Section
     from elldens.weier import WeierstrassData
     F4 = make_field(2, 2)
     u = random_section(2, 4, F4, rng_seed=1)

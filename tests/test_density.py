@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 
 from elldens import base, density, weier
-from elldens.base import (FeasibilityError, JetKernel, closed_points_up_to, jet_at,
-                          jet_space_map, scan_blocks)
+from elldens.base import JetKernel, closed_points_up_to, jet_at, jet_space_map, scan_blocks
 from elldens.density import (exact_density, expected_bad_count, jet_census, mc_density,
                              sample_seed, singular_scan, surjectivity_check)
+from elldens.errors import FeasibilityError
 from elldens.gf import make_field, prime_power
 from elldens.linalg import rank_mod_p
-from elldens.weier import (in_Mk, jets_at, jets_from_indices, random_weierstrass,
+from elldens.weier import (delta_vanishes, jets_from_indices, random_weierstrass,
                            section_degrees, singular_jets_closed_form, singular_jets_oracle,
-                           singular_over_oracle, smooth_up_to, weierstrass_from_slots,
-                           weierstrass_slots)
+                           weierstrass_from_slots, weierstrass_slots)
+from support import stored_nbytes
 
 
 def test_expected_bad_count_formula():
@@ -286,7 +286,7 @@ def _vanishing(blocks, slots):
     the blocks, as Monte-Carlo's pass over the blocks leaves them."""
     live = np.arange(len(slots))
     for b in blocks:
-        live = live[density._delta_vanishes(
+        live = live[delta_vanishes(
             jets_from_indices(b.field, jet_at(slots[live], b))).all(axis=1)]
     return live
 
@@ -322,10 +322,9 @@ def test_mc_counts_delta_zero_as_not_smooth():
     # end to end: Monte-Carlo draw 76 of master seed 7 at (p, q, m, k, r) =
     # (2, 2, 1, 1, 1) has delta == 0 and passes the detector at every
     # degree-1 point, and is counted in delta_zero_count only
-    from elldens.weier import smooth_up_to, weierstrass_from_slots
     rng = np.random.Generator(np.random.PCG64(sample_seed(7, 76)))
     w = weierstrass_from_slots(1, 1, F2, rng.integers(0, 2, size=18, dtype=np.uint8))
-    assert w.delta.is_zero and smooth_up_to(w, 1)
+    assert w.delta.is_zero and singular_scan(w, 1) == []
     before, after = (mc_density(2, 2, 1, 1, 1, samples=n, master_seed=7) for n in (76, 77))
     assert after.smooth_count == before.smooth_count
     assert after.delta_zero_count == before.delta_zero_count + 1
@@ -369,7 +368,7 @@ def test_mc_setup_holds_only_jet_rows(monkeypatch):
     # one-byte F_2 digits and multiplied in float32
     assert block.kernel.dtype is np.float32
     assert all(b.dtype == np.uint8 for b in block.kernel.blocks)
-    assert block.kernel.nbytes == 21 * 10426
+    assert stored_nbytes(block.kernel) == 21 * 10426
 
 
 def test_mc_stops_a_chunk_once_every_sample_is_settled(monkeypatch):
@@ -386,8 +385,8 @@ def test_mc_stops_a_chunk_once_every_sample_is_settled(monkeypatch):
         used.clear()
         rep = mc_density(2, 2, 1, 1, 3, samples=1, master_seed=seed)
         w = weierstrass_from_slots(1, 1, F2, weierstrass_slots(1, 1, F2, sample_seed(seed, 0)))
-        assert rep.delta_zero_count == (not in_Mk(w))
-        assert rep.smooth_count == (in_Mk(w) and smooth_up_to(w, 3))
+        assert rep.delta_zero_count == w.delta.is_zero
+        assert rep.smooth_count == (not w.delta.is_zero and singular_scan(w, 3) == [])
         assert used == list(blocks[:len(used)])
         stopped += len(used) < len(blocks)
     assert 0 < stopped < 12
@@ -411,8 +410,9 @@ def test_mc_takes_products_only_for_live_rows(monkeypatch):
     rep = mc_density(2, 2, 1, 1, 3, samples=64, master_seed=2)
     data = [weierstrass_from_slots(1, 1, F2, weierstrass_slots(1, 1, F2, sample_seed(2, i)))
             for i in range(64)]
-    assert rep.delta_zero_count == sum(not in_Mk(w) for w in data) > 0
-    assert rep.smooth_count == sum(in_Mk(w) and smooth_up_to(w, 3) for w in data)
+    assert rep.delta_zero_count == sum(w.delta.is_zero for w in data) > 0
+    assert rep.smooth_count == sum(not w.delta.is_zero and singular_scan(w, 3) == []
+                                   for w in data)
     assert sum(rows) < 64 * len(scan_blocks(1, 2, 3, section_degrees(2, 1)))
 
 
@@ -505,7 +505,8 @@ def test_mc_leaves_no_kernel_past_the_budget_in_the_memo(fresh_memo):
     assert [len(b.points) for b in blocks] == [3, 3, 3, 3, 1]
     size = blocks[0].point_nbytes  # float32 product bytes of a point
     assert 3 * size <= base._ROW_BUDGET < 4 * size
-    assert all(b.kernel is not None and b.kernel.nbytes == 3 * size // 4 for b in blocks[:4])
+    assert all(b.kernel is not None and stored_nbytes(b.kernel) == 3 * size // 4
+               for b in blocks[:4])
     assert 12 * size // 4 <= base._ROW_BUDGET < 13 * size // 4
     assert blocks[4].kernel is None
     assert base._scan_blocks.cache_info().currsize == 1
@@ -514,7 +515,7 @@ def test_mc_leaves_no_kernel_past_the_budget_in_the_memo(fresh_memo):
 def _kernel_nbytes(block):
     """Bytes of the kernel that jet_at applies at a block."""
     if block.kernel is not None:
-        return block.kernel.nbytes
+        return stored_nbytes(block.kernel)
     return len(block.points) * block.point_nbytes
 
 
@@ -588,16 +589,25 @@ def test_singular_scan_matches_oracle_point_by_point(q, m, k, r, seed):
     # seeds give witnesses at degree 1 ((4,2,4,2) seed 7, (2,2,1,1), (3,2,1,1),
     # (5,1,1,2) seed 13), at degree 2 ((2,2,9,2) seed 4, (5,1,1,2) seed 23)
     # and none ((4,2,4,2) and (2,2,9,2) seed 0)
+    # the oracle scans each point's lane of its block's one jet product
     p, n = prime_power(q)
     w = random_weierstrass(m, k, make_field(p, n), seed=seed)
+    degrees = section_degrees(p, k)
     scan = {h.point: h for h in singular_scan(w, r)}
-    for P in closed_points_up_to(m, q, r):
-        want = singular_over_oracle(w, P)
-        got = scan.pop(P, None)
-        assert (got is None) == (want is None), P
-        if got is not None:
-            assert (got.x, got.y) == (want.x, want.y)
-            assert got.jets == jets_at(w, P)
+    blocks = scan_blocks(m, q, r, degrees)
+    assert [P for b in blocks for P in b.points] == closed_points_up_to(m, q, r)
+    for b in blocks:
+        lanes = jets_from_indices(b.field, jet_at(w.slots(), b)).lanes()
+        for P, lane in zip(b.points, lanes, strict=True):
+            want = singular_jets_oracle(lane)
+            got = scan.pop(P, None)
+            assert (got is None) == (want is None), P
+            if got is not None:
+                assert (got.x, got.y) == want
+                # and the jets of the point's own one-point block
+                one = jet_space_map(degrees, (P,))
+                assert got.jets == next(jets_from_indices(one.field,
+                                                          jet_at(w.slots(), one)).lanes())
     assert not scan
 
 

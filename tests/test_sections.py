@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from elldens import sections
 from elldens.errors import FeasibilityError
 from elldens.gf import make_field
-from elldens.sections import (InvalidPointError, KeyLayout, Section, TermTable,
-                              dim_space, exact_divide, monomials, random_section,
-                              section_from_slots, section_slots)
+from elldens.sections import (KeyLayout, Section, TermTable, dim_space, exact_divide,
+                              monomials, section_from_slots, section_slots)
 from elldens.weier import random_weierstrass, weierstrass_from_slots
+from support import InvalidPointError, dehomogenize, evaluate, monomial, random_section
 
 F5 = make_field(5, 1)
 F2 = make_field(2, 1)
@@ -64,7 +64,7 @@ def test_ring_identities_random():
         assert ((a + b) * c).coeffs == (a * c + b * c).coeffs
         assert (a - a).is_zero
         assert (a * c).d == 5
-    x = Section.monomial(1, (1, 0), F5.one)
+    x = monomial(1, (1, 0), F5.one)
     assert (x ** 3).coeffs == {(3, 0): F5.one}
 
 
@@ -86,26 +86,26 @@ def test_evaluate_homogeneity():
             continue
         lam = F5.from_index(rng.randrange(1, 5))
         scaled = tuple(lam * c for c in pt)
-        assert s.evaluate(scaled) == lam ** 4 * s.evaluate(pt)
+        assert evaluate(s, scaled) == lam ** 4 * evaluate(s, pt)
 
 
 def test_evaluate_rejects_zero_point():
-    s = Section.monomial(1, (2, 0), F5.one)
+    s = monomial(1, (2, 0), F5.one)
     with pytest.raises(InvalidPointError):
-        s.evaluate((F5.zero, F5.zero))
+        evaluate(s, (F5.zero, F5.zero))
     with pytest.raises(ValueError):
-        s.evaluate((F5.one,))  # wrong length
+        evaluate(s, (F5.one,))  # wrong length
 
 
 def test_dehomogenize_consistent_with_evaluate():
     rng = random.Random("sec-dehom")
     for _ in range(25):
         s = _random_sec(2, 3, F5, rng)
-        aff = s.dehomogenize(0)
+        aff = dehomogenize(s, 0)
         a, b = (F5.from_index(rng.randrange(5)) for _ in range(2))
-        assert aff.evaluate((a, b)) == s.evaluate((F5.one, a, b))
-        aff2 = s.dehomogenize(2)
-        assert aff2.evaluate((a, b)) == s.evaluate((a, b, F5.one))
+        assert aff.evaluate((a, b)) == evaluate(s, (F5.one, a, b))
+        aff2 = dehomogenize(s, 2)
+        assert aff2.evaluate((a, b)) == evaluate(s, (a, b, F5.one))
 
 
 def test_partial_matches_term_by_term_derivative():
@@ -114,7 +114,7 @@ def test_partial_matches_term_by_term_derivative():
     for _ in range(20):
         s = _random_sec(1, 4, F7, rng)
         t = F7.from_index(rng.randrange(7))
-        got = s.dehomogenize(0).partial(1).evaluate((t,))
+        got = dehomogenize(s, 0).partial(1).evaluate((t,))
         want = F7.zero
         for e, c in s.coeffs.items():
             if e[1] == 0:
@@ -125,8 +125,8 @@ def test_partial_matches_term_by_term_derivative():
 
 def test_partial_drops_char_divisible_exponents():
     # d/dx (x^2) = 0 in characteristic 2
-    s = Section.monomial(1, (0, 2), F2.one)
-    aff = s.dehomogenize(0)
+    s = monomial(1, (0, 2), F2.one)
+    aff = dehomogenize(s, 0)
     assert aff.partial(1).evaluate((F2.one,)) == F2.zero
 
 
@@ -145,8 +145,8 @@ def test_exact_divide_roundtrip():
 
 
 def test_exact_divide_failure_and_edges():
-    x = Section.monomial(1, (1, 0), F5.one)
-    y = Section.monomial(1, (0, 1), F5.one)
+    x = monomial(1, (1, 0), F5.one)
+    y = monomial(1, (0, 1), F5.one)
     assert exact_divide(x * x + y * y, x + y) is None
     z = Section.zero(1, 3, F5)
     q = exact_divide(z, x)
@@ -156,10 +156,10 @@ def test_exact_divide_failure_and_edges():
 
 
 def test_power_of_linear_divides():
-    u = Section.monomial(2, (1, 0, 0), F5.one) + Section.monomial(2, (0, 1, 0), F5.from_int(2))
+    u = monomial(2, (1, 0, 0), F5.one) + monomial(2, (0, 1, 0), F5.from_int(2))
     f = u ** 4
     assert exact_divide(f, u ** 2) is not None
-    assert exact_divide(f + Section.monomial(2, (0, 0, 4), F5.one), u) is None
+    assert exact_divide(f + monomial(2, (0, 0, 4), F5.one), u) is None
 
 
 def test_random_section_deterministic():
@@ -226,7 +226,7 @@ def _assert_product_matches_oracle(f, g):
     prod = f * g
     assert (prod.m, prod.d, prod.field) == (f.m, f.d + g.d, f.field)
     for chart in range(f.m + 1):
-        assert prod.dehomogenize(chart) == f.dehomogenize(chart) * g.dehomogenize(chart)
+        assert dehomogenize(prod, chart) == dehomogenize(f, chart) * dehomogenize(g, chart)
     assert (g * f) == prod
 
 
@@ -293,7 +293,7 @@ def test_product_exact_in_large_prime_extension():
 def test_product_at_p_2_31_minus_1_exact_or_infeasible():
     field = make_field(2**31 - 1, 1)
     big = field.from_int(-1)
-    x0 = Section.monomial(2, (1, 0, 0), big)
+    x0 = monomial(2, (1, 0, 0), big)
     two = Section(2, 1, field, {(1, 0, 0): big, (0, 1, 0): big})
     three = Section(2, 1, field, {e: big for e in monomials(2, 1)})
     g = Section(2, 2, field, {e: big for e in monomials(2, 2)})
@@ -327,8 +327,8 @@ def test_products_at_high_m_and_degree():
     f = Section(7, 6, F2, {monos[rng.randrange(len(monos))]: F2.one for _ in range(30)})
     g = Section(7, 6, F2, {monos[rng.randrange(len(monos))]: F2.one for _ in range(30)})
     _assert_product_matches_oracle(f, g)
-    x1 = Section.monomial(8, (0, 258) + (0,) * 7, F2.one)
-    x2 = Section.monomial(8, (0, 0, 258) + (0,) * 6, F2.one)
+    x1 = monomial(8, (0, 258) + (0,) * 7, F2.one)
+    x2 = monomial(8, (0, 0, 258) + (0,) * 6, F2.one)
     assert (x1 * x2).coeffs == {(0, 258, 258) + (0,) * 6: F2.one}
     assert (x1 * x1).coeffs == {(0, 516) + (0,) * 7: F2.one}
 
@@ -357,7 +357,7 @@ def _assert_table_is(t, expected: list, d):
     assert ((t.coords >= 0) & (t.coords < p)).all() and t.coords.any(axis=1).all()
     s = t.section()
     assert s.d == d
-    assert [s.dehomogenize(c) for c in range(t.m + 1)] == expected
+    assert [dehomogenize(s, c) for c in range(t.m + 1)] == expected
 
 
 @st.composite
@@ -381,7 +381,7 @@ def test_term_table_ring_operations_match_affine_oracle(case):
     layout = KeyLayout.of((f.d + g.d + 1,) * m, m, f.d + g.d)
     tf, tg, th = (TermTable.of(s, layout) for s in (f, g, h))
     charts = range(m + 1)
-    df, dg, dh = ([s.dehomogenize(i) for i in charts] for s in (f, g, h))
+    df, dg, dh = ([dehomogenize(s, i) for i in charts] for s in (f, g, h))
     _assert_table_is(tf, df, f.d)
     _assert_table_is(tf * tg, [a * b for a, b in zip(df, dg)], f.d + g.d)
     _assert_table_is(tf + th, [a + b for a, b in zip(df, dh)], f.d)

@@ -11,22 +11,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elldens import weier
-from elldens.base import FeasibilityError, closed_points_up_to
+from elldens.base import closed_points_up_to, jet_at, jet_space_map, scan_blocks
 from elldens.density import sample_seed
+from elldens.errors import FeasibilityError
 from elldens.gf import FieldArray, embedding, make_field, prime_power
-from elldens.sections import Section, dim_space, random_section
+from elldens.sections import Section, dim_space
 from elldens.weier import (Jet, WeierstrassData, WeierstrassJets,
-                           discriminant_value, dump_weier, in_Mk,
-                           infinity_partial, is_minimal, jacobian_vanishes,
-                           jets_at, jets_from_indices, load_weier,
+                           discriminant_value, dump_weier,
+                           infinity_partial, jacobian_vanishes,
+                           jets_from_indices, load_weier,
                            minimality_degree_bound, minimality_witness,
                            random_weierstrass,
                            section_degrees, singular_jets_closed_form,
-                           singular_jets_oracle, singular_over_closed_form,
-                           singular_over_oracle, smooth_up_to, total_slots,
+                           singular_jets_oracle, singular_witnesses, total_slots,
                            varying_indices, weier_from_obj, weier_to_obj,
                            weierstrass_from_slots, weierstrass_slot_rows,
                            weierstrass_slots)
+from support import embed, evaluate, monomial, random_section
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -44,7 +45,7 @@ def _monomial_datum(field, m, k, a_vals):
             secs[i] = Section.zero(m, d, field)
         else:
             expo = (d,) + (0,) * m
-            secs[i] = Section.monomial(m, expo, field.from_int(c))
+            secs[i] = monomial(m, expo, field.from_int(c))
     return WeierstrassData(m=m, k=k, field=field,
                            a1=secs[1], a2=secs[2], a3=secs[3],
                            a4=secs[4], a6=secs[6])
@@ -60,12 +61,12 @@ def test_varying_indices_by_characteristic():
 
 def test_shape_enforced():
     k = 1
-    x4 = Section.monomial(1, (4, 0), F5.one)
+    x4 = monomial(1, (4, 0), F5.one)
     with pytest.raises(ValueError):
         # a_2 must vanish for p > 3
         WeierstrassData(m=1, k=k, field=F5,
                         a1=Section.zero(1, 1, F5),
-                        a2=Section.monomial(1, (2, 0), F5.one),
+                        a2=monomial(1, (2, 0), F5.one),
                         a3=Section.zero(1, 3, F5),
                         a4=x4, a6=Section.zero(1, 6, F5))
     with pytest.raises(ValueError):
@@ -113,16 +114,35 @@ def test_discriminant_form_evaluates_to_the_values_formula(q):
                     pt = tuple(fld.from_index(rng.randrange(fld.size)) for _ in range(m + 1))
                     if not any(pt):
                         continue
-                    vals = [s.evaluate(pt, e) for s in (w.a1, w.a2, w.a3, w.a4, w.a6)]
-                    assert delta.evaluate(pt, e) == discriminant_value(*vals)
+                    vals = [evaluate(s, pt, e) for s in (w.a1, w.a2, w.a3, w.a4, w.a6)]
+                    assert evaluate(delta, pt, e) == discriminant_value(*vals)
+
+
+def _block_lanes(w, r):
+    """Each closed point of degree <= r with the datum's jets there: a lane
+    of its scan block's one jet product."""
+    for b in scan_blocks(w.m, w.field.size, r, section_degrees(w.field.p, w.k)):
+        yield from zip(b.points, jets_from_indices(b.field, jet_at(w.slots(), b)).lanes(),
+                       strict=True)
+
+
+def _closed_form_vs_oracle(w, r):
+    """Per closed point of degree <= r, whether the closed form and the
+    oracle find a singular fiber point: the detector's mask over each scan
+    block, the oracle on each lane of it."""
+    for b in scan_blocks(w.m, w.field.size, r, section_degrees(w.field.p, w.k)):
+        J = jets_from_indices(b.field, jet_at(w.slots(), b))
+        for hit, lane in zip(singular_jets_closed_form(J).mask, J.lanes(), strict=True):
+            yield bool(hit), singular_jets_oracle(lane) is not None
 
 
 def test_jets_at_values():
     w = _monomial_datum(F5, 1, 1, {4: 3, 6: 1})
-    for P in closed_points_up_to(1, 5, 2):
-        J = jets_at(w, P)
+    lanes = list(_block_lanes(w, 2))
+    assert [P for P, _ in lanes] == closed_points_up_to(1, 5, 2)
+    for P, J in lanes:
         x0 = P.coords[0]
-        want4 = P.emb(F5.from_int(3)) * x0 ** 4
+        want4 = embed(P.emb, F5.from_int(3)) * x0 ** 4
         assert J.a4.value == want4
         assert J.a1.value == P.field.zero
 
@@ -133,8 +153,7 @@ def test_infinity_section_never_singular():
     for F in (F2, F3, F5):
         for _ in range(20):
             w = random_weierstrass(1, 1, F, seed=rng.randrange(10**6))
-            for P in closed_points_up_to(1, F.size, 1):
-                J = jets_at(w, P)
+            for P, J in _block_lanes(w, 1):
                 assert infinity_partial(J) == P.field.one
 
 
@@ -143,61 +162,53 @@ def test_infinity_section_never_singular():
     (F2, 2, 1, 12), (F3, 2, 1, 8), (F5, 2, 1, 8),
 ])
 def test_closed_form_matches_oracle(F, m, r, seeds):
-    pts = closed_points_up_to(m, F.size, r)
     for seed in range(seeds):
         w = random_weierstrass(m, 1, F, seed=7000 + seed)
-        for P in pts:
-            a = singular_over_closed_form(w, P)
-            b = singular_over_oracle(w, P)
-            assert (a is None) == (b is None)
+        for a, b in _closed_form_vs_oracle(w, r):
+            assert a == b
 
 
 def test_closed_form_matches_oracle_extension_field():
     F4 = make_field(2, 2)
     F9 = make_field(3, 2)
     for F in (F4, F9):
-        pts = closed_points_up_to(1, F.size, 1)
         for seed in range(8):
             w = random_weierstrass(1, 1, F, seed=seed)
-            for P in pts:
-                a = singular_over_closed_form(w, P)
-                b = singular_over_oracle(w, P)
-                assert (a is None) == (b is None)
+            for a, b in _closed_form_vs_oracle(w, 1):
+                assert a == b
 
 
 def test_witnesses_satisfy_jacobian():
     # any witness returned must make F and all partials vanish; the
     # SingularityWitness constructor re-checks, so it just needs to build
     hits = 0
+    pts = closed_points_up_to(1, 3, 2)
     for seed in range(40):
         w = random_weierstrass(1, 1, F3, seed=seed)
-        for P in closed_points_up_to(1, 3, 2):
-            wit = singular_over_closed_form(w, P)
-            if wit is not None:
-                hits += 1
-                assert wit.point is P or wit.point == P
+        at = [pts.index(wit.point) for wit in singular_witnesses(w, 2)]
+        hits += len(at)
+        assert at == sorted(set(at))  # one witness per listed point, in order
     assert hits > 0  # the sweep is not vacuous
 
 
 def test_node_datum():
     w = _monomial_datum(F7, 1, 1, {4: -3, 6: 2})
     assert w.delta.is_zero
-    assert not in_Mk(w)
-    for P in closed_points_up_to(1, 7, 2):
-        wit = singular_over_closed_form(w, P)
-        assert wit is not None
-        if P.chart == 0:
-            assert wit.x == P.field.one and wit.y == P.field.zero
+    wits = list(singular_witnesses(w, 2))
+    assert [wit.point for wit in wits] == closed_points_up_to(1, 7, 2)
+    for wit in wits:
+        if wit.point.chart == 0:
+            assert wit.x == wit.point.field.one and wit.y == wit.point.field.zero
 
 
 def test_cusp_datum():
     w = _monomial_datum(F5, 1, 1, {})  # y^2 = x^3
     assert w.delta.is_zero
-    for P in closed_points_up_to(1, 5, 2):
-        wit = singular_over_closed_form(w, P)
-        assert wit is not None
-        assert wit.x == P.field.zero and wit.y == P.field.zero
-    assert smooth_up_to(w, 2) is False
+    wits = list(singular_witnesses(w, 2))
+    assert [wit.point for wit in wits] == closed_points_up_to(1, 5, 2)
+    for wit in wits:
+        assert wit.x == wit.point.field.zero and wit.y == wit.point.field.zero
+    assert next(singular_witnesses(w, 2), None) is not None
 
 
 def test_singular_witnesses_one_jet_product_and_detector_call_per_degree(monkeypatch):
@@ -218,27 +229,29 @@ def test_singular_witnesses_one_jet_product_and_detector_call_per_degree(monkeyp
     assert {h.point.degree for h in hits} == {1, 2}
     for h in hits:
         assert jacobian_vanishes(h.jets, h.x, h.y)
-        assert h.jets == jets_at(w, h.point)
+        # the lane equals the jets of the point's own one-point block
+        one = jet_space_map(section_degrees(2, 1), (h.point,))
+        assert h.jets == next(jets_from_indices(one.field, jet_at(w.slots(), one)).lanes())
 
 
 def test_smooth_up_to_frozen_seeds():
     # seeds checked once against the exhaustive oracle and pinned
     for seed in (0, 1, 2, 3):
         w = random_weierstrass(1, 1, F5, seed=seed)
-        assert smooth_up_to(w, 2)
+        assert next(singular_witnesses(w, 2), None) is None
     w = random_weierstrass(1, 1, F5, seed=13)
-    assert not smooth_up_to(w, 1)
+    assert next(singular_witnesses(w, 1), None) is not None
 
 
 def test_minimality():
     non_min = _monomial_datum(F5, 1, 1, {6: 1})  # a6 = x0^6
     wit = minimality_witness(non_min, 1)
     assert wit is not None and wit.d == 1
-    assert not is_minimal(non_min, 1)
+    assert minimality_witness(non_min, 1) is not None
 
     # all-zero data is divisible by anything: vacuously non-minimal
     zero = _monomial_datum(F5, 1, 1, {})
-    assert not is_minimal(zero, 1)
+    assert minimality_witness(zero, 1) is not None
 
     # x1^6 twist is not divisible by x0-multiples only; u = x1 catches it
     other = WeierstrassData(
@@ -246,13 +259,13 @@ def test_minimality():
         a1=Section.zero(1, 1, F5), a2=Section.zero(1, 2, F5),
         a3=Section.zero(1, 3, F5),
         a4=Section.zero(1, 4, F5),
-        a6=Section.monomial(1, (0, 6), F5.one),
+        a6=monomial(1, (0, 6), F5.one),
     )
-    assert not is_minimal(other, 1)
+    assert minimality_witness(other, 1) is not None
 
     # a generic draw is minimal
     w = random_weierstrass(1, 1, F5, seed=3)
-    assert is_minimal(w, 1)
+    assert minimality_witness(w, 1) is None
 
     with pytest.raises(ValueError):
         minimality_witness(w, 0)
@@ -262,7 +275,7 @@ def test_minimality_checks_each_full_power():
     # over F_2 with u = x0 + x1: a_i = u^i except a3 = u^2 x0, so u^3 does
     # not divide a3; u is the only candidate dividing a1
     u = Section(1, 1, F2, {(1, 0): F2.one, (0, 1): F2.one})
-    x0 = Section.monomial(1, (1, 0), F2.one)
+    x0 = monomial(1, (1, 0), F2.one)
     data = {1: u, 3: u ** 3, 4: u ** 4, 6: u ** 6}
     w = WeierstrassData(1, 1, F2, data[1], Section.zero(1, 2, F2), data[3],
                         data[4], data[6])
@@ -331,16 +344,16 @@ def test_line_certificate_on_coordinate_lines():
     F = F5
     zero = {i: Section.zero(2, i, F) for i in (1, 2, 3)}
     a4 = Section(2, 4, F, {(4, 0, 0): F.one, (0, 4, 0): F.one})
-    a6 = Section.monomial(2, (6, 0, 0), F.one)
+    a6 = monomial(2, (6, 0, 0), F.one)
     w = WeierstrassData(2, 1, F, zero[1], zero[2], zero[3], a4, a6)
     assert minimality_degree_bound(w) == 0
     assert minimality_witness(w, 1, cap=1) is None
     # a4 = x0^4: the lines x2 = 0 and x1 = 0 see gcd x0^4, and on x0 = 0
     # both forms vanish, so delta = 4 and the search finds u = x0
     w = WeierstrassData(2, 1, F, zero[1], zero[2], zero[3],
-                        Section.monomial(2, (4, 0, 0), F.one), a6)
+                        monomial(2, (4, 0, 0), F.one), a6)
     assert minimality_degree_bound(w) == 4
-    assert minimality_witness(w, 1) == Section.monomial(2, (1, 0, 0), F.one)
+    assert minimality_witness(w, 1) == monomial(2, (1, 0, 0), F.one)
     # the zero datum: no line bounds anything, the enumeration decides
     w = WeierstrassData(2, 1, F, zero[1], zero[2], zero[3],
                         Section.zero(2, 4, F), Section.zero(2, 6, F))
@@ -517,12 +530,11 @@ def _sparse_gradients(F, shape, seed):
 def _both_paths(J, monkeypatch):
     """Detector and discriminant verdict through the field's value table,
     then through the formulas (the table limit forced to 0)."""
-    from elldens import density
     assert weier.value_keys(J) is not None
     runs = []
     for limit in (weier._VALUE_TABLE_LIMIT, 0):
         monkeypatch.setattr(weier, "_VALUE_TABLE_LIMIT", limit)
-        runs.append((singular_jets_closed_form(J), density._delta_vanishes(J)))
+        runs.append((singular_jets_closed_form(J), weier.delta_vanishes(J)))
     monkeypatch.undo()
     return runs
 
@@ -614,12 +626,14 @@ def test_large_field_scan_builds_no_table():
     # candidate is (0, a6^(1/2)), and the base partial d(a6) vanishes only
     # at (0:1) (t^5 + 1 has derivative t^4 on x1 = 1, s + s^6 has 1 on x0 = 1)
     F = make_field(2, 14)
-    a6 = Section.monomial(1, (5, 1), F.one) + Section.monomial(1, (0, 6), F.one)
+    a6 = monomial(1, (5, 1), F.one) + monomial(1, (0, 6), F.one)
     w = WeierstrassData(1, 1, F, *(Section.zero(1, d, F) for d in (1, 2, 3, 4)), a6)
     [hit] = weier.singular_witnesses(w, 1)
     assert hit.point.coords == (F.zero, F.one)
     assert (hit.x, hit.y) == (F.zero, F.one)
-    assert jacobian_vanishes(jets_at(w, hit.point), hit.x, hit.y)
+    one = jet_space_map(section_degrees(2, 1), (hit.point,))
+    J = next(jets_from_indices(F, jet_at(w.slots(), one)).lanes())
+    assert jacobian_vanishes(J, hit.x, hit.y)
     assert weier.value_table(F) is None and F not in weier._value_tables
 
 
