@@ -1,5 +1,7 @@
 """Densities of everywhere-smooth fibrations: exact products, jet censuses,
-surjectivity rank checks and a seeded Monte-Carlo estimator.
+surjectivity rank checks, a seeded Monte-Carlo estimator and the singular
+scan of one datum.  Every pass over point blocks lives here; ``weier``
+answers for a batch of jets or for a datum.
 
 The exact density of fibrations smooth over all closed points of degree <= r
 is the truncated Euler product prod_{e<=r} (1 - q^{-(m+1)e})^{a_e}.  The jet
@@ -53,11 +55,11 @@ import numpy as np
 from . import zeta as _zeta
 from .base import DEFAULT_ENUM_CAP, closed_points_up_to, jet_at, jet_space_map, scan_blocks
 from .errors import FeasibilityError
-from .gf import is_prime, make_field, prime_power
+from .gf import FieldMismatchError, is_prime, make_field, prime_power
 from .linalg import rank_mod_p
 from .weier import (_CENSUS_BLOCK, SingularityWitness, WeierstrassData, WeierstrassJets,
                     delta_vanishes, jets_from_indices, section_degrees,
-                    singular_jets_closed_form, singular_jets_oracle, singular_witnesses,
+                    singular_jets_closed_form, singular_jets_oracle,
                     varying_indices, weierstrass_from_slots, weierstrass_slot_rows)
 
 _DELTA_PROBE_DEGREE = 3  # discriminant values are probed at points up to here
@@ -243,10 +245,6 @@ class DensityReport:
     threshold_warning: bool
 
 
-def _smooth(J: WeierstrassJets) -> np.ndarray:
-    return ~singular_jets_closed_form(J).mask
-
-
 def _rows_of(field, jets: np.ndarray, live: np.ndarray, rows: np.ndarray) -> WeierstrassJets:
     """The batch of jets of `rows`, a sorted subset of the sorted `live`,
     from `jets`, the jets of `live` (element indices of `field`)."""
@@ -331,7 +329,7 @@ def mc_density(p: int, q: int, m: int, k: int, r: int, samples: int,
             live = np.flatnonzero(held)
             jets = jet_at(slots if len(live) == len(slots) else slots[live], b)
             zero = zero[delta_vanishes(_rows_of(b.field, jets, live, zero)).all(axis=1)]
-            ok = ok[_smooth(_rows_of(b.field, jets, live, ok)).all(axis=1)]
+            ok = ok[~singular_jets_closed_form(_rows_of(b.field, jets, live, ok)).mask.any(axis=1)]
         dz = _delta_zero(blocks, slots, zero, k, r)
         delta_zero += int(np.count_nonzero(dz))
         # draws with delta == 0 count as not-smooth
@@ -350,6 +348,19 @@ def mc_density(p: int, q: int, m: int, k: int, r: int, samples: int,
 
 def singular_scan(w: WeierstrassData, r: int,
                   cap: int | None = None) -> list[SingularityWitness]:
-    """All closed points of degree <= r with a singular fiber point, each with
-    its verified witness (x, y); one detector call per point block."""
-    return list(singular_witnesses(w, r, cap))
+    """All closed points of degree <= r with a singular fiber point, in
+    listing order, each with its witness (x, y), re-verified against its own
+    jets: per block of :func:`~elldens.base.scan_blocks` (``cap`` bounds its
+    enumeration), one :func:`~elldens.base.jet_at` product and one detector
+    call.  The points live over ``make_field``'s field, so a datum over
+    another modulus raises FieldMismatchError."""
+    F = w.field
+    if F != make_field(F.p, F.n):
+        raise FieldMismatchError("datum's field is not the points' base field")
+    hits = []
+    for b in scan_blocks(w.m, F.size, r, section_degrees(F.p, w.k), cap):
+        J = jets_from_indices(b.field, jet_at(w.slots(), b))
+        hit = singular_jets_closed_form(J)
+        hits += [SingularityWitness(point=b.points[i], x=hit.x[i], y=hit.y[i], jets=jets)
+                 for i, jets in zip(np.flatnonzero(hit.mask), J.lanes(hit.mask))]
+    return hits

@@ -35,15 +35,15 @@ value stage, and the discriminant test on values, is one gather on the
 value key.  So a census pairing (V, 1) values with (1, W) gradients solves
 once per value tuple, and Monte-Carlo over small residue fields once per
 field.  The table's layout is read in this module alone: the detector and
-:func:`delta_vanishes` are its two readers.  A datum reaches the detector
-through its jets at the points of one :class:`~elldens.base.PointBlock`,
-one :func:`~elldens.base.jet_at` product; a single point is a lane of its
-block (or the one lane of the block ``jet_space_map(degrees, (P,))``), and
-:meth:`WeierstrassJets.lanes` reads single-point jets back out.  The
-discriminant, the fiber equation and the vanishing conditions are written
-once with ring operations, so they run on forms, on FieldElems and on
-FieldArrays.  The oracle, which scans one lane's fiber, and the
-re-verification of a :class:`SingularityWitness` stay scalar.
+:func:`delta_vanishes` are its two readers.  This module answers for a
+batch of jets or for a datum; the passes over point blocks (one
+:func:`~elldens.base.jet_at` product a block) live in ``density``.  A
+single point is a lane of its block, and :meth:`WeierstrassJets.lanes`
+reads single-point jets back out.  The discriminant, the fiber equation
+and the vanishing conditions are written once with ring operations, so
+they run on forms, on FieldElems and on FieldArrays.  The oracle, which
+scans one lane's fiber, and the re-verification of a
+:class:`SingularityWitness` stay scalar.
 """
 from __future__ import annotations
 
@@ -57,9 +57,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import zeta as _zeta
-from .base import _ROW_BUDGET, ClosedPoint, PointBlock, jet_at, scan_blocks
+from .base import _ROW_BUDGET, ClosedPoint
 from .errors import FeasibilityError
-from .gf import FieldArray, FieldCtx, FieldElem, FieldMismatchError, make_field
+from .gf import FieldArray, FieldCtx, FieldElem, make_field
 from .sections import (KeyLayout, Section, TermTable, dim_space, exact_divide, monomials,
                        section_from_slots, section_slots)
 
@@ -216,18 +216,6 @@ class WeierstrassJets:
             yield WeierstrassJets(self.field, *(
                 Jet(value=elem(c[0][k]), gradient=tuple(elem(d[k]) for d in c[1:]))
                 for c in cols))
-
-
-def _datum_jets(w: WeierstrassData, block: PointBlock) -> WeierstrassJets:
-    """The datum's jets at the points of a block (whose degrees are
-    ``section_degrees``), a batch over the points: one
-    :func:`~elldens.base.jet_at` product with the datum's slot vector."""
-    P = block.point
-    if w.m != P.m:
-        raise ValueError("datum and point live on different projective spaces")
-    if w.field != P.emb.src:
-        raise FieldMismatchError("datum's field is not the point's base field")
-    return jets_from_indices(block.field, jet_at(w.slots(), block))
 
 
 def jets_from_indices(field: FieldCtx, idx: np.ndarray,
@@ -526,28 +514,6 @@ def singular_jets_oracle(J: WeierstrassJets) -> tuple[FieldElem, FieldElem] | No
     return None
 
 
-def singular_witnesses(w: WeierstrassData, r: int,
-                       cap: int | None = None) -> Iterator[SingularityWitness]:
-    """The witnesses over the closed points of degree <= r that carry a
-    singular fiber point, in listing order.  Per point block of
-    :func:`~elldens.base.scan_blocks`, one :func:`~elldens.base.jet_at`
-    product gives the jets at its points and one batched detector call
-    tests them; each witness is re-verified against its own jets.  ``cap``
-    bounds the point enumeration as in
-    :func:`~elldens.base.closed_points_up_to`."""
-    for block in scan_blocks(w.m, w.field.size, r, section_degrees(w.field.p, w.k), cap):
-        yield from _witnesses(w, block)
-
-
-def _witnesses(w: WeierstrassData, block: PointBlock) -> Iterator[SingularityWitness]:
-    """The verified witnesses over the points of one block, in block order:
-    one jet product and one detector call."""
-    J = _datum_jets(w, block)
-    hit = singular_jets_closed_form(J)
-    for i, jets in zip(np.flatnonzero(hit.mask), J.lanes(hit.mask)):
-        yield SingularityWitness(point=block.points[i], x=hit.x[i], y=hit.y[i], jets=jets)
-
-
 def minimality_witness(w: WeierstrassData, j_max: int,
                        cap: int | None = None) -> Section | None:
     """A form u of degree 1..j_max with u^i | a_i for all nonzero a_i, if any.
@@ -676,6 +642,8 @@ def random_weierstrass(m: int, k: int, field: FieldCtx, seed: int) -> Weierstras
 
 
 def total_slots(m: int, k: int, field: FieldCtx) -> int:
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
     return sum(dim_space(m, d) for d in section_degrees(field.p, k)) * field.n
 
 

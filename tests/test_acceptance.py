@@ -10,13 +10,12 @@ import random
 from fractions import Fraction
 
 from elldens.base import closed_points_up_to, jet_at, scan_blocks
-from elldens.density import jet_census, mc_density, surjectivity_check
+from elldens.density import jet_census, mc_density, singular_scan, surjectivity_check
 from elldens.gf import make_field
 from elldens.sections import Section
 from elldens.weier import (WeierstrassData, infinity_partial, jets_from_indices,
                            minimality_witness, random_weierstrass, section_degrees,
-                           singular_jets_closed_form, singular_jets_oracle,
-                           singular_witnesses)
+                           singular_jets_closed_form, singular_jets_oracle)
 from elldens.zeta import (zeta_inverse_exact_Pm, zeta_inverse_truncated,
                           zeta_inverse_truncated_float, zeta_table)
 from support import monomial
@@ -141,10 +140,10 @@ def test_acceptance_6_trivial_invariants():
     # a witness over every point of degree <= 2, in listing order
     cusp = _const_datum(F5, 1, 1, 0, 0)
     cusp_ok = cusp.delta.is_zero and (
-        [wit.point for wit in singular_witnesses(cusp, 2)] == closed_points_up_to(1, 5, 2))
+        [wit.point for wit in singular_scan(cusp, 2)] == closed_points_up_to(1, 5, 2))
 
     node = _const_datum(F7, 1, 1, -3, 2)
-    node_wits = list(singular_witnesses(node, 2))
+    node_wits = singular_scan(node, 2)
     node_ok = node.delta.is_zero and [wit.point for wit in node_wits] == pts
     witness_ok = all(wit.x == wit.point.field.one and wit.y == wit.point.field.zero
                      for wit in node_wits if wit.point.chart == 0)

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from elldens import base, weier
+from elldens import base
 from elldens.base import (ClosedPoint, JetKernel, PointBlock, closed_points_up_to,
                           exact_float_dtype, jet_at, jet_space_map, scan_blocks)
+from elldens.density import singular_scan
 from elldens.errors import FeasibilityError
 from elldens.gf import (FieldCtx, FieldMismatchError, embedding, is_irreducible, make_field,
                         prime_power)
@@ -628,19 +629,17 @@ def test_kernel_refuses_an_inexact_form_only():
 
 
 def test_jet_at_rejects_forms_from_other_spaces():
-    # a datum's jets at the one-point block of P, from another P^m or field
+    # a P^2 datum's slots on the one-point block of a point of P^1
     P = closed_points_up_to(1, 9, 1)[3]
     F9 = P.emb.src
     block = jet_space_map(section_degrees(3, 1), (P,))
-    with pytest.raises(ValueError, match="projective spaces"):
-        weier._datum_jets(random_weierstrass(2, 1, F9, seed=1), block)
+    with pytest.raises(ValueError, match="does not fit"):
+        jet_at(random_weierstrass(2, 1, F9, seed=1).slots(), block)
     # same size, other modulus: slots would be read in the wrong basis
     other = next(FieldCtx(3, 2, (c0, c1, 1)) for c0 in range(3) for c1 in range(3)
                  if (c0, c1, 1) != F9.modulus and is_irreducible((c0, c1, 1), 3))
     with pytest.raises(FieldMismatchError):
-        weier._datum_jets(random_weierstrass(1, 1, other, seed=1), block)
-    with pytest.raises(FieldMismatchError):
-        weier._datum_jets(random_weierstrass(1, 1, make_field(3, 1), seed=1), block)
+        singular_scan(random_weierstrass(1, 1, other, seed=1), 1)
 
 
 def test_jet_space_map_prime_above_256():

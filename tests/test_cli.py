@@ -257,8 +257,11 @@ def test_configurations_outside_the_domain_exit_2(capsys, argv, message):
      "--seed must be >= 0 with --random, got -1"),
     (["minimal", "--random", "-q", "5", "-m", "1", "-k", "1", "--seed", "-2"],
      "--seed must be >= 0 with --random, got -2"),
+    (["scan", "--random", "-q", "5", "-m", "1", "-k", "-1", "-r", "1"],
+     "need k >= 1, got -1"),
+    (["minimal", "--random", "-q", "5", "-m", "1", "-k", "-1"], "need k >= 1, got -1"),
 ], ids=["minimal-cap-negative", "minimal-cap-zero", "scan-cap-zero", "census-cap-negative",
-        "scan-seed-negative", "minimal-seed-negative"])
+        "scan-seed-negative", "minimal-seed-negative", "scan-k-negative", "minimal-k-negative"])
 def test_flags_outside_their_domain_exit_2(capsys, argv, message):
     code = main(argv)
     captured = capsys.readouterr()

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from elldens import base, density, weier
+from elldens import base, density
 from elldens.base import JetKernel, closed_points_up_to, jet_at, jet_space_map, scan_blocks
 from elldens.density import (exact_density, expected_bad_count, jet_census, mc_density,
                              sample_seed, singular_scan, surjectivity_check)
@@ -348,7 +348,8 @@ def test_delta_zero_batch_matches_exact_expansion(monkeypatch):
 
 
 def _record_blocks(monkeypatch):
-    """The blocks that Monte-Carlo's jet_at calls take, in call order."""
+    """The blocks that the jet_at calls of Monte-Carlo and scans take, in
+    call order."""
     used = []
     monkeypatch.setattr(density, "jet_at",
                         lambda slots, block: used.append(block) or jet_at(slots, block))
@@ -384,11 +385,11 @@ def test_mc_stops_a_chunk_once_every_sample_is_settled(monkeypatch):
     for seed in range(12):
         used.clear()
         rep = mc_density(2, 2, 1, 1, 3, samples=1, master_seed=seed)
+        assert used == list(blocks[:len(used)])
+        stopped += len(used) < len(blocks)
         w = weierstrass_from_slots(1, 1, F2, weierstrass_slots(1, 1, F2, sample_seed(seed, 0)))
         assert rep.delta_zero_count == w.delta.is_zero
         assert rep.smooth_count == (not w.delta.is_zero and singular_scan(w, 3) == [])
-        assert used == list(blocks[:len(used)])
-        stopped += len(used) < len(blocks)
     assert 0 < stopped < 12
 
 
@@ -408,12 +409,12 @@ def test_mc_takes_products_only_for_live_rows(monkeypatch):
     F2 = make_field(2, 1)
     rows.clear()
     rep = mc_density(2, 2, 1, 1, 3, samples=64, master_seed=2)
+    assert sum(rows) < 64 * len(scan_blocks(1, 2, 3, section_degrees(2, 1)))
     data = [weierstrass_from_slots(1, 1, F2, weierstrass_slots(1, 1, F2, sample_seed(2, i)))
             for i in range(64)]
     assert rep.delta_zero_count == sum(w.delta.is_zero for w in data) > 0
     assert rep.smooth_count == sum(not w.delta.is_zero and singular_scan(w, 3) == []
                                    for w in data)
-    assert sum(rows) < 64 * len(scan_blocks(1, 2, 3, section_degrees(2, 1)))
 
 
 def test_probe_reads_the_scan_memo(monkeypatch, fresh_memo):
@@ -527,8 +528,6 @@ def test_jet_at_takes_blocks_within_the_budget(budget, monkeypatch, fresh_memo):
     if budget is not None:
         monkeypatch.setattr(base, "_ROW_BUDGET", budget)
     used = _record_blocks(monkeypatch)
-    monkeypatch.setattr(weier, "jet_at",
-                        lambda slots, block: used.append(block) or jet_at(slots, block))
     singular_scan(random_weierstrass(2, 4, make_field(2, 2), seed=0), 2)
     mc_density(3, 3, 2, 18, 1, samples=20, master_seed=0)
     mc_density(2, 4, 1, 6, 2, samples=100, master_seed=0)

@@ -1,6 +1,7 @@
 """The package holds what its commands run: every top-level function and
 class and every method of `src/elldens` is referenced from `src/` or
-`bench/`, or named in the README as public API."""
+`bench/`, or named in the README as public API.  Point blocks are built in
+`base` and walked in `density` alone."""
 import ast
 import re
 from pathlib import Path
@@ -22,18 +23,20 @@ def _definitions(package: Path):
                         yield f"{path.stem}.{node.name}.{sub.name}", sub.name, sub
 
 
+def _names_read(path: Path):
+    """Each Name and Attribute node of one file, with the name it reads;
+    docstrings and comments hold none."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+
+
 def _references(dirs) -> list[tuple[str, ast.AST]]:
     """Each Name and Attribute node under the directories, with the name it
-    reads; docstrings and comments hold none."""
-    refs = []
-    for d in dirs:
-        for path in sorted(d.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    refs.append((node.id, node))
-                elif isinstance(node, ast.Attribute):
-                    refs.append((node.attr, node))
-    return refs
+    reads."""
+    return [ref for d in dirs for path in sorted(d.rglob("*.py")) for ref in _names_read(path)]
 
 
 def _readme_names(readme: Path) -> set[str]:
@@ -62,3 +65,18 @@ def unreferenced(root: Path) -> list[str]:
 
 def test_every_definition_is_run_or_public():
     assert unreferenced(ROOT) == []
+
+
+def block_pass_readers(root: Path) -> list[str]:
+    """module.name for each read of a point-block builder or pass outside
+    `base`, which builds the blocks, and `density`, which walks them."""
+    return [f"{path.stem}.{name}"
+            for path in sorted((root / "src" / "elldens").glob("*.py"))
+            if path.stem not in ("base", "density")
+            for name, _ in _names_read(path)
+            if name in ("scan_blocks", "jet_at", "jet_space_map")]
+
+
+def test_only_density_takes_passes_over_point_blocks():
+    # every other module answers for a batch of jets or for a datum
+    assert block_pass_readers(ROOT) == []

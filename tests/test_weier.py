@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elldens import weier
+from elldens import density, weier
 from elldens.base import closed_points_up_to, jet_at, jet_space_map, scan_blocks
-from elldens.density import sample_seed
+from elldens.density import sample_seed, singular_scan
 from elldens.errors import FeasibilityError
 from elldens.gf import FieldArray, embedding, make_field, prime_power
 from elldens.sections import Section, dim_space
@@ -23,7 +23,7 @@ from elldens.weier import (Jet, WeierstrassData, WeierstrassJets,
                            minimality_degree_bound, minimality_witness,
                            random_weierstrass,
                            section_degrees, singular_jets_closed_form,
-                           singular_jets_oracle, singular_witnesses, total_slots,
+                           singular_jets_oracle, total_slots,
                            varying_indices, weier_from_obj, weier_to_obj,
                            weierstrass_from_slots, weierstrass_slot_rows,
                            weierstrass_slots)
@@ -185,7 +185,7 @@ def test_witnesses_satisfy_jacobian():
     pts = closed_points_up_to(1, 3, 2)
     for seed in range(40):
         w = random_weierstrass(1, 1, F3, seed=seed)
-        at = [pts.index(wit.point) for wit in singular_witnesses(w, 2)]
+        at = [pts.index(wit.point) for wit in singular_scan(w, 2)]
         hits += len(at)
         assert at == sorted(set(at))  # one witness per listed point, in order
     assert hits > 0  # the sweep is not vacuous
@@ -194,7 +194,7 @@ def test_witnesses_satisfy_jacobian():
 def test_node_datum():
     w = _monomial_datum(F7, 1, 1, {4: -3, 6: 2})
     assert w.delta.is_zero
-    wits = list(singular_witnesses(w, 2))
+    wits = singular_scan(w, 2)
     assert [wit.point for wit in wits] == closed_points_up_to(1, 7, 2)
     for wit in wits:
         if wit.point.chart == 0:
@@ -204,14 +204,14 @@ def test_node_datum():
 def test_cusp_datum():
     w = _monomial_datum(F5, 1, 1, {})  # y^2 = x^3
     assert w.delta.is_zero
-    wits = list(singular_witnesses(w, 2))
+    wits = singular_scan(w, 2)
     assert [wit.point for wit in wits] == closed_points_up_to(1, 5, 2)
     for wit in wits:
         assert wit.x == wit.point.field.zero and wit.y == wit.point.field.zero
-    assert next(singular_witnesses(w, 2), None) is not None
+    assert singular_scan(w, 2) != []
 
 
-def test_singular_witnesses_one_jet_product_and_detector_call_per_degree(monkeypatch):
+def test_singular_scan_one_jet_product_and_detector_call_per_degree(monkeypatch):
     calls = []
 
     def counted(name, fn):
@@ -220,11 +220,11 @@ def test_singular_witnesses_one_jet_product_and_detector_call_per_degree(monkeyp
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(weier, "jet_at", counted("jet_at", weier.jet_at))
-    monkeypatch.setattr(weier, "singular_jets_closed_form",
-                        counted("detector", weier.singular_jets_closed_form))
+    monkeypatch.setattr(density, "jet_at", counted("jet_at", density.jet_at))
+    monkeypatch.setattr(density, "singular_jets_closed_form",
+                        counted("detector", density.singular_jets_closed_form))
     w = random_weierstrass(2, 1, make_field(2, 2), seed=10)
-    hits = list(weier.singular_witnesses(w, 2))
+    hits = singular_scan(w, 2)
     assert calls == ["jet_at", "detector"] * 2
     assert {h.point.degree for h in hits} == {1, 2}
     for h in hits:
@@ -238,9 +238,9 @@ def test_smooth_up_to_frozen_seeds():
     # seeds checked once against the exhaustive oracle and pinned
     for seed in (0, 1, 2, 3):
         w = random_weierstrass(1, 1, F5, seed=seed)
-        assert next(singular_witnesses(w, 2), None) is None
+        assert singular_scan(w, 2) == []
     w = random_weierstrass(1, 1, F5, seed=13)
-    assert next(singular_witnesses(w, 1), None) is not None
+    assert singular_scan(w, 1) != []
 
 
 def test_minimality():
@@ -628,7 +628,7 @@ def test_large_field_scan_builds_no_table():
     F = make_field(2, 14)
     a6 = monomial(1, (5, 1), F.one) + monomial(1, (0, 6), F.one)
     w = WeierstrassData(1, 1, F, *(Section.zero(1, d, F) for d in (1, 2, 3, 4)), a6)
-    [hit] = weier.singular_witnesses(w, 1)
+    [hit] = singular_scan(w, 1)
     assert hit.point.coords == (F.zero, F.one)
     assert (hit.x, hit.y) == (F.zero, F.one)
     one = jet_space_map(section_degrees(2, 1), (hit.point,))
