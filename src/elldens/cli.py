@@ -74,7 +74,10 @@ def _check_printable(q: int, E: int) -> None:
 
 
 def _check_printable_density(q: int, m: int, r: int) -> None:
-    """:func:`_check_printable` for ``exact_density(q, m, r)``."""
+    """:func:`_check_printable` for ``exact_density(q, m, r)``, after the
+    check that r lies in the zeta tables' range 1..``MAX_TRUNCATION``."""
+    if not 1 <= r <= _zeta.MAX_TRUNCATION:
+        raise ValueError(f"need 1 <= r <= {_zeta.MAX_TRUNCATION}, got {r}")
     table = _zeta.zeta_table(m, q, r)
     _check_printable(q, _zeta.truncated_exponent(table, m + 1, r))
 

@@ -122,8 +122,11 @@ def jet_census(p: int, q: int, m: int, e: int,
     """Exhaustively classify every jet tuple at a degree-e point as admitting
     a singular fiber point or not.
 
-    Each chunk of W <= ``_CENSUS_BLOCK`` gradient tuples meets the value
-    tuples V = ``_CENSUS_BLOCK // W`` at a time, one detector call each.
+    Each chunk of W <= ``_CENSUS_BLOCK`` gradient tuples (the detector's
+    lane budget, 2^14) meets the value tuples V = ``_CENSUS_BLOCK // W`` at
+    a time, one detector call each on (V, 1) values and (1, W) gradients,
+    which the detector reads on their own axes: the acceptance-1 cases take
+    one call each but for (3,3,2,1), two, and the 2^16-tuple (2,2,1,2), four.
     With cross_check=True every tuple is also scanned by the exhaustive
     fiber oracle and a disagreement raises, naming the tuple's digits.
     """

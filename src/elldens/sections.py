@@ -53,6 +53,7 @@ instead of wrapping.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple
@@ -74,25 +75,31 @@ def dim_space(m: int, d: int) -> int:
     return comb(d + m, m)
 
 
+def _exponents(nvars: int, total: int) -> Iterator[tuple[int, ...]]:
+    """The exponent tuples of degree ``total`` in ``nvars`` variables,
+    descending grlex, one at a time."""
+    if nvars == 1:
+        yield (total,)
+        return
+    for e in range(total, -1, -1):
+        for rest in _exponents(nvars - 1, total - e):
+            yield (e,) + rest
+
+
 @lru_cache(maxsize=None)
 def monomials(m: int, d: int) -> tuple[tuple[int, ...], ...]:
     """All exponent tuples of degree d in m+1 variables, descending grlex."""
-    def gen(nvars: int, total: int):
-        if nvars == 1:
-            yield (total,)
-            return
-        for e in range(total, -1, -1):
-            for rest in gen(nvars - 1, total - e):
-                yield (e,) + rest
-    out = tuple(gen(m + 1, d))
+    out = tuple(_exponents(m + 1, d))
     assert len(out) == dim_space(m, d)
     return out
 
 
 @lru_cache(maxsize=None)
 def monomial_array(m: int, d: int) -> np.ndarray:
-    """``monomials(m, d)`` as a read-only (dim, m+1) int64 array."""
-    arr = np.array(monomials(m, d), dtype=np.int64).reshape(-1, m + 1)
+    """``monomials(m, d)`` as a read-only (dim, m+1) int64 array, built from
+    the exponent tuples one at a time, so only the array is kept."""
+    arr = np.fromiter(_exponents(m + 1, d), dtype=np.dtype((np.int64, m + 1)),
+                      count=dim_space(m, d))
     arr.flags.writeable = False
     return arr
 

@@ -28,9 +28,10 @@ branches taken as masks.  It runs in two stages.  The value stage (the
 candidate and the F, dF/dx, dF/dy tests) reads the g coefficient values
 alone and runs in the values' shape; the base stage tests the m base
 directions one at a time, each on the lanes of the joint shape that have
-passed so far, gathering their gradient entries from broadcast views.  A
-residue field with at most ``_VALUE_TABLE_LIMIT`` value tuples (Q^g) has a
-:class:`ValueTable`, built on first use from the same formulas: there the
+passed so far, gathering their gradient entries from each entry's own
+array, at index 0 on the axes where it broadcasts.  A residue field with at
+most ``_VALUE_TABLE_LIMIT`` value tuples (Q^g) has a :class:`ValueTable`,
+built on first use, in one call, from the same formulas: there the
 value stage, and the discriminant test on values, is one gather on the
 value key.  So a census pairing (V, 1) values with (1, W) gradients solves
 once per value tuple, and Monte-Carlo over small residue fields once per
@@ -68,11 +69,13 @@ WEIER_FORMAT_VERSION = 1
 # after the coordinate-line bound (none for a certified datum); one costs
 # ~45 us (P^2 over F_2, k = 4), so the default search stays within a minute
 MINIMALITY_CAP = 1 << 20
-# value tuples (Q^g) up to which a residue field gets a ValueTable: F_125 at
-# g = 2 (15,625 tuples, ~6 ms to build) and F_8 at g = 4 do, F_16 at g = 4
-# and F_27 at g = 3 do not, so a one-shot scan never builds more than it reads
+# one lane budget for the batched detector: the value tuples (Q^g) up to
+# which a residue field gets a ValueTable, built in one call (F_125 at g = 2,
+# 15,625 tuples, and F_8 at g = 4 do; F_16 at g = 4 and F_27 at g = 3 do not,
+# so a one-shot scan never builds more than it reads), and the jet tuples a
+# census detector call takes, past which the call's fixed cost is amortized
 _VALUE_TABLE_LIMIT = 1 << 14
-_CENSUS_BLOCK = 4096  # jet tuples per batched detector call (census, table slabs)
+_CENSUS_BLOCK = _VALUE_TABLE_LIMIT
 
 _INDICES = (1, 2, 3, 4, 6)
 
@@ -395,21 +398,16 @@ def value_table(field: FieldCtx) -> ValueTable | None:
 
 def _build_value_table(field: FieldCtx, g: int) -> ValueTable:
     """:func:`_value_stage` and :func:`discriminant_value` on all Q^g value
-    tuples in key order, ``_CENSUS_BLOCK`` tuples at a time."""
+    tuples in key order, in one call (Q^g <= ``_VALUE_TABLE_LIMIT``)."""
     Q = field.size
-    size = Q ** g
+    keys = np.arange(Q ** g)
+    # the key's base-Q digit f is the value of the f-th varying form
+    vals = np.stack([keys // Q ** f % Q for f in range(g)], axis=-1)
+    J = jets_from_indices(field, vals, np.zeros(vals.shape + (0,), dtype=np.int64))
+    passes, x, y = _value_stage(J)
     small = np.min_scalar_type(Q - 1)
-    table = ValueTable(np.empty(size, dtype=bool), np.empty(size, dtype=small),
-                       np.empty(size, dtype=small), np.empty(size, dtype=bool))
-    for lo in range(0, size, _CENSUS_BLOCK):
-        keys = np.arange(lo, min(lo + _CENSUS_BLOCK, size))
-        # the key's base-Q digit f is the value of the f-th varying form
-        vals = np.stack([keys // Q ** f % Q for f in range(g)], axis=-1)
-        J = jets_from_indices(field, vals, np.zeros(vals.shape + (0,), dtype=np.int64))
-        part = slice(lo, lo + len(keys))
-        table.passes[part], x, y = _value_stage(J)
-        table.x[part], table.y[part] = x.idx, y.idx
-        table.delta_zero[part] = discriminant_value(*J.values()).is_zero
+    table = ValueTable(passes, x.idx.astype(small), y.idx.astype(small),
+                       discriminant_value(*J.values()).is_zero)
     for a in table:
         a.flags.writeable = False
     return table
@@ -434,12 +432,17 @@ def value_keys(J: WeierstrassJets) -> tuple[ValueTable, np.ndarray] | None:
 
 
 def _gather(a: FieldArray, grid: tuple[int, ...], at: tuple[np.ndarray, ...]) -> FieldArray:
-    """The entries of ``a``, broadcast to ``grid``, at the lanes ``at``, read
-    from a view; a 0-d ``a`` (one element for every lane, as a fixed form's
+    """The entries of ``a``, broadcast to ``grid``, at the lanes ``at``: read
+    from ``a``'s own array, at index 0 on every axis where it broadcasts (as
+    a census's (V, 1) values and (1, W) gradients), so no view of the grid
+    is indexed; a 0-d ``a`` (one element for every lane, as a fixed form's
     zero gradient) as it is."""
+    if a.shape == grid:
+        return FieldArray(a.ctx, a.idx[at])
     if not a.idx.ndim:
         return a
-    return FieldArray(a.ctx, (a.idx if a.shape == grid else np.broadcast_to(a.idx, grid))[at])
+    own = at[len(grid) - a.idx.ndim:]  # an entry's axes are the grid's last ones
+    return FieldArray(a.ctx, a.idx[tuple(ix if n > 1 else 0 for n, ix in zip(a.shape, own))])
 
 
 def singular_jets_closed_form(J: WeierstrassJets) -> SingularBatch:
@@ -452,9 +455,10 @@ def singular_jets_closed_form(J: WeierstrassJets) -> SingularBatch:
     the F, dF/dx, dF/dy tests by their formulas.  The base stage then tests
     one direction at a time on the lanes of the joint shape that have
     passed so far (``np.flatnonzero``, ``np.unravel_index``), gathering
-    each direction's gradient entries at those lanes from broadcast views,
-    never from copies in the joint shape.  Entries that only broadcast give
-    mask, x and y in the joint shape (x and y views past the values').
+    each direction's gradient entries at those lanes from each entry's own
+    array (see :func:`_gather`), never from a view or copy of the joint
+    shape.  Entries that only broadcast give mask, x and y in the joint
+    shape (x and y views past the values').
     """
     F = J.field
     found = value_keys(J)
@@ -471,7 +475,9 @@ def singular_jets_closed_form(J: WeierstrassJets) -> SingularBatch:
         if not lanes.size:
             break
         at = np.unravel_index(lanes, grid)
-        lanes = lanes[base_condition(*(_gather(a, grid, at) for a in (*grads, x, y))).is_zero]
+        ok = base_condition(*(_gather(a, grid, at) for a in (*grads, x, y))).is_zero
+        # every entry broadcasting along the lanes' axes leaves one answer for all
+        lanes = lanes[np.broadcast_to(ok, lanes.shape)]
     mask = np.zeros(joint, dtype=bool)
     mask.reshape(-1)[lanes] = True
     x, y = (a if a.shape == joint else FieldArray(F, np.broadcast_to(a.idx, joint))

@@ -260,8 +260,16 @@ def test_configurations_outside_the_domain_exit_2(capsys, argv, message):
     (["scan", "--random", "-q", "5", "-m", "1", "-k", "-1", "-r", "1"],
      "need k >= 1, got -1"),
     (["minimal", "--random", "-q", "5", "-m", "1", "-k", "-1"], "need k >= 1, got -1"),
+    (["density-exact", "-q", "2", "-m", "1", "-r", "0"], "need 1 <= r <= 32, got 0"),
+    (["density-exact", "-q", "2", "-m", "1", "-r", "40"], "need 1 <= r <= 32, got 40"),
+    (["density-mc", "-p", "2", "-q", "2", "-m", "1", "-k", "1", "-r", "0", "--samples", "1"],
+     "need 1 <= r <= 32, got 0"),
+    (["density-mc", "-p", "2", "-q", "2", "-m", "1", "-k", "1", "-r", "40", "--samples", "1"],
+     "need 1 <= r <= 32, got 40"),
 ], ids=["minimal-cap-negative", "minimal-cap-zero", "scan-cap-zero", "census-cap-negative",
-        "scan-seed-negative", "minimal-seed-negative", "scan-k-negative", "minimal-k-negative"])
+        "scan-seed-negative", "minimal-seed-negative", "scan-k-negative", "minimal-k-negative",
+        "density-exact-r-zero", "density-exact-r-large", "density-mc-r-zero",
+        "density-mc-r-large"])
 def test_flags_outside_their_domain_exit_2(capsys, argv, message):
     code = main(argv)
     captured = capsys.readouterr()

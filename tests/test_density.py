@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from elldens import base, density
+from elldens import base, density, weier
 from elldens.base import JetKernel, closed_points_up_to, jet_at, jet_space_map, scan_blocks
 from elldens.density import (exact_density, expected_bad_count, jet_census, mc_density,
                              sample_seed, singular_scan, surjectivity_check)
@@ -91,25 +91,51 @@ def test_census_cross_check_names_the_disagreeing_tuple(monkeypatch):
     assert verdict == ("singular" if hit[0] else "smooth")
 
 
-@pytest.mark.parametrize("p,q,m,e", [
-    (5, 5, 2, 1),  # 625 gradient tuples: 6 value rows per call
-    (2, 2, 3, 1),  # exactly _CENSUS_BLOCK gradient tuples: one value row per call
-    (2, 2, 4, 1),  # 16 gradient chunks per value row
-    (7, 7, 1, 1), (7, 7, 2, 1), (3, 9, 1, 1), (5, 5, 1, 2),
-])
-def test_census_block_regimes(monkeypatch, p, q, m, e):
-    sizes = []
+# the first detector call's (V, W) shape per census case
+_FIRST_CALL = {
+    (5, 5, 2, 1): (25, 625),  # 625 gradient tuples: all 25 value rows (of 26) per call
+    (2, 2, 3, 1): (4, 4096),  # 4,096 gradient tuples: 4 value rows per call
+    (5, 5, 3, 1): (1, 15625),  # 15,625 gradient tuples: one value row per call
+    (2, 2, 4, 1): (1, 16384),  # 65,536 gradient tuples: 4 chunks per value row
+    (7, 7, 1, 1): (49, 49), (7, 7, 2, 1): (6, 2401), (3, 9, 1, 1): (22, 729),
+    (5, 5, 1, 2): (26, 625),
+}
+
+
+def _detector_shapes(monkeypatch) -> list:
+    """The joint shape of every batch the census hands the detector, from
+    now on."""
+    shapes = []
     detector = density.singular_jets_closed_form
 
     def counted(J):
-        sizes.append(math.prod(J.shape))
+        shapes.append(J.shape)
         return detector(J)
 
     monkeypatch.setattr(density, "singular_jets_closed_form", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("p,q,m,e", list(_FIRST_CALL))
+def test_census_block_regimes(monkeypatch, p, q, m, e):
+    shapes = _detector_shapes(monkeypatch)
     c = jet_census(p, q, m, e)
     assert c.bad == expected_bad_count(p, q, m, e)
+    sizes = [math.prod(s) for s in shapes]
+    assert shapes[0] == _FIRST_CALL[p, q, m, e]
     assert max(sizes) <= density._CENSUS_BLOCK
     assert sum(sizes) == c.total
+
+
+def test_census_takes_one_detector_call_per_block(monkeypatch):
+    # the acceptance-1 cases and (2,4,1,1): one call each but for (3,3,2,1),
+    # two, and the 2^16-tuple (2,2,1,2) and (2,4,1,1), four each
+    calls = _detector_shapes(monkeypatch)
+    for case in [(5, 5, 1, 1), (5, 5, 2, 1), (2, 2, 1, 1), (2, 2, 2, 1), (2, 2, 1, 2),
+                 (3, 3, 1, 1), (3, 3, 2, 1), (2, 4, 1, 1)]:
+        jet_census(*case)
+    assert density._CENSUS_BLOCK == weier._VALUE_TABLE_LIMIT == 1 << 14
+    assert len(calls) == 15
 
 
 def test_census_validates_and_caps():

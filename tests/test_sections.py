@@ -12,7 +12,7 @@ from elldens import sections
 from elldens.errors import FeasibilityError
 from elldens.gf import make_field
 from elldens.sections import (KeyLayout, Section, TermTable, dim_space, exact_divide,
-                              monomials, section_from_slots, section_slots)
+                              monomial_array, monomials, section_from_slots, section_slots)
 from elldens.weier import random_weierstrass, weierstrass_from_slots
 from support import InvalidPointError, dehomogenize, evaluate, monomial, random_section
 
@@ -41,6 +41,14 @@ def test_monomials_descending_grlex_and_degree():
             assert list(ms) == sorted(ms, reverse=True)
     assert monomials(1, 2) == ((2, 0), (1, 1), (0, 2))
     assert monomials(2, 1) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def test_monomial_array_lists_the_monomials():
+    # built from the exponent generator, not from the cached tuples
+    for m, d in [(m, d) for m in range(1, 5) for d in range(25)] + [(2, 108)]:
+        arr = monomial_array(m, d)
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+        assert np.array_equal(arr, np.array(monomials(m, d)).reshape(-1, m + 1)), (m, d)
 
 
 def test_constructor_validates():

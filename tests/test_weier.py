@@ -1,5 +1,6 @@
 """Coefficient-form tuples, discriminants, singular fiber detection and
 minimality."""
+import dataclasses
 import hashlib
 import json
 import random
@@ -569,6 +570,39 @@ def test_value_table_path_equals_formula_path(p, n, m, monkeypatch):
     assert np.array_equal(built.passes, passes)
     assert np.array_equal(built.x, x.idx) and np.array_equal(built.y, y.idx)
     assert np.array_equal(built.delta_zero, discriminant_value(*no_grad.values()).is_zero)
+
+
+@pytest.mark.parametrize("p,n,m,limit", [
+    (p, n, m, None) for p, n in ((2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)) for m in (1, 2)
+] + [(5, 2, 2, 0)])
+def test_detector_gathers_broadcast_entries_as_their_joint_copies(p, n, m, limit, monkeypatch):
+    # (V, 1, g) values against (1, W, g, m) gradients: the verdicts of the
+    # same tuples copied out to the joint shape, whose entries the detector
+    # gathers as they are; limit 0 takes the value stage's formula path
+    if limit is not None:
+        monkeypatch.setattr(weier, "_VALUE_TABLE_LIMIT", limit)
+    F = make_field(p, n)
+    vals = _all_values(F)[:, None]
+    g = vals.shape[-1]
+    grads = _sparse_gradients(F, (1, 8, g, m), seed=100 * p + 10 * n + m)
+    jv, jg = np.broadcast_arrays(vals[..., None], grads)
+    jv, jg = jv[..., 0].copy(), jg.copy()
+    J0 = jets_from_indices(F, vals, grads)
+    assert (weier.value_keys(J0) is None) == (limit == 0)
+    # the last varying form's first gradient entry also as a 0-d entry, as
+    # a fixed form's zero gradient is
+    a6 = Jet(J0.a6.value, (FieldArray(F, 0),) + J0.a6.gradient[1:])
+    jg0 = jg.copy()
+    jg0[..., -1, 0] = 0
+    for J, joint in ((J0, jets_from_indices(F, jv, jg)),
+                     (dataclasses.replace(J0, a6=a6), jets_from_indices(F, jv, jg0))):
+        assert any(not a.idx.ndim for jet in (J.a1, J.a2, J.a6) for a in jet.gradient)
+        assert J.shape == joint.shape == (len(vals), 8)
+        hit, ref = singular_jets_closed_form(J), singular_jets_closed_form(joint)
+        assert np.array_equal(hit.mask, ref.mask)
+        assert np.array_equal(hit.x.idx, ref.x.idx)
+        assert np.array_equal(hit.y.idx, ref.y.idx)
+        assert hit.mask.any() and not hit.mask.all()
 
 
 @pytest.mark.parametrize("p,n", [(5, 1), (2, 4)])
