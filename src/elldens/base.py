@@ -182,7 +182,7 @@ class JetKernel:
     for every form, as F_p digits (dtype ``np.min_scalar_type(p - 1)``).
     ``dtype`` is the smallest float dtype in which every sum is exact (see
     :func:`exact_float_dtype`); ``apply`` casts one form's block at a time to
-    it.  ``shape`` is that of the joint block-diagonal matrix.
+    it.
     """
 
     def __init__(self, p: int, blocks):
@@ -193,7 +193,6 @@ class JetKernel:
             b.flags.writeable = False
         self.spans = tuple(itertools.pairwise(
             itertools.accumulate((b.shape[1] for b in self.blocks), initial=0)))
-        self.shape = (sum(b.shape[0] for b in self.blocks), self.spans[-1][1])
 
     def apply(self, slots: np.ndarray) -> np.ndarray:
         """F_p coordinates of slot vectors (the last axis) times the rows, in

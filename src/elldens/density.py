@@ -150,7 +150,9 @@ def jet_census(p: int, q: int, m: int, e: int,
 
     def digits(start: int, stop: int, width: int) -> np.ndarray:
         """Base-Q digits of start..stop-1, first digit most significant."""
-        return np.stack(np.unravel_index(np.arange(start, stop), (Q,) * width), axis=-1)
+        out = np.arange(start, stop)[:, None] // Q ** np.arange(width - 1, -1, -1)
+        out %= Q  # in place: a chunk's digits are one int64 array
+        return out
 
     grads = Q ** (g * m)
     W = min(grads, _CENSUS_BLOCK)

@@ -33,9 +33,9 @@ the B_1 ... B_m box is mostly keys of no monomial of degree d) has its
 pairs sorted by key and the rows of equal keys summed, block by block, so
 memory follows the terms present, never the span.  The sums are reduced
 mod p and alpha^n .. alpha^(2n-2) are folded back with the modulus
-(``FieldCtx._red``).  Sums, differences and integer multiples of tables
-stay tables, so a polynomial in forms is expanded without a
-:class:`Section` in between; the exponent of x_0 is restored from the
+(``FieldCtx._red``).  Sums, differences, negatives and integer multiples
+of forms exist only on tables, so a polynomial in forms is expanded without
+a :class:`Section` in between; the exponent of x_0 is restored from the
 degree when a table becomes a Section again.
 
 ``Section * Section`` (:func:`_product`) multiplies the two tables under
@@ -109,7 +109,8 @@ def _grlex_key(expo: tuple[int, ...]):
 
 
 class Section:
-    """A homogeneous form of degree d in m+1 variables over a finite field."""
+    """A homogeneous form of degree d in m+1 variables over a finite field,
+    with products, powers e >= 1 and exact division; sums live on :class:`TermTable`."""
 
     __slots__ = ("m", "d", "field", "coeffs")
 
@@ -174,48 +175,16 @@ class Section:
         if self.m != other.m or self.field != other.field:
             raise ValueError("sections live in different ambient rings")
 
-    def __add__(self, other: "Section") -> "Section":
+    def __mul__(self, other):
         if not isinstance(other, Section):
             return NotImplemented
         self._check_ring(other)
-        if self.d != other.d and not (self.is_zero or other.is_zero):
-            raise ValueError(f"cannot add degrees {self.d} and {other.d}")
-        d = other.d if self.is_zero and self.d != other.d else self.d
-        out = dict(self.coeffs)
-        for expo, c in other.coeffs.items():
-            _accumulate(out, expo, c)
-        return Section._trusted(self.m, d, self.field, out)
-
-    def __neg__(self) -> "Section":
-        return Section._trusted(
-            self.m, self.d, self.field, {e: -c for e, c in self.coeffs.items()}
-        )
-
-    def __sub__(self, other: "Section") -> "Section":
-        if not isinstance(other, Section):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Section):
-            self._check_ring(other)
-            return _product(self, other)
-        if isinstance(other, (FieldElem, int)):
-            c0 = self.field.from_int(other) if isinstance(other, int) else other
-            return Section._trusted(
-                self.m, self.d, self.field,
-                {e: c * c0 for e, c in self.coeffs.items()} if c0 else {},
-            )
-        return NotImplemented
+        return _product(self, other)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "Section":
-        if e < 0:
-            raise ValueError("negative powers of sections are not defined")
-        if e:
-            return power(self, e)
-        return Section(self.m, 0, self.field, {(0,) * (self.m + 1): self.field.one})
+        return power(self, e)
 
     # -- serialization -----------------------------------------------------------
 
@@ -230,11 +199,12 @@ class Section:
     @classmethod
     def from_obj(cls, m: int, d: int, field: FieldCtx, obj: list) -> "Section":
         coeffs = {}
-        for rec in obj:
-            if len(rec) != 2:
-                raise ValueError(f"malformed section record {rec!r}")
-            expo, vec = rec
-            coeffs[tuple(expo)] = field.elem(tuple(vec))
+        for rec in obj:  # ints only: a float is not truncated, nor is JSON's true read as 1
+            if len(rec) != 2 or any(type(x) is not int for x in (*rec[0], *rec[1])):
+                raise ValueError(f"section record {rec!r} is not [exponents, digits] of ints")
+            if tuple(rec[0]) in coeffs:
+                raise ValueError(f"monomial {rec[0]} has more than one record")
+            coeffs[tuple(rec[0])] = field.elem(tuple(rec[1]))
         return cls(m, d, field, coeffs)
 
 

@@ -842,13 +842,22 @@ def weier_to_obj(w: WeierstrassData) -> dict:
     }
 
 
+def _stored_int(x, what: str) -> int:
+    """x from stored data, refused unless an int, so that a float is not
+    truncated nor JSON's true read as 1."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def weier_from_obj(obj: dict) -> WeierstrassData:
     try:
-        ver = obj["format_version"]
+        ver = _stored_int(obj["format_version"], "format_version")
         if ver != WEIER_FORMAT_VERSION:
             raise ValueError(f"unsupported format_version {ver}")
         fobj = obj["field"]
-        field = FieldCtx(int(fobj["p"]), int(fobj["n"]), tuple(fobj["modulus"]))
+        field = FieldCtx(_stored_int(fobj["p"], "p"), _stored_int(fobj["n"], "n"),
+                         tuple(_stored_int(c, "a modulus entry") for c in fobj["modulus"]))
         # closed points live over make_field's field; another modulus gives
         # an isomorphic field whose elements they cannot take
         expected = make_field(field.p, field.n).modulus
@@ -856,11 +865,14 @@ def weier_from_obj(obj: dict) -> WeierstrassData:
             raise ValueError(
                 f"stored field modulus {list(field.modulus)} of F_{field.p}^{field.n} "
                 f"is not the expected modulus {list(expected)}")
-        m, k = int(obj["m"]), int(obj["k"])
+        m, k = _stored_int(obj["m"], "m"), _stored_int(obj["k"], "k")
         sobj = obj["sections"]
         if not isinstance(sobj, dict):
             raise TypeError(f"sections must be an object, got {type(sobj).__name__}")
-        secs = {i: Section.from_obj(m, i * k, field, sobj.get(f"a{i}", [])) for i in _INDICES}
+        names = {f"a{i}": i for i in _INDICES}
+        if unknown := [key for key in sobj if key not in names]:
+            raise ValueError(f"unknown section {unknown[0]!r}, not one of {', '.join(names)}")
+        secs = {i: Section.from_obj(m, i * k, field, sobj.get(a, [])) for a, i in names.items()}
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed fibration object: {exc}") from exc
     return WeierstrassData(m, k, field,

@@ -400,7 +400,7 @@ def test_jet_kernel_matches_the_integer_product(p, r, wide, data):
     assert all(b.dtype == np.min_scalar_type(p - 1) for b in kernel.blocks)
     assert stored_nbytes(kernel) == sum(b.size for b in kernel.blocks) * (1 if p < 257 else 2)
     dense = _dense_rows(degrees, points)
-    assert kernel.shape == dense.shape
+    assert (sum(b.shape[0] for b in kernel.blocks), kernel.spans[-1][1]) == dense.shape
     batch = data.draw(st.sampled_from((1, 7)), label="batch")
     rng = np.random.default_rng(data.draw(st.integers(0, 1 << 30), label="seed"))
     slots = rng.integers(0, p, size=(batch, dense.shape[1]), dtype=np.min_scalar_type(p - 1))
@@ -453,7 +453,10 @@ def test_jet_space_map_block_has_the_shape_the_tracer_reads():
     block = jet_space_map(section_degrees(2, 1), pts)
     assert type(block.rows) is int and type(block.cols) is int
     # 5 points x 4 forms x 3 entries x F_16's 4 coordinates
-    assert (block.rows, block.cols) == block.kernel.shape == (5 * 4 * 3 * 4, 112)
+    kernel = block.kernel
+    assert (block.rows, block.cols) == (5 * 4 * 3 * 4, 112)
+    assert sum(b.shape[0] for b in kernel.blocks) == block.rows
+    assert kernel.spans[-1][1] == block.cols
     assert block.point.degree == 2
 
 

@@ -175,6 +175,47 @@ def test_minimal_rejects_sections_that_are_not_an_object(capsys, tmp_path, secti
     assert captured.err.count("\n") == 1
 
 
+def _set(*path_and_value):
+    """A change to a stored datum: the value at the path of keys and indices."""
+    *path, key, value = path_and_value
+
+    def change(obj):
+        for p in path:
+            obj = obj[p]
+        obj[key] = value
+    return change
+
+
+@pytest.mark.parametrize("command", [["scan", "-r", "1"], ["minimal"]], ids=["scan", "minimal"])
+@pytest.mark.parametrize("change,message", [
+    (_set("m", 1.5), "m must be an integer, got 1.5"),
+    (_set("k", 1.9), "k must be an integer, got 1.9"),
+    (_set("k", True), "k must be an integer, got True"),
+    (_set("field", "p", 5.7), "p must be an integer, got 5.7"),
+    (_set("format_version", True), "format_version must be an integer, got True"),
+    (_set("sections", "a4", [[[True, 3], [1]]]),
+     "section record [[True, 3], [1]] is not [exponents, digits] of ints"),
+    (_set("sections", "a6", [[[6, 0], [1]], [[6, 0], [2]]]),
+     "monomial [6, 0] has more than one record"),
+    (_set("sections", "a9", []), "unknown section 'a9', not one of a1, a2, a3, a4, a6"),
+    (_set("sections", "a6", [[[6, 0], [1.0]]]),
+     "section record [[6, 0], [1.0]] is not [exponents, digits] of ints"),
+], ids=["float-m", "float-k", "bool-k", "float-p", "bool-version", "bool-exponent",
+        "twice-listed-monomial", "unknown-form", "float-digit"])
+def test_stored_datum_is_read_strictly(capsys, tmp_path, command, change, message):
+    # a float or bool where an integer belongs, a monomial listed twice and
+    # an unknown form are each refused in one line that names them
+    obj = weier_to_obj(random_weierstrass(1, 1, make_field(5, 1), seed=1))
+    change(obj)
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(obj))
+    code = main(command + ["--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_scan_random_k18_finishes():
     # the k = 18 discriminant on P^2 (degree 216, 11,908 terms) is expanded
     # eagerly when the datum is built
@@ -491,7 +532,8 @@ def test_minimal_default_jmax_refuses_a_huge_search(tmp_path):
     from elldens.weier import WeierstrassData
     F4 = make_field(2, 2)
     u = random_section(2, 4, F4, rng_seed=1)
-    a = {i: F4.gen * u ** i for i in (1, 3, 4, 6)}
+    a = {i: Section(2, 4 * i, F4, {e: F4.gen * c for e, c in (u ** i).coeffs.items()})
+         for i in (1, 3, 4, 6)}
     w = WeierstrassData(2, 4, F4, a[1], Section.zero(2, 8, F4), a[3], a[4], a[6])
     path = tmp_path / "datum.json"
     dump_weier(w, str(path))

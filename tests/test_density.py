@@ -1,6 +1,7 @@
 """Jet censuses, surjectivity ranks, exact densities and the Monte-Carlo
 estimator."""
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -53,6 +54,16 @@ def test_census_2_2_2_2_whole_tuple_space():
     c = jet_census(2, 2, 2, 2)
     assert c.total == 2 ** 24
     assert c.bad == expected_bad_count(2, 2, 2, 2) == 262144
+    # warm, a call's peak is the detector's lanes plus a chunk's digits held
+    # once, as one int64 array (1 MiB for 2^14 gradient tuples of 8 digits)
+    tracemalloc.start()
+    try:
+        again = jet_census(2, 2, 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == c
+    assert peak < 3.0e6
 
 
 def test_census_2_2_2_2_sample_matches_oracle():
@@ -389,7 +400,8 @@ def test_mc_setup_holds_only_jet_rows(monkeypatch):
     [block] = scan_blocks(2, 2, 1, section_degrees(2, 18))
     assert block.kernel is not None  # kept under the default budget
     assert used == [block]  # the shared memo's block, and no probe block
-    assert block.kernel.shape == (84, 10426)
+    kernel = block.kernel
+    assert (sum(b.shape[0] for b in kernel.blocks), kernel.spans[-1][1]) == (84, 10426)
     assert (len(block.points), block.cols) == (7, 10426)
     # each of the 4 forms' 21 rows meets only its own slots, stored as
     # one-byte F_2 digits and multiplied in float32
