@@ -1,16 +1,18 @@
 """Homogeneous forms on P^m over a finite field: sparse forms, their F_p
 slot vectors, products on term tables and exact division.
 
-A :class:`Section` is a degree-d form in m+1 variables x_0..x_m, stored as a
-sparse dict from exponent tuples (summing to d) to nonzero field elements.
+A :class:`Section` is a degree-d form in m+1 variables x_0..x_m, stored as
+its nonzero terms: int64 exponent rows (summing to d) and F_p coordinate
+rows, the digit rows of slot vectors, term tables and stored records.
+Scalar loops read a dict of field elements, :meth:`Section.terms`.
 Forms are not evaluated here: their values and gradients at closed points
 come from the jet products of :mod:`elldens.base`, which the tests check
 against a scalar evaluation of the forms and of their affine charts with
 formal partials.
 
-Monomial order used throughout (serialization, matrices, division) is graded
-lex with x_0 > x_1 > ... > x_m; for a fixed degree this is plain descending
-tuple order.
+Monomial order used throughout (a Section's rows, serialization, slot
+vectors, division) is graded lex with x_0 > x_1 > ... > x_m; for a fixed
+degree this is plain descending tuple order.
 
 Form products have one implementation, on term tables (:class:`TermTable`).
 Homogeneity fixes the exponent of x_0, so it is dropped; the other exponents
@@ -36,7 +38,8 @@ mod p and alpha^n .. alpha^(2n-2) are folded back with the modulus
 (``FieldCtx._red``).  Sums, differences, negatives and integer multiples
 of forms exist only on tables, so a polynomial in forms is expanded without
 a :class:`Section` in between; the exponent of x_0 is restored from the
-degree when a table becomes a Section again.
+degree, and the rows sorted into grlex order, when a table becomes a
+Section again.
 
 ``Section * Section`` (:func:`_product`) multiplies the two tables under
 bases B_j one above the largest exponent of x_j in f plus that in g
@@ -66,12 +69,16 @@ from .gf import FieldCtx, FieldElem, power
 _PAIR_CHUNK = 1 << 12  # term pairs formed per block
 
 
-def dim_space(m: int, d: int) -> int:
-    """Number of degree-d monomials in m+1 variables: C(d+m, m)."""
+def _check_ring_degree(m: int, d: int) -> None:
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     if d < 0:
         raise ValueError(f"need d >= 0, got {d}")
+
+
+def dim_space(m: int, d: int) -> int:
+    """Number of degree-d monomials in m+1 variables: C(d+m, m)."""
+    _check_ring_degree(m, d)
     return comb(d + m, m)
 
 
@@ -104,25 +111,21 @@ def monomial_array(m: int, d: int) -> np.ndarray:
     return arr
 
 
-def _grlex_key(expo: tuple[int, ...]):
-    return (sum(expo), expo)
-
-
 class Section:
     """A homogeneous form of degree d in m+1 variables over a finite field,
-    with products, powers e >= 1 and exact division; sums live on :class:`TermTable`."""
+    with products, powers e >= 1 and exact division; sums live on :class:`TermTable`.
 
-    __slots__ = ("m", "d", "field", "coeffs")
+    Its nonzero terms are ``exponents``, an (N, m+1) int64 array, and
+    ``coefficients``, an (N, n) int64 array of F_p coordinate rows reduced
+    mod p, in descending grlex order, so equal forms hold equal arrays.
+    """
+
+    __slots__ = ("m", "d", "field", "exponents", "coefficients")
 
     def __init__(self, m: int, d: int, field: FieldCtx, coeffs=None):
-        if m < 1:
-            raise ValueError(f"need m >= 1, got {m}")
-        if d < 0:
-            raise ValueError(f"need d >= 0, got {d}")
-        self.m = m
-        self.d = d
-        self.field = field
-        clean: dict[tuple[int, ...], FieldElem] = {}
+        """The form of a dict from exponent tuples to field elements."""
+        _check_ring_degree(m, d)
+        clean: dict[tuple[int, ...], tuple[int, ...]] = {}
         for expo, c in (coeffs or {}).items():
             expo = tuple(expo)
             if len(expo) != m + 1 or any(e < 0 for e in expo) or sum(expo) != d:
@@ -130,28 +133,37 @@ class Section:
             if not (c.ctx is field or c.ctx == field):
                 raise ValueError("coefficient from a different field context")
             if c:
-                clean[expo] = c
-        self.coeffs = clean
+                clean[expo] = c.coeffs
+        order = sorted(clean, reverse=True)  # one degree: descending tuple order is grlex
+        self.m, self.d, self.field = m, d, field
+        self.exponents = np.array(order, dtype=np.int64).reshape(-1, m + 1)
+        self.coefficients = np.array([clean[e] for e in order],
+                                     dtype=np.int64).reshape(-1, field.n)
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def _trusted(cls, m: int, d: int, field: FieldCtx, coeffs: dict) -> "Section":
-        """A section on a dict the caller guarantees valid for (m, d, field),
-        with no zero coefficient: ring results skip the per-term checks."""
+    def _trusted(cls, m: int, d: int, field: FieldCtx,
+                 exponents: np.ndarray, coefficients: np.ndarray) -> "Section":
+        """A section on term rows the caller guarantees valid for (m, d,
+        field), in descending grlex order, no coefficient row zero: ring results
+        skip the per-term checks and the sort."""
         s = object.__new__(cls)
-        s.m, s.d, s.field, s.coeffs = m, d, field, coeffs
+        s.m, s.d, s.field = m, d, field
+        s.exponents, s.coefficients = exponents, coefficients
         return s
 
     @classmethod
     def zero(cls, m: int, d: int, field: FieldCtx) -> "Section":
-        return cls(m, d, field, {})
+        _check_ring_degree(m, d)
+        return cls._trusted(m, d, field, np.zeros((0, m + 1), dtype=np.int64),
+                            np.zeros((0, field.n), dtype=np.int64))
 
     # -- predicates -------------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not len(self.exponents)
 
     def __eq__(self, other):
         if not isinstance(other, Section):
@@ -160,14 +172,25 @@ class Section:
             self.m == other.m
             and self.d == other.d
             and self.field == other.field
-            and self.coeffs == other.coeffs
+            and np.array_equal(self.exponents, other.exponents)
+            and np.array_equal(self.coefficients, other.coefficients)
         )
 
     def __repr__(self):
-        terms = sorted(self.coeffs, key=_grlex_key, reverse=True)[:4]
-        body = " + ".join(f"{self.coeffs[e].coeffs}*x^{e}" for e in terms)
-        more = "..." if len(self.coeffs) > 4 else ""
+        body = " + ".join(f"{tuple(c)}*x^{tuple(e)}" for e, c in
+                          zip(self.exponents[:4].tolist(), self.coefficients[:4].tolist()))
+        more = "..." if len(self.exponents) > 4 else ""
         return f"Section(m={self.m}, d={self.d}, {body}{more})"
+
+    def terms(self) -> dict[tuple[int, ...], FieldElem]:
+        """The nonzero terms as a new dict from exponent tuples to field
+        elements, in descending grlex order, for scalar loops; built on
+        each call, so a loop takes it once."""
+        fld = self.field
+        elem = fld.from_index if fld._elems is None else fld._elems.__getitem__
+        elems = map(elem, (self.coefficients @ fld.place).tolist())
+        # columns to lists, then zip: no list object per term on the way to its tuple
+        return dict(zip(zip(*self.exponents.T.tolist()), elems))
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -191,10 +214,7 @@ class Section:
     def to_obj(self) -> list:
         """A list of [exponents, coefficient-int-vector] records, in descending
         monomial order."""
-        return [
-            [list(e), list(self.coeffs[e].coeffs)]
-            for e in sorted(self.coeffs, key=_grlex_key, reverse=True)
-        ]
+        return [list(rec) for rec in zip(self.exponents.tolist(), self.coefficients.tolist())]
 
     @classmethod
     def from_obj(cls, m: int, d: int, field: FieldCtx, obj: list) -> "Section":
@@ -206,12 +226,6 @@ class Section:
                 raise ValueError(f"monomial {rec[0]} has more than one record")
             coeffs[tuple(rec[0])] = field.elem(tuple(rec[1]))
         return cls(m, d, field, coeffs)
-
-
-def _term_rows(s: Section) -> np.ndarray:
-    """One int64 row per term of s: exponents of x_1..x_m, then F_p coordinates."""
-    return np.array([e[1:] + c.coeffs for e, c in s.coeffs.items()],
-                    dtype=np.int64).reshape(-1, s.m + s.field.n)
 
 
 class KeyLayout(NamedTuple):
@@ -253,11 +267,11 @@ class TermTable:
         self.keys, self.coords = keys, coords
 
     @classmethod
-    def of(cls, s: Section, layout: KeyLayout, rows: np.ndarray | None = None) -> "TermTable":
-        """The table of s; ``rows`` is its :func:`_term_rows` when at hand."""
-        if rows is None:
-            rows = _term_rows(s)
-        return cls(s.m, s.d, s.field, layout, rows[:, :s.m] @ layout.place, rows[:, s.m:])
+    def of(cls, s: Section, layout: KeyLayout) -> "TermTable":
+        """The table of s: its exponent rows' keys (x_0 dropped) and its
+        coefficient rows."""
+        return cls(s.m, s.d, s.field, layout, s.exponents[:, 1:] @ layout.place,
+                   s.coefficients)
 
     def _new(self, d: int, keys: np.ndarray, coords: np.ndarray) -> "TermTable":
         return TermTable(self.m, d, self.field, self.layout, keys, coords)
@@ -350,13 +364,11 @@ class TermTable:
 
     def section(self) -> Section:
         """The form as a :class:`Section`: exponents decoded from the keys,
-        x_0's restored from the degree."""
-        m, d, fld = self.m, self.d, self.field
+        x_0's restored from the degree, rows in descending grlex order."""
         expo = self.keys[:, None] // self.layout.place % self.layout.base
-        expo = np.concatenate([d - expo.sum(axis=1, keepdims=True), expo], axis=1)
-        # columns to lists, then zip: no list object per term on the way to its tuple
-        return Section._trusted(m, d, fld,
-                                dict(zip(zip(*expo.T.tolist()), _elements(fld, self.coords))))
+        expo = np.concatenate([self.d - expo.sum(axis=1, keepdims=True), expo], axis=1)
+        order = np.lexsort(expo.T[::-1])[::-1]  # x_0's exponent the primary key
+        return Section._trusted(self.m, self.d, self.field, expo[order], self.coords[order])
 
 
 def _product(f: Section, g: Section) -> Section:
@@ -365,17 +377,9 @@ def _product(f: Section, g: Section) -> Section:
     m, d, fld = f.m, f.d + g.d, f.field
     if f.is_zero or g.is_zero:
         return Section.zero(m, d, fld)
-    rf, rg = _term_rows(f), _term_rows(g)
-    layout = KeyLayout.of(rf[:, :m].max(axis=0) + rg[:, :m].max(axis=0) + 1, m, d)
-    return (TermTable.of(f, layout, rf) * TermTable.of(g, layout, rg)).section()
-
-
-def _elements(fld: FieldCtx, coords: np.ndarray):
-    """The field elements of (N, n) F_p coordinate rows reduced mod p, in
-    row order, as an iterator."""
-    if fld._elems is not None:  # interned: p^n <= 4096, so indices fit
-        return map(fld._elems.__getitem__, (coords @ fld.place).tolist())
-    return (fld.elem(tuple(c)) for c in coords.tolist())
+    top = f.exponents[:, 1:].max(axis=0) + g.exponents[:, 1:].max(axis=0)
+    layout = KeyLayout.of(top + 1, m, d)
+    return (TermTable.of(f, layout) * TermTable.of(g, layout)).section()
 
 
 def _collect(blocks: list) -> tuple[np.ndarray, np.ndarray]:
@@ -389,16 +393,6 @@ def _collect(blocks: list) -> tuple[np.ndarray, np.ndarray]:
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     first = first.nonzero()[0]
     return keys[first], np.add.reduceat(vals, first, axis=0)
-
-
-def _accumulate(out: dict, expo: tuple[int, ...], c: FieldElem) -> None:
-    """out[expo] += c in a sparse term dict, the term dropped when it sums to zero."""
-    s = out.get(expo)
-    t = c if s is None else s + c
-    if t:
-        out[expo] = t
-    elif s is not None:
-        del out[expo]
 
 
 def exact_divide(f: Section, g: Section) -> Section | None:
@@ -416,19 +410,20 @@ def exact_divide(f: Section, g: Section) -> Section | None:
         return Section.zero(f.m, max(f.d - g.d, 0), f.field)
     if f.d < g.d:
         return None
-    lead_g = max(g.coeffs, key=_grlex_key)
-    lead_c = g.coeffs[lead_g]
-    rem = dict(f.coeffs)
+    g_terms, rem = g.terms(), f.terms()
+    lead_g, lead_c = next(iter(g_terms.items()))  # the terms come in descending grlex
     quot: dict[tuple[int, ...], FieldElem] = {}
     while rem:
-        lead_r = max(rem, key=_grlex_key)
+        lead_r = max(rem)  # all of degree f.d: grlex is tuple order
         diff = tuple(a - b for a, b in zip(lead_r, lead_g))
         if any(e < 0 for e in diff):
             return None
         c = rem[lead_r] / lead_c
         quot[diff] = c
-        for expo, gc in g.coeffs.items():
-            _accumulate(rem, tuple(a + b for a, b in zip(diff, expo)), -(c * gc))
+        for expo, gc in g_terms.items():  # rem -= c x^diff g, dropping terms that cancel
+            expo = tuple(a + b for a, b in zip(diff, expo))
+            if t := rem.pop(expo, f.field.zero) - c * gc:
+                rem[expo] = t
     h = Section(f.m, f.d - g.d, f.field, quot)
     if g * h != f:  # exactness is always re-verified
         return None
@@ -439,15 +434,14 @@ def section_from_slots(m: int, d: int, field: FieldCtx, slots) -> Section:
     """Build a section from a flat vector of F_p coordinates: for monomial i
     (descending grlex), entries [i*n, (i+1)*n) are its coefficient vector.
     A vector of any other length than dim_space(m, d) * n is refused."""
-    monos, n = monomials(m, d), field.n
+    monos, n = monomial_array(m, d), field.n
     rows = np.asarray(slots, dtype=np.int64)
     if rows.shape != (len(monos) * n,):
         raise ValueError(f"a degree-{d} form on P^{m} over F_{field.p}^{n} takes "
                          f"{len(monos) * n} slots, got shape {rows.shape}")
     rows = rows.reshape(-1, n) % field.p
-    live = rows.any(axis=1).nonzero()[0]
-    return Section._trusted(m, d, field, dict(zip(map(monos.__getitem__, live.tolist()),
-                                                  _elements(field, rows[live]))))
+    live = rows.any(axis=1)
+    return Section._trusted(m, d, field, monos[live], rows[live])
 
 
 @lru_cache(maxsize=None)
@@ -459,8 +453,8 @@ def _monomial_index(m: int, d: int) -> dict[tuple[int, ...], int]:
 def section_slots(s: Section) -> np.ndarray:
     """The flat int64 F_p coordinate vector of a section, inverse to
     :func:`section_from_slots` (same layout)."""
-    n, terms = s.field.n, len(s.coeffs)
-    out = np.zeros((dim_space(s.m, s.d), n), dtype=np.int64)
-    at = np.fromiter(map(_monomial_index(s.m, s.d).__getitem__, s.coeffs), np.int64, terms)
-    out[at] = np.array([c.coeffs for c in s.coeffs.values()], dtype=np.int64).reshape(terms, n)
+    out = np.zeros((dim_space(s.m, s.d), s.field.n), dtype=np.int64)
+    at = np.fromiter(map(_monomial_index(s.m, s.d).__getitem__, zip(*s.exponents.T.tolist())),
+                     np.int64, len(s.exponents))
+    out[at] = s.coefficients
     return out.ravel()

@@ -582,21 +582,21 @@ def minimality_degree_bound(w: WeierstrassData) -> int | None:
     so deg u <= delta_L.
     """
     F, m = w.field, w.m
-    secs = [s for s in w.sections().values() if not s.is_zero]
+    secs = [(s.d, s.terms()) for s in w.sections().values() if not s.is_zero]
     best = None
     for i in range(m + 1):
         for j in range(i + 1, m + 1):
             val, g = None, []  # least x_j-valuation; gcd so far (0 before any)
-            for s in secs:
+            for d, terms in secs:
                 line = []  # coefficient of x_i^e x_j^(d-e), e ascending
-                for e in range(s.d + 1):
+                for e in range(d + 1):
                     expo = [0] * (m + 1)
-                    expo[i], expo[j] = e, s.d - e
-                    line.append(s.coeffs.get(tuple(expo), F.zero))
+                    expo[i], expo[j] = e, d - e
+                    line.append(terms.get(tuple(expo), F.zero))
                 line = _ftrim(line)
                 if not line:
                     continue
-                v = s.d - (len(line) - 1)
+                v = d - (len(line) - 1)
                 val = v if val is None else min(val, v)
                 g = _fgcd(g, line)
                 if val == 0 and len(g) == 1:
@@ -866,6 +866,8 @@ def weier_from_obj(obj: dict) -> WeierstrassData:
                 f"stored field modulus {list(field.modulus)} of F_{field.p}^{field.n} "
                 f"is not the expected modulus {list(expected)}")
         m, k = _stored_int(obj["m"], "m"), _stored_int(obj["k"], "k")
+        if k < 1:  # before the forms, which would refuse a1's degree k instead
+            raise ValueError(f"need k >= 1, got {k}")
         sobj = obj["sections"]
         if not isinstance(sobj, dict):
             raise TypeError(f"sections must be an object, got {type(sobj).__name__}")

@@ -10,7 +10,17 @@ from __future__ import annotations
 import numpy as np
 
 from elldens.gf import Embedding, FieldCtx, FieldElem, FieldMismatchError, prime_power
-from elldens.sections import Section, _accumulate, dim_space, section_from_slots
+from elldens.sections import Section, dim_space, section_from_slots
+
+
+def _accumulate(out: dict, expo: tuple[int, ...], c: FieldElem) -> None:
+    """out[expo] += c in a sparse term dict, the term dropped when it sums to zero."""
+    s = out.get(expo)
+    t = c if s is None else s + c
+    if t:
+        out[expo] = t
+    elif s is not None:
+        del out[expo]
 
 
 class InvalidPointError(ValueError):
@@ -65,7 +75,7 @@ def evaluate(s: Section, pt: tuple[FieldElem, ...], emb: Embedding | None = None
         raise ValueError(f"point needs {s.m + 1} coordinates")
     if not any(pt):
         raise InvalidPointError("all-zero tuple is not a projective point")
-    return _evaluate(s.coeffs, pt, s.d, s.field, emb)
+    return _evaluate(s.terms(), pt, s.d, s.field, emb)
 
 
 def dehomogenize(s: Section, chart: int) -> "AffinePoly":
@@ -74,7 +84,7 @@ def dehomogenize(s: Section, chart: int) -> "AffinePoly":
     if not 0 <= chart <= s.m:
         raise ValueError(f"chart index {chart} out of range")
     out: dict[tuple[int, ...], FieldElem] = {}
-    for expo, c in s.coeffs.items():
+    for expo, c in s.terms().items():
         beta = expo[:chart] + expo[chart + 1:]
         # distinct homogeneous monomials of equal degree stay distinct
         out[beta] = c

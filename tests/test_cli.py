@@ -191,6 +191,7 @@ def _set(*path_and_value):
     (_set("m", 1.5), "m must be an integer, got 1.5"),
     (_set("k", 1.9), "k must be an integer, got 1.9"),
     (_set("k", True), "k must be an integer, got True"),
+    (_set("k", -1), "need k >= 1, got -1"),
     (_set("field", "p", 5.7), "p must be an integer, got 5.7"),
     (_set("format_version", True), "format_version must be an integer, got True"),
     (_set("sections", "a4", [[[True, 3], [1]]]),
@@ -200,11 +201,12 @@ def _set(*path_and_value):
     (_set("sections", "a9", []), "unknown section 'a9', not one of a1, a2, a3, a4, a6"),
     (_set("sections", "a6", [[[6, 0], [1.0]]]),
      "section record [[6, 0], [1.0]] is not [exponents, digits] of ints"),
-], ids=["float-m", "float-k", "bool-k", "float-p", "bool-version", "bool-exponent",
+], ids=["float-m", "float-k", "bool-k", "negative-k", "float-p", "bool-version", "bool-exponent",
         "twice-listed-monomial", "unknown-form", "float-digit"])
 def test_stored_datum_is_read_strictly(capsys, tmp_path, command, change, message):
-    # a float or bool where an integer belongs, a monomial listed twice and
-    # an unknown form are each refused in one line that names them
+    # a float or bool where an integer belongs, a k below 1, a monomial
+    # listed twice and an unknown form are each refused in one line that
+    # names them
     obj = weier_to_obj(random_weierstrass(1, 1, make_field(5, 1), seed=1))
     change(obj)
     path = tmp_path / "datum.json"
@@ -340,6 +342,17 @@ def test_scan_and_minimal_golden_outputs(capsys, q, m, k, seed):
     code, out = _run(capsys, ["minimal"] + src)
     assert code == 0
     assert out.encode() == (GOLDEN / f"minimal_{name}_seed{seed}.json").read_bytes()
+
+
+def test_minimal_golden_witness_from_stored_input(capsys, monkeypatch):
+    # a_i = c_i u^i over F_9 on P^2 with u = x0 + g x1 + (g + 1) x2, g the
+    # field's generator: the witness is u, three terms whose records are
+    # pinned byte for byte; the input is named from the golden directory so
+    # that the recorded source reads the same anywhere
+    monkeypatch.chdir(GOLDEN)
+    code, out = _run(capsys, ["minimal", "--input", "datum_q9_m2_k1.json", "--no-timing"])
+    assert code == 0
+    assert out.encode() == (GOLDEN / "minimal_input_q9_m2_k1.json").read_bytes()
 
 
 def test_feasibility_exit_3(capsys):
@@ -532,7 +545,7 @@ def test_minimal_default_jmax_refuses_a_huge_search(tmp_path):
     from elldens.weier import WeierstrassData
     F4 = make_field(2, 2)
     u = random_section(2, 4, F4, rng_seed=1)
-    a = {i: Section(2, 4 * i, F4, {e: F4.gen * c for e, c in (u ** i).coeffs.items()})
+    a = {i: Section(2, 4 * i, F4, {e: F4.gen * c for e, c in (u ** i).terms().items()})
          for i in (1, 3, 4, 6)}
     w = WeierstrassData(2, 4, F4, a[1], Section.zero(2, 8, F4), a[3], a[4], a[6])
     path = tmp_path / "datum.json"

@@ -1,7 +1,8 @@
 """The package holds what its commands run: every top-level function and
 class and every method of `src/elldens` is referenced from `src/` or
 `bench/`, or named in the README as public API.  Point blocks are built in
-`base` and walked in `density` alone."""
+`base` and walked in `density` alone, and a form's term rows are read in
+`sections` alone."""
 import ast
 import re
 from pathlib import Path
@@ -67,16 +68,23 @@ def test_every_definition_is_run_or_public():
     assert unreferenced(ROOT) == []
 
 
-def block_pass_readers(root: Path) -> list[str]:
-    """module.name for each read of a point-block builder or pass outside
-    `base`, which builds the blocks, and `density`, which walks them."""
+def readers(root: Path, owners: tuple[str, ...], names: tuple[str, ...]) -> list[str]:
+    """module.name for each read of one of `names` in a module of
+    `src/elldens` other than the `owners`."""
     return [f"{path.stem}.{name}"
             for path in sorted((root / "src" / "elldens").glob("*.py"))
-            if path.stem not in ("base", "density")
+            if path.stem not in owners
             for name, _ in _names_read(path)
-            if name in ("scan_blocks", "jet_at", "jet_space_map")]
+            if name in names]
 
 
 def test_only_density_takes_passes_over_point_blocks():
-    # every other module answers for a batch of jets or for a datum
-    assert block_pass_readers(ROOT) == []
+    # point blocks are built in `base` and walked in `density`; every other
+    # module answers for a batch of jets or for a datum
+    assert readers(ROOT, ("base", "density"), ("scan_blocks", "jet_at", "jet_space_map")) == []
+
+
+def test_only_sections_reads_term_rows():
+    # every other module reads forms through Section's methods, so the
+    # term format can change in one module
+    assert readers(ROOT, ("sections",), ("exponents", "coefficients")) == []

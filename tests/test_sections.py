@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from elldens import sections
 from elldens.errors import FeasibilityError
-from elldens.gf import make_field
+from elldens.gf import FieldElem, make_field
 from elldens.sections import (KeyLayout, Section, TermTable, dim_space, exact_divide,
                               monomial_array, monomials, section_from_slots, section_slots)
 from elldens.weier import random_weierstrass, weierstrass_from_slots
@@ -69,7 +69,7 @@ def test_ring_identities_random():
         c = _random_sec(m, 3, F5, rng)
         assert (a * c).d == 5
     x = monomial(1, (1, 0), F5.one)
-    assert (x ** 3).coeffs == {(3, 0): F5.one}
+    assert (x ** 3).terms() == {(3, 0): F5.one}
 
 
 def test_sections_have_no_sums_or_scalar_multiples():
@@ -123,7 +123,7 @@ def test_partial_matches_term_by_term_derivative():
         t = F7.from_index(rng.randrange(7))
         got = dehomogenize(s, 0).partial(1).evaluate((t,))
         want = F7.zero
-        for e, c in s.coeffs.items():
+        for e, c in s.terms().items():
             if e[1] == 0:
                 continue
             want = want + F7.from_int(e[1]) * c * t ** (e[1] - 1)
@@ -148,7 +148,7 @@ def test_exact_divide_roundtrip():
         f = g * h
         qt = exact_divide(f, g)
         assert qt is not None
-        assert (qt * g).coeffs == f.coeffs
+        assert (qt * g).terms() == f.terms()
 
 
 def test_exact_divide_failure_and_edges():
@@ -167,21 +167,41 @@ def test_power_of_linear_divides():
     f = u ** 4
     assert exact_divide(f, u ** 2) is not None
     # u has no x_2 term, so neither has f, and f + x_2^4 is f with one more term
-    assert exact_divide(Section(2, 4, F5, {**f.coeffs, (0, 0, 4): F5.one}), u) is None
+    assert exact_divide(Section(2, 4, F5, {**f.terms(), (0, 0, 4): F5.one}), u) is None
 
 
 def test_random_section_deterministic():
     a = random_section(2, 3, F5, rng_seed=99)
     b = random_section(2, 3, F5, rng_seed=99)
     c = random_section(2, 3, F5, rng_seed=100)
-    assert a.coeffs == b.coeffs
-    assert a.coeffs != c.coeffs
+    assert a.terms() == b.terms()
+    assert a.terms() != c.terms()
     assert a.d == 3 and a.m == 2
     # the stream as drawn before random_section went through section_from_slots
     assert a.to_obj() == [
         [[3, 0, 0], [4]], [[2, 1, 0], [2]], [[2, 0, 1], [3]], [[1, 2, 0], [2]],
         [[1, 0, 2], [2]], [[0, 3, 0], [4]], [[0, 2, 1], [4]], [[0, 1, 2], [4]],
         [[0, 0, 3], [3]]]
+
+
+def test_array_paths_build_no_field_element(monkeypatch):
+    # F_{2^13} is past the interning limit, so every field element is built
+    # on demand and any conversion of digit rows to elements is counted: the
+    # draw, its decoding, the discriminant, the slot vector and a product
+    # read the rows alone
+    F = make_field(2, 13)
+    built = []
+    init = FieldElem.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(FieldElem, "__init__", counted)
+    w = random_weierstrass(1, 2, F, seed=0)
+    w.slots()
+    assert not (w.a4 * w.a6).is_zero
+    assert len(built) == 0
 
 
 def test_section_slots_roundtrip():
@@ -194,7 +214,7 @@ def test_section_slots_roundtrip():
         assert section_from_slots(m, d, field, slots) == s
         # coefficient vectors in descending grlex order, F_p digits innermost
         lead = monomials(m, d)[0]
-        assert tuple(slots[:field.n]) == s.coeffs.get(lead, field.zero).coeffs
+        assert tuple(slots[:field.n]) == s.terms().get(lead, field.zero).coeffs
     zero = Section.zero(2, 3, F9)
     assert not section_slots(zero).any()
     assert section_from_slots(2, 3, F9, section_slots(zero)) == zero
@@ -216,7 +236,7 @@ def test_obj_roundtrip():
     s = _random_sec(2, 2, F9, rng)
     obj = s.to_obj()
     back = Section.from_obj(2, 2, F9, obj)
-    assert back.coeffs == s.coeffs
+    assert back.terms() == s.terms()
     # descending monomial order in the serialized form
     expos = [tuple(rec[0]) for rec in obj]
     assert expos == sorted(expos, key=lambda e: (sum(e), e), reverse=True)
@@ -337,15 +357,15 @@ def test_products_at_high_m_and_degree():
     _assert_product_matches_oracle(f, g)
     x1 = monomial(8, (0, 258) + (0,) * 7, F2.one)
     x2 = monomial(8, (0, 0, 258) + (0,) * 6, F2.one)
-    assert (x1 * x2).coeffs == {(0, 258, 258) + (0,) * 6: F2.one}
-    assert (x1 * x1).coeffs == {(0, 516) + (0,) * 7: F2.one}
+    assert (x1 * x2).terms() == {(0, 258, 258) + (0,) * 6: F2.one}
+    assert (x1 * x1).terms() == {(0, 516) + (0,) * 7: F2.one}
 
 
 def _tables(f, g):
     """The term tables of f and g under the layout of their product, and
     the product's key span."""
     m = f.m
-    layout = KeyLayout.of([max(e[j] for e in f.coeffs) + max(e[j] for e in g.coeffs) + 1
+    layout = KeyLayout.of([max(e[j] for e in f.terms()) + max(e[j] for e in g.terms()) + 1
                            for j in range(1, m + 1)], m, f.d + g.d)
     tf, tg = TermTable.of(f, layout), TermTable.of(g, layout)
     span = int(tf.keys.max() + tg.keys.max() - tf.keys.min() - tg.keys.min()) + 1
@@ -376,7 +396,7 @@ def _table_case(draw):
     kind = draw(st.sampled_from(("form", "zero", "neg")))
     h = {"form": lambda: draw(_form(field, m, f.d)),
          "zero": lambda: Section.zero(m, f.d, field),
-         "neg": lambda: Section(m, f.d, field, {e: -c for e, c in f.coeffs.items()})}[kind]()
+         "neg": lambda: Section(m, f.d, field, {e: -c for e, c in f.terms().items()})}[kind]()
     c = draw(st.sampled_from((0, 1, -1, field.p, -field.p, 3 * field.p + 2)))
     return f, g, h, c
 
