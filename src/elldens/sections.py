@@ -95,16 +95,14 @@ def _exponents(nvars: int, total: int) -> Iterator[tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def monomials(m: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent tuples of degree d in m+1 variables, descending grlex."""
-    out = tuple(_exponents(m + 1, d))
-    assert len(out) == dim_space(m, d)
-    return out
+    """``monomial_array(m, d)`` as a tuple of exponent tuples."""
+    return tuple(zip(*monomial_array(m, d).T.tolist()))
 
 
 @lru_cache(maxsize=None)
 def monomial_array(m: int, d: int) -> np.ndarray:
-    """``monomials(m, d)`` as a read-only (dim, m+1) int64 array, built from
-    the exponent tuples one at a time, so only the array is kept."""
+    """All exponents of degree d in m+1 variables, descending grlex, as a
+    read-only (dim, m+1) int64 array, built one tuple at a time."""
     arr = np.fromiter(_exponents(m + 1, d), dtype=np.dtype((np.int64, m + 1)),
                       count=dim_space(m, d))
     arr.flags.writeable = False
@@ -186,9 +184,11 @@ class Section:
         """The nonzero terms as a new dict from exponent tuples to field
         elements, in descending grlex order, for scalar loops; built on
         each call, so a loop takes it once."""
-        fld = self.field
-        elem = fld.from_index if fld._elems is None else fld._elems.__getitem__
-        elems = map(elem, (self.coefficients @ fld.place).tolist())
+        fld, rows = self.field, self.coefficients
+        if fld._elems is None:  # one row at a time: an index p-adically may pass 2^63
+            elems = map(fld.elem, map(tuple, rows.tolist()))
+        else:  # interned: rows @ place are indices below 4096
+            elems = map(fld._elems.__getitem__, (rows @ fld.place).tolist())
         # columns to lists, then zip: no list object per term on the way to its tuple
         return dict(zip(zip(*self.exponents.T.tolist()), elems))
 
@@ -395,11 +395,12 @@ def _collect(blocks: list) -> tuple[np.ndarray, np.ndarray]:
     return keys[first], np.add.reduceat(vals, first, axis=0)
 
 
-def exact_divide(f: Section, g: Section) -> Section | None:
+def exact_divide(f: Section, g: Section, f_terms: dict | None = None) -> Section | None:
     """The quotient h with f = g * h, or None when g does not divide f.
 
     Single-divisor reduction in descending grlex order; the computed quotient
-    is re-checked by multiplying back before it is returned.
+    is re-checked by multiplying back before it is returned.  A caller that
+    divides one f by many g passes ``f.terms()`` once as ``f_terms``, unchanged.
     """
     if not isinstance(f, Section) or not isinstance(g, Section):
         raise TypeError("exact_divide expects two sections")
@@ -410,7 +411,7 @@ def exact_divide(f: Section, g: Section) -> Section | None:
         return Section.zero(f.m, max(f.d - g.d, 0), f.field)
     if f.d < g.d:
         return None
-    g_terms, rem = g.terms(), f.terms()
+    g_terms, rem = g.terms(), (f.terms() if f_terms is None else dict(f_terms))
     lead_g, lead_c = next(iter(g_terms.items()))  # the terms come in descending grlex
     quot: dict[tuple[int, ...], FieldElem] = {}
     while rem:

@@ -542,6 +542,8 @@ def minimality_witness(w: WeierstrassData, j_max: int,
     cap = MINIMALITY_CAP if cap is None else cap
     delta = minimality_degree_bound(w)
     top = j_max if delta is None else min(j_max, delta)
+    if not top:  # delta = 0: certified, no candidate to try
+        return None
     count = 0
     for j in range(1, top + 1):
         # the forms of degree j up to scaling are the points of P^(dim - 1)
@@ -550,7 +552,7 @@ def minimality_witness(w: WeierstrassData, j_max: int,
             raise FeasibilityError(
                 f"minimality search up to degree {j} on P^{w.m} over F_{F.size} "
                 f"needs {count} candidate forms > cap {cap}")
-    secs = [(i, s) for i, s in w.sections().items() if not s.is_zero]
+    secs = [(i, s, s.terms()) for i, s in w.sections().items() if not s.is_zero]
     for j in range(1, top + 1):
         monos = monomials(w.m, j)
         dim = len(monos)
@@ -562,9 +564,9 @@ def minimality_witness(w: WeierstrassData, j_max: int,
                 coeffs = dict(zip(monos[lead + 1:], reversed(digits)))
                 u = Section(w.m, j, F, {monos[lead]: F.one, **coeffs})
                 # u | a_i is necessary for u^i | a_i and needs no power of u
-                if not all(exact_divide(s, u) is not None for _, s in secs):
+                if not all(exact_divide(s, u, t) is not None for _, s, t in secs):
                     continue
-                if all(exact_divide(s, u ** i) is not None for i, s in secs):
+                if all(exact_divide(s, u ** i, t) is not None for i, s, t in secs):
                     return u
     return None
 

@@ -355,6 +355,16 @@ def test_minimal_golden_witness_from_stored_input(capsys, monkeypatch):
     assert out.encode() == (GOLDEN / "minimal_input_q9_m2_k1.json").read_bytes()
 
 
+@pytest.mark.parametrize("q", [2 ** 64, 2 ** 65])
+def test_minimal_certifies_past_the_int64_index_range(capsys, q):
+    # element indices of F_{2^64} and F_{2^65} pass 2^63; the line bound
+    # still reads the forms' elements exactly and certifies the datum
+    code, out = _run(capsys, ["minimal", "--random", "-q", str(q), "-m", "1", "-k", "1",
+                              "--seed", "0", "--jmax", "1", "--no-timing"])
+    assert code == 0
+    assert json.loads(out)["result"] == {"minimal": True, "complete": True}
+
+
 def test_feasibility_exit_3(capsys):
     code = main(["census", "-p", "2", "-q", "2", "-m", "2", "-e", "3"])
     err = capsys.readouterr().err

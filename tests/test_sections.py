@@ -149,6 +149,12 @@ def test_exact_divide_roundtrip():
         qt = exact_divide(f, g)
         assert qt is not None
         assert (qt * g).terms() == f.terms()
+        # the dividend's terms taken once by the caller give the same
+        # quotient and are left as they were
+        t = f.terms()
+        assert exact_divide(f, g, t) == qt
+        exact_divide(f, g * g, t)  # whether it divides or not, t is only read
+        assert t == f.terms()
 
 
 def test_exact_divide_failure_and_edges():
@@ -240,6 +246,22 @@ def test_obj_roundtrip():
     # descending monomial order in the serialized form
     expos = [tuple(rec[0]) for rec in obj]
     assert expos == sorted(expos, key=lambda e: (sum(e), e), reverse=True)
+
+
+def test_terms_past_the_int64_index_range():
+    # F_{2^65}: an element's index p-adically from its digits passes 2^63,
+    # so terms() must build each element from its digit row
+    F = make_field(2, 65)
+    rng = random.Random("sec-terms-big")
+    top = (0,) * 64 + (1,)  # alpha^64, index 2^64
+    rows = [top, (1,) * 65, (0,) * 63 + (1, 0)] + [
+        tuple(rng.randrange(2) for _ in range(65)) for _ in range(3)]
+    obj = [[list(e), list(c)] for e, c in zip(monomials(1, 5), rows) if any(c)]
+    s = Section.from_obj(1, 5, F, obj)
+    assert s.to_obj() == obj
+    assert s.terms() == {tuple(e): F.elem(tuple(c)) for e, c in obj}
+    assert s.terms()[(5, 0)].coeffs == top
+    assert Section.from_obj(1, 5, F, s.to_obj()) == s
 
 
 # -- products against the AffinePoly oracle -------------------------------------
