@@ -62,6 +62,9 @@ DEFAULT_ENUM_CAP = 1 << 26
 # bytes of one point block's float product, and of the kernels (F_p digits)
 # the memo keeps per point degree
 _ROW_BUDGET = 1 << 20
+# bytes of one point's float product past which a PointBlock is refused: a
+# block holds at least one point, and building it takes a few times this
+_POINT_CAP = 1 << 28
 _SCAN_SHAPES = 16  # (m, q, point degree, form degrees) whose blocks are memoized
 
 
@@ -221,11 +224,20 @@ class PointBlock:
     joint block-diagonal matrix has ``rows`` x ``cols`` entries;
     :func:`scan_blocks` holds a block's float product to ``_ROW_BUDGET``
     bytes unless it has one point, and the kept kernels of one point degree
-    to ``_ROW_BUDGET`` bytes together.  ``point`` is the first point."""
+    to ``_ROW_BUDGET`` bytes together.  ``point`` is the first point.  A
+    block whose ``point_nbytes`` pass ``_POINT_CAP`` is refused with
+    FeasibilityError, before any of its arrays exists."""
 
     degrees: tuple[int, ...]
     points: tuple[ClosedPoint, ...]
     kernel: JetKernel | None = None
+
+    def __post_init__(self):
+        if (nbytes := self.point_nbytes) > _POINT_CAP:
+            raise FeasibilityError(
+                f"one point's jet product for forms of degrees {self.degrees} on "
+                f"P^{self.point.m} over F_{self.field.size} needs {nbytes} bytes "
+                f"> cap {_POINT_CAP}")
 
     @property
     def point(self) -> ClosedPoint:
@@ -325,6 +337,7 @@ def jet_space_map(degrees: tuple[int, ...], points) -> PointBlock:
     P0 = points[0]
     if any(P.field is not P0.field for P in points):
         raise ValueError("jet_space_map takes the points of one residue field")
+    block = PointBlock(tuple(degrees), points)  # refuses a point past _POINT_CAP
     res, m, r = P0.field, P0.m, P0.emb.src.n
     tabs = res.log_tables()
     order = res.size - 1
@@ -361,5 +374,4 @@ def jet_space_map(degrees: tuple[int, ...], points) -> PointBlock:
             np.take(column, logs, out=out[:, c])
     rows = rows.reshape(-1, dims * r)
     cuts = itertools.pairwise(itertools.accumulate((len(a) * r for a in monos), initial=0))
-    return PointBlock(tuple(degrees), points,
-                      JetKernel(res.p, [rows[:, a:b] for a, b in cuts]))
+    return PointBlock(block.degrees, points, JetKernel(res.p, [rows[:, a:b] for a, b in cuts]))

@@ -10,7 +10,9 @@ always yields the same field and serialized artifacts reproduce bit-for-bit.
 Every integer factorization is one :func:`prime_factors` generator, every
 power by square-and-multiply one :func:`power` loop, and every element
 index (coefficients as base-p digits, least significant first) is a
-product with one array, ``FieldCtx.place``.
+product with one array, ``FieldCtx.place``.  Every product modulo a monic
+f is one convolution folded by f's rows x^n .. x^(2n-2) mod f, and every
+gcd over a field one Euclid, :func:`poly_gcd`.
 Every field builds, on first use of :meth:`FieldCtx.log_tables`, NumPy
 discrete-log, antilog and digit tables for array arithmetic (see
 :class:`LogTables`).  Small fields (size <= 256) build them at once and
@@ -121,46 +123,56 @@ def prime_power(q: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over F_p: tuples of ints, least-significant first,
-# trimmed (no trailing zeros).  Used only for modulus search and reduction.
+# univariate polynomials, least-significant first: F_p coefficient tuples of
+# length n modulo a monic f of degree n, and FieldElem lists, trimmed (no
+# trailing zeros), for gcds over a field.
 
-def _ptrim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+def _fold_rows(f: tuple[int, ...], p: int) -> tuple[tuple[int, ...], ...]:
+    """x^(n+k) mod f for k = 0..n-2 as length-n tuples: each row is the one
+    before shifted up, its top coefficient times f taken off."""
+    row, rows = tuple(-c % p for c in f[:-1]), []  # x^n = x^n - f
+    for _ in range(len(f) - 2):
+        rows.append(row)
+        top = row[-1]
+        row = tuple((a - top * c) % p for a, c in zip((0,) + row[:-1], f))
+    return tuple(rows)
 
 
-def _pmul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
+def _mulmod(a: tuple[int, ...], b: tuple[int, ...], rows, p: int) -> tuple[int, ...]:
+    """a * b mod f, given f's :func:`_fold_rows`: the coefficient of
+    x^(n+k) in the convolution comes back as that multiple of rows[k]."""
+    n = len(a)
+    conv = [0] * (2 * n - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
+            for j, bj in enumerate(b, i):
+                conv[j] += ai * bj
+    out = conv[:n]
+    for c, row in zip(conv[n:], rows):
+        if c % p:
+            for i, r in enumerate(row):
+                out[i] += c * r
+    return tuple(c % p for c in out)
 
 
-def _pmod(a: tuple[int, ...], f: tuple[int, ...], p: int) -> tuple[int, ...]:
-    # f monic
-    r = list(a)
-    nf = len(f) - 1
-    while len(r) - 1 >= nf and r:
-        lead = r[-1] % p
-        if lead:
-            shift = len(r) - 1 - nf
-            for i, fi in enumerate(f):
-                r[shift + i] = (r[shift + i] - lead * fi) % p
-        r.pop()
-    return _ptrim(r)
+def poly_trim(c: list) -> list:
+    while c and not c[-1]:
+        c.pop()
+    return c
 
 
-def _pgcd(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
+def poly_gcd(a: list, b: list) -> list:
+    """The monic gcd of a and b by Euclid (a itself when b is zero): b made
+    monic, then a reduced by it from the top coefficient down."""
     while b:
-        # make b monic before reducing
-        inv = pow(b[-1], p - 2, p)
-        bm = tuple((c * inv) % p for c in b)
-        a, b = bm, _pmod(a, bm, p)
+        inv = b[-1].inverse()
+        b, r = [c * inv for c in b], list(a)
+        while len(r) >= len(b):
+            if lead := r[-1]:
+                for t, bt in enumerate(b, len(r) - len(b)):
+                    r[t] -= lead * bt
+            r.pop()
+        a, b = b, poly_trim(r)
     return a
 
 
@@ -180,35 +192,35 @@ def power(x, e: int, mul=operator.mul):
         x = mul(x, x)
 
 
-def _x_pth_power_mod(f: tuple[int, ...], p: int, e: int) -> tuple[int, ...]:
-    """x^(p^e) mod f, by iterating the p-power map e times."""
-    t = _pmod((0, 1), f, p)
-    for _ in range(e):
-        t = power(t, p, lambda a, b: _pmod(_pmul(a, b, p), f, p))
-    return t
-
-
 def is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
-    """Irreducibility of a monic degree-n polynomial over F_p.
+    """Irreducibility of a monic polynomial over F_p, by Rabin's test.
 
-    f is irreducible iff x^(p^n) == x mod f and, for every prime l | n,
-    gcd(x^(p^(n/l)) - x, f) = 1.
+    f of degree n is irreducible iff x^(p^n) == x mod f and, for every
+    prime l | n, gcd(x^(p^(n/l)) - x, f) = 1, the gcd taken over
+    ``make_field(p, 1)``, whose modulus x is linear and so irreducible
+    without a test.
     """
     n = len(modulus) - 1
     if n < 1 or modulus[-1] != 1:
         return False
-    x = _pmod((0, 1), modulus, p)
-    top = _x_pth_power_mod(modulus, p, n)
-    if top != x:
+    if n == 1:
+        return True
+    rows = _fold_rows(modulus, p)
+    x = t = (0, 1) + (0,) * (n - 2)
+    stops = {n // ell for ell, _ in prime_factors(n)}
+    held = []  # x^(p^(n/l)) mod f for the primes l | n
+    for e in range(1, n + 1):  # t = x^(p^e) mod f
+        t = power(t, p, lambda a, b: _mulmod(a, b, rows, p))
+        if e in stops:
+            held.append(t)
+    if t != x:
         return False
-    for ell, _ in prime_factors(n):
-        t = _x_pth_power_mod(modulus, p, n // ell)
-        diff = list(t)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        g = _pgcd(modulus, _ptrim(diff), p)
-        if len(g) - 1 >= 1:
+    Fp = make_field(p, 1)
+    f = [Fp.from_int(c) for c in modulus]
+    for t in held:
+        diff = [Fp.from_int(c) for c in t]
+        diff[1] -= 1
+        if len(poly_gcd(f, poly_trim(diff))) > 1:
             return False
     return True
 
@@ -293,9 +305,7 @@ class FieldElem:
         ctx = self.ctx
         if ctx._mult is not None:
             return ctx._elems[ctx._mult[self.idx * ctx.size + o.idx]]
-        if ctx.n == 1:
-            return ctx.from_int(self.coeffs[0] * o.coeffs[0])
-        return ctx.elem_from_poly(_pmul(self.coeffs, o.coeffs, ctx.p))
+        return ctx.elem(_mulmod(self.coeffs, o.coeffs, ctx._red, ctx.p))
 
     __rmul__ = __mul__
 
@@ -379,12 +389,10 @@ class FieldCtx:
             self._elems = [
                 FieldElem(self, self._decode(i), i) for i in range(self.size)
             ]
-        # x^(n+k) mod modulus for k = 0..n-2, the rows of TermTable's reduction
-        self._red = tuple(self.elem_from_poly((0,) * (n + k) + (1,)).coeffs
-                          for k in range(n - 1))
+        self._red = _fold_rows(modulus, p)  # FieldElem's and TermTable's fold
         self.zero = self.elem((0,) * n)
         self.one = self.from_int(1)
-        self.gen = self.elem_from_poly((0, 1))
+        self.gen = self.elem((0, 1) + (0,) * (n - 2) if n > 1 else (-modulus[0],))
         if self.size <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -432,10 +440,6 @@ class FieldCtx:
         if self._elems is not None:
             return self._elems[idx]
         return FieldElem(self, coeffs, idx)
-
-    def elem_from_poly(self, poly: tuple[int, ...]) -> FieldElem:
-        reduced = _pmod(tuple(c % self.p for c in poly), self.modulus, self.p)
-        return self.elem(reduced + (0,) * (self.n - len(reduced)))
 
     def from_int(self, c: int) -> FieldElem:
         return self.elem((c % self.p,) + (0,) * (self.n - 1))

@@ -60,7 +60,7 @@ import numpy as np
 from . import zeta as _zeta
 from .base import _ROW_BUDGET, ClosedPoint
 from .errors import FeasibilityError
-from .gf import FieldArray, FieldCtx, FieldElem, make_field
+from .gf import FieldArray, FieldCtx, FieldElem, make_field, poly_gcd, poly_trim
 from .sections import (KeyLayout, Section, TermTable, dim_space, exact_divide, monomials,
                        section_from_slots, section_slots)
 
@@ -69,6 +69,9 @@ WEIER_FORMAT_VERSION = 1
 # after the coordinate-line bound (none for a certified datum); one costs
 # ~45 us (P^2 over F_2, k = 4), so the default search stays within a minute
 MINIMALITY_CAP = 1 << 20
+# a line bound's Euclid on dense degree-d forms takes up to (d + 1)^2 field
+# operations, 0.4-0.8 us each: this many a candidate (~45 us) of the cap
+_LINE_OPS_PER_CANDIDATE = 64
 # one lane budget for the batched detector: the value tuples (Q^g) up to
 # which a residue field gets a ValueTable, built in one call (F_125 at g = 2,
 # 15,625 tuples, and F_8 at g = 4 do; F_16 at g = 4 and F_27 at g = 3 do not,
@@ -533,13 +536,20 @@ def minimality_witness(w: WeierstrassData, j_max: int,
     (q^dim_j - 1)/(q - 1) of them in degree j.  When the candidates to be
     enumerated number more than ``cap`` (default ``MINIMALITY_CAP``),
     FeasibilityError is raised before any is tried; a certified datum
-    never raises it.  With j_max >= k the search is complete: any common u
-    has degree <= k once some a_i is nonzero.
+    never raises it; a nonzero a_i of degree d with (d + 1)^2 above
+    ``_LINE_OPS_PER_CANDIDATE * cap`` raises it before any line is read.
+    With j_max >= k the search is complete: any common u has degree <= k
+    once some a_i is nonzero.
     """
     if j_max < 1:
         raise ValueError(f"need j_max >= 1, got {j_max}")
     F = w.field
     cap = MINIMALITY_CAP if cap is None else cap
+    for i, s in w.sections().items():
+        if not s.is_zero and (s.d + 1) ** 2 > _LINE_OPS_PER_CANDIDATE * cap:
+            raise FeasibilityError(
+                f"minimality line bound on a{i} of degree {s.d} needs up to ({s.d}+1)^2 "
+                f"field operations > {_LINE_OPS_PER_CANDIDATE} * cap {cap}")
     delta = minimality_degree_bound(w)
     top = j_max if delta is None else min(j_max, delta)
     if not top:  # delta = 0: certified, no candidate to try
@@ -595,51 +605,18 @@ def minimality_degree_bound(w: WeierstrassData) -> int | None:
                     expo = [0] * (m + 1)
                     expo[i], expo[j] = e, d - e
                     line.append(terms.get(tuple(expo), F.zero))
-                line = _ftrim(line)
+                line = poly_trim(line)
                 if not line:
                     continue
                 v = d - (len(line) - 1)
                 val = v if val is None else min(val, v)
-                g = _fgcd(g, line)
+                g = poly_gcd(g, line)
                 if val == 0 and len(g) == 1:
                     return 0
             if val is not None:
                 delta = val + len(g) - 1
                 best = delta if best is None else min(best, delta)
     return best
-
-
-# univariate polynomials over a field for the line gcds: FieldElem lists,
-# least-significant first, trimmed (no trailing zeros), as gf's F_p tuples
-
-
-def _ftrim(c: list) -> list:
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def _fmod(a: list, b: list) -> list:
-    # b monic
-    r = list(a)
-    nb = len(b) - 1
-    while len(r) > nb:
-        lead = r[-1]
-        if lead:
-            shift = len(r) - 1 - nb
-            for t, bt in enumerate(b):
-                r[shift + t] = r[shift + t] - lead * bt
-        r.pop()
-    return _ftrim(r)
-
-
-def _fgcd(a: list, b: list) -> list:
-    while b:
-        # make b monic before reducing
-        inv = b[-1].inverse()
-        bm = [c * inv for c in b]
-        a, b = bm, _fmod(a, bm)
-    return a
 
 
 def random_weierstrass(m: int, k: int, field: FieldCtx, seed: int) -> WeierstrassData:

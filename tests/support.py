@@ -43,6 +43,22 @@ def frobenius(a: FieldElem, q: int) -> FieldElem:
     return a ** q
 
 
+def mulmod(a: tuple[int, ...], b: tuple[int, ...], f: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """a * b mod the monic f over F_p, coefficient tuples least significant
+    first: the schoolbook product, then long division by f from the top
+    coefficient down; len(f) - 1 coefficients."""
+    n = len(f) - 1
+    prod = [0] * (len(a) + len(b) - 1) + [0] * n
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    for top in range(len(prod) - 1, n - 1, -1):
+        lead = prod[top] % p
+        for i, fi in enumerate(f):
+            prod[top - n + i] -= lead * fi
+    return tuple(c % p for c in prod[:n])
+
+
 def embed(emb: Embedding, a: FieldElem) -> FieldElem:
     """The image of one element under an embedding, coefficientwise: the
     source basis 1, x, ..., x^(n-1) maps to the powers of ``gen_image``."""

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -733,3 +734,70 @@ def test_cli_contract_on_stored_minimal_inputs(call, tmp_path_factory):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def _stored_f5_datum(path, k, sections) -> str:
+    """A stored datum over F_5 on P^1 with the given twist and records."""
+    path.write_text(json.dumps({"format_version": 1, "field": {"p": 5, "n": 1, "modulus": [0, 1]},
+                                "m": 1, "k": k, "sections": sections}))
+    return str(path)
+
+
+def _line_records(k):
+    # a4 = x0^(4k) + 2 x1^(4k), a6 = x0^(6k) + 3 x0 x1^(6k-1)
+    return {"a4": [[[4 * k, 0], [1]], [[0, 4 * k], [2]]],
+            "a6": [[[6 * k, 0], [1]], [[1, 6 * k - 1], [3]]]}
+
+
+def _address_space_3gb():
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize("argv,size", [
+    (["surj", "-p", "5", "-q", "5", "-m", "1", "-k", "100000000", "-e", "1"],
+     "needs 16000000032 bytes > cap 268435456"),
+    (["density-mc", "-p", "5", "-q", "5", "-m", "1", "-k", "100000000", "-r", "1",
+      "--samples", "1"], "needs 16000000032 bytes > cap 268435456"),
+    (["scan", "--input", "EMPTY", "-r", "1"], "needs 16000000032 bytes > cap 268435456"),
+    (["minimal", "--input", "LINES", "--jmax", "1"], "on a4 of degree 12000000"),
+], ids=["surj", "density-mc", "scan-input", "minimal-input"])
+def test_huge_forms_are_refused_before_their_arrays(tmp_path, argv, size):
+    # k = 10^8 forms on P^1 have 4*10^8 + 1 and 6*10^8 + 1 monomials, and a
+    # line bound on degree 1.2*10^7 forms would run a dense Euclid: each is
+    # refused at once.  The child runs under a 3 GB address-space limit, so
+    # a missing refusal fails on allocation instead of taking the host's memory
+    files = {"EMPTY": _stored_f5_datum(tmp_path / "empty.json", 10 ** 8, {}),
+             "LINES": _stored_f5_datum(tmp_path / "lines.json", 3 * 10 ** 6,
+                                       _line_records(3 * 10 ** 6))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "elldens", *(files.get(a, a) for a in argv), "--no-timing"],
+        capture_output=True, text=True, timeout=60, preexec_fn=_address_space_3gb,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert size in proc.stderr
+
+
+def test_line_bound_refusal_spares_small_and_zero_forms(capsys, tmp_path):
+    # k = 10^3 is read in full and certified; all-zero forms give no line to
+    # read at any k, and the enumeration finds u = x0 as before
+    code, out = _run(capsys, ["minimal", "--input",
+                              _stored_f5_datum(tmp_path / "small.json", 1000, _line_records(1000)),
+                              "--jmax", "1", "--no-timing"])
+    assert code == 0
+    assert json.loads(out)["result"] == {"minimal": True, "complete": False}
+    code, out = _run(capsys, ["minimal", "--input",
+                              _stored_f5_datum(tmp_path / "zero.json", 3 * 10 ** 6, {}),
+                              "--jmax", "1", "--no-timing"])
+    assert code == 0
+    assert json.loads(out)["result"] == {
+        "minimal": False, "complete": False, "witness": {"degree": 1, "terms": [[[1, 0], [1]]]}}
+
+
+def test_point_cap_spares_the_largest_tested_jet_maps(capsys):
+    # 3.2 MB and 7.2 MB a point, far below the cap
+    for argv in (["density-mc", "-p", "5", "-q", "5", "-m", "1", "-k", "40000"],
+                 ["density-mc", "-p", "2", "-q", "2", "-m", "3", "-k", "20"]):
+        code, _ = _run(capsys, argv + ["-r", "1", "--samples", "1", "--no-timing"])
+        assert code == 0, argv

@@ -1,5 +1,6 @@
 """Finite field construction, arithmetic axioms, Frobenius and embeddings."""
 import hashlib
+import itertools
 import random
 import time
 
@@ -11,7 +12,7 @@ from elldens.errors import FeasibilityError
 from elldens.gf import (FieldArray, FieldMismatchError, embedding, is_irreducible, make_field,
                         prime_power)
 from elldens.zeta import _mobius
-from support import embed, frobenius
+from support import embed, frobenius, mulmod
 
 
 def test_prime_power():
@@ -305,7 +306,7 @@ def test_operation_tables_match_coefficient_arithmetic_on_all_pairs(p, n):
     coeffs = [F._decode(i) for i in range(size)]
 
     def mul(a, b):
-        return F.elem_from_poly(gf._pmul(a, b, p)).coeffs
+        return mulmod(a, b, F.modulus, p)
 
     for i, a in enumerate(coeffs):
         assert F._negt[i] == F._encode(tuple(-c % p for c in a))
@@ -315,6 +316,59 @@ def test_operation_tables_match_coefficient_arithmetic_on_all_pairs(p, n):
             assert F._addt[i * size + j] == F._encode(
                 tuple((x + y) % p for x, y in zip(a, b)))
             assert F._mult[i * size + j] == F._encode(mul(a, b))
+
+
+@pytest.mark.parametrize("p,n", [(2, 9), (5, 4), (3, 40), (2, 64), (2, 65)])
+def test_element_products_match_the_schoolbook_reference(p, n):
+    # fields without operation tables multiply by the folded convolution
+    F = make_field(p, n)
+    assert F._mult is None
+    rng = random.Random(f"products:{p}:{n}")
+    for _ in range(40):
+        a, b = (tuple(rng.randrange(p) for _ in range(n)) for _ in range(2))
+        assert (F.elem(a) * F.elem(b)).coeffs == mulmod(a, b, F.modulus, p)
+    assert (F.gen * F.gen).coeffs == mulmod(F.gen.coeffs, F.gen.coeffs, F.modulus, p)
+
+
+@pytest.mark.parametrize("p,counts", [(2, (2, 1, 2, 3, 6, 9, 18, 30)), (3, (3, 3, 8, 18, 48)),
+                                      (5, (5, 10, 40))])
+def test_irreducible_monic_counts_are_the_necklace_counts(p, counts):
+    # (1/n) sum_{d | n} mu(d) p^(n/d) monic irreducibles of degree n over F_p
+    for n, want in enumerate(counts, start=1):
+        found = sum(is_irreducible(tuple(lo) + (1,), p)
+                    for lo in itertools.product(range(p), repeat=n))
+        assert found == want, n
+        assert want == sum(_mobius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+
+
+# make_field's moduli as base-p integers, sum of c_i p^i: the seeded search
+# must keep choosing them, or stored data and pinned outputs change
+PINNED_MODULI = {
+    (2, 1): 2, (2, 2): 7, (2, 3): 13, (2, 4): 25, (2, 5): 59, (2, 6): 103, (2, 7): 191,
+    (2, 8): 301, (2, 9): 535, (2, 10): 1657, (3, 1): 3, (3, 2): 10, (3, 3): 46,
+    (3, 4): 115, (3, 5): 317, (3, 6): 1190, (3, 7): 3535, (3, 8): 9799, (3, 9): 35941,
+    (3, 10): 99202, (5, 1): 5, (5, 2): 27, (5, 3): 244, (5, 4): 1209, (5, 5): 4927,
+    (5, 6): 29809, (5, 7): 112576, (5, 8): 504919, (5, 9): 2846742, (5, 10): 16503084,
+    (7, 1): 7, (7, 2): 86, (7, 3): 579, (7, 4): 4573, (7, 5): 21403, (7, 6): 123581,
+    (7, 7): 972547, (7, 8): 8012096, (7, 9): 65298323, (7, 10): 490769869, (11, 1): 11,
+    (11, 2): 122, (11, 3): 2043, (11, 4): 20134, (11, 5): 190944, (11, 6): 3403935,
+    (13, 1): 13, (13, 2): 271, (13, 3): 3967, (13, 4): 50212, (13, 5): 423355,
+    (13, 6): 6175940, (257, 1): 257, (257, 2): 131149, (257, 3): 30713509,
+    (257, 4): 8380753068, (257, 5): 2080326196245, (257, 6): 531871633901090,
+    (2, 16): 110763, (2, 19): 829721, (2, 64): 26040038383293196529,
+    (2, 65): 44258415575429011541, (3, 40): 19752953661669112897, (65537, 2): 7452089650,
+    (65537, 3): 466667554801484,
+}
+
+
+def test_moduli_are_pinned():
+    assert len(PINNED_MODULI) == 65
+    for (p, n), want in PINNED_MODULI.items():
+        modulus = make_field(p, n).modulus
+        assert len(modulus) == n + 1 and modulus[-1] == 1
+        assert sum(c * p ** i for i, c in enumerate(modulus)) == want, (p, n)
+    # x mod a linear f is -f_0
+    assert make_field(7, 1).gen == 0 and gf.FieldCtx(5, 1, (3, 1)).gen == 2
 
 
 def test_from_index_bijective():

@@ -340,6 +340,20 @@ def test_line_certificate_bounds_higher_degree_witnesses(monkeypatch):
             assert delta is None or wit.d <= delta
 
 
+def test_line_bound_refuses_forms_past_the_cap():
+    # a4 = x1^8 and a6 = x0^12 at k = 2: (12 + 1)^2 = 169 field operations,
+    # above 64 per candidate at cap 2 and within it at cap 3, where the lines
+    # certify the datum minimal
+    zero = {i: Section.zero(1, 2 * i, F5) for i in (1, 2, 3)}
+    w = WeierstrassData(1, 2, F5, zero[1], zero[2], zero[3], monomial(1, (0, 8), F5.one),
+                        monomial(1, (12, 0), F5.one))
+    with pytest.raises(FeasibilityError, match=r"^minimality line bound on a6 of degree 12 "
+                                               r"needs up to \(12\+1\)\^2 field operations "
+                                               r"> 64 \* cap 2$"):
+        minimality_witness(w, 1, cap=2)
+    assert minimality_witness(w, 1, cap=3) is None
+
+
 def test_line_certificate_on_coordinate_lines():
     # P^2 over F_5, a4 = x0^4 + x1^4 and a6 = x0^6: on the line x2 = 0 the
     # dehomogenizations at x1 = 1 are t^4 + 1 and t^6, coprime, and a4 has
