@@ -12,7 +12,7 @@ exactly a q^{-(m+1)e} fraction admits a singular fiber point.
 The census walks the tuple space as value tuples (g base-Q digits) times
 gradient tuples (g*m digits): a detector call pairs (V, 1) value rows with
 (1, W) gradient rows, so only the base-direction tests run once per tuple.
-Its cross-check compares every tuple with the scalar fiber-scan oracle.
+Its cross-check compares each call with the fiber-scan oracle on its batch.
 
 Monte-Carlo runs draw coefficient forms uniformly (one PCG64 stream per
 sample, seeded by a stable 64-bit hash of (master_seed, index)) in chunks:
@@ -26,23 +26,21 @@ same memo of budget-sized point blocks (:func:`~elldens.base.scan_blocks`; a
 block whose kernel the memo does not keep is rebuilt by
 :func:`~elldens.base.jet_space_map` once per call and reused by each of its
 chunks): one :func:`~elldens.base.jet_at` product per block, taken for the
-samples either test still holds, each form's
-slots against its own jet rows only (stored as F_p digits), multiplied in
-float32 wherever that is exact, its jets returned as element indices.  A
-chunk walks the blocks once, and each block's jets are dropped before the
-next block's product.  The batched
+samples either test still holds, each form's slots against its own jet rows
+only (stored as F_p digits), multiplied in float32 wherever that is exact,
+its jets returned as element indices.  A chunk walks the blocks once, and
+each block's jets are dropped before the next block's product.  The batched
 detector and the discriminant test (:func:`~elldens.weier.delta_vanishes`)
 run once per (chunk, block), each on the samples it still holds: those
 smooth so far, and those whose discriminant values have all vanished so
 far; both read a small residue field's value table in ``weier``.  Samples
-whose discriminant form is
-identically zero are counted as not-smooth and tallied separately: a nonzero
-discriminant value at a point of degree <= r settles delta != 0, unsettled
-samples go on through the discriminant values at the points of the next
-degrees, one degree at a time, from the same memo (its degree-e entry, built
-the first time a sample needs it; the entries of lower degree are the very
-blocks the run applied), and only when every value vanishes is the form
-expanded.
+whose discriminant form is identically zero are counted as not-smooth and
+tallied separately: a nonzero discriminant value at a point of degree <= r
+settles delta != 0, unsettled samples go on through the discriminant values
+at the points of the next degrees, one degree at a time, from the same memo
+(its degree-e entry, built the first time a sample needs it; the entries of
+lower degree are the very blocks the run applied), and only when every
+value vanishes is the form expanded.
 """
 from __future__ import annotations
 
@@ -127,8 +125,8 @@ def jet_census(p: int, q: int, m: int, e: int,
     a time, one detector call each on (V, 1) values and (1, W) gradients,
     which the detector reads on their own axes: the acceptance-1 cases take
     one call each but for (3,3,2,1), two, and the 2^16-tuple (2,2,1,2), four.
-    With cross_check=True every tuple is also scanned by the exhaustive
-    fiber oracle and a disagreement raises, naming the tuple's digits.
+    With cross_check=True the exhaustive fiber oracle takes each call's batch
+    too, and a tuple whose verdict or witness differs raises, naming its digits.
     """
     r = _degree_over(p, q)
     if m < 1:
@@ -164,15 +162,16 @@ def jet_census(p: int, q: int, m: int, e: int,
         for v0 in range(0, len(values), V):
             vd = values[v0:v0 + V]
             J = jets_from_indices(fld, vd, gd)
-            hit = singular_jets_closed_form(J).mask
-            bad += int(np.count_nonzero(hit))
+            hit = singular_jets_closed_form(J)
+            bad += int(np.count_nonzero(hit.mask))
             if cross_check:
-                for (i, j), h, lane in zip(np.ndindex(hit.shape), hit.flat, J.lanes()):
-                    if (singular_jets_oracle(lane) is not None) != h:
-                        row = np.concatenate((vd[i, 0, :, None], gd[0, j]), axis=1)
-                        raise AssertionError(
-                            f"closed form ({'singular' if h else 'smooth'}) and fiber "
-                            f"scan disagree on jets {tuple(row.ravel().tolist())}")
+                ref = singular_jets_oracle(J)
+                moved = (hit.x.idx != ref.x.idx) | (hit.y.idx != ref.y.idx)
+                for i, j in np.argwhere((hit.mask != ref.mask) | hit.mask & moved)[:1]:
+                    row = np.concatenate((vd[i, 0, :, None], gd[0, j]), axis=1)
+                    raise AssertionError(
+                        f"closed form ({'singular' if hit.mask[i, j] else 'smooth'}) and "
+                        f"fiber scan disagree on jets {tuple(row.ravel().tolist())}")
     return JetCensus(p=p, q=q, m=m, e=e, g=g, total=total, bad=bad,
                      expected_bad=expected_bad_count(p, q, m, e))
 

@@ -15,36 +15,27 @@ model exists in every fiber):
 A fiber point over a closed point P is a singular point of the total space
 iff F and all m+2 partials (fiber coordinates x, y plus the m base
 directions) vanish there; the base-direction conditions only see the
-first-order jets of the coefficient forms at P.  Two independent detectors
-are provided: a closed-form solver for the candidate (x, y) per
-characteristic, and an exhaustive scan over the whole affine fiber.  The
-fiber point at infinity (0:1:0) is never singular (the Z-partial there is
-Y^2 = 1) and is asserted, never searched.
+first-order jets of the coefficient forms at P.  The fiber point at infinity
+(0:1:0) is never singular (the Z-partial there is Y^2 = 1) and is asserted,
+never searched.
 
-The closed-form detector takes batches only: jets whose entries are
-:class:`~elldens.gf.FieldArray` s (many points or jet tuples over one
-residue field) give a mask and candidate arrays, with the characteristic's
-branches taken as masks.  It runs in two stages.  The value stage (the
-candidate and the F, dF/dx, dF/dy tests) reads the g coefficient values
-alone and runs in the values' shape; the base stage tests the m base
-directions one at a time, each on the lanes of the joint shape that have
-passed so far, gathering their gradient entries from each entry's own
-array, at index 0 on the axes where it broadcasts.  A residue field with at
-most ``_VALUE_TABLE_LIMIT`` value tuples (Q^g) has a :class:`ValueTable`,
-built on first use, in one call, from the same formulas: there the
-value stage, and the discriminant test on values, is one gather on the
-value key.  So a census pairing (V, 1) values with (1, W) gradients solves
-once per value tuple, and Monte-Carlo over small residue fields once per
-field.  The table's layout is read in this module alone: the detector and
-:func:`delta_vanishes` are its two readers.  This module answers for a
-batch of jets or for a datum; the passes over point blocks (one
-:func:`~elldens.base.jet_at` product a block) live in ``density``.  A
-single point is a lane of its block, and :meth:`WeierstrassJets.lanes`
-reads single-point jets back out.  The discriminant, the fiber equation
-and the vanishing conditions are written once with ring operations, so
-they run on forms, on FieldElems and on FieldArrays.  The oracle, which
-scans one lane's fiber, and the re-verification of a
-:class:`SingularityWitness` stay scalar.
+Two independent detectors take the same batches (jets whose entries are
+:class:`~elldens.gf.FieldArray` s over one residue field that need only
+broadcast) and give the same :class:`SingularBatch`.  The oracle scans all
+of F_Q^2 for chunks of lanes at once.  The closed form solves for the
+candidate (x, y) per characteristic, the branches taken as masks, from the
+coefficient values alone (the value stage), then tests the base directions
+on the lanes that pass; over a residue field with at most
+``_VALUE_TABLE_LIMIT`` value tuples (Q^g) the value stage and the
+discriminant test on values are one gather from its :class:`ValueTable`,
+built on first use from the same formulas, read in this module alone.
+
+This module answers for a batch of jets or for a datum; the passes over
+point blocks live in ``density``.  A single point is a lane of its block,
+and :meth:`WeierstrassJets.lanes` reads a scan witness's jets back out for
+its scalar re-verification.  The discriminant, the fiber equation and the
+vanishing conditions are written once with ring operations, so they run on
+forms, on FieldElems and on FieldArrays.
 """
 from __future__ import annotations
 
@@ -58,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import zeta as _zeta
-from .base import _ROW_BUDGET, ClosedPoint
+from .base import _POINT_CAP, _ROW_BUDGET, ClosedPoint
 from .errors import FeasibilityError
 from .gf import FieldArray, FieldCtx, FieldElem, make_field, poly_gcd, poly_trim
 from .sections import (KeyLayout, Section, TermTable, dim_space, exact_divide, monomials,
@@ -287,9 +278,9 @@ def jacobian_vanishes(J: WeierstrassJets, x: FieldElem, y: FieldElem) -> bool:
     return not any(vanishing_conditions(J, x, y))
 
 
-def infinity_partial(J: WeierstrassJets) -> FieldElem:
+def infinity_partial(J: WeierstrassJets):
     """d/dZ of the homogenized fiber cubic at the section point (0:1:0):
-    Y^2 + a1 XY + 2 a3 YZ - a2 X^2 - 2 a4 XZ - 3 a6 Z^2 evaluated there."""
+    Y^2 + a1 XY + 2 a3 YZ - a2 X^2 - 2 a4 XZ - 3 a6 Z^2 evaluated there, per lane."""
     F = J.field
     X, Y, Z = F.zero, F.one, F.zero
     return (Y * Y + J.a1.value * X * Y + 2 * (J.a3.value * Y * Z)
@@ -316,8 +307,8 @@ class SingularityWitness:
 
 
 class SingularBatch(NamedTuple):
-    """The closed-form detector on a batch: lane i has a singular fiber point
-    iff mask[i], and it is (x[i], y[i]); mask, x and y share one shape, the
+    """Either detector on a batch: lane i has a singular fiber point iff
+    mask[i], and it is (x[i], y[i]); mask, x and y share one shape, the
     joint broadcast shape of the jets' entries."""
 
     mask: np.ndarray
@@ -499,28 +490,37 @@ def delta_vanishes(J: WeierstrassJets) -> np.ndarray:
     return table.delta_zero[key]
 
 
-def singular_jets_oracle(J: WeierstrassJets) -> tuple[FieldElem, FieldElem] | None:
-    """Exhaustively scan the whole affine fiber (x, y) in the residue field.
-
-    The chart at infinity is not scanned: the Z-partial at (0:1:0) is checked
-    to be nonzero instead.
-    """
-    if not infinity_partial(J):
+def singular_jets_oracle(J: WeierstrassJets) -> SingularBatch:
+    """Exhaustively scan the affine fiber of every lane of a batch, taken as
+    by :func:`singular_jets_closed_form`: a lane's witness is its first (x,
+    y) in index order, x outer, where all :func:`vanishing_conditions`
+    vanish; x = y = 0 off the mask.  Each pass tests a run of points against
+    a chunk of lanes, its int64 temporaries within ``_ROW_BUDGET`` bytes.
+    The Z-partial at (0:1:0) is checked instead of the chart at infinity."""
+    if infinity_partial(J).is_zero.any():
         raise AssertionError("fiber point at infinity unexpectedly singular")
-    F = J.field
-    a1v, a2v, a3v, a4v, a6v = J.values()
-    elems = [F.from_index(i) for i in range(F.size)]
-    for x in elems:
-        x2 = x * x
-        rhs = x2 * x + a2v * x2 + a4v * x + a6v
-        c1 = a1v * x + a3v
-        for y in elems:
-            # F(x, y) = y*(y + c1) - rhs
-            if y * (y + c1) - rhs:
-                continue
-            if jacobian_vanishes(J, x, y):
-                return (x, y)
-    return None
+    F, joint = J.field, J.shape
+    grid, points = joint or (1,), F.size * F.size  # a one-lane batch has the lane shape ()
+    cells = max(1, _ROW_BUDGET // 48)  # a condition holds ~6 int64 arrays of them at once
+    run, step = min(points, cells), max(1, cells // points)
+    first = np.full(math.prod(grid), -1)  # per lane, its first singular point's index
+    for lo in range(0, first.size, step):
+        todo = first[lo:lo + step]
+        at = np.unravel_index(np.arange(lo, lo + todo.size), grid)
+        chunk = WeierstrassJets(F, *(Jet(_gather(jet.value, grid, at),
+                                         tuple(_gather(a, grid, at) for a in jet.gradient))
+                                     for jet in (J.a1, J.a2, J.a3, J.a4, J.a6)))
+        for t0 in range(0, points, run):
+            t = np.arange(t0, min(t0 + run, points))[:, None]
+            hit = np.ones((len(t), todo.size), dtype=bool)
+            for cond in vanishing_conditions(chunk, *(FieldArray(F, a) for a in divmod(t, F.size))):
+                hit &= cond.is_zero
+                if not hit.any():
+                    break
+            new = (todo < 0) & hit.any(axis=0)
+            todo[new] = t0 + hit[:, new].argmax(axis=0)
+    x, y = np.divmod(np.where(first >= 0, first, 0).reshape(joint), F.size)
+    return SingularBatch((first >= 0).reshape(joint), FieldArray(F, x), FieldArray(F, y))
 
 
 def minimality_witness(w: WeierstrassData, j_max: int,
@@ -621,7 +621,14 @@ def minimality_degree_bound(w: WeierstrassData) -> int | None:
 
 def random_weierstrass(m: int, k: int, field: FieldCtx, seed: int) -> WeierstrassData:
     """Uniform draw from the coefficient space: one PCG64 stream seeded with
-    ``seed`` supplies all F_p slots of the varying forms, in index order."""
+    ``seed`` supplies all F_p slots of the varying forms, in index order.
+    Before any slot is drawn, a datum whose forms' int64 term arrays ((m +
+    1) exponents and n digits a monomial) would pass ``_POINT_CAP`` bytes
+    is refused with FeasibilityError."""
+    nbytes = 8 * (m + 1 + field.n) * (total_slots(m, k, field) // field.n)
+    if nbytes > _POINT_CAP:
+        raise FeasibilityError(f"a random datum with k={k} on P^{m} over F_{field.size} "
+                               f"needs {nbytes} bytes of term arrays > cap {_POINT_CAP}")
     slots = weierstrass_slots(m, k, field, seed)
     return weierstrass_from_slots(m, k, field, slots)
 

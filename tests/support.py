@@ -1,9 +1,10 @@
 """Reference code the tests check the package against, and that no command
 runs: scalar evaluation of forms and of their affine charts with formal
 partials, embeddings applied one element at a time, the Frobenius map,
-seeded random forms, and small constructors and measures of package
-objects.  The package computes the same things in batches (jet products,
-FieldArray arithmetic), so these stay independent of it.
+seeded random forms, the exhaustive fiber scan of one lane's jets, and
+small constructors and measures of package objects.  The package computes
+the same things in batches (jet products, FieldArray arithmetic, the fiber
+scan of a whole batch), so these stay independent of it.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import numpy as np
 
 from elldens.gf import Embedding, FieldCtx, FieldElem, FieldMismatchError, prime_power
 from elldens.sections import Section, dim_space, section_from_slots
+from elldens.weier import WeierstrassJets, infinity_partial, jacobian_vanishes
 
 
 def _accumulate(out: dict, expo: tuple[int, ...], c: FieldElem) -> None:
@@ -196,6 +198,30 @@ class AffinePoly:
             raise ValueError(f"point needs {self.m} coordinates")
         return _evaluate(self.coeffs, pt, max((max(e) for e in self.coeffs), default=0),
                          self.field, emb)
+
+
+def fiber_scan(J: WeierstrassJets) -> tuple[FieldElem, FieldElem] | None:
+    """Exhaustively scan the whole affine fiber (x, y) in the residue field.
+
+    The chart at infinity is not scanned: the Z-partial at (0:1:0) is checked
+    to be nonzero instead.
+    """
+    if not infinity_partial(J):
+        raise AssertionError("fiber point at infinity unexpectedly singular")
+    F = J.field
+    a1v, a2v, a3v, a4v, a6v = J.values()
+    elems = [F.from_index(i) for i in range(F.size)]
+    for x in elems:
+        x2 = x * x
+        rhs = x2 * x + a2v * x2 + a4v * x + a6v
+        c1 = a1v * x + a3v
+        for y in elems:
+            # F(x, y) = y*(y + c1) - rhs
+            if y * (y + c1) - rhs:
+                continue
+            if jacobian_vanishes(J, x, y):
+                return (x, y)
+    return None
 
 
 def vanishes(jet) -> bool:

@@ -760,11 +760,15 @@ def _address_space_3gb():
       "--samples", "1"], "needs 16000000032 bytes > cap 268435456"),
     (["scan", "--input", "EMPTY", "-r", "1"], "needs 16000000032 bytes > cap 268435456"),
     (["minimal", "--input", "LINES", "--jmax", "1"], "on a4 of degree 12000000"),
-], ids=["surj", "density-mc", "scan-input", "minimal-input"])
+    (["scan", "--random", "-q", "5", "-m", "1", "-k", "100000000", "-r", "1"],
+     "needs 24000000048 bytes of term arrays > cap 268435456"),
+    (["minimal", "--random", "-q", "5", "-m", "1", "-k", "100000000", "--jmax", "1"],
+     "needs 24000000048 bytes of term arrays > cap 268435456"),
+], ids=["surj", "density-mc", "scan-input", "minimal-input", "scan-random", "minimal-random"])
 def test_huge_forms_are_refused_before_their_arrays(tmp_path, argv, size):
-    # k = 10^8 forms on P^1 have 4*10^8 + 1 and 6*10^8 + 1 monomials, and a
-    # line bound on degree 1.2*10^7 forms would run a dense Euclid: each is
-    # refused at once.  The child runs under a 3 GB address-space limit, so
+    # k = 10^8 forms on P^1 have 4*10^8 + 1 and 6*10^8 + 1 monomials, whose
+    # random draw would hold 10^9 slots, and a line bound on degree 1.2*10^7
+    # forms would run a dense Euclid: each is refused at once.  The child runs under a 3 GB address-space limit, so
     # a missing refusal fails on allocation instead of taking the host's memory
     files = {"EMPTY": _stored_f5_datum(tmp_path / "empty.json", 10 ** 8, {}),
              "LINES": _stored_f5_datum(tmp_path / "lines.json", 3 * 10 ** 6,

@@ -12,7 +12,7 @@ from elldens.base import JetKernel, closed_points_up_to, jet_at, jet_space_map, 
 from elldens.density import (exact_density, expected_bad_count, jet_census, mc_density,
                              sample_seed, singular_scan, surjectivity_check)
 from elldens.errors import FeasibilityError
-from elldens.gf import make_field, prime_power
+from elldens.gf import FieldArray, make_field, prime_power
 from elldens.linalg import rank_mod_p
 from elldens.weier import (delta_vanishes, jets_from_indices, random_weierstrass,
                            section_degrees, singular_jets_closed_form, singular_jets_oracle,
@@ -71,10 +71,32 @@ def test_census_2_2_2_2_sample_matches_oracle():
     rng = np.random.Generator(np.random.PCG64(2222))
     rows = rng.integers(0, F4.size, size=(2000, 4, 3))
     J = jets_from_indices(F4, rows)
-    hit = singular_jets_closed_form(J).mask
-    for h, lane in zip(hit, J.lanes(), strict=True):
-        assert bool(h) == (singular_jets_oracle(lane) is not None)
-    assert hit.any()
+    hit, oracle = singular_jets_closed_form(J), singular_jets_oracle(J)
+    assert np.array_equal(hit.mask, oracle.mask)
+    assert np.array_equal(hit.x.idx[hit.mask], oracle.x.idx[hit.mask])
+    assert np.array_equal(hit.y.idx[hit.mask], oracle.y.idx[hit.mask])
+    assert hit.mask.any()
+
+
+def _lanes_with_digits(J, target) -> np.ndarray:
+    """The mask of the lanes of a characteristic-2 batch whose jet entries
+    are `target`, in the (form, entry) layout of a1, a3, a4, a6."""
+    entries = [a.idx for jet in (J.a1, J.a3, J.a4, J.a6) for a in (jet.value, *jet.gradient)]
+    return np.all([np.broadcast_to(e, J.shape) == t for e, t in zip(entries, target)], axis=0)
+
+
+def test_census_cross_check_memory():
+    # warm, the oracle's passes hold their temporaries within one 1 MiB
+    # budget together, beside the census's own arrays
+    jet_census(5, 5, 2, 1, cross_check=True)
+    tracemalloc.start()
+    try:
+        c = jet_census(5, 5, 2, 1, cross_check=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.bad == c.expected_bad
+    assert peak <= 2.0e6
 
 
 def test_census_cross_check_names_the_disagreeing_tuple(monkeypatch):
@@ -85,11 +107,7 @@ def test_census_cross_check_names_the_disagreeing_tuple(monkeypatch):
 
     def flipped(J):
         hit = oracle(J)
-        digits = tuple(e.idx for jet in (J.a1, J.a3, J.a4, J.a6)
-                       for e in (jet.value, *jet.gradient))
-        if digits != target:
-            return hit
-        return None if hit is not None else (J.field.zero, J.field.zero)
+        return hit._replace(mask=hit.mask ^ _lanes_with_digits(J, target))
 
     monkeypatch.setattr(density, "singular_jets_oracle", flipped)
     with pytest.raises(AssertionError) as err:
@@ -100,6 +118,22 @@ def test_census_cross_check_names_the_disagreeing_tuple(monkeypatch):
     rows = np.array(target).reshape(1, 4, 2)
     hit = singular_jets_closed_form(jets_from_indices(make_field(2, 1), rows)).mask
     assert verdict == ("singular" if hit[0] else "smooth")
+
+
+def test_census_cross_check_compares_witnesses(monkeypatch):
+    # the oracle moves the witness of the all-zero tuple, the cusp y^2 = x^3
+    # singular at (0, 0), to (1, 0) and keeps every verdict
+    target = (0,) * 8
+    oracle = density.singular_jets_oracle
+
+    def moved(J):
+        hit = oracle(J)
+        return hit._replace(x=FieldArray(J.field, hit.x.idx + _lanes_with_digits(J, target)))
+
+    monkeypatch.setattr(density, "singular_jets_oracle", moved)
+    with pytest.raises(AssertionError) as err:
+        jet_census(2, 2, 1, 1, cross_check=True)
+    assert str(err.value) == f"closed form (singular) and fiber scan disagree on jets {target}"
 
 
 # the first detector call's (V, W) shape per census case
@@ -634,13 +668,13 @@ def test_singular_scan_matches_oracle_point_by_point(q, m, k, r, seed):
     blocks = scan_blocks(m, q, r, degrees)
     assert [P for b in blocks for P in b.points] == closed_points_up_to(m, q, r)
     for b in blocks:
-        lanes = jets_from_indices(b.field, jet_at(w.slots(), b)).lanes()
-        for P, lane in zip(b.points, lanes, strict=True):
-            want = singular_jets_oracle(lane)
+        want = singular_jets_oracle(jets_from_indices(b.field, jet_at(w.slots(), b)))
+        assert want.mask.shape == (len(b.points),)
+        for i, P in enumerate(b.points):
             got = scan.pop(P, None)
-            assert (got is None) == (want is None), P
+            assert (got is None) == (not want.mask[i]), P
             if got is not None:
-                assert (got.x, got.y) == want
+                assert (got.x, got.y) == (want.x[i], want.y[i])
                 # and the jets of the point's own one-point block
                 one = jet_space_map(degrees, (P,))
                 assert got.jets == next(jets_from_indices(one.field,

@@ -2,7 +2,9 @@
 class and every method of `src/elldens` is referenced from `src/` or
 `bench/`, or named in the README as public API.  Point blocks are built in
 `base` and walked in `density` alone, and a form's term rows are read in
-`sections` alone."""
+`sections` alone.  The exhaustive fiber scan reads nothing of the closed
+form it checks, and single-lane jets are read out for scan witnesses
+alone."""
 import ast
 import re
 from pathlib import Path
@@ -24,14 +26,19 @@ def _definitions(package: Path):
                         yield f"{path.stem}.{node.name}.{sub.name}", sub.name, sub
 
 
-def _names_read(path: Path):
-    """Each Name and Attribute node of one file, with the name it reads;
+def _names_in(tree: ast.AST):
+    """Each Name and Attribute node under `tree`, with the name it reads;
     docstrings and comments hold none."""
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node
         elif isinstance(node, ast.Attribute):
             yield node.attr, node
+
+
+def _names_read(path: Path):
+    """Each Name and Attribute node of one file, with the name it reads."""
+    return _names_in(ast.parse(path.read_text()))
 
 
 def _references(dirs) -> list[tuple[str, ast.AST]]:
@@ -88,3 +95,30 @@ def test_only_sections_reads_term_rows():
     # every other module reads forms through Section's methods, so the
     # term format can change in one module
     assert readers(ROOT, ("sections",), ("exponents", "coefficients")) == []
+
+
+def test_the_fiber_scan_reads_nothing_of_the_closed_form():
+    # the exhaustive oracle stays independent of the detector it checks: no
+    # candidate, value stage, value table or discriminant; density alone calls it
+    weier = ast.parse((ROOT / "src" / "elldens" / "weier.py").read_text())
+    [oracle] = [node for node in weier.body
+                if isinstance(node, ast.FunctionDef) and node.name == "singular_jets_oracle"]
+    closed_form = {"_candidate", "_value_stage", "value_keys", "value_table", "_value_tables",
+                   "ValueTable", "singular_jets_closed_form", "delta_vanishes",
+                   "discriminant_value"}
+    assert sorted(closed_form.intersection(name for name, _ in _names_in(oracle))) == []
+    assert readers(ROOT, ("density",), ("singular_jets_oracle",)) == []
+
+
+def lane_readers(root: Path) -> list[str]:
+    """module.name for each top-level statement of `src/elldens` that reads
+    an attribute ``lanes`` (a definition's name, or the statement's type)."""
+    return [f"{path.stem}.{getattr(node, 'name', type(node).__name__)}"
+            for path in sorted((root / "src" / "elldens").glob("*.py"))
+            for node in ast.parse(path.read_text()).body
+            if any(name == "lanes" and isinstance(n, ast.Attribute) for name, n in _names_in(node))]
+
+
+def test_only_the_singular_scan_reads_single_lanes():
+    # both detectors take batches; a scan witness alone needs one lane's jets
+    assert lane_readers(ROOT) == ["density.singular_scan"]

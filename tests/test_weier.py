@@ -28,7 +28,7 @@ from elldens.weier import (Jet, WeierstrassData, WeierstrassJets,
                            varying_indices, weier_from_obj, weier_to_obj,
                            weierstrass_from_slots, weierstrass_slot_rows,
                            weierstrass_slots)
-from support import dehomogenize, embed, evaluate, monomial, random_section
+from support import dehomogenize, embed, evaluate, fiber_scan, monomial, random_section
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -130,13 +130,15 @@ def _block_lanes(w, r):
 
 
 def _closed_form_vs_oracle(w, r):
-    """Per closed point of degree <= r, whether the closed form and the
-    oracle find a singular fiber point: the detector's mask over each scan
-    block, the oracle on each lane of it."""
+    """Per closed point of degree <= r, the closed form's and the oracle's
+    verdict and witness: both detectors on each scan block's batch, the
+    witness (x, y) as element indices, (0, 0) off the mask."""
     for b in scan_blocks(w.m, w.field.size, r, section_degrees(w.field.p, w.k)):
         J = jets_from_indices(b.field, jet_at(w.slots(), b))
-        for hit, lane in zip(singular_jets_closed_form(J).mask, J.lanes(), strict=True):
-            yield bool(hit), singular_jets_oracle(lane) is not None
+        hit, ref = singular_jets_closed_form(J), singular_jets_oracle(J)
+        for i in range(len(b.points)):
+            yield ((bool(hit.mask[i]), (hit.x.idx[i], hit.y.idx[i]) if hit.mask[i] else (0, 0)),
+                   (bool(ref.mask[i]), (ref.x.idx[i], ref.y.idx[i])))
 
 
 def test_jets_at_values():
@@ -473,16 +475,15 @@ def test_batched_detector_and_discriminant_match_scalar_and_oracle(p, n, data):
                                       min_size=g * (m + 1), max_size=g * (m + 1)))
             rows.append([flat[s * (m + 1):(s + 1) * (m + 1)] for s in range(g)])
     J = jets_from_indices(F, np.array(rows, dtype=np.int64))
-    hit = singular_jets_closed_form(J)
+    hit, oracle = singular_jets_closed_form(J), singular_jets_oracle(J)
     delta = discriminant_value(*J.values())
     assert hit.mask.shape == hit.x.shape == hit.y.shape == (len(rows),)
     for i, row in enumerate(rows):
         single = _single_jets(F, row)
-        oracle = singular_jets_oracle(single)
-        assert bool(hit.mask[i]) == (oracle is not None)
+        assert hit.mask[i] == oracle.mask[i]
         if hit.mask[i]:
             # a singular fiber has one singular point, so both find the same
-            assert (hit.x[i], hit.y[i]) == oracle
+            assert (hit.x[i], hit.y[i]) == (oracle.x[i], oracle.y[i])
             assert jacobian_vanishes(single, hit.x[i], hit.y[i])
         assert delta[i] == discriminant_value(*single.values())
 
@@ -514,9 +515,15 @@ def test_detector_broadcasts_values_against_gradients(p, m):
     pick = np.zeros((V, W), dtype=bool)
     pick[0, 0] = pick[-1, -1] = True
     pick[np.unravel_index(np.flatnonzero(hit.mask)[:4], (V, W))] = True
+    oracle = singular_jets_oracle(J)
     for i, j, lane in zip(*np.nonzero(pick), J.lanes(pick), strict=True):
         assert lane == _single_jets(F, rows[i, j])
-        assert (singular_jets_oracle(lane) is not None) == bool(hit.mask[i, j])
+        assert oracle.mask[i, j] == hit.mask[i, j]
+    # and the oracle's verdict and witness on every lane of the broadcast batch
+    assert oracle.mask.shape == oracle.x.shape == oracle.y.shape == (V, W)
+    assert np.array_equal(oracle.mask, hit.mask)
+    assert np.array_equal(oracle.x.idx[hit.mask], hit.x.idx[hit.mask])
+    assert np.array_equal(oracle.y.idx[hit.mask], hit.y.idx[hit.mask])
     # values that fail F, dF/dx or dF/dy: the mask still has the joint shape
     fail = vals[~singular_jets_closed_form(
         jets_from_indices(F, vals, np.zeros((V, g, 0), dtype=np.int64))).mask]
@@ -631,10 +638,11 @@ def test_detector_takes_a_batch_of_one_lane(p, n):
         row = np.where(rng.random((g, 3)) < 0.6, 0, rng.integers(0, F.size, (g, 3)))
         hit = singular_jets_closed_form(jets_from_indices(F, row))
         assert hit.mask.shape == hit.x.shape == hit.y.shape == ()
-        oracle = singular_jets_oracle(_single_jets(F, row.tolist()))
-        assert bool(hit.mask) == (oracle is not None)
-        if oracle is not None:
-            assert (hit.x.idx, hit.y.idx) == (oracle[0].idx, oracle[1].idx)
+        oracle = singular_jets_oracle(jets_from_indices(F, row))
+        assert oracle.mask.shape == oracle.x.shape == oracle.y.shape == ()
+        assert hit.mask == oracle.mask
+        if oracle.mask:
+            assert (hit.x.idx, hit.y.idx) == (oracle.x.idx, oracle.y.idx)
 
 
 def test_value_key_falls_back_on_a_fixed_form_that_is_nonzero():
@@ -649,8 +657,8 @@ def test_value_key_falls_back_on_a_fixed_form_that_is_nonzero():
     J = WeierstrassJets(F4, jet([1, 2, 0], 0), jet([1, 3, 2], [0, 1, 0]), zero, zero, zero)
     assert weier.value_keys(J) is None
     hit = singular_jets_closed_form(J)
-    oracle = [singular_jets_oracle(lane) is not None for lane in J.lanes()]
-    assert hit.mask.tolist() == oracle
+    oracle = singular_jets_oracle(J)
+    assert hit.mask.tolist() == oracle.mask.tolist()
 
 
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 3)])
@@ -662,13 +670,68 @@ def test_fields_past_the_table_limit_build_none_and_match_the_oracle(p, n, data)
     m = data.draw(st.integers(1, 2))
     rows = [_planted_row(F, m, data.draw) for _ in range(data.draw(st.integers(1, 4)))]
     J = jets_from_indices(F, np.array(rows, dtype=np.int64))
-    hit = singular_jets_closed_form(J)
-    for i, row in enumerate(rows):
-        oracle = singular_jets_oracle(_single_jets(F, row))
-        assert bool(hit.mask[i]) == (oracle is not None)
+    hit, oracle = singular_jets_closed_form(J), singular_jets_oracle(J)
+    for i in range(len(rows)):
+        assert hit.mask[i] == oracle.mask[i]
         if hit.mask[i]:
-            assert (hit.x[i], hit.y[i]) == oracle
+            assert (hit.x[i], hit.y[i]) == (oracle.x[i], oracle.y[i])
     assert F not in weier._value_tables
+
+
+# fields of 2 to 125 elements: F_125's fiber holds 15,625 points
+_SCAN_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (2, 4), (5, 2), (3, 3), (5, 3)]
+
+
+@pytest.mark.parametrize("p,n", _SCAN_FIELDS)
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fiber_scan_of_a_batch_matches_the_scalar_scan(p, n, data):
+    # mask and first witness, lane by lane, on free rows, planted singular
+    # rows and rows without a closed-form candidate (p = 2 with a1 = 0 and
+    # a3 != 0, p = 3 with a2 = 0 and a4 != 0: dF/dy or dF/dx is a nonzero
+    # constant there); then the first row alone as a 0-d batch
+    m = data.draw(st.integers(1, 2))
+    F = make_field(p, n)
+    g = len(varying_indices(p))
+    entry = st.just(0) | st.integers(0, F.size - 1)
+    rows = []
+    kinds = st.lists(st.sampled_from(["free", "planted", "no candidate"]), max_size=2)
+    for kind in ["planted", "no candidate", "free", *data.draw(kinds)]:
+        if kind == "planted":
+            rows.append(_planted_row(F, m, data.draw))
+            continue
+        flat = data.draw(st.lists(entry, min_size=g * (m + 1), max_size=g * (m + 1)))
+        row = [flat[s * (m + 1):(s + 1) * (m + 1)] for s in range(g)]
+        if kind == "no candidate" and p in (2, 3):
+            # the first varying form's value (a1, a2) is zero, the next one's (a3, a4) not
+            row[0][0], row[1][0] = 0, data.draw(st.integers(1, F.size - 1))
+        rows.append(row)
+    idx = np.array(rows, dtype=np.int64)
+    for batch, lanes in ((idx, rows), (idx[0], rows[:1])):
+        got = singular_jets_oracle(jets_from_indices(F, batch))
+        assert got.mask.shape == got.x.shape == got.y.shape == batch.shape[:-2]
+        for hit, x, y, row in zip(got.mask.reshape(-1), got.x.idx.reshape(-1),
+                                  got.y.idx.reshape(-1), lanes, strict=True):
+            want = fiber_scan(_single_jets(F, row))
+            assert hit == (want is not None)
+            assert (x, y) == ((want[0].idx, want[1].idx) if hit else (0, 0))
+
+
+@pytest.mark.parametrize("budget", [150, 5000])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_fiber_scan_chunks_give_one_answer(p, budget, monkeypatch):
+    # census-shaped (V, 1) values against (1, W) gradients, scanned in
+    # passes of 3 cells (runs of points of one lane) and of 104 cells
+    # (several lanes a pass): the answer of the default passes
+    F = make_field(p, 1)
+    vals = _all_values(F)[:, None]
+    J = jets_from_indices(F, vals, _sparse_gradients(F, (1, 6, vals.shape[-1], 1), seed=p))
+    want = singular_jets_oracle(J)
+    monkeypatch.setattr(weier, "_ROW_BUDGET", budget)
+    got = singular_jets_oracle(J)
+    assert want.mask.any()
+    assert np.array_equal(got.mask, want.mask)
+    assert np.array_equal(got.x.idx, want.x.idx) and np.array_equal(got.y.idx, want.y.idx)
 
 
 def test_large_field_scan_builds_no_table():
