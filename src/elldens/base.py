@@ -19,7 +19,9 @@ unit of one build and one product: ``jet_space_map`` writes its points' rows,
 as F_p digits, into the block's :class:`JetKernel`, the one F_p product
 kernel, and ``jet_at`` multiplies slot vectors, a datum's or a Monte-Carlo
 batch of draws, by it and returns the jets as residue-field element indices,
-the one format in which jets leave this module.  Products run in float32
+the one format in which jets leave this module: over F_p a digit is the
+index, else a Horner sum over the digit axis gives sum_c digit_c p^c, the
+index ``FieldCtx.place`` encodes, with no integer matmul.  Products run in float32
 while every sum of ``cols`` products of F_p digits (cols the widest form's
 columns) stays below 2^24, in float64 below 2^53, and are refused past that,
 all by :func:`exact_float_dtype`.  ``scan_blocks`` is the one memo of point blocks,
@@ -202,8 +204,9 @@ class JetKernel:
         dtype ``np.min_scalar_type(p - 1)``: shape ``slots.shape[:-1] +
         (forms, rows per form)``."""
         x = np.asarray(slots, dtype=self.dtype)
-        y = np.stack([x[..., a:b] @ rows.astype(self.dtype).T
-                      for (a, b), rows in zip(self.spans, self.blocks)], axis=-2)
+        y = np.empty(x.shape[:-1] + (len(self.blocks), self.blocks[0].shape[0]), self.dtype)
+        for f, ((a, b), rows) in enumerate(zip(self.spans, self.blocks)):
+            y[..., f, :] = x[..., a:b] @ rows.astype(self.dtype).T
         # every entry is an exact integer below 2^24 in float32 and 2^53 in
         # float64, so int32 and int64 hold it; their remainder is cheaper
         # than float's, and int32's cheaper again
@@ -281,8 +284,7 @@ def jet_at(slots: np.ndarray, block: PointBlock) -> np.ndarray:
     Entry 0 is a form's value and entries 1..m its gradient in the point's
     chart coordinates.  One product: with the block's kept kernel, or else
     with the kernel of :func:`jet_space_map` at the block's points, built
-    for this call; its F_p digits become indices here, through
-    ``FieldCtx.place``.
+    for this call; its F_p digits become indices here (see the module notes).
     """
     if slots.shape[-1] != block.cols:
         raise ValueError(f"slot vector of length {slots.shape[-1]} does not fit forms "
@@ -291,8 +293,12 @@ def jet_at(slots: np.ndarray, block: PointBlock) -> np.ndarray:
     if kernel is None:
         kernel = jet_space_map(block.degrees, block.points).kernel
     shape = (len(block.degrees), len(block.points), block.point.m + 1, block.field.n)
-    digits = np.moveaxis(kernel.apply(slots).reshape(slots.shape[:-1] + shape), -4, -3)
-    return digits @ block.field.place
+    digits = kernel.apply(slots).reshape(slots.shape[:-1] + shape).swapaxes(-4, -3)
+    idx = digits[..., -1].astype(np.int64)  # over F_p the digit is the index
+    for c in range(block.field.n - 2, -1, -1):  # Horner: sum_c digit_c p^c
+        idx *= block.field.p
+        idx += digits[..., c]
+    return idx
 
 
 def scan_blocks(m: int, q: int, r: int, degrees: tuple[int, ...],

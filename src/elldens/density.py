@@ -366,5 +366,5 @@ def singular_scan(w: WeierstrassData, r: int,
         J = jets_from_indices(b.field, jet_at(w.slots(), b))
         hit = singular_jets_closed_form(J)
         hits += [SingularityWitness(point=b.points[i], x=hit.x[i], y=hit.y[i], jets=jets)
-                 for i, jets in zip(np.flatnonzero(hit.mask), J.lanes(hit.mask))]
+                 for i, jets in zip(hit.mask.ravel().nonzero()[0], J.lanes(hit.mask))]
     return hits

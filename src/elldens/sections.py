@@ -20,26 +20,27 @@ e_1..e_m of a term map to the Kronecker key
 
     e_1 + e_2 B_1 + e_3 B_1 B_2 + ... + e_m B_1 ... B_(m-1)
 
-of a :class:`KeyLayout`, and a table holds a form's keys and one row of F_p
-coordinates per key (coefficients of alpha^0 .. alpha^(n-1), for
+of a :class:`KeyLayout`, and a table holds a form's keys, ascending, and one
+row of F_p coordinates per key (coefficients of alpha^0 .. alpha^(n-1), for
 F_{p^n} = F_p[alpha]).  While no exponent of a result reaches its base,
-keys add without carries: the key of a term pair is the sum of the terms'
+keys add without carries: a term pair's key is the sum of the terms' keys,
+so a product's keys lie between the sums of the factors' first and last
 keys.  A pair's coefficient is the convolution of the two rows, width
 W = 2n - 1.  The pairs are formed in blocks of about ``_PAIR_CHUNK`` and
-summed in int64 in one of two ways, chosen from two sizes: the result's key
-span (largest pair key - smallest + 1) and its number of term pairs.  When
-the span is no wider than the pairs, every pair is added into a (W, span)
-accumulator at its key's column, with no sort, and the accumulator is no
-larger than the pairs.  A wider span (sparse forms, mostly at m >= 3, where
-the B_1 ... B_m box is mostly keys of no monomial of degree d) has its
-pairs sorted by key and the rows of equal keys summed, block by block, so
-memory follows the terms present, never the span.  The sums are reduced
-mod p and alpha^n .. alpha^(2n-2) are folded back with the modulus
-(``FieldCtx._red``).  Sums, differences, negatives and integer multiples
-of forms exist only on tables, so a polynomial in forms is expanded without
-a :class:`Section` in between; the exponent of x_0 is restored from the
-degree, and the rows sorted into grlex order, when a table becomes a
-Section again.
+summed in int64.  A key span (largest pair key - smallest + 1) no wider
+than the pairs or one block takes a (W, span) accumulator, each pair added
+at its key's column with no sort; over F_p its one row is compacted as it
+stands, with no fold and no transpose.  A wider span (sparse forms, mostly
+at m >= 3, where the B_1 ... B_m box is mostly keys of no monomial of
+degree d) has its pairs sorted by key and the rows of equal keys summed,
+block by block, so memory follows the terms present, never the span.  A
+sum merges the two ascending runs (one stable sort) and sums the rows of
+equal keys.  Rows are reduced mod p, alpha^n .. alpha^(2n-2) folded back
+with the modulus (``FieldCtx._red``), and zero rows dropped.
+Sums, differences, negatives and integer multiples of forms exist only on
+tables, so a polynomial in forms is expanded without a :class:`Section` in
+between; x_0's exponent is restored from the degree, and the rows sorted
+into grlex order, when a table becomes a Section again.
 
 ``Section * Section`` (:func:`_product`) multiplies the two tables under
 bases B_j one above the largest exponent of x_j in f plus that in g
@@ -268,46 +269,59 @@ class TermTable:
 
     @classmethod
     def of(cls, s: Section, layout: KeyLayout) -> "TermTable":
-        """The table of s: its exponent rows' keys (x_0 dropped) and its
-        coefficient rows."""
-        return cls(s.m, s.d, s.field, layout, s.exponents[:, 1:] @ layout.place,
-                   s.coefficients)
+        """The table of s: its exponent rows' keys (x_0 dropped), ascending,
+        and its coefficient rows."""
+        keys = s.exponents[:, 1:] @ layout.place
+        order = keys.argsort()
+        return cls(s.m, s.d, s.field, layout, keys[order], s.coefficients[order])
 
     def _new(self, d: int, keys: np.ndarray, coords: np.ndarray) -> "TermTable":
         return TermTable(self.m, d, self.field, self.layout, keys, coords)
 
+    def _reduced(self, d: int, keys: np.ndarray, vals: np.ndarray) -> "TermTable":
+        """The table of ascending keys and int64 value rows of n or 2n - 1 (a
+        product's) entries, reduced mod p in place, alpha^n .. folded back,
+        zero rows dropped."""
+        fld = self.field
+        vals %= fld.p
+        if vals.shape[1] > fld.n:  # alpha^(n+k) = _red[k]
+            vals = (vals[:, :fld.n] + vals[:, fld.n:] @ np.array(fld._red, dtype=np.int64)) % fld.p
+        live = vals.any(axis=1)
+        return self._new(d, keys[live], vals[live])
+
     def _check(self, other: "TermTable"):
-        if self.m != other.m or self.field != other.field or self.layout is not other.layout:
+        if self.layout is not other.layout or self.m != other.m or (
+                self.field is not other.field and self.field != other.field):
             raise ValueError("term tables of different rings or key layouts")
 
     def __add__(self, other: "TermTable") -> "TermTable":
+        return self._sum(other, 1)
+
+    def __sub__(self, other: "TermTable") -> "TermTable":
+        return self._sum(other, -1)
+
+    def _sum(self, other: "TermTable", sign: int) -> "TermTable":
+        """self + sign * other, a merge of the two ascending key runs."""
         if not isinstance(other, TermTable):
             return NotImplemented
         self._check(other)
         if not len(other.keys):
             return self
         if not len(self.keys):
-            return other
+            return other if sign == 1 else -other
         if self.d != other.d:
             raise ValueError(f"cannot add degrees {self.d} and {other.d}")
-        k, v = _collect([(self.keys, self.coords), (other.keys, other.coords)])
-        v %= self.field.p
-        live = v.any(axis=1)
-        return self._new(self.d, k[live], v[live])
+        rows = other.coords if sign == 1 else -other.coords  # reduced mod p once summed
+        return self._reduced(self.d, *_collect([(self.keys, self.coords), (other.keys, rows)]))
 
     def __neg__(self) -> "TermTable":
-        return self._new(self.d, self.keys, -self.coords % self.field.p)
-
-    def __sub__(self, other: "TermTable") -> "TermTable":
-        if not isinstance(other, TermTable):
-            return NotImplemented
-        return self + (-other)
+        return self._new(self.d, self.keys, -self.coords % self.field.p) if len(self.keys) else self
 
     def __mul__(self, other):
         if isinstance(other, int):
             p = self.field.p
             c = other % p
-            if not c:
+            if not c or not len(self.keys):
                 return self._new(self.d, self.keys[:0], self.coords[:0])
             if (p - 1) * c >= 1 << 63:
                 raise FeasibilityError(
@@ -327,38 +341,35 @@ class TermTable:
                 f"a product of degree-{self.d} and degree-{other.d} forms over "
                 f"F_{p}^{n} may exceed the int64 range")
         step = max(1, _PAIR_CHUNK // len(kg))
-        lo = int(kf.min()) + int(kg.min())
-        span = int(kf.max()) + int(kg.max()) - lo + 1
-        if span <= len(kf) * len(kg):
-            # one accumulator column per key of the span: no larger than the
-            # pairs, and summing into it needs no sort
+        lo = int(kf[0]) + int(kg[0])  # ascending keys: the pairs' least and largest
+        span = int(kf[-1]) + int(kg[-1]) - lo + 1
+        if span <= max(len(kf) * len(kg), _PAIR_CHUNK):
+            # one accumulator column per key of the span, no larger than the
+            # pairs or one block of them, and summing into it needs no sort
             acc = np.zeros((2 * n - 1, span), dtype=np.int64)
             for i in range(0, len(kf), step):
                 at = (kf[i:i + step, None] - lo + kg).ravel()
                 for a in range(n):  # coefficient polynomials in alpha multiply by convolution
                     for b in range(n):
                         np.add.at(acc[a + b], at, (cf[i:i + step, a, None] * cg[:, b]).ravel())
-            k, v = np.arange(lo, lo + span, dtype=np.int64), acc.T
-        else:
-            held, merged = [], 0  # (keys, value rows) blocks; once merged, held[0] has `merged` keys
-            for i in range(0, len(kf), step):
-                pv = np.zeros((len(kf[i:i + step]) * len(kg), 2 * n - 1), dtype=np.int64)
-                for a in range(n):
-                    for b in range(n):
-                        pv[:, a + b] += (cf[i:i + step, a, None] * cg[:, b]).ravel()
-                held.append(((kf[i:i + step, None] + kg).ravel(), pv))
-                # summing once the new pairs outnumber the distinct keys bounds the
-                # memory, and re-sorting those keys costs no more than the pairs
-                if sum(len(b[0]) for b in held) >= merged + max(_PAIR_CHUNK, merged):
-                    held = [_collect(held)]
-                    merged = len(held[0][0])
-            k, v = _collect(held)
-        v %= p
-        coords = v[:, :n]
-        if n > 1:  # alpha^(n+k) = _red[k]
-            coords = (coords + v[:, n:] @ np.array(fld._red, dtype=np.int64)) % p
-        live = coords.any(axis=1)
-        return self._new(d, k[live], coords[live])
+            if n == 1:  # the one coordinate row: nothing to fold, no transpose
+                acc %= p
+                live = acc[0].nonzero()[0]
+                return self._new(d, live + lo, acc[0, live, None])
+            return self._reduced(d, np.arange(lo, lo + span, dtype=np.int64), acc.T)
+        held, merged = [], 0  # (keys, value rows) blocks; once merged, held[0] has `merged` keys
+        for i in range(0, len(kf), step):
+            pv = np.zeros((len(kf[i:i + step]) * len(kg), 2 * n - 1), dtype=np.int64)
+            for a in range(n):
+                for b in range(n):
+                    pv[:, a + b] += (cf[i:i + step, a, None] * cg[:, b]).ravel()
+            held.append(((kf[i:i + step, None] + kg).ravel(), pv))
+            # summing once the new pairs outnumber the distinct keys bounds the
+            # memory, and re-sorting those keys costs no more than the pairs
+            if sum(len(b[0]) for b in held) >= merged + max(_PAIR_CHUNK, merged):
+                held = [_collect(held)]
+                merged = len(held[0][0])
+        return self._reduced(d, *_collect(held))
 
     __rmul__ = __mul__
 
@@ -386,12 +397,9 @@ def _collect(blocks: list) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys of the (keys, value rows) blocks, ascending, and the
     sum of the value rows at each."""
     keys, vals = blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(*blocks))
-    order = np.argsort(keys)
+    order = keys.argsort(kind="stable")  # ascending runs: merged, not sorted afresh
     keys, vals = keys[order], vals[order]
-    first = np.empty(len(keys), dtype=bool)
-    first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    first = first.nonzero()[0]
+    first = np.concatenate(([True], keys[1:] != keys[:-1])).nonzero()[0]
     return keys[first], np.add.reduceat(vals, first, axis=0)
 
 

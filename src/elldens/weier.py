@@ -25,10 +25,12 @@ broadcast) and give the same :class:`SingularBatch`.  The oracle scans all
 of F_Q^2 for chunks of lanes at once.  The closed form solves for the
 candidate (x, y) per characteristic, the branches taken as masks, from the
 coefficient values alone (the value stage), then tests the base directions
-on the lanes that pass; over a residue field with at most
-``_VALUE_TABLE_LIMIT`` value tuples (Q^g) the value stage and the
-discriminant test on values are one gather from its :class:`ValueTable`,
-built on first use from the same formulas, read in this module alone.
+on the lanes that pass: each is a linear form in the varying forms'
+gradient entries, its coefficients dF/da_f formed once a call.  Over a
+residue field with at most ``_VALUE_TABLE_LIMIT`` value tuples (Q^g) the
+value stage and the discriminant test on values are one gather from its
+:class:`ValueTable`, built on first use from the same formulas, read in
+this module alone.
 
 This module answers for a batch of jets or for a datum; the passes over
 point blocks live in ``density``.  A single point is a lane of its block,
@@ -151,20 +153,21 @@ def discriminant_value(a1, a2, a3, a4, a6):
     """The discriminant from the coefficients, via the b-invariants:
 
     b2 = a1^2 + 4 a2,  b4 = 2 a4 + a1 a3,  b6 = a3^2 + 4 a6,
-    b8 = a1^2 a6 + 4 a2 a6 - a1 a3 a4 + a2 a3^2 - a4^2,
-    delta = -b2^2 b8 - 8 b4^3 - 27 b6^2 + 9 b2 b4 b6.
+    b8 = a1^2 a6 + 4 a2 a6 - a1 a3 a4 + a2 a3^2 - a4^2 = b2 a6 - a1 a3 a4 + a2 a3^2 - a4^2,
+    delta = -b2^2 b8 - 8 b4^3 - 27 b6^2 + 9 b2 b4 b6 = b2 (9 b4 b6 - b2 b8) - 8 b4^3 - 27 b6^2.
 
     Ring operations only: term tables of the coefficient forms give the
     discriminant's table, FieldElem values one fiber's discriminant,
     FieldArray values a batch.  a1^2, a3^2 and a1 a3 are formed once each,
-    so a call makes 15 ring products.
+    so a call makes 13 ring products.  The integer multiples come first, so
+    one that vanishes mod p leaves the products after it on zero.
     """
     a11, a13, a33 = a1 * a1, a1 * a3, a3 * a3
     b2 = a11 + 4 * a2
     b4 = 2 * a4 + a13
     b6 = a33 + 4 * a6
-    b8 = a11 * a6 + 4 * a2 * a6 - a13 * a4 + a2 * a33 - a4 * a4
-    return -(b2 * b2 * b8) - 8 * (b4 * b4 * b4) - 27 * (b6 * b6) + 9 * (b2 * b4 * b6)
+    b8 = b2 * a6 - a13 * a4 + a2 * a33 - a4 * a4
+    return b2 * (9 * b4 * b6 - b2 * b8) - 8 * b4 * b4 * b4 - 27 * b6 * b6
 
 
 @dataclass(frozen=True)
@@ -196,17 +199,17 @@ class WeierstrassJets:
     @property
     def shape(self) -> tuple[int, ...]:
         """The joint broadcast shape of the batch's entries."""
-        return np.broadcast_shapes(*(a.shape for jet in (self.a1, self.a2, self.a3,
+        return np.broadcast_shapes(*{a.shape for jet in (self.a1, self.a2, self.a3,
                                                          self.a4, self.a6)
-                                     for a in (jet.value, *jet.gradient)))
+                                     for a in (jet.value, *jet.gradient)})
 
     def lanes(self, where: np.ndarray | None = None) -> Iterator["WeierstrassJets"]:
         """The single-point jets of every lane in C order of the joint shape,
-        or of the lanes where ``where`` (of that shape) holds: each entry is
-        broadcast to the joint shape and read out once for all of them."""
-        shape, elem = self.shape, self.field.from_index
-        pick = slice(None) if where is None else np.ravel(where)
-        cols = [[np.broadcast_to(a.idx, shape).ravel()[pick].tolist()
+        or of the lanes where ``where`` (of that shape) holds; each entry is
+        read once, at those lanes, from its own array (see :func:`_gather`)."""
+        grid, elem = self.shape or (1,), self.field.from_index
+        at = np.nonzero(np.ones(grid, dtype=bool) if where is None else np.reshape(where, grid))
+        cols = [[v.tolist() if (v := _gather(a, grid, at).idx).ndim else [v.item()] * len(at[0])
                  for a in (jet.value, *jet.gradient)]
                 for jet in (self.a1, self.a2, self.a3, self.a4, self.a6)]
         for k in range(len(cols[0][0])):
@@ -229,7 +232,7 @@ def jets_from_indices(field: FieldCtx, idx: np.ndarray,
         idx, gradients = idx[..., 0], idx[..., 1:]
     m = gradients.shape[-1]
     zero = FieldArray(field, 0)
-    jets = {i: Jet(value=zero, gradient=(zero,) * m) for i in _INDICES}
+    jets = dict.fromkeys(_INDICES, Jet(value=zero, gradient=(zero,) * m))
     for s_idx, i in enumerate(varying_indices(field.p)):
         jets[i] = Jet(value=FieldArray(field, idx[..., s_idx]), gradient=tuple(
             FieldArray(field, gradients[..., s_idx, j]) for j in range(m)))
@@ -252,15 +255,17 @@ def value_conditions(J: WeierstrassJets, x, y):
     yield 2 * y + J.a1.value * x + J.a3.value
 
 
+def base_coefficient(f: int, x, y):
+    """dF/da_f at (x, y) for f = 1, 2, 3, 4: x y, -x^2, y, -x (dF/da6 = -1)."""
+    return x * y if f == 1 else -(x * x) if f == 2 else y if f == 3 else -x
+
+
 def base_condition(g1, g2, g3, g4, g6, x, y):
-    """The partial at (x, y) along one base direction, from the five forms'
-    gradient entries in that direction."""
-    return g1 * (x * y) + g3 * y - g2 * (x * x) - g4 * x - g6
-
-
-def _directions(J: WeierstrassJets):
-    """Per base direction, the five forms' gradient entries."""
-    return zip(J.a1.gradient, J.a2.gradient, J.a3.gradient, J.a4.gradient, J.a6.gradient)
+    """The partial at (x, y) along one base direction, by the chain rule the
+    linear form sum_f dF/da_f g_f in the five forms' gradient entries there
+    (see :func:`base_coefficient`)."""
+    c1, c2, c3, c4 = (base_coefficient(f, x, y) for f in (1, 2, 3, 4))
+    return g1 * c1 + g2 * c2 + g3 * c3 + g4 * c4 - g6
 
 
 def vanishing_conditions(J: WeierstrassJets, x, y):
@@ -268,7 +273,7 @@ def vanishing_conditions(J: WeierstrassJets, x, y):
     (x, y) is a singular point of the total space iff all of them vanish.
     Ring operations only, so they run on single jets and on batches."""
     yield from value_conditions(J, x, y)
-    for grads in _directions(J):
+    for grads in zip(*(jet.gradient for jet in (J.a1, J.a2, J.a3, J.a4, J.a6))):
         yield base_condition(*grads, x, y)
 
 
@@ -417,10 +422,10 @@ def value_keys(J: WeierstrassJets) -> tuple[ValueTable, np.ndarray] | None:
         return None
     vals = dict(zip(_INDICES, J.values()))
     vary = varying_indices(J.field.p)
-    if any(vals[i].idx.any() for i in _INDICES if i not in vary):
+    if any(np.count_nonzero(vals[i].idx) for i in _INDICES if i not in vary):
         return None
-    key = 0
-    for i in reversed(vary):
+    key = vals[vary[-1]].idx
+    for i in reversed(vary[:-1]):
         key = key * J.field.size + vals[i].idx
     return table, key
 
@@ -448,10 +453,12 @@ def singular_jets_closed_form(J: WeierstrassJets) -> SingularBatch:
     field's :class:`ValueTable` where it has one, else the candidate and
     the F, dF/dx, dF/dy tests by their formulas.  The base stage then tests
     one direction at a time on the lanes of the joint shape that have
-    passed so far (``np.flatnonzero``, ``np.unravel_index``), gathering
-    each direction's gradient entries at those lanes from each entry's own
-    array (see :func:`_gather`), never from a view or copy of the joint
-    shape.  Entries that only broadcast give mask, x and y in the joint
+    passed so far, each entry gathered at those lanes from its own array
+    (see :func:`_gather`): sum_f c_f g_f = g6 over the forms that vary in
+    characteristic p (the others are zero), c = (xy, -x^2, y, -x) for (a1,
+    a2, a3, a4) as in :func:`base_condition`, formed once per call at the
+    lanes that passed the values, so for p >= 5 a direction costs one
+    product.  Entries that only broadcast give mask, x and y in the joint
     shape (x and y views past the values').
     """
     F = J.field
@@ -464,14 +471,21 @@ def singular_jets_closed_form(J: WeierstrassJets) -> SingularBatch:
         x, y = FieldArray(F, table.x[key]), FieldArray(F, table.y[key])
     joint = J.shape
     grid = joint or (1,)  # a batch of one lane has the lane shape ()
-    lanes = np.flatnonzero(np.broadcast_to(passes, grid))
-    for grads in _directions(J):
-        if not lanes.size:
-            break
+    lanes = (passes if passes.shape == grid else np.broadcast_to(passes, grid)).ravel().nonzero()[0]
+    if lanes.size:
+        vary = varying_indices(F.p)
         at = np.unravel_index(lanes, grid)
-        ok = base_condition(*(_gather(a, grid, at) for a in (*grads, x, y))).is_zero
-        # every entry broadcasting along the lanes' axes leaves one answer for all
-        lanes = lanes[np.broadcast_to(ok, lanes.shape)]
+        xl, yl = _gather(x, grid, at), _gather(y, grid, at)
+        coef = [base_coefficient(f, xl, yl) for f in vary[:-1]]
+        for grad in zip(*(getattr(J, f"a{f}").gradient for f in vary)):  # per direction, g6 last
+            terms = [c * _gather(a, grid, at) for c, a in zip(coef, grad)]
+            ok = sum(terms[1:], terms[0]).idx == _gather(grad[-1], grid, at).idx
+            # every entry broadcasting along the lanes' axes leaves one answer for all
+            lanes = lanes[ok if ok.shape == lanes.shape else np.broadcast_to(ok, lanes.shape)]
+            if not lanes.size:
+                break
+            coef = [c if not c.idx.ndim else FieldArray(F, c.idx[ok]) for c in coef]
+            at = np.unravel_index(lanes, grid)
     mask = np.zeros(joint, dtype=bool)
     mask.reshape(-1)[lanes] = True
     x, y = (a if a.shape == joint else FieldArray(F, np.broadcast_to(a.idx, joint))
@@ -808,11 +822,11 @@ def weierstrass_from_slots(m: int, k: int, field: FieldCtx, slots) -> Weierstras
         width = dim_space(m, d) * n
         secs[i] = section_from_slots(m, d, field, slots[off:off + width])
         off += width
-    full = {
-        i: secs.get(i, Section.zero(m, i * k, field)) for i in _INDICES
-    }
-    return WeierstrassData(m, k, field,
-                           full[1], full[2], full[3], full[4], full[6])
+    w = WeierstrassData(m, k, field, *(secs[i] if i in secs else Section.zero(m, i * k, field)
+                                       for i in _INDICES))
+    w._slots = np.asarray(slots, dtype=np.int64) % field.p  # as slots() would build it
+    w._slots.flags.writeable = False
+    return w
 
 
 # -- serialization -------------------------------------------------------------

@@ -490,6 +490,27 @@ def test_jet_at_takes_a_batch_of_slot_vectors(kind):
     assert (empty.shape, empty.dtype) == ((0, 5, 4, 3), np.int64)
 
 
+@pytest.mark.parametrize("m,q,r", [(1, 2, 4), (1, 3, 3), (2, 5, 2)])
+def test_jet_at_indices_are_the_digits_times_the_place_values(m, q, r):
+    # blocks over F_p, F_{p^2}, F_{p^3} and F_16: the index conversion (the
+    # digit itself over F_p, a Horner sum past it) against digits @ place
+    p = prime_power(q)[0]
+    degrees = section_degrees(p, 1)
+    rng = np.random.default_rng(q)
+    fields = set()
+    for block in scan_blocks(m, q, r, degrees):
+        kernel = block.kernel or jet_space_map(degrees, block.points).kernel
+        slots = rng.integers(0, p, size=(3, block.cols))
+        shape = (len(degrees), len(block.points), m + 1, block.field.n)
+        digits = np.moveaxis(kernel.apply(slots).reshape((3,) + shape), -4, -3)
+        got = jet_at(slots, block)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, digits @ block.field.place)
+        assert np.array_equal(jet_at(slots[0], block), got[0])
+        fields.add(block.field.size)
+    assert fields == {q ** e for e in range(1, r + 1)}
+
+
 def test_scan_blocks_keep_rows_within_the_budget(monkeypatch, fresh_memo):
     # at k = 1 both degrees' kernels fit: 21 x 6 rows x 112 slots and
     # 126 x 12 rows x 112 slots, each form's rows against its own slots

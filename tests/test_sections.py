@@ -521,3 +521,58 @@ def test_wide_key_span_products_allocate_by_pairs():
         tracemalloc.stop()
     assert peak < span * 8 // 4
     assert prod.section() == f * g
+
+
+def _assert_table_invariant(t):
+    """Keys strictly ascending, one row of F_p coordinates per key, reduced
+    mod p, and no row all zero."""
+    assert t.keys.dtype == t.coords.dtype == np.int64
+    assert t.coords.shape == (len(t.keys), t.field.n)
+    assert (np.diff(t.keys) > 0).all()
+    assert ((t.coords >= 0) & (t.coords < t.field.p)).all() and t.coords.any(axis=1).all()
+
+
+@pytest.mark.parametrize("chunk", [None, 4])
+@pytest.mark.parametrize("p,n", [(2, 1), (5, 1), (2, 2), (3, 2)])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_term_table_results_keep_keys_ascending_and_rows_reduced(p, n, chunk, data):
+    # the invariant after `of` and every operation, empty tables included;
+    # with _PAIR_CHUNK at 4 products whose key span passes their pairs take
+    # the sort path, merging blocks as they go, and give the same table
+    field = make_field(p, n)
+    m = data.draw(st.integers(1, 3))
+    f, g = data.draw(_form(field, m)), data.draw(_form(field, m))
+    h = data.draw(st.sampled_from([Section.zero(m, f.d, field), f]) | _form(field, m, f.d))
+    c = data.draw(st.integers(-2 * p, 2 * p))
+    layout = KeyLayout.of((f.d + g.d + 1,) * m, m, f.d + g.d)
+    tf, tg, th = (TermTable.of(s, layout) for s in (f, g, h))
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(sections, "_PAIR_CHUNK", chunk)
+        results = [tf, tg, th, tf + th, tf - th, th - tf, -tf, c * tf, tf * c,
+                   tf * tg, tg * tf, th * tg, tf * tf]
+    for t in results:
+        _assert_table_invariant(t)
+    assert (tf * tg).section() == f * g
+    if chunk is not None:
+        for got, want in zip(results[-4:], (tf * tg, tg * tf, th * tg, tf * tf)):
+            assert np.array_equal(got.keys, want.keys)
+            assert np.array_equal(got.coords, want.coords)
+
+
+def test_discriminant_on_tables_makes_13_products(monkeypatch):
+    products = []
+    mul = TermTable.__mul__
+
+    def counted(self, other):
+        if isinstance(other, TermTable):
+            products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(TermTable, "__mul__", counted)
+    for p, seed in ((2, 0), (3, 1), (5, 2)):
+        products.clear()
+        w = random_weierstrass(2, 1, make_field(p, 1), seed=seed)
+        assert len(products) == 13
+        _assert_table_invariant(TermTable.of(w.delta, KeyLayout.of((13, 13), 2, 12)))

@@ -628,6 +628,37 @@ def test_detector_gathers_broadcast_entries_as_their_joint_copies(p, n, m, limit
         assert hit.mask.any() and not hit.mask.all()
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_linear_form_base_stage_matches_the_oracle(p, n, data):
+    # the base stage's one linear form per direction over the varying forms
+    # against the fiber scan, on joint-shaped lanes, on (V, 1) values
+    # against (1, W) gradients (planted rows pair up on the diagonal), and
+    # on both with the last form's first gradient entry a 0-d zero
+    F = make_field(p, n)
+    m = data.draw(st.integers(1, 2))
+    g = len(varying_indices(p))
+    rows = [_planted_row(F, m, data.draw) for _ in range(data.draw(st.integers(2, 5)))]
+    free = data.draw(st.lists(st.integers(0, F.size - 1), min_size=2 * g * (m + 1),
+                              max_size=2 * g * (m + 1)))
+    idx = np.concatenate([np.array(rows), np.reshape(free, (2, g, m + 1))])
+    joint = jets_from_indices(F, idx)
+    cross = jets_from_indices(F, idx[:, None, :, 0], idx[None, :, :, 1:])
+    batches = [joint, cross]
+    for J in (joint, cross):
+        a6 = Jet(J.a6.value, (FieldArray(F, 0),) + J.a6.gradient[1:])
+        batches.append(dataclasses.replace(J, a6=a6))
+    for J in batches:
+        hit, ref = singular_jets_closed_form(J), singular_jets_oracle(J)
+        assert hit.mask.shape == ref.mask.shape == J.shape
+        assert np.array_equal(hit.mask, ref.mask)
+        assert np.array_equal(hit.x.idx[hit.mask], ref.x.idx[ref.mask])
+        assert np.array_equal(hit.y.idx[hit.mask], ref.y.idx[ref.mask])
+    assert batches[0].shape == (len(idx),) and batches[1].shape == (len(idx), len(idx))
+    assert singular_jets_closed_form(cross).mask.diagonal()[:len(rows)].all()
+
+
 @pytest.mark.parametrize("p,n", [(5, 1), (2, 4)])
 def test_detector_takes_a_batch_of_one_lane(p, n):
     # jets of shape (g, m+1): every entry is 0-d and so are mask, x and y
