@@ -64,6 +64,9 @@ DEFAULT_ENUM_CAP = 1 << 26
 # bytes of one point block's float product, and of the kernels (F_p digits)
 # the memo keeps per point degree
 _ROW_BUDGET = 1 << 20
+# bytes of one Monte-Carlo chunk's slot draws, past which a chunk takes
+# fewer than its 512 samples
+_MC_BUDGET = 32 << 20
 # bytes of one point's float product past which a PointBlock is refused: a
 # block holds at least one point, and building it takes a few times this
 _POINT_CAP = 1 << 28

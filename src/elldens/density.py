@@ -15,7 +15,8 @@ gradient tuples (g*m digits): a detector call pairs (V, 1) value rows with
 Its cross-check compares each call with the fiber-scan oracle on its batch.
 
 Monte-Carlo runs draw coefficient forms uniformly (one PCG64 stream per
-sample, seeded by a stable 64-bit hash of (master_seed, index)) in chunks:
+sample, seeded by a stable 64-bit hash of (master_seed, index)) in chunks
+of up to ``_MC_CHUNK`` samples whose slots fit ``_MC_BUDGET`` bytes:
 :func:`~elldens.weier.weierstrass_slot_rows` computes NumPy's per-seed
 recipe (SeedSequence, PCG64, bounded integers) for a whole chunk at once,
 bit for bit, so a sample still replays alone through
@@ -41,6 +42,10 @@ at the points of the next degrees, one degree at a time, from the same memo
 (its degree-e entry, built the first time a sample needs it; the entries of
 lower degree are the very blocks the run applied), and only when every
 value vanishes is the form expanded.
+
+The singular scan of one datum takes one jet product and one detector
+call per point block, and builds each witness from its hit lane's index
+rows, as single-point :class:`~elldens.weier.WeierstrassJets`.
 """
 from __future__ import annotations
 
@@ -51,7 +56,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import zeta as _zeta
-from .base import DEFAULT_ENUM_CAP, closed_points_up_to, jet_at, jet_space_map, scan_blocks
+from .base import (_MC_BUDGET, DEFAULT_ENUM_CAP, closed_points_up_to, jet_at, jet_space_map,
+                   scan_blocks)
 from .errors import FeasibilityError
 from .gf import FieldMismatchError, is_prime, make_field, prime_power
 from .linalg import rank_mod_p
@@ -161,7 +167,7 @@ def jet_census(p: int, q: int, m: int, e: int,
         gd = digits(w0, min(w0 + W, grads), g * m).reshape(1, -1, g, m)
         for v0 in range(0, len(values), V):
             vd = values[v0:v0 + V]
-            J = jets_from_indices(fld, vd, gd)
+            J = WeierstrassJets(fld, vd, gd)
             hit = singular_jets_closed_form(J)
             bad += int(np.count_nonzero(hit.mask))
             if cross_check:
@@ -296,7 +302,9 @@ def mc_density(p: int, q: int, m: int, k: int, r: int, samples: int,
     Sample i draws from its own stream, seeded by ``sample_seed(master_seed,
     i)`` (one call per sample, in index order), so a report depends on the
     configuration, the sample count and the master seed alone; samples are
-    drawn and tested ``_MC_CHUNK`` at a time.  A chunk's slots come from one
+    drawn and tested ``_MC_CHUNK`` at a time, or fewer where that many
+    samples' slots would pass ``_MC_BUDGET`` bytes (at least one).  A
+    chunk's slots come from one
     :func:`~elldens.weier.weierstrass_slot_rows` call, row i being
     ``weierstrass_slots(m, k, F_q, sample_seed(master_seed, i))``.
     ``threshold_warning`` is ``k < (6m+6) r``: a heuristic for too small a
@@ -317,9 +325,11 @@ def mc_density(p: int, q: int, m: int, k: int, r: int, samples: int,
     smooth = 0
     delta_zero = 0
     # draws land in the kernels' dtype, in one buffer for every chunk
-    buffer = np.empty((min(_MC_CHUNK, samples), cols), dtype=blocks[0].kernel.dtype)
-    for start in range(0, samples, _MC_CHUNK):
-        slots = buffer[:min(_MC_CHUNK, samples - start)]
+    dtype = np.dtype(blocks[0].kernel.dtype)
+    chunk = max(1, min(_MC_CHUNK, _MC_BUDGET // (cols * dtype.itemsize)))
+    buffer = np.empty((min(chunk, samples), cols), dtype=dtype)
+    for start in range(0, samples, chunk):
+        slots = buffer[:min(chunk, samples - start)]
         weierstrass_slot_rows(p, cols, [sample_seed(master_seed, i)
                                          for i in range(start, start + len(slots))], slots)
         # the samples whose delta values all vanish so far, and those smooth so far
@@ -365,6 +375,7 @@ def singular_scan(w: WeierstrassData, r: int,
     for b in scan_blocks(w.m, F.size, r, section_degrees(F.p, w.k), cap):
         J = jets_from_indices(b.field, jet_at(w.slots(), b))
         hit = singular_jets_closed_form(J)
-        hits += [SingularityWitness(point=b.points[i], x=hit.x[i], y=hit.y[i], jets=jets)
-                 for i, jets in zip(hit.mask.ravel().nonzero()[0], J.lanes(hit.mask))]
+        hits += [SingularityWitness(point=b.points[i], x=hit.x[i], y=hit.y[i],
+                                    jets=WeierstrassJets(b.field, J.values[i], J.gradients[i]))
+                 for i in np.flatnonzero(hit.mask).tolist()]
     return hits

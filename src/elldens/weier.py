@@ -19,32 +19,32 @@ first-order jets of the coefficient forms at P.  The fiber point at infinity
 (0:1:0) is never singular (the Z-partial there is Y^2 = 1) and is asserted,
 never searched.
 
-Two independent detectors take the same batches (jets whose entries are
-:class:`~elldens.gf.FieldArray` s over one residue field that need only
-broadcast) and give the same :class:`SingularBatch`.  The oracle scans all
-of F_Q^2 for chunks of lanes at once.  The closed form solves for the
-candidate (x, y) per characteristic, the branches taken as masks, from the
-coefficient values alone (the value stage), then tests the base directions
-on the lanes that pass: each is a linear form in the varying forms'
-gradient entries, its coefficients dF/da_f formed once a call.  Over a
-residue field with at most ``_VALUE_TABLE_LIMIT`` value tuples (Q^g) the
-value stage and the discriminant test on values are one gather from its
-:class:`ValueTable`, built on first use from the same formulas, read in
-this module alone.
+Jets have one format from ``base.jet_at`` to a scan witness: a
+:class:`WeierstrassJets`, the varying forms' values and gradients as int64
+element indices of one residue field that need only broadcast against each
+other.  Two independent detectors take the same batches and give the same
+:class:`SingularBatch`.  The oracle scans all of F_Q^2 for chunks of lanes
+at once.  The closed form solves for the candidate (x, y) per
+characteristic, the branches taken as masks, from the coefficient values
+alone (the value stage), then tests the base directions on the lanes that
+pass: each is a linear form in the varying forms' gradient entries, its
+coefficients dF/da_f formed once a call.  Over a residue field with at
+most ``_VALUE_TABLE_LIMIT`` value tuples (Q^g) the value stage and the
+discriminant test on values are one gather from its :class:`ValueTable`,
+built on first use from the same formulas, read in this module alone.
 
 This module answers for a batch of jets or for a datum; the passes over
 point blocks live in ``density``.  A single point is a lane of its block,
-and :meth:`WeierstrassJets.lanes` reads a scan witness's jets back out for
-its scalar re-verification.  The discriminant, the fiber equation and the
-vanishing conditions are written once with ring operations, so they run on
-forms, on FieldElems and on FieldArrays.
+and a scan witness keeps its lane's index rows.  The discriminant, the
+fiber equation, the vanishing conditions and the Z-partial at infinity are
+written once with ring operations, so they run on forms, on FieldElems and
+on FieldArrays.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
@@ -170,89 +170,58 @@ def discriminant_value(a1, a2, a3, a4, a6):
     return b2 * (9 * b4 * b6 - b2 * b8) - 8 * b4 * b4 * b4 - 27 * b6 * b6
 
 
-@dataclass(frozen=True)
-class Jet:
-    """Value and local-coordinate gradient of a form at a closed point."""
-
-    value: FieldElem
-    gradient: tuple[FieldElem, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeierstrassJets:
-    """First-order jets of all five coefficient forms: at one closed point
-    with FieldElem entries, or at a batch of points or jet tuples over one
-    residue field with FieldArray entries that broadcast against each other
-    (see :func:`jets_from_indices`)."""
+    """First-order jets of the coefficient forms at a batch of points or jet
+    tuples over one residue field, as element indices: ``values``, shape
+    (..., g), and ``gradients``, shape (..., g, m), of the g forms that vary
+    in the field's characteristic, in index order.  The two need only
+    broadcast against each other on their lane axes, so (V, 1, g) values and
+    (1, W, g, m) gradients give the V*W tuples without writing them out; a
+    single point's jets are a batch of lane shape ().  A formula reads a
+    form's entries as FieldArrays through :meth:`forms`."""
 
     field: FieldCtx
-    a1: Jet
-    a2: Jet
-    a3: Jet
-    a4: Jet
-    a6: Jet
-
-    def values(self):
-        return (self.a1.value, self.a2.value, self.a3.value,
-                self.a4.value, self.a6.value)
+    values: np.ndarray
+    gradients: np.ndarray
 
     @property
     def shape(self) -> tuple[int, ...]:
-        """The joint broadcast shape of the batch's entries."""
-        return np.broadcast_shapes(*{a.shape for jet in (self.a1, self.a2, self.a3,
-                                                         self.a4, self.a6)
-                                     for a in (jet.value, *jet.gradient)})
+        """The joint broadcast shape of the lanes."""
+        return np.broadcast_shapes(self.values.shape[:-1], self.gradients.shape[:-2])
 
-    def lanes(self, where: np.ndarray | None = None) -> Iterator["WeierstrassJets"]:
-        """The single-point jets of every lane in C order of the joint shape,
-        or of the lanes where ``where`` (of that shape) holds; each entry is
-        read once, at those lanes, from its own array (see :func:`_gather`)."""
-        grid, elem = self.shape or (1,), self.field.from_index
-        at = np.nonzero(np.ones(grid, dtype=bool) if where is None else np.reshape(where, grid))
-        cols = [[v.tolist() if (v := _gather(a, grid, at).idx).ndim else [v.item()] * len(at[0])
-                 for a in (jet.value, *jet.gradient)]
-                for jet in (self.a1, self.a2, self.a3, self.a4, self.a6)]
-        for k in range(len(cols[0][0])):
-            yield WeierstrassJets(self.field, *(
-                Jet(value=elem(c[0][k]), gradient=tuple(elem(d[k]) for d in c[1:]))
-                for c in cols))
+    def forms(self, entries: np.ndarray) -> tuple[FieldArray, ...]:
+        """a1, a2, a3, a4, a6 read from `entries`, whose last axis runs over
+        the varying forms (``values``, or ``gradients[..., j]`` along base
+        direction j); a form fixed in the characteristic reads as a 0-d zero."""
+        F = self.field
+        return _by_index(F.p, (FieldArray(F, entries[..., s]) for s in range(entries.shape[-1])),
+                         FieldArray(F, 0))
 
 
-def jets_from_indices(field: FieldCtx, idx: np.ndarray,
-                      gradients: np.ndarray | None = None) -> WeierstrassJets:
+def _by_index(p: int, varying, zero) -> tuple:
+    """(a1, a2, a3, a4, a6) from the entries of the forms that vary in
+    characteristic p, in index order, the fixed forms' entries `zero`."""
+    by = dict(zip(varying_indices(p), varying))
+    return tuple(by.get(i, zero) for i in _INDICES)
+
+
+def jets_from_indices(field: FieldCtx, idx: np.ndarray) -> WeierstrassJets:
     """Batched jets from element indices of shape (..., g, m+1), as
-    :func:`~elldens.base.jet_at` gives them: the g forms that vary in the
-    field's characteristic, in index order, then value and gradient
-    entries.  With ``gradients`` given, ``idx`` holds the values alone,
-    shape (..., g), and ``gradients`` the gradient entries, shape (..., g,
-    m); the two broadcast against each other, so (V, 1, g) values and (1,
-    W, g, m) gradients give the V*W tuples without writing them out.  The
-    other forms get zero jets."""
-    if gradients is None:
-        idx, gradients = idx[..., 0], idx[..., 1:]
-    m = gradients.shape[-1]
-    zero = FieldArray(field, 0)
-    jets = dict.fromkeys(_INDICES, Jet(value=zero, gradient=(zero,) * m))
-    for s_idx, i in enumerate(varying_indices(field.p)):
-        jets[i] = Jet(value=FieldArray(field, idx[..., s_idx]), gradient=tuple(
-            FieldArray(field, gradients[..., s_idx, j]) for j in range(m)))
-    return WeierstrassJets(field, jets[1], jets[2], jets[3], jets[4], jets[6])
+    :func:`~elldens.base.jet_at` gives them: the g varying forms, then the
+    value and the gradient entries."""
+    return WeierstrassJets(field, idx[..., 0], idx[..., 1:])
 
 
-def fiber_equation(J: WeierstrassJets, x, y):
-    """F(x, y) from coefficient values at the point."""
-    return (y * y + J.a1.value * x * y + J.a3.value * y
-            - x * x * x - J.a2.value * x * x - J.a4.value * x - J.a6.value)
-
-
-def value_conditions(J: WeierstrassJets, x, y):
-    """F, dF/dx and dF/dy at (x, y), lazily: the conditions that read the
-    coefficient values alone."""
-    yield fiber_equation(J, x, y)
+def value_conditions(a, x, y):
+    """F, dF/dx and dF/dy at (x, y), lazily, from the coefficient values a =
+    (a1, a2, a3, a4, a6): the conditions that read the values alone."""
+    a1, a2, a3, a4, a6 = a
+    yield y * y + a1 * x * y + a3 * y - x * x * x - a2 * x * x - a4 * x - a6
     # dF/dx = a1*y - 3x^2 - 2*a2*x - a4
-    yield J.a1.value * y - 3 * (x * x) - 2 * (J.a2.value * x) - J.a4.value
+    yield a1 * y - 3 * (x * x) - 2 * (a2 * x) - a4
     # dF/dy = 2y + a1*x + a3
-    yield 2 * y + J.a1.value * x + J.a3.value
+    yield 2 * y + a1 * x + a3
 
 
 def base_coefficient(f: int, x, y):
@@ -268,29 +237,40 @@ def base_condition(g1, g2, g3, g4, g6, x, y):
     return g1 * c1 + g2 * c2 + g3 * c3 + g4 * c4 - g6
 
 
-def vanishing_conditions(J: WeierstrassJets, x, y):
-    """F, dF/dx, dF/dy and the m base-direction partials at (x, y), lazily;
-    (x, y) is a singular point of the total space iff all of them vanish.
-    Ring operations only, so they run on single jets and on batches."""
-    yield from value_conditions(J, x, y)
-    for grads in zip(*(jet.gradient for jet in (J.a1, J.a2, J.a3, J.a4, J.a6))):
+def vanishing_conditions(a, directions, x, y):
+    """F, dF/dx, dF/dy and the base-direction partials at (x, y), lazily,
+    from the coefficient values a = (a1, a2, a3, a4, a6) and, per base
+    direction, the five forms' gradient entries; (x, y) is a singular point
+    of the total space iff all of them vanish.  Ring operations only, so
+    they run on FieldElems and on FieldArrays."""
+    yield from value_conditions(a, x, y)
+    for grads in directions:
         yield base_condition(*grads, x, y)
 
 
 def jacobian_vanishes(J: WeierstrassJets, x: FieldElem, y: FieldElem) -> bool:
     """Whether (x, y) is a singular point of the total space over the point
-    with single jets J: F, dF/dx, dF/dy and the m base partials all vanish."""
-    return not any(vanishing_conditions(J, x, y))
+    of the single-point jets J (lane shape ()): F, dF/dx, dF/dy and the m
+    base partials all vanish, by :func:`vanishing_conditions` on the
+    lane's entries read as FieldElems."""
+    F = J.field
+
+    def elems(row):
+        return _by_index(F.p, map(F.from_index, row), F.zero)
+
+    return not any(vanishing_conditions(elems(J.values.tolist()),
+                                        map(elems, zip(*J.gradients.tolist())), x, y))
 
 
 def infinity_partial(J: WeierstrassJets):
     """d/dZ of the homogenized fiber cubic at the section point (0:1:0):
     Y^2 + a1 XY + 2 a3 YZ - a2 X^2 - 2 a4 XZ - 3 a6 Z^2 evaluated there, per lane."""
     F = J.field
+    a1, a2, a3, a4, a6 = J.forms(J.values)
     X, Y, Z = F.zero, F.one, F.zero
-    return (Y * Y + J.a1.value * X * Y + 2 * (J.a3.value * Y * Z)
-            - J.a2.value * X * X - 2 * (J.a4.value * X * Z)
-            - 3 * (J.a6.value * Z * Z))
+    return (Y * Y + a1 * X * Y + 2 * (a3 * Y * Z)
+            - a2 * X * X - 2 * (a4 * X * Z)
+            - 3 * (a6 * Z * Z))
 
 
 @dataclass(frozen=True)
@@ -298,7 +278,7 @@ class SingularityWitness:
     """A verified singular fiber point (x, y) over a closed point.
 
     Construction re-checks that the defining equation and all m+2 partials
-    vanish at (x, y) for the supplied jets.
+    vanish at (x, y) for the supplied single-point jets.
     """
 
     point: ClosedPoint
@@ -314,7 +294,7 @@ class SingularityWitness:
 class SingularBatch(NamedTuple):
     """Either detector on a batch: lane i has a singular fiber point iff
     mask[i], and it is (x[i], y[i]); mask, x and y share one shape, the
-    joint broadcast shape of the jets' entries."""
+    jets' joint lane shape."""
 
     mask: np.ndarray
     x: FieldArray
@@ -326,16 +306,15 @@ def _where(mask: np.ndarray, a, b) -> FieldArray:
     return FieldArray(a.ctx, np.where(mask, a.idx, b.idx))
 
 
-def _candidate(J: WeierstrassJets) -> tuple[FieldArray, FieldArray]:
+def _candidate(F: FieldCtx, a, shape: tuple[int, ...]) -> tuple[FieldArray, FieldArray]:
     """The unique singular fiber candidate (x, y) per lane of the values'
-    shape, branching by characteristic.
+    `shape`, from the coefficient values a = (a1, a2, a3, a4, a6),
+    branching by characteristic.
 
     The branches are masks, not tests.  Where the characteristic's branch
     has no candidate (p = 2 with a1 = 0 and a3 != 0, p = 3 with a2 = 0 and
     a4 != 0) the one it computes fails dF/dy or dF/dx."""
-    F = J.field
-    a1, a2, a3, a4, a6 = J.values()
-    shape = np.broadcast_shapes(*(v.shape for v in J.values()))
+    a1, a2, a3, a4, a6 = a
     zero = FieldArray(F, np.zeros(shape, dtype=np.int64))
     if F.p == 2:
         # squaring is the Frobenius, hence bijective: c ** (Q/2) inverts it
@@ -358,9 +337,10 @@ def _candidate(J: WeierstrassJets) -> tuple[FieldArray, FieldArray]:
 def _value_stage(J: WeierstrassJets) -> tuple[np.ndarray, FieldArray, FieldArray]:
     """By the formulas: per lane of the values' shape, whether F, dF/dx and
     dF/dy vanish at the candidate, and the candidate (x, y)."""
-    x, y = _candidate(J)
-    passes = np.ones(np.broadcast_shapes(*(v.shape for v in J.values())), dtype=bool)
-    for cond in value_conditions(J, x, y):
+    a, shape = J.forms(J.values), J.values.shape[:-1]
+    x, y = _candidate(J.field, a, shape)
+    passes = np.ones(shape, dtype=bool)
+    for cond in value_conditions(a, x, y):
         passes &= cond.is_zero
         if not passes.any():
             break  # every lane has failed; the rest cannot change that
@@ -402,11 +382,11 @@ def _build_value_table(field: FieldCtx, g: int) -> ValueTable:
     keys = np.arange(Q ** g)
     # the key's base-Q digit f is the value of the f-th varying form
     vals = np.stack([keys // Q ** f % Q for f in range(g)], axis=-1)
-    J = jets_from_indices(field, vals, np.zeros(vals.shape + (0,), dtype=np.int64))
+    J = WeierstrassJets(field, vals, np.zeros(vals.shape + (0,), dtype=np.int64))
     passes, x, y = _value_stage(J)
     small = np.min_scalar_type(Q - 1)
     table = ValueTable(passes, x.idx.astype(small), y.idx.astype(small),
-                       discriminant_value(*J.values()).is_zero)
+                       discriminant_value(*J.forms(J.values)).is_zero)
     for a in table:
         a.flags.writeable = False
     return table
@@ -415,51 +395,44 @@ def _build_value_table(field: FieldCtx, g: int) -> ValueTable:
 def value_keys(J: WeierstrassJets) -> tuple[ValueTable, np.ndarray] | None:
     """The field's value table and the batch's value keys sum_f v_f Q^f, v_f
     the value of the f-th varying form, in the values' shape; None where
-    the field has no table or a form fixed at zero in the characteristic
-    has a nonzero value."""
+    the field has no table."""
     table = value_table(J.field)
     if table is None:
         return None
-    vals = dict(zip(_INDICES, J.values()))
-    vary = varying_indices(J.field.p)
-    if any(np.count_nonzero(vals[i].idx) for i in _INDICES if i not in vary):
-        return None
-    key = vals[vary[-1]].idx
-    for i in reversed(vary[:-1]):
-        key = key * J.field.size + vals[i].idx
-    return table, key
+    return table, J.values @ J.field.size ** np.arange(J.values.shape[-1])
 
 
-def _gather(a: FieldArray, grid: tuple[int, ...], at: tuple[np.ndarray, ...]) -> FieldArray:
-    """The entries of ``a``, broadcast to ``grid``, at the lanes ``at``: read
-    from ``a``'s own array, at index 0 on every axis where it broadcasts (as
-    a census's (V, 1) values and (1, W) gradients), so no view of the grid
-    is indexed; a 0-d ``a`` (one element for every lane, as a fixed form's
-    zero gradient) as it is."""
-    if a.shape == grid:
-        return FieldArray(a.ctx, a.idx[at])
-    if not a.idx.ndim:
-        return a
-    own = at[len(grid) - a.idx.ndim:]  # an entry's axes are the grid's last ones
-    return FieldArray(a.ctx, a.idx[tuple(ix if n > 1 else 0 for n, ix in zip(a.shape, own))])
+def _gather(a: np.ndarray, tail: int, grid: tuple[int, ...],
+            at: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The entries at the lanes ``at`` of ``a``, whose lane axes broadcast to
+    ``grid`` and are followed by ``tail`` entry axes: read from ``a`` itself,
+    at index 0 on every lane axis where it broadcasts (as a census's (V, 1)
+    values and (1, W) gradients), so no view of the grid is indexed; an
+    ``a`` that broadcasts on every lane axis gives its one lane's entries."""
+    lane = a.shape[:a.ndim - tail]
+    if lane == grid:
+        return a[at]
+    own = at[len(grid) - len(lane):]  # the lane axes are the grid's last ones
+    return a[tuple(ix if n > 1 else 0 for n, ix in zip(lane, own))]
 
 
 def singular_jets_closed_form(J: WeierstrassJets) -> SingularBatch:
-    """Solve for the unique singular fiber candidate from batched jets
-    (FieldArray entries), branching by characteristic, and keep it only
-    where the full list of vanishing conditions holds.
+    """Solve for the unique singular fiber candidate from batched jets,
+    branching by characteristic, and keep it only where the full list of
+    vanishing conditions holds.
 
     The value stage comes first, in the values' shape: one gather from the
     field's :class:`ValueTable` where it has one, else the candidate and
     the F, dF/dx, dF/dy tests by their formulas.  The base stage then tests
     one direction at a time on the lanes of the joint shape that have
-    passed so far, each entry gathered at those lanes from its own array
-    (see :func:`_gather`): sum_f c_f g_f = g6 over the forms that vary in
-    characteristic p (the others are zero), c = (xy, -x^2, y, -x) for (a1,
-    a2, a3, a4) as in :func:`base_condition`, formed once per call at the
-    lanes that passed the values, so for p >= 5 a direction costs one
-    product.  Entries that only broadcast give mask, x and y in the joint
-    shape (x and y views past the values').
+    passed so far, the direction's g gradient columns gathered at those
+    lanes from the one gradients array (see :func:`_gather`): sum_f c_f g_f
+    = g6 over the forms that vary in characteristic p (the others are
+    zero), c = (xy, -x^2, y, -x) for (a1, a2, a3, a4) as in
+    :func:`base_condition`, formed once per call at the lanes that passed
+    the values, so for p >= 5 a direction costs one product.  Values and
+    gradients that only broadcast give mask, x and y in the joint shape (x
+    and y views past the values').
     """
     F = J.field
     found = value_keys(J)
@@ -473,13 +446,13 @@ def singular_jets_closed_form(J: WeierstrassJets) -> SingularBatch:
     grid = joint or (1,)  # a batch of one lane has the lane shape ()
     lanes = (passes if passes.shape == grid else np.broadcast_to(passes, grid)).ravel().nonzero()[0]
     if lanes.size:
-        vary = varying_indices(F.p)
         at = np.unravel_index(lanes, grid)
-        xl, yl = _gather(x, grid, at), _gather(y, grid, at)
-        coef = [base_coefficient(f, xl, yl) for f in vary[:-1]]
-        for grad in zip(*(getattr(J, f"a{f}").gradient for f in vary)):  # per direction, g6 last
-            terms = [c * _gather(a, grid, at) for c, a in zip(coef, grad)]
-            ok = sum(terms[1:], terms[0]).idx == _gather(grad[-1], grid, at).idx
+        xl, yl = (FieldArray(F, _gather(a.idx, 0, grid, at)) for a in (x, y))
+        coef = [base_coefficient(f, xl, yl) for f in varying_indices(F.p)[:-1]]
+        for j in range(J.gradients.shape[-1]):
+            cols = _gather(J.gradients[..., j], 1, grid, at)  # g6 last
+            terms = [c * FieldArray(F, cols[..., s]) for s, c in enumerate(coef)]
+            ok = sum(terms[1:], terms[0]).idx == cols[..., -1]
             # every entry broadcasting along the lanes' axes leaves one answer for all
             lanes = lanes[ok if ok.shape == lanes.shape else np.broadcast_to(ok, lanes.shape)]
             if not lanes.size:
@@ -499,7 +472,7 @@ def delta_vanishes(J: WeierstrassJets) -> np.ndarray:
     one."""
     found = value_keys(J)
     if found is None:
-        return discriminant_value(*J.values()).is_zero
+        return discriminant_value(*J.forms(J.values)).is_zero
     table, key = found
     return table.delta_zero[key]
 
@@ -509,8 +482,9 @@ def singular_jets_oracle(J: WeierstrassJets) -> SingularBatch:
     by :func:`singular_jets_closed_form`: a lane's witness is its first (x,
     y) in index order, x outer, where all :func:`vanishing_conditions`
     vanish; x = y = 0 off the mask.  Each pass tests a run of points against
-    a chunk of lanes, its int64 temporaries within ``_ROW_BUDGET`` bytes.
-    The Z-partial at (0:1:0) is checked instead of the chart at infinity."""
+    a chunk of lanes, cut from the values and gradients arrays, its int64
+    temporaries within ``_ROW_BUDGET`` bytes.  The Z-partial at (0:1:0) is
+    checked instead of the chart at infinity."""
     if infinity_partial(J).is_zero.any():
         raise AssertionError("fiber point at infinity unexpectedly singular")
     F, joint = J.field, J.shape
@@ -521,13 +495,14 @@ def singular_jets_oracle(J: WeierstrassJets) -> SingularBatch:
     for lo in range(0, first.size, step):
         todo = first[lo:lo + step]
         at = np.unravel_index(np.arange(lo, lo + todo.size), grid)
-        chunk = WeierstrassJets(F, *(Jet(_gather(jet.value, grid, at),
-                                         tuple(_gather(a, grid, at) for a in jet.gradient))
-                                     for jet in (J.a1, J.a2, J.a3, J.a4, J.a6)))
+        a = J.forms(_gather(J.values, 1, grid, at))
+        grads = _gather(J.gradients, 2, grid, at)
+        directions = [J.forms(grads[..., j]) for j in range(grads.shape[-1])]
         for t0 in range(0, points, run):
             t = np.arange(t0, min(t0 + run, points))[:, None]
             hit = np.ones((len(t), todo.size), dtype=bool)
-            for cond in vanishing_conditions(chunk, *(FieldArray(F, a) for a in divmod(t, F.size))):
+            xy = (FieldArray(F, c) for c in divmod(t, F.size))
+            for cond in vanishing_conditions(a, directions, *xy):
                 hit &= cond.is_zero
                 if not hit.any():
                     break

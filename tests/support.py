@@ -1,7 +1,7 @@
 """Reference code the tests check the package against, and that no command
 runs: scalar evaluation of forms and of their affine charts with formal
 partials, embeddings applied one element at a time, the Frobenius map,
-seeded random forms, the exhaustive fiber scan of one lane's jets, and
+seeded random forms, one lane's jets and its exhaustive fiber scan, and
 small constructors and measures of package objects.  The package computes
 the same things in batches (jet products, FieldArray arithmetic, the fiber
 scan of a whole batch), so these stay independent of it.
@@ -12,7 +12,7 @@ import numpy as np
 
 from elldens.gf import Embedding, FieldCtx, FieldElem, FieldMismatchError, prime_power
 from elldens.sections import Section, dim_space, section_from_slots
-from elldens.weier import WeierstrassJets, infinity_partial, jacobian_vanishes
+from elldens.weier import varying_indices
 
 
 def _accumulate(out: dict, expo: tuple[int, ...], c: FieldElem) -> None:
@@ -200,16 +200,43 @@ class AffinePoly:
                          self.field, emb)
 
 
-def fiber_scan(J: WeierstrassJets) -> tuple[FieldElem, FieldElem] | None:
-    """Exhaustively scan the whole affine fiber (x, y) in the residue field.
+def lane_jets(F: FieldCtx, row) -> tuple[list[FieldElem], ...]:
+    """One lane's jets as FieldElems, built from its index rows ((g, m+1) as
+    ``jet_at`` gives them, the forms that vary in the characteristic): for
+    a1, a2, a3, a4, a6 in turn, the value and then the m gradient entries,
+    all zero for a form fixed in the characteristic."""
+    m = len(row[0]) - 1
+    jets = {i: [F.zero] * (m + 1) for i in (1, 2, 3, 4, 6)}
+    for i, entries in zip(varying_indices(F.p), row):
+        jets[i] = [F.from_index(int(c)) for c in entries]
+    return tuple(jets[i] for i in (1, 2, 3, 4, 6))
+
+
+def _conditions(jets, x: FieldElem, y: FieldElem):
+    """F(x, y) = y^2 + a1 xy + a3 y - x^3 - a2 x^2 - a4 x - a6, dF/dx, dF/dy
+    and, by the chain rule, each base-direction partial, lazily."""
+    (a1, *g1), (a2, *g2), (a3, *g3), (a4, *g4), (a6, *g6) = jets
+    yield y * y + a1 * x * y + a3 * y - x * x * x - a2 * x * x - a4 * x - a6
+    yield a1 * y - 3 * x * x - 2 * a2 * x - a4
+    yield 2 * y + a1 * x + a3
+    for d1, d2, d3, d4, d6 in zip(g1, g2, g3, g4, g6):
+        yield d1 * x * y - d2 * x * x + d3 * y - d4 * x - d6
+
+
+def fiber_scan(F: FieldCtx, row) -> tuple[FieldElem, FieldElem] | None:
+    """Exhaustively scan the whole affine fiber (x, y) of one lane, given by
+    its index rows, in the residue field F; the first singular point, x
+    outer, or None.
 
     The chart at infinity is not scanned: the Z-partial at (0:1:0) is checked
     to be nonzero instead.
     """
-    if not infinity_partial(J):
+    jets = lane_jets(F, row)
+    a1v, a2v, a3v, a4v, a6v = (j[0] for j in jets)
+    X, Y, Z = F.zero, F.one, F.zero
+    if not (Y * Y + a1v * X * Y + 2 * a3v * Y * Z - a2v * X * X - 2 * a4v * X * Z
+            - 3 * a6v * Z * Z):
         raise AssertionError("fiber point at infinity unexpectedly singular")
-    F = J.field
-    a1v, a2v, a3v, a4v, a6v = J.values()
     elems = [F.from_index(i) for i in range(F.size)]
     for x in elems:
         x2 = x * x
@@ -219,15 +246,15 @@ def fiber_scan(J: WeierstrassJets) -> tuple[FieldElem, FieldElem] | None:
             # F(x, y) = y*(y + c1) - rhs
             if y * (y + c1) - rhs:
                 continue
-            if jacobian_vanishes(J, x, y):
+            if not any(_conditions(jets, x, y)):
                 return (x, y)
     return None
 
 
-def vanishes(jet) -> bool:
-    """Whether a single-point :class:`~elldens.weier.Jet` is zero: its value
-    and every gradient entry."""
-    return not jet.value and not any(jet.gradient)
+def vanishes(F: FieldCtx, row) -> bool:
+    """Whether one form's jet at a point, given as its index row (value,
+    then gradient entries), is zero: the value and every gradient entry."""
+    return not any(F.from_index(int(c)) for c in row)
 
 
 def stored_nbytes(kernel) -> int:

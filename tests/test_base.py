@@ -20,7 +20,7 @@ from elldens.gf import (FieldCtx, FieldMismatchError, embedding, is_irreducible,
                         prime_power)
 from elldens.linalg import rank_mod_p
 from elldens.sections import Section, dim_space, monomials, section_from_slots, section_slots
-from elldens.weier import Jet, random_weierstrass, section_degrees
+from elldens.weier import random_weierstrass, section_degrees
 from elldens.zeta import zeta_table
 from support import (dehomogenize, evaluate, monomial, random_section, stored_nbytes,
                      vanishes)
@@ -28,14 +28,16 @@ from support import (dehomogenize, evaluate, monomial, random_section, stored_nb
 
 def _jets(forms, block_points, kernel=None):
     """Jets of the forms at points of one residue field from one batched
-    jet_at call, as one list of Jets per point."""
+    jet_at call, as index rows: per point, per form, the value's element
+    index and then the gradient's."""
     block = PointBlock(tuple(s.d for s in forms), tuple(block_points), kernel)
     slots = np.concatenate([section_slots(s) for s in forms])
-    res = block.field
-    idx = jet_at(slots, block)
-    return [[Jet(value=res.from_index(int(e[0])),
-                 gradient=tuple(res.from_index(int(g)) for g in e[1:])) for e in pt]
-            for pt in idx]
+    return jet_at(slots, block).tolist()
+
+
+def _idx(elems) -> list[int]:
+    """The element indices of FieldElems, to compare with index rows."""
+    return [e.idx for e in elems]
 
 
 def _jet(s, P):
@@ -153,7 +155,7 @@ def test_jet_value_matches_embedded_evaluation():
             s = Section(1, 4, F3, coeffs)
             J = _jet(s, P)
             direct = evaluate(s, P.coords, emb=P.emb)
-            assert J.value == direct
+            assert J[0] == direct.idx
 
 
 def test_jet_gradient_matches_affine_partials():
@@ -168,7 +170,7 @@ def test_jet_gradient_matches_affine_partials():
             loc = P.local_coords()
             for j in range(1, 3):
                 want = aff.partial(j).evaluate(loc, emb=P.emb)
-                assert J.gradient[j - 1] == want
+                assert J[j] == want.idx
 
 
 def test_jet_vanishes_property():
@@ -176,9 +178,9 @@ def test_jet_vanishes_property():
     P = closed_points_up_to(1, 2, 1)[0]
     s = Section.zero(1, 4, F2)
     J = _jet(s, P)
-    assert vanishes(J)
+    assert vanishes(P.field, J)
     s2 = monomial(1, (4, 0), F2.one)
-    assert not vanishes(_jet(s2, P))  # value 1 at the (1:0) point
+    assert not vanishes(P.field, _jet(s2, P))  # value 1 at the (1:0) point
 
 
 def test_jet_space_map_reproduces_jets():
@@ -196,10 +198,10 @@ def test_jet_space_map_reproduces_jets():
             s = Section(1, d, F2, {e: F2.from_index(int(slots[t]))
                                    for t, e in enumerate(monomials(1, d))})
             J = _jet(s, P)
-            for entry, val in enumerate((J.value,) + J.gradient):
+            for entry, val in enumerate(J):
                 row0 = entry * res.n
                 got = res.elem(tuple(int(out[row0 + c]) for c in range(res.n)))
-                assert got == val
+                assert got.idx == val
 
 
 def _oracle_entries(degrees, P, slots):
@@ -293,10 +295,10 @@ def test_jet_at_matches_affine_oracle(q, m):
             loc = P.local_coords()
             for s, J in zip(forms, jets):
                 aff = dehomogenize(s, P.chart)
-                assert J.value == aff.evaluate(loc, emb=P.emb)
-                assert J.value == evaluate(s, P.coords, emb=P.emb)
-                assert J.gradient == tuple(aff.partial(j).evaluate(loc, emb=P.emb)
-                                           for j in range(1, m + 1))
+                assert J[0] == aff.evaluate(loc, emb=P.emb).idx
+                assert J[0] == evaluate(s, P.coords, emb=P.emb).idx
+                assert J[1:] == _idx(aff.partial(j).evaluate(loc, emb=P.emb)
+                                     for j in range(1, m + 1))
 
 
 @pytest.mark.parametrize("q,m,e", [(4, 2, 1), (4, 2, 2), (9, 1, 2), (5, 2, 1), (2, 2, 3)])
@@ -314,13 +316,13 @@ def test_jet_at_batched_matches_affine_oracle(q, m, e, budget):
     kernel = jet_space_map(degrees, pts).kernel if budget == "kept" else None
     groups = [[P] for P in pts] if budget == "zero" else [pts]
     for P, jets in zip(pts, [jets for g in groups for jets in _jets(forms, g, kernel)]):
-        assert vanishes(jets[2])
+        assert vanishes(P.field, jets[2])
         loc = P.local_coords()
         for s, J in zip(forms, jets):
             aff = dehomogenize(s, P.chart)
-            assert J.value == aff.evaluate(loc, emb=P.emb)
-            assert J.gradient == tuple(aff.partial(j).evaluate(loc, emb=P.emb)
-                                       for j in range(1, m + 1))
+            assert J[0] == aff.evaluate(loc, emb=P.emb).idx
+            assert J[1:] == _idx(aff.partial(j).evaluate(loc, emb=P.emb)
+                                 for j in range(1, m + 1))
 
 
 def test_jet_at_mixed_chart_block_matches_affine_oracle():
@@ -339,9 +341,9 @@ def test_jet_at_mixed_chart_block_matches_affine_oracle():
         loc = P.local_coords()
         for s, J in zip(forms, jets):
             aff = dehomogenize(s, P.chart)
-            assert J.value == aff.evaluate(loc, emb=P.emb)
-            assert J.gradient == tuple(aff.partial(j).evaluate(loc, emb=P.emb)
-                                       for j in range(1, 3))
+            assert J[0] == aff.evaluate(loc, emb=P.emb).idx
+            assert J[1:] == _idx(aff.partial(j).evaluate(loc, emb=P.emb)
+                                 for j in range(1, 3))
 
 
 def _drawn_point(data, m, base_field, e):

@@ -16,8 +16,8 @@ from elldens.gf import FieldArray, make_field, prime_power
 from elldens.linalg import rank_mod_p
 from elldens.weier import (delta_vanishes, jets_from_indices, random_weierstrass,
                            section_degrees, singular_jets_closed_form, singular_jets_oracle,
-                           weierstrass_from_slots, weierstrass_slots)
-from support import stored_nbytes
+                           total_slots, weierstrass_from_slots, weierstrass_slots)
+from support import fiber_scan, stored_nbytes
 
 
 def test_expected_bad_count_formula():
@@ -79,10 +79,12 @@ def test_census_2_2_2_2_sample_matches_oracle():
 
 
 def _lanes_with_digits(J, target) -> np.ndarray:
-    """The mask of the lanes of a characteristic-2 batch whose jet entries
+    """The mask of the lanes of a characteristic-2 batch whose index rows
     are `target`, in the (form, entry) layout of a1, a3, a4, a6."""
-    entries = [a.idx for jet in (J.a1, J.a3, J.a4, J.a6) for a in (jet.value, *jet.gradient)]
-    return np.all([np.broadcast_to(e, J.shape) == t for e, t in zip(entries, target)], axis=0)
+    g, m = J.gradients.shape[-2:]
+    rows = np.concatenate((np.broadcast_to(J.values[..., None], J.shape + (g, 1)),
+                           np.broadcast_to(J.gradients, J.shape + (g, m))), axis=-1)
+    return (rows.reshape(J.shape + (-1,)) == target).all(axis=-1)
 
 
 def test_census_cross_check_memory():
@@ -290,6 +292,32 @@ def test_mc_deterministic_and_chunk_invariant(p, q, m, k, r, n, monkeypatch):
         assert (c.smooth_count, c.delta_zero_count) == whole
     d = mc_density(p, q, m, k, r, samples=n, master_seed=10)
     assert d.smooth_count != a.smooth_count
+
+
+@pytest.mark.parametrize("p,q,m,k,r", [(2, 2, 2, 18, 1), (5, 5, 1, 36, 3)])
+def test_mc_chunks_cut_by_the_byte_budget_give_the_same_report(p, q, m, k, r, monkeypatch):
+    # at two golden shapes, a budget of three float32 rows of slots cuts
+    # 200 samples into chunks of at most three (the last one short), each
+    # sample still seeded by one sample_seed call in index order
+    want = mc_density(p, q, m, k, r, samples=200, master_seed=7)
+    cols = total_slots(m, k, make_field(*prime_power(q)))
+    monkeypatch.setattr(density, "_MC_BUDGET", 3 * 4 * cols)
+    chunks, seeds = [], []
+    rows, seed = density.weierstrass_slot_rows, density.sample_seed
+
+    def drawn(p, cols, seeds, out):
+        chunks.append(len(seeds))
+        return rows(p, cols, seeds, out)
+
+    def counted(master_seed, index):
+        seeds.append(index)
+        return seed(master_seed, index)
+
+    monkeypatch.setattr(density, "weierstrass_slot_rows", drawn)
+    monkeypatch.setattr(density, "sample_seed", counted)
+    assert mc_density(p, q, m, k, r, samples=200, master_seed=7) == want
+    assert sum(chunks) == 200 and 1 < max(chunks) <= 3 and chunks[-1] < 3
+    assert seeds == list(range(200))
 
 
 def test_mc_against_exact_moderate_config():
@@ -676,10 +704,30 @@ def test_singular_scan_matches_oracle_point_by_point(q, m, k, r, seed):
             if got is not None:
                 assert (got.x, got.y) == (want.x[i], want.y[i])
                 # and the jets of the point's own one-point block
-                one = jet_space_map(degrees, (P,))
-                assert got.jets == next(jets_from_indices(one.field,
-                                                          jet_at(w.slots(), one)).lanes())
+                [row] = jet_at(w.slots(), jet_space_map(degrees, (P,)))
+                assert np.array_equal(got.jets.values, row[:, 0])
+                assert np.array_equal(got.jets.gradients, row[:, 1:])
     assert not scan
+
+
+@pytest.mark.parametrize("p,m,r", [(p, m, r) for p in (2, 3, 5) for m, r in ((1, 2), (2, 1))])
+def test_scan_witnesses_hold_what_the_benchmark_reads(p, m, r):
+    # the acceptance-5 scans, seeds 0-19: the benchmark re-verifies each
+    # witness by jacobian_vanishes(h.jets, h.x, h.y) and records h.x.idx,
+    # h.y.idx and the point's coordinates, degree and chart as ints; the
+    # scalar fiber scan of the witness's own index rows finds its (x, y)
+    F = make_field(p, 1)
+    hits = 0
+    for seed in range(20):
+        for h in singular_scan(random_weierstrass(m, 1, F, seed=seed), r):
+            hits += 1
+            assert weier.jacobian_vanishes(h.jets, h.x, h.y) is True
+            assert type(h.x.idx) is int and type(h.y.idx) is int
+            assert all(type(c.idx) is int for c in h.point.coords)
+            assert type(h.point.degree) is int and type(h.point.chart) is int
+            row = np.concatenate((h.jets.values[:, None], h.jets.gradients), axis=1)
+            assert fiber_scan(h.point.field, row) == (h.x, h.y)
+    assert hits
 
 
 def test_coords_refuses_an_inexact_product():

@@ -3,8 +3,8 @@ class and every method of `src/elldens` is referenced from `src/` or
 `bench/`, or named in the README as public API.  Point blocks are built in
 `base` and walked in `density` alone, and a form's term rows are read in
 `sections` alone.  The exhaustive fiber scan reads nothing of the closed
-form it checks, and single-lane jets are read out for scan witnesses
-alone."""
+form it checks.  Jets have one format, index arrays with no per-form
+class, and the singular scan alone builds witnesses."""
 import ast
 import re
 from pathlib import Path
@@ -110,15 +110,21 @@ def test_the_fiber_scan_reads_nothing_of_the_closed_form():
     assert readers(ROOT, ("density",), ("singular_jets_oracle",)) == []
 
 
-def lane_readers(root: Path) -> list[str]:
-    """module.name for each top-level statement of `src/elldens` that reads
-    an attribute ``lanes`` (a definition's name, or the statement's type)."""
+def builders(root: Path, cls: str) -> list[str]:
+    """module.name for each top-level statement of `src/elldens` that calls
+    `cls` (a definition's name, or the statement's type)."""
     return [f"{path.stem}.{getattr(node, 'name', type(node).__name__)}"
             for path in sorted((root / "src" / "elldens").glob("*.py"))
             for node in ast.parse(path.read_text()).body
-            if any(name == "lanes" and isinstance(n, ast.Attribute) for name, n in _names_in(node))]
+            if any(isinstance(call, ast.Call) and cls in (getattr(call.func, "id", None),
+                                                          getattr(call.func, "attr", None))
+                   for call in ast.walk(node))]
 
 
-def test_only_the_singular_scan_reads_single_lanes():
-    # both detectors take batches; a scan witness alone needs one lane's jets
-    assert lane_readers(ROOT) == ["density.singular_scan"]
+def test_one_jet_format_and_only_the_singular_scan_builds_witnesses():
+    # jets are the index arrays of `WeierstrassJets` from `jet_at` to the
+    # witness, with no per-form class; both detectors take batches, and a
+    # scan witness alone holds one lane's jets
+    assert [qual for qual, name, _ in _definitions(ROOT / "src" / "elldens")
+            if name == "Jet"] == []
+    assert builders(ROOT, "SingularityWitness") == ["density.singular_scan"]

@@ -1,6 +1,5 @@
 """Coefficient-form tuples, discriminants, singular fiber detection and
 minimality."""
-import dataclasses
 import hashlib
 import json
 import random
@@ -15,9 +14,9 @@ from elldens import density, weier
 from elldens.base import closed_points_up_to, jet_at, jet_space_map, scan_blocks
 from elldens.density import sample_seed, singular_scan
 from elldens.errors import FeasibilityError
-from elldens.gf import FieldArray, embedding, make_field, prime_power
+from elldens.gf import embedding, make_field, prime_power
 from elldens.sections import Section, dim_space
-from elldens.weier import (Jet, WeierstrassData, WeierstrassJets,
+from elldens.weier import (WeierstrassData, WeierstrassJets,
                            discriminant_value, dump_weier,
                            infinity_partial, jacobian_vanishes,
                            jets_from_indices, load_weier,
@@ -28,7 +27,8 @@ from elldens.weier import (Jet, WeierstrassData, WeierstrassJets,
                            varying_indices, weier_from_obj, weier_to_obj,
                            weierstrass_from_slots, weierstrass_slot_rows,
                            weierstrass_slots)
-from support import dehomogenize, embed, evaluate, fiber_scan, monomial, random_section
+from support import (dehomogenize, embed, evaluate, fiber_scan, lane_jets, monomial,
+                     random_section)
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -122,11 +122,11 @@ def test_discriminant_form_evaluates_to_the_values_formula(q):
 
 
 def _block_lanes(w, r):
-    """Each closed point of degree <= r with the datum's jets there: a lane
-    of its scan block's one jet product."""
+    """Each closed point of degree <= r with the datum's jets there, a lane
+    of its scan block's one jet product, as single-point jets."""
     for b in scan_blocks(w.m, w.field.size, r, section_degrees(w.field.p, w.k)):
-        yield from zip(b.points, jets_from_indices(b.field, jet_at(w.slots(), b)).lanes(),
-                       strict=True)
+        yield from ((P, jets_from_indices(b.field, row))
+                    for P, row in zip(b.points, jet_at(w.slots(), b), strict=True))
 
 
 def _closed_form_vs_oracle(w, r):
@@ -148,8 +148,9 @@ def test_jets_at_values():
     for P, J in lanes:
         x0 = P.coords[0]
         want4 = embed(P.emb, F5.from_int(3)) * x0 ** 4
-        assert J.a4.value == want4
-        assert J.a1.value == P.field.zero
+        a1, _, _, a4, _ = J.forms(J.values)
+        assert a4.idx == want4.idx
+        assert a1.idx == P.field.zero.idx
 
 
 def test_infinity_section_never_singular():
@@ -159,7 +160,7 @@ def test_infinity_section_never_singular():
         for _ in range(20):
             w = random_weierstrass(1, 1, F, seed=rng.randrange(10**6))
             for P, J in _block_lanes(w, 1):
-                assert infinity_partial(J) == P.field.one
+                assert infinity_partial(J).idx == P.field.one.idx
 
 
 @pytest.mark.parametrize("F,m,r,seeds", [
@@ -236,7 +237,9 @@ def test_singular_scan_one_jet_product_and_detector_call_per_degree(monkeypatch)
         assert jacobian_vanishes(h.jets, h.x, h.y)
         # the lane equals the jets of the point's own one-point block
         one = jet_space_map(section_degrees(2, 1), (h.point,))
-        assert h.jets == next(jets_from_indices(one.field, jet_at(w.slots(), one)).lanes())
+        [row] = jet_at(w.slots(), one)
+        assert np.array_equal(h.jets.values, row[:, 0])
+        assert np.array_equal(h.jets.gradients, row[:, 1:])
 
 
 def test_smooth_up_to_frozen_seeds():
@@ -449,16 +452,6 @@ def _planted_row(F, m, draw):
     return [[val[i].idx] + [d.idx for d in grad[i]] for i in vary]
 
 
-def _single_jets(F, row):
-    """FieldElem jets from one index row, built without the batch code."""
-    zero = Jet(value=F.zero, gradient=(F.zero,) * (len(row[0]) - 1))
-    jets = {i: zero for i in (1, 2, 3, 4, 6)}
-    for i, entries in zip(varying_indices(F.p), row):
-        elems = [F.from_index(int(c)) for c in entries]
-        jets[i] = Jet(value=elems[0], gradient=tuple(elems[1:]))
-    return WeierstrassJets(F, jets[1], jets[2], jets[3], jets[4], jets[6])
-
-
 @pytest.mark.parametrize("p,n", _BATCH_FIELDS)
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
@@ -476,16 +469,15 @@ def test_batched_detector_and_discriminant_match_scalar_and_oracle(p, n, data):
             rows.append([flat[s * (m + 1):(s + 1) * (m + 1)] for s in range(g)])
     J = jets_from_indices(F, np.array(rows, dtype=np.int64))
     hit, oracle = singular_jets_closed_form(J), singular_jets_oracle(J)
-    delta = discriminant_value(*J.values())
+    delta = discriminant_value(*J.forms(J.values))
     assert hit.mask.shape == hit.x.shape == hit.y.shape == (len(rows),)
     for i, row in enumerate(rows):
-        single = _single_jets(F, row)
         assert hit.mask[i] == oracle.mask[i]
         if hit.mask[i]:
             # a singular fiber has one singular point, so both find the same
             assert (hit.x[i], hit.y[i]) == (oracle.x[i], oracle.y[i])
-            assert jacobian_vanishes(single, hit.x[i], hit.y[i])
-        assert delta[i] == discriminant_value(*single.values())
+            assert jacobian_vanishes(jets_from_indices(F, np.array(row)), hit.x[i], hit.y[i])
+        assert delta[i] == discriminant_value(*(jet[0] for jet in lane_jets(F, row)))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -498,7 +490,7 @@ def test_detector_broadcasts_values_against_gradients(p, m):
     grads = np.stack(np.unravel_index(np.arange(p ** (g * m)), (p,) * (g * m)),
                      axis=-1).reshape(-1, g, m)
     V, W = len(vals), len(grads)
-    J = jets_from_indices(F, vals[:, None], grads[None])
+    J = WeierstrassJets(F, vals[:, None], grads[None])
     assert J.shape == (V, W)
     hit = singular_jets_closed_form(J)
     assert hit.mask.shape == hit.x.shape == hit.y.shape == (V, W)
@@ -509,16 +501,14 @@ def test_detector_broadcasts_values_against_gradients(p, m):
     assert np.array_equal(hit.x.idx.ravel(), flat.x.idx)
     assert np.array_equal(hit.y.idx.ravel(), flat.y.idx)
     assert hit.mask.any() and not hit.mask.all()
-    # the lanes of the broadcast batch are the tuples' own jets, in C order
-    if V * W <= 4096:
-        assert list(J.lanes()) == [_single_jets(F, r) for r in rows.reshape(-1, g, m + 1)]
+    # a lane of the broadcast batch is its tuple's own index rows: the scalar
+    # fiber scan of those rows agrees with both detectors there
     pick = np.zeros((V, W), dtype=bool)
     pick[0, 0] = pick[-1, -1] = True
     pick[np.unravel_index(np.flatnonzero(hit.mask)[:4], (V, W))] = True
     oracle = singular_jets_oracle(J)
-    for i, j, lane in zip(*np.nonzero(pick), J.lanes(pick), strict=True):
-        assert lane == _single_jets(F, rows[i, j])
-        assert oracle.mask[i, j] == hit.mask[i, j]
+    for i, j in zip(*np.nonzero(pick)):
+        assert oracle.mask[i, j] == hit.mask[i, j] == (fiber_scan(F, rows[i, j]) is not None)
     # and the oracle's verdict and witness on every lane of the broadcast batch
     assert oracle.mask.shape == oracle.x.shape == oracle.y.shape == (V, W)
     assert np.array_equal(oracle.mask, hit.mask)
@@ -526,9 +516,9 @@ def test_detector_broadcasts_values_against_gradients(p, m):
     assert np.array_equal(oracle.y.idx[hit.mask], hit.y.idx[hit.mask])
     # values that fail F, dF/dx or dF/dy: the mask still has the joint shape
     fail = vals[~singular_jets_closed_form(
-        jets_from_indices(F, vals, np.zeros((V, g, 0), dtype=np.int64))).mask]
+        WeierstrassJets(F, vals, np.zeros((V, g, 0), dtype=np.int64))).mask]
     assert len(fail)
-    dead = singular_jets_closed_form(jets_from_indices(F, fail[:, None], grads[None]))
+    dead = singular_jets_closed_form(WeierstrassJets(F, fail[:, None], grads[None]))
     assert dead.mask.shape == dead.x.shape == dead.y.shape == (len(fail), W)
     assert not dead.mask.any()
 
@@ -572,9 +562,9 @@ def test_value_table_path_equals_formula_path(p, n, m, monkeypatch):
     # lanes (S, P): every value tuple once, each with its own gradients
     S = F.size ** (g - 1)
     grads = _sparse_gradients(F, (S, F.size, g, m), seed=1000 * p + 10 * n + m)
-    lanes = jets_from_indices(F, vals.reshape(S, F.size, g), grads)
+    lanes = WeierstrassJets(F, vals.reshape(S, F.size, g), grads)
     # census (V, 1) x (1, W): every value tuple against W gradient tuples
-    census = jets_from_indices(F, vals[:, None], _sparse_gradients(F, (1, 6, g, m), seed=m))
+    census = WeierstrassJets(F, vals[:, None], _sparse_gradients(F, (1, 6, g, m), seed=m))
     for J, shape in ((lanes, (S, F.size)), (census, (len(vals), 6))):
         (table, dz_table), (formula, dz_formula) = _both_paths(J, monkeypatch)
         assert table.mask.shape == table.x.shape == table.y.shape == shape
@@ -588,11 +578,12 @@ def test_value_table_path_equals_formula_path(p, n, m, monkeypatch):
     # every value tuple's verdicts are the formulas' on that tuple alone
     built = weier.value_table(F)
     assert built.x.dtype == built.y.dtype == np.min_scalar_type(F.size - 1)
-    no_grad = jets_from_indices(F, vals, np.zeros(vals.shape + (0,), dtype=np.int64))
+    no_grad = WeierstrassJets(F, vals, np.zeros(vals.shape + (0,), dtype=np.int64))
     passes, x, y = weier._value_stage(no_grad)
     assert np.array_equal(built.passes, passes)
     assert np.array_equal(built.x, x.idx) and np.array_equal(built.y, y.idx)
-    assert np.array_equal(built.delta_zero, discriminant_value(*no_grad.values()).is_zero)
+    assert np.array_equal(built.delta_zero,
+                          discriminant_value(*no_grad.forms(no_grad.values)).is_zero)
 
 
 @pytest.mark.parametrize("p,n,m,limit", [
@@ -600,8 +591,9 @@ def test_value_table_path_equals_formula_path(p, n, m, monkeypatch):
 ] + [(5, 2, 2, 0)])
 def test_detector_gathers_broadcast_entries_as_their_joint_copies(p, n, m, limit, monkeypatch):
     # (V, 1, g) values against (1, W, g, m) gradients: the verdicts of the
-    # same tuples copied out to the joint shape, whose entries the detector
-    # gathers as they are; limit 0 takes the value stage's formula path
+    # same tuples copied out to the joint shape, whose values and gradients
+    # the detector gathers as they are; limit 0 takes the value stage's
+    # formula path
     if limit is not None:
         monkeypatch.setattr(weier, "_VALUE_TABLE_LIMIT", limit)
     F = make_field(p, n)
@@ -610,17 +602,16 @@ def test_detector_gathers_broadcast_entries_as_their_joint_copies(p, n, m, limit
     grads = _sparse_gradients(F, (1, 8, g, m), seed=100 * p + 10 * n + m)
     jv, jg = np.broadcast_arrays(vals[..., None], grads)
     jv, jg = jv[..., 0].copy(), jg.copy()
-    J0 = jets_from_indices(F, vals, grads)
+    J0 = WeierstrassJets(F, vals, grads)
     assert (weier.value_keys(J0) is None) == (limit == 0)
-    # the last varying form's first gradient entry also as a 0-d entry, as
-    # a fixed form's zero gradient is
-    a6 = Jet(J0.a6.value, (FieldArray(F, 0),) + J0.a6.gradient[1:])
-    jg0 = jg.copy()
-    jg0[..., -1, 0] = 0
-    for J, joint in ((J0, jets_from_indices(F, jv, jg)),
-                     (dataclasses.replace(J0, a6=a6), jets_from_indices(F, jv, jg0))):
-        assert any(not a.idx.ndim for jet in (J.a1, J.a2, J.a6) for a in jet.gradient)
-        assert J.shape == joint.shape == (len(vals), 8)
+    # also one gradient tuple that has hits, an array without lane axes, for
+    # every value tuple, against its copy beside each one
+    one = grads[0, np.flatnonzero(singular_jets_closed_form(J0).mask.any(axis=0))[0]]
+    copies = np.broadcast_to(one, vals.shape[:-1] + one.shape).copy()
+    for J, joint, shape in ((J0, WeierstrassJets(F, jv, jg), (len(vals), 8)),
+                            (WeierstrassJets(F, vals, one), WeierstrassJets(F, vals, copies),
+                             (len(vals), 1))):
+        assert J.shape == joint.shape == shape
         hit, ref = singular_jets_closed_form(J), singular_jets_closed_form(joint)
         assert np.array_equal(hit.mask, ref.mask)
         assert np.array_equal(hit.x.idx, ref.x.idx)
@@ -635,7 +626,8 @@ def test_linear_form_base_stage_matches_the_oracle(p, n, data):
     # the base stage's one linear form per direction over the varying forms
     # against the fiber scan, on joint-shaped lanes, on (V, 1) values
     # against (1, W) gradients (planted rows pair up on the diagonal), and
-    # on both with the last form's first gradient entry a 0-d zero
+    # on both with the first row's gradients, an array without lane axes,
+    # for every lane
     F = make_field(p, n)
     m = data.draw(st.integers(1, 2))
     g = len(varying_indices(p))
@@ -644,11 +636,8 @@ def test_linear_form_base_stage_matches_the_oracle(p, n, data):
                               max_size=2 * g * (m + 1)))
     idx = np.concatenate([np.array(rows), np.reshape(free, (2, g, m + 1))])
     joint = jets_from_indices(F, idx)
-    cross = jets_from_indices(F, idx[:, None, :, 0], idx[None, :, :, 1:])
-    batches = [joint, cross]
-    for J in (joint, cross):
-        a6 = Jet(J.a6.value, (FieldArray(F, 0),) + J.a6.gradient[1:])
-        batches.append(dataclasses.replace(J, a6=a6))
+    cross = WeierstrassJets(F, idx[:, None, :, 0], idx[None, :, :, 1:])
+    batches = [joint, cross] + [WeierstrassJets(F, J.values, idx[0, :, 1:]) for J in (joint, cross)]
     for J in batches:
         hit, ref = singular_jets_closed_form(J), singular_jets_oracle(J)
         assert hit.mask.shape == ref.mask.shape == J.shape
@@ -674,22 +663,6 @@ def test_detector_takes_a_batch_of_one_lane(p, n):
         assert hit.mask == oracle.mask
         if oracle.mask:
             assert (hit.x.idx, hit.y.idx) == (oracle.x.idx, oracle.y.idx)
-
-
-def test_value_key_falls_back_on_a_fixed_form_that_is_nonzero():
-    # hand-built jets with a2 != 0 in characteristic 2: the table's key
-    # ignores a2, so the formulas decide
-    F4 = make_field(2, 2)
-
-    def jet(values, grads):
-        return Jet(value=FieldArray(F4, values), gradient=(FieldArray(F4, grads),))
-
-    zero = jet(0, 0)
-    J = WeierstrassJets(F4, jet([1, 2, 0], 0), jet([1, 3, 2], [0, 1, 0]), zero, zero, zero)
-    assert weier.value_keys(J) is None
-    hit = singular_jets_closed_form(J)
-    oracle = singular_jets_oracle(J)
-    assert hit.mask.tolist() == oracle.mask.tolist()
 
 
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 3)])
@@ -743,7 +716,7 @@ def test_fiber_scan_of_a_batch_matches_the_scalar_scan(p, n, data):
         assert got.mask.shape == got.x.shape == got.y.shape == batch.shape[:-2]
         for hit, x, y, row in zip(got.mask.reshape(-1), got.x.idx.reshape(-1),
                                   got.y.idx.reshape(-1), lanes, strict=True):
-            want = fiber_scan(_single_jets(F, row))
+            want = fiber_scan(F, row)
             assert hit == (want is not None)
             assert (x, y) == ((want[0].idx, want[1].idx) if hit else (0, 0))
 
@@ -756,7 +729,7 @@ def test_fiber_scan_chunks_give_one_answer(p, budget, monkeypatch):
     # (several lanes a pass): the answer of the default passes
     F = make_field(p, 1)
     vals = _all_values(F)[:, None]
-    J = jets_from_indices(F, vals, _sparse_gradients(F, (1, 6, vals.shape[-1], 1), seed=p))
+    J = WeierstrassJets(F, vals, _sparse_gradients(F, (1, 6, vals.shape[-1], 1), seed=p))
     want = singular_jets_oracle(J)
     monkeypatch.setattr(weier, "_ROW_BUDGET", budget)
     got = singular_jets_oracle(J)
@@ -776,8 +749,8 @@ def test_large_field_scan_builds_no_table():
     assert hit.point.coords == (F.zero, F.one)
     assert (hit.x, hit.y) == (F.zero, F.one)
     one = jet_space_map(section_degrees(2, 1), (hit.point,))
-    J = next(jets_from_indices(F, jet_at(w.slots(), one)).lanes())
-    assert jacobian_vanishes(J, hit.x, hit.y)
+    [row] = jet_at(w.slots(), one)
+    assert jacobian_vanishes(jets_from_indices(F, row), hit.x, hit.y)
     assert weier.value_table(F) is None and F not in weier._value_tables
 
 
