@@ -2,8 +2,9 @@
 
 The package builds finite fields (`gf`), homogeneous coordinate sections
 (`sections`), closed points and jet evaluation maps (`base`), Weierstrass
-data with singularity detection (`weier`), zeta-function point counting
-(`zeta`), and the density machinery tying them together (`density`).
+data with singularity detection (`weier`), seeded slot draws (`draws`),
+zeta-function point counting (`zeta`), and the density machinery tying
+them together (`density`).
 A command line front end lives in `cli`.
 
 Importing the package loads none of its modules: import the module you use

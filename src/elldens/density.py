@@ -14,34 +14,17 @@ gradient tuples (g*m digits): a detector call pairs (V, 1) value rows with
 (1, W) gradient rows, so only the base-direction tests run once per tuple.
 Its cross-check compares each call with the fiber-scan oracle on its batch.
 
-Monte-Carlo runs draw coefficient forms uniformly (one PCG64 stream per
-sample, seeded by a stable 64-bit hash of (master_seed, index)) in chunks
-of up to ``_MC_CHUNK`` samples whose slots fit ``_MC_BUDGET`` bytes:
-:func:`~elldens.weier.weierstrass_slot_rows` computes NumPy's per-seed
-recipe (SeedSequence, PCG64, bounded integers) for a whole chunk at once,
-bit for bit, so a sample still replays alone through
-:func:`~elldens.weier.weierstrass_slots` or
-:func:`~elldens.weier.random_weierstrass`.  The runs take a chunk's jets at
-the closed points of each degree <= r as scans take one datum's, from the
-same memo of budget-sized point blocks (:func:`~elldens.base.scan_blocks`; a
-block whose kernel the memo does not keep is rebuilt by
-:func:`~elldens.base.jet_space_map` once per call and reused by each of its
-chunks): one :func:`~elldens.base.jet_at` product per block, taken for the
-samples either test still holds, each form's slots against its own jet rows
-only (stored as F_p digits), multiplied in float32 wherever that is exact,
-its jets returned as element indices.  A chunk walks the blocks once, and
-each block's jets are dropped before the next block's product.  The batched
+Monte-Carlo runs draw samples by ``draws``' one rule, in chunks of up to
+``_MC_CHUNK`` whose slots fit ``_MC_BUDGET`` bytes.  A chunk walks the
+scans' memo of point blocks once (:func:`~elldens.base.scan_blocks`; a
+kernel the memo does not keep is built once per call): one
+:func:`~elldens.base.jet_at` product per block for the samples either test
+still holds, its jets dropped before the next block's.  The batched
 detector and the discriminant test (:func:`~elldens.weier.delta_vanishes`)
-run once per (chunk, block), each on the samples it still holds: those
-smooth so far, and those whose discriminant values have all vanished so
-far; both read a small residue field's value table in ``weier``.  Samples
-whose discriminant form is identically zero are counted as not-smooth and
-tallied separately: a nonzero discriminant value at a point of degree <= r
-settles delta != 0, unsettled samples go on through the discriminant values
-at the points of the next degrees, one degree at a time, from the same memo
-(its degree-e entry, built the first time a sample needs it; the entries of
-lower degree are the very blocks the run applied), and only when every
-value vanishes is the form expanded.
+run once per (chunk, block), on the samples smooth so far and on those
+whose discriminant values have all vanished so far.  A sample whose
+discriminant form is identically zero counts as not smooth and is tallied
+apart (see :func:`_delta_zero`).
 
 The singular scan of one datum takes one jet product and one detector
 call per point block, and builds each witness from its hit lane's index
@@ -49,7 +32,6 @@ rows, as single-point :class:`~elldens.weier.WeierstrassJets`.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,25 +40,20 @@ import numpy as np
 from . import zeta as _zeta
 from .base import (_MC_BUDGET, DEFAULT_ENUM_CAP, closed_points_up_to, jet_at, jet_space_map,
                    scan_blocks)
+from .draws import sample_seed, slot_rows
 from .errors import FeasibilityError
 from .gf import FieldMismatchError, is_prime, make_field, prime_power
 from .linalg import rank_mod_p
 from .weier import (_CENSUS_BLOCK, SingularityWitness, WeierstrassData, WeierstrassJets,
                     delta_vanishes, jets_from_indices, section_degrees,
                     singular_jets_closed_form, singular_jets_oracle,
-                    varying_indices, weierstrass_from_slots, weierstrass_slot_rows)
+                    varying_indices, weierstrass_from_slots)
 
 _DELTA_PROBE_DEGREE = 3  # discriminant values are probed at points up to here
 # rational points a probe degree may enumerate: a probe stands in for exact
 # expansions of a few samples, so it must not cost more than they do
 _PROBE_CAP = 1 << 15
 _MC_CHUNK = 512  # Monte-Carlo samples drawn and tested together
-
-
-def sample_seed(master_seed: int, index: int) -> int:
-    """Stable 64-bit per-sample seed derived from (master_seed, index)."""
-    h = hashlib.blake2b(f"{master_seed}:{index}".encode(), digest_size=8)
-    return int.from_bytes(h.digest(), "big")
 
 
 def _degree_over(p: int, q: int) -> int:
@@ -299,14 +276,12 @@ def mc_density(p: int, q: int, m: int, k: int, r: int, samples: int,
                master_seed: int) -> DensityReport:
     """Seeded Monte-Carlo estimate of the smooth-over-degree-<=r density.
 
-    Sample i draws from its own stream, seeded by ``sample_seed(master_seed,
-    i)`` (one call per sample, in index order), so a report depends on the
-    configuration, the sample count and the master seed alone; samples are
-    drawn and tested ``_MC_CHUNK`` at a time, or fewer where that many
-    samples' slots would pass ``_MC_BUDGET`` bytes (at least one).  A
-    chunk's slots come from one
-    :func:`~elldens.weier.weierstrass_slot_rows` call, row i being
-    ``weierstrass_slots(m, k, F_q, sample_seed(master_seed, i))``.
+    Sample i draws with seed ``sample_seed(master_seed, i)`` (one call per
+    sample, in index order), so a report depends on the configuration, the
+    sample count and the master seed alone; samples are drawn and tested
+    ``_MC_CHUNK`` at a time, or fewer where that many samples' slots would
+    pass ``_MC_BUDGET`` bytes (at least one), a chunk's slots by one
+    :func:`~elldens.draws.slot_rows` call.
     ``threshold_warning`` is ``k < (6m+6) r``: a heuristic for too small a
     twist degree, not a computed independence test.
     """
@@ -330,8 +305,8 @@ def mc_density(p: int, q: int, m: int, k: int, r: int, samples: int,
     buffer = np.empty((min(chunk, samples), cols), dtype=dtype)
     for start in range(0, samples, chunk):
         slots = buffer[:min(chunk, samples - start)]
-        weierstrass_slot_rows(p, cols, [sample_seed(master_seed, i)
-                                         for i in range(start, start + len(slots))], slots)
+        slot_rows(p, cols, [sample_seed(master_seed, i)
+                            for i in range(start, start + len(slots))], slots)
         # the samples whose delta values all vanish so far, and those smooth so far
         zero = ok = np.arange(len(slots))
         for b in blocks:

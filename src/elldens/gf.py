@@ -442,6 +442,8 @@ class FieldCtx:
         return FieldElem(self, coeffs, idx)
 
     def from_int(self, c: int) -> FieldElem:
+        if self._elems is not None:  # (c mod p, 0, ..., 0) has index c mod p
+            return self._elems[c % self.p]
         return self.elem((c % self.p,) + (0,) * (self.n - 1))
 
     def from_index(self, idx: int) -> FieldElem:

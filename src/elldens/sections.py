@@ -57,7 +57,7 @@ instead of wrapping.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+import itertools
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple
@@ -83,17 +83,6 @@ def dim_space(m: int, d: int) -> int:
     return comb(d + m, m)
 
 
-def _exponents(nvars: int, total: int) -> Iterator[tuple[int, ...]]:
-    """The exponent tuples of degree ``total`` in ``nvars`` variables,
-    descending grlex, one at a time."""
-    if nvars == 1:
-        yield (total,)
-        return
-    for e in range(total, -1, -1):
-        for rest in _exponents(nvars - 1, total - e):
-            yield (e,) + rest
-
-
 @lru_cache(maxsize=None)
 def monomials(m: int, d: int) -> tuple[tuple[int, ...], ...]:
     """``monomial_array(m, d)`` as a tuple of exponent tuples."""
@@ -103,9 +92,15 @@ def monomials(m: int, d: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def monomial_array(m: int, d: int) -> np.ndarray:
     """All exponents of degree d in m+1 variables, descending grlex, as a
-    read-only (dim, m+1) int64 array, built one tuple at a time."""
-    arr = np.fromiter(_exponents(m + 1, d), dtype=np.dtype((np.int64, m + 1)),
-                      count=dim_space(m, d))
+    read-only (dim, m+1) int64 array, by stars and bars: bars b_0 < ... <
+    b_(m-1) among d + m places, their combinations read in reverse, give
+    e_i = b_i - b_(i-1) - 1 (b_(-1) = -1, b_m = d + m)."""
+    dim = dim_space(m, d)
+    bars = np.full((dim, m + 2), d + m, dtype=np.int64)
+    bars[:, 0] = -1
+    combos = itertools.chain.from_iterable(itertools.combinations(range(d + m), m))
+    bars[::-1, 1:-1] = np.fromiter(combos, dtype=np.int64, count=dim * m).reshape(dim, m)
+    arr = np.diff(bars, axis=1) - 1
     arr.flags.writeable = False
     return arr
 

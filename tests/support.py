@@ -1,10 +1,11 @@
 """Reference code the tests check the package against, and that no command
 runs: scalar evaluation of forms and of their affine charts with formal
 partials, embeddings applied one element at a time, the Frobenius map,
-seeded random forms, one lane's jets and its exhaustive fiber scan, and
-small constructors and measures of package objects.  The package computes
-the same things in batches (jet products, FieldArray arithmetic, the fiber
-scan of a whole batch), so these stay independent of it.
+seeded random forms and NumPy's own bounded draws, one lane's jets and
+its exhaustive fiber scan, and small constructors and measures of package
+objects.  The package computes the same things in batches (jet products,
+FieldArray arithmetic, the fiber scan of a whole batch), so these stay
+independent of it.
 """
 from __future__ import annotations
 
@@ -84,6 +85,14 @@ def random_section(m: int, d: int, field: FieldCtx, rng_seed: int) -> Section:
     rng = np.random.Generator(np.random.PCG64(rng_seed))
     return section_from_slots(m, d, field,
                               rng.integers(0, field.p, size=dim_space(m, d) * field.n))
+
+
+def numpy_draw(p: int, cols: int, seed: int) -> np.ndarray:
+    """``Generator(PCG64(seed)).integers(0, p, cols)`` in the smallest dtype
+    holding p - 1: the draw that ``draws.slot_rows`` computes from the raw
+    PCG64 stream, by NumPy's own method."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return rng.integers(0, p, size=cols, dtype=np.min_scalar_type(p - 1))
 
 
 def evaluate(s: Section, pt: tuple[FieldElem, ...], emb: Embedding | None = None) -> FieldElem:

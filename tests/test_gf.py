@@ -170,6 +170,16 @@ def test_int_coercion_and_pow():
     assert a == 3 and a == 10 and a != 4
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (5, 1), (3, 2), (5, 2), (2, 13), (2, 64)])
+def test_from_int_is_the_constant_element(p, n):
+    # interned fields hand out the element itself, larger ones an equal one
+    F = make_field(p, n)
+    for c in (-7, -1, 0, 1, p, 3 * p + 2, 10 ** 30):
+        want = F.elem((c % p,) + (0,) * (n - 1))
+        assert F.from_int(c) == want and F.from_int(c).coeffs == want.coeffs
+        assert (F.from_int(c) is want) == (F.size <= gf._INTERN_LIMIT)
+
+
 def test_power_is_one_square_and_multiply_loop():
     # e.bit_length() - 1 squarings and one product per further set bit; no
     # identity is multiplied, so e = 0 is the caller's

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-MODULES = ["base", "cli", "density", "errors", "gf", "linalg", "sections", "weier", "zeta"]
+MODULES = ["base", "cli", "density", "draws", "errors", "gf", "linalg", "sections", "weier", "zeta"]
 
 
 def _loaded_after(module: str) -> list[str]:

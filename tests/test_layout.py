@@ -4,7 +4,8 @@ class and every method of `src/elldens` is referenced from `src/` or
 `base` and walked in `density` alone, and a form's term rows are read in
 `sections` alone.  The exhaustive fiber scan reads nothing of the closed
 form it checks.  Jets have one format, index arrays with no per-form
-class, and the singular scan alone builds witnesses."""
+class, and the singular scan alone builds witnesses.  Seeds become slots
+in `draws` alone, with no `Generator` method."""
 import ast
 import re
 from pathlib import Path
@@ -128,3 +129,33 @@ def test_one_jet_format_and_only_the_singular_scan_builds_witnesses():
     assert [qual for qual, name, _ in _definitions(ROOT / "src" / "elldens")
             if name == "Jet"] == []
     assert builders(ROOT, "SingularityWitness") == ["density.singular_scan"]
+
+
+def randomness(root: Path) -> list[str]:
+    """module.name for each read of NumPy's ``np.random`` and each import of
+    ``hashlib`` or ``numpy.random`` in a module of `src/elldens` other than
+    `draws` (``gf``'s modulus search uses Python's own ``random``)."""
+    out = []
+    for path in sorted((root / "src" / "elldens").glob("*.py")):
+        if path.stem == "draws":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "random"
+                    and getattr(node.value, "id", None) in ("np", "numpy")):
+                out.append(f"{path.stem}.np.random")
+            elif isinstance(node, ast.Import):
+                out += [f"{path.stem}.{a.name}" for a in node.names
+                        if a.name in ("hashlib", "numpy.random")]
+            elif isinstance(node, ast.ImportFrom) and (
+                    node.module in ("hashlib", "numpy.random")
+                    or node.module == "numpy" and any(a.name == "random" for a in node.names)):
+                out.append(f"{path.stem}.{node.module}")
+    return out
+
+
+def test_only_draws_turns_seeds_into_slots():
+    # one draw rule: NumPy's raw PCG64 streams and the sample-seed hash are
+    # read in `draws` alone, and no module calls a Generator method, whose
+    # streams NumPy may change between releases
+    assert randomness(ROOT) == []
+    assert readers(ROOT, (), ("Generator", "integers", "default_rng")) == []

@@ -1,5 +1,6 @@
 """Homogeneous sections: monomial bases, ring operations, evaluation,
 dehomogenization, formal partials and exact division."""
+import itertools
 import random
 import tracemalloc
 
@@ -44,11 +45,19 @@ def test_monomials_descending_grlex_and_degree():
 
 
 def test_monomial_array_lists_the_monomials():
-    # built from the exponent generator, not from the cached tuples
     for m, d in [(m, d) for m in range(1, 5) for d in range(25)] + [(2, 108)]:
         arr = monomial_array(m, d)
         assert arr.dtype == np.int64 and not arr.flags.writeable
         assert np.array_equal(arr, np.array(monomials(m, d)).reshape(-1, m + 1)), (m, d)
+
+
+@pytest.mark.parametrize("m,d", [(m, d) for m in range(1, 5) for d in range(13)] + [(2, 60)])
+def test_monomial_array_is_every_exponent_tuple_descending(m, d):
+    # an independent reference: the first m exponents from a product of
+    # ranges, the last one what is left of d, sorted strictly descending
+    ref = sorted((head + (d - sum(head),) for head in itertools.product(range(d + 1), repeat=m)
+                  if sum(head) <= d), reverse=True)
+    assert monomial_array(m, d).tolist() == [list(e) for e in ref]
 
 
 def test_constructor_validates():

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elldens import density, weier
+from elldens import density, draws, weier
 from elldens.base import closed_points_up_to, jet_at, jet_space_map, scan_blocks
 from elldens.density import sample_seed, singular_scan
+from elldens.draws import slot_rows
 from elldens.errors import FeasibilityError
 from elldens.gf import embedding, make_field, prime_power
 from elldens.sections import Section, dim_space
@@ -25,10 +26,9 @@ from elldens.weier import (WeierstrassData, WeierstrassJets,
                            section_degrees, singular_jets_closed_form,
                            singular_jets_oracle, total_slots,
                            varying_indices, weier_from_obj, weier_to_obj,
-                           weierstrass_from_slots, weierstrass_slot_rows,
-                           weierstrass_slots)
+                           weierstrass_from_slots)
 from support import (dehomogenize, embed, evaluate, fiber_scan, lane_jets, monomial,
-                     random_section)
+                     numpy_draw, random_section)
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -388,8 +388,8 @@ def test_slots_roundtrip_and_determinism():
         n_slots = total_slots(m, k, F)
         g = len(varying_indices(F.p))
         assert n_slots == sum(dim_space(m, i * k) for i in varying_indices(F.p)) * F.n
-        s1 = weierstrass_slots(m, k, F, seed=21)
-        s2 = weierstrass_slots(m, k, F, seed=21)
+        s1 = slot_rows(F.p, n_slots, [21])[0]
+        s2 = slot_rows(F.p, n_slots, [21])[0]
         assert (s1 == s2).all()
         w = weierstrass_from_slots(m, k, F, s1)
         w2 = random_weierstrass(m, k, F, seed=21)
@@ -820,38 +820,50 @@ def test_discriminant_digests(case, terms, digest):
     assert hashlib.sha256(json.dumps(w.delta.to_obj()).encode()).hexdigest() == digest
 
 
-# the batched slot draw computes NumPy's per-seed recipe: seeds at the word
+# the slot draw computes NumPy's per-seed recipe: seeds at the word
 # boundaries of the SeedSequence entropy, and Monte-Carlo's sample seeds
 _DRAW_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] + [sample_seed(3, i) for i in range(27)]
 _DRAW_PRIMES = [2, 3, 5, 7, 131, 251, 257, 65521, 65537, 2**31 - 1]
 
 
-def _numpy_draw(p, cols, seed):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.integers(0, p, size=cols, dtype=np.min_scalar_type(p - 1))
-
-
 def test_seed_words_are_the_seed_sequence_state():
-    words = weier._seed_words(_DRAW_SEEDS)
+    words = draws._seed_words(_DRAW_SEEDS)
     assert words.shape == (4, len(_DRAW_SEEDS)) and words.dtype == np.uint64
     for j, s in enumerate(_DRAW_SEEDS):
         assert (words[:, j] == np.random.SeedSequence(s).generate_state(4, np.uint64)).all()
 
 
 def test_pcg64_states_are_numpys():
-    states = weier._pcg64_states(weier._seed_words(_DRAW_SEEDS))
+    states = draws._pcg64_states(draws._seed_words(_DRAW_SEEDS))
     for (state, inc), s in zip(states, _DRAW_SEEDS):
         assert np.random.PCG64(s).state["state"] == {"state": state, "inc": inc}
+
+
+def test_one_seed_skips_the_array_hash(monkeypatch):
+    # one seed seeds its PCG64 through NumPy's SeedSequence, many go through
+    # the array hash; both give the same rows
+    hashed = []
+    words = draws._seed_words
+    monkeypatch.setattr(draws, "_seed_words",
+                        lambda seeds: hashed.append(len(seeds)) or words(seeds))
+    for p, cols in [(2, 18), (5, 43), (65521, 9)]:
+        hashed.clear()
+        rows = slot_rows(p, cols, _DRAW_SEEDS)
+        for row, s in zip(rows, _DRAW_SEEDS):
+            assert (slot_rows(p, cols, [s])[0] == row).all()
+        assert hashed == [len(_DRAW_SEEDS)]
 
 
 @pytest.mark.parametrize("p", _DRAW_PRIMES)
 def test_slot_rows_are_numpys_per_seed_draws(p):
     for cols in (1, 9, 362):
-        rows = weierstrass_slot_rows(p, cols, _DRAW_SEEDS)
+        rows = slot_rows(p, cols, _DRAW_SEEDS)
         assert rows.shape == (len(_DRAW_SEEDS), cols)
         assert rows.dtype == np.min_scalar_type(p - 1)
         for row, s in zip(rows, _DRAW_SEEDS):
-            assert (row == _numpy_draw(p, cols, s)).all()
+            assert (row == numpy_draw(p, cols, s)).all()
+            # a single datum's draw is row 0 of one seed's rows
+            assert (slot_rows(p, cols, [s])[0] == row).all()
 
 
 @pytest.mark.parametrize("p,share", [(2, 3), (5, 3), (131, 3), (257, 3), (65521, 3),
@@ -860,31 +872,36 @@ def test_short_rows_draw_their_streams_again(p, share, monkeypatch):
     # a first draw of cols // 3 words leaves every row short; one of cols
     # words leaves some rows short beside full ones, at once for p = 5 and
     # on the second draw for p = 131, which rejects about half the words
-    monkeypatch.setattr(weier, "_slot_word_budget", lambda cols, p, width: cols // share)
+    monkeypatch.setattr(draws, "_slot_word_budget", lambda cols, p, width: cols // share)
     passes = []
-    bounded = weier._bounded_rows
+    bounded = draws._bounded_rows
 
-    def counted(bg, seed_words, *args):
-        passes.append(seed_words.shape[1])
-        return bounded(bg, seed_words, *args)
+    def counted(bg, starts, *args):
+        passes.append(len(starts))
+        return bounded(bg, starts, *args)
 
-    monkeypatch.setattr(weier, "_bounded_rows", counted)
-    rows = weierstrass_slot_rows(p, 200, _DRAW_SEEDS)
+    monkeypatch.setattr(draws, "_bounded_rows", counted)
+    rows = slot_rows(p, 200, _DRAW_SEEDS)
     assert passes[0] == len(_DRAW_SEEDS) and passes[1] > 0
     if share == 1:
         assert any(0 < b < a for a, b in zip(passes, passes[1:]))
     for row, s in zip(rows, _DRAW_SEEDS):
-        assert (row == _numpy_draw(p, 200, s)).all()
+        assert (row == numpy_draw(p, 200, s)).all()
+    # a lone row that comes up short draws its stream again too
+    passes.clear()
+    for s in _DRAW_SEEDS[:4]:
+        assert (slot_rows(p, 200, [s])[0] == numpy_draw(p, 200, s)).all()
+    assert set(passes) == {1} and (len(passes) > 4 or share == 1)
 
 
 def test_slot_rows_fill_out_in_row_blocks(monkeypatch):
     # a budget of one row per block, the values cast into a float32 buffer
-    monkeypatch.setattr(weier, "_ROW_BUDGET", 1)
+    monkeypatch.setattr(draws, "_ROW_BUDGET", 1)
     out = np.zeros((len(_DRAW_SEEDS), 100), dtype=np.float32)
     for p in (2, 5):
-        assert weierstrass_slot_rows(p, 100, _DRAW_SEEDS, out) is out
+        assert slot_rows(p, 100, _DRAW_SEEDS, out) is out
         for row, s in zip(out, _DRAW_SEEDS):
-            assert (row == _numpy_draw(p, 100, s)).all()
+            assert (row == numpy_draw(p, 100, s)).all()
 
 
 @pytest.mark.parametrize("p,cols", [(2, 10426), (5, 362), (131, 5000), (65521, 3000),
@@ -892,20 +909,24 @@ def test_slot_rows_fill_out_in_row_blocks(monkeypatch):
 def test_slot_row_blocks_stay_within_the_row_budget(p, cols):
     seeds = [sample_seed(0, i) for i in range(512)]
     out = np.empty((len(seeds), cols), dtype=np.float32)
-    dtype = np.min_scalar_type(p - 1)
-    seed_words = weier._seed_words(seeds)
-    bg = np.random.PCG64(0)
+    slot_rows(p, cols, seeds[:2])  # NumPy imports np.random on first use, outside the trace
     tracemalloc.start()
     try:
-        weier._bounded_rows(bg, seed_words, p, dtype,
-                            weier._slot_word_budget(cols, p, 8 * dtype.itemsize), out)
+        slot_rows(p, cols, seeds, out)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= weier._ROW_BUDGET
+    assert peak <= draws._ROW_BUDGET
 
 
 def test_slot_rows_refuse_64_bit_draws():
-    # NumPy draws uint64 values once p - 1 >= 2^32
+    # NumPy draws uint64 values once p - 1 >= 2^32; a random datum is
+    # refused at the draw
     with pytest.raises(FeasibilityError):
-        weierstrass_slot_rows(2**32 + 15, 4, [0])
+        slot_rows(2**32 + 15, 4, [0])
+    with pytest.raises(FeasibilityError, match="p <= 2\\^32"):
+        random_weierstrass(1, 1, make_field(2**32 + 15, 1), seed=0)
+    # one seed and many are refused alike outside [0, 2^64)
+    for seeds in ([2**64], [-1], [2**64, 1], [1, -1]):
+        with pytest.raises(ValueError, match="seeds in \\[0, 2\\^64\\)"):
+            slot_rows(5, 4, seeds)
