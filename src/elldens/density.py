@@ -149,7 +149,7 @@ def jet_census(p: int, q: int, m: int, e: int,
             bad += int(np.count_nonzero(hit.mask))
             if cross_check:
                 ref = singular_jets_oracle(J)
-                moved = (hit.x.idx != ref.x.idx) | (hit.y.idx != ref.y.idx)
+                moved = (hit.x != ref.x) | (hit.y != ref.y)
                 for i, j in np.argwhere((hit.mask != ref.mask) | hit.mask & moved)[:1]:
                     row = np.concatenate((vd[i, 0, :, None], gd[0, j]), axis=1)
                     raise AssertionError(
@@ -341,8 +341,9 @@ def singular_scan(w: WeierstrassData, r: int,
     listing order, each with its witness (x, y), re-verified against its own
     jets: per block of :func:`~elldens.base.scan_blocks` (``cap`` bounds its
     enumeration), one :func:`~elldens.base.jet_at` product and one detector
-    call.  The points live over ``make_field``'s field, so a datum over
-    another modulus raises FieldMismatchError."""
+    call.  A witness's x and y are the one place where a detector's index
+    answer becomes FieldElems.  The points live over ``make_field``'s
+    field, so a datum over another modulus raises FieldMismatchError."""
     F = w.field
     if F != make_field(F.p, F.n):
         raise FieldMismatchError("datum's field is not the points' base field")
@@ -350,7 +351,8 @@ def singular_scan(w: WeierstrassData, r: int,
     for b in scan_blocks(w.m, F.size, r, section_degrees(F.p, w.k), cap):
         J = jets_from_indices(b.field, jet_at(w.slots(), b))
         hit = singular_jets_closed_form(J)
-        hits += [SingularityWitness(point=b.points[i], x=hit.x[i], y=hit.y[i],
+        hits += [SingularityWitness(point=b.points[i], x=b.field.from_index(int(hit.x[i])),
+                                    y=b.field.from_index(int(hit.y[i])),
                                     jets=WeierstrassJets(b.field, J.values[i], J.gradients[i]))
                  for i in np.flatnonzero(hit.mask).tolist()]
     return hits

@@ -560,12 +560,13 @@ class FieldArray:
     ``FieldElem.idx``), with ``+ - * /``, ``**`` and negation applied
     element-wise under NumPy broadcasting.
 
-    The other operand may be a FieldArray or a FieldElem of the same field,
-    or an int (coerced as for FieldElem).  Division by an array holding a
-    zero raises ZeroDivisionError; ``is_zero`` is the mask of zero elements.
-    Fields up to 256 elements gather from their operation tables; larger
-    ones multiply and divide on discrete logs and add digit-wise.  Powers
-    always go through the log tables.
+    The other operand is a FieldArray of the same field or an int c, the
+    constant of index c mod p (digit 0 is the least significant); a
+    FieldElem is not an operand, so a batch never meets a scalar.  Division
+    by an array holding a zero raises ZeroDivisionError; ``is_zero`` is the
+    mask of zero elements.  Fields up to 256 elements gather from their
+    operation tables; larger ones multiply and divide on discrete logs and
+    add digit-wise.  Powers always go through the log tables.
     """
 
     __slots__ = ("ctx", "idx")
@@ -575,22 +576,11 @@ class FieldArray:
         self.idx = np.asarray(idx, dtype=np.int64)
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return self.idx.shape
-
-    @property
     def is_zero(self) -> np.ndarray:
         return self.idx == 0
 
-    def __getitem__(self, key):
-        """Sub-array, or a FieldElem when the key selects one element."""
-        sub = self.idx[key]
-        if sub.ndim == 0:
-            return self.ctx.from_index(int(sub))
-        return FieldArray(self.ctx, sub)
-
     def _operand(self, other):
-        if isinstance(other, (FieldArray, FieldElem)):
+        if isinstance(other, FieldArray):
             if other.ctx is self.ctx or other.ctx == self.ctx:
                 return other.idx
             raise FieldMismatchError(
@@ -598,7 +588,7 @@ class FieldArray:
                 f"and F_{other.ctx.p}^{other.ctx.n} (distinct contexts)"
             )
         if isinstance(other, int):
-            return self.ctx.from_int(other).idx
+            return other % self.ctx.p
         return None
 
     def _new(self, idx: np.ndarray) -> "FieldArray":
@@ -657,12 +647,11 @@ class FieldArray:
         if not isinstance(e, int):
             return NotImplemented
         t = self.ctx.log_tables()
-        zero = self.is_zero
         if e < 0:
             _nonzero(self.idx)
         out = t.antilog[t.log[self.idx] * e % (self.ctx.size - 1)]
         if e > 0:  # 0 ** 0 is one, as for FieldElem
-            out = np.where(zero, 0, out)
+            out = np.where(self.is_zero, 0, out)
         return self._new(out)
 
     def __bool__(self):

@@ -218,6 +218,8 @@ class Section:
         for rec in obj:  # ints only: a float is not truncated, nor is JSON's true read as 1
             if len(rec) != 2 or any(type(x) is not int for x in (*rec[0], *rec[1])):
                 raise ValueError(f"section record {rec!r} is not [exponents, digits] of ints")
+            if any(not 0 <= c < field.p for c in rec[1]):  # not reduced mod p
+                raise ValueError(f"section record {rec!r} holds a digit outside 0..{field.p - 1}")
             if tuple(rec[0]) in coeffs:
                 raise ValueError(f"monomial {rec[0]} has more than one record")
             coeffs[tuple(rec[0])] = field.elem(tuple(rec[1]))

@@ -36,9 +36,11 @@ built on first use from the same formulas, read in this module alone.
 This module answers for a batch of jets or for a datum; the passes over
 point blocks live in ``density``.  A single point is a lane of its block,
 and a scan witness keeps its lane's index rows.  The discriminant, the
-fiber equation, the vanishing conditions and the Z-partial at infinity are
-written once with ring operations, so they run on forms, on FieldElems and
-on FieldArrays.
+fiber equation and the vanishing conditions are written once with ring
+operations and integer multiples, so they run on forms, on FieldElems and
+on FieldArrays, one element type a call.  The batch code meets no
+FieldElem: its constants are ints and 0-d FieldArrays, and a detector
+answers in element-index arrays, the format of the jets it is given.
 """
 from __future__ import annotations
 
@@ -266,9 +268,8 @@ def jacobian_vanishes(J: WeierstrassJets, x: FieldElem, y: FieldElem) -> bool:
 def infinity_partial(J: WeierstrassJets):
     """d/dZ of the homogenized fiber cubic at the section point (0:1:0):
     Y^2 + a1 XY + 2 a3 YZ - a2 X^2 - 2 a4 XZ - 3 a6 Z^2 evaluated there, per lane."""
-    F = J.field
     a1, a2, a3, a4, a6 = J.forms(J.values)
-    X, Y, Z = F.zero, F.one, F.zero
+    X, Y, Z = 0, 1, 0
     return (Y * Y + a1 * X * Y + 2 * (a3 * Y * Z)
             - a2 * X * X - 2 * (a4 * X * Z)
             - 3 * (a6 * Z * Z))
@@ -294,16 +295,17 @@ class SingularityWitness:
 
 class SingularBatch(NamedTuple):
     """Either detector on a batch: lane i has a singular fiber point iff
-    mask[i], and it is (x[i], y[i]); mask, x and y share one shape, the
-    jets' joint lane shape."""
+    mask[i], and it is (x[i], y[i]), element indices of the jets' field as
+    the jets are; mask, x and y share one shape, the jets' joint lane shape
+    (x and y may be read-only broadcast views, in any integer dtype)."""
 
     mask: np.ndarray
-    x: FieldArray
-    y: FieldArray
+    x: np.ndarray
+    y: np.ndarray
 
 
-def _where(mask: np.ndarray, a, b) -> FieldArray:
-    """Lane-wise a where mask holds, else b (FieldArrays or FieldElems)."""
+def _where(mask: np.ndarray, a: FieldArray, b: FieldArray) -> FieldArray:
+    """Lane-wise a where mask holds, else b."""
     return FieldArray(a.ctx, np.where(mask, a.idx, b.idx))
 
 
@@ -314,30 +316,31 @@ def _candidate(F: FieldCtx, a, shape: tuple[int, ...]) -> tuple[FieldArray, Fiel
 
     The branches are masks, not tests.  Where the characteristic's branch
     has no candidate (p = 2 with a1 = 0 and a3 != 0, p = 3 with a2 = 0 and
-    a4 != 0) the one it computes fails dF/dy or dF/dx."""
+    a4 != 0) the one it computes fails dF/dy or dF/dx.  The constants are
+    0-d FieldArrays (index 1 is the unit, index 3 the integer 3 for p > 3),
+    so the values never meet a FieldElem."""
     a1, a2, a3, a4, a6 = a
-    zero = FieldArray(F, np.zeros(shape, dtype=np.int64))
+    unit = FieldArray(F, 1)
     if F.p == 2:
         # squaring is the Frobenius, hence bijective: c ** (Q/2) inverts it
         free = a1.is_zero
-        a1 = _where(free, F.one, a1)
+        a1 = _where(free, unit, a1)
         x = _where(free, a4 ** (F.size // 2), a3 / a1)
-        y = _where(free, a6 ** (F.size // 2), (3 * (x * x) + a4) / a1)
-    elif F.p == 3:
+        return x, _where(free, a6 ** (F.size // 2), (3 * (x * x) + a4) / a1)
+    if F.p == 3:
         free = a2.is_zero
-        x = _where(free, (-a6) ** (F.size // 3), a4 / _where(free, F.one, a2))
-        y = zero
+        x = _where(free, (-a6) ** (F.size // 3), a4 / _where(free, unit, a2))
     else:
         free = a4.is_zero
-        c = -(F.from_int(3) / F.from_int(2))
-        x = _where(free, zero, c * (a6 / _where(free, F.one, a4)))
-        y = zero
-    return x, y
+        c = -(FieldArray(F, 3) / 2)
+        x = _where(free, FieldArray(F, 0), c * (a6 / _where(free, unit, a4)))
+    return x, FieldArray(F, np.zeros(shape, dtype=np.int64))
 
 
-def _value_stage(J: WeierstrassJets) -> tuple[np.ndarray, FieldArray, FieldArray]:
+def _value_stage(J: WeierstrassJets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """By the formulas: per lane of the values' shape, whether F, dF/dx and
-    dF/dy vanish at the candidate, and the candidate (x, y)."""
+    dF/dy vanish at the candidate, and the candidate (x, y) as int64
+    element indices."""
     a, shape = J.forms(J.values), J.values.shape[:-1]
     x, y = _candidate(J.field, a, shape)
     passes = np.ones(shape, dtype=bool)
@@ -345,7 +348,7 @@ def _value_stage(J: WeierstrassJets) -> tuple[np.ndarray, FieldArray, FieldArray
         passes &= cond.is_zero
         if not passes.any():
             break  # every lane has failed; the rest cannot change that
-    return passes, x, y
+    return passes, x.idx, y.idx
 
 
 class ValueTable(NamedTuple):
@@ -386,7 +389,7 @@ def _build_value_table(field: FieldCtx, g: int) -> ValueTable:
     J = WeierstrassJets(field, vals, np.zeros(vals.shape + (0,), dtype=np.int64))
     passes, x, y = _value_stage(J)
     small = np.min_scalar_type(Q - 1)
-    table = ValueTable(passes, x.idx.astype(small), y.idx.astype(small),
+    table = ValueTable(passes, x.astype(small), y.astype(small),
                        discriminant_value(*J.forms(J.values)).is_zero)
     for a in table:
         a.flags.writeable = False
@@ -431,9 +434,10 @@ def singular_jets_closed_form(J: WeierstrassJets) -> SingularBatch:
     = g6 over the forms that vary in characteristic p (the others are
     zero), c = (xy, -x^2, y, -x) for (a1, a2, a3, a4) as in
     :func:`base_condition`, formed once per call at the lanes that passed
-    the values, so for p >= 5 a direction costs one product.  Values and
-    gradients that only broadcast give mask, x and y in the joint shape (x
-    and y views past the values').
+    the values, so for p >= 5 a direction costs one product.  x and y are
+    the value stage's indices, in the table's small dtype where it has
+    one; values and gradients that only broadcast give mask, x and y in
+    the joint shape (x and y views past the values').
     """
     F = J.field
     found = value_keys(J)
@@ -441,14 +445,13 @@ def singular_jets_closed_form(J: WeierstrassJets) -> SingularBatch:
         passes, x, y = _value_stage(J)
     else:
         table, key = found
-        passes = table.passes[key]
-        x, y = FieldArray(F, table.x[key]), FieldArray(F, table.y[key])
+        passes, x, y = table.passes[key], table.x[key], table.y[key]
     joint = J.shape
     grid = joint or (1,)  # a batch of one lane has the lane shape ()
     lanes = (passes if passes.shape == grid else np.broadcast_to(passes, grid)).ravel().nonzero()[0]
     if lanes.size:
         at = np.unravel_index(lanes, grid)
-        xl, yl = (FieldArray(F, _gather(a.idx, 0, grid, at)) for a in (x, y))
+        xl, yl = (FieldArray(F, _gather(a, 0, grid, at)) for a in (x, y))
         coef = [base_coefficient(f, xl, yl) for f in varying_indices(F.p)[:-1]]
         for j in range(J.gradients.shape[-1]):
             cols = _gather(J.gradients[..., j], 1, grid, at)  # g6 last
@@ -462,8 +465,7 @@ def singular_jets_closed_form(J: WeierstrassJets) -> SingularBatch:
             at = np.unravel_index(lanes, grid)
     mask = np.zeros(joint, dtype=bool)
     mask.reshape(-1)[lanes] = True
-    x, y = (a if a.shape == joint else FieldArray(F, np.broadcast_to(a.idx, joint))
-            for a in (x, y))
+    x, y = (a if a.shape == joint else np.broadcast_to(a, joint) for a in (x, y))
     return SingularBatch(mask, x, y)
 
 
@@ -510,7 +512,7 @@ def singular_jets_oracle(J: WeierstrassJets) -> SingularBatch:
             new = (todo < 0) & hit.any(axis=0)
             todo[new] = t0 + hit[:, new].argmax(axis=0)
     x, y = np.divmod(np.where(first >= 0, first, 0).reshape(joint), F.size)
-    return SingularBatch((first >= 0).reshape(joint), FieldArray(F, x), FieldArray(F, y))
+    return SingularBatch((first >= 0).reshape(joint), x, y)
 
 
 def minimality_witness(w: WeierstrassData, j_max: int,
@@ -679,8 +681,11 @@ def weier_from_obj(obj: dict) -> WeierstrassData:
         if ver != WEIER_FORMAT_VERSION:
             raise ValueError(f"unsupported format_version {ver}")
         fobj = obj["field"]
-        field = FieldCtx(_stored_int(fobj["p"], "p"), _stored_int(fobj["n"], "n"),
-                         tuple(_stored_int(c, "a modulus entry") for c in fobj["modulus"]))
+        p, n = _stored_int(fobj["p"], "p"), _stored_int(fobj["n"], "n")
+        modulus = tuple(_stored_int(c, "a modulus entry") for c in fobj["modulus"])
+        field = FieldCtx(p, n, modulus)
+        if bad := [c for c in modulus if not 0 <= c < field.p]:  # FieldCtx reduces mod p
+            raise ValueError(f"modulus entry {bad[0]} is not a digit 0..{field.p - 1}")
         # closed points live over make_field's field; another modulus gives
         # an isomorphic field whose elements they cannot take
         expected = make_field(field.p, field.n).modulus

@@ -117,7 +117,7 @@ def test_acceptance_5_oracle_equivalence():
                     checked += hit.mask.size
                     disagreements += int(np.count_nonzero(
                         (hit.mask != ref.mask)
-                        | (hit.mask & ((hit.x.idx != ref.x.idx) | (hit.y.idx != ref.y.idx)))))
+                        | (hit.mask & ((hit.x != ref.x) | (hit.y != ref.y)))))
     _report(5, f"oracle equivalence: {checked} point-tests, "
                f"{disagreements} disagreements", disagreements == 0)
 

@@ -202,10 +202,17 @@ def _set(*path_and_value):
     (_set("sections", "a9", []), "unknown section 'a9', not one of a1, a2, a3, a4, a6"),
     (_set("sections", "a6", [[[6, 0], [1.0]]]),
      "section record [[6, 0], [1.0]] is not [exponents, digits] of ints"),
+    (_set("sections", "a6", [[[6, 0], [5]]]),
+     "section record [[6, 0], [5]] holds a digit outside 0..4"),
+    (_set("sections", "a4", [[[4, 0], [-1]]]),
+     "section record [[4, 0], [-1]] holds a digit outside 0..4"),
+    (_set("field", "modulus", [5, 1]), "modulus entry 5 is not a digit 0..4"),
 ], ids=["float-m", "float-k", "bool-k", "negative-k", "float-p", "bool-version", "bool-exponent",
-        "twice-listed-monomial", "unknown-form", "float-digit"])
+        "twice-listed-monomial", "unknown-form", "float-digit", "digit-p", "digit-minus-1",
+        "modulus-entry-p"])
 def test_stored_datum_is_read_strictly(capsys, tmp_path, command, change, message):
-    # a float or bool where an integer belongs, a k below 1, a monomial
+    # a float or bool where an integer belongs, a digit or modulus entry
+    # outside 0..p-1 (which would be read mod p), a k below 1, a monomial
     # listed twice and an unknown form are each refused in one line that
     # names them
     obj = weier_to_obj(random_weierstrass(1, 1, make_field(5, 1), seed=1))

@@ -1,6 +1,7 @@
 """Finite field construction, arithmetic axioms, Frobenius and embeddings."""
 import hashlib
 import itertools
+import operator
 import random
 import time
 
@@ -471,35 +472,54 @@ def test_field_array_ops_match_field_elems_on_all_pairs(p, n):
     sub = [[add[i][neg[j]] for j in range(Q)] for i in range(Q)]
     div = [[mul[i][inv[j]] for j in range(1, Q)] for i in range(Q)]
 
-    a = FieldArray(F, np.repeat(np.arange(Q), Q).reshape(Q, Q))
-    b = FieldArray(F, np.tile(np.arange(Q), Q).reshape(Q, Q))
+    ai = np.repeat(np.arange(Q), Q).reshape(Q, Q)
+    bi = np.tile(np.arange(Q), Q).reshape(Q, Q)
+    a, b = FieldArray(F, ai), FieldArray(F, bi)
     assert (a + b).idx.tolist() == add
     assert (a - b).idx.tolist() == sub
     assert (a * b).idx.tolist() == mul
-    assert (a[:, 1:] / b[:, 1:]).idx.tolist() == div
+    assert (FieldArray(F, ai[:, 1:]) / FieldArray(F, bi[:, 1:])).idx.tolist() == div
     x = FieldArray(F, np.arange(Q))
     assert (-x).idx.tolist() == neg
     for e in (Q // 2, Q // 3, 0, -1 if Q > 2 else 0):
-        got = (x[1:] if e < 0 else x) ** e
+        got = FieldArray(F, np.arange(1 if e < 0 else 0, Q)) ** e
         assert got.idx.tolist() == [(c ** e).idx for c in (E[1:] if e < 0 else E)]
     assert x.is_zero.tolist() == [i == 0 for i in range(Q)]
 
 
-def test_field_array_coercion_indexing_and_errors():
-    F = make_field(5, 2)
-    x = FieldArray(F, [0, 1, 7, 24])
-    c = F.from_index(7)
-    assert (4 * x).idx.tolist() == [(4 * F.from_index(i)).idx for i in (0, 1, 7, 24)]
-    assert (x + 3).idx.tolist() == (3 + x).idx.tolist()
-    assert (1 - x).idx.tolist() == [(1 - F.from_index(i)).idx for i in (0, 1, 7, 24)]
-    assert (c * x).idx.tolist() == (x * c).idx.tolist()
-    assert (c / x[1:]).idx.tolist() == [(c / F.from_index(i)).idx for i in (1, 7, 24)]
-    assert x[2] == c and isinstance(x[1:], FieldArray)
+@pytest.mark.parametrize("p,n", [(5, 1), (5, 2), (257, 1), (2, 9)])
+def test_field_array_int_operands_and_errors(p, n):
+    # F_5 and F_25 gather from operation tables, F_257 and F_512 go through
+    # the log tables: on both, an int c is the constant of index c mod p,
+    # element by element as FieldElem reads it; a FieldElem is no operand
+    # in either order, and another field's FieldArray is refused
+    F = make_field(p, n)
+    idx = [0, 1, p - 1, F.size // 2 + 1, F.size - 1]
+    E = [F.from_index(i) for i in idx]
+    x = FieldArray(F, idx)
+    for c in (-7, -1, 0, 1, p, 3 * p + 2, 10 ** 30):
+        assert (c * x).idx.tolist() == [(c * e).idx for e in E]
+        assert (x + c).idx.tolist() == [(e + c).idx for e in E]
+        assert (c - x).idx.tolist() == [(c - e).idx for e in E]
+        if c % p:
+            assert (x / c).idx.tolist() == [(e / c).idx for e in E]
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / c
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for c in (F.from_index(idx[2]), make_field(5, 1).one):
+            with pytest.raises(TypeError):
+                op(x, c)
+            with pytest.raises(TypeError):
+                op(c, x)
+        with pytest.raises(FieldMismatchError):
+            op(x, FieldArray(make_field(p, n + 1), idx))
+    with pytest.raises(TypeError):
+        x[0]  # a FieldArray holds indices; only its idx array is indexed
+    assert not hasattr(x, "shape")
     with pytest.raises(ZeroDivisionError):
-        c / x
+        1 / x
     with pytest.raises(ZeroDivisionError):
         x ** -1
     with pytest.raises(TypeError):
         bool(x)
-    with pytest.raises(FieldMismatchError):
-        x + make_field(5, 1).one

@@ -4,8 +4,10 @@ class and every method of `src/elldens` is referenced from `src/` or
 `base` and walked in `density` alone, and a form's term rows are read in
 `sections` alone.  The exhaustive fiber scan reads nothing of the closed
 form it checks.  Jets have one format, index arrays with no per-form
-class, and the singular scan alone builds witnesses.  Seeds become slots
-in `draws` alone, with no `Generator` method."""
+class, and the singular scan alone builds witnesses.  Batch arithmetic
+meets no scalar element: `FieldArray` and the detectors read no
+`FieldElem`.  Seeds become slots in `draws` alone, with no `Generator`
+method."""
 import ast
 import re
 from pathlib import Path
@@ -129,6 +131,34 @@ def test_one_jet_format_and_only_the_singular_scan_builds_witnesses():
     assert [qual for qual, name, _ in _definitions(ROOT / "src" / "elldens")
             if name == "Jet"] == []
     assert builders(ROOT, "SingularityWitness") == ["density.singular_scan"]
+
+
+# the batch code of `weier`: jets, the detectors and their stages
+_WEIER_BATCH = ("WeierstrassJets", "_where", "_candidate", "_value_stage", "_build_value_table",
+                "singular_jets_closed_form", "delta_vanishes", "singular_jets_oracle",
+                "infinity_partial")
+_SCALAR = ("FieldElem", "from_int", "from_index", "one", "zero")
+
+
+def scalar_reads(root: Path) -> list[str]:
+    """definition.name for each read of a scalar element (the `FieldElem`
+    class, its constructors `from_int` and `from_index`, or a field's `one`
+    and `zero`) in `gf.FieldArray` or in `weier`'s batch code."""
+    package = root / "src" / "elldens"
+    batch = [("gf", "FieldArray")] + [("weier", name) for name in _WEIER_BATCH]
+    out = []
+    for module, name in batch:
+        [node] = [n for n in ast.parse((package / f"{module}.py").read_text()).body
+                  if getattr(n, "name", None) == name]
+        out += [f"{module}.{name}.{read}" for read, _ in _names_in(node) if read in _SCALAR]
+    return out
+
+
+def test_batch_arithmetic_meets_no_scalar_element():
+    # FieldArray takes FieldArrays and ints, and both detectors answer in
+    # index arrays; a batch answer becomes FieldElems only in the singular
+    # scan's witnesses
+    assert scalar_reads(ROOT) == []
 
 
 def randomness(root: Path) -> list[str]:

@@ -137,8 +137,8 @@ def _closed_form_vs_oracle(w, r):
         J = jets_from_indices(b.field, jet_at(w.slots(), b))
         hit, ref = singular_jets_closed_form(J), singular_jets_oracle(J)
         for i in range(len(b.points)):
-            yield ((bool(hit.mask[i]), (hit.x.idx[i], hit.y.idx[i]) if hit.mask[i] else (0, 0)),
-                   (bool(ref.mask[i]), (ref.x.idx[i], ref.y.idx[i])))
+            yield ((bool(hit.mask[i]), (hit.x[i], hit.y[i]) if hit.mask[i] else (0, 0)),
+                   (bool(ref.mask[i]), (ref.x[i], ref.y[i])))
 
 
 def test_jets_at_values():
@@ -476,8 +476,9 @@ def test_batched_detector_and_discriminant_match_scalar_and_oracle(p, n, data):
         if hit.mask[i]:
             # a singular fiber has one singular point, so both find the same
             assert (hit.x[i], hit.y[i]) == (oracle.x[i], oracle.y[i])
-            assert jacobian_vanishes(jets_from_indices(F, np.array(row)), hit.x[i], hit.y[i])
-        assert delta[i] == discriminant_value(*(jet[0] for jet in lane_jets(F, row)))
+            assert jacobian_vanishes(jets_from_indices(F, np.array(row)),
+                                     F.from_index(int(hit.x[i])), F.from_index(int(hit.y[i])))
+        assert delta.idx[i] == discriminant_value(*(jet[0] for jet in lane_jets(F, row))).idx
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -498,8 +499,8 @@ def test_detector_broadcasts_values_against_gradients(p, m):
                            np.broadcast_to(grads[None], (V, W, g, m))), axis=-1)
     flat = singular_jets_closed_form(jets_from_indices(F, rows.reshape(V * W, g, m + 1)))
     assert np.array_equal(hit.mask.ravel(), flat.mask)
-    assert np.array_equal(hit.x.idx.ravel(), flat.x.idx)
-    assert np.array_equal(hit.y.idx.ravel(), flat.y.idx)
+    assert np.array_equal(hit.x.ravel(), flat.x)
+    assert np.array_equal(hit.y.ravel(), flat.y)
     assert hit.mask.any() and not hit.mask.all()
     # a lane of the broadcast batch is its tuple's own index rows: the scalar
     # fiber scan of those rows agrees with both detectors there
@@ -512,8 +513,8 @@ def test_detector_broadcasts_values_against_gradients(p, m):
     # and the oracle's verdict and witness on every lane of the broadcast batch
     assert oracle.mask.shape == oracle.x.shape == oracle.y.shape == (V, W)
     assert np.array_equal(oracle.mask, hit.mask)
-    assert np.array_equal(oracle.x.idx[hit.mask], hit.x.idx[hit.mask])
-    assert np.array_equal(oracle.y.idx[hit.mask], hit.y.idx[hit.mask])
+    assert np.array_equal(oracle.x[hit.mask], hit.x[hit.mask])
+    assert np.array_equal(oracle.y[hit.mask], hit.y[hit.mask])
     # values that fail F, dF/dx or dF/dy: the mask still has the joint shape
     fail = vals[~singular_jets_closed_form(
         WeierstrassJets(F, vals, np.zeros((V, g, 0), dtype=np.int64))).mask]
@@ -569,10 +570,12 @@ def test_value_table_path_equals_formula_path(p, n, m, monkeypatch):
         (table, dz_table), (formula, dz_formula) = _both_paths(J, monkeypatch)
         assert table.mask.shape == table.x.shape == table.y.shape == shape
         assert table.mask.dtype == formula.mask.dtype == bool
-        assert table.x.idx.dtype == formula.x.idx.dtype == np.int64
+        # the table path keeps the table's small dtype, the formulas int64
+        assert table.x.dtype == table.y.dtype == np.min_scalar_type(F.size - 1)
+        assert formula.x.dtype == formula.y.dtype == np.int64
         assert np.array_equal(table.mask, formula.mask)
-        assert np.array_equal(table.x.idx, formula.x.idx)
-        assert np.array_equal(table.y.idx, formula.y.idx)
+        assert np.array_equal(table.x, formula.x)
+        assert np.array_equal(table.y, formula.y)
         assert np.array_equal(dz_table, dz_formula)
         assert table.mask.any()
     # every value tuple's verdicts are the formulas' on that tuple alone
@@ -581,7 +584,7 @@ def test_value_table_path_equals_formula_path(p, n, m, monkeypatch):
     no_grad = WeierstrassJets(F, vals, np.zeros(vals.shape + (0,), dtype=np.int64))
     passes, x, y = weier._value_stage(no_grad)
     assert np.array_equal(built.passes, passes)
-    assert np.array_equal(built.x, x.idx) and np.array_equal(built.y, y.idx)
+    assert np.array_equal(built.x, x) and np.array_equal(built.y, y)
     assert np.array_equal(built.delta_zero,
                           discriminant_value(*no_grad.forms(no_grad.values)).is_zero)
 
@@ -614,8 +617,8 @@ def test_detector_gathers_broadcast_entries_as_their_joint_copies(p, n, m, limit
         assert J.shape == joint.shape == shape
         hit, ref = singular_jets_closed_form(J), singular_jets_closed_form(joint)
         assert np.array_equal(hit.mask, ref.mask)
-        assert np.array_equal(hit.x.idx, ref.x.idx)
-        assert np.array_equal(hit.y.idx, ref.y.idx)
+        assert np.array_equal(hit.x, ref.x)
+        assert np.array_equal(hit.y, ref.y)
         assert hit.mask.any() and not hit.mask.all()
 
 
@@ -642,8 +645,8 @@ def test_linear_form_base_stage_matches_the_oracle(p, n, data):
         hit, ref = singular_jets_closed_form(J), singular_jets_oracle(J)
         assert hit.mask.shape == ref.mask.shape == J.shape
         assert np.array_equal(hit.mask, ref.mask)
-        assert np.array_equal(hit.x.idx[hit.mask], ref.x.idx[ref.mask])
-        assert np.array_equal(hit.y.idx[hit.mask], ref.y.idx[ref.mask])
+        assert np.array_equal(hit.x[hit.mask], ref.x[ref.mask])
+        assert np.array_equal(hit.y[hit.mask], ref.y[ref.mask])
     assert batches[0].shape == (len(idx),) and batches[1].shape == (len(idx), len(idx))
     assert singular_jets_closed_form(cross).mask.diagonal()[:len(rows)].all()
 
@@ -662,7 +665,7 @@ def test_detector_takes_a_batch_of_one_lane(p, n):
         assert oracle.mask.shape == oracle.x.shape == oracle.y.shape == ()
         assert hit.mask == oracle.mask
         if oracle.mask:
-            assert (hit.x.idx, hit.y.idx) == (oracle.x.idx, oracle.y.idx)
+            assert (hit.x, hit.y) == (oracle.x, oracle.y)
 
 
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 3)])
@@ -714,8 +717,8 @@ def test_fiber_scan_of_a_batch_matches_the_scalar_scan(p, n, data):
     for batch, lanes in ((idx, rows), (idx[0], rows[:1])):
         got = singular_jets_oracle(jets_from_indices(F, batch))
         assert got.mask.shape == got.x.shape == got.y.shape == batch.shape[:-2]
-        for hit, x, y, row in zip(got.mask.reshape(-1), got.x.idx.reshape(-1),
-                                  got.y.idx.reshape(-1), lanes, strict=True):
+        for hit, x, y, row in zip(got.mask.reshape(-1), got.x.reshape(-1),
+                                  got.y.reshape(-1), lanes, strict=True):
             want = fiber_scan(F, row)
             assert hit == (want is not None)
             assert (x, y) == ((want[0].idx, want[1].idx) if hit else (0, 0))
@@ -735,7 +738,7 @@ def test_fiber_scan_chunks_give_one_answer(p, budget, monkeypatch):
     got = singular_jets_oracle(J)
     assert want.mask.any()
     assert np.array_equal(got.mask, want.mask)
-    assert np.array_equal(got.x.idx, want.x.idx) and np.array_equal(got.y.idx, want.y.idx)
+    assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
 
 
 def test_large_field_scan_builds_no_table():
